@@ -4,7 +4,7 @@
 //!
 //! Each connection thread drives one keep-alive client through rounds
 //! of four requests — `PUT` a document, `GET` it back, `GET` its
-//! stats, `POST` one hash-chained replication frame — and records
+//! stats, `POST` a one-frame hash-chained replication batch — and records
 //! per-request latency. The summary (throughput plus p50/p90/p99) for
 //! every `(core, connections)` cell lands in `BENCH_service.json` at
 //! the repo root.
@@ -14,9 +14,10 @@
 //! without paying for the full sweep.
 
 use serde_json::json;
+use std::borrow::Cow;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
-use yprov_service::cluster::frame_body;
+use yprov_service::cluster::encode_batch;
 use yprov_service::ledger::Ledger;
 use yprov_service::{Client, DocumentStore, RetryPolicy, Server, ServerConfig, ServerCore};
 
@@ -111,8 +112,9 @@ fn run_level(core: ServerCore, conns: usize, rounds: usize, doc_body: &str) -> s
                         timed("GET", &format!("/api/v0/documents/{id}"), None);
                         timed("GET", &format!("/api/v0/documents/{id}/stats"), None);
                         let entry = ledger.append(format!("repl-{t}-{i}"), doc_body.as_bytes());
-                        let frame = frame_body(&source, entry, Some(doc_body));
-                        timed("POST", "/api/v0/replication/frames", Some(&frame));
+                        let frame = (entry.clone(), Some(Cow::Borrowed(doc_body)));
+                        let batch = encode_batch(&source, &[frame]);
+                        timed("POST", "/api/v0/replication/frames", Some(&batch));
                     }
                     (lat, errors)
                 })

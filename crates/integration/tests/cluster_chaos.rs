@@ -1,7 +1,7 @@
 //! Cluster-scale chaos for the replicated provenance service: a
 //! seeded [`FaultPlan`] decides when the write primary dies mid-upload,
 //! the surviving replicas are promoted and keep answering with their
-//! hash chains intact, and injected frame faults (drop, tear,
+//! hash chains intact, and injected push faults (drop, tear,
 //! duplicate, delay, partition) all converge back to byte-identical
 //! state.
 //!
@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use train_sim::{FaultKind, FaultPlan};
 use yprov_service::{
-    Client, ClusterClient, ClusterConfig, DocumentStore, NodeSpec, RetryPolicy, Server,
+    Client, ClusterClient, ClusterConfig, DocumentStore, NodeSpec, RetryPolicy, Ring, Server,
     ServerConfig,
 };
 
@@ -40,6 +40,14 @@ fn push_policy() -> RetryPolicy {
         request_timeout: Duration::from_millis(1500),
         ..fast_policy(3)
     }
+}
+
+/// One request, no retries: [`Client`] retries a 503 and reports only
+/// that it ran out of attempts, and the tests below assert on the 503
+/// itself.
+fn put_once(addr: SocketAddr, id: &str, body: &str) -> (u16, String) {
+    yprov_service::http::request(addr, "PUT", &format!("/api/v0/documents/{id}"), Some(body))
+        .unwrap()
 }
 
 fn doc_json(tag: &str) -> String {
@@ -208,25 +216,8 @@ fn primary_killed_mid_upload_cluster_promotes_and_serves() {
         .replication_chaos()
         .expect("cluster-configured server has chaos knobs")
         .drop_next_frames(u32::MAX);
-    let direct = Client::new(
-        addrs[victim_idx],
-        RetryPolicy {
-            max_attempts: 1,
-            ..fast_policy(13)
-        },
-    );
-    let resp = direct
-        .send(
-            "PUT",
-            &format!("/api/v0/documents/{inflight}"),
-            Some(&doc_json("inflight")),
-        )
-        .unwrap();
-    assert_eq!(
-        resp.status, 503,
-        "unreplicated write must not ack: {}",
-        resp.body
-    );
+    let (status, body) = put_once(addrs[victim_idx], &inflight, &doc_json("inflight"));
+    assert_eq!(status, 503, "unreplicated write must not ack: {body}");
     victim.shutdown();
 
     // Phase 3: probes notice the death; the survivors keep serving.
@@ -260,9 +251,17 @@ fn primary_killed_mid_upload_cluster_promotes_and_serves() {
     let survivor_idx = (0..ids.len()).find(|i| *i != victim_idx).unwrap();
     let ops_probe = Client::new(addrs[survivor_idx], fast_policy(19));
     let resp = ops_probe.get("/api/v0/obs/health").unwrap();
-    assert_eq!(resp.status, 200, "survivor not ready mid-chaos: {}", resp.body);
+    assert_eq!(
+        resp.status, 200,
+        "survivor not ready mid-chaos: {}",
+        resp.body
+    );
     let resp = ops_probe.get("/api/v0/obs/cluster").unwrap();
-    assert_eq!(resp.status, 200, "dead peer broke federation: {}", resp.body);
+    assert_eq!(
+        resp.status, 200,
+        "dead peer broke federation: {}",
+        resp.body
+    );
     let view: serde_json::Value = serde_json::from_str(&resp.body).unwrap();
     assert_eq!(view["ok"], serde_json::json!(false), "{}", resp.body);
     let corpse = view["members"]
@@ -323,8 +322,9 @@ fn primary_killed_mid_upload_cluster_promotes_and_serves() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// Torn, duplicated and delayed frames: the replica rejects the torn
-/// frame (digest mismatch), re-sync re-delivers it clean, duplicates
+/// Torn, duplicated and delayed pushes: the replica refuses the torn
+/// request (its bytes no longer match its header), the primary resumes
+/// from the index the refusal names and delivers it clean, duplicates
 /// are absorbed idempotently — and the replica ends byte-identical.
 #[test]
 fn torn_duplicated_and_delayed_frames_converge() {
@@ -366,7 +366,7 @@ fn torn_duplicated_and_delayed_frames_converge() {
         assert_eq!(client.get("/api/v0/ledger/verify").unwrap().status, 200);
     }
 
-    // The torn frame is visible in the replica's reject counter.
+    // The torn request is visible in the replica's reject counter.
     let metrics = b.get("/metrics").unwrap().body;
     let rejects = metrics
         .lines()
@@ -374,7 +374,7 @@ fn torn_duplicated_and_delayed_frames_converge() {
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(0);
-    assert!(rejects >= 1, "torn frame must be counted: {metrics}");
+    assert!(rejects >= 1, "torn request must be counted: {metrics}");
 
     for server in servers {
         server.shutdown();
@@ -382,10 +382,10 @@ fn torn_duplicated_and_delayed_frames_converge() {
 }
 
 /// A partition leaves the replica stale; writes during it are refused
-/// as under-replicated (503). When the partition heals, the replica's
-/// gap rejection triggers re-sync from the divergence point and both
-/// nodes' chain files end byte-identical — including across a replica
-/// restart.
+/// as under-replicated (503). When the partition heals, the primary
+/// reads the replica's head and the next push carries everything the
+/// replica missed in front of the new entry; both nodes' chain files
+/// end byte-identical — including across a replica restart.
 #[test]
 fn partition_heals_through_resync_byte_identically() {
     let base = tmp("partition");
@@ -409,26 +409,21 @@ fn partition_heals_through_resync_byte_identically() {
     let a = Client::new(addrs[0], fast_policy(31));
     let b = Client::new(addrs[1], fast_policy(37));
     let put = |i: u64| {
-        a.send(
-            "PUT",
-            &format!("/api/v0/documents/run-{i}"),
-            Some(&doc_json(&format!("model-{i}"))),
+        put_once(
+            addrs[0],
+            &format!("run-{i}"),
+            &doc_json(&format!("model-{i}")),
         )
-        .unwrap()
     };
 
-    // Healthy write, then a partition: frames stop reaching B.
-    assert_eq!(put(0).status, 201);
+    // Healthy write, then a partition: pushes stop reaching B.
+    assert_eq!(put(0).0, 201);
     let chaos = servers[0].replication_chaos().unwrap();
     chaos.drop_next_frames(2);
     for i in [1u64, 2] {
-        let resp = put(i);
-        assert_eq!(
-            resp.status, 503,
-            "partitioned write must not ack: {}",
-            resp.body
-        );
-        assert!(resp.body.contains("under-replicated"), "{}", resp.body);
+        let (status, body) = put(i);
+        assert_eq!(status, 503, "partitioned write must not ack: {body}");
+        assert!(body.contains("under-replicated"), "{body}");
     }
     // B is stale: it saw only entry 0.
     let head: serde_json::Value = serde_json::from_str(
@@ -439,15 +434,15 @@ fn partition_heals_through_resync_byte_identically() {
     .unwrap();
     assert_eq!(head["next_index"], 1);
 
-    // Partition heals. The next frame (index 3) hits B as a gap — B
-    // rejects it naming index 1 — and A re-streams its log from there.
-    let resp = put(3);
-    assert_eq!(resp.status, 201, "{}", resp.body);
+    // Partition heals. A forgot B's cursor when its pushes failed; it
+    // reads B's head (index 1) and ships entries 1..=3 as one batch.
+    let (status, body) = put(3);
+    assert_eq!(status, 201, "{body}");
 
     for i in 0..4 {
         let from_a = a.get(&format!("/api/v0/documents/run-{i}")).unwrap();
         let from_b = b.get(&format!("/api/v0/documents/run-{i}")).unwrap();
-        assert_eq!(from_b.status, 200, "run-{i} missing after re-sync");
+        assert_eq!(from_b.status, 200, "run-{i} missing after the catch-up");
         assert_eq!(from_a.body, from_b.body, "run-{i} bytes diverged");
     }
     assert_eq!(b.get("/api/v0/ledger/verify").unwrap().status, 200);
@@ -471,6 +466,104 @@ fn partition_heals_through_resync_byte_identically() {
     drop(store_b);
     let reopened = DocumentStore::persistent(&dir_b).unwrap();
     assert_eq!(reopened.replication_head("node-a").0, 4);
+    reopened.verify_all().unwrap();
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// Degraded mode and its clean-up. While the replica of an id cannot be
+/// reached, the next node on the ring takes the copy; once the replica
+/// is back and the id is replaced, the stand-in receives only chain
+/// entries for it — and must let go of the bytes it holds, which no
+/// chain commits any more, rather than serve them or fail verification.
+#[test]
+fn successor_drops_its_copy_once_the_placement_nodes_move_on() {
+    let base = tmp("degraded");
+    let ids = ["node-a", "node-b", "node-c"];
+    let dirs: Vec<PathBuf> = ids.iter().map(|id| base.join(id)).collect();
+    let stores: Vec<DocumentStore> = dirs
+        .iter()
+        .map(|d| DocumentStore::persistent(d).unwrap())
+        .collect();
+    let addrs = reserve_addrs(ids.len());
+    let servers = bind_cluster(&ids, &addrs, &stores);
+    let _artifacts = LedgerArtifacts {
+        nodes: ids
+            .iter()
+            .zip(&dirs)
+            .map(|(id, d)| (id.to_string(), d.clone()))
+            .collect(),
+    };
+    let cluster = ClusterClient::new(
+        ids.iter()
+            .zip(&addrs)
+            .map(|(id, addr)| NodeSpec::new(*id, *addr))
+            .collect(),
+        2,
+        fast_policy(41),
+    );
+    let at = |node: &str| ids.iter().position(|id| *id == node).unwrap();
+    let direct: Vec<Client> = addrs
+        .iter()
+        .map(|addr| Client::new(*addr, fast_policy(43)))
+        .collect();
+    let get = |node: usize, id: &str| {
+        direct[node]
+            .get(&format!("/api/v0/documents/{id}"))
+            .unwrap()
+    };
+
+    // X lives on [primary, replica]; the third node is its successor.
+    // Y shares X's primary and has that successor as its replica, so a
+    // put of Y is what moves the successor's cursor.
+    let ring = Ring::new(ids);
+    let x = "run-x".to_string();
+    let order = ring.replicas_for(&x, 3);
+    let (primary, replica, successor) = (at(order[0]), at(order[1]), at(order[2]));
+    let y = (0..)
+        .map(|i| format!("run-y{i}"))
+        .find(|id| ring.replicas_for(id, 2) == [order[0], order[2]])
+        .unwrap();
+
+    // The primary's push to the replica is lost; the successor confirms.
+    servers[primary]
+        .replication_chaos()
+        .unwrap()
+        .drop_next_frames(1);
+    let resp = cluster.put(&x, &doc_json("first")).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.body);
+    assert_eq!(get(replica, &x).status, 404);
+    let held = get(successor, &x);
+    assert_eq!(held.status, 200, "{}", held.body);
+    assert!(held.body.contains("first"));
+
+    // The replica is back; X is replaced on its placement nodes.
+    let resp = cluster.put(&x, &doc_json("second")).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.body);
+    // A put of another id carries X's new chain entry to the successor.
+    let resp = cluster.put(&y, &doc_json("other")).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.body);
+
+    let gone = get(successor, &x);
+    assert_eq!(gone.status, 404, "the successor still serves {}", gone.body);
+    let from_primary = get(primary, &x);
+    let from_replica = get(replica, &x);
+    assert_eq!(from_primary.status, 200);
+    assert!(from_primary.body.contains("second"));
+    assert_eq!(from_primary.body, from_replica.body);
+    assert_eq!(get(successor, &y).status, 200);
+    for client in &direct {
+        let resp = client.get("/api/v0/ledger/verify").unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+
+    // The drop reached the disk: the successor's directory reopens,
+    // verifies, and holds Y only.
+    for server in servers {
+        server.shutdown();
+    }
+    drop(stores);
+    let reopened = DocumentStore::persistent(&dirs[successor]).unwrap();
+    assert_eq!(reopened.list(), vec![y]);
     reopened.verify_all().unwrap();
     std::fs::remove_dir_all(&base).ok();
 }

@@ -79,15 +79,16 @@ impl WorkerPool {
                 let results = &results;
                 let f = &f;
                 s.spawn(move || loop {
-                    let task = match queues[w].lock().pop_front() {
-                        Some(t) => t,
-                        None => match steal(queues, w) {
-                            Some(t) => t,
-                            // Tasks are never re-queued, so observing
-                            // every queue empty means the remaining work
-                            // is already running on other workers.
-                            None => break,
-                        },
+                    // Popped in a statement of its own: as a `match`
+                    // scrutinee the guard would live through the arms,
+                    // and two thieves that each hold their own queue
+                    // while locking the other's deadlock.
+                    let own = queues[w].lock().pop_front();
+                    // Tasks are never re-queued, so observing every
+                    // queue empty means the remaining work is already
+                    // running on other workers.
+                    let Some(task) = own.or_else(|| steal(queues, w)) else {
+                        break;
                     };
                     let r = f(task);
                     results.lock().push((task, r));

@@ -12,15 +12,19 @@
 //! * **[`Replicator`]** — the primary side of the streaming protocol.
 //!   After a node commits an upload to its own ledger, it ships the
 //!   new chain entry *plus the canonical document bytes the entry's
-//!   digest commits to* as one frame (`POST
-//!   /api/v0/replication/frames`) to the key's replica set. The
-//!   replica verifies the frame against its durable per-source cursor
-//!   chain before applying ([`crate::store::DocumentStore::apply_replicated`]);
-//!   a rejection carries the index to re-sync from and the primary
-//!   re-streams its log from that divergence point. Frames from one
-//!   chain are pushed serially, so a replica sees each source's
-//!   entries in order (and self-heals through re-sync when it does
-//!   not).
+//!   digest commits to* to the key's replica set, in one request per
+//!   replica (`POST /api/v0/replication/frames`). A node streams one
+//!   chain and a replica accepts only the next index, so the request
+//!   is a *batch*: the entries the replica has not seen yet (puts that
+//!   went to other peers), then the new one. The primary keeps, per
+//!   peer, the next index that peer expects; gap entries carry their
+//!   document only when the peer is in the id's placement and the
+//!   bytes still exist, otherwise they ship chain-only. The replica
+//!   verifies every frame against its durable per-source cursor chain
+//!   before applying ([`crate::store::DocumentStore::apply_replicated`])
+//!   and answers with its new head. A `409` names the index the
+//!   replica expects (restart, healed partition, torn request) and the
+//!   primary resumes from there through the same batch builder.
 //! * **[`ClusterClient`]** — the thin routing layer over the existing
 //!   REST verbs. Membership is health-probe-driven: a node that stops
 //!   answering `/healthz` (or a request) drops out of the client's
@@ -29,15 +33,18 @@
 //!   the candidate must pass `GET /api/v0/ledger/verify` — a replica
 //!   with a broken or tampered chain is never promoted.
 //!
-//! [`ReplicationChaos`] exposes the frame path's fault-injection knobs
-//! (drop, tear, duplicate, delay) to the cluster chaos harness; the
-//! handles are shared atomics so a test can flip them mid-run.
+//! [`ReplicationChaos`] exposes the push path's fault-injection knobs
+//! (drop, tear, duplicate, delay — each acts on one push request) to
+//! the cluster chaos harness; the handles are shared atomics so a test
+//! can flip them mid-run.
 
 use crate::client::{Client, Response, RetryPolicy};
+use crate::error::ServiceError;
 use crate::ledger::LedgerEntry;
 use crate::store::{DocumentStore, Upload};
 use parking_lot::Mutex;
 use serde_json::json;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -159,7 +166,7 @@ pub(crate) fn entry_to_json(e: &LedgerEntry) -> serde_json::Value {
     })
 }
 
-pub(crate) fn entry_from_json(v: &serde_json::Value) -> Option<LedgerEntry> {
+fn entry_from_json(v: &serde_json::Value) -> Option<LedgerEntry> {
     Some(LedgerEntry {
         index: v.get("index")?.as_u64()?,
         document_id: v.get("document_id")?.as_str()?.to_string(),
@@ -169,26 +176,173 @@ pub(crate) fn entry_from_json(v: &serde_json::Value) -> Option<LedgerEntry> {
     })
 }
 
-/// One replication frame: a chain entry from `source`'s ledger plus
-/// (usually) the canonical document bytes its digest commits to.
-/// `document` is `null` for re-synced entries whose bytes were
-/// superseded by a later upload of the same id.
-pub fn frame_body(source: &str, entry: &LedgerEntry, doc_json: Option<&str>) -> String {
-    json!({
-        "source": source,
-        "entry": entry_to_json(entry),
-        "document": doc_json,
-    })
-    .to_string()
+/// One frame: a chain entry from the source's ledger and, unless it
+/// ships chain-only, the canonical document bytes its digest commits
+/// to.
+pub type Frame<'a> = (LedgerEntry, Option<Cow<'a, str>>);
+
+/// A batch is cut once it holds this many bytes, well under
+/// [`crate::http::ServerConfig::max_body`]'s default; a single larger
+/// frame goes alone.
+const BATCH_BYTES: usize = 8 * 1024 * 1024;
+
+/// What a frame adds to a batch's size: its document and (generously)
+/// its entry in the header line.
+fn frame_bytes(frame: &Frame) -> usize {
+    512 + frame.1.as_ref().map_or(0, |d| d.len())
+}
+
+/// Encodes the body of one `POST /api/v0/replication/frames`: a JSON
+/// header line — the source, and per frame its entry and the byte
+/// length of its document (`null` for chain-only) — followed by the
+/// documents' bytes, unescaped, in frame order.
+pub fn encode_batch(source: &str, frames: &[Frame]) -> String {
+    let header: Vec<serde_json::Value> = frames
+        .iter()
+        .map(|(entry, doc)| {
+            json!({
+                "entry": entry_to_json(entry),
+                "document_bytes": doc.as_ref().map(|d| d.len()),
+            })
+        })
+        .collect();
+    let mut body = json!({"source": source, "frames": header}).to_string();
+    body.push('\n');
+    for (_, doc) in frames {
+        body.push_str(doc.as_deref().unwrap_or(""));
+    }
+    body
+}
+
+/// Why a request body is not a batch.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum BatchError {
+    /// No usable header line; nothing is known about the sender.
+    Header(String),
+    /// The header is sound but the bytes after it are not the documents
+    /// it announces (cut or padded in flight).
+    Torn {
+        /// The sender, from the header.
+        source: String,
+        /// What does not add up.
+        reason: String,
+    },
+}
+
+/// Decodes [`encode_batch`]'s output into the source and its frames,
+/// each document a slice of `body`. All or nothing: the announced
+/// lengths must cover the bytes after the header line exactly and fall
+/// on character boundaries.
+pub(crate) fn decode_batch(body: &str) -> Result<(String, Vec<Frame<'_>>), BatchError> {
+    let header = |reason: &str| BatchError::Header(reason.to_string());
+    let (line, mut rest) = body
+        .split_once('\n')
+        .ok_or_else(|| header("no header line"))?;
+    let v: serde_json::Value =
+        serde_json::from_str(line).map_err(|e| BatchError::Header(e.to_string()))?;
+    let source = v.get("source").and_then(|s| s.as_str());
+    let source = source.ok_or_else(|| header("missing \"source\""))?;
+    let announced = v.get("frames").and_then(|f| f.as_array());
+    let announced = announced.ok_or_else(|| header("missing \"frames\""))?;
+    let torn = |reason: String| BatchError::Torn {
+        source: source.to_string(),
+        reason,
+    };
+    let mut frames = Vec::with_capacity(announced.len());
+    for f in announced {
+        let entry = f.get("entry").and_then(entry_from_json);
+        let entry = entry.ok_or_else(|| header("a frame is missing a well-formed \"entry\""))?;
+        let doc = match f.get("document_bytes") {
+            Some(serde_json::Value::Null) => None,
+            Some(n) => {
+                let len = n.as_u64().and_then(|n| usize::try_from(n).ok());
+                let len = len.ok_or_else(|| header("a \"document_bytes\" is not a length"))?;
+                let (doc, after) = rest.split_at_checked(len).ok_or_else(|| {
+                    torn(format!(
+                        "entry {}: {len} document bytes announced, {} left or cut inside a character",
+                        entry.index,
+                        rest.len()
+                    ))
+                })?;
+                rest = after;
+                Some(Cow::Borrowed(doc))
+            }
+            None => return Err(header("a frame is missing \"document_bytes\"")),
+        };
+        frames.push((entry, doc));
+    }
+    if !rest.is_empty() {
+        return Err(torn(format!(
+            "{} bytes after the last document",
+            rest.len()
+        )));
+    }
+    Ok((source.to_string(), frames))
+}
+
+/// The replica side of `POST /api/v0/replication/frames`: decodes the
+/// batch, applies its frames in order through
+/// [`DocumentStore::apply_replicated`], stops at the first refusal, and
+/// answers with this replica's new head for the source. A refusal is a
+/// `409` naming the index to resume from (when resending can help).
+pub(crate) fn apply_batch(
+    store: &DocumentStore,
+    registry: &obs::Registry,
+    body: &[u8],
+) -> (u16, String) {
+    let Ok(text) = std::str::from_utf8(body) else {
+        return (400, json!({"error": "body is not UTF-8"}).to_string());
+    };
+    let refuse = |reason: String, expect_index: Option<u64>, applied: usize| {
+        registry.counter("replication_rejects_total").inc();
+        let body = json!({"error": reason, "expect_index": expect_index, "applied": applied});
+        (409, body.to_string())
+    };
+    let (source, frames) = match decode_batch(text) {
+        Ok(batch) => batch,
+        Err(BatchError::Header(reason)) => {
+            return (
+                400,
+                json!({"error": format!("bad batch: {reason}")}).to_string(),
+            )
+        }
+        Err(BatchError::Torn { source, reason }) => {
+            let next = store.replication_head(&source).0;
+            return refuse(format!("torn batch: {reason}"), Some(next), 0);
+        }
+    };
+    registry
+        .counter("replication_frames_total")
+        .add(frames.len() as u64);
+    registry
+        .counter("replication_bytes_total")
+        .add(body.len() as u64);
+    for (applied, (entry, doc)) in frames.into_iter().enumerate() {
+        match store.apply_replicated(&source, entry, doc.as_deref()) {
+            Ok(_) => {}
+            Err(ServiceError::Replication {
+                reason,
+                expect_index,
+            }) => return refuse(reason, expect_index, applied),
+            Err(e) => return crate::http::error_response(&e),
+        }
+    }
+    let (next, head) = store.replication_head(&source);
+    (
+        200,
+        json!({"source": source, "next_index": next, "head_hash": head}).to_string(),
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Chaos knobs
 // ---------------------------------------------------------------------------
 
-/// Fault injection on the outgoing frame path. Cloning shares the
-/// underlying knobs, so a chaos harness keeps one handle and flips
-/// faults while the server runs; all knobs default to off.
+/// Fault injection on the outgoing push path; every knob acts on one
+/// push request (one `POST /api/v0/replication/frames`, whatever the
+/// size of its batch). Cloning shares the underlying knobs, so a chaos
+/// harness keeps one handle and flips faults while the server runs;
+/// all knobs default to off.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicationChaos {
     inner: Arc<ChaosInner>,
@@ -208,26 +362,27 @@ impl ReplicationChaos {
         ReplicationChaos::default()
     }
 
-    /// Drops the next `n` outgoing frames on the floor — a partition
+    /// Drops the next `n` push requests on the floor — a partition
     /// between the primary and its replicas.
     pub fn drop_next_frames(&self, n: u32) {
         self.inner.drop_frames.store(n, Ordering::Release);
     }
 
-    /// Corrupts the next `n` outgoing frames by truncating the document
-    /// bytes mid-flight; the replica must reject the torn frame (digest
-    /// mismatch) and recover through re-sync.
+    /// Corrupts the next `n` push requests by cutting the document
+    /// bytes short mid-flight; the replica must refuse the torn request
+    /// (the bytes no longer match the header) and the primary resumes
+    /// from the index the refusal names.
     pub fn tear_next_frames(&self, n: u32) {
         self.inner.tear_frames.store(n, Ordering::Release);
     }
 
-    /// Delivers every frame twice; the replica must absorb the second
-    /// copy idempotently.
+    /// Delivers every push request twice; the replica must absorb the
+    /// second copy idempotently.
     pub fn duplicate_frames(&self, on: bool) {
         self.inner.duplicate_frames.store(on, Ordering::Release);
     }
 
-    /// Sleeps this long before each frame send (delayed frames).
+    /// Sleeps this long before each push request (delayed frames).
     pub fn delay_frames(&self, delay: Duration) {
         self.inner
             .delay_ms
@@ -310,6 +465,33 @@ impl ReplicationOutcome {
     }
 }
 
+/// How often one push follows a `409` to the index it names before
+/// giving up on the peer for this upload.
+const MAX_RESUMES: u32 = 3;
+
+/// The primary's view of one peer. Frames from this node's chain must
+/// reach a replica in order, and order is a per-replica property, so
+/// each peer has its own lock, held for a whole push.
+struct Link {
+    /// Pooled keep-alive client: pushes ride one connection instead of
+    /// paying a TCP connect each.
+    client: Client,
+    /// The index of this node's chain the peer expects next: read from
+    /// the peer's head on first contact, then kept from its answers.
+    /// Forgotten after any failed push and relearned (in memory only,
+    /// so also after a restart).
+    next_index: Option<u64>,
+}
+
+/// What a peer said to one push request.
+enum Reply {
+    /// Applied; the peer's chain for this node now ends before this
+    /// index.
+    Head(u64),
+    /// Refused; resending from this index can help.
+    Resume(u64),
+}
+
 /// The primary side of the streaming protocol: owned by a
 /// cluster-configured server, invoked synchronously after every local
 /// upload commit.
@@ -318,14 +500,8 @@ pub struct Replicator {
     ring: Ring,
     pushes: Arc<obs::Counter>,
     push_failures: Arc<obs::Counter>,
-    /// Frames from this node's chain must reach each replica in order;
-    /// pushes are serialized. Out-of-order delivery that slips through
-    /// anyway (a push racing a ledger append) is rejected by the
-    /// replica as a gap and healed by re-sync.
-    push_lock: Mutex<()>,
-    /// One pooled client per peer: frame pushes ride the same
-    /// keep-alive connection instead of paying a TCP connect each.
-    clients: Mutex<BTreeMap<String, Client>>,
+    /// One per entry of `cfg.peers`, in that order.
+    links: Vec<Mutex<Link>>,
 }
 
 impl Replicator {
@@ -334,32 +510,27 @@ impl Replicator {
     pub fn new(cfg: ClusterConfig, registry: &obs::Registry) -> Replicator {
         registry.set_help(
             "replication_pushes_total",
-            "Frames pushed to replicas, re-sync frames included.",
+            "Push requests sent to replicas (one batch of frames each), resumed ones included.",
         );
         registry.set_help(
             "replication_push_failures_total",
-            "Frame pushes that exhausted retries or were refused.",
+            "Uploads a peer did not confirm: transport failure, refusal, or resumes exhausted.",
         );
         let mut members: Vec<String> = cfg.peers.iter().map(|p| p.id.clone()).collect();
         members.push(cfg.node_id.clone());
+        let links = cfg.peers.iter().map(|p| {
+            Mutex::new(Link {
+                client: Client::new(p.addr, cfg.push_policy),
+                next_index: None,
+            })
+        });
         Replicator {
             ring: Ring::new(members),
             pushes: registry.counter("replication_pushes_total"),
             push_failures: registry.counter("replication_push_failures_total"),
-            push_lock: Mutex::new(()),
-            clients: Mutex::new(BTreeMap::new()),
+            links: links.collect(),
             cfg,
         }
-    }
-
-    /// The cached keep-alive client for `peer` (created on first use;
-    /// clones share the parked connection).
-    fn client_for(&self, peer: &NodeSpec) -> Client {
-        self.clients
-            .lock()
-            .entry(peer.id.clone())
-            .or_insert_with(|| Client::new(peer.addr, self.cfg.push_policy))
-            .clone()
     }
 
     /// This node's identity on the ring.
@@ -373,10 +544,13 @@ impl Replicator {
     }
 
     /// The pooled keep-alive client for `peer` — the same connection
-    /// frame pushes ride, shared with metrics/health federation so the
-    /// ops plane adds no sockets of its own.
+    /// pushes ride, shared with metrics/health federation so the ops
+    /// plane adds no sockets of its own.
     pub fn peer_client(&self, peer: &NodeSpec) -> Client {
-        self.client_for(peer)
+        match self.cfg.peers.iter().position(|p| p.id == peer.id) {
+            Some(at) => self.links[at].lock().client.clone(),
+            None => Client::new(peer.addr, self.cfg.push_policy),
+        }
     }
 
     /// The full-membership placement ring.
@@ -389,33 +563,38 @@ impl Replicator {
         self.cfg.chaos.clone()
     }
 
+    /// Whether `peer` is one of the nodes document `id` is placed on.
+    fn places(&self, peer: &NodeSpec, id: &str) -> bool {
+        self.ring
+            .replicas_for(id, self.cfg.replication)
+            .contains(&peer.id.as_str())
+    }
+
     /// Streams one committed upload to the key's replica set. Walks the
     /// key's full ring order (not just the first `replication` nodes):
     /// when a replica-set member is down, the next surviving successor
     /// takes the copy, so the write can still reach `required_acks`.
     pub fn replicate(&self, store: &DocumentStore, up: &Upload) -> ReplicationOutcome {
-        let candidates: Vec<&NodeSpec> = self
+        let candidates: Vec<usize> = self
             .ring
             .replicas_for(&up.id, self.ring.nodes().len())
             .into_iter()
-            .filter(|id| *id != self.cfg.node_id)
-            .filter_map(|id| self.cfg.peers.iter().find(|p| p.id == id))
+            .filter_map(|id| self.cfg.peers.iter().position(|p| p.id == id))
             .collect();
         let desired = self.cfg.replication.saturating_sub(1).min(candidates.len());
         let required = self.cfg.required_acks.min(desired);
 
-        let _guard = self.push_lock.lock();
         let mut confirmed = 0usize;
         let mut errors = Vec::new();
-        for peer in candidates {
+        for at in candidates {
             if confirmed >= desired {
                 break;
             }
-            match self.push_frame(store, peer, &up.entry, Some(&up.canonical_json)) {
+            match self.push(store, at, up) {
                 Ok(()) => confirmed += 1,
                 Err(e) => {
                     self.push_failures.inc();
-                    errors.push(format!("{}: {e}", peer.id));
+                    errors.push(format!("{}: {e}", self.cfg.peers[at].id));
                 }
             }
         }
@@ -426,122 +605,175 @@ impl Replicator {
         }
     }
 
-    /// Pushes one frame to `peer`, applying any injected faults, and
-    /// recovers from rejection via re-sync.
-    fn push_frame(
+    /// Brings peer `at` up to and including `up`'s entry, under the
+    /// peer's lock.
+    fn push(&self, store: &DocumentStore, at: usize, up: &Upload) -> Result<(), String> {
+        let peer = &self.cfg.peers[at];
+        let mut link = self.links[at].lock();
+        let mut span = obs::trace::span("replication_push");
+        if obs::trace::is_enabled() {
+            span.annotate("peer", peer.id.clone());
+            span.annotate("index", up.entry.index.to_string());
+        }
+        let result = self.catch_up(store, peer, &mut link, up);
+        if let Err(e) = &result {
+            link.next_index = None;
+            if obs::trace::is_enabled() {
+                span.annotate("error", e.clone());
+            }
+        }
+        result
+    }
+
+    /// Ships `[peer's next index, up's entry]` in as few requests as
+    /// [`BATCH_BYTES`] allows, following a refusal to the index it
+    /// names at most [`MAX_RESUMES`] times.
+    fn catch_up(
         &self,
         store: &DocumentStore,
         peer: &NodeSpec,
-        entry: &LedgerEntry,
-        doc: Option<&str>,
+        link: &mut Link,
+        up: &Upload,
     ) -> Result<(), String> {
+        let mut next = match link.next_index {
+            Some(next) => next,
+            None => self.peer_head(store, &link.client)?,
+        };
+        if next > up.entry.index {
+            // A later upload's push took the lock first and carried this
+            // entry in its gap — with its document only if the peer is
+            // in the id's placement.
+            link.next_index = Some(next);
+            return match self.places(peer, &up.id) {
+                true => Ok(()),
+                false => Err(format!(
+                    "entry {} already reached the peer chain-only",
+                    up.entry.index
+                )),
+            };
+        }
+        let mut resumes = 0;
+        while next <= up.entry.index {
+            let frames = self.next_batch(store, peer, next, up)?;
+            match self.post(&link.client, &frames)? {
+                Reply::Head(head) if head > next => next = head,
+                Reply::Head(head) => {
+                    return Err(format!("peer acknowledged {next}.. but stays at {head}"))
+                }
+                Reply::Resume(from) if resumes < MAX_RESUMES => {
+                    resumes += 1;
+                    next = from;
+                }
+                Reply::Resume(from) => {
+                    return Err(format!("peer still expects {from} after {resumes} resumes"))
+                }
+            }
+            link.next_index = Some(next);
+        }
+        Ok(())
+    }
+
+    /// The index of this node's chain `client`'s server expects next.
+    /// What the peer holds must be a prefix of this node's ledger: a
+    /// head this ledger does not contain (this node lost a replicated
+    /// tail in a crash) is a fork no push can mend.
+    fn peer_head(&self, store: &DocumentStore, client: &Client) -> Result<u64, String> {
+        let path = format!(
+            "/api/v0/replication/head?source={}",
+            encode_id(&self.cfg.node_id)
+        );
+        let resp = client.get(&path).map_err(|e| e.to_string())?;
+        let v: serde_json::Value = serde_json::from_str(&resp.body).unwrap_or_default();
+        let next = v.get("next_index").and_then(|n| n.as_u64());
+        let (200, Some(next)) = (resp.status, next) else {
+            return Err(format!("head: HTTP {}: {}", resp.status, resp.body.trim()));
+        };
+        let ours = match next.checked_sub(1) {
+            None => Some(crate::ledger::GENESIS.to_string()),
+            Some(last) => store
+                .replication_log(last, next)
+                .pop()
+                .map(|(entry, _)| entry.entry_hash),
+        };
+        match ours.as_deref() == v.get("head_hash").and_then(|h| h.as_str()) {
+            true => Ok(next),
+            false => Err(format!(
+                "the peer's chain for this node ({next} entries) is not a prefix of this ledger"
+            )),
+        }
+    }
+
+    /// The frames of the next request to `peer`: this node's entries
+    /// from `from` on, up to [`BATCH_BYTES`], ending with `up`'s own if
+    /// it fits. An entry before `up`'s carries its document only if the
+    /// peer is in the id's placement and the bytes still exist;
+    /// otherwise it ships chain-only.
+    fn next_batch<'a>(
+        &self,
+        store: &DocumentStore,
+        peer: &NodeSpec,
+        from: u64,
+        up: &'a Upload,
+    ) -> Result<Vec<Frame<'a>>, String> {
+        let mut frames = Vec::new();
+        let mut bytes = 0;
+        for (entry, superseded) in store.replication_log(from, up.entry.index) {
+            let doc = match !superseded && self.places(peer, &entry.document_id) {
+                true => store
+                    .committed_document(&entry)
+                    .map_err(|e| e.to_string())?,
+                false => None,
+            };
+            let frame = (entry, doc.map(Cow::Owned));
+            bytes += frame_bytes(&frame);
+            if bytes > BATCH_BYTES && !frames.is_empty() {
+                return Ok(frames);
+            }
+            frames.push(frame);
+        }
+        let own = (up.entry.clone(), Some(Cow::Borrowed(&*up.canonical_json)));
+        if bytes + frame_bytes(&own) <= BATCH_BYTES || frames.is_empty() {
+            frames.push(own);
+        }
+        Ok(frames)
+    }
+
+    /// One push request, with any injected faults applied to it.
+    fn post(&self, client: &Client, frames: &[Frame]) -> Result<Reply, String> {
         let chaos = &self.cfg.chaos.inner;
         let delay = chaos.delay_ms.load(Ordering::Acquire);
         if delay > 0 {
             std::thread::sleep(Duration::from_millis(delay));
         }
         if ReplicationChaos::take(&chaos.drop_frames) {
-            return Err(format!(
-                "frame {} dropped in flight (injected)",
-                entry.index
-            ));
+            return Err("push dropped in flight (injected)".to_string());
         }
-        let body = if ReplicationChaos::take(&chaos.tear_frames) {
-            frame_body(&self.cfg.node_id, entry, doc.map(tear))
-        } else {
-            frame_body(&self.cfg.node_id, entry, doc)
-        };
-
-        let mut span = obs::trace::span("replication_frame");
-        if obs::trace::is_enabled() {
-            span.annotate("peer", peer.id.clone());
-            span.annotate("index", entry.index.to_string());
-            span.annotate("bytes", body.len().to_string());
+        let mut body = encode_batch(&self.cfg.node_id, frames);
+        if ReplicationChaos::take(&chaos.tear_frames) {
+            let header = body.find('\n').map_or(body.len(), |at| at + 1);
+            let keep = header + tear(&body[header..]).len();
+            body.truncate(keep);
         }
-        let client = self.client_for(peer);
-        let result = self.deliver(store, &client, peer, &body, entry.index);
-        if obs::trace::is_enabled() {
-            span.annotate(
-                "outcome",
-                match &result {
-                    Ok(()) => "ok".to_string(),
-                    Err(e) => e.clone(),
-                },
-            );
-        }
-        drop(span);
-
-        if result.is_ok() && chaos.duplicate_frames.load(Ordering::Acquire) {
-            // Second delivery of the same (clean) frame: the replica
-            // answers idempotently, so the outcome stands either way.
-            let clean = frame_body(&self.cfg.node_id, entry, doc);
-            let _ = self.deliver(store, &client, peer, &clean, entry.index);
-        }
-        result
-    }
-
-    /// One frame POST. A 409 rejection names the replica's expected
-    /// next index (the divergence point); re-sync streams this node's
-    /// log from there, which re-delivers the refused entry with clean
-    /// bytes along the way.
-    fn deliver(
-        &self,
-        store: &DocumentStore,
-        client: &Client,
-        peer: &NodeSpec,
-        body: &str,
-        index: u64,
-    ) -> Result<(), String> {
-        self.pushes.inc();
-        let resp = client
-            .send("POST", "/api/v0/replication/frames", Some(body))
-            .map_err(|e| e.to_string())?;
-        match resp.status {
-            200 => Ok(()),
-            409 => {
-                let v: serde_json::Value = serde_json::from_str(&resp.body).unwrap_or_default();
-                match v.get("expect_index").and_then(|x| x.as_u64()) {
-                    Some(from) => self.resync(store, client, peer, from),
-                    None => Err(format!("frame {index} refused: {}", resp.body.trim())),
-                }
-            }
-            s => Err(format!("frame {index}: HTTP {s}: {}", resp.body.trim())),
-        }
-    }
-
-    /// Re-streams this node's chain to `peer` from `from` onward.
-    /// Entries whose bytes were superseded ship without a document —
-    /// the replica advances its cursor chain-only.
-    fn resync(
-        &self,
-        store: &DocumentStore,
-        client: &Client,
-        peer: &NodeSpec,
-        from: u64,
-    ) -> Result<(), String> {
-        let log = store.replication_log(from).map_err(|e| e.to_string())?;
-        if log.is_empty() {
-            return Err(format!(
-                "replica {} expects index {from} but this node's log ends before it",
-                peer.id
-            ));
-        }
-        for (entry, doc) in &log {
-            let body = frame_body(&self.cfg.node_id, entry, doc.as_deref());
+        let send = |body: &str| {
             self.pushes.inc();
-            let resp = client
-                .send("POST", "/api/v0/replication/frames", Some(&body))
-                .map_err(|e| e.to_string())?;
-            if resp.status != 200 {
-                return Err(format!(
-                    "re-sync frame {} refused: HTTP {}: {}",
-                    entry.index,
-                    resp.status,
-                    resp.body.trim()
-                ));
-            }
+            client
+                .send("POST", "/api/v0/replication/frames", Some(body))
+                .map_err(|e| e.to_string())
+        };
+        let resp = send(&body)?;
+        let v: serde_json::Value = serde_json::from_str(&resp.body).unwrap_or_default();
+        let field = |name: &str| v.get(name).and_then(|n| n.as_u64());
+        let reply = match (resp.status, field("next_index"), field("expect_index")) {
+            (200, Some(head), _) => Reply::Head(head),
+            (409, _, Some(from)) => Reply::Resume(from),
+            (status, ..) => return Err(format!("HTTP {status}: {}", resp.body.trim())),
+        };
+        if matches!(reply, Reply::Head(_)) && chaos.duplicate_frames.load(Ordering::Acquire) {
+            // Second delivery of the same (clean) request: the replica
+            // answers idempotently, so the outcome stands either way.
+            let _ = send(&encode_batch(&self.cfg.node_id, frames));
         }
-        Ok(())
+        Ok(reply)
     }
 }
 
@@ -605,12 +837,30 @@ pub struct ClusterClient {
     nodes: Vec<NodeSpec>,
     replication: usize,
     policy: RetryPolicy,
-    /// Health-probe-driven liveness per node id.
-    alive: Mutex<BTreeMap<String, bool>>,
+    /// Health-probe-driven liveness per node id, and the ring over the
+    /// live ones.
+    view: Mutex<LiveView>,
     /// Cached keep-alive clients per node, one set for routed requests
     /// and one (single-attempt, short-timeout) for probes/verification.
     clients: Mutex<BTreeMap<String, Client>>,
     probe_clients: Mutex<BTreeMap<String, Client>>,
+}
+
+/// Which members answer, and the ring built from them. The ring costs
+/// members × [`VNODES`] hashes to build and every routed request reads
+/// it, so it is rebuilt only when a member's liveness flips.
+struct LiveView {
+    alive: BTreeMap<String, bool>,
+    ring: Ring,
+}
+
+impl LiveView {
+    fn set(&mut self, id: &str, alive: bool) {
+        if self.alive.insert(id.to_string(), alive) != Some(alive) {
+            let live = self.alive.iter().filter(|(_, alive)| **alive);
+            self.ring = Ring::new(live.map(|(id, _)| id.clone()));
+        }
+    }
 }
 
 impl ClusterClient {
@@ -618,12 +868,15 @@ impl ClusterClient {
     /// nodes start presumed alive; [`Self::probe`] and per-request
     /// transport failures update the view.
     pub fn new(nodes: Vec<NodeSpec>, replication: usize, policy: RetryPolicy) -> ClusterClient {
-        let alive = nodes.iter().map(|n| (n.id.clone(), true)).collect();
+        let view = LiveView {
+            alive: nodes.iter().map(|n| (n.id.clone(), true)).collect(),
+            ring: Ring::new(nodes.iter().map(|n| n.id.clone())),
+        };
         ClusterClient {
             nodes,
             replication,
             policy,
-            alive: Mutex::new(alive),
+            view: Mutex::new(view),
             clients: Mutex::new(BTreeMap::new()),
             probe_clients: Mutex::new(BTreeMap::new()),
         }
@@ -657,7 +910,7 @@ impl ClusterClient {
                 .health()
                 .map(|r| r.status == 200)
                 .unwrap_or(false);
-            self.alive.lock().insert(node.id.clone(), ok);
+            self.view.lock().set(&node.id, ok);
             if ok {
                 live.push(node.id.clone());
             }
@@ -667,26 +920,23 @@ impl ClusterClient {
 
     /// The ring over currently-live members.
     pub fn ring(&self) -> Ring {
-        let alive = self.alive.lock();
-        Ring::new(
-            self.nodes
-                .iter()
-                .filter(|n| alive.get(&n.id).copied().unwrap_or(false))
-                .map(|n| n.id.clone()),
-        )
+        self.view.lock().ring.clone()
+    }
+
+    /// The first `n` nodes for `id` on the live ring, primary first.
+    fn replicas(&self, id: &str, n: usize) -> Vec<String> {
+        let view = self.view.lock();
+        let nodes = view.ring.replicas_for(id, n);
+        nodes.into_iter().map(String::from).collect()
     }
 
     /// Where `id` lives on the live ring right now: primary first.
     pub fn placement(&self, id: &str) -> Vec<String> {
-        let ring = self.ring();
-        ring.replicas_for(id, self.replication)
-            .into_iter()
-            .map(String::from)
-            .collect()
+        self.replicas(id, self.replication)
     }
 
     fn mark_dead(&self, id: &str) {
-        self.alive.lock().insert(id.to_string(), false);
+        self.view.lock().set(id, false);
     }
 
     fn spec(&self, id: &str) -> Option<&NodeSpec> {
@@ -697,11 +947,7 @@ impl ClusterClient {
     /// walked clockwise from the key, so when the replica set's members
     /// die the surviving successors still appear.
     fn route_order(&self, id: &str) -> Vec<String> {
-        let ring = self.ring();
-        ring.replicas_for(id, ring.nodes().len())
-            .into_iter()
-            .map(String::from)
-            .collect()
+        self.replicas(id, self.nodes.len())
     }
 
     /// Chain-verification gate used before promoting a node: its
@@ -855,20 +1101,108 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frame_json_round_trips() {
+    /// Three frames off one chain: a pretty-printed document (raw
+    /// newlines, non-ASCII text), a chain-only entry, a compact one.
+    fn sample_frames() -> Vec<Frame<'static>> {
+        let mut doc = ProvDocument::new();
+        doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+        doc.entity(QName::new("ex", "model"))
+            .label("modèle — 模型 🙂\nsecond line");
+        let pretty = doc.to_json_string_pretty().unwrap();
+        assert!(pretty.contains('\n') && !pretty.is_ascii());
+        let compact = doc_json("data");
         let mut ledger = crate::ledger::Ledger::new();
-        let entry = ledger.append("run-1", br#"{"a":1}"#).clone();
-        let body = frame_body("node-a", &entry, Some(r#"{"a":1}"#));
-        let v: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(v["source"], "node-a");
-        assert_eq!(v["document"], r#"{"a":1}"#);
-        let back = entry_from_json(&v["entry"]).unwrap();
-        assert_eq!(back, entry);
-        // Superseded entries carry null.
-        let chain_only = frame_body("node-a", &entry, None);
-        let v: serde_json::Value = serde_json::from_str(&chain_only).unwrap();
-        assert!(v["document"].is_null());
+        let first = ledger.append("run-é", pretty.as_bytes()).clone();
+        let second = ledger.append("run-2", b"superseded").clone();
+        let third = ledger.append("run-2", compact.as_bytes()).clone();
+        vec![
+            (first, Some(Cow::Owned(pretty))),
+            (second, None),
+            (third, Some(Cow::Owned(compact))),
+        ]
+    }
+
+    #[test]
+    fn batch_round_trips_raw_bodies() {
+        let frames = sample_frames();
+        let body = encode_batch("nœud-a", &frames);
+        // The documents ride unescaped behind the header line.
+        let pretty = frames[0].1.as_deref().unwrap();
+        assert!(body.contains(pretty));
+        let (source, back) = decode_batch(&body).unwrap();
+        assert_eq!(source, "nœud-a");
+        assert_eq!(back, frames);
+        // An empty batch is a header line and nothing else.
+        let empty = encode_batch("node-a", &[]);
+        assert!(decode_batch(&empty).unwrap().1.is_empty());
+    }
+
+    #[test]
+    fn every_truncation_and_split_of_a_batch_is_refused() {
+        let frames = sample_frames();
+        let body = encode_batch("node-a", &frames).into_bytes();
+        let registry = obs::Registry::new();
+        let apply = |bytes: &[u8]| {
+            let store = DocumentStore::new();
+            let (status, reply) = apply_batch(&store, &registry, bytes);
+            (status, reply, store)
+        };
+        // Cut anywhere — inside the header, inside a character, between
+        // or inside documents — neither piece is a batch, and neither
+        // leaves anything behind.
+        for cut in 0..body.len() {
+            for piece in [&body[..cut], &body[cut..]] {
+                if piece.len() == body.len() {
+                    continue;
+                }
+                let (status, reply, store) = apply(piece);
+                assert!(matches!(status, 400 | 409), "cut {cut}: {status} {reply}");
+                assert!(store.is_empty(), "cut {cut}: a document was applied");
+                assert_eq!(store.replication_head("node-a").0, 0, "cut {cut}");
+            }
+        }
+        // A cut inside the documents keeps the header: the refusal names
+        // the index to resume from.
+        let (status, reply, _) = apply(&body[..body.len() - 1]);
+        assert_eq!(status, 409, "{reply}");
+        let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        assert_eq!(v["expect_index"], 0, "{reply}");
+        // Whole, it applies: two documents, three entries.
+        let (status, reply, store) = apply(&body);
+        assert_eq!(status, 200, "{reply}");
+        let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        assert_eq!(v["next_index"], 3, "{reply}");
+        assert_eq!(store.list(), vec!["run-2", "run-é"]);
+        store.verify_all().unwrap();
+        assert_eq!(registry.counter("replication_frames_total").get(), 3);
+        assert_eq!(
+            registry.counter("replication_bytes_total").get(),
+            body.len() as u64
+        );
+    }
+
+    #[test]
+    fn batch_stops_at_the_first_refused_frame() {
+        let mut frames = sample_frames();
+        // The last frame's bytes no longer hash to its digest.
+        frames[2].1 = Some(Cow::Borrowed("{}"));
+        let body = encode_batch("node-a", &frames);
+        let registry = obs::Registry::new();
+        let store = DocumentStore::new();
+        let (status, reply) = apply_batch(&store, &registry, body.as_bytes());
+        assert_eq!(status, 409, "{reply}");
+        let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        assert_eq!(v["applied"], 2, "{reply}");
+        assert_eq!(v["expect_index"], 2, "{reply}");
+        assert_eq!(store.list(), vec!["run-é"], "the frames before it stand");
+        assert_eq!(registry.counter("replication_rejects_total").get(), 1);
+        // Resent from the named index with clean bytes, the rest lands;
+        // the frames already applied are absorbed as duplicates.
+        let clean = encode_batch("node-a", &sample_frames());
+        let (status, reply) = apply_batch(&store, &registry, clean.as_bytes());
+        assert_eq!(status, 200, "{reply}");
+        assert_eq!(store.len(), 2);
+        store.verify_all().unwrap();
     }
 
     #[test]
@@ -974,6 +1308,144 @@ mod tests {
     }
 
     #[test]
+    fn thirty_puts_replicate_each_document_once() {
+        let ids = ["node-a", "node-b", "node-c"];
+        // Every member must know its peers' addresses before any of
+        // them binds: reserve three ports, release them, bind for real.
+        let addrs: Vec<SocketAddr> = {
+            let held: Vec<std::net::TcpListener> = (0..ids.len())
+                .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+                .collect();
+            held.iter().map(|l| l.local_addr().unwrap()).collect()
+        };
+        let specs: Vec<NodeSpec> = ids
+            .iter()
+            .zip(&addrs)
+            .map(|(id, addr)| NodeSpec::new(*id, *addr))
+            .collect();
+        let stores: Vec<DocumentStore> = ids.iter().map(|_| DocumentStore::new()).collect();
+        let servers: Vec<Server> = (0..ids.len())
+            .map(|i| {
+                let peers = specs.iter().filter(|p| p.id != ids[i]).cloned().collect();
+                let cluster = ClusterConfig {
+                    push_policy: fast_policy(),
+                    ..ClusterConfig::new(ids[i], peers)
+                };
+                let config = ServerConfig {
+                    cluster: Some(cluster),
+                    ..Default::default()
+                };
+                Server::bind(&addrs[i].to_string(), stores[i].clone(), config).unwrap()
+            })
+            .collect();
+
+        const PUTS: u64 = 30;
+        const LIVE_IDS: u64 = 8;
+        let cluster = ClusterClient::new(specs, 2, fast_policy());
+        for i in 0..PUTS {
+            let id = format!("run-{}", i % LIVE_IDS);
+            let resp = cluster.put(&id, &doc_json(&format!("model-{i}"))).unwrap();
+            assert_eq!(resp.status, 201, "{id}: {}", resp.body);
+        }
+
+        let ring = Ring::new(ids);
+        let counter = |server: &Server, name: &str| server.registry().counter(name).get();
+        let mut requests = 0;
+        let mut entries = 0;
+        for (n, store) in stores.iter().enumerate() {
+            // A node holds exactly the ids placed on it, with the bytes
+            // the other placement node holds.
+            let placed: Vec<String> = (0..LIVE_IDS)
+                .map(|k| format!("run-{k}"))
+                .filter(|id| ring.replicas_for(id, 2).contains(&ids[n]))
+                .collect();
+            assert_eq!(store.list(), placed, "{}", ids[n]);
+            for id in &placed {
+                let primary = ring.primary_for(id).unwrap();
+                let at = ids.iter().position(|n| *n == primary).unwrap();
+                assert_eq!(
+                    store.document_json(id).unwrap(),
+                    stores[at].document_json(id).unwrap(),
+                    "{id}@{}",
+                    ids[n]
+                );
+            }
+            store.verify_all().unwrap();
+            // Each cursor is a prefix of its source's ledger: same hash
+            // at the same height of a hash chain.
+            for (source, next) in store.replication_sources() {
+                let at = ids.iter().position(|n| *n == source).unwrap();
+                let ledger = stores[at].ledger_entries();
+                let head = store.replication_head(&source).1;
+                assert_eq!(head, ledger[next as usize - 1].entry_hash, "{source}");
+            }
+            let server = &servers[n];
+            assert_eq!(counter(server, "replication_rejects_total"), 0);
+            assert_eq!(counter(server, "replication_push_failures_total"), 0);
+            requests += counter(
+                server,
+                "http_requests_total{method=\"POST\",route=\"/api/v0/replication/frames\",status=\"200\"}",
+            );
+            entries += counter(server, "replication_frames_total");
+        }
+        // One request per put; every entry reaches each of its source's
+        // two peers at most once.
+        assert_eq!(requests, PUTS);
+        let pushes: u64 = servers
+            .iter()
+            .map(|s| counter(s, "replication_pushes_total"))
+            .sum();
+        assert_eq!(pushes, PUTS);
+        assert!((PUTS..=2 * PUTS).contains(&entries), "{entries} entries");
+        for server in servers {
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn catch_up_is_cut_into_batches_and_a_large_frame_goes_alone() {
+        // Documents of 3 MiB: two fit a batch, three do not.
+        let big = |tag: &str| {
+            let mut doc = ProvDocument::new();
+            doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+            doc.entity(QName::new("ex", tag))
+                .label("x".repeat(3 * 1024 * 1024));
+            doc.to_json_string().unwrap()
+        };
+        let (a, b) = two_nodes();
+        let put = |id: &str, body: &str| {
+            let path = format!("/api/v0/documents/{id}");
+            crate::http::request(a.addr(), "PUT", &path, Some(body)).unwrap()
+        };
+        let pushes = || a.registry().counter("replication_pushes_total").get();
+        // Three uploads B never hears of, then the partition heals.
+        a.replication_chaos().unwrap().drop_next_frames(3);
+        for i in 0..3 {
+            assert_eq!(put(&format!("big-{i}"), &big("m")).0, 503);
+        }
+        assert_eq!(pushes(), 0);
+        assert_eq!(put("small", &doc_json("model")).0, 201);
+        assert_eq!(pushes(), 2, "entries 0-1, then entry 2 with the new one");
+        // Larger than a batch on its own: still one request.
+        let huge = "y".repeat(BATCH_BYTES);
+        let mut doc = ProvDocument::new();
+        doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+        doc.entity(QName::new("ex", "huge")).label(huge);
+        assert_eq!(put("huge", &doc.to_json_string().unwrap()).0, 201);
+        assert_eq!(pushes(), 3);
+        for id in ["big-0", "big-1", "big-2", "small", "huge"] {
+            let path = format!("/api/v0/documents/{id}");
+            let at_a = crate::http::request(a.addr(), "GET", &path, None).unwrap();
+            let at_b = crate::http::request(b.addr(), "GET", &path, None).unwrap();
+            assert_eq!(at_b.0, 200, "{id}");
+            assert!(at_a == at_b, "{id} differs between the nodes");
+        }
+        assert_eq!(b.registry().counter("replication_rejects_total").get(), 0);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
     fn unreplicated_upload_is_rejected_with_503() {
         // Node A's only peer refuses connections: required_acks cannot
         // be met, the write is answered 503 (with Retry-After) and the
@@ -1026,9 +1498,13 @@ mod tests {
             assert_eq!(resp.status, 201, "{}", resp.body);
         }
         // Kill A; probes notice, reads and writes fail over to B.
+        assert_eq!(cluster.ring().nodes(), ["node-a", "node-b"]);
         a.shutdown();
         let live = cluster.probe();
         assert_eq!(live, vec!["node-b".to_string()]);
+        // The cached ring follows the liveness flip.
+        assert_eq!(cluster.ring().nodes(), ["node-b"]);
+        assert_eq!(cluster.placement("run-0"), ["node-b"]);
         for i in 0..4 {
             let id = format!("run-{i}");
             let resp = cluster.get(&id).unwrap();

@@ -47,7 +47,7 @@
 //! | GET    | `/api/v0/ledger` | the tamper-evident upload chain |
 //! | PUT    | `/api/v0/documents/{id}` | upload/replace under a chosen id |
 //! | GET    | `/api/v0/ledger/verify` | verify every chain this node holds |
-//! | POST   | `/api/v0/replication/frames` | apply one replication frame |
+//! | POST   | `/api/v0/replication/frames` | apply a batch of replication frames in order (JSON header line + raw document bytes); 200 with the new head, 409 + `expect_index` at the first refusal |
 //! | GET    | `/api/v0/replication/head?source=` | this replica's cursor for a source |
 //! | GET    | `/api/v0/replication/sources` | all replication cursors |
 //!
@@ -206,15 +206,15 @@ impl Server {
         );
         registry.set_help(
             "replication_frames_total",
-            "Replication frames received from peers.",
+            "Ledger entries received from peers in replication batches.",
         );
         registry.set_help(
             "replication_bytes_total",
-            "Replication frame bytes received from peers.",
+            "Request body bytes of the replication batches received from peers.",
         );
         registry.set_help(
             "replication_rejects_total",
-            "Replication frames rejected before apply (duplicate forks, gaps, torn bytes).",
+            "Replication batches refused at a frame (forks, gaps, torn bytes).",
         );
         registry.set_help(
             "server_connections_open",
@@ -848,16 +848,8 @@ pub(crate) fn route(
         ("GET", ["api", "v0", "ledger"]) => {
             let entries: Vec<serde_json::Value> = store
                 .ledger_entries()
-                .into_iter()
-                .map(|e| {
-                    json!({
-                        "index": e.index,
-                        "document_id": e.document_id,
-                        "document_digest": e.document_digest,
-                        "prev_hash": e.prev_hash,
-                        "entry_hash": e.entry_hash,
-                    })
-                })
+                .iter()
+                .map(crate::cluster::entry_to_json)
                 .collect();
             (200, json!({"entries": entries}).to_string())
         }
@@ -910,52 +902,7 @@ pub(crate) fn route(
         },
 
         ("POST", ["api", "v0", "replication", "frames"]) => {
-            let text = match std::str::from_utf8(&req.body) {
-                Ok(t) => t,
-                Err(_) => return (400, json!({"error": "body is not UTF-8"}).to_string()),
-            };
-            let v: serde_json::Value = match serde_json::from_str(text) {
-                Ok(v) => v,
-                Err(e) => return (400, json!({"error": format!("bad frame: {e}")}).to_string()),
-            };
-            let Some(source) = v.get("source").and_then(|s| s.as_str()) else {
-                return (
-                    400,
-                    json!({"error": "frame is missing \"source\""}).to_string(),
-                );
-            };
-            let Some(entry) = v.get("entry").and_then(crate::cluster::entry_from_json) else {
-                return (
-                    400,
-                    json!({"error": "frame is missing a well-formed \"entry\""}).to_string(),
-                );
-            };
-            let doc = v.get("document").and_then(|d| d.as_str());
-            registry.counter("replication_frames_total").inc();
-            registry
-                .counter("replication_bytes_total")
-                .add(req.body.len() as u64);
-            match store.apply_replicated(source, entry, doc) {
-                Ok(outcome) => {
-                    let applied = match outcome {
-                        crate::store::ReplicationApply::Applied => "applied",
-                        crate::store::ReplicationApply::Duplicate => "duplicate",
-                        crate::store::ReplicationApply::ChainOnly => "chain_only",
-                    };
-                    (200, json!({"applied": applied}).to_string())
-                }
-                Err(ServiceError::Replication {
-                    reason,
-                    expect_index,
-                }) => {
-                    registry.counter("replication_rejects_total").inc();
-                    (
-                        409,
-                        json!({"error": reason, "expect_index": expect_index}).to_string(),
-                    )
-                }
-                Err(e) => error_response(&e),
-            }
+            crate::cluster::apply_batch(store, registry, &req.body)
         }
 
         ("GET", ["api", "v0", "replication", "head"]) => {
@@ -1579,7 +1526,7 @@ fn not_found(id: &str) -> (u16, String) {
 }
 
 /// Maps a [`ServiceError`] onto its HTTP status and a JSON error body.
-fn error_response(err: &ServiceError) -> (u16, String) {
+pub(crate) fn error_response(err: &ServiceError) -> (u16, String) {
     (
         err.http_status(),
         json!({"error": err.to_string()}).to_string(),

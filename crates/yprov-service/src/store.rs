@@ -155,45 +155,58 @@ pub struct Upload {
     pub canonical_json: String,
 }
 
+/// The rule that ties stored bytes to chains: a stored document is
+/// *committed* when its bytes hash to the latest digest *some* chain
+/// (own ledger or a replication cursor) records for its id — a document
+/// may be committed by one chain and legitimately replaced through
+/// another after a promotion moves write ownership between nodes.
+/// Returns the first stored document that no chain commits, looking at
+/// `only` or, with `None`, at every id any chain names.
+fn uncommitted_document(
+    ledger: &Ledger,
+    repl: &BTreeMap<String, Ledger>,
+    only: Option<&str>,
+    lookup: impl Fn(&str) -> Option<Vec<u8>>,
+) -> Option<String> {
+    let mut latest: HashMap<&str, Vec<&str>> = HashMap::new();
+    for chain in std::iter::once(ledger).chain(repl.values()) {
+        let mut per_chain: HashMap<&str, &str> = HashMap::new();
+        for e in chain.entries() {
+            if only.is_none_or(|id| id == e.document_id) {
+                per_chain.insert(&e.document_id, &e.document_digest);
+            }
+        }
+        for (id, digest) in per_chain {
+            latest.entry(id).or_default().push(digest);
+        }
+    }
+    latest.into_iter().find_map(|(id, digests)| {
+        let actual = sha256_hex(&lookup(id)?);
+        (!digests.contains(&actual.as_str())).then(|| id.to_string())
+    })
+}
+
 /// Chain-integrity check shared by open-time recovery and the verify
 /// endpoint: every chain (own ledger + replication cursors) must verify
-/// internally, and every surviving document's bytes must hash to the
-/// latest digest *some* chain committed for its id — a document may be
-/// committed by one chain and legitimately replaced through another
-/// after a promotion moves write ownership between nodes.
+/// internally, and every surviving document must be committed by some
+/// chain ([`uncommitted_document`]).
 fn verify_chains(
     ledger: &Ledger,
     repl: &BTreeMap<String, Ledger>,
     lookup: impl Fn(&str) -> Option<Vec<u8>>,
 ) -> Result<(), ServiceError> {
-    let mut latest: HashMap<String, Vec<String>> = HashMap::new();
     for chain in std::iter::once(ledger).chain(repl.values()) {
         chain.verify_chain()?;
-        let mut per_chain: HashMap<&str, &str> = HashMap::new();
-        for e in chain.entries() {
-            per_chain.insert(&e.document_id, &e.document_digest);
-        }
-        for (id, digest) in per_chain {
-            latest
-                .entry(id.to_string())
-                .or_default()
-                .push(digest.to_string());
-        }
     }
-    for (id, digests) in &latest {
-        if let Some(bytes) = lookup(id) {
-            let actual = sha256_hex(&bytes);
-            if !digests.contains(&actual) {
-                return Err(ServiceError::LedgerVerification(
-                    crate::ledger::LedgerIssue::DocumentChanged {
-                        index: 0,
-                        document_id: id.clone(),
-                    },
-                ));
-            }
-        }
+    match uncommitted_document(ledger, repl, None, lookup) {
+        Some(document_id) => Err(ServiceError::LedgerVerification(
+            crate::ledger::LedgerIssue::DocumentChanged {
+                index: 0,
+                document_id,
+            },
+        )),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// How a replicated frame was absorbed.
@@ -204,9 +217,10 @@ pub enum ReplicationApply {
     Applied,
     /// The frame was already applied — duplicate delivery is idempotent.
     Duplicate,
-    /// The frame extended the chain but carried no document bytes (a
-    /// re-synced entry superseded by a later upload of the same id);
-    /// only the cursor advanced.
+    /// The frame extended the chain but carried no document bytes (the
+    /// entry was superseded by a later upload of the same id, or this
+    /// node is not in the id's placement): the cursor advanced, and a
+    /// held copy of the id that no chain commits any more was dropped.
     ChainOnly,
 }
 
@@ -773,13 +787,20 @@ impl DocumentStore {
     /// 2. it must extend this replica's verified chain for `source`
     ///    (right index, `prev_hash` == chain head) — duplicates of
     ///    already-applied entries are acknowledged idempotently, gaps
-    ///    and divergence are rejected with the index to re-sync from;
+    ///    and divergence are rejected with the index to resume from;
     /// 3. when document bytes ride along, their SHA-256 must equal the
     ///    entry's digest — a torn or corrupted frame dies here.
     ///
     /// Only then are the bytes stored, the document parsed and indexed
     /// (so the replica serves reads immediately), and the entry appended
     /// verbatim to the durable replication cursor.
+    ///
+    /// A frame without bytes (`None`) advances the cursor only. If this
+    /// node holds a copy of the entry's id that, with the entry applied,
+    /// no chain commits any more (the rule `verify_all` checks), the
+    /// copy is dropped from backend, maps and watch hub: a leftover from
+    /// a write this node took while a placement member was unreachable
+    /// can then neither fail verification nor be served stale.
     pub fn apply_replicated(
         &self,
         source: &str,
@@ -792,6 +813,11 @@ impl DocumentStore {
                 expect_index: None,
             });
         }
+        // The drop rule reads the own ledger too, and the ledger lock
+        // comes before the cursor lock (`verify_all`'s order). Holding it
+        // also keeps a local upload of the same id from landing between
+        // the check and the drop.
+        let ledger = doc_json.is_none().then(|| self.inner.ledger.lock());
         let mut repl = self.inner.repl.lock();
         let chain = repl.entry(source.to_string()).or_default();
         let next = chain.len() as u64;
@@ -799,7 +825,7 @@ impl DocumentStore {
         if entry.index < next {
             // Duplicate delivery. Idempotent when it matches what we
             // applied; a *different* entry at an applied index means the
-            // source forked — re-syncing cannot reconcile that.
+            // source forked — no resend can reconcile that.
             return if chain.entries()[entry.index as usize] == entry {
                 Ok(ReplicationApply::Duplicate)
             } else {
@@ -821,6 +847,7 @@ impl DocumentStore {
                 expect_index: Some(next),
             });
         }
+        let id = entry.document_id.clone();
         if let Some(json) = doc_json {
             if sha256_hex(json.as_bytes()) != entry.document_digest {
                 return Err(ServiceError::Replication {
@@ -836,7 +863,6 @@ impl DocumentStore {
                 reason: format!("entry {} document does not parse: {e}", entry.index),
                 expect_index: Some(next),
             })?;
-            let id = entry.document_id.clone();
             self.inner.backend.put(&id, json.as_bytes())?;
             if let Some(n) = id.strip_prefix("doc-").and_then(|n| n.parse::<u64>().ok()) {
                 self.inner.next_id.fetch_max(n, Ordering::Relaxed);
@@ -854,6 +880,17 @@ impl DocumentStore {
         chain
             .append_entry(entry)
             .map_err(ServiceError::LedgerVerification)?;
+        if let Some(ledger) = &ledger {
+            // The copy goes before the entry is durable: a crash in
+            // between leaves a replica the resent entry finds already
+            // clean, never chains that commit to bytes other than the
+            // ones held.
+            let held = self.inner.docs.read().contains_key(&id);
+            let lookup = |id: &str| self.inner.backend.get(id).ok().flatten();
+            if held && uncommitted_document(ledger, &repl, Some(&id), lookup).is_some() {
+                self.delete(&id)?;
+            }
+        }
         self.inner.backend.repl_append(source, &line)?;
         Ok(if doc_json.is_some() {
             ReplicationApply::Applied
@@ -882,33 +919,34 @@ impl DocumentStore {
             .collect()
     }
 
-    /// The primary-side replication log: this node's own ledger suffix
-    /// starting at `from`, each entry paired with the canonical bytes
-    /// its digest commits to — or `None` when the entry was superseded
-    /// by a later upload of the same id (the bytes no longer exist; the
-    /// replica advances its cursor without touching the document).
-    pub fn replication_log(
-        &self,
-        from: u64,
-    ) -> Result<Vec<(LedgerEntry, Option<String>)>, ServiceError> {
-        let entries: Vec<LedgerEntry> = {
-            let ledger = self.inner.ledger.lock();
-            ledger
-                .entries()
-                .iter()
-                .filter(|e| e.index >= from)
-                .cloned()
-                .collect()
-        };
-        let mut out = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let bytes = self.inner.backend.get(&entry.document_id)?;
-            let json = bytes
-                .and_then(|b| String::from_utf8(b).ok())
-                .filter(|j| sha256_hex(j.as_bytes()) == entry.document_digest);
-            out.push((entry, json));
+    /// The primary-side replication log: this node's own ledger entries
+    /// in `[from, to)`, oldest first, each with whether a later entry of
+    /// this ledger supersedes it (same id) — such an entry ships
+    /// chain-only, the bytes it committed to no longer exist. No
+    /// document is read here; see [`Self::committed_document`].
+    pub fn replication_log(&self, from: u64, to: u64) -> Vec<(LedgerEntry, bool)> {
+        let ledger = self.inner.ledger.lock();
+        let entries = ledger.entries();
+        let from = (from as usize).min(entries.len());
+        let to = (to as usize).clamp(from, entries.len());
+        let mut latest: HashMap<&str, u64> = HashMap::new();
+        for e in &entries[from..] {
+            latest.insert(&e.document_id, e.index);
         }
-        Ok(out)
+        entries[from..to]
+            .iter()
+            .map(|e| (e.clone(), latest[e.document_id.as_str()] != e.index))
+            .collect()
+    }
+
+    /// The canonical bytes `entry`'s digest commits to, or `None` when
+    /// this node no longer holds them (deleted, or replaced through
+    /// another chain after a promotion).
+    pub fn committed_document(&self, entry: &LedgerEntry) -> Result<Option<String>, ServiceError> {
+        let bytes = self.inner.backend.get(&entry.document_id)?;
+        Ok(bytes
+            .and_then(|b| String::from_utf8(b).ok())
+            .filter(|j| sha256_hex(j.as_bytes()) == entry.document_digest))
     }
 
     /// Verifies every hash chain this node holds — its own ledger
@@ -1437,13 +1475,19 @@ mod tests {
         primary
             .upload_as_full("run-1", ProvDocument::new())
             .unwrap();
-        let log = primary.replication_log(0).unwrap();
-        assert_eq!(log.len(), 2);
-        assert!(
-            log[0].1.is_none(),
-            "the replaced version's bytes are gone; the entry ships chain-only"
-        );
-        assert!(log[1].1.is_some());
+        primary.upload_as_full("run-2", pipeline_doc()).unwrap();
+        let log = primary.replication_log(0, 3);
+        let flags: Vec<(u64, bool)> = log.iter().map(|(e, s)| (e.index, *s)).collect();
+        assert_eq!(flags, vec![(0, true), (1, false), (2, false)]);
+        // The window is half-open and clamped to the ledger.
+        assert_eq!(primary.replication_log(1, 2).len(), 1);
+        assert!(primary.replication_log(2, 1).is_empty());
+        assert_eq!(primary.replication_log(1, 99).len(), 2);
+        // The replaced version's bytes are gone; the entry ships
+        // chain-only.
+        assert_eq!(primary.committed_document(&log[0].0).unwrap(), None);
+        let current = primary.committed_document(&log[1].0).unwrap();
+        assert_eq!(current, Some(primary.document_json("run-1").unwrap()));
         // And a chain-only frame advances a replica's cursor without
         // inventing a document.
         let replica = DocumentStore::new();
@@ -1453,11 +1497,84 @@ mod tests {
         assert_eq!(applied, ReplicationApply::ChainOnly);
         assert!(replica.is_empty());
         let applied = replica
-            .apply_replicated("node-a", log[1].0.clone(), log[1].1.as_deref())
+            .apply_replicated("node-a", log[1].0.clone(), current.as_deref())
             .unwrap();
         assert_eq!(applied, ReplicationApply::Applied);
         assert_eq!(replica.get("run-1").unwrap().element_count(), 0);
         replica.verify_all().unwrap();
+    }
+
+    #[test]
+    fn chain_only_apply_of_a_live_entry_stores_nothing() {
+        // An entry whose bytes still exist on the source, shipped
+        // without them because this node is outside the id's placement.
+        let primary = DocumentStore::new();
+        let replica = DocumentStore::new();
+        let up = primary.upload_as_full("run-1", pipeline_doc()).unwrap();
+        let applied = replica
+            .apply_replicated("node-a", up.entry.clone(), None)
+            .unwrap();
+        assert_eq!(applied, ReplicationApply::ChainOnly);
+        assert_eq!(replica.replication_head("node-a"), (1, up.entry.entry_hash));
+        assert!(replica.is_empty());
+        assert!(matches!(
+            replica.document_json("run-1"),
+            Err(ServiceError::NotFound { .. })
+        ));
+        replica.verify_all().unwrap();
+    }
+
+    #[test]
+    fn chain_only_entry_drops_a_held_copy_no_chain_commits() {
+        // This node took run-1 while a placement member was away; the
+        // id is then replaced on its placement nodes and only the chain
+        // entry comes here.
+        let primary = DocumentStore::new();
+        let node = DocumentStore::new();
+        let v1 = primary.upload_as_full("run-1", pipeline_doc()).unwrap();
+        let other = primary.upload_as_full("run-2", pipeline_doc()).unwrap();
+        let v2 = primary
+            .upload_as_full("run-1", ProvDocument::new())
+            .unwrap();
+        for up in [&v1, &other] {
+            node.apply_replicated("node-a", up.entry.clone(), Some(&up.canonical_json))
+                .unwrap();
+        }
+        assert_eq!(node.document_version("run-1"), Some(1));
+        let applied = node
+            .apply_replicated("node-a", v2.entry.clone(), None)
+            .unwrap();
+        assert_eq!(applied, ReplicationApply::ChainOnly);
+        // Gone from every place a reader could find the old bytes.
+        assert!(node.get("run-1").is_none());
+        assert!(matches!(
+            node.document_json("run-1"),
+            Err(ServiceError::NotFound { .. })
+        ));
+        assert!(matches!(
+            node.graph("run-1"),
+            Err(ServiceError::NotFound { .. })
+        ));
+        assert_eq!(node.document_version("run-1"), None);
+        assert_eq!(node.list(), vec!["run-2"], "other ids are left alone");
+        node.verify_all().unwrap();
+    }
+
+    #[test]
+    fn chain_only_entry_keeps_a_copy_another_chain_commits() {
+        // After a promotion this node wrote run-1 through its own
+        // ledger; node-a's older history of the id arrives chain-only.
+        let source = DocumentStore::new();
+        let node = DocumentStore::new();
+        let theirs = source.upload_as_full("run-1", pipeline_doc()).unwrap();
+        let ours = node.upload_as_full("run-1", ProvDocument::new()).unwrap();
+        let applied = node
+            .apply_replicated("node-a", theirs.entry.clone(), None)
+            .unwrap();
+        assert_eq!(applied, ReplicationApply::ChainOnly);
+        assert_eq!(node.document_json("run-1").unwrap(), ours.canonical_json);
+        assert_eq!(node.document_version("run-1"), Some(1));
+        node.verify_all().unwrap();
     }
 
     #[test]
