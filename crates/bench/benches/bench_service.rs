@@ -17,7 +17,7 @@ use serde_json::json;
 use std::borrow::Cow;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
-use yprov_service::cluster::encode_batch;
+use yprov_service::cluster::{encode_batch, Frame};
 use yprov_service::ledger::Ledger;
 use yprov_service::{Client, DocumentStore, RetryPolicy, Server, ServerConfig, ServerCore};
 
@@ -112,7 +112,11 @@ fn run_level(core: ServerCore, conns: usize, rounds: usize, doc_body: &str) -> s
                         timed("GET", &format!("/api/v0/documents/{id}"), None);
                         timed("GET", &format!("/api/v0/documents/{id}/stats"), None);
                         let entry = ledger.append(format!("repl-{t}-{i}"), doc_body.as_bytes());
-                        let frame = (entry.clone(), Some(Cow::Borrowed(doc_body)));
+                        let frame = Frame {
+                            entry: entry.clone(),
+                            document: Some(Cow::Borrowed(doc_body)),
+                            superseded: false,
+                        };
                         let batch = encode_batch(&source, &[frame]);
                         timed("POST", "/api/v0/replication/frames", Some(&batch));
                     }

@@ -20,14 +20,6 @@
 //! every `write_series` — the trade-off the paper describes between the
 //! two formats (single self-contained file vs. incremental chunked
 //! directory).
-//!
-//! Reads are per variable: opening a store parses the header and checks
-//! that every column range lies inside the file, `list_series` answers
-//! from the header alone, and `read_series` reads, CRC-checks and
-//! decodes only the four column blobs of the variable asked for. That
-//! is also the granularity of corruption detection: a damaged byte
-//! inside variable B's blobs fails every read of B and no read of A; a
-//! damaged header fails the open.
 
 use crate::checksum::crc32;
 use crate::codec::{self, deflate_like, inflate_like};
@@ -38,8 +30,6 @@ use crate::store::{path_size_bytes, MetricStore};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 4] = *b"YNC1";
@@ -82,27 +72,13 @@ struct Header {
     vars: Vec<VarDesc>,
 }
 
-/// Everything in front of the body: the parsed header, the flags, and
-/// where the body starts. Every column range in `header` has been
-/// checked to lie inside the file it was read from.
-struct Layout {
-    header: Header,
-    compressed: bool,
-    body_start: u64,
-}
-
-type SeriesMap = BTreeMap<(String, String), MetricSeries>;
-
 /// A NetCDF-like single-file metric store.
 pub struct NcStore {
     path: PathBuf,
     opts: NcOptions,
-    /// The series the next write rewrites the file from, mirroring how
-    /// classic NetCDF writers rewrite the header section. `None` while
-    /// the store sits on an existing file nobody has written through
-    /// yet: the file is decoded into the cache before the first write,
-    /// so a store that is only read never pays for it.
-    cache: Mutex<Option<SeriesMap>>,
+    /// All series live in memory and the file is rewritten on change,
+    /// mirroring how classic NetCDF writers rewrite the header section.
+    cache: Mutex<BTreeMap<(String, String), MetricSeries>>,
     /// Per-series column-encode timing; fetched once at construction so
     /// pool workers never touch the registry mutex.
     encode_hist: std::sync::Arc<obs::Histogram>,
@@ -122,8 +98,17 @@ impl NcStore {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let existing = path.is_file();
-        Self::at(path, opts, existing)
+        let store = NcStore {
+            path,
+            opts,
+            cache: Mutex::new(BTreeMap::new()),
+            encode_hist: encode_histogram(),
+        };
+        if store.path.is_file() {
+            let loaded = store.load()?;
+            *store.cache.lock() = loaded;
+        }
+        Ok(store)
     }
 
     /// Opens an existing file.
@@ -132,21 +117,14 @@ impl NcStore {
         if !path.is_file() {
             return Err(StoreError::NotFound(path.display().to_string()));
         }
-        Self::at(path, NcOptions::default(), true)
-    }
-
-    /// A store at `path`. Over an existing file, magic, header and
-    /// column ranges are checked here and no column is read.
-    fn at(path: PathBuf, opts: NcOptions, existing: bool) -> Result<Self, StoreError> {
         let store = NcStore {
             path,
-            opts,
-            cache: Mutex::new((!existing).then(BTreeMap::new)),
+            opts: NcOptions::default(),
+            cache: Mutex::new(BTreeMap::new()),
             encode_hist: encode_histogram(),
         };
-        if existing {
-            store.read_layout(&mut File::open(&store.path)?)?;
-        }
+        let loaded = store.load()?;
+        *store.cache.lock() = loaded;
         Ok(store)
     }
 
@@ -174,13 +152,16 @@ impl NcStore {
     fn decode_columns(
         &self,
         var: &VarDesc,
-        mut raw: [Vec<u8>; 4],
+        blobs: [&[u8]; 4],
         compressed: bool,
     ) -> Result<MetricSeries, StoreError> {
-        if compressed {
-            for blob in &mut raw {
-                *blob = inflate_like(blob)?;
-            }
+        let mut raw: [Vec<u8>; 4] = Default::default();
+        for (i, blob) in blobs.into_iter().enumerate() {
+            raw[i] = if compressed {
+                inflate_like(blob)?
+            } else {
+                blob.to_vec()
+            };
         }
         let steps = codec::decode_u64_column(&raw[0])?;
         let epochs = codec::decode_u32_column(&raw[1])?;
@@ -200,108 +181,17 @@ impl NcStore {
         Ok(series)
     }
 
-    /// Reads magic, flags and header from the front of `file` and
-    /// checks every column range against the file's length.
-    fn read_layout(&self, file: &mut File) -> Result<Layout, StoreError> {
-        let file_len = file.metadata()?.len();
-        let mut front = [0u8; 9];
-        if file_len < 9 || file.read_exact(&mut front).is_err() || front[..4] != MAGIC {
-            return Err(StoreError::UnknownFormat(format!(
-                "{} is not a YNC1 file",
-                self.path.display()
-            )));
-        }
-        let compressed = front[4] & FLAG_COMPRESSED != 0;
-        let header_len = u64::from(u32::from_le_bytes(
-            front[5..9].try_into().expect("four bytes"),
-        ));
-        let body_start = 9 + header_len;
-        if body_start > file_len {
-            return Err(StoreError::Truncated("nc header".into()));
-        }
-        let mut header_bytes = vec![0u8; header_len as usize];
-        file.read_exact(&mut header_bytes)?;
-        let header: Header = serde_json::from_slice(&header_bytes)?;
-        if header.format != "ync-1" {
-            return Err(StoreError::UnknownFormat(header.format));
-        }
-        let body_len = file_len - body_start;
-        for var in &header.vars {
-            for col in &var.columns {
-                if col
-                    .offset
-                    .checked_add(col.length)
-                    .is_none_or(|end| end > body_len)
-                {
-                    return Err(StoreError::Truncated(format!("column of {}", var.name)));
-                }
-            }
-        }
-        Ok(Layout {
-            header,
-            compressed,
-            body_start,
-        })
+    /// Writes the whole file from the in-memory cache.
+    fn flush(&self) -> Result<(), StoreError> {
+        self.flush_with(&WorkerPool::serial())
     }
 
-    /// Reads, CRC-checks and decodes the four column blobs of `var`.
-    fn read_var(
-        &self,
-        file: &mut File,
-        layout: &Layout,
-        var: &VarDesc,
-    ) -> Result<MetricSeries, StoreError> {
-        let mut blobs: [Vec<u8>; 4] = Default::default();
-        for (i, col) in var.columns.iter().enumerate() {
-            // In range: `read_layout` checked it against the file.
-            let mut blob = vec![0u8; col.length as usize];
-            file.seek(SeekFrom::Start(layout.body_start + col.offset))?;
-            file.read_exact(&mut blob)?;
-            if crc32(&blob) != col.crc {
-                return Err(StoreError::Corrupt(format!(
-                    "crc mismatch in column {i} of {}",
-                    var.name
-                )));
-            }
-            blobs[i] = blob;
-        }
-        self.decode_columns(var, blobs, layout.compressed)
-    }
-
-    /// Reads and decodes the entire file (what the write cache starts
-    /// from).
-    fn load(&self) -> Result<SeriesMap, StoreError> {
-        let mut file = File::open(&self.path)?;
-        let layout = self.read_layout(&mut file)?;
-        let mut out = BTreeMap::new();
-        for var in &layout.header.vars {
-            let series = self.read_var(&mut file, &layout, var)?;
-            out.insert((series.name.clone(), series.context.clone()), series);
-        }
-        Ok(out)
-    }
-}
-
-impl MetricStore for NcStore {
-    fn write_series(&self, series: &MetricSeries) -> Result<(), StoreError> {
-        self.write_many(&[series], &WorkerPool::serial())
-    }
-
-    /// Adds `series` to the cache (decoding the existing file into it
-    /// first, if that has not happened yet) and rewrites the whole file
-    /// once for the batch, encoding the per-series column blobs on
+    /// Writes the whole file, encoding the per-series column blobs on
     /// `pool` workers. The body is assembled serially in cache
     /// (`BTreeMap`) order from the index-ordered blobs, so the file
     /// bytes are identical for every pool size.
-    fn write_many(&self, series: &[&MetricSeries], pool: &WorkerPool) -> Result<(), StoreError> {
-        let mut guard = self.cache.lock();
-        let cache = match &mut *guard {
-            Some(cache) => cache,
-            empty => empty.insert(self.load()?),
-        };
-        for s in series {
-            cache.insert((s.name.clone(), s.context.clone()), (*s).clone());
-        }
+    fn flush_with(&self, pool: &WorkerPool) -> Result<(), StoreError> {
+        let cache = self.cache.lock();
         let ordered: Vec<&MetricSeries> = cache.values().collect();
         let encoded: Vec<[Vec<u8>; 4]> = pool.map(ordered.len(), |i| {
             let mut trace = obs::trace::span("chunk_encode");
@@ -354,24 +244,84 @@ impl MetricStore for NcStore {
         Ok(())
     }
 
+    /// Reads and decodes the entire file.
+    fn load(&self) -> Result<BTreeMap<(String, String), MetricSeries>, StoreError> {
+        let data = std::fs::read(&self.path)?;
+        if data.len() < 9 || data[..4] != MAGIC {
+            return Err(StoreError::UnknownFormat(format!(
+                "{} is not a YNC1 file",
+                self.path.display()
+            )));
+        }
+        let compressed = data[4] & FLAG_COMPRESSED != 0;
+        let header_len = u32::from_le_bytes(data[5..9].try_into().expect("len checked")) as usize;
+        let header_end = 9 + header_len;
+        let header_bytes = data
+            .get(9..header_end)
+            .ok_or_else(|| StoreError::Truncated("nc header".into()))?;
+        let header: Header = serde_json::from_slice(header_bytes)?;
+        if header.format != "ync-1" {
+            return Err(StoreError::UnknownFormat(header.format));
+        }
+        let body = &data[header_end..];
+
+        let mut out = BTreeMap::new();
+        for var in &header.vars {
+            let mut blobs: [&[u8]; 4] = [&[]; 4];
+            for (i, col) in var.columns.iter().enumerate() {
+                let start = col.offset as usize;
+                let end = start + col.length as usize;
+                let blob = body
+                    .get(start..end)
+                    .ok_or_else(|| StoreError::Truncated(format!("column of {}", var.name)))?;
+                if crc32(blob) != col.crc {
+                    return Err(StoreError::Corrupt(format!(
+                        "crc mismatch in column {i} of {}",
+                        var.name
+                    )));
+                }
+                blobs[i] = blob;
+            }
+            let series = self.decode_columns(var, blobs, compressed)?;
+            out.insert((series.name.clone(), series.context.clone()), series);
+        }
+        Ok(out)
+    }
+}
+
+impl MetricStore for NcStore {
+    fn write_series(&self, series: &MetricSeries) -> Result<(), StoreError> {
+        self.cache.lock().insert(
+            (series.name.clone(), series.context.clone()),
+            series.clone(),
+        );
+        self.flush()
+    }
+
+    fn write_many(&self, series: &[&MetricSeries], pool: &WorkerPool) -> Result<(), StoreError> {
+        // Insert everything, then rewrite the file once: a batch of N
+        // series costs one flush instead of N wholesale rewrites.
+        {
+            let mut cache = self.cache.lock();
+            for s in series {
+                cache.insert((s.name.clone(), s.context.clone()), (*s).clone());
+            }
+        }
+        self.flush_with(pool)
+    }
+
     fn read_series(&self, name: &str, context: &str) -> Result<MetricSeries, StoreError> {
         // Serve from the file (not the cache) so the on-disk format is
         // exercised on every read.
-        let mut file = File::open(&self.path)?;
-        let layout = self.read_layout(&mut file)?;
-        let var = layout
-            .header
-            .vars
-            .iter()
-            .find(|v| v.name == name && v.context == context)
-            .ok_or_else(|| StoreError::NotFound(format!("{name}@{context}")))?;
-        self.read_var(&mut file, &layout, var)
+        let loaded = self.load()?;
+        loaded
+            .get(&(name.to_string(), context.to_string()))
+            .cloned()
+            .ok_or_else(|| StoreError::NotFound(format!("{name}@{context}")))
     }
 
     fn list_series(&self) -> Result<Vec<(String, String)>, StoreError> {
-        let layout = self.read_layout(&mut File::open(&self.path)?)?;
-        let vars = layout.header.vars;
-        Ok(vars.into_iter().map(|v| (v.name, v.context)).collect())
+        Ok(self.load()?.into_keys().collect())
     }
 
     fn size_bytes(&self) -> Result<u64, StoreError> {
@@ -501,48 +451,6 @@ mod tests {
         bytes[n - 10] ^= 0xA5; // flip a bit inside the body
         std::fs::write(&path, bytes).unwrap();
         assert!(store.read_series("loss", "training").is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corruption_fails_only_reads_of_the_damaged_variable() {
-        let path = tmpfile("corrupt_one");
-        let store = NcStore::create(&path, NcOptions::default()).unwrap();
-        let a = series("a", "training", 3000);
-        let b = series("b", "training", 3000);
-        store.write_many(&[&a, &b], &WorkerPool::serial()).unwrap();
-        // The body is laid out in cache order, so the last bytes of the
-        // file belong to variable b.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let n = bytes.len();
-        bytes[n - 10] ^= 0xA5;
-        std::fs::write(&path, bytes).unwrap();
-        let reopened = NcStore::open(&path).unwrap();
-        assert_eq!(reopened.list_series().unwrap().len(), 2);
-        assert_eq!(reopened.read_series("a", "training").unwrap(), a);
-        assert!(matches!(
-            reopened.read_series("b", "training"),
-            Err(StoreError::Corrupt(_))
-        ));
-        // A write decodes the whole file first, damaged variable
-        // included, and must not launder it into a fresh CRC.
-        assert!(reopened.write_series(&series("c", "training", 5)).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn column_range_outside_the_file_fails_the_open() {
-        let path = tmpfile("short");
-        let store = NcStore::create(&path, NcOptions::default()).unwrap();
-        store
-            .write_series(&series("loss", "training", 3000))
-            .unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
-        assert!(matches!(
-            NcStore::open(&path),
-            Err(StoreError::Truncated(_))
-        ));
         std::fs::remove_file(&path).ok();
     }
 

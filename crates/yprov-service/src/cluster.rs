@@ -19,7 +19,8 @@
 //!   went to other peers), then the new one. The primary keeps, per
 //!   peer, the next index that peer expects; gap entries carry their
 //!   document only when the peer is in the id's placement and the
-//!   bytes still exist, otherwise they ship chain-only. The replica
+//!   bytes still exist, otherwise they ship chain-only, marked when a
+//!   later entry supersedes them. The replica
 //!   verifies every frame against its durable per-source cursor chain
 //!   before applying ([`crate::store::DocumentStore::apply_replicated`])
 //!   and answers with its new head. A `409` names the index the
@@ -179,7 +180,19 @@ fn entry_from_json(v: &serde_json::Value) -> Option<LedgerEntry> {
 /// One frame: a chain entry from the source's ledger and, unless it
 /// ships chain-only, the canonical document bytes its digest commits
 /// to.
-pub type Frame<'a> = (LedgerEntry, Option<Cow<'a, str>>);
+#[derive(Debug, Clone, PartialEq)]
+pub struct Frame<'a> {
+    /// The entry, verbatim from the source's ledger.
+    pub entry: LedgerEntry,
+    /// The bytes `entry`'s digest commits to; `None` ships chain-only.
+    pub document: Option<Cow<'a, str>>,
+    /// A later entry of the source's ledger names the same id, so this
+    /// one is not the chain's last word on it. Chain-only and so
+    /// marked, a frame only advances the replica's cursor: whether the
+    /// replica's copy of the id still stands is the later entry's call,
+    /// in this request or in one that has not been sent yet.
+    pub superseded: bool,
+}
 
 /// A batch is cut once it holds this many bytes, well under
 /// [`crate::http::ServerConfig::max_body`]'s default; a single larger
@@ -189,27 +202,29 @@ const BATCH_BYTES: usize = 8 * 1024 * 1024;
 /// What a frame adds to a batch's size: its document and (generously)
 /// its entry in the header line.
 fn frame_bytes(frame: &Frame) -> usize {
-    512 + frame.1.as_ref().map_or(0, |d| d.len())
+    512 + frame.document.as_ref().map_or(0, |d| d.len())
 }
 
 /// Encodes the body of one `POST /api/v0/replication/frames`: a JSON
-/// header line — the source, and per frame its entry and the byte
-/// length of its document (`null` for chain-only) — followed by the
-/// documents' bytes, unescaped, in frame order.
+/// header line — the source, and per frame its entry, the byte length
+/// of its document (`null` for chain-only) and whether a later entry
+/// supersedes it — followed by the documents' bytes, unescaped, in
+/// frame order.
 pub fn encode_batch(source: &str, frames: &[Frame]) -> String {
     let header: Vec<serde_json::Value> = frames
         .iter()
-        .map(|(entry, doc)| {
+        .map(|f| {
             json!({
-                "entry": entry_to_json(entry),
-                "document_bytes": doc.as_ref().map(|d| d.len()),
+                "entry": entry_to_json(&f.entry),
+                "document_bytes": f.document.as_ref().map(|d| d.len()),
+                "superseded": f.superseded,
             })
         })
         .collect();
     let mut body = json!({"source": source, "frames": header}).to_string();
     body.push('\n');
-    for (_, doc) in frames {
-        body.push_str(doc.as_deref().unwrap_or(""));
+    for f in frames {
+        body.push_str(f.document.as_deref().unwrap_or(""));
     }
     body
 }
@@ -252,7 +267,9 @@ pub(crate) fn decode_batch(body: &str) -> Result<(String, Vec<Frame<'_>>), Batch
     for f in announced {
         let entry = f.get("entry").and_then(entry_from_json);
         let entry = entry.ok_or_else(|| header("a frame is missing a well-formed \"entry\""))?;
-        let doc = match f.get("document_bytes") {
+        let superseded = f.get("superseded").and_then(|s| s.as_bool());
+        let superseded = superseded.ok_or_else(|| header("a frame is missing \"superseded\""))?;
+        let document = match f.get("document_bytes") {
             Some(serde_json::Value::Null) => None,
             Some(n) => {
                 let len = n.as_u64().and_then(|n| usize::try_from(n).ok());
@@ -269,7 +286,11 @@ pub(crate) fn decode_batch(body: &str) -> Result<(String, Vec<Frame<'_>>), Batch
             }
             None => return Err(header("a frame is missing \"document_bytes\"")),
         };
-        frames.push((entry, doc));
+        frames.push(Frame {
+            entry,
+            document,
+            superseded,
+        });
     }
     if !rest.is_empty() {
         return Err(torn(format!(
@@ -282,9 +303,11 @@ pub(crate) fn decode_batch(body: &str) -> Result<(String, Vec<Frame<'_>>), Batch
 
 /// The replica side of `POST /api/v0/replication/frames`: decodes the
 /// batch, applies its frames in order through
-/// [`DocumentStore::apply_replicated`], stops at the first refusal, and
-/// answers with this replica's new head for the source. A refusal is a
-/// `409` naming the index to resume from (when resending can help).
+/// [`DocumentStore::apply_replicated`] (a chain-only frame marked
+/// superseded through [`DocumentStore::apply_superseded`]: same checks,
+/// no drop), stops at the first refusal, and answers with this
+/// replica's new head for the source. A refusal is a `409` naming the
+/// index to resume from (when resending can help).
 pub(crate) fn apply_batch(
     store: &DocumentStore,
     registry: &obs::Registry,
@@ -293,9 +316,9 @@ pub(crate) fn apply_batch(
     let Ok(text) = std::str::from_utf8(body) else {
         return (400, json!({"error": "body is not UTF-8"}).to_string());
     };
-    let refuse = |reason: String, expect_index: Option<u64>, applied: usize| {
+    let refuse = |reason: String, expect_index: Option<u64>| {
         registry.counter("replication_rejects_total").inc();
-        let body = json!({"error": reason, "expect_index": expect_index, "applied": applied});
+        let body = json!({"error": reason, "expect_index": expect_index});
         (409, body.to_string())
     };
     let (source, frames) = match decode_batch(text) {
@@ -308,7 +331,7 @@ pub(crate) fn apply_batch(
         }
         Err(BatchError::Torn { source, reason }) => {
             let next = store.replication_head(&source).0;
-            return refuse(format!("torn batch: {reason}"), Some(next), 0);
+            return refuse(format!("torn batch: {reason}"), Some(next));
         }
     };
     registry
@@ -317,13 +340,17 @@ pub(crate) fn apply_batch(
     registry
         .counter("replication_bytes_total")
         .add(body.len() as u64);
-    for (applied, (entry, doc)) in frames.into_iter().enumerate() {
-        match store.apply_replicated(&source, entry, doc.as_deref()) {
+    for frame in frames {
+        let applied = match (frame.document, frame.superseded) {
+            (None, true) => store.apply_superseded(&source, frame.entry),
+            (document, _) => store.apply_replicated(&source, frame.entry, document.as_deref()),
+        };
+        match applied {
             Ok(_) => {}
             Err(ServiceError::Replication {
                 reason,
                 expect_index,
-            }) => return refuse(reason, expect_index, applied),
+            }) => return refuse(reason, expect_index),
             Err(e) => return crate::http::error_response(&e),
         }
     }
@@ -469,18 +496,19 @@ impl ReplicationOutcome {
 /// giving up on the peer for this upload.
 const MAX_RESUMES: u32 = 3;
 
-/// The primary's view of one peer. Frames from this node's chain must
-/// reach a replica in order, and order is a per-replica property, so
-/// each peer has its own lock, held for a whole push.
+/// The primary's view of one peer.
 struct Link {
     /// Pooled keep-alive client: pushes ride one connection instead of
-    /// paying a TCP connect each.
+    /// paying a TCP connect each. Outside the lock, so the ops plane
+    /// can ask a slow peer for its health while a push waits on it.
     client: Client,
     /// The index of this node's chain the peer expects next: read from
     /// the peer's head on first contact, then kept from its answers.
     /// Forgotten after any failed push and relearned (in memory only,
-    /// so also after a restart).
-    next_index: Option<u64>,
+    /// so also after a restart). Frames from this node's chain must
+    /// reach a replica in order, and order is a per-replica property,
+    /// so each peer has its own lock, held for a whole push.
+    next_index: Mutex<Option<u64>>,
 }
 
 /// What a peer said to one push request.
@@ -501,7 +529,7 @@ pub struct Replicator {
     pushes: Arc<obs::Counter>,
     push_failures: Arc<obs::Counter>,
     /// One per entry of `cfg.peers`, in that order.
-    links: Vec<Mutex<Link>>,
+    links: Vec<Link>,
 }
 
 impl Replicator {
@@ -518,11 +546,9 @@ impl Replicator {
         );
         let mut members: Vec<String> = cfg.peers.iter().map(|p| p.id.clone()).collect();
         members.push(cfg.node_id.clone());
-        let links = cfg.peers.iter().map(|p| {
-            Mutex::new(Link {
-                client: Client::new(p.addr, cfg.push_policy),
-                next_index: None,
-            })
+        let links = cfg.peers.iter().map(|p| Link {
+            client: Client::new(p.addr, cfg.push_policy),
+            next_index: Mutex::new(None),
         });
         Replicator {
             ring: Ring::new(members),
@@ -538,19 +564,13 @@ impl Replicator {
         &self.cfg.node_id
     }
 
-    /// The other cluster members, as configured.
-    pub fn peers(&self) -> &[NodeSpec] {
-        &self.cfg.peers
-    }
-
-    /// The pooled keep-alive client for `peer` — the same connection
-    /// pushes ride, shared with metrics/health federation so the ops
-    /// plane adds no sockets of its own.
-    pub fn peer_client(&self, peer: &NodeSpec) -> Client {
-        match self.cfg.peers.iter().position(|p| p.id == peer.id) {
-            Some(at) => self.links[at].lock().client.clone(),
-            None => Client::new(peer.addr, self.cfg.push_policy),
-        }
+    /// The other cluster members, as configured, each with its pooled
+    /// keep-alive client — the same connection pushes ride, shared with
+    /// metrics/health federation so the ops plane adds no sockets of
+    /// its own.
+    pub fn peers(&self) -> impl Iterator<Item = (&NodeSpec, &Client)> {
+        let clients = self.links.iter().map(|link| &link.client);
+        self.cfg.peers.iter().zip(clients)
     }
 
     /// The full-membership placement ring.
@@ -608,16 +628,16 @@ impl Replicator {
     /// Brings peer `at` up to and including `up`'s entry, under the
     /// peer's lock.
     fn push(&self, store: &DocumentStore, at: usize, up: &Upload) -> Result<(), String> {
-        let peer = &self.cfg.peers[at];
-        let mut link = self.links[at].lock();
+        let (peer, link) = (&self.cfg.peers[at], &self.links[at]);
+        let mut next_index = link.next_index.lock();
         let mut span = obs::trace::span("replication_push");
         if obs::trace::is_enabled() {
             span.annotate("peer", peer.id.clone());
             span.annotate("index", up.entry.index.to_string());
         }
-        let result = self.catch_up(store, peer, &mut link, up);
+        let result = self.catch_up(store, peer, &link.client, &mut next_index, up);
         if let Err(e) = &result {
-            link.next_index = None;
+            *next_index = None;
             if obs::trace::is_enabled() {
                 span.annotate("error", e.clone());
             }
@@ -632,18 +652,19 @@ impl Replicator {
         &self,
         store: &DocumentStore,
         peer: &NodeSpec,
-        link: &mut Link,
+        client: &Client,
+        next_index: &mut Option<u64>,
         up: &Upload,
     ) -> Result<(), String> {
-        let mut next = match link.next_index {
+        let mut next = match *next_index {
             Some(next) => next,
-            None => self.peer_head(store, &link.client)?,
+            None => self.peer_head(store, client)?,
         };
         if next > up.entry.index {
             // A later upload's push took the lock first and carried this
             // entry in its gap — with its document only if the peer is
             // in the id's placement.
-            link.next_index = Some(next);
+            *next_index = Some(next);
             return match self.places(peer, &up.id) {
                 true => Ok(()),
                 false => Err(format!(
@@ -655,7 +676,7 @@ impl Replicator {
         let mut resumes = 0;
         while next <= up.entry.index {
             let frames = self.next_batch(store, peer, next, up)?;
-            match self.post(&link.client, &frames)? {
+            match self.post(client, &frames)? {
                 Reply::Head(head) if head > next => next = head,
                 Reply::Head(head) => {
                     return Err(format!("peer acknowledged {next}.. but stays at {head}"))
@@ -668,7 +689,7 @@ impl Replicator {
                     return Err(format!("peer still expects {from} after {resumes} resumes"))
                 }
             }
-            link.next_index = Some(next);
+            *next_index = Some(next);
         }
         Ok(())
     }
@@ -717,21 +738,36 @@ impl Replicator {
     ) -> Result<Vec<Frame<'a>>, String> {
         let mut frames = Vec::new();
         let mut bytes = 0;
-        for (entry, superseded) in store.replication_log(from, up.entry.index) {
-            let doc = match !superseded && self.places(peer, &entry.document_id) {
-                true => store
+        for (entry, mut superseded) in store.replication_log(from, up.entry.index) {
+            let mut document = None;
+            if !superseded && self.places(peer, &entry.document_id) {
+                document = store
                     .committed_document(&entry)
-                    .map_err(|e| e.to_string())?,
-                false => None,
+                    .map_err(|e| e.to_string())?;
+                if document.is_none() {
+                    // Deleted — or replaced since the log was read, and
+                    // then the peer must hear that a later entry
+                    // supersedes this one: it keeps its copy for it.
+                    let index = entry.index;
+                    superseded = store.replication_log(index, index + 1)[0].1;
+                }
+            }
+            let frame = Frame {
+                entry,
+                document: document.map(Cow::Owned),
+                superseded,
             };
-            let frame = (entry, doc.map(Cow::Owned));
             bytes += frame_bytes(&frame);
             if bytes > BATCH_BYTES && !frames.is_empty() {
                 return Ok(frames);
             }
             frames.push(frame);
         }
-        let own = (up.entry.clone(), Some(Cow::Borrowed(&*up.canonical_json)));
+        let own = Frame {
+            entry: up.entry.clone(),
+            document: Some(Cow::Borrowed(&*up.canonical_json)),
+            superseded: false,
+        };
         if bytes + frame_bytes(&own) <= BATCH_BYTES || frames.is_empty() {
             frames.push(own);
         }
@@ -1115,10 +1151,15 @@ mod tests {
         let first = ledger.append("run-é", pretty.as_bytes()).clone();
         let second = ledger.append("run-2", b"superseded").clone();
         let third = ledger.append("run-2", compact.as_bytes()).clone();
+        let frame = |entry, document: Option<String>, superseded| Frame {
+            entry,
+            document: document.map(Cow::Owned),
+            superseded,
+        };
         vec![
-            (first, Some(Cow::Owned(pretty))),
-            (second, None),
-            (third, Some(Cow::Owned(compact))),
+            frame(first, Some(pretty), false),
+            frame(second, None, true),
+            frame(third, Some(compact), false),
         ]
     }
 
@@ -1127,7 +1168,7 @@ mod tests {
         let frames = sample_frames();
         let body = encode_batch("nœud-a", &frames);
         // The documents ride unescaped behind the header line.
-        let pretty = frames[0].1.as_deref().unwrap();
+        let pretty = frames[0].document.as_deref().unwrap();
         assert!(body.contains(pretty));
         let (source, back) = decode_batch(&body).unwrap();
         assert_eq!(source, "nœud-a");
@@ -1185,16 +1226,16 @@ mod tests {
     fn batch_stops_at_the_first_refused_frame() {
         let mut frames = sample_frames();
         // The last frame's bytes no longer hash to its digest.
-        frames[2].1 = Some(Cow::Borrowed("{}"));
+        frames[2].document = Some(Cow::Borrowed("{}"));
         let body = encode_batch("node-a", &frames);
         let registry = obs::Registry::new();
         let store = DocumentStore::new();
         let (status, reply) = apply_batch(&store, &registry, body.as_bytes());
         assert_eq!(status, 409, "{reply}");
         let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
-        assert_eq!(v["applied"], 2, "{reply}");
         assert_eq!(v["expect_index"], 2, "{reply}");
         assert_eq!(store.list(), vec!["run-é"], "the frames before it stand");
+        assert_eq!(store.replication_head("node-a").0, 2);
         assert_eq!(registry.counter("replication_rejects_total").get(), 1);
         // Resent from the named index with clean bytes, the rest lands;
         // the frames already applied are absorbed as duplicates.
@@ -1203,6 +1244,43 @@ mod tests {
         assert_eq!(status, 200, "{reply}");
         assert_eq!(store.len(), 2);
         store.verify_all().unwrap();
+    }
+
+    #[test]
+    fn a_superseded_gap_entry_does_not_cost_the_replica_its_copy() {
+        // The replica holds run-2 from entry 0 and missed entry 1; the
+        // catch-up is [1 chain-only, superseded by 2; 2 with its bytes].
+        let old = doc_json("old");
+        let new = doc_json("new");
+        let mut ledger = crate::ledger::Ledger::new();
+        let frames = [
+            (ledger.append("run-2", old.as_bytes()).clone(), Some(&old)),
+            (ledger.append("run-2", b"missed").clone(), None),
+            (ledger.append("run-2", new.as_bytes()).clone(), Some(&new)),
+        ]
+        .map(|(entry, document)| Frame {
+            superseded: document.is_none(),
+            document: document.map(|d| Cow::Borrowed(d.as_str())),
+            entry,
+        });
+        let registry = obs::Registry::new();
+        // In one request, and cut between the two (`BATCH_BYTES`).
+        for cut in [&[1..3][..], &[1..2, 2..3]] {
+            let store = DocumentStore::new();
+            let mut batches = vec![0..1];
+            batches.extend_from_slice(cut);
+            for batch in batches {
+                let last = batch.end == frames.len();
+                let body = encode_batch("node-a", &frames[batch]);
+                let (status, reply) = apply_batch(&store, &registry, body.as_bytes());
+                assert_eq!(status, 200, "{reply}");
+                // Never a 404, never a watch cursor that starts over.
+                let held = store.document_json("run-2").unwrap();
+                assert_eq!(held, if last { new.clone() } else { old.clone() });
+                assert_eq!(store.document_version("run-2"), Some(1 + last as u64));
+            }
+            store.verify_all().unwrap();
+        }
     }
 
     #[test]
@@ -1240,11 +1318,15 @@ mod tests {
     /// Starts a 2-node in-memory cluster: B first (peerless, to learn
     /// its ephemeral port), then A configured to replicate to B.
     fn two_nodes() -> (Server, Server) {
+        two_nodes_on(DocumentStore::new())
+    }
+
+    /// [`two_nodes`] with B serving `store_b`.
+    fn two_nodes_on(store_b: DocumentStore) -> (Server, Server) {
         let store_a = DocumentStore::new();
-        let store_b = DocumentStore::new();
         let b = Server::bind(
             "127.0.0.1:0",
-            store_b.clone(),
+            store_b,
             ServerConfig {
                 cluster: Some(ClusterConfig {
                     push_policy: fast_policy(),
@@ -1303,6 +1385,32 @@ mod tests {
                 crate::http::request(s.addr(), "GET", "/api/v0/ledger/verify", None).unwrap();
             assert_eq!(status, 200, "{body}");
         }
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn a_missed_push_of_a_streamed_id_heals_in_place() {
+        let store_b = DocumentStore::new();
+        let (a, b) = two_nodes_on(store_b.clone());
+        let put = |tag: &str| {
+            let body = doc_json(tag);
+            crate::http::request(a.addr(), "PUT", "/api/v0/documents/run-1", Some(&body))
+                .unwrap()
+                .0
+        };
+        assert_eq!(put("v1"), 201);
+        a.replication_chaos().unwrap().drop_next_frames(1);
+        assert_eq!(put("v2"), 503);
+        // The next version's push carries entry 1 chain-only, marked
+        // superseded: B goes from v1 to v3 without an interval in which
+        // it holds nothing, and its watchers see one more version.
+        assert_eq!(put("v3"), 201);
+        assert!(store_b.document_json("run-1").unwrap().contains("v3"));
+        assert_eq!(store_b.document_version("run-1"), Some(2));
+        assert_eq!(store_b.replication_head("node-a").0, 3);
+        store_b.verify_all().unwrap();
+        assert_eq!(b.registry().counter("replication_rejects_total").get(), 0);
         a.shutdown();
         b.shutdown();
     }

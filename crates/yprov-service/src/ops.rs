@@ -296,8 +296,7 @@ pub fn cluster_json(
     }));
 
     if let Some(replicator) = replicator {
-        for peer in replicator.peers() {
-            let client = replicator.peer_client(peer);
+        for (peer, client) in replicator.peers() {
             let metrics = client.get("/metrics");
             let health = client.get("/api/v0/obs/health");
             match (metrics, health) {

@@ -219,8 +219,9 @@ pub enum ReplicationApply {
     Duplicate,
     /// The frame extended the chain but carried no document bytes (the
     /// entry was superseded by a later upload of the same id, or this
-    /// node is not in the id's placement): the cursor advanced, and a
-    /// held copy of the id that no chain commits any more was dropped.
+    /// node is not in the id's placement): the cursor advanced, and —
+    /// unless the entry was superseded — a held copy of the id that no
+    /// chain commits any more was dropped.
     ChainOnly,
 }
 
@@ -795,17 +796,44 @@ impl DocumentStore {
     /// (so the replica serves reads immediately), and the entry appended
     /// verbatim to the durable replication cursor.
     ///
-    /// A frame without bytes (`None`) advances the cursor only. If this
-    /// node holds a copy of the entry's id that, with the entry applied,
-    /// no chain commits any more (the rule `verify_all` checks), the
-    /// copy is dropped from backend, maps and watch hub: a leftover from
-    /// a write this node took while a placement member was unreachable
-    /// can then neither fail verification nor be served stale.
+    /// A frame without bytes (`None`) advances the cursor only, and is
+    /// taken as the source's last word on the id: if this node holds a
+    /// copy of the id that, with the entry applied, no chain commits any
+    /// more (the rule `verify_all` checks), the copy is dropped from
+    /// backend, maps and watch hub. A leftover from a write this node
+    /// took while a placement member was unreachable can then neither
+    /// fail verification nor be served stale. An entry the source has
+    /// since superseded goes through [`Self::apply_superseded`] instead.
     pub fn apply_replicated(
         &self,
         source: &str,
         entry: LedgerEntry,
         doc_json: Option<&str>,
+    ) -> Result<ReplicationApply, ServiceError> {
+        self.apply_entry(source, entry, doc_json, doc_json.is_none())
+    }
+
+    /// Applies a chain-only entry that a later entry of `source`'s
+    /// ledger supersedes (same id): the checks of
+    /// [`Self::apply_replicated`], the cursor advances, and a held copy
+    /// of the id is left alone. Whether it still stands is decided when
+    /// the later entry arrives — with its document, which then replaces
+    /// the copy in place (watchers see one more version, not a
+    /// deletion), or chain-only, which drops it.
+    pub fn apply_superseded(
+        &self,
+        source: &str,
+        entry: LedgerEntry,
+    ) -> Result<ReplicationApply, ServiceError> {
+        self.apply_entry(source, entry, None, false)
+    }
+
+    fn apply_entry(
+        &self,
+        source: &str,
+        entry: LedgerEntry,
+        doc_json: Option<&str>,
+        drop_uncommitted: bool,
     ) -> Result<ReplicationApply, ServiceError> {
         if !entry.is_self_consistent() {
             return Err(ServiceError::Replication {
@@ -817,7 +845,7 @@ impl DocumentStore {
         // comes before the cursor lock (`verify_all`'s order). Holding it
         // also keeps a local upload of the same id from landing between
         // the check and the drop.
-        let ledger = doc_json.is_none().then(|| self.inner.ledger.lock());
+        let ledger = drop_uncommitted.then(|| self.inner.ledger.lock());
         let mut repl = self.inner.repl.lock();
         let chain = repl.entry(source.to_string()).or_default();
         let next = chain.len() as u64;
@@ -1492,7 +1520,7 @@ mod tests {
         // inventing a document.
         let replica = DocumentStore::new();
         let applied = replica
-            .apply_replicated("node-a", log[0].0.clone(), None)
+            .apply_superseded("node-a", log[0].0.clone())
             .unwrap();
         assert_eq!(applied, ReplicationApply::ChainOnly);
         assert!(replica.is_empty());
@@ -1557,6 +1585,48 @@ mod tests {
         ));
         assert_eq!(node.document_version("run-1"), None);
         assert_eq!(node.list(), vec!["run-2"], "other ids are left alone");
+        node.verify_all().unwrap();
+    }
+
+    #[test]
+    fn superseded_chain_only_entry_leaves_the_copy_to_the_later_entry() {
+        // A placement replica missed the push of v2; by the time it
+        // catches up the source has written v3 as well.
+        let primary = DocumentStore::new();
+        let v1 = primary.upload_as_full("run-1", pipeline_doc()).unwrap();
+        let v2 = primary
+            .upload_as_full("run-1", ProvDocument::new())
+            .unwrap();
+        let mut third = ProvDocument::new();
+        third.namespaces_mut().register("ex", "http://ex/").unwrap();
+        third.entity(q("retrained"));
+        let v3 = primary.upload_as_full("run-1", third).unwrap();
+        let holding_v1 = || {
+            let node = DocumentStore::new();
+            node.apply_replicated("node-a", v1.entry.clone(), Some(&v1.canonical_json))
+                .unwrap();
+            let applied = node.apply_superseded("node-a", v2.entry.clone()).unwrap();
+            assert_eq!(applied, ReplicationApply::ChainOnly);
+            // Whether v3 comes in this request or the next, readers
+            // and watchers keep what they had.
+            assert_eq!(node.replication_head("node-a").0, 2);
+            assert_eq!(node.document_json("run-1").unwrap(), v1.canonical_json);
+            assert_eq!(node.document_version("run-1"), Some(1));
+            node
+        };
+        // v3 with its document replaces the copy in place: one more
+        // version, never a deletion.
+        let node = holding_v1();
+        node.apply_replicated("node-a", v3.entry.clone(), Some(&v3.canonical_json))
+            .unwrap();
+        assert_eq!(node.document_json("run-1").unwrap(), v3.canonical_json);
+        assert_eq!(node.document_version("run-1"), Some(2));
+        node.verify_all().unwrap();
+        // v3 chain-only is the source's last word: the copy goes.
+        let node = holding_v1();
+        node.apply_replicated("node-a", v3.entry.clone(), None)
+            .unwrap();
+        assert!(node.is_empty());
         node.verify_all().unwrap();
     }
 
