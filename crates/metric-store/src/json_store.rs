@@ -8,7 +8,9 @@
 use crate::error::StoreError;
 use crate::series::{MetricPoint, MetricSeries};
 use crate::store::{path_size_bytes, MetricStore};
-use serde_json::{json, Value};
+use serde::ser::{Serialize, SerializeMap, SerializeSeq, Serializer};
+use serde_json::Value;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// A directory of `<name>@<context>.json` files, one per series.
@@ -43,22 +45,7 @@ impl JsonStore {
         self.root.join(format!("{safe}.json"))
     }
 
-    /// Renders a series as the inline-JSON value used both by this store
-    /// and by the provenance layer when metrics stay in the PROV file.
-    pub fn series_to_json(series: &MetricSeries) -> Value {
-        json!({
-            "name": series.name,
-            "context": series.context,
-            "points": series.points.iter().map(|p| json!({
-                "step": p.step,
-                "epoch": p.epoch,
-                "time_us": p.time_us,
-                "value": float_to_json(p.value),
-            })).collect::<Vec<_>>(),
-        })
-    }
-
-    /// Parses the representation produced by [`Self::series_to_json`].
+    /// Parses the representation [`SeriesJson`] writes.
     pub fn series_from_json(value: &Value) -> Result<MetricSeries, StoreError> {
         let name = value
             .get("name")
@@ -96,15 +83,57 @@ impl JsonStore {
     }
 }
 
-fn float_to_json(v: f64) -> Value {
-    if v.is_finite() {
-        json!(v)
-    } else if v.is_nan() {
-        json!("NaN")
-    } else if v > 0.0 {
-        json!("INF")
-    } else {
-        json!("-INF")
+/// A borrowed view of a series that serializes as the inline-JSON
+/// representation used both by this store and by the provenance layer
+/// when metrics stay in the PROV file: `context`, `name` and
+/// `points[{epoch, step, time_us, value}]`, keys in sorted order (the
+/// order a `serde_json::Value` tree prints them in), non-finite values
+/// as the strings `"NaN"`, `"INF"` and `"-INF"`. It streams through any
+/// serializer, so a series is printed without building a `Value` per
+/// sample first.
+pub struct SeriesJson<'a>(pub &'a MetricSeries);
+
+impl Serialize for SeriesJson<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut map = serializer.serialize_map(Some(3))?;
+        map.serialize_entry("context", &self.0.context)?;
+        map.serialize_entry("name", &self.0.name)?;
+        map.serialize_entry("points", &PointsJson(&self.0.points))?;
+        map.end()
+    }
+}
+
+struct PointsJson<'a>(&'a [MetricPoint]);
+
+impl Serialize for PointsJson<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
+        for point in self.0 {
+            seq.serialize_element(&PointJson(point))?;
+        }
+        seq.end()
+    }
+}
+
+struct PointJson<'a>(&'a MetricPoint);
+
+impl Serialize for PointJson<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let p = self.0;
+        let mut map = serializer.serialize_map(Some(4))?;
+        map.serialize_entry("epoch", &p.epoch)?;
+        map.serialize_entry("step", &p.step)?;
+        map.serialize_entry("time_us", &p.time_us)?;
+        if p.value.is_finite() {
+            map.serialize_entry("value", &p.value)?;
+        } else if p.value.is_nan() {
+            map.serialize_entry("value", "NaN")?;
+        } else if p.value > 0.0 {
+            map.serialize_entry("value", "INF")?;
+        } else {
+            map.serialize_entry("value", "-INF")?;
+        }
+        map.end()
     }
 }
 
@@ -118,11 +147,10 @@ fn json_to_float(v: &Value) -> Option<f64> {
 
 impl MetricStore for JsonStore {
     fn write_series(&self, series: &MetricSeries) -> Result<(), StoreError> {
-        let value = Self::series_to_json(series);
-        std::fs::write(
-            self.file(&series.name, &series.context),
-            serde_json::to_string_pretty(&value)?,
-        )?;
+        let file = std::fs::File::create(self.file(&series.name, &series.context))?;
+        let mut writer = std::io::BufWriter::new(file);
+        serde_json::to_writer_pretty(&mut writer, &SeriesJson(series))?;
+        writer.flush()?;
         Ok(())
     }
 
@@ -161,6 +189,7 @@ impl MetricStore for JsonStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::json;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("yjson_test_{tag}_{}", std::process::id()));
@@ -188,6 +217,105 @@ mod tests {
         let s = series(500);
         store.write_series(&s).unwrap();
         assert_eq!(store.read_series("loss", "training").unwrap(), s);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn series_view_prints_what_the_value_tree_printed() {
+        // The literals are what the `serde_json::Value` builder this
+        // view replaced printed (`to_string` and `to_string_pretty`) for
+        // the same series: every non-finite spelling, a negative zero,
+        // the smallest and a large double, the integer extremes, and a
+        // name that needs escaping and holds non-ASCII text.
+        let mut s = MetricSeries::new("lo\"ss\\ü損失", "training");
+        let values = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324,
+            1e21,
+            0.1,
+        ];
+        for (i, value) in values.into_iter().enumerate() {
+            s.push(MetricPoint {
+                step: if i == 5 { u64::MAX } else { i as u64 },
+                epoch: i as u32 / 3,
+                time_us: if i == 6 { i64::MIN } else { 1_000 * i as i64 },
+                value,
+            });
+        }
+        let compact = r#"{"context":"training","name":"lo\"ss\\ü損失","points":[{"epoch":0,"step":0,"time_us":0,"value":"NaN"},{"epoch":0,"step":1,"time_us":1000,"value":"INF"},{"epoch":0,"step":2,"time_us":2000,"value":"-INF"},{"epoch":1,"step":3,"time_us":3000,"value":-0.0},{"epoch":1,"step":4,"time_us":4000,"value":5e-324},{"epoch":1,"step":18446744073709551615,"time_us":5000,"value":1e21},{"epoch":2,"step":6,"time_us":-9223372036854775808,"value":0.1}]}"#;
+        let pretty = r#"{
+  "context": "training",
+  "name": "lo\"ss\\ü損失",
+  "points": [
+    {
+      "epoch": 0,
+      "step": 0,
+      "time_us": 0,
+      "value": "NaN"
+    },
+    {
+      "epoch": 0,
+      "step": 1,
+      "time_us": 1000,
+      "value": "INF"
+    },
+    {
+      "epoch": 0,
+      "step": 2,
+      "time_us": 2000,
+      "value": "-INF"
+    },
+    {
+      "epoch": 1,
+      "step": 3,
+      "time_us": 3000,
+      "value": -0.0
+    },
+    {
+      "epoch": 1,
+      "step": 4,
+      "time_us": 4000,
+      "value": 5e-324
+    },
+    {
+      "epoch": 1,
+      "step": 18446744073709551615,
+      "time_us": 5000,
+      "value": 1e21
+    },
+    {
+      "epoch": 2,
+      "step": 6,
+      "time_us": -9223372036854775808,
+      "value": 0.1
+    }
+  ]
+}"#;
+        assert_eq!(serde_json::to_string(&SeriesJson(&s)).unwrap(), compact);
+        assert_eq!(
+            serde_json::to_string_pretty(&SeriesJson(&s)).unwrap(),
+            pretty
+        );
+
+        let empty = MetricSeries::new("empty", "testing");
+        assert_eq!(
+            serde_json::to_string(&SeriesJson(&empty)).unwrap(),
+            r#"{"context":"testing","name":"empty","points":[]}"#
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&SeriesJson(&empty)).unwrap(),
+            "{\n  \"context\": \"testing\",\n  \"name\": \"empty\",\n  \"points\": []\n}"
+        );
+
+        // The store's files are the pretty form, byte for byte.
+        let dir = tmpdir("parity");
+        let store = JsonStore::create(&dir).unwrap();
+        store.write_series(&s).unwrap();
+        let written = std::fs::read_to_string(store.file(&s.name, &s.context)).unwrap();
+        assert_eq!(written, pretty);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,6 +21,9 @@
 //!   thread-core's admission bound) and dispatch by in-flight jobs and
 //!   globally queued response bytes; every shed answers 503 with
 //!   `Retry-After` and is counted in `server_shed_total{reason}`.
+//!   A connection shed at accept closes lingeringly (write half shut,
+//!   input discarded until the peer closes), so a client that sent its
+//!   request before reading still reads the 503, never a reset.
 //! * **Graceful drain** — stop deregisters the listener and lets
 //!   in-flight connections finish (bounded by `drain_deadline`), so a
 //!   mid-response close flushes instead of resetting.
@@ -33,7 +36,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde_json::json;
 use std::collections::VecDeque;
 use std::io::{self, Read};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -292,6 +295,7 @@ pub(crate) fn spawn(
         free: Vec::new(),
         next_gen: 1,
         open: 0,
+        open_shed: 0,
         cfg,
         limits,
         registry,
@@ -406,6 +410,13 @@ struct Conn {
     stop_reading: bool,
     /// Close as soon as the write queue drains, regardless of state.
     error_close: bool,
+    /// Shed at accept: what the peer sends is read and thrown away,
+    /// never parsed.
+    shed: bool,
+    /// A shed connection's 503 is flushed and its write half shut since
+    /// this instant; it stays open, discarding input, until the peer
+    /// closes or `write_timeout` passes.
+    lingering: Option<Instant>,
     /// A parse rejection waiting for earlier pipelined responses to
     /// finish: queueing it immediately would let the error jump ahead
     /// of responses still owed, and pipelining clients correlate
@@ -442,6 +453,9 @@ struct Reactor {
     free: Vec<usize>,
     next_gen: u32,
     open: usize,
+    /// How many of `open` were shed at accept and only linger: they
+    /// count against `shed_ceiling()`, not against admission.
+    open_shed: usize,
     cfg: ServerConfig,
     limits: Limits,
     registry: Arc<obs::Registry>,
@@ -516,7 +530,7 @@ impl Reactor {
                     if self.draining.is_some() {
                         continue; // racing the listener deregistration
                     }
-                    if self.open < self.max_conns {
+                    if self.open - self.open_shed < self.max_conns {
                         let _ = self.register(stream, false);
                         continue;
                     }
@@ -540,7 +554,7 @@ impl Reactor {
     }
 
     /// Admits a connection into the slab. With `shed`, its only purpose
-    /// is to flush a queued 503 and close.
+    /// is to flush a queued 503 and close once the peer has read it.
     fn register(&mut self, stream: TcpStream, shed: bool) -> Option<usize> {
         if stream.set_nonblocking(true).is_err() {
             return None;
@@ -564,6 +578,8 @@ impl Reactor {
             paused: false,
             stop_reading: shed,
             error_close: false,
+            shed,
+            lingering: None,
             deferred_reject: None,
             close_when_idle: false,
             eof: false,
@@ -584,6 +600,7 @@ impl Reactor {
         }
         self.conns[idx] = Some(conn);
         self.open += 1;
+        self.open_shed += usize::from(shed);
         self.open_gauge.set(self.open as i64);
         Some(idx)
     }
@@ -599,7 +616,8 @@ impl Reactor {
 
     /// Sheds a just-accepted connection: 503 + `Retry-After`, flushed
     /// through the normal write path (the reactor never blocks on a
-    /// peer that won't read its rejection).
+    /// peer that won't read its rejection), then a lingering close
+    /// (see [`Reactor::begin_linger`]).
     fn shed_accept(&mut self, stream: TcpStream) {
         self.count_shed("connections");
         if let Some(idx) = self.register(stream, true) {
@@ -654,6 +672,10 @@ impl Reactor {
     }
 
     fn readable(&mut self, idx: usize) {
+        if self.conn_mut(idx).is_some_and(|conn| conn.shed) {
+            self.discard_input(idx);
+            return;
+        }
         let mut buf = [0u8; 16 * 1024];
         let mut read_total = 0usize;
         loop {
@@ -685,6 +707,32 @@ impl Reactor {
             }
         }
         self.parse_and_dispatch(idx);
+    }
+
+    /// Reads and throws away what a shed connection's peer sends. EOF
+    /// means the peer has closed (having read its 503, or not caring
+    /// to), which ends the linger.
+    fn discard_input(&mut self, idx: usize) {
+        let Some(conn) = self.conn_mut(idx) else {
+            return;
+        };
+        let mut buf = [0u8; 16 * 1024];
+        let mut read_total = 0usize;
+        loop {
+            match conn.stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => {
+                    read_total += n;
+                    if read_total >= READ_SLICE_BYTES {
+                        return; // level-triggered epoll re-arms
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+        self.close_conn(idx);
     }
 
     fn parse_and_dispatch(&mut self, idx: usize) {
@@ -999,7 +1047,11 @@ impl Reactor {
         };
         if conn.write_q.is_empty() {
             if conn.error_close {
-                self.close_conn(idx);
+                if conn.shed {
+                    self.begin_linger(idx);
+                } else {
+                    self.close_conn(idx);
+                }
                 return;
             }
             let conn = self.conn_mut(idx).expect("checked above");
@@ -1018,6 +1070,25 @@ impl Reactor {
             conn.paused = true;
         }
         self.maybe_resume(idx);
+    }
+
+    /// A shed connection's 503 is out. Closing now would, whenever the
+    /// peer's request sits unread in the receive queue (every client
+    /// that writes before it reads), go out as a reset, and the peer
+    /// would see `ECONNRESET` in place of the 503 and its `Retry-After`.
+    /// So: shut the write half (the peer reads the response, then EOF)
+    /// and keep discarding input until the peer closes or
+    /// `sweep_timeouts` gives up on it. The slot stays counted against
+    /// `shed_ceiling()` meanwhile.
+    fn begin_linger(&mut self, idx: usize) {
+        let Some(conn) = self.conn_mut(idx) else {
+            return;
+        };
+        if conn.stream.shutdown(Shutdown::Write).is_err() {
+            self.close_conn(idx);
+            return;
+        }
+        conn.lingering = Some(Instant::now());
     }
 
     /// Clears a backpressure pause once its cause has drained — and
@@ -1045,7 +1116,9 @@ impl Reactor {
             return;
         };
         let mut want = 0u32;
-        if !(conn.paused || conn.stop_reading || conn.error_close || conn.eof) {
+        if !(conn.paused || conn.stop_reading || conn.error_close || conn.eof)
+            || conn.lingering.is_some()
+        {
             want |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if !conn.write_q.is_empty() {
@@ -1065,6 +1138,7 @@ impl Reactor {
             self.queued_bytes = self.queued_bytes.saturating_sub(conn.write_q.len());
             self.free.push(idx);
             self.open -= 1;
+            self.open_shed -= usize::from(conn.shed);
             self.open_gauge.set(self.open as i64);
         }
     }
@@ -1079,7 +1153,7 @@ impl Reactor {
                 continue;
             };
             let (write_since, partial_since, error_close, served, last_activity, idle) = (
-                conn.write_since,
+                conn.write_since.or(conn.lingering),
                 conn.partial_since,
                 conn.error_close,
                 conn.served,
@@ -1091,7 +1165,8 @@ impl Reactor {
                 continue;
             }
             if write_since.is_some_and(|since| now.duration_since(since) > self.cfg.write_timeout) {
-                // The peer stopped reading its response.
+                // The peer stopped reading its response, or never
+                // closed after reading its shed 503.
                 self.close_conn(idx);
                 continue;
             }

@@ -318,6 +318,63 @@ fn connection_watermark_sheds_with_503_and_counts_it() {
 }
 
 #[test]
+fn shed_at_accept_answers_503_to_a_client_that_wrote_first() {
+    // The client sends its whole request before it reads, as every HTTP
+    // client does. Whether those bytes reach the server before or after
+    // it sheds the connection, the client must read the 503: a server
+    // that closes while they sit unread, or before they arrive, answers
+    // them with a reset.
+    let server = start(ServerConfig {
+        workers: 1,
+        queue_depth: 0, // admission watermark: exactly one connection
+        ..ServerConfig::default()
+    });
+    let parked = connect(&server);
+    let mut parked_reader = BufReader::new(parked.try_clone().unwrap());
+    let mut on_parked = |path: &str| {
+        (&parked)
+            .write_all(format!("GET {path} HTTP/1.1\r\nConnection: keep-alive\r\n\r\n").as_bytes())
+            .unwrap();
+        read_response(&mut parked_reader)
+    };
+    assert_eq!(on_parked("/healthz").0, 200); // the accept has landed
+
+    let body = vec![b'x'; 64 * 1024];
+    let mut stream = connect(&server);
+    stream
+        .write_all(
+            format!(
+                "PUT /api/v0/documents/d HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    stream.write_all(&body).unwrap();
+    let mut reader = BufReader::new(stream);
+    let (status, head, body) = read_response(&mut reader);
+    assert_eq!(status, 503, "{body}");
+    assert_eq!(header(&head, "retry-after").as_deref(), Some("1"));
+    // Then a clean end of stream: the server shut its write half.
+    assert_eq!(reader.read_to_end(&mut Vec::new()).unwrap(), 0);
+    drop(reader);
+
+    // The client's close ends the linger and frees the slot.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let (_, _, metrics) = on_parked("/metrics");
+        if metrics.contains("\nserver_connections_open 1\n") {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shed connection still open:\n{metrics}"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
 fn reactor_loop_metrics_surface_in_the_scrape() {
     let server = start(ServerConfig::default());
     // A few served requests guarantee the reactor loop has spun and

@@ -1,11 +1,15 @@
 //! The concurrent log collector.
 //!
 //! Logging must never stall the training loop (the paper's "minimal
-//! overhead" requirement), so the default collector pushes records onto
-//! an unbounded lock-free channel drained by a background thread that
-//! folds them into the run state. A synchronous mode (mutex around the
-//! state) exists for tests and for workloads where determinism matters
-//! more than latency; the overhead benchmark (E7) compares the two.
+//! overhead" requirement), so the default collector stages records in a
+//! small buffer and hands them, `BATCH` (256) at a time, over an
+//! unbounded channel to a background thread that folds them into the
+//! run state. A producer slower than the fold (any real training loop)
+//! lets the folding thread park, and waking it costs more than the fold
+//! itself; one hand-off per batch pays that wake once per 256 records.
+//! A synchronous mode (mutex around the state) exists for tests and for
+//! workloads where determinism matters more than latency; the overhead
+//! benchmark (E7) compares the two.
 //!
 //! For high metric volumes the fold itself becomes the bottleneck, so a
 //! third mode shards the fold across N background threads keyed by a
@@ -14,8 +18,15 @@
 //! and [`Collector::close`] merges the shard states in shard order — a
 //! deterministic reduction that reproduces the single-thread state for
 //! any workload whose per-series record order is deterministic.
-//! [`Collector::log_many`] complements it by batching many records into
-//! one channel hop.
+//! [`Collector::log_many`] hands a caller's own batch over in one hop.
+//!
+//! Staged records are invisible to the folding thread, and nothing but
+//! [`Collector::flush`], [`Collector::snapshot`] and [`Collector::close`]
+//! ever reads the folded state; each of those drains the staging buffer
+//! first, so a batch that fills slowly needs no timer. A collector
+//! dropped without `close` loses its staged records exactly as it loses
+//! queued ones (the journal, written before [`Collector::log`], is the
+//! crash story).
 
 use crate::crc32::crc32;
 use crate::error::ProvMLError;
@@ -157,8 +168,8 @@ impl RunState {
 }
 
 enum Msg {
-    Record(Box<LogRecord>),
-    /// Many records folded off one channel hop (`log_many`).
+    /// The one message that carries records: a full staging buffer, its
+    /// remainder ahead of a barrier, or a `log_many` batch.
     Batch(Vec<LogRecord>),
     Flush(Sender<()>),
     /// Ships a clone of the current state back without disturbing the
@@ -168,32 +179,95 @@ enum Msg {
     Shutdown(Sender<RunState>),
 }
 
+/// Records staged per hand-off (~25 KB of [`LogRecord`]s): large enough
+/// that the folding thread's wake-up disappears from the per-record
+/// cost, small enough that a barrier finds little left to drain.
+const BATCH: usize = 256;
+
+/// The producer's end of one folding thread: its channel and the
+/// staging buffer in front of it.
+struct Shard {
+    tx: Sender<Msg>,
+    /// `None` once closed. Every send happens under this lock, so the
+    /// lock order is the order the folding thread sees.
+    staged: Mutex<Option<Vec<LogRecord>>>,
+}
+
+impl Shard {
+    fn new(tx: Sender<Msg>) -> Shard {
+        Shard {
+            tx,
+            staged: Mutex::new(Some(Vec::with_capacity(BATCH))),
+        }
+    }
+
+    fn send(&self, msg: Msg) -> Result<(), ProvMLError> {
+        self.tx.send(msg).map_err(|_| ProvMLError::CollectorGone)
+    }
+
+    /// Hands over whatever is staged.
+    fn send_staged(&self, staged: &mut Vec<LogRecord>) -> Result<(), ProvMLError> {
+        if staged.is_empty() {
+            return Ok(());
+        }
+        let batch = std::mem::replace(staged, Vec::with_capacity(BATCH));
+        self.send(Msg::Batch(batch))
+    }
+
+    /// Stages one record; a full buffer goes out as one message.
+    fn push(&self, record: LogRecord) -> Result<(), ProvMLError> {
+        let mut guard = self.staged.lock();
+        let staged = guard.as_mut().ok_or(ProvMLError::CollectorGone)?;
+        staged.push(record);
+        if staged.len() >= BATCH {
+            self.send_staged(staged)?;
+        }
+        Ok(())
+    }
+
+    /// Hands over the staged records, then `msg` behind them: a caller's
+    /// own batch, or a barrier that must see everything logged before it.
+    fn send_behind_staged(&self, msg: Msg) -> Result<(), ProvMLError> {
+        let mut guard = self.staged.lock();
+        let staged = guard.as_mut().ok_or(ProvMLError::CollectorGone)?;
+        self.send_staged(staged)?;
+        self.send(msg)
+    }
+
+    /// Closes the staging buffer for good and asks the folding thread
+    /// for its final state, behind whatever was still staged.
+    fn shutdown(&self, out: Sender<RunState>) -> Result<(), ProvMLError> {
+        let mut guard = self.staged.lock();
+        let staged = guard.take().ok_or(ProvMLError::CollectorGone)?;
+        if !staged.is_empty() {
+            self.send(Msg::Batch(staged))?;
+        }
+        self.send(Msg::Shutdown(out))
+    }
+}
+
 enum Inner {
     Sync(Mutex<RunState>),
     Buffered {
-        tx: Sender<Msg>,
+        shard: Shard,
         handle: Mutex<Option<std::thread::JoinHandle<()>>>,
     },
     /// N folding threads; metric records route by a stable hash of the
     /// metric name, everything else to shard 0.
     Sharded {
-        txs: Vec<Sender<Msg>>,
+        shards: Vec<Shard>,
         handles: Mutex<Option<Vec<std::thread::JoinHandle<()>>>>,
     },
 }
 
 /// The drain loop every folding thread runs (buffered and sharded).
 fn fold_loop(rx: Receiver<Msg>) {
-    // Fold time is tracked per message, not per blocking recv, so the
+    // Fold time is tracked per hand-off, not per blocking recv, so the
     // histogram reflects work rather than idle waiting.
     let fold = obs::global().histogram("yprov4ml_collector_fold_seconds");
     let mut state = RunState::default();
     while let Ok(msg) = rx.recv() {
         match msg {
-            Msg::Record(r) => {
-                let _trace = obs::trace::span("collector_fold");
-                fold.time(|| state.apply(*r))
-            }
             Msg::Batch(records) => {
                 let mut trace = obs::trace::span("collector_fold");
                 if obs::trace::is_enabled() {
@@ -265,7 +339,7 @@ impl Collector {
             .spawn(move || fold_loop(rx))?;
         Ok(Arc::new(Collector {
             inner: Inner::Buffered {
-                tx,
+                shard: Shard::new(tx),
                 handle: Mutex::new(Some(handle)),
             },
             accepted: AtomicUsize::new(0),
@@ -286,21 +360,21 @@ impl Collector {
         if shards <= 1 {
             return Collector::buffered();
         }
-        let mut txs = Vec::with_capacity(shards);
+        let mut folders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for i in 0..shards {
             let (tx, rx) = unbounded::<Msg>();
             // On spawn failure the already-started shards exit on their
-            // own once `txs` drops and their channels disconnect.
+            // own once `folders` drops and their channels disconnect.
             let handle = std::thread::Builder::new()
                 .name(format!("yprov4ml-collector-{i}"))
                 .spawn(move || fold_loop(rx))?;
-            txs.push(tx);
+            folders.push(Shard::new(tx));
             handles.push(handle);
         }
         Ok(Arc::new(Collector {
             inner: Inner::Sharded {
-                txs,
+                shards: folders,
                 handles: Mutex::new(Some(handles)),
             },
             accepted: AtomicUsize::new(0),
@@ -308,20 +382,17 @@ impl Collector {
         }))
     }
 
-    /// Submits a record. Non-blocking in buffered and sharded modes.
+    /// Submits a record. Non-blocking in buffered and sharded modes:
+    /// the record is staged, and every 256th call (`BATCH`) hands the
+    /// staged records to the folding thread.
     pub fn log(&self, record: LogRecord) -> Result<(), ProvMLError> {
         let _span = self.enqueue.start_span();
         let _trace = obs::trace::span("collector_enqueue");
         match &self.inner {
             Inner::Sync(state) => state.lock().apply(record),
-            Inner::Buffered { tx, .. } => tx
-                .send(Msg::Record(Box::new(record)))
-                .map_err(|_| ProvMLError::CollectorGone)?,
-            Inner::Sharded { txs, .. } => {
-                let shard = shard_index(&record, txs.len());
-                txs[shard]
-                    .send(Msg::Record(Box::new(record)))
-                    .map_err(|_| ProvMLError::CollectorGone)?;
+            Inner::Buffered { shard, .. } => shard.push(record)?,
+            Inner::Sharded { shards, .. } => {
+                shards[shard_index(&record, shards.len())].push(record)?
             }
         }
         // Counted only after a successful submit: a record rejected
@@ -330,8 +401,8 @@ impl Collector {
         Ok(())
     }
 
-    /// Submits a batch of records with one channel operation per shard,
-    /// amortizing the per-record send and box of [`Collector::log`].
+    /// Submits a batch of records with one hand-off per shard, behind
+    /// whatever [`Collector::log`] had staged there.
     pub fn log_many(&self, records: Vec<LogRecord>) -> Result<(), ProvMLError> {
         let count = records.len();
         if count == 0 {
@@ -349,21 +420,18 @@ impl Collector {
                     state.apply(r);
                 }
             }
-            Inner::Buffered { tx, .. } => tx
-                .send(Msg::Batch(records))
-                .map_err(|_| ProvMLError::CollectorGone)?,
-            Inner::Sharded { txs, .. } => {
-                let shards = txs.len();
-                let mut per_shard: Vec<Vec<LogRecord>> = (0..shards).map(|_| Vec::new()).collect();
+            Inner::Buffered { shard, .. } => shard.send_behind_staged(Msg::Batch(records))?,
+            Inner::Sharded { shards, .. } => {
+                let mut per_shard: Vec<Vec<LogRecord>> =
+                    (0..shards.len()).map(|_| Vec::new()).collect();
                 for r in records {
-                    per_shard[shard_index(&r, shards)].push(r);
+                    per_shard[shard_index(&r, shards.len())].push(r);
                 }
-                for (tx, batch) in txs.iter().zip(per_shard) {
+                for (shard, batch) in shards.iter().zip(per_shard) {
                     if batch.is_empty() {
                         continue;
                     }
-                    tx.send(Msg::Batch(batch))
-                        .map_err(|_| ProvMLError::CollectorGone)?;
+                    shard.send_behind_staged(Msg::Batch(batch))?;
                 }
             }
         }
@@ -375,19 +443,17 @@ impl Collector {
     pub fn flush(&self) -> Result<(), ProvMLError> {
         match &self.inner {
             Inner::Sync(_) => Ok(()),
-            Inner::Buffered { tx, .. } => {
+            Inner::Buffered { shard, .. } => {
                 let (ack_tx, ack_rx) = unbounded();
-                tx.send(Msg::Flush(ack_tx))
-                    .map_err(|_| ProvMLError::CollectorGone)?;
+                shard.send_behind_staged(Msg::Flush(ack_tx))?;
                 ack_rx.recv().map_err(|_| ProvMLError::CollectorGone)
             }
-            Inner::Sharded { txs, .. } => {
+            Inner::Sharded { shards, .. } => {
                 // Fan the barrier out first, then collect every ack.
-                let mut acks = Vec::with_capacity(txs.len());
-                for tx in txs {
+                let mut acks = Vec::with_capacity(shards.len());
+                for shard in shards {
                     let (ack_tx, ack_rx) = unbounded();
-                    tx.send(Msg::Flush(ack_tx))
-                        .map_err(|_| ProvMLError::CollectorGone)?;
+                    shard.send_behind_staged(Msg::Flush(ack_tx))?;
                     acks.push(ack_rx);
                 }
                 for ack in acks {
@@ -402,27 +468,27 @@ impl Collector {
     /// collector — the delta-streaming path reads cumulative snapshots
     /// here while the run keeps logging.
     ///
-    /// The snapshot reflects every record folded when the collector
-    /// thread services the request; call [`Collector::flush`] first for
-    /// a submit-side barrier. In sharded mode the per-shard snapshots
-    /// merge in shard order, the same deterministic reduction `close`
-    /// uses, so a snapshot taken after a flush equals what `close`
-    /// would have returned at that instant.
+    /// The request travels behind the staged and queued records of
+    /// every shard, so it is its own barrier: the snapshot holds every
+    /// record whose `log` returned before this call began, and no
+    /// [`Collector::flush`] is needed first. In sharded mode the
+    /// per-shard snapshots merge in shard order, the same deterministic
+    /// reduction `close` uses, so with no producer running concurrently
+    /// a snapshot equals what `close` would have returned at that
+    /// instant.
     pub fn snapshot(&self) -> Result<RunState, ProvMLError> {
         match &self.inner {
             Inner::Sync(state) => Ok(state.lock().clone()),
-            Inner::Buffered { tx, .. } => {
+            Inner::Buffered { shard, .. } => {
                 let (out_tx, out_rx) = unbounded();
-                tx.send(Msg::Snapshot(out_tx))
-                    .map_err(|_| ProvMLError::CollectorGone)?;
+                shard.send_behind_staged(Msg::Snapshot(out_tx))?;
                 out_rx.recv().map_err(|_| ProvMLError::CollectorGone)
             }
-            Inner::Sharded { txs, .. } => {
-                let mut outs = Vec::with_capacity(txs.len());
-                for tx in txs {
+            Inner::Sharded { shards, .. } => {
+                let mut outs = Vec::with_capacity(shards.len());
+                for shard in shards {
                     let (out_tx, out_rx) = unbounded();
-                    tx.send(Msg::Snapshot(out_tx))
-                        .map_err(|_| ProvMLError::CollectorGone)?;
+                    shard.send_behind_staged(Msg::Snapshot(out_tx))?;
                     outs.push(out_rx);
                 }
                 let mut state = RunState::default();
@@ -440,31 +506,30 @@ impl Collector {
         self.accepted.load(Ordering::Relaxed)
     }
 
-    /// Shuts the collector down and returns the final state.
+    /// Shuts the collector down and returns the final state, staged
+    /// records included.
     ///
     /// Idempotence: the first call wins; later calls (or logging after
     /// close, in buffered mode) report [`ProvMLError::CollectorGone`].
     pub fn close(&self) -> Result<RunState, ProvMLError> {
         match &self.inner {
             Inner::Sync(state) => Ok(std::mem::take(&mut *state.lock())),
-            Inner::Buffered { tx, handle } => {
+            Inner::Buffered { shard, handle } => {
                 let joined = handle.lock().take().ok_or(ProvMLError::CollectorGone)?;
                 let (out_tx, out_rx) = unbounded();
-                tx.send(Msg::Shutdown(out_tx))
-                    .map_err(|_| ProvMLError::CollectorGone)?;
+                shard.shutdown(out_tx)?;
                 let state = out_rx.recv().map_err(|_| ProvMLError::CollectorGone)?;
                 joined.join().map_err(|_| ProvMLError::CollectorGone)?;
                 Ok(state)
             }
-            Inner::Sharded { txs, handles } => {
+            Inner::Sharded { shards, handles } => {
                 let joined = handles.lock().take().ok_or(ProvMLError::CollectorGone)?;
                 // All shards drain concurrently; the merge then runs in
                 // shard order, which makes the reduction deterministic.
-                let mut outs = Vec::with_capacity(txs.len());
-                for tx in txs {
+                let mut outs = Vec::with_capacity(shards.len());
+                for shard in shards {
                     let (out_tx, out_rx) = unbounded();
-                    tx.send(Msg::Shutdown(out_tx))
-                        .map_err(|_| ProvMLError::CollectorGone)?;
+                    shard.shutdown(out_tx)?;
                     outs.push(out_rx);
                 }
                 let merge = obs::global().histogram("yprov4ml_collector_merge_seconds");
@@ -499,6 +564,177 @@ mod tests {
             epoch: (step / 10) as u32,
             time_us: step as i64,
             value,
+        }
+    }
+
+    /// splitmix64: the tests' seeded source of interleavings.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    fn all_kinds() -> [Arc<Collector>; 3] {
+        [
+            Collector::synchronous(),
+            Collector::buffered().unwrap(),
+            Collector::sharded(4).unwrap(),
+        ]
+    }
+
+    /// `n` seeded records: metrics over seven series in three contexts
+    /// and, one time in five, a parameter (three names, so overrides
+    /// matter), an artifact or a context boundary.
+    fn mixed_records(seed: u64, n: usize) -> Vec<LogRecord> {
+        let mut rng = Rng(seed);
+        let context =
+            |i: u64| Context::from_name(["training", "validation", "testing"][i as usize]);
+        (0..n as u64)
+            .map(|i| match rng.below(20) {
+                0 => LogRecord::Param {
+                    name: format!("p{}", rng.below(3)),
+                    value: ParamValue::Int(i as i64),
+                    direction: Direction::Input,
+                },
+                1 => LogRecord::Artifact(ArtifactMeta {
+                    name: format!("a{i}"),
+                    stored_path: format!("artifacts/a{i}").into(),
+                    sha256: String::new(),
+                    bytes: i,
+                    direction: Direction::Output,
+                    context: Some(context(rng.below(3))),
+                    logged_at_us: i as i64,
+                }),
+                2 => LogRecord::ContextStart {
+                    context: context(rng.below(3)),
+                    time_us: i as i64,
+                },
+                3 => LogRecord::ContextEnd {
+                    context: context(rng.below(3)),
+                    time_us: i as i64,
+                },
+                _ => {
+                    let series = rng.below(7);
+                    LogRecord::Metric {
+                        name: format!("m{series}"),
+                        context: context(series % 3),
+                        step: i,
+                        epoch: (i / 50) as u32,
+                        time_us: i as i64,
+                        value: i as f64,
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Submits `records` through a seeded interleaving of `log`,
+    /// `log_many`, `flush` and `snapshot` (`barriers: false` leaves only
+    /// `log`, so the staging buffer fills and empties exactly at its
+    /// bound). Every snapshot, the one before `close` included, must be
+    /// the synchronous fold of the records submitted before it.
+    fn check_against_the_synchronous_fold(
+        collector: &Collector,
+        records: &[LogRecord],
+        seed: u64,
+        barriers: bool,
+    ) {
+        let mut rng = Rng(seed);
+        let mut reference = RunState::default();
+        let mut rest = records;
+        while !rest.is_empty() {
+            // Barriers are rare enough for whole batches to fill
+            // between them, frequent enough to cut some short.
+            let op = if barriers { rng.below(300) } else { u64::MAX };
+            let take = match op {
+                0 => {
+                    collector.flush().unwrap();
+                    0
+                }
+                1 | 2 => {
+                    assert_eq!(collector.snapshot().unwrap(), reference);
+                    0
+                }
+                3..=8 => {
+                    let take = (rng.below(40) as usize).min(rest.len());
+                    collector.log_many(rest[..take].to_vec()).unwrap();
+                    take
+                }
+                _ => {
+                    collector.log(rest[0].clone()).unwrap();
+                    1
+                }
+            };
+            let (submitted, tail) = rest.split_at(take);
+            for r in submitted {
+                reference.apply(r.clone());
+            }
+            rest = tail;
+        }
+        assert_eq!(collector.accepted(), records.len());
+        assert_eq!(collector.snapshot().unwrap(), reference);
+        assert_eq!(collector.close().unwrap(), reference);
+    }
+
+    #[test]
+    fn every_kind_reaches_the_synchronous_state_at_every_batch_boundary() {
+        for len in [BATCH - 1, BATCH, BATCH + 1, 3 * BATCH + 7] {
+            let records = mixed_records(len as u64, len);
+            for collector in all_kinds() {
+                check_against_the_synchronous_fold(&collector, &records, 0, false);
+            }
+            for seed in 1..=6 {
+                for collector in all_kinds() {
+                    check_against_the_synchronous_fold(&collector, &records, seed, true);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_producers_keep_their_order_on_own_and_shared_series() {
+        const PER_PRODUCER: u64 = 3 * BATCH as u64 + 7;
+        for collector in [
+            Collector::buffered().unwrap(),
+            Collector::sharded(4).unwrap(),
+        ] {
+            let start = Arc::new(std::sync::Barrier::new(8));
+            let producers: Vec<_> = (0..8u64)
+                .map(|rank| {
+                    let (c, start) = (Arc::clone(&collector), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        for step in 0..PER_PRODUCER {
+                            // The shared series tells producers apart
+                            // by value.
+                            c.log(metric(&format!("rank{rank}"), step, 0.0)).unwrap();
+                            c.log(metric("shared", step, rank as f64)).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for p in producers {
+                p.join().unwrap();
+            }
+            let state = collector.close().unwrap();
+            assert_eq!(state.metric_samples as u64, 16 * PER_PRODUCER);
+            let shared = &state.metrics[&("shared".to_string(), "training".to_string())];
+            for rank in 0..8u64 {
+                let own = &state.metrics[&(format!("rank{rank}"), "training".to_string())];
+                assert!(own.points.iter().map(|p| p.step).eq(0..PER_PRODUCER));
+                let in_shared = shared
+                    .points
+                    .iter()
+                    .filter(|p| p.value == rank as f64)
+                    .map(|p| p.step);
+                assert!(in_shared.eq(0..PER_PRODUCER), "producer {rank} reordered");
+            }
         }
     }
 
@@ -702,7 +938,13 @@ mod tests {
             Collector::buffered().unwrap(),
             Collector::sharded(3).unwrap(),
         ] {
-            collector.log_many(records.clone()).unwrap();
+            // The first few go through `log` and are still staged when
+            // the batch arrives: it must fold behind them.
+            let (staged, batch) = records.split_at(10);
+            for r in staged {
+                collector.log(r.clone()).unwrap();
+            }
+            collector.log_many(batch.to_vec()).unwrap();
             collector.log_many(Vec::new()).unwrap();
             assert_eq!(collector.accepted(), records.len());
             assert_eq!(collector.close().unwrap(), expected);
@@ -711,12 +953,27 @@ mod tests {
 
     #[test]
     fn rejected_records_are_not_counted_as_accepted() {
-        let c = Collector::buffered().unwrap();
-        c.log(metric("m", 0, 1.0)).unwrap();
-        c.close().unwrap();
-        assert!(c.log(metric("m", 1, 1.0)).is_err());
-        assert!(c.log_many(vec![metric("m", 2, 1.0)]).is_err());
-        assert_eq!(c.accepted(), 1, "rejected records must not count");
+        for c in [
+            Collector::buffered().unwrap(),
+            Collector::sharded(4).unwrap(),
+        ] {
+            // Fewer than a batch on any shard: all still staged at close.
+            for i in 0..9 {
+                c.log(metric(&format!("m{}", i % 3), i, 1.0)).unwrap();
+            }
+            assert_eq!(c.close().unwrap().metric_samples, 9);
+            for name in ["m0", "m1", "m2"] {
+                assert!(matches!(
+                    c.log(metric(name, 9, 1.0)),
+                    Err(ProvMLError::CollectorGone)
+                ));
+                assert!(matches!(
+                    c.log_many(vec![metric(name, 10, 1.0)]),
+                    Err(ProvMLError::CollectorGone)
+                ));
+            }
+            assert_eq!(c.accepted(), 9, "rejected records must not count");
+        }
     }
 
     #[test]

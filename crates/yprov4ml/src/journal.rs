@@ -33,7 +33,7 @@ use crate::spill::{spill_metrics, SpillPolicy};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 
 /// File name of the journal (segment 0) inside a run directory.
@@ -81,7 +81,7 @@ impl JournalHeader {
 
 /// When the journal file is fsynced to stable storage.
 ///
-/// `BufWriter` flushing alone leaves data in the OS page cache; only
+/// A completed `write` alone leaves data in the OS page cache; only
 /// `fsync` survives power loss. `Always` is the durability of a classic
 /// database WAL, `EveryN` bounds the loss window to N records at a
 /// fraction of the cost, `OnFlush` trusts the OS (crash of the process
@@ -131,7 +131,10 @@ pub struct JournalConfig {
 }
 
 struct WriterState {
-    file: BufWriter<File>,
+    file: File,
+    /// The line being appended, reused from record to record: CRC
+    /// prefix, JSON and newline leave in one `write`.
+    line: Vec<u8>,
     segment: u32,
     segment_bytes: u64,
     unsynced: u32,
@@ -139,6 +142,19 @@ struct WriterState {
     /// (resuming a v1 journal keeps writing v1 lines so the reader sees
     /// one consistent format).
     crc_framed: bool,
+}
+
+impl WriterState {
+    fn new(file: File, segment: u32, segment_bytes: u64, crc_framed: bool) -> Self {
+        WriterState {
+            file,
+            line: Vec::new(),
+            segment,
+            segment_bytes,
+            unsynced: 0,
+            crc_framed,
+        }
+    }
 }
 
 /// An append-only journal writer shared across logging threads.
@@ -164,13 +180,10 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
 }
 
 /// Writes the header line into a fresh segment file and fsyncs it.
-fn init_segment(file: File, header_line: &str) -> std::io::Result<(BufWriter<File>, u64)> {
-    let mut w = BufWriter::new(file);
-    w.write_all(header_line.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()?;
-    w.get_ref().sync_all()?;
-    Ok((w, header_line.len() as u64 + 1))
+fn init_segment(mut file: File, header_line: &str) -> std::io::Result<(File, u64)> {
+    file.write_all(format!("{header_line}\n").as_bytes())?;
+    file.sync_all()?;
+    Ok((file, header_line.len() as u64 + 1))
 }
 
 impl JournalWriter {
@@ -209,16 +222,7 @@ impl JournalWriter {
                         }
                     })?;
                 let (file, bytes) = init_segment(file, &fresh_line)?;
-                (
-                    WriterState {
-                        file,
-                        segment: 0,
-                        segment_bytes: bytes,
-                        unsynced: 0,
-                        crc_framed: true,
-                    },
-                    fresh_line,
-                )
+                (WriterState::new(file, 0, bytes, true), fresh_line)
             }
             JournalMode::Overwrite => {
                 // Remove stale rotation segments so a later recovery
@@ -229,30 +233,12 @@ impl JournalWriter {
                     seg += 1;
                 }
                 let (file, bytes) = init_segment(File::create(&path0)?, &fresh_line)?;
-                (
-                    WriterState {
-                        file,
-                        segment: 0,
-                        segment_bytes: bytes,
-                        unsynced: 0,
-                        crc_framed: true,
-                    },
-                    fresh_line,
-                )
+                (WriterState::new(file, 0, bytes, true), fresh_line)
             }
             JournalMode::Resume => {
                 if !path0.exists() {
                     let (file, bytes) = init_segment(File::create(&path0)?, &fresh_line)?;
-                    (
-                        WriterState {
-                            file,
-                            segment: 0,
-                            segment_bytes: bytes,
-                            unsynced: 0,
-                            crc_framed: true,
-                        },
-                        fresh_line,
-                    )
+                    (WriterState::new(file, 0, bytes, true), fresh_line)
                 } else {
                     let mut first = String::new();
                     BufReader::new(File::open(&path0)?).read_line(&mut first)?;
@@ -272,13 +258,7 @@ impl JournalWriter {
                         .open(run_dir.join(segment_file_name(segment)))?;
                     let segment_bytes = file.metadata()?.len();
                     (
-                        WriterState {
-                            file: BufWriter::new(file),
-                            segment,
-                            segment_bytes,
-                            unsynced: 0,
-                            crc_framed: disk_header.version >= 2,
-                        },
+                        WriterState::new(file, segment, segment_bytes, disk_header.version >= 2),
                         first.trim_end().to_string(),
                     )
                 }
@@ -298,8 +278,7 @@ impl JournalWriter {
     }
 
     fn rotate(&self, st: &mut WriterState) -> Result<(), ProvMLError> {
-        st.file.flush()?;
-        st.file.get_ref().sync_all()?;
+        st.file.sync_all()?;
         let segment = st.segment + 1;
         let path = self.dir.join(segment_file_name(segment));
         let (file, bytes) = init_segment(File::create(&path)?, &self.header_line)?;
@@ -311,37 +290,41 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// Appends one record. The line is always flushed to the OS before
-    /// returning (a process crash loses at most the in-flight line);
-    /// whether it is also fsynced is governed by [`SyncPolicy`].
+    /// Appends one record. The line reaches the OS in one `write`
+    /// before this returns (a process crash loses at most the in-flight
+    /// line), which is why appends are not batched; whether it is also
+    /// fsynced is governed by [`SyncPolicy`].
     pub fn append(&self, record: &LogRecord) -> Result<(), ProvMLError> {
         let _span = self.append_hist.start_span();
-        let json = serde_json::to_vec(record).map_err(metric_store::StoreError::Json)?;
-        let mut st = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let st = &mut *guard;
         if let Some(limit) = self.config.rotate_bytes {
             if st.segment_bytes >= limit {
-                self.rotate(&mut st)?;
+                self.rotate(st)?;
             }
         }
-        let mut written = json.len() as u64 + 1;
+        // `crc32_hex<space>json\n`: the JSON is written behind room for
+        // the prefix, which is filled in once the CRC is known.
+        let prefix = if st.crc_framed { 9 } else { 0 };
+        st.line.clear();
+        st.line.resize(prefix, b' ');
+        serde_json::to_writer(&mut st.line, record).map_err(metric_store::StoreError::Json)?;
         if st.crc_framed {
-            let prefix = format!("{:08x} ", crc32(&json));
-            st.file.write_all(prefix.as_bytes())?;
-            written += prefix.len() as u64;
+            let crc = crc32(&st.line[prefix..]);
+            write!(&mut st.line[..8], "{crc:08x}")?;
         }
-        st.file.write_all(&json)?;
-        st.file.write_all(b"\n")?;
-        st.file.flush()?;
-        st.segment_bytes += written;
+        st.line.push(b'\n');
+        st.file.write_all(&st.line)?;
+        st.segment_bytes += st.line.len() as u64;
         match self.config.sync {
             SyncPolicy::Always => {
-                self.fsync_hist.time(|| st.file.get_ref().sync_all())?;
+                self.fsync_hist.time(|| st.file.sync_all())?;
                 st.unsynced = 0;
             }
             SyncPolicy::EveryN(n) => {
                 st.unsynced += 1;
                 if st.unsynced >= n.max(1) {
-                    self.fsync_hist.time(|| st.file.get_ref().sync_all())?;
+                    self.fsync_hist.time(|| st.file.sync_all())?;
                     st.unsynced = 0;
                 }
             }
@@ -350,20 +333,18 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// Flushes and fsyncs everything written so far.
+    /// Fsyncs everything written so far.
     pub fn flush(&self) -> Result<(), ProvMLError> {
         let mut st = self.inner.lock();
-        st.file.flush()?;
-        self.fsync_hist.time(|| st.file.get_ref().sync_all())?;
+        self.fsync_hist.time(|| st.file.sync_all())?;
         st.unsynced = 0;
         Ok(())
     }
 
-    /// Closes the journal: flush, fsync the file, fsync the directory.
+    /// Closes the journal: fsync the file, fsync the directory.
     pub fn close(self) -> Result<(), ProvMLError> {
-        let mut st = self.inner.into_inner();
-        st.file.flush()?;
-        st.file.get_ref().sync_all()?;
+        let st = self.inner.into_inner();
+        st.file.sync_all()?;
         sync_dir(&self.dir)?;
         Ok(())
     }
@@ -701,6 +682,117 @@ mod tests {
         assert_eq!(replay.segments, 1);
         assert_eq!(replay.state.metric_samples, 100);
         assert_eq!(replay.state.params.len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The records behind `tests/fixtures/fixed_run/`: every record
+    /// kind, every parameter type, text that needs escaping, a custom
+    /// context and doubles at both ends of the range. The fixture files
+    /// are what the commit before the one-buffer `append` and the
+    /// streamed series view wrote for them.
+    fn fixed_records() -> Vec<LogRecord> {
+        let metric = |name: &str, context: Context, step: u64, value: f64| LogRecord::Metric {
+            name: name.into(),
+            context,
+            step,
+            epoch: (step / 2) as u32,
+            time_us: 1_000 + step as i64,
+            value,
+        };
+        let param = |name: &str, value: ParamValue, direction| LogRecord::Param {
+            name: name.into(),
+            value,
+            direction,
+        };
+        vec![
+            param("lr", ParamValue::Float(0.001), Direction::Input),
+            param(
+                "note",
+                ParamValue::Text("a \"quoted\" \\ λ".into()),
+                Direction::Output,
+            ),
+            param("layers", ParamValue::Int(-3), Direction::Input),
+            param("amp", ParamValue::Bool(true), Direction::Input),
+            LogRecord::ContextStart {
+                context: Context::Training,
+                time_us: 1_000,
+            },
+            metric("loss", Context::Training, 0, 0.5),
+            metric("loss", Context::Training, 1, 0.25),
+            metric("loss", Context::Training, 2, -0.0),
+            metric("loss", Context::Training, 3, 1e21),
+            metric("acc", Context::Validation, 1, 0.1),
+            metric("acc", Context::Custom("Export".into()), 3, 5e-324),
+            LogRecord::Artifact(crate::model::ArtifactMeta {
+                name: "model.ckpt".into(),
+                stored_path: "artifacts/model.ckpt".into(), // never written
+                sha256: "00".repeat(32),
+                bytes: 123,
+                direction: Direction::Output,
+                context: Some(Context::Training),
+                logged_at_us: 1_500,
+            }),
+            LogRecord::ContextEnd {
+                context: Context::Training,
+                time_us: 2_000,
+            },
+        ]
+    }
+
+    const FIXED_JOURNAL: &str = include_str!("../tests/fixtures/fixed_run/journal.jsonl");
+
+    fn write_fixed_run(dir: &Path, config: JournalConfig) {
+        let header = JournalHeader::new("exp", "fixed-run", "tester", 1_000);
+        let writer = JournalWriter::create_with(dir, &header, config).unwrap();
+        for record in fixed_records() {
+            writer.append(&record).unwrap();
+        }
+        writer.close().unwrap();
+    }
+
+    #[test]
+    fn journal_bytes_equal_the_recorded_ones() {
+        let dir = tmp("fixed_v2");
+        write_fixed_run(&dir, JournalConfig::default());
+        let written = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
+        assert_eq!(written, FIXED_JOURNAL);
+        std::fs::remove_dir_all(&dir).ok();
+
+        // A resumed version-1 journal keeps writing plain lines: the
+        // same JSON without the nine-byte CRC prefix.
+        let dir = tmp("fixed_v1");
+        let v1_header = r#"{"version":1,"experiment":"exp","run":"fixed-run","user":"tester","started_us":1000}"#;
+        std::fs::write(dir.join(JOURNAL_FILE), format!("{v1_header}\n")).unwrap();
+        write_fixed_run(
+            &dir,
+            JournalConfig {
+                mode: JournalMode::Resume,
+                ..Default::default()
+            },
+        );
+        let mut expected = format!("{v1_header}\n");
+        for line in FIXED_JOURNAL.lines().skip(1) {
+            expected.push_str(&line[9..]);
+            expected.push('\n');
+        }
+        let written = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
+        assert_eq!(written, expected);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovered_inline_prov_files_equal_the_recorded_ones() {
+        let dir = tmp("fixed_prov");
+        write_fixed_run(&dir, JournalConfig::default());
+        let (report, _) = recover_detailed(&dir, &SpillPolicy::Inline).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&report.prov_json_path).unwrap(),
+            include_str!("../tests/fixtures/fixed_run/prov.json")
+        );
+        assert_eq!(
+            std::fs::read_to_string(&report.provn_path).unwrap(),
+            include_str!("../tests/fixtures/fixed_run/prov.provn")
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

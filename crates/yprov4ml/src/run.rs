@@ -443,7 +443,8 @@ impl Run {
     /// The run activity's end time reflects the snapshot instant and is
     /// superseded by the next delta.
     pub fn snapshot_document(&self) -> Result<prov_model::ProvDocument, ProvMLError> {
-        self.collector.flush()?;
+        // The snapshot request queues behind every record this thread
+        // has logged, on every shard: it is its own barrier.
         let state = self.collector.snapshot()?;
         let identity = RunIdentity {
             experiment: self.experiment.clone(),
