@@ -1,12 +1,13 @@
 //! The PROV document: a set of elements, relations and bundles.
 
 use crate::error::ProvError;
+use crate::json::{relation_order, sort_relations};
 use crate::qname::{NamespaceRegistry, QName};
 use crate::record::{Element, ElementKind};
 use crate::relation::{Relation, RelationKind};
 use crate::value::AttrValue;
 use crate::XsdDateTime;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// A W3C PROV document.
 ///
@@ -70,10 +71,10 @@ impl ProvDocument {
 
     /// Inserts a fully-formed element, merging with any existing record.
     pub fn insert_element(&mut self, el: Element) {
-        match self.elements.get_mut(&el.id) {
-            Some(existing) => existing.absorb(&el),
-            None => {
-                self.elements.insert(el.id.clone(), el);
+        match self.elements.entry(el.id.clone()) {
+            Entry::Occupied(existing) => existing.into_mut().absorb(&el),
+            Entry::Vacant(slot) => {
+                slot.insert(el);
             }
         }
     }
@@ -307,13 +308,7 @@ impl ProvDocument {
             self.elements.insert(el.id.clone(), el.clone());
         }
 
-        let sorted = self.relations.windows(2).all(|w| {
-            crate::json::relation_sort_key(&w[0]) <= crate::json::relation_sort_key(&w[1])
-        });
-        if !sorted {
-            self.relations
-                .sort_by_cached_key(crate::json::relation_sort_key);
-        }
+        sort_relations(&mut self.relations);
         let mut fresh: Vec<Relation> = Vec::new();
         for rel in &delta.relations {
             if !self.relations.contains(rel) && !fresh.contains(rel) {
@@ -321,17 +316,16 @@ impl ProvDocument {
             }
         }
         if !fresh.is_empty() {
-            fresh.sort_by_cached_key(crate::json::relation_sort_key);
+            fresh.sort_by(relation_order);
             let old = std::mem::take(&mut self.relations);
             let mut merged = Vec::with_capacity(old.len() + fresh.len());
             let mut pending = fresh.into_iter().peekable();
             for rel in old {
-                let key = crate::json::relation_sort_key(&rel);
                 // Ties break toward the existing relation, so a fresh
                 // relation lands at the end of its equal-key range.
                 while pending
                     .peek()
-                    .is_some_and(|f| crate::json::relation_sort_key(f) < key)
+                    .is_some_and(|f| relation_order(f, &rel).is_lt())
                 {
                     result.new_relations.push(merged.len());
                     merged.push(pending.next().expect("peeked"));
@@ -590,11 +584,13 @@ mod tests {
         assert_eq!(objects, ["ex:a", "ex:b", "ex:c", "ex:d", "ex:act"]);
         assert_eq!(applied.new_relations, vec![0, 2, 4]);
 
-        // Merged-then-serialized equals canonicalized plain merge.
+        // Merged-then-serialized equals canonicalized plain merge: the
+        // stored relations first, so `merge` drops the delta's
+        // duplicate of `used(act, b)` as `apply_delta` did.
         let mut reference = ProvDocument::new();
-        reference.merge(&delta).unwrap();
         reference.used(q("act"), q("b"));
         reference.used(q("act"), q("d"));
+        reference.merge(&delta).unwrap();
         reference.canonicalize();
         assert_eq!(doc.relations(), reference.relations());
     }

@@ -9,7 +9,18 @@ pub enum ProvError {
     InvalidQName(String),
     /// A namespace prefix was used without being registered.
     UnknownPrefix(String),
-    /// The PROV-JSON input was not valid JSON.
+    /// The PROV-JSON text was not valid JSON (what
+    /// [`crate::ProvDocument::from_json_str`] reports).
+    Syntax {
+        /// 1-based line of the offending byte.
+        line: usize,
+        /// Bytes into that line, the offending one included.
+        column: usize,
+        /// What the reader expected there.
+        message: String,
+    },
+    /// `serde_json` failed: a [`serde_json::Value`] could not be read
+    /// for [`crate::ProvDocument::from_json`], or a writer failed.
     Json(serde_json::Error),
     /// The JSON was well-formed but violated the PROV-JSON structure.
     Structure(String),
@@ -31,6 +42,11 @@ impl fmt::Display for ProvError {
         match self {
             ProvError::InvalidQName(s) => write!(f, "invalid qualified name: {s:?}"),
             ProvError::UnknownPrefix(p) => write!(f, "unknown namespace prefix: {p:?}"),
+            ProvError::Syntax {
+                line,
+                column,
+                message,
+            } => write!(f, "invalid JSON: {message} at line {line} column {column}"),
             ProvError::Json(e) => write!(f, "invalid JSON: {e}"),
             ProvError::Structure(m) => write!(f, "invalid PROV-JSON structure: {m}"),
             ProvError::BadValue(m) => write!(f, "invalid attribute value: {m}"),
@@ -83,6 +99,19 @@ mod tests {
         let io = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");
         let e: ProvError = io.into();
         assert!(std::error::Error::source(&e).is_some());
+    }
+
+    #[test]
+    fn syntax_error_reads_like_the_json_one() {
+        let e = ProvError::Syntax {
+            line: 2,
+            column: 8,
+            message: "expected value".into(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "invalid JSON: expected value at line 2 column 8"
+        );
     }
 
     #[test]

@@ -14,32 +14,39 @@ use crate::relation::{Relation, RelationKind};
 use crate::value::{format_double, AttrValue};
 use crate::XsdDateTime;
 use serde_json::{json, Map, Value};
+use std::cmp::Ordering;
 
 impl ProvDocument {
-    /// Serializes to a PROV-JSON [`serde_json::Value`].
+    /// Serializes to a PROV-JSON [`serde_json::Value`], for callers
+    /// that want the tree. Text is printed by the streaming writer
+    /// ([`ProvDocument::write_json`]), whose parity tests compare it
+    /// against this tree printed by `serde_json`.
     pub fn to_json(&self) -> Value {
         doc_to_json(self)
     }
 
     /// Serializes to a compact PROV-JSON string.
     pub fn to_json_string(&self) -> Result<String, ProvError> {
-        Ok(serde_json::to_string(&self.to_json())?)
+        crate::json_stream::to_string(self, false)
     }
 
     /// Serializes to a pretty-printed PROV-JSON string.
     pub fn to_json_string_pretty(&self) -> Result<String, ProvError> {
-        Ok(serde_json::to_string_pretty(&self.to_json())?)
+        crate::json_stream::to_string(self, true)
     }
 
-    /// Parses a PROV-JSON value into a document.
+    /// Builds a document from a parsed PROV-JSON value: the reference
+    /// [`ProvDocument::from_json_str`] is tested against.
     pub fn from_json(value: &Value) -> Result<Self, ProvError> {
         doc_from_json(value)
     }
 
-    /// Parses a PROV-JSON string into a document.
+    /// Parses a PROV-JSON string into a document, without a `Value`
+    /// tree in between. Equal to [`ProvDocument::from_json`] on the
+    /// `Value` `serde_json` parses from `s`, except that malformed JSON
+    /// is a [`ProvError::Syntax`].
     pub fn from_json_str(s: &str) -> Result<Self, ProvError> {
-        let value: Value = serde_json::from_str(s)?;
-        doc_from_json(&value)
+        crate::json_read::read_document(s)
     }
 
     /// Reorders relations into the canonical (kind, then textual) order
@@ -48,7 +55,7 @@ impl ProvDocument {
     /// After `canonicalize`, two documents with the same content compare
     /// equal regardless of relation insertion order.
     pub fn canonicalize(&mut self) {
-        self.relations_mut().sort_by_cached_key(relation_sort_key);
+        sort_relations(self.relations_mut());
         let names: Vec<QName> = self.iter_bundles().map(|(n, _)| n.clone()).collect();
         for name in names {
             self.bundle(name).canonicalize();
@@ -56,6 +63,54 @@ impl ProvDocument {
     }
 }
 
+/// Puts `relations` in canonical order (a stable sort); a list already
+/// in order, which is every document the store holds, is left alone.
+pub(crate) fn sort_relations(relations: &mut [Relation]) {
+    let ordered = relations
+        .windows(2)
+        .all(|pair| relation_order(&pair[0], &pair[1]).is_le());
+    if !ordered {
+        relations.sort_by(relation_order);
+    }
+}
+
+/// The canonical order of relations: position of the kind in
+/// [`RelationKind::all`], then subject and object as their rendered
+/// `prefix:local` strings compare, then (only when those three tie) the
+/// `{:?}` rendering of id, time and extras. No allocation before the
+/// tie-break.
+pub(crate) fn relation_order(a: &Relation, b: &Relation) -> Ordering {
+    // `RelationKind` derives `Ord` from its declaration order, which is
+    // the order of `RelationKind::all()`.
+    a.kind
+        .cmp(&b.kind)
+        .then_with(|| rendered_order(&a.subject, &b.subject))
+        .then_with(|| rendered_order(&a.object, &b.object))
+        .then_with(|| {
+            let rest = |r: &Relation| format!("{:?}{:?}{:?}", r.id, r.time, r.extras);
+            rest(a).cmp(&rest(b))
+        })
+}
+
+/// How `a.to_string()` and `b.to_string()` compare, without rendering
+/// either. Comparing prefix then local is not the same thing: `:`
+/// sorts after the digits, so `ex2:a` < `ex:a`.
+fn rendered_order(a: &QName, b: &QName) -> Ordering {
+    if a.prefix() == b.prefix() {
+        return a.local().cmp(b.local());
+    }
+    rendered_bytes(a).cmp(rendered_bytes(b))
+}
+
+/// The bytes of `q.to_string()`.
+fn rendered_bytes(q: &QName) -> impl Iterator<Item = u8> + '_ {
+    let prefix = q.prefix().bytes();
+    prefix.chain(std::iter::once(b':')).chain(q.local().bytes())
+}
+
+/// The reference [`relation_order`] is pinned to: the key the sort used
+/// to build for every relation, four strings each.
+#[cfg(test)]
 pub(crate) fn relation_sort_key(r: &Relation) -> (usize, String, String, String) {
     let kind_pos = RelationKind::all()
         .iter()
@@ -403,6 +458,74 @@ mod tests {
         doc.was_associated_with(q("train"), q("researcher"));
         doc.was_derived_from(q("model"), q("dataset"));
         doc
+    }
+
+    /// Relations that tie and nearly tie in every component of the
+    /// order: few subjects and objects (so pairs repeat), prefixes that
+    /// differ only from the `:` position on (`-`, `.` and digits sort
+    /// before it, letters after), named and anonymous ids, times,
+    /// extras.
+    fn order_corpus(seed: u64, len: usize) -> Vec<Relation> {
+        let mut state = seed;
+        let mut below = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let prefixes = ["ex", "ex2", "ex-a", "ex.b", "exa", "e", "prov"];
+        let locals = ["a", "b", "a:b", "a/b", "2", "A"];
+        let name = |below: &mut dyn FnMut(u64) -> u64| {
+            QName::new(
+                prefixes[below(prefixes.len() as u64) as usize],
+                locals[below(locals.len() as u64) as usize],
+            )
+        };
+        (0..len)
+            .map(|_| {
+                let kind = RelationKind::all()[below(5) as usize * 3];
+                let mut rel = Relation::new(kind, name(&mut below), name(&mut below));
+                if below(3) == 0 {
+                    rel.id = Some(name(&mut below));
+                }
+                if below(3) == 0 {
+                    rel.time = Some(XsdDateTime::new(below(3) as i64, 0));
+                }
+                if below(4) == 0 {
+                    rel.extras.insert("prov:plan".into(), name(&mut below));
+                }
+                if below(4) == 0 {
+                    rel.add_attr(QName::prov("role"), AttrValue::Int(below(2) as i64));
+                }
+                rel
+            })
+            .collect()
+    }
+
+    #[test]
+    fn relation_order_is_the_order_of_the_old_sort_key() {
+        for seed in 0..8 {
+            let corpus = order_corpus(seed, 400);
+            let mut by_key = corpus.clone();
+            by_key.sort_by_cached_key(relation_sort_key);
+            let mut by_order = corpus.clone();
+            sort_relations(&mut by_order);
+            assert_eq!(by_order, by_key, "seed {seed}");
+            // Sorted input is recognised, and stays as it is.
+            sort_relations(&mut by_order);
+            assert_eq!(by_order, by_key);
+            for a in corpus.iter().take(60) {
+                for b in corpus.iter().take(60) {
+                    let keys = relation_sort_key(a).cmp(&relation_sort_key(b));
+                    assert_eq!(relation_order(a, b), keys, "{a:?} / {b:?}");
+                }
+            }
+        }
+        // The case the allocation-free comparison could get wrong.
+        let (short, long) = (QName::new("ex", "a"), QName::new("ex2", "a"));
+        assert!(short < long, "QName's own order: prefix, then local");
+        assert_eq!(rendered_order(&short, &long), Ordering::Greater);
+        assert_eq!(short.to_string().cmp(&long.to_string()), Ordering::Greater);
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod datetime;
 pub mod document;
 pub mod error;
 pub mod json;
+mod json_read;
 pub mod json_stream;
 pub mod provn;
 pub mod provn_parse;

@@ -866,32 +866,22 @@ pub(crate) fn route(
                     json!({"error": "injected fault: upload unavailable"}).to_string(),
                 );
             }
-            let text = match std::str::from_utf8(&req.body) {
-                Ok(t) => t,
-                Err(_) => return (400, json!({"error": "body is not UTF-8"}).to_string()),
-            };
-            match ProvDocument::from_json_str(text) {
+            match document_body(req) {
                 Ok(doc) => match store.upload_full(doc) {
                     Ok(up) => acked_response(replicator, store, &up),
                     Err(e) => error_response(&e),
                 },
-                Err(e) => (400, json!({"error": e.to_string()}).to_string()),
+                Err(refused) => refused,
             }
         }
 
-        ("PUT", ["api", "v0", "documents", id]) => {
-            let text = match std::str::from_utf8(&req.body) {
-                Ok(t) => t,
-                Err(_) => return (400, json!({"error": "body is not UTF-8"}).to_string()),
-            };
-            match ProvDocument::from_json_str(text) {
-                Ok(doc) => match store.upload_as_full(*id, doc) {
-                    Ok(up) => acked_response(replicator, store, &up),
-                    Err(e) => error_response(&e),
-                },
-                Err(e) => (400, json!({"error": e.to_string()}).to_string()),
-            }
-        }
+        ("PUT", ["api", "v0", "documents", id]) => match document_body(req) {
+            Ok(doc) => match store.upload_as_full(*id, doc) {
+                Ok(up) => acked_response(replicator, store, &up),
+                Err(e) => error_response(&e),
+            },
+            Err(refused) => refused,
+        },
 
         ("GET", ["api", "v0", "ledger", "verify"]) => match store.verify_all() {
             Ok(()) => (200, json!({"ok": true}).to_string()),
@@ -1014,30 +1004,24 @@ pub(crate) fn route(
             None => not_found(id),
         },
 
-        ("POST", ["api", "v0", "documents", id, "deltas"]) => {
-            let text = match std::str::from_utf8(&req.body) {
-                Ok(t) => t,
-                Err(_) => return (400, json!({"error": "body is not UTF-8"}).to_string()),
-            };
-            match ProvDocument::from_json_str(text) {
-                Ok(delta) => match store.merge_delta(id, &delta) {
-                    Ok((up, version)) => {
-                        // The merged document replicates through the
-                        // ordinary frame path: the Upload carries the
-                        // full post-merge bytes, so replicas need no
-                        // delta-aware logic.
-                        let (status, body) = acked_response(replicator, store, &up);
-                        if status == 201 {
-                            (200, json!({"id": up.id, "version": version}).to_string())
-                        } else {
-                            (status, body)
-                        }
+        ("POST", ["api", "v0", "documents", id, "deltas"]) => match document_body(req) {
+            Ok(delta) => match store.merge_delta(id, &delta) {
+                Ok((up, version)) => {
+                    // The merged document replicates through the
+                    // ordinary frame path: the Upload carries the
+                    // full post-merge bytes, so replicas need no
+                    // delta-aware logic.
+                    let (status, body) = acked_response(replicator, store, &up);
+                    if status == 201 {
+                        (200, json!({"id": up.id, "version": version}).to_string())
+                    } else {
+                        (status, body)
                     }
-                    Err(e) => error_response(&e),
-                },
-                Err(e) => (400, json!({"error": e.to_string()}).to_string()),
-            }
-        }
+                }
+                Err(e) => error_response(&e),
+            },
+            Err(refused) => refused,
+        },
 
         ("GET", ["api", "v0", "documents", id, "watch"]) => {
             let num = |key: &str| {
@@ -1077,8 +1061,11 @@ pub(crate) fn route(
                 400,
                 json!({"error": "missing or invalid ?focus=prefix:local"}).to_string(),
             ),
-            Some(q) => match store.subgraph(id, &q) {
-                Ok(sub) => (200, sub.to_json().to_string()),
+            Some(q) => match store
+                .subgraph(id, &q)
+                .and_then(|sub| Ok(sub.to_json_string()?))
+            {
+                Ok(json) => (200, json),
                 Err(e) => error_response(&e),
             },
         },
@@ -1518,6 +1505,15 @@ fn handle_audit(
     (200, serde_json::Value::Object(out).to_string())
 }
 
+/// The PROV-JSON document a request carries, or the `400` that refuses
+/// it (not UTF-8, not JSON, not PROV-JSON): the one place the routes
+/// that read a document map a [`prov_model::ProvError`] to a response.
+fn document_body(req: &Request) -> Result<ProvDocument, (u16, String)> {
+    let refuse = |error: String| (400, json!({ "error": error }).to_string());
+    let text = std::str::from_utf8(&req.body).map_err(|_| refuse("body is not UTF-8".into()))?;
+    ProvDocument::from_json_str(text).map_err(|e| refuse(e.to_string()))
+}
+
 fn not_found(id: &str) -> (u16, String) {
     (
         404,
@@ -1865,6 +1861,30 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 400);
+        // Every route that reads a document refuses a cut-off one the
+        // same way.
+        for (method, path) in [
+            ("POST", "/api/v0/documents"),
+            ("PUT", "/api/v0/documents/cut"),
+            ("POST", "/api/v0/documents/cut/deltas"),
+        ] {
+            let (status, body) =
+                request(server.addr(), method, path, Some(r#"{"entity":"#)).unwrap();
+            assert_eq!(status, 400, "{method} {path}");
+            assert!(
+                body.starts_with(r#"{"error":"invalid JSON:"#),
+                "{method} {path}: {body}"
+            );
+        }
+        let (status, body) = request(
+            server.addr(),
+            "PUT",
+            "/api/v0/documents/odd",
+            Some(r#"{"entity":{"noColon":{}}}"#),
+        )
+        .unwrap();
+        assert_eq!(status, 400);
+        assert!(body.contains("invalid qualified name"), "{body}");
         let (status, _) = request(server.addr(), "GET", "/api/v0/nope", None).unwrap();
         assert_eq!(status, 404);
         let (status, _) = request(

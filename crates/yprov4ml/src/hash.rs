@@ -57,44 +57,72 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while data.len() >= 64 {
-            let block: [u8; 64] = data[..64].try_into().expect("len checked");
-            self.compress(&block);
-            data = &data[64..];
+        // Every whole block goes to the kernel straight from the
+        // caller's slice; only the tail is copied.
+        let (blocks, tail) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Finishes, producing the 32-byte digest.
     pub fn finish(mut self) -> [u8; 32] {
+        // Padding: 0x80, zeros, 8-byte big-endian bit length; one block
+        // when the length fits behind the buffered bytes, two otherwise.
+        let mut pad = [0u8; 128];
+        pad[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+        pad[self.buffered] = 0x80;
+        let padded = if self.buffered < 56 { 64 } else { 128 };
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        // update() changed total_len; irrelevant now, we captured bit_len.
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = 0; // silence further accounting
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block.clone());
+        pad[padded - 8..padded].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(&mut self.state, &pad[..padded]);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Folds `blocks`, whole 64-byte blocks, into `state`: with the CPU's
+/// SHA extensions where it has them, with the portable rounds
+/// everywhere else. The CPU decides, nothing else.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni_available() {
+        // SAFETY: `sha`, `ssse3` and `sse4.1` were detected on this CPU
+        // just above (`sse2` is part of x86_64), which is all the
+        // kernel's `target_feature`s; it reads `blocks`, whose length is
+        // asserted a multiple of 64, sixteen bytes at a time through
+        // unaligned loads, and `state` through two more.
+        unsafe { compress_blocks_sha_ni(state, blocks) };
+        return;
+    }
+    compress_blocks_portable(state, blocks);
+}
+
+/// Whether [`compress_blocks`] runs the SHA-NI kernel on this CPU.
+#[cfg(target_arch = "x86_64")]
+fn sha_ni_available() -> bool {
+    is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1")
+}
+
+/// The FIPS 180-4 rounds in plain integer arithmetic: the only path on
+/// CPUs without SHA extensions and the reference the kernel is tested
+/// against.
+fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("chunks_exact(4)"));
@@ -108,7 +136,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -130,15 +158,87 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
     }
+}
+
+/// The same rounds through the x86 SHA extensions: `sha256rnds2` does
+/// two rounds on the state held as the register pair (ABEF, CDGH),
+/// `sha256msg1`/`sha256msg2` extend the message schedule four words at
+/// a time.
+///
+/// # Safety
+///
+/// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+unsafe fn compress_blocks_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+    use std::arch::x86_64::*;
+
+    // Big-endian message words into little-endian lanes.
+    let byte_swap = _mm_set_epi64x(0x0C0D_0E0F_0809_0A0B, 0x0405_0607_0001_0203);
+
+    // [a b c d], [e f g h] as stored -> the (ABEF, CDGH) pair.
+    let abcd = _mm_loadu_si128(state.as_ptr().cast());
+    let efgh = _mm_loadu_si128(state.as_ptr().add(4).cast());
+    let cdab = _mm_shuffle_epi32(abcd, 0xB1);
+    let hgfe = _mm_shuffle_epi32(efgh, 0x1B);
+    let mut abef = _mm_alignr_epi8(cdab, hgfe, 8);
+    let mut cdgh = _mm_blend_epi16(hgfe, cdab, 0xF0);
+
+    // Rounds 4i .. 4i+4, on the schedule words W[4i .. 4i+4).
+    macro_rules! four_rounds {
+        ($i:expr, $w:expr) => {{
+            let keyed = _mm_add_epi32($w, _mm_loadu_si128(K.as_ptr().add(4 * $i).cast()));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, keyed);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(keyed, 0x0E));
+        }};
+    }
+    // The next four schedule words from the sixteen before them.
+    macro_rules! next_four {
+        ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {{
+            let partial =
+                _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4));
+            _mm_sha256msg2_epu32(partial, $w3)
+        }};
+    }
+
+    for block in blocks.chunks_exact(64) {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        let load = |i: usize| {
+            _mm_shuffle_epi8(
+                _mm_loadu_si128(block.as_ptr().add(16 * i).cast()),
+                byte_swap,
+            )
+        };
+        let (mut w0, mut w1, mut w2, mut w3) = (load(0), load(1), load(2), load(3));
+        four_rounds!(0, w0);
+        four_rounds!(1, w1);
+        four_rounds!(2, w2);
+        four_rounds!(3, w3);
+        for i in [4, 8, 12] {
+            w0 = next_four!(w0, w1, w2, w3);
+            four_rounds!(i, w0);
+            w1 = next_four!(w1, w2, w3, w0);
+            four_rounds!(i + 1, w1);
+            w2 = next_four!(w2, w3, w0, w1);
+            four_rounds!(i + 2, w2);
+            w3 = next_four!(w3, w0, w1, w2);
+            four_rounds!(i + 3, w3);
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    let feba = _mm_shuffle_epi32(abef, 0x1B);
+    let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+    _mm_storeu_si128(
+        state.as_mut_ptr().add(4).cast(),
+        _mm_alignr_epi8(dchg, feba, 8),
+    );
 }
 
 /// One-shot SHA-256.
@@ -155,10 +255,11 @@ pub fn sha256_hex(data: &[u8]) -> String {
 
 /// Hex encoding of a digest.
 pub fn to_hex(digest: &[u8]) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(digest.len() * 2);
     for b in digest {
-        use std::fmt::Write as _;
-        let _ = write!(s, "{b:02x}");
+        s.push(HEX[usize::from(b >> 4)] as char);
+        s.push(HEX[usize::from(b & 15)] as char);
     }
     s
 }
@@ -183,32 +284,101 @@ pub fn sha256_file(path: &std::path::Path) -> std::io::Result<String> {
 mod tests {
     use super::*;
 
+    /// SHA-256 of `data` through the portable rounds only, with the
+    /// padding written out independently of [`Sha256::finish`].
+    fn portable_hex(data: &[u8]) -> String {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        compress_blocks_portable(&mut state, &padded);
+        let digest: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
+        to_hex(&digest)
+    }
+
+    /// Seeded bytes (an LCG; no `rand`).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// Both implementations of the rounds: the one `Sha256` dispatches
+    /// to on this CPU (the SHA-NI kernel where there is one) and the
+    /// portable one.
+    const BOTH: [(&str, HexDigest); 2] = [("dispatched", sha256_hex), ("portable", portable_hex)];
+
+    type HexDigest = fn(&[u8]) -> String;
+
     #[test]
     fn nist_vectors() {
-        assert_eq!(
-            sha256_hex(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            sha256_hex(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        for (which, hex) in BOTH {
+            assert_eq!(
+                hex(b""),
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                "{which}"
+            );
+            assert_eq!(
+                hex(b"abc"),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+                "{which}"
+            );
+            assert_eq!(
+                hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+                "{which}"
+            );
+        }
     }
 
     #[test]
     fn million_a() {
+        const DIGEST: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
         let mut h = Sha256::new();
         for _ in 0..1000 {
             h.update(&[b'a'; 1000]);
         }
-        assert_eq!(
-            to_hex(&h.finish()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(to_hex(&h.finish()), DIGEST);
+        assert_eq!(portable_hex(&vec![b'a'; 1_000_000]), DIGEST);
+    }
+
+    #[test]
+    fn kernel_and_portable_rounds_agree_at_every_length_and_split() {
+        #[cfg(target_arch = "x86_64")]
+        eprintln!("SHA-NI kernel in use: {}", sha_ni_available());
+        for len in (0..=300).chain([1_000, 4_096, 65_535, 1_000_003]) {
+            let data = noise(len, len as u64);
+            assert_eq!(sha256_hex(&data), portable_hex(&data), "len {len}");
+        }
+        let data = noise(1_000, 7);
+        let whole = portable_hex(&data);
+        for split in 0..=data.len() {
+            let mut h = Sha256::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(to_hex(&h.finish()), whole, "split {split}");
+        }
+        // The block function itself, from a state other than H0.
+        let blocks = noise(64 * 37, 11);
+        let start: [u32; 8] = std::array::from_fn(|i| 0x0101_0101 * i as u32 + 0xDEAD_BEEF);
+        let (mut dispatched, mut portable) = (start, start);
+        compress_blocks(&mut dispatched, &blocks);
+        compress_blocks_portable(&mut portable, &blocks);
+        assert_eq!(dispatched, portable);
+    }
+
+    #[test]
+    fn hex_is_lowercase_and_zero_padded() {
+        assert_eq!(to_hex(&[0x00, 0x0f, 0xa0, 0xff]), "000fa0ff");
     }
 
     #[test]
