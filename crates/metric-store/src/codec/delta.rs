@@ -5,16 +5,20 @@
 //! arithmetic is wrapping, so the transforms are total (any input
 //! roundtrips, including extreme values).
 
-/// First-order deltas of a `u64` column (first element kept verbatim,
-/// reinterpreted through two's complement).
-pub fn delta_encode_u64(values: &[u64]) -> Vec<i64> {
-    let mut out = Vec::with_capacity(values.len());
+/// First-order deltas of a `u64` column, one at a time (first element
+/// kept verbatim, reinterpreted through two's complement).
+pub fn deltas_u64(values: impl IntoIterator<Item = u64>) -> impl Iterator<Item = i64> {
     let mut prev = 0u64;
-    for &v in values {
-        out.push(v.wrapping_sub(prev) as i64);
+    values.into_iter().map(move |v| {
+        let delta = v.wrapping_sub(prev) as i64;
         prev = v;
-    }
-    out
+        delta
+    })
+}
+
+/// [`deltas_u64`] of a whole column.
+pub fn delta_encode_u64(values: &[u64]) -> Vec<i64> {
+    deltas_u64(values.iter().copied()).collect()
 }
 
 /// Inverse of [`delta_encode_u64`].
@@ -28,15 +32,19 @@ pub fn delta_decode_u64(deltas: &[i64]) -> Vec<u64> {
     out
 }
 
-/// First-order deltas of an `i64` column.
-pub fn delta_encode_i64(values: &[i64]) -> Vec<i64> {
-    let mut out = Vec::with_capacity(values.len());
+/// First-order deltas of an `i64` column, one at a time.
+pub fn deltas_i64(values: impl IntoIterator<Item = i64>) -> impl Iterator<Item = i64> {
     let mut prev = 0i64;
-    for &v in values {
-        out.push(v.wrapping_sub(prev));
+    values.into_iter().map(move |v| {
+        let delta = v.wrapping_sub(prev);
         prev = v;
-    }
-    out
+        delta
+    })
+}
+
+/// [`deltas_i64`] of a whole column.
+pub fn delta_encode_i64(values: &[i64]) -> Vec<i64> {
+    deltas_i64(values.iter().copied()).collect()
 }
 
 /// Inverse of [`delta_encode_i64`].

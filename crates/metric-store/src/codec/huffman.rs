@@ -6,103 +6,105 @@
 //! the tree itself is never serialized. Decoding walks the canonical
 //! first-code table bit by bit, which supports arbitrary code lengths
 //! without a length-limiting pass.
+//!
+//! **What fixes the bytes.** A stored file holds the length table, so any
+//! decoder reads any table; but the same input must give the same file
+//! (`tests/spilled_bytes.rs`), and that rests on two things. The lengths:
+//! Huffman's construction is only unique up to ties, and here a tie on
+//! weight goes to the node made first (see `code_lengths`). The codes:
+//! canonical, shorter lengths first, then symbols in ascending order.
+//! Change either and every compressed blob of every existing run
+//! directory reads back the same but is written differently.
 
 use super::bits::{BitReader, BitWriter};
 use super::varint;
 use crate::error::StoreError;
 
 const SYMBOLS: usize = 256;
+/// Leaves plus the nodes that join them.
+const NODES: usize = 2 * SYMBOLS - 1;
 
 /// Computes Huffman code lengths from symbol frequencies.
+///
+/// The two lightest nodes are joined until one is left, and where
+/// weights tie the node made first is the lighter: a symbol before a
+/// joined node, a lower symbol before a higher one, an earlier join
+/// before a later one. With the leaves sorted by `(weight, symbol)` that
+/// order needs no heap: joined nodes come out in non-decreasing weight,
+/// so the lightest node is always at the front of the sorted leaves or
+/// at the front of the joins, the leaf on a tie.
 fn code_lengths(freq: &[u64; SYMBOLS]) -> [u8; SYMBOLS] {
     let mut lengths = [0u8; SYMBOLS];
-    let present: Vec<usize> = (0..SYMBOLS).filter(|&s| freq[s] > 0).collect();
-    match present.len() {
+    let mut leaves = [(0u64, 0u8); SYMBOLS];
+    let mut n = 0;
+    for (s, &f) in freq.iter().enumerate() {
+        if f > 0 {
+            leaves[n] = (f, s as u8);
+            n += 1;
+        }
+    }
+    match n {
         0 => return lengths,
         1 => {
-            lengths[present[0]] = 1;
+            lengths[leaves[0].1 as usize] = 1;
             return lengths;
         }
         _ => {}
     }
+    let leaves = &mut leaves[..n];
+    leaves.sort_unstable();
 
-    // Classic two-queue-free approach: a simple binary heap of nodes.
-    #[derive(PartialEq, Eq)]
-    struct Node {
-        weight: u64,
-        index: usize, // into `nodes`
+    // Nodes 0..n are the sorted leaves, n..2n-1 the joins as they are
+    // made; the last one is the root.
+    let mut weight = [0u64; NODES];
+    let mut parent = [0u16; NODES];
+    for (w, leaf) in weight.iter_mut().zip(leaves.iter()) {
+        *w = leaf.0;
     }
-    impl Ord for Node {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Min-heap via reversed compare; tie-break on index for
-            // determinism.
-            other
-                .weight
-                .cmp(&self.weight)
-                .then(other.index.cmp(&self.index))
+    let (mut leaf, mut joined) = (0, n);
+    for next in n..2 * n - 1 {
+        for _ in 0..2 {
+            let lightest = if leaf < n && (joined == next || weight[leaf] <= weight[joined]) {
+                &mut leaf
+            } else {
+                &mut joined
+            };
+            weight[next] += weight[*lightest];
+            parent[*lightest] = next as u16;
+            *lightest += 1;
         }
     }
-    impl PartialOrd for Node {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
+    // A parent is made after its children, so walking down from the
+    // root every depth is known before it is needed.
+    let mut depth = [0u8; NODES];
+    for node in (0..2 * n - 2).rev() {
+        depth[node] = depth[parent[node] as usize] + 1;
     }
-
-    // nodes[i] = (left, right) children or (usize::MAX, symbol) for leaves.
-    let mut children: Vec<(usize, usize)> = Vec::new();
-    let mut heap = std::collections::BinaryHeap::new();
-    for &s in &present {
-        children.push((usize::MAX, s));
-        heap.push(Node {
-            weight: freq[s],
-            index: children.len() - 1,
-        });
-    }
-    while heap.len() > 1 {
-        let a = heap.pop().expect("len > 1");
-        let b = heap.pop().expect("len > 1");
-        children.push((a.index, b.index));
-        heap.push(Node {
-            weight: a.weight + b.weight,
-            index: children.len() - 1,
-        });
-    }
-    let root = heap.pop().expect("one node remains").index;
-
-    // Depth-first depth assignment.
-    let mut stack = vec![(root, 0u8)];
-    while let Some((idx, depth)) = stack.pop() {
-        let (l, r) = children[idx];
-        if l == usize::MAX {
-            lengths[r] = depth.max(1);
-        } else {
-            stack.push((l, depth + 1));
-            stack.push((r, depth + 1));
-        }
+    for (leaf, &(_, symbol)) in leaves.iter().enumerate() {
+        lengths[symbol as usize] = depth[leaf];
     }
     lengths
 }
 
 /// Builds canonical codes from lengths: `codes[s] = (code, len)`.
-fn canonical_codes(lengths: &[u8; SYMBOLS]) -> Vec<(u64, u8)> {
-    let max_len = lengths.iter().copied().max().unwrap_or(0);
-    let mut bl_count = vec![0u64; max_len as usize + 1];
+fn canonical_codes(lengths: &[u8; SYMBOLS]) -> [(u64, u8); SYMBOLS] {
+    let max_len = lengths.iter().copied().max().unwrap_or(0) as usize;
+    let mut bl_count = [0u64; SYMBOLS];
     for &l in lengths.iter() {
         if l > 0 {
             bl_count[l as usize] += 1;
         }
     }
-    let mut next_code = vec![0u64; max_len as usize + 2];
+    let mut next_code = [0u64; SYMBOLS];
     let mut code = 0u64;
-    for bits in 1..=max_len as usize {
+    for bits in 1..=max_len {
         code = (code + bl_count[bits - 1]) << 1;
         next_code[bits] = code;
     }
-    let mut codes = vec![(0u64, 0u8); SYMBOLS];
-    for s in 0..SYMBOLS {
-        let l = lengths[s];
+    let mut codes = [(0u64, 0u8); SYMBOLS];
+    for (slot, &l) in codes.iter_mut().zip(lengths) {
         if l > 0 {
-            codes[s] = (next_code[l as usize], l);
+            *slot = (next_code[l as usize], l);
             next_code[l as usize] += 1;
         }
     }
@@ -111,25 +113,27 @@ fn canonical_codes(lengths: &[u8; SYMBOLS]) -> Vec<(u64, u8)> {
 
 /// Encodes `data`. Empty input produces a minimal header.
 pub fn encode(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    varint::write_u64(&mut out, data.len() as u64);
     if data.is_empty() {
-        return out;
+        return vec![0]; // varint(0)
     }
     let mut freq = [0u64; SYMBOLS];
     for &b in data {
         freq[b as usize] += 1;
     }
     let lengths = code_lengths(&freq);
-    out.extend_from_slice(&lengths);
     let codes = canonical_codes(&lengths);
-    let mut w = BitWriter::new();
+    let bits: u64 = freq.iter().zip(&lengths).map(|(f, &l)| f * l as u64).sum();
+
+    // Header, table and bit stream in one buffer, sized once.
+    let mut out = Vec::with_capacity(10 + SYMBOLS + bits.div_ceil(8) as usize);
+    varint::write_u64(&mut out, data.len() as u64);
+    out.extend_from_slice(&lengths);
+    let mut w = BitWriter::after(out);
     for &b in data {
         let (code, len) = codes[b as usize];
         w.write_bits(code, len);
     }
-    out.extend_from_slice(&w.into_bytes());
-    out
+    w.into_bytes()
 }
 
 /// Decodes data produced by [`encode`].
@@ -199,6 +203,107 @@ pub fn decode(data: &[u8]) -> Result<Vec<u8>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `code_lengths` as it was, on a `BinaryHeap` ordered by weight and
+    /// then by node index: what decides the tie-break.
+    fn code_lengths_on_a_heap(freq: &[u64; SYMBOLS]) -> [u8; SYMBOLS] {
+        let mut lengths = [0u8; SYMBOLS];
+        let present: Vec<usize> = (0..SYMBOLS).filter(|&s| freq[s] > 0).collect();
+        match present.len() {
+            0 => return lengths,
+            1 => {
+                lengths[present[0]] = 1;
+                return lengths;
+            }
+            _ => {}
+        }
+
+        // Classic two-queue-free approach: a simple binary heap of nodes.
+        #[derive(PartialEq, Eq)]
+        struct Node {
+            weight: u64,
+            index: usize, // into `nodes`
+        }
+        impl Ord for Node {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                // Min-heap via reversed compare; tie-break on index for
+                // determinism.
+                other
+                    .weight
+                    .cmp(&self.weight)
+                    .then(other.index.cmp(&self.index))
+            }
+        }
+        impl PartialOrd for Node {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        // nodes[i] = (left, right) children or (usize::MAX, symbol) for leaves.
+        let mut children: Vec<(usize, usize)> = Vec::new();
+        let mut heap = std::collections::BinaryHeap::new();
+        for &s in &present {
+            children.push((usize::MAX, s));
+            heap.push(Node {
+                weight: freq[s],
+                index: children.len() - 1,
+            });
+        }
+        while heap.len() > 1 {
+            let a = heap.pop().expect("len > 1");
+            let b = heap.pop().expect("len > 1");
+            children.push((a.index, b.index));
+            heap.push(Node {
+                weight: a.weight + b.weight,
+                index: children.len() - 1,
+            });
+        }
+        let root = heap.pop().expect("one node remains").index;
+
+        // Depth-first depth assignment.
+        let mut stack = vec![(root, 0u8)];
+        while let Some((idx, depth)) = stack.pop() {
+            let (l, r) = children[idx];
+            if l == usize::MAX {
+                lengths[r] = depth.max(1);
+            } else {
+                stack.push((l, depth + 1));
+                stack.push((r, depth + 1));
+            }
+        }
+        lengths
+    }
+    #[test]
+    fn code_lengths_equal_the_heap_built_ones_whatever_the_ties() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..2_000 {
+            // Few distinct weights, so most comparisons are ties; every
+            // count of present symbols from none to all.
+            let present = round % (SYMBOLS + 1);
+            let distinct = 1 + next() % 6;
+            let mut freq = [0u64; SYMBOLS];
+            for _ in 0..present {
+                let weight = match round % 3 {
+                    0 => 1 + next() % distinct,
+                    1 => 1 << (next() % distinct * 3),
+                    _ => 1 + next() % 5_000,
+                };
+                freq[(next() % SYMBOLS as u64) as usize] = weight;
+            }
+            assert_eq!(
+                code_lengths(&freq),
+                code_lengths_on_a_heap(&freq),
+                "{freq:?}"
+            );
+        }
+    }
 
     fn roundtrip(data: &[u8]) -> usize {
         let enc = encode(data);

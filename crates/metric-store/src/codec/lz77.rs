@@ -14,6 +14,18 @@
 //! * match length = low nibble + 4 (`MIN_MATCH`);
 //! * the final sequence consists of literals only — the stream simply
 //!   ends after them.
+//!
+//! **What fixes the bytes.** Any sequence stream decodes, so the
+//! compressor is free in which matches it takes, and the same input must
+//! still give the same file (`tests/spilled_bytes.rs`). The choice is
+//! made by: the hash (`HASH_BITS`, which 4-grams share a chain); the
+//! order of a chain (most recent position first) and how far it is
+//! walked (`MAX_CHAIN` candidates, none further back than
+//! `MAX_DISTANCE`); the rule that only a strictly longer match replaces
+//! the best one, so of equal matches the nearest wins; which positions
+//! of a match enter the chains (all of them, every eighth once a match
+//! passes 512 bytes); and `emit_sequence`. How a candidate is compared,
+//! or how wide a table entry is, decides nothing.
 
 use crate::error::StoreError;
 
@@ -26,7 +38,7 @@ const HASH_BITS: u32 = 15;
 
 #[inline]
 fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+    let v = u32::from_le_bytes(data[i..i + 4].try_into().expect("four bytes"));
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
@@ -73,42 +85,77 @@ fn emit_sequence(out: &mut Vec<u8>, literals: &[u8], match_len: usize, distance:
     }
 }
 
+/// Length of the common prefix of `data[a..]` and `data[b..]`, `a < b`,
+/// eight bytes to a step.
+#[inline]
+fn common_prefix(data: &[u8], a: usize, b: usize) -> usize {
+    let (ahead, behind) = (&data[b..], &data[a..a + (data.len() - b)]);
+    let mut len = 0;
+    for (x, y) in ahead.chunks_exact(8).zip(behind.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("chunks_exact(8)"));
+        let y = u64::from_le_bytes(y.try_into().expect("chunks_exact(8)"));
+        if x != y {
+            // Little-endian: the first differing byte is the lowest.
+            return len + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < ahead.len() && ahead[len] == behind[len] {
+        len += 1;
+    }
+    len
+}
+
+/// No position yet, in `head` and `prev`.
+const NONE: u32 = u32::MAX;
+
 /// Compresses `data`. The output of an empty input is empty.
+///
+/// # Panics
+///
+/// On 4 GiB of input or more: positions are kept in `u32`s.
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let n = data.len();
     let mut out = Vec::with_capacity(n / 2 + 16);
     if n == 0 {
         return out;
     }
+    // Fails loudly where a wrapped position would compress wrongly: a
+    // column blob of 4 GiB is some 500 million samples of one series.
+    assert!(
+        n < NONE as usize,
+        "lz77::compress holds positions in u32s, input is {n} bytes"
+    );
 
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; n];
+    let mut head = vec![NONE; 1 << HASH_BITS];
+    let mut prev = vec![NONE; n];
     let mut i = 0usize;
     let mut literal_start = 0usize;
 
     while i + MIN_MATCH <= n {
         let h = hash4(data, i);
         // Walk the chain looking for the longest match in the window.
+        let max = n - i;
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         let mut cand = head[h];
         let mut chains = 0usize;
-        while cand != usize::MAX && chains < MAX_CHAIN {
-            let dist = i - cand;
+        while cand != NONE && chains < MAX_CHAIN {
+            let at = cand as usize;
+            let dist = i - at;
             if dist > MAX_DISTANCE {
                 break;
             }
-            // Extend the match.
-            let mut len = 0usize;
-            let max = n - i;
-            while len < max && data[cand + len] == data[i + len] {
-                len += 1;
+            // Only a strictly longer match replaces the best one, and a
+            // longer one agrees with the input at `best_len` too.
+            if best_len < max && data[at + best_len] == data[i + best_len] {
+                let len = common_prefix(data, at, i);
+                if len > best_len {
+                    best_len = len;
+                    best_dist = dist;
+                }
             }
-            if len > best_len {
-                best_len = len;
-                best_dist = dist;
-            }
-            cand = prev[cand];
+            cand = prev[at];
             chains += 1;
         }
 
@@ -122,14 +169,14 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
             while j + MIN_MATCH <= n && j < end {
                 let hj = hash4(data, j);
                 prev[j] = head[hj];
-                head[hj] = j;
+                head[hj] = j as u32;
                 j += step;
             }
             i = end;
             literal_start = i;
         } else {
             prev[i] = head[h];
-            head[h] = i;
+            head[h] = i as u32;
             i += 1;
         }
     }

@@ -76,11 +76,12 @@ impl CodecId {
 
 /// Runs `data` through a codec pipeline, in order.
 pub fn encode_pipeline(data: &[u8], codecs: &[CodecId]) -> Vec<u8> {
-    let mut cur = data.to_vec();
-    for c in codecs {
-        cur = c.encode(&cur);
-    }
-    cur
+    // The first codec reads `data` where it lies.
+    let Some((first, rest)) = codecs.split_first() else {
+        return data.to_vec();
+    };
+    rest.iter()
+        .fold(first.encode(data), |cur, c| c.encode(&cur))
 }
 
 /// Reverses a codec pipeline (decodes in reverse order).
@@ -129,15 +130,20 @@ pub fn decode_f64_raw(data: &[u8]) -> Result<Vec<f64>, StoreError> {
         .collect())
 }
 
-/// Encodes a `u64` column as delta + varint.
-pub fn encode_u64_column(values: &[u64]) -> Vec<u8> {
-    let deltas = delta::delta_encode_u64(values);
-    let mut out = Vec::with_capacity(values.len());
-    varint::write_u64(&mut out, values.len() as u64);
+/// The count, then every delta as a zigzag varint, straight from the
+/// iterator that computes them.
+fn encode_deltas(count: usize, deltas: impl Iterator<Item = i64>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(count + 10);
+    varint::write_u64(&mut out, count as u64);
     for d in deltas {
         varint::write_i64_zigzag(&mut out, d);
     }
     out
+}
+
+/// Encodes a `u64` column as delta + varint.
+pub fn encode_u64_column(values: &[u64]) -> Vec<u8> {
+    encode_deltas(values.len(), delta::deltas_u64(values.iter().copied()))
 }
 
 /// Decodes a `u64` column written by [`encode_u64_column`].
@@ -155,13 +161,7 @@ pub fn decode_u64_column(data: &[u8]) -> Result<Vec<u64>, StoreError> {
 
 /// Encodes an `i64` column as delta + zigzag + varint.
 pub fn encode_i64_column(values: &[i64]) -> Vec<u8> {
-    let deltas = delta::delta_encode_i64(values);
-    let mut out = Vec::with_capacity(values.len());
-    varint::write_u64(&mut out, values.len() as u64);
-    for d in deltas {
-        varint::write_i64_zigzag(&mut out, d);
-    }
-    out
+    encode_deltas(values.len(), delta::deltas_i64(values.iter().copied()))
 }
 
 /// Decodes an `i64` column written by [`encode_i64_column`].
@@ -175,10 +175,11 @@ pub fn decode_i64_column(data: &[u8]) -> Result<Vec<i64>, StoreError> {
     Ok(delta::delta_decode_i64(&deltas))
 }
 
-/// Encodes a `u32` column (epochs) via the u64 path.
+/// Encodes a `u32` column (epochs) as the `u64` column of the same
+/// values.
 pub fn encode_u32_column(values: &[u32]) -> Vec<u8> {
-    let widened: Vec<u64> = values.iter().map(|&v| v as u64).collect();
-    encode_u64_column(&widened)
+    let widened = values.iter().map(|&v| v as u64);
+    encode_deltas(values.len(), delta::deltas_u64(widened))
 }
 
 /// Decodes a `u32` column written by [`encode_u32_column`].

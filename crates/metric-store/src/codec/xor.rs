@@ -23,7 +23,7 @@ use crate::error::StoreError;
 pub fn encode(values: &[f64]) -> Vec<u8> {
     let mut head = Vec::new();
     varint::write_u64(&mut head, values.len() as u64);
-    let mut w = BitWriter::new();
+    let mut w = BitWriter::after(head);
 
     let mut prev_bits = 0u64;
     let mut prev_lead = u8::MAX; // invalid: forces a new window first time
@@ -38,7 +38,6 @@ pub fn encode(values: &[f64]) -> Vec<u8> {
             if xor == 0 {
                 w.write_bit(false);
             } else {
-                w.write_bit(true);
                 let lead = (xor.leading_zeros() as u8).min(63);
                 let trail = xor.trailing_zeros() as u8;
                 let len = 64 - lead - trail;
@@ -47,14 +46,14 @@ pub fn encode(values: &[f64]) -> Vec<u8> {
                     && (64 - prev_lead - prev_len) <= trail;
                 if fits_prev {
                     // Reuse the previous window.
-                    w.write_bit(false);
+                    w.write_bits(0b10, 2);
                     let shift = 64 - prev_lead - prev_len;
                     w.write_bits(xor >> shift, prev_len);
                 } else {
-                    w.write_bit(true);
-                    w.write_bits(lead as u64, 6);
-                    // len is in 1..=64; store len-1 in 6 bits.
-                    w.write_bits((len - 1) as u64, 6);
+                    // `11`, the 6-bit lead, then len (1..=64) as len-1
+                    // in 6 bits.
+                    let header = (0b11 << 12) | ((lead as u64) << 6) | (len - 1) as u64;
+                    w.write_bits(header, 14);
                     w.write_bits(xor >> trail, len);
                     prev_lead = lead;
                     prev_len = len;
@@ -63,9 +62,7 @@ pub fn encode(values: &[f64]) -> Vec<u8> {
         }
         prev_bits = bits;
     }
-
-    head.extend_from_slice(&w.into_bytes());
-    head
+    w.into_bytes()
 }
 
 /// Decompresses a column written by [`encode`].

@@ -72,6 +72,14 @@ struct Header {
     vars: Vec<VarDesc>,
 }
 
+/// `body[offset..offset + length]` if the body holds that range; the
+/// two numbers come from the file, so their sum may not even fit.
+fn column_bytes<'a>(body: &'a [u8], col: &ColumnDesc) -> Option<&'a [u8]> {
+    let start = usize::try_from(col.offset).ok()?;
+    let end = start.checked_add(usize::try_from(col.length).ok()?)?;
+    body.get(start..end)
+}
+
 /// A NetCDF-like single-file metric store.
 pub struct NcStore {
     path: PathBuf,
@@ -201,16 +209,18 @@ impl NcStore {
             self.encode_hist.time(|| self.encode_columns(ordered[i]))
         });
 
-        let mut body = Vec::new();
+        // The header first (it only needs each blob's length and CRC),
+        // then every byte of the file is written once, in place.
+        let mut body_len = 0u64;
         let mut vars = Vec::new();
-        for (series, blobs) in ordered.into_iter().zip(encoded) {
-            let columns = blobs.map(|b| {
+        for (series, blobs) in ordered.into_iter().zip(&encoded) {
+            let columns = blobs.each_ref().map(|b| {
                 let desc = ColumnDesc {
-                    offset: body.len() as u64,
+                    offset: body_len,
                     length: b.len() as u64,
-                    crc: crc32(&b),
+                    crc: crc32(b),
                 };
-                body.extend_from_slice(&b);
+                body_len += desc.length;
                 desc
             });
             vars.push(VarDesc {
@@ -226,7 +236,7 @@ impl NcStore {
         };
         let header_json = serde_json::to_vec(&header)?;
 
-        let mut out = Vec::with_capacity(body.len() + header_json.len() + 16);
+        let mut out = Vec::with_capacity(9 + header_json.len() + body_len as usize);
         out.extend_from_slice(&MAGIC);
         out.push(if self.opts.compress_columns {
             FLAG_COMPRESSED
@@ -235,7 +245,9 @@ impl NcStore {
         });
         out.extend_from_slice(&(header_json.len() as u32).to_le_bytes());
         out.extend_from_slice(&header_json);
-        out.extend_from_slice(&body);
+        for blob in encoded.iter().flatten() {
+            out.extend_from_slice(blob);
+        }
 
         // Atomic-ish replace: write sidecar then rename.
         let tmp = self.path.with_extension("nc.tmp");
@@ -269,10 +281,7 @@ impl NcStore {
         for var in &header.vars {
             let mut blobs: [&[u8]; 4] = [&[]; 4];
             for (i, col) in var.columns.iter().enumerate() {
-                let start = col.offset as usize;
-                let end = start + col.length as usize;
-                let blob = body
-                    .get(start..end)
+                let blob = column_bytes(body, col)
                     .ok_or_else(|| StoreError::Truncated(format!("column of {}", var.name)))?;
                 if crc32(blob) != col.crc {
                     return Err(StoreError::Corrupt(format!(
@@ -451,6 +460,33 @@ mod tests {
         bytes[n - 10] ^= 0xA5; // flip a bit inside the body
         std::fs::write(&path, bytes).unwrap();
         assert!(store.read_series("loss", "training").is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_column_range_that_wraps_is_an_error_not_a_panic() {
+        let path = tmpfile("wrapping");
+        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        store
+            .write_series(&series("loss", "training", 100))
+            .unwrap();
+        // The first column's offset, `0`, becomes `u64::MAX`; the header
+        // length in front of it follows.
+        let bytes = std::fs::read(&path).unwrap();
+        let header_len = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+        let header = std::str::from_utf8(&bytes[9..9 + header_len]).unwrap();
+        let forged = header.replacen("\"offset\":0,", &format!("\"offset\":{},", u64::MAX), 1);
+        assert_ne!(forged, header);
+        let mut file = bytes[..5].to_vec();
+        file.extend_from_slice(&(forged.len() as u32).to_le_bytes());
+        file.extend_from_slice(forged.as_bytes());
+        file.extend_from_slice(&bytes[9 + header_len..]);
+        std::fs::write(&path, file).unwrap();
+        assert!(matches!(
+            store.read_series("loss", "training"),
+            Err(StoreError::Truncated(_))
+        ));
+        assert!(NcStore::open(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 

@@ -128,8 +128,12 @@ pub fn unframe_chunk(data: &[u8]) -> Result<(Vec<u8>, usize), StoreError> {
     pos += 8;
     let want_crc = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("len checked"));
     pos += 4;
-    need(pos + enc_len)?;
-    let payload = decode_pipeline(&data[pos..pos + enc_len], &codecs)?;
+    // `enc_len` is whatever the frame says: the end may not fit a usize.
+    let end = pos
+        .checked_add(enc_len)
+        .ok_or_else(|| StoreError::Corrupt(format!("chunk frame claims {enc_len} bytes")))?;
+    need(end)?;
+    let payload = decode_pipeline(&data[pos..end], &codecs)?;
     if payload.len() != raw_len {
         return Err(StoreError::Corrupt(format!(
             "chunk declared {raw_len} bytes but decoded {}",
@@ -139,7 +143,7 @@ pub fn unframe_chunk(data: &[u8]) -> Result<(Vec<u8>, usize), StoreError> {
     if crc32(&payload) != want_crc {
         return Err(StoreError::Corrupt("chunk crc mismatch".into()));
     }
-    Ok((payload, pos + enc_len))
+    Ok((payload, end))
 }
 
 /// Recursively sums file sizes under a path (file or directory).
@@ -205,6 +209,19 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0xFF;
         assert!(unframe_chunk(&bad).is_err());
+    }
+
+    #[test]
+    fn an_encoded_length_that_wraps_is_an_error_not_a_panic() {
+        let mut framed = frame_chunk(b"some payload bytes", &[CodecId::Rle]);
+        // magic(4) n_codecs(1) codec(1) raw_len(8), then enc_len.
+        framed[14..22].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            unframe_chunk(&framed),
+            Err(StoreError::Corrupt(_))
+        ));
+        framed[14..22].copy_from_slice(&(u64::MAX - 30).to_le_bytes());
+        assert!(unframe_chunk(&framed).is_err());
     }
 
     #[test]

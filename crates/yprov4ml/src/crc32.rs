@@ -1,124 +1,13 @@
-//! CRC-32 (IEEE 802.3), implemented from scratch.
+//! CRC-32 (IEEE 802.3): the one in [`metric_store::checksum`], under the
+//! name this crate has always used.
 //!
 //! Frames every journal record so [`crate::journal::read_journal`] can
 //! tell a torn or bit-flipped line from a valid one: SHA-256 (see
 //! [`crate::hash`]) is overkill for a per-record integrity check on the
 //! logging hot path, while a table-driven CRC costs nanoseconds and
-//! catches every burst error shorter than 32 bits.
-//!
-//! The variant is the ubiquitous reflected CRC-32 with polynomial
-//! `0x04C11DB7` (reflected `0xEDB88320`), init and final XOR
-//! `0xFFFFFFFF` — the same function as zlib's `crc32()`.
+//! catches every burst error shorter than 32 bits. The collector routes
+//! a metric to its folding shard by the same function of its name, so a
+//! change of polynomial would move both the journal's bytes and the
+//! shard assignment; the fixtures of `journal` and `collector` pin them.
 
-/// Reflected polynomial of CRC-32/IEEE.
-const POLY: u32 = 0xEDB8_8320;
-
-/// The 256-entry lookup table, built at compile time.
-const TABLE: [u32; 256] = build_table();
-
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ POLY
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// Incremental CRC-32 hasher.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Starts a fresh checksum.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Feeds bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        for &b in data {
-            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
-        }
-        self.state = crc;
-    }
-
-    /// Finishes, producing the checksum.
-    pub fn finish(self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-/// One-shot CRC-32 of a byte slice.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(data);
-    c.finish()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn check_value() {
-        // The standard CRC-32/IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
-    fn known_vectors() {
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
-        assert_eq!(crc32(b"abc"), 0x3524_41C2);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
-
-    #[test]
-    fn incremental_matches_one_shot() {
-        let data = b"incremental feeding must match the one-shot form";
-        for split in 0..data.len() {
-            let mut c = Crc32::new();
-            c.update(&data[..split]);
-            c.update(&data[split..]);
-            assert_eq!(c.finish(), crc32(data), "split at {split}");
-        }
-    }
-
-    #[test]
-    fn detects_single_bit_flips() {
-        let data = b"journal record payload";
-        let reference = crc32(data);
-        let mut corrupted = data.to_vec();
-        for byte in 0..corrupted.len() {
-            for bit in 0..8 {
-                corrupted[byte] ^= 1 << bit;
-                assert_ne!(crc32(&corrupted), reference, "flip {byte}:{bit} undetected");
-                corrupted[byte] ^= 1 << bit;
-            }
-        }
-    }
-}
+pub use metric_store::checksum::{crc32, Crc32};
