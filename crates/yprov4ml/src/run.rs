@@ -228,12 +228,17 @@ impl Run {
         &self.dir
     }
 
-    /// Journals (when enabled) and submits one record.
+    /// Journals (when enabled) and submits one record. A journal whose
+    /// disk failed does not take the in-memory record with it: the
+    /// record is still collected, and the journal keeps its first
+    /// error for [`Run::flush`] and [`Run::finish`] to return.
     fn submit(&self, record: LogRecord) -> Result<(), ProvMLError> {
-        if let Some(journal) = &self.journal {
-            journal.append(&record)?;
-        }
-        self.collector.log(record)
+        let journaled = match &self.journal {
+            Some(journal) => journal.append(&record),
+            None => Ok(()),
+        };
+        self.collector.log(record)?;
+        journaled
     }
 
     // ----- parameters ---------------------------------------------------
@@ -308,12 +313,12 @@ impl Run {
     /// send per shard instead of one per record — the fast path for
     /// tight logging loops and replay tools.
     pub fn log_many(&self, records: Vec<LogRecord>) -> Result<(), ProvMLError> {
-        if let Some(journal) = &self.journal {
-            for record in &records {
-                journal.append(record)?;
-            }
-        }
-        self.collector.log_many(records)
+        let journaled = match &self.journal {
+            Some(journal) => records.iter().try_for_each(|r| journal.append(r)),
+            None => Ok(()),
+        };
+        self.collector.log_many(records)?;
+        journaled
     }
 
     // ----- contexts -------------------------------------------------------
@@ -422,9 +427,16 @@ impl Run {
         self.collector.accepted()
     }
 
-    /// Blocks until all submitted records are folded into the state.
+    /// Blocks until all submitted records are folded into the state
+    /// and, when journaled, written and fsynced: the call that closes
+    /// the journal's loss windows ([`crate::journal::SyncPolicy`]) and
+    /// reports a journal write that failed since the last one.
     pub fn flush(&self) -> Result<(), ProvMLError> {
-        self.collector.flush()
+        self.collector.flush()?;
+        match &self.journal {
+            Some(journal) => journal.flush(),
+            None => Ok(()),
+        }
     }
 
     // ----- streaming ----------------------------------------------------------
@@ -469,7 +481,9 @@ impl Run {
     // ----- finish -------------------------------------------------------------
 
     /// Finishes the run: drains the collector, spills metrics, writes
-    /// `prov.json` + `prov.provn`, and returns a report.
+    /// `prov.json` + `prov.provn`, and returns a report. Fails, with
+    /// the provenance files written all the same, when a journal write
+    /// failed at any point of the run.
     pub fn finish(self) -> Result<RunReport, ProvMLError> {
         self.finish_with_status(RunStatus::Finished)
     }
@@ -504,12 +518,17 @@ impl Run {
         };
         // The journal is complete once the collector has drained; fsync
         // it (and its directory entry) so the WAL is durable even if
-        // writing the provenance files below fails.
-        if let Some(journal) = self.journal.take() {
-            let _trace = obs::trace::span("finalize_journal_close");
-            reg.histogram("yprov4ml_finalize_journal_close_seconds")
-                .time(|| journal.close())?;
-        }
+        // writing the provenance files below fails. A journal that lost
+        // a write fails the finish, but only after the provenance it
+        // was the backup of is written.
+        let journal_closed = match self.journal.take() {
+            Some(journal) => {
+                let _trace = obs::trace::span("finalize_journal_close");
+                reg.histogram("yprov4ml_finalize_journal_close_seconds")
+                    .time(|| journal.close())
+            }
+            None => Ok(()),
+        };
         let ended_us = now_us();
 
         let pool = WorkerPool::new(self.finalize.threads);
@@ -567,6 +586,7 @@ impl Run {
                 .time(|| write_prov_files(&doc, &prov_json_path, &provn_path))?;
         }
         drop(finalize_trace);
+        journal_closed?;
 
         Ok(RunReport {
             experiment: self.experiment,
@@ -848,6 +868,36 @@ mod tests {
             expected.to_json_string().unwrap(),
             "streamed snapshots + finalize delta must converge"
         );
+        std::fs::remove_dir_all(&b).ok();
+    }
+
+    #[test]
+    fn a_failed_journal_write_fails_finish_but_not_the_provenance() {
+        let b = base("journal_disk_full");
+        let exp = Experiment::new("e", &b).unwrap();
+        let options = RunOptions {
+            journal: true,
+            ..Default::default()
+        };
+        let run = exp.start_run_with("r", options).unwrap();
+        run.log_param("lr", 0.1);
+        run.flush().unwrap();
+        run.journal.as_ref().unwrap().break_disk();
+        // Past the default policy's 64 records the frame write fails;
+        // the run keeps collecting.
+        for step in 0..100u64 {
+            run.log_metric("loss", Context::Training, step, 0, 0.5);
+        }
+        assert_eq!(run.records_accepted(), 101);
+        assert!(run.flush().is_err(), "flush reports the lost write");
+        let dir = run.dir().to_path_buf();
+        let err = run.finish().unwrap_err();
+        assert!(err.to_string().contains("journal"), "{err}");
+        let doc = exp.load_run_document("r").unwrap();
+        assert!(prov_model::validate::is_valid(&doc));
+        assert!(std::fs::read_to_string(dir.join("prov.json"))
+            .unwrap()
+            .contains("loss"));
         std::fs::remove_dir_all(&b).ok();
     }
 

@@ -1,10 +1,12 @@
 //! Property tests for journal crash robustness: whatever a crash does
-//! to the journal's *record region* — truncation at an arbitrary byte,
+//! to the journal's *frame region* — truncation at an arbitrary byte,
 //! a single flipped bit — recovery must neither panic nor error, and
-//! must replay exactly a valid prefix of the accepted records.
+//! must replay exactly the frames the damage did not touch.
 
 use proptest::prelude::*;
-use yprov4ml::journal::{read_journal, JournalHeader, JournalWriter, JOURNAL_FILE};
+use yprov4ml::journal::{
+    read_journal, JournalConfig, JournalHeader, JournalWriter, SyncPolicy, JOURNAL_FILE,
+};
 use yprov4ml::model::{Context, LogRecord};
 
 fn fresh_dir(tag: &str) -> std::path::PathBuf {
@@ -20,13 +22,22 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Writes a journal of `n` metric records, returning the run dir, the
-/// raw journal bytes, and the byte offset of each record line's end
-/// (i.e. one past its newline).
-fn journal_bytes(tag: &str, n: usize) -> (std::path::PathBuf, Vec<u8>, Vec<usize>) {
+/// Writes a journal of `n` metric records in frames of `per_frame`,
+/// returning the run dir, the raw journal bytes, the offset of the
+/// first frame and each frame's end offset (walked by the frames' own
+/// length fields: marker 4, length 4, CRC 4, payload).
+fn journal_bytes(
+    tag: &str,
+    n: usize,
+    per_frame: u32,
+) -> (std::path::PathBuf, Vec<u8>, usize, Vec<usize>) {
     let dir = fresh_dir(tag);
-    let writer =
-        JournalWriter::create(&dir, &JournalHeader::new("chaos", "victim", "prop", 7)).unwrap();
+    let config = JournalConfig {
+        sync: SyncPolicy::EveryN(per_frame),
+        ..Default::default()
+    };
+    let header = JournalHeader::new("chaos", "victim", "prop", 7);
+    let writer = JournalWriter::create_with(&dir, &header, config).unwrap();
     for i in 0..n {
         writer
             .append(&LogRecord::Metric {
@@ -41,41 +52,45 @@ fn journal_bytes(tag: &str, n: usize) -> (std::path::PathBuf, Vec<u8>, Vec<usize
     }
     writer.close().unwrap();
     let bytes = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
-    let mut line_ends = Vec::new();
-    for (i, b) in bytes.iter().enumerate() {
-        if *b == b'\n' {
-            line_ends.push(i + 1);
-        }
+    let body_at = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let mut frame_ends = Vec::new();
+    let mut pos = body_at;
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
+        pos += 12 + len as usize;
+        frame_ends.push(pos);
     }
-    (dir, bytes, line_ends)
+    (dir, bytes, body_at, frame_ends)
+}
+
+/// Records in the first `frames` frames of a journal of `n`.
+fn records_in(frames: usize, n: usize, per_frame: u32) -> usize {
+    (frames * per_frame as usize).min(n)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Truncating anywhere in the record region (at or after the end of
+    /// Truncating anywhere in the frame region (at or after the end of
     /// the header line) never panics or errors, and recovers exactly
-    /// the records whose full line fits in the surviving prefix, with
-    /// at most one torn line counted as skipped.
+    /// the records of the frames that fit in the surviving prefix, with
+    /// at most one torn frame counted as skipped.
     #[test]
     fn truncation_recovers_a_valid_prefix(
         n in 1usize..40,
+        per_frame in 1u32..9,
         cut_frac in 0.0f64..1.0,
     ) {
-        let (dir, bytes, line_ends) = journal_bytes("trunc", n);
-        let header_end = line_ends[0];
-        let cut = header_end
-            + ((bytes.len() - header_end) as f64 * cut_frac) as usize;
+        let (dir, bytes, body_at, frame_ends) = journal_bytes("trunc", n, per_frame);
+        let cut = body_at + ((bytes.len() - body_at) as f64 * cut_frac) as usize;
         let cut = cut.min(bytes.len());
         std::fs::write(dir.join(JOURNAL_FILE), &bytes[..cut]).unwrap();
 
         let replay = read_journal(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
-        // A line survives if it fits including its newline (e <= cut),
-        // or if only its trailing newline was cut (e == cut + 1): the
-        // final chunk then still carries the full framed record.
-        let complete = line_ends[1..].iter().filter(|&&e| e <= cut + 1).count();
+        let whole = frame_ends.iter().filter(|&&e| e <= cut).count();
+        let complete = records_in(whole, n, per_frame);
         prop_assert_eq!(replay.records, complete);
         prop_assert!(replay.skipped <= 1, "skipped {}", replay.skipped);
         prop_assert_eq!(replay.state.metric_samples, complete);
@@ -89,48 +104,39 @@ proptest! {
         n in 1usize..10,
         cut_frac in 0.0f64..1.0,
     ) {
-        let (dir, bytes, line_ends) = journal_bytes("hdr", n);
-        let cut = (line_ends[0] as f64 * cut_frac) as usize;
+        let (dir, bytes, body_at, _) = journal_bytes("hdr", n, 4);
+        let cut = (body_at as f64 * cut_frac) as usize;
         // Stay strictly inside the header JSON: cutting at its last
-        // byte or later leaves parseable JSON (the newline is optional
-        // for the final line).
-        let cut = cut.min(line_ends[0] - 2);
+        // byte or later leaves parseable JSON (the newline is optional).
+        let cut = cut.min(body_at - 2);
         std::fs::write(dir.join(JOURNAL_FILE), &bytes[..cut]).unwrap();
         let result = read_journal(&dir);
         std::fs::remove_dir_all(&dir).ok();
         prop_assert!(result.is_err());
     }
 
-    /// Flipping any single bit in the record region never panics or
-    /// errors; the CRC catches the corruption. One line is lost when
-    /// the payload is hit, two when a newline is destroyed (the
-    /// neighbours merge) — never more, and never a bogus extra record.
+    /// Flipping any single bit in the frame region never panics or
+    /// errors; the CRC catches the corruption and exactly the frame
+    /// that was hit is lost — never a neighbour, and never a bogus
+    /// extra record.
     #[test]
-    fn single_bit_flip_is_detected(
+    fn single_bit_flip_costs_one_frame(
         n in 2usize..40,
+        per_frame in 1u32..9,
         pos_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let (dir, mut bytes, line_ends) = journal_bytes("flip", n);
-        let header_end = line_ends[0];
-        let pos = header_end
-            + ((bytes.len() - header_end - 1) as f64 * pos_frac) as usize;
-        let made_newline_or_was = bytes[pos] == b'\n' || bytes[pos] ^ (1 << bit) == b'\n';
+        let (dir, mut bytes, body_at, frame_ends) = journal_bytes("flip", n, per_frame);
+        let pos = body_at + ((bytes.len() - body_at - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= 1 << bit;
         std::fs::write(dir.join(JOURNAL_FILE), &bytes).unwrap();
 
         let replay = read_journal(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
-        prop_assert!(replay.records <= n);
-        let max_lost = if made_newline_or_was { 2 } else { 1 };
-        prop_assert!(
-            n - replay.records <= max_lost,
-            "lost {} records (max {max_lost})",
-            n - replay.records
-        );
-        // Splitting a line in two must not fabricate records: every
-        // replayed record passed its CRC.
-        prop_assert!(replay.records + replay.skipped <= n + 1);
+        let hit = frame_ends.iter().filter(|&&e| e <= pos).count();
+        let lost = records_in(hit + 1, n, per_frame) - records_in(hit, n, per_frame);
+        prop_assert_eq!(replay.records, n - lost);
+        prop_assert_eq!(replay.skipped, 1);
     }
 }
