@@ -20,7 +20,7 @@
 use obs::alerts::{AlertRule, Cmp};
 use serde_json::json;
 use std::time::Instant;
-use yprov_service::{Ops, OpsConfig, SlowLog};
+use yprov_service::{Ops, OpsConfig, SlowEntry, SlowLog};
 
 /// Mean nanoseconds per call of `f` over `iters` calls.
 fn time_ns(iters: u64, mut f: impl FnMut(u64)) -> f64 {
@@ -93,32 +93,21 @@ fn bench_scrape_tick(ticks: u64, series: usize) -> serde_json::Value {
 }
 
 fn bench_slowlog(iters: u64) -> serde_json::Value {
+    // The server moves the method and path it already owns into the
+    // entry, so the entry here carries none: building it allocates
+    // nothing, and what is timed is the log.
+    let entry = |i: u64| SlowEntry {
+        route: "/api/v0/documents/{id}",
+        status: 200,
+        latency_ns: 1_000 + (i % 97) * 13,
+        ..Default::default()
+    };
     let log = SlowLog::new(8);
-    let enabled_ns = time_ns(iters, |i| {
-        log.record(
-            "GET",
-            "/api/v0/documents/doc-1",
-            "/api/v0/documents/{id}",
-            200,
-            1_000 + (i % 97) * 13,
-            None,
-            None,
-        );
-    });
+    let enabled_ns = time_ns(iters, |i| log.record(entry(i)));
 
     let off = SlowLog::new(8);
     off.set_enabled(false);
-    let disabled_ns = time_ns(iters, |i| {
-        off.record(
-            "GET",
-            "/api/v0/documents/doc-1",
-            "/api/v0/documents/{id}",
-            200,
-            1_000 + (i % 97) * 13,
-            None,
-            None,
-        );
-    });
+    let disabled_ns = time_ns(iters, |i| off.record(entry(i)));
 
     let baseline_ns = time_ns(iters, |i| {
         std::hint::black_box(1_000 + (i % 97) * 13);

@@ -41,6 +41,7 @@
 
 use crate::client::{Client, Response, RetryPolicy};
 use crate::error::ServiceError;
+use crate::http::{error_body, error_response};
 use crate::ledger::LedgerEntry;
 use crate::store::{DocumentStore, Upload};
 use parking_lot::Mutex;
@@ -314,7 +315,7 @@ pub(crate) fn apply_batch(
     body: &[u8],
 ) -> (u16, String) {
     let Ok(text) = std::str::from_utf8(body) else {
-        return (400, json!({"error": "body is not UTF-8"}).to_string());
+        return (400, error_body("body is not UTF-8"));
     };
     let refuse = |reason: String, expect_index: Option<u64>| {
         registry.counter("replication_rejects_total").inc();
@@ -324,10 +325,7 @@ pub(crate) fn apply_batch(
     let (source, frames) = match decode_batch(text) {
         Ok(batch) => batch,
         Err(BatchError::Header(reason)) => {
-            return (
-                400,
-                json!({"error": format!("bad batch: {reason}")}).to_string(),
-            )
+            return (400, error_body(&format!("bad batch: {reason}")))
         }
         Err(BatchError::Torn { source, reason }) => {
             let next = store.replication_head(&source).0;
@@ -351,7 +349,7 @@ pub(crate) fn apply_batch(
                 reason,
                 expect_index,
             }) => return refuse(reason, expect_index),
-            Err(e) => return crate::http::error_response(&e),
+            Err(e) => return error_response(&e),
         }
     }
     let (next, head) = store.replication_head(&source);

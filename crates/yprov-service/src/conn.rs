@@ -1,4 +1,4 @@
-//! Per-connection HTTP/1.1 state machines for the event-loop core.
+//! Per-connection HTTP/1.1 state machines for the reactor.
 //!
 //! The reactor owns the sockets; this module owns the bytes. Each
 //! connection carries an [`HttpParser`] (an incremental request
@@ -8,12 +8,12 @@
 //! them). Neither side ever blocks: the parser works on whatever has
 //! arrived, the queue writes whatever the kernel will accept.
 //!
-//! The parser reproduces the blocking parser's error taxonomy exactly —
-//! 431 for a header section over the byte budget or field cap
-//! (detected *incrementally*, so a flood is rejected before any
+//! [`HttpParser`] is the server's only request parser. Its error
+//! taxonomy — 431 for a header section over the byte budget or field
+//! cap (detected *incrementally*, so a flood is rejected before any
 //! terminator arrives), 501 for `Transfer-Encoding: chunked`, 400 for
-//! everything else malformed — because the robustness tests assert on
-//! those bytes.
+//! everything else malformed — is what the robustness tests assert on,
+//! byte for byte.
 
 use crate::http::Request;
 use std::collections::VecDeque;
@@ -38,6 +38,9 @@ struct Head {
     traceparent: Option<String>,
     keep_alive: bool,
     content_length: usize,
+    /// `Transfer-Encoding: chunked` was named: not implemented, so the
+    /// request is refused (501) rather than misread as an empty body.
+    chunked: bool,
 }
 
 #[derive(Debug)]
@@ -114,6 +117,13 @@ impl HttpParser {
                             let head_bytes: Vec<u8> = self.buf.drain(..end).collect();
                             self.scan = 0;
                             let head = parse_head(&head_bytes, limits)?;
+                            if head.chunked {
+                                return Err((
+                                    501,
+                                    "Transfer-Encoding: chunked is not supported; send Content-Length"
+                                        .to_string(),
+                                ));
+                            }
                             if head.content_length > limits.max_body {
                                 return Err((
                                     400,
@@ -164,15 +174,10 @@ impl HttpParser {
 
     /// The peer closed its write side. `None` means the connection
     /// ended cleanly between requests; `Some((status, message))` is the
-    /// rejection for a request cut off mid-flight, mirroring what the
-    /// blocking parser answered when its reads hit EOF.
+    /// rejection for a request cut off mid-flight.
     pub fn finish_eof(&mut self, limits: &Limits) -> Option<(u16, String)> {
         match &self.state {
-            State::Body(_) => {
-                // The blocking parser's `read_exact` failed here with
-                // `failed to fill whole buffer`; keep the message.
-                Some((400, "short body: failed to fill whole buffer".to_string()))
-            }
+            State::Body(_) => Some((400, "short body: failed to fill whole buffer".to_string())),
             State::Head => {
                 let trimmed: Vec<u8> = self
                     .buf
@@ -183,49 +188,15 @@ impl HttpParser {
                 if trimmed.is_empty() {
                     return None;
                 }
-                Some(head_eof_error(&trimmed, limits))
+                // A head that ended before its blank line: whatever is
+                // wrong with the lines that did arrive (request line
+                // first, then each header), else the missing blank line.
+                Some(parse_head(&trimmed, limits).err().unwrap_or_else(|| {
+                    (400, "header section ended without a blank line".to_string())
+                }))
             }
         }
     }
-}
-
-/// What the blocking parser would have said about a head section that
-/// ended (EOF) before its blank line: request-line errors first, then
-/// per-header errors on the complete lines, then the generic
-/// "ended without a blank line".
-fn head_eof_error(head: &[u8], limits: &Limits) -> (u16, String) {
-    let mut lines = head.split(|&b| b == b'\n');
-    let request_line = lines.next().unwrap_or_default();
-    if let Err(e) = parse_request_line(request_line) {
-        return e;
-    }
-    let mut header_count = 0usize;
-    for line in lines {
-        let Ok(text) = std::str::from_utf8(line) else {
-            return (
-                400,
-                "read error: stream did not contain valid UTF-8".to_string(),
-            );
-        };
-        let text = text.trim_end_matches('\r');
-        if text.trim().is_empty() {
-            continue;
-        }
-        header_count += 1;
-        if header_count > limits.max_headers {
-            return (
-                431,
-                format!("more than {} header fields", limits.max_headers),
-            );
-        }
-        if let Some((name, value)) = text.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") && value.trim().parse::<usize>().is_err()
-            {
-                return (400, "bad content-length".to_string());
-            }
-        }
-    }
-    (400, "header section ended without a blank line".to_string())
 }
 
 fn over_budget(limits: &Limits) -> (u16, String) {
@@ -254,16 +225,21 @@ fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
     None
 }
 
-/// Parses `METHOD TARGET HTTP/1.x` with the blocking parser's error
-/// messages.
-fn parse_request_line(line: &[u8]) -> Result<(String, String), (u16, String)> {
-    let Ok(line) = std::str::from_utf8(line) else {
-        return Err((
-            400,
-            "read error: stream did not contain valid UTF-8".to_string(),
-        ));
-    };
-    let mut parts = line.split_whitespace();
+/// Parses a header section (request line through blank line, or as far
+/// as it got when the peer closed early).
+fn parse_head(head: &[u8], limits: &Limits) -> Result<Head, (u16, String)> {
+    fn utf8(line: &[u8]) -> Result<&str, (u16, String)> {
+        std::str::from_utf8(line).map_err(|_| {
+            (
+                400,
+                "read error: stream did not contain valid UTF-8".to_string(),
+            )
+        })
+    }
+    let mut lines = head.split(|&b| b == b'\n');
+
+    // `METHOD TARGET HTTP/1.x`
+    let mut parts = utf8(lines.next().unwrap_or_default())?.split_whitespace();
     let method = parts
         .next()
         .ok_or((400, "missing method".to_string()))?
@@ -276,13 +252,6 @@ fn parse_request_line(line: &[u8]) -> Result<(String, String), (u16, String)> {
     if !version.starts_with("HTTP/1.") {
         return Err((400, format!("unsupported version {version}")));
     }
-    Ok((method, target))
-}
-
-/// Parses a complete header section (request line through blank line).
-fn parse_head(head: &[u8], limits: &Limits) -> Result<Head, (u16, String)> {
-    let mut lines = head.split(|&b| b == b'\n');
-    let (method, target) = parse_request_line(lines.next().unwrap_or_default())?;
 
     let mut content_length = 0usize;
     let mut chunked = false;
@@ -290,13 +259,7 @@ fn parse_head(head: &[u8], limits: &Limits) -> Result<Head, (u16, String)> {
     let mut keep_alive = false;
     let mut header_count = 0usize;
     for line in lines {
-        let Ok(text) = std::str::from_utf8(line) else {
-            return Err((
-                400,
-                "read error: stream did not contain valid UTF-8".to_string(),
-            ));
-        };
-        let text = text.trim_end_matches('\r');
+        let text = utf8(line)?.trim_end_matches('\r');
         if text.trim().is_empty() {
             continue;
         }
@@ -327,18 +290,13 @@ fn parse_head(head: &[u8], limits: &Limits) -> Result<Head, (u16, String)> {
             }
         }
     }
-    if chunked {
-        return Err((
-            501,
-            "Transfer-Encoding: chunked is not supported; send Content-Length".to_string(),
-        ));
-    }
     Ok(Head {
         method,
         target,
         traceparent,
         keep_alive,
         content_length,
+        chunked,
     })
 }
 
@@ -529,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn eof_mid_head_mirrors_the_blocking_errors() {
+    fn eof_mid_head_names_what_was_wrong_with_the_lines_that_arrived() {
         for (raw, want) in [
             (&b"GET"[..], "missing path"),
             (&b"GET /x"[..], "missing version"),

@@ -17,10 +17,9 @@
 //! * [`ledger`] — the tamper-evident hash chain over uploads;
 //! * [`http`] — a from-scratch HTTP/1.1 server serving the yProv-style
 //!   endpoints (`/api/v0/documents`, `/api/v0/documents/{id}`,
-//!   `.../subgraph`, `.../ancestors`, `.../stats`); by default an
-//!   epoll event-loop core (keep-alive, pipelining, watermark load
-//!   shedding, graceful drain), with the original thread-per-connection
-//!   core selectable as a baseline;
+//!   `.../subgraph`, `.../ancestors`, `.../stats`) from one route
+//!   table, on an epoll event loop (keep-alive, pipelining, watermark
+//!   load shedding, graceful drain);
 //! * [`client`] — a blocking client with deterministic exponential
 //!   backoff for transient failures (connection refused, 502/503/504),
 //!   honoring server-supplied `Retry-After` schedules;
@@ -47,6 +46,8 @@
 //! assert!(store.get(&id).is_some());
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod backend;
 pub mod client;
 pub mod cluster;
@@ -57,6 +58,7 @@ pub mod http;
 pub mod ledger;
 pub mod ops;
 mod reactor;
+mod routes;
 pub mod slowlog;
 pub mod store;
 
@@ -66,7 +68,7 @@ pub use cluster::{
     ClusterClient, ClusterConfig, ClusterError, NodeSpec, ReplicationChaos, Replicator, Ring,
 };
 pub use error::ServiceError;
-pub use http::{Server, ServerConfig, ServerCore};
+pub use http::{Server, ServerConfig};
 pub use ops::{Ops, OpsConfig};
 pub use slowlog::{SlowEntry, SlowLog};
 pub use store::{DocumentStore, ReplicationApply, Upload};

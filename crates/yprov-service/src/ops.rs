@@ -209,8 +209,7 @@ pub fn health_json(store: &DocumentStore, registry: &Registry) -> (bool, String)
         .map(|(source, entries)| json!({"source": source, "entries": entries}))
         .collect();
     // The reactor publishes its watermarks as gauges; a health probe
-    // reads them from the registry rather than reaching into the core
-    // (the threaded core simply reports zeros).
+    // reads them from the registry rather than reaching into the core.
     let snap = registry.snapshot();
     let gauge = |name: &str| snap.gauges.get(name).copied().unwrap_or(0);
     let body = json!({

@@ -1,15 +1,15 @@
-//! The event-loop server core: a from-scratch epoll reactor.
+//! The server core: a from-scratch epoll reactor.
 //!
 //! One reactor thread multiplexes every connection through
 //! level-triggered `epoll` (raw syscalls — no tokio, no mio, matching
 //! the repo's dependency-free style): it accepts, reads, parses,
 //! dispatches complete requests to a small worker pool, and streams
 //! buffered responses back as sockets drain. Handlers never see any of
-//! this — they run the same `route()` the thread-per-connection core
-//! uses, on a worker thread, and hand their response back over a
+//! this — [`worker`] looks each request up in [`crate::routes`], runs
+//! its handler on a worker thread, and hands the response back over a
 //! channel (an eventfd waker folds completions into the epoll wait).
 //!
-//! What the event loop buys over thread-per-connection:
+//! What the event loop buys over a thread per connection:
 //!
 //! * **Keep-alive + pipelining** — a connection outlives its request;
 //!   queued requests on one socket are answered in order.
@@ -17,30 +17,29 @@
 //!   header bytes holds one [`Conn`] until the read timeout, while
 //!   every worker keeps serving.
 //! * **Watermark shedding** — admission is bounded by open connections
-//!   (`max_connections`, defaulting to `workers + queue_depth`, the
-//!   thread-core's admission bound) and dispatch by in-flight jobs and
-//!   globally queued response bytes; every shed answers 503 with
+//!   (`workers + queue_depth`) and dispatch by in-flight jobs (the same
+//!   bound) and globally queued response bytes
+//!   ([`MAX_QUEUED_BYTES`]); every shed answers 503 with
 //!   `Retry-After` and is counted in `server_shed_total{reason}`.
 //!   A connection shed at accept closes lingeringly (write half shut,
 //!   input discarded until the peer closes), so a client that sent its
 //!   request before reading still reads the 503, never a reset.
 //! * **Graceful drain** — stop deregisters the listener and lets
-//!   in-flight connections finish (bounded by `drain_deadline`), so a
+//!   in-flight connections finish (bounded by [`DRAIN_DEADLINE`]), so a
 //!   mid-response close flushes instead of resetting.
 
-use crate::cluster::Replicator;
 use crate::conn::{HttpParser, Limits, WriteQueue};
-use crate::http::{self, Request, ServerConfig};
-use crate::store::DocumentStore;
+use crate::http::{self, error_body, Request, ServerConfig, ServerState};
+use crate::routes;
+use crate::slowlog::SlowEntry;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use serde_json::json;
 use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Raw epoll/eventfd bindings — the only unsafe surface of the core.
 mod sys {
@@ -92,6 +91,8 @@ struct Poller {
 
 impl Poller {
     fn new() -> io::Result<Poller> {
+        // SAFETY: takes no pointers; the fd it returns is owned by the
+        // `Poller` and closed once, in its `Drop`.
         let epfd = cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
         Ok(Poller { epfd })
     }
@@ -106,6 +107,9 @@ impl Poller {
         } else {
             &mut ev as *mut sys::EpollEvent
         };
+        // SAFETY: `evp` is null (allowed for `EPOLL_CTL_DEL`) or points at
+        // `ev`, which lives until the call returns; the kernel copies
+        // the event and keeps no pointer.
         cvt(unsafe { sys::epoll_ctl(self.epfd, op, fd, evp) }).map(|_| ())
     }
 
@@ -122,6 +126,9 @@ impl Poller {
     }
 
     fn wait(&self, events: &mut [sys::EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+        // SAFETY: the pointer and the length passed with it are one
+        // live, exclusively borrowed slice of `EpollEvent`, so the kernel
+        // writes at most `events.len()` entries inside it.
         let n = unsafe {
             sys::epoll_wait(
                 self.epfd,
@@ -136,6 +143,8 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: `epfd` came from `epoll_create1`, nothing else closes
+        // it, and `drop` runs once.
         unsafe { sys::close(self.epfd) };
     }
 }
@@ -144,6 +153,8 @@ struct EventFd(i32);
 
 impl Drop for EventFd {
     fn drop(&mut self) {
+        // SAFETY: the fd came from `eventfd`, only this wrapper owns it
+        // (`Waker` clones share it through an `Arc`), and `drop` runs once.
         unsafe { sys::close(self.0) };
     }
 }
@@ -157,6 +168,8 @@ struct Waker {
 
 impl Waker {
     fn new() -> io::Result<Waker> {
+        // SAFETY: takes no pointers; the fd goes straight into the
+        // `EventFd` that closes it.
         let fd = cvt(unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) })?;
         Ok(Waker {
             fd: Arc::new(EventFd(fd)),
@@ -169,11 +182,15 @@ impl Waker {
 
     fn wake(&self) {
         let one: u64 = 1;
+        // SAFETY: reads exactly the 8 bytes of `one`, which outlives
+        // the call; the fd is open for as long as `self.fd` is held.
         unsafe { sys::write(self.fd.0, (&one as *const u64).cast(), 8) };
     }
 
     fn drain(&self) {
         let mut buf = [0u8; 8];
+        // SAFETY: writes at most 8 bytes into the 8-byte `buf`; the fd
+        // is non-blocking and open for as long as `self.fd` is held.
         unsafe { sys::read(self.fd.0, buf.as_mut_ptr(), 8) };
     }
 }
@@ -191,6 +208,12 @@ const PAUSE_WRITE_BYTES: usize = 256 * 1024;
 /// Fairness: bytes read from one socket per readiness event before
 /// yielding to the rest (level-triggered epoll re-arms).
 const READ_SLICE_BYTES: usize = 256 * 1024;
+/// Response bytes buffered across all connections before further
+/// dispatches shed with 503.
+const MAX_QUEUED_BYTES: usize = 64 * 1024 * 1024;
+/// A stop drains in-flight connections for at most this long before
+/// force-closing the stragglers.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// One parsed request on its way to a worker.
 struct Job {
@@ -208,36 +231,27 @@ struct Completion {
     keep_alive: bool,
 }
 
-/// Control handle held by the `Server` facade.
-pub(crate) struct ReactorHandle {
+/// A running core, held by the `Server`.
+pub(crate) struct EventCore {
     stop: Arc<AtomicBool>,
     waker: Waker,
+    thread: std::thread::JoinHandle<()>,
 }
 
-impl ReactorHandle {
-    /// Asks the reactor to drain and exit; returns immediately. Join
-    /// the reactor thread to wait for the drain.
-    pub fn stop(&self) {
+impl EventCore {
+    /// Asks the reactor to drain and exit, and waits for the drain.
+    pub fn stop(self) {
         self.stop.store(true, Ordering::Release);
         self.waker.wake();
+        let _ = self.thread.join();
     }
-}
-
-/// A running event-loop core: the handle plus the reactor thread.
-pub(crate) struct EventCore {
-    pub handle: ReactorHandle,
-    pub thread: std::thread::JoinHandle<()>,
 }
 
 /// Builds and starts the core: worker pool, reactor thread, waker.
 pub(crate) fn spawn(
     listener: TcpListener,
-    store: DocumentStore,
     cfg: ServerConfig,
-    chaos: Arc<AtomicU32>,
-    registry: Arc<obs::Registry>,
-    replicator: Option<Arc<Replicator>>,
-    ops: Arc<crate::ops::Ops>,
+    state: Arc<ServerState>,
 ) -> io::Result<EventCore> {
     listener.set_nonblocking(true)?;
     let poller = Poller::new()?;
@@ -251,30 +265,20 @@ pub(crate) fn spawn(
         let rx = jobs_rx.clone();
         let tx = done_tx.clone();
         let waker = waker.clone();
-        let store = store.clone();
-        let chaos = Arc::clone(&chaos);
-        let registry = Arc::clone(&registry);
-        let replicator = replicator.clone();
-        let ops = Arc::clone(&ops);
+        let state = Arc::clone(&state);
         std::thread::Builder::new()
             .name(format!("yprov-http-{i}"))
-            .spawn(move || worker(rx, tx, waker, store, chaos, registry, replicator, ops))?;
+            .spawn(move || worker(rx, tx, waker, &state))?;
     }
 
     let stop = Arc::new(AtomicBool::new(false));
-    let handle = ReactorHandle {
-        stop: Arc::clone(&stop),
-        waker: waker.clone(),
-    };
-    let max_conns = cfg
-        .max_connections
-        .unwrap_or(cfg.workers.max(1) + cfg.queue_depth)
-        .max(1);
+    let slots = cfg.workers.max(1) + cfg.queue_depth;
     let limits = Limits {
         max_body: cfg.max_body,
         max_header_bytes: cfg.max_header_bytes,
         max_headers: cfg.max_headers,
     };
+    let registry = &state.registry;
     let open_gauge = registry.gauge("server_connections_open");
     open_gauge.set(0);
     let queued_jobs_gauge = registry.gauge("reactor_queued_jobs");
@@ -290,7 +294,7 @@ pub(crate) fn spawn(
         queued_bytes_gauge,
         poller,
         listener,
-        waker,
+        waker: waker.clone(),
         conns: Vec::new(),
         free: Vec::new(),
         next_gen: 1,
@@ -298,36 +302,29 @@ pub(crate) fn spawn(
         open_shed: 0,
         cfg,
         limits,
-        registry,
         jobs_tx,
         done_rx,
         in_flight_jobs: 0,
         queued_bytes: 0,
-        stop,
+        stop: Arc::clone(&stop),
         draining: None,
-        max_conns,
-        ops,
+        slots,
+        state,
     };
     let thread = std::thread::Builder::new()
         .name("yprov-reactor".into())
         .spawn(move || reactor.run())?;
-    Ok(EventCore { handle, thread })
+    Ok(EventCore {
+        stop,
+        waker,
+        thread,
+    })
 }
 
-/// A worker thread: runs the same handler stack as the blocking core —
-/// trace adoption, handler span, `route()`, per-route metrics — then
-/// reports the response back to the reactor.
-#[allow(clippy::too_many_arguments)]
-fn worker(
-    rx: Receiver<Job>,
-    tx: Sender<Completion>,
-    waker: Waker,
-    store: DocumentStore,
-    chaos: Arc<AtomicU32>,
-    registry: Arc<obs::Registry>,
-    replicator: Option<Arc<Replicator>>,
-    ops: Arc<crate::ops::Ops>,
-) {
+/// A worker thread, the one place a request is served: trace adoption,
+/// handler span, route lookup, handler, per-route metrics and slowlog —
+/// then the response goes back to the reactor.
+fn worker(rx: Receiver<Job>, tx: Sender<Completion>, waker: Waker, state: &ServerState) {
     while let Ok(Job {
         token,
         request,
@@ -344,36 +341,35 @@ fn worker(
             trace.annotate("method", request.method.clone());
             trace.annotate("path", request.path.clone());
         }
-        let (status, body) = http::route(
-            &request,
-            &store,
-            &chaos,
-            &registry,
-            replicator.as_deref(),
-            &ops,
-        );
+        let (route, id) = routes::lookup(&request.method, &request.path);
+        let (status, body) = (route.handler)(state, &request, &id);
         if obs::trace::is_enabled() {
             trace.annotate("status", status.to_string());
         }
         drop(trace);
-        let label = http::route_label(&request.path);
-        http::count_request(&registry, &request.method, label, status);
+        let label = route.label;
+        http::count_request(&state.registry, &request.method, label, status);
         let elapsed = started.elapsed();
-        registry
+        state
+            .registry
             .histogram(&format!(
                 "http_request_duration_seconds{{route=\"{label}\"}}"
             ))
             .record(elapsed);
-        ops.slowlog().record(
-            &request.method,
-            &request.path,
-            label,
+        state.ops.slowlog().record(SlowEntry {
+            method: request.method,
+            path: request.path,
+            route: label,
             status,
-            elapsed.as_nanos() as u64,
-            None,
+            latency_ns: elapsed.as_nanos() as u64,
             trace_id,
-        );
-        let content_type = http::content_type_for(&request.path, status);
+            ..Default::default()
+        });
+        let content_type = if status == 200 {
+            route.content_type
+        } else {
+            routes::JSON
+        };
         if tx
             .send(Completion {
                 token,
@@ -458,7 +454,6 @@ struct Reactor {
     open_shed: usize,
     cfg: ServerConfig,
     limits: Limits,
-    registry: Arc<obs::Registry>,
     jobs_tx: Sender<Job>,
     done_rx: Receiver<Completion>,
     in_flight_jobs: usize,
@@ -467,7 +462,9 @@ struct Reactor {
     queued_bytes: usize,
     stop: Arc<AtomicBool>,
     draining: Option<Instant>,
-    max_conns: usize,
+    /// `workers + queue_depth`: how many connections are admitted, and
+    /// how many requests may be with the workers, before a 503.
+    slots: usize,
     open_gauge: Arc<obs::Gauge>,
     accepted: Arc<obs::Counter>,
     pipelined: Arc<obs::Counter>,
@@ -476,7 +473,7 @@ struct Reactor {
     loop_lag: Arc<obs::Histogram>,
     queued_jobs_gauge: Arc<obs::Gauge>,
     queued_bytes_gauge: Arc<obs::Gauge>,
-    ops: Arc<crate::ops::Ops>,
+    state: Arc<ServerState>,
 }
 
 impl Reactor {
@@ -502,8 +499,8 @@ impl Reactor {
             }
             // Completions drain *after* the socket events: a burst that
             // arrived together is judged against the in-flight work it
-            // found, so the queue watermark sheds the way the bounded
-            // accept queue used to.
+            // found, so the queue watermark sheds a burst instead of
+            // queueing it without bound.
             self.drain_completions();
             if self.stop.load(Ordering::Acquire) && self.draining.is_none() {
                 self.begin_drain();
@@ -530,7 +527,7 @@ impl Reactor {
                     if self.draining.is_some() {
                         continue; // racing the listener deregistration
                     }
-                    if self.open - self.open_shed < self.max_conns {
+                    if self.open - self.open_shed < self.slots {
                         let _ = self.register(stream, false);
                         continue;
                     }
@@ -609,9 +606,9 @@ impl Reactor {
     /// admission watermark, with headroom so tiny configs still get to
     /// answer 503 during a burst.
     fn shed_ceiling(&self) -> usize {
-        self.max_conns
+        self.slots
             .saturating_mul(2)
-            .max(self.max_conns.saturating_add(64))
+            .max(self.slots.saturating_add(64))
     }
 
     /// Sheds a just-accepted connection: 503 + `Retry-After`, flushed
@@ -626,14 +623,15 @@ impl Reactor {
     }
 
     fn count_shed(&self, reason: &str) {
-        self.registry
+        self.state
+            .registry
             .counter(&format!("server_shed_total{{reason=\"{reason}\"}}"))
             .inc();
     }
 
     fn queue_shed_response(&mut self, idx: usize) {
-        let body = json!({"error": "server overloaded, retry later"}).to_string();
-        self.queue_response(idx, 503, "application/json", body, false);
+        let body = error_body("server overloaded, retry later");
+        self.queue_response(idx, 503, routes::JSON, body, false);
         if let Some(conn) = self.conn_mut(idx) {
             conn.error_close = true;
             conn.stop_reading = true;
@@ -805,11 +803,10 @@ impl Reactor {
         self.update_interest(idx);
     }
 
-    /// Answers a protocol violation the way the blocking core did —
-    /// counted as a parse error, one response, connection closed. If
-    /// the connection still owes responses for earlier pipelined
-    /// requests, the rejection is parked until they complete so the
-    /// error cannot jump the response order.
+    /// Answers a protocol violation: counted as a parse error, one
+    /// response, connection closed. If the connection still owes
+    /// responses for earlier pipelined requests, the rejection is parked
+    /// until they complete so the error cannot jump the response order.
     fn parse_reject(&mut self, idx: usize, status: u16, msg: String) {
         {
             let Some(conn) = self.conn_mut(idx) else {
@@ -819,8 +816,8 @@ impl Reactor {
                 return; // already answering an earlier violation
             }
         }
-        self.registry.counter("http_parse_errors_total").inc();
-        http::count_request(&self.registry, "-", "unparsed", status);
+        self.state.registry.counter("http_parse_errors_total").inc();
+        http::count_request(&self.state.registry, "-", "unparsed", status);
         let Some(conn) = self.conn_mut(idx) else {
             return;
         };
@@ -834,8 +831,7 @@ impl Reactor {
             self.update_interest(idx);
             return;
         }
-        let body = json!({"error": msg}).to_string();
-        self.queue_response(idx, status, "application/json", body, false);
+        self.queue_response(idx, status, routes::JSON, error_body(&msg), false);
         if let Some(conn) = self.conn_mut(idx) {
             conn.error_close = true;
         }
@@ -855,8 +851,7 @@ impl Reactor {
         let Some((status, msg)) = conn.deferred_reject.take() else {
             return;
         };
-        let body = json!({"error": msg}).to_string();
-        self.queue_response(idx, status, "application/json", body, false);
+        self.queue_response(idx, status, routes::JSON, error_body(&msg), false);
         if let Some(conn) = self.conn_mut(idx) {
             conn.error_close = true;
         }
@@ -867,10 +862,8 @@ impl Reactor {
     /// Hands the connection's next pending request to the workers,
     /// unless a watermark says shed.
     fn try_dispatch(&mut self, idx: usize) {
-        let workers = self.cfg.workers.max(1);
-        let queue_slots = workers + self.cfg.queue_depth;
-        let over_queue = self.in_flight_jobs >= queue_slots;
-        let over_bytes = self.queued_bytes > self.cfg.max_queued_bytes;
+        let over_queue = self.in_flight_jobs >= self.slots;
+        let over_bytes = self.queued_bytes > MAX_QUEUED_BYTES;
         let Some(conn) = self.conn_mut(idx) else {
             return;
         };
@@ -905,19 +898,18 @@ impl Reactor {
     fn shed_dispatch(&mut self, idx: usize, reason: &'static str) {
         self.count_shed(reason);
         let victim = self.conn_mut(idx).and_then(|conn| {
-            conn.pending.front().map(|(request, started)| {
-                (
-                    request.method.clone(),
-                    request.path.clone(),
-                    started.elapsed().as_nanos() as u64,
-                )
+            conn.pending.front().map(|(request, started)| SlowEntry {
+                method: request.method.clone(),
+                path: request.path.clone(),
+                route: routes::lookup(&request.method, &request.path).0.label,
+                status: 503,
+                latency_ns: started.elapsed().as_nanos() as u64,
+                shed: Some(reason),
+                ..Default::default()
             })
         });
-        if let Some((method, path, latency_ns)) = victim {
-            let label = http::route_label(&path);
-            self.ops
-                .slowlog()
-                .record(&method, &path, label, 503, latency_ns, Some(reason), None);
+        if let Some(entry) = victim {
+            self.state.ops.slowlog().record(entry);
         }
         self.queue_shed_response(idx);
     }
@@ -1147,7 +1139,7 @@ impl Reactor {
 
     fn sweep_timeouts(&mut self) {
         let now = Instant::now();
-        let drain_cutoff = self.draining.map(|since| since + self.cfg.drain_deadline);
+        let drain_cutoff = self.draining.map(|since| since + DRAIN_DEADLINE);
         for idx in 0..self.conns.len() {
             let Some(conn) = self.conns[idx].as_ref() else {
                 continue;
@@ -1190,8 +1182,8 @@ impl Reactor {
                         self.close_conn(idx); // silent keep-alive reap
                     }
                 } else if quiet > self.cfg.read_timeout {
-                    // Never sent a complete request: the blocking core
-                    // answered 400 when its first read timed out.
+                    // Never sent a complete request: answered 400, as
+                    // a request cut off half-way is.
                     self.parse_reject(idx, 400, "read error: request timed out".to_string());
                 }
             }

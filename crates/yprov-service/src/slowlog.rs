@@ -10,15 +10,14 @@
 //! `BTreeMap` probe plus a bounded `Vec` shift — no allocation beyond
 //! the entry itself, no syscall), so in the common single-writer case
 //! the lock is uncontended and the cost is one CAS. When disabled
-//! (the default is enabled; the threaded bench core can turn it off)
-//! recording is a single relaxed load.
+//! (the default is enabled) recording is a single relaxed load.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One captured request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SlowEntry {
     pub method: String,
     /// The concrete request path (route templates collapse ids; the
@@ -34,7 +33,8 @@ pub struct SlowEntry {
     /// The handler span's 32-hex trace id, matching the `trace_id`
     /// argument of the span's event in the Chrome trace export.
     pub trace_id: Option<String>,
-    /// Monotonically increasing capture sequence (process-local).
+    /// Monotonically increasing capture sequence (process-local),
+    /// assigned by [`SlowLog::record`].
     pub seq: u64,
 }
 
@@ -77,33 +77,14 @@ impl SlowLog {
 
     /// Records one finished (or shed) request. Cheap no-op when
     /// disabled; otherwise one short uncontended lock hold.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &self,
-        method: &str,
-        path: &str,
-        route: &'static str,
-        status: u16,
-        latency_ns: u64,
-        shed: Option<&'static str>,
-        trace_id: Option<String>,
-    ) {
+    pub fn record(&self, mut entry: SlowEntry) {
         if !self.is_enabled() {
             return;
         }
-        let entry = SlowEntry {
-            method: method.to_string(),
-            path: path.to_string(),
-            route,
-            status,
-            latency_ns,
-            shed,
-            trace_id,
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-        };
-        let is_error = status >= 400 || entry.shed.is_some();
+        entry.seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let is_error = entry.status >= 400 || entry.shed.is_some();
         let mut routes = self.routes.lock().expect("slowlog poisoned");
-        let log = routes.entry(route).or_insert_with(|| RouteLog {
+        let log = routes.entry(entry.route).or_insert_with(|| RouteLog {
             slowest: Vec::with_capacity(self.per_route),
             errors: Vec::with_capacity(self.per_route),
         });
@@ -117,7 +98,7 @@ impl SlowLog {
             // top-N; requests faster than the current floor are the
             // overwhelming majority and bail on the comparison alone.
             if log.slowest.len() == self.per_route
-                && latency_ns <= log.slowest.last().map_or(0, |e| e.latency_ns)
+                && entry.latency_ns <= log.slowest.last().map_or(0, |e| e.latency_ns)
             {
                 return;
             }
@@ -159,8 +140,19 @@ impl SlowLog {
 mod tests {
     use super::*;
 
+    fn entry(path: &str, route: &'static str, status: u16, latency_ns: u64) -> SlowEntry {
+        SlowEntry {
+            method: "GET".to_string(),
+            path: path.to_string(),
+            route,
+            status,
+            latency_ns,
+            ..Default::default()
+        }
+    }
+
     fn ok(log: &SlowLog, latency_ns: u64) {
-        log.record("GET", "/x", "/x", 200, latency_ns, None, None);
+        log.record(entry("/x", "/x", 200, latency_ns));
     }
 
     #[test]
@@ -178,7 +170,7 @@ mod tests {
     fn errors_ring_keeps_the_most_recent() {
         let log = SlowLog::new(2);
         for (i, status) in [500u16, 404, 503].iter().enumerate() {
-            log.record("GET", "/x", "/x", *status, i as u64, None, None);
+            log.record(entry("/x", "/x", *status, i as u64));
         }
         let snap = log.snapshot();
         let statuses: Vec<u16> = snap[0].2.iter().map(|e| e.status).collect();
@@ -188,7 +180,10 @@ mod tests {
     #[test]
     fn shed_requests_count_as_errors_with_their_reason() {
         let log = SlowLog::new(4);
-        log.record("POST", "/y", "/y", 503, 0, Some("queue"), None);
+        log.record(SlowEntry {
+            shed: Some("queue"),
+            ..entry("/y", "/y", 503, 0)
+        });
         let snap = log.snapshot();
         assert_eq!(snap[0].2[0].shed, Some("queue"));
     }
@@ -196,8 +191,8 @@ mod tests {
     #[test]
     fn routes_are_kept_apart() {
         let log = SlowLog::new(2);
-        log.record("GET", "/a/1", "/a/{id}", 200, 10, None, None);
-        log.record("GET", "/b", "/b", 200, 20, None, None);
+        log.record(entry("/a/1", "/a/{id}", 200, 10));
+        log.record(entry("/b", "/b", 200, 20));
         let snap = log.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].0, "/a/{id}");
@@ -235,7 +230,7 @@ mod tests {
                 let log = Arc::clone(&log);
                 std::thread::spawn(move || {
                     for i in 0..500u64 {
-                        log.record("GET", "/x", "/x", 200, w * 1000 + i, None, None);
+                        ok(&log, w * 1000 + i);
                     }
                 })
             })

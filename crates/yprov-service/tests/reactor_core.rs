@@ -1,16 +1,15 @@
-//! The event-loop core's new behaviors: keep-alive reuse, pipelined
-//! ordering, adversarial clients (slowloris, half-close), graceful
-//! drain, watermark shedding, and the `server_*` metrics.
+//! The event loop's behaviors: keep-alive reuse, pipelined ordering,
+//! adversarial clients (slowloris, half-close), graceful drain,
+//! watermark shedding, and the `server_*` metrics.
 //!
-//! Byte-level compatibility with the old blocking core (431/501/503
-//! bodies, error strings) is covered by `http_robustness.rs`, which
-//! runs against the same default event-loop core.
+//! The 431/501/503 bodies and error strings are pinned byte for byte
+//! by `http_robustness.rs`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 use yprov_service::http::request;
-use yprov_service::{DocumentStore, Server, ServerConfig, ServerCore};
+use yprov_service::{DocumentStore, Server, ServerConfig};
 
 fn start(config: ServerConfig) -> Server {
     Server::bind("127.0.0.1:0", DocumentStore::new(), config).unwrap()
@@ -83,8 +82,8 @@ fn keep_alive_serves_many_requests_on_one_connection() {
             "request {i} should keep the connection open: {head}"
         );
     }
-    // Without the opt-in header the server answers and closes, exactly
-    // like the one-shot core.
+    // Without the opt-in header the server answers and closes, which is
+    // what a one-shot read-to-EOF client expects.
     reader
         .get_mut()
         .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
@@ -515,16 +514,5 @@ fn parked_watch_outlives_the_idle_reaper() {
         .unwrap();
     let (status, _, _) = read_response(&mut reader);
     assert_eq!(status, 200, "connection reaped despite fresh activity");
-    server.shutdown();
-}
-
-#[test]
-fn threaded_core_remains_selectable_as_baseline() {
-    let server = start(ServerConfig {
-        core: ServerCore::Threaded,
-        ..ServerConfig::default()
-    });
-    let (status, body) = request(server.addr(), "GET", "/healthz", None).unwrap();
-    assert_eq!(status, 200, "{body}");
     server.shutdown();
 }
