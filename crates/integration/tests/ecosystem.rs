@@ -3,7 +3,7 @@
 //! provenance → RO-Crate packaging → impact analysis across the merged
 //! graph.
 
-use prov_model::QName;
+use prov_model::{ElementKind, QName};
 use yprov4ml::mlflow;
 use yprov4wfs::{TaskOutcome, Workflow};
 use yprov_service::DocumentStore;
@@ -60,13 +60,15 @@ fn mlflow_to_service_to_crate() {
     // 4. Impact analysis across the merged graph: everything downstream
     //    of the run's input parameterization.
     let run_activity = QName::new("exp", "ported-run");
-    let taint = prov_graph::taint(&merged, &run_activity);
+    let downstream = prov_graph::ProvGraph::new(&merged).descendants(&run_activity);
     assert!(
-        taint
-            .tainted_entities
-            .iter()
-            .any(|e| e.local().contains("model.txt")),
-        "the run's artifact is downstream of the run: {taint:?}"
+        downstream.iter().any(|id| {
+            merged
+                .get(id)
+                .is_some_and(|e| e.kind == ElementKind::Entity)
+                && id.local().contains("model.txt")
+        }),
+        "the run's artifact is downstream of the run: {downstream:?}"
     );
 
     // 5. Package the run directory as a validated RO-Crate.

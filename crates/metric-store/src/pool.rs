@@ -133,8 +133,10 @@ fn steal(queues: &[Mutex<VecDeque<usize>>], thief: usize) -> Option<usize> {
         if len == 0 {
             break;
         }
-        if let Some(t) = queues[i].lock().pop_back() {
-            return Some(t);
+        // Bound first: the guard is gone before the task is looked at.
+        let stolen = queues[i].lock().pop_back();
+        if stolen.is_some() {
+            return stolen;
         }
     }
     None

@@ -146,12 +146,8 @@ fn escape(s: &str) -> String {
 /// (its ancestors and descendants), producing a focused graph like the
 /// per-run pictures in the yProv Explorer.
 pub fn to_dot_focused(doc: &ProvDocument, focus: &QName, opts: &DotOptions) -> String {
-    let graph = ProvGraph::new(doc);
-    let mut keep = graph.ancestors(focus);
-    keep.extend(graph.descendants(focus));
-    keep.insert(focus.clone());
-    let sub = crate::query::subgraph(doc, &keep);
-    to_dot(&sub, opts)
+    let keep = ProvGraph::new(doc).neighbourhood(focus);
+    to_dot(&crate::graph::subgraph(doc, &keep), opts)
 }
 
 #[cfg(test)]

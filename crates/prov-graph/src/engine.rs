@@ -3,14 +3,9 @@
 //!
 //! The module has three layers:
 //!
-//! * **primitives** — [`filter_elements`] / [`filter_nodes`] evaluate an
-//!   [`ElementFilter`] (document order / node-index order), [`walk`] is
-//!   the ordered traversal core (exact legacy [`crate::Traversal`]
-//!   semantics), and [`closure`] the reachability core (exact legacy
-//!   `ancestors`/`descendants` semantics: the anchor itself is never a
-//!   member, even on a cycle). The legacy `QueryBuilder`, `Traversal`,
-//!   `taint` and `divergence` surfaces are thin frontends over these,
-//!   so their outputs are byte-identical to the pre-engine code.
+//! * **filters** — [`filter_nodes`] evaluates an [`ElementFilter`]
+//!   over the graph's nodes (ascending node index; single-id filters
+//!   are one index lookup).
 //! * **planner** — [`plan`] costs executing a pattern from its start
 //!   anchors versus from its end anchors using the index statistics
 //!   ([`crate::GraphIndexStats`]): anchor-set sizes (O(1) for single-id
@@ -31,22 +26,13 @@
 //! rows afterwards.
 
 use crate::graph::ProvGraph;
-use crate::traverse::{TraversalOrder, Visit};
 use prov_model::query::{ElementFilter, PathQuery, Step, StepDirection};
-use prov_model::{Element, ProvDocument, ProvError, QName, RelationKind};
+use prov_model::{ProvDocument, ProvError, QName, RelationKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 // ---------------------------------------------------------------------
-// Primitives
+// Filters
 // ---------------------------------------------------------------------
-
-/// Declared elements of `doc` matching `filter`, in document order —
-/// the evaluation core of the legacy `QueryBuilder` frontend.
-pub fn filter_elements<'a>(doc: &'a ProvDocument, filter: &ElementFilter) -> Vec<&'a Element> {
-    doc.iter_elements()
-        .filter(|el| filter.matches(&el.id, Some(el)))
-        .collect()
-}
 
 /// Node indices of `graph` matching `filter`, ascending. Dangling
 /// references participate (they match filters without element-backed
@@ -62,90 +48,6 @@ pub fn filter_nodes(graph: &ProvGraph<'_>, filter: &ElementFilter) -> Vec<usize>
     (0..graph.node_count())
         .filter(|&i| filter.matches(graph.id(i), graph.element(i)))
         .collect()
-}
-
-/// The ordered traversal core: walks from `start` along edges allowed
-/// by `step` (its kinds and direction; `repeat.max` bounds the depth)
-/// in the given visit order, returning every node once at its first
-/// discovery, start included at depth 0.
-///
-/// This is byte-for-byte the legacy `Traversal::run` algorithm — a
-/// single deque used as queue (BFS) or stack (DFS), nodes recorded when
-/// first pushed — now keyed by an IR [`Step`] so `Traversal` is a thin
-/// frontend over the engine.
-pub fn walk(
-    graph: &ProvGraph<'_>,
-    step: &Step,
-    order: TraversalOrder,
-    start: &QName,
-) -> Vec<Visit> {
-    let Some(s) = graph.node(start) else {
-        return Vec::new();
-    };
-    let mut seen = vec![false; graph.node_count()];
-    seen[s] = true;
-    let mut result = vec![Visit {
-        id: start.clone(),
-        depth: 0,
-    }];
-    let mut work: VecDeque<(usize, usize)> = VecDeque::from([(s, 0)]);
-
-    while let Some((node, depth)) = match order {
-        TraversalOrder::BreadthFirst => work.pop_front(),
-        TraversalOrder::DepthFirst => work.pop_back(),
-    } {
-        if let Some(max) = step.repeat.max {
-            if depth >= max {
-                continue;
-            }
-        }
-        for (next, _edge) in neighbors(graph, node, step) {
-            if !seen[next] {
-                seen[next] = true;
-                result.push(Visit {
-                    id: graph.id(next).clone(),
-                    depth: depth + 1,
-                });
-                work.push_back((next, depth + 1));
-            }
-        }
-    }
-    result
-}
-
-/// The reachability core: every node reachable from `start` along
-/// edges allowed by `kinds` (all kinds when `None`) in `direction`,
-/// *excluding* `start` itself — even when a cycle leads back to it.
-/// This is byte-for-byte the legacy `ancestors`/`descendants`
-/// semantics, which `taint` and `divergence` are frontends over.
-pub fn closure(
-    graph: &ProvGraph<'_>,
-    start: &QName,
-    direction: StepDirection,
-    kinds: Option<&[RelationKind]>,
-) -> BTreeSet<QName> {
-    let Some(s) = graph.node(start) else {
-        return BTreeSet::new();
-    };
-    let step = Step {
-        kinds: kinds.map(|k| k.to_vec()).unwrap_or_default(),
-        direction,
-        ..Default::default()
-    };
-    let mut seen = vec![false; graph.node_count()];
-    seen[s] = true;
-    let mut stack = vec![s];
-    let mut result = BTreeSet::new();
-    while let Some(n) = stack.pop() {
-        for (next, _edge) in neighbors(graph, n, &step) {
-            if !seen[next] {
-                seen[next] = true;
-                result.insert(graph.id(next).clone());
-                stack.push(next);
-            }
-        }
-    }
-    result
 }
 
 /// Neighbors of `node` along edges the step allows, with the edge index
@@ -802,19 +704,143 @@ mod tests {
         assert_eq!(result.rows[0].end, q("test_set"));
     }
 
+    /// splitmix64: the seeded generator behind the two properties
+    /// below (the `proptest_graph.rs` forms of them need the registry).
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// 200 documents of 2..=14 entities and 0..40 random influence
+    /// edges: cycles, self-loops and parallel edges all occur.
+    fn seeded_docs() -> impl Iterator<Item = (usize, ProvDocument)> {
+        let mut rng = 0x5EED_u64;
+        (0..200).map(move |_| {
+            let n = 2 + (splitmix(&mut rng) % 13) as usize;
+            let mut doc = ProvDocument::new();
+            doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+            for i in 0..n {
+                doc.entity(q(&format!("n{i}")));
+            }
+            for _ in 0..splitmix(&mut rng) % 40 {
+                let from = splitmix(&mut rng) as usize % n;
+                let to = splitmix(&mut rng) as usize % n;
+                doc.add_relation(prov_model::Relation::new(
+                    RelationKind::WasInfluencedBy,
+                    q(&format!("n{from}")),
+                    q(&format!("n{to}")),
+                ));
+            }
+            (n, doc)
+        })
+    }
+
+    fn ends_of(
+        graph: &ProvGraph<'_>,
+        start: QName,
+        direction: StepDirection,
+        repeat: Repeat,
+    ) -> BTreeSet<QName> {
+        let query = PathQuery {
+            start: ElementFilter::by_id(start),
+            steps: vec![Step {
+                kinds: Vec::new(),
+                direction,
+                repeat,
+                target: ElementFilter::any(),
+            }],
+            limit: None,
+        };
+        execute(graph, &query)
+            .rows
+            .into_iter()
+            .map(|r| r.end)
+            .collect()
+    }
+
+    /// The reference for a `{0,depth}` repeat: every node within
+    /// `depth` hops of `start`, by breadth-first search over the
+    /// graph's own adjacency.
+    fn within_hops(
+        graph: &ProvGraph<'_>,
+        start: &QName,
+        direction: StepDirection,
+        depth: usize,
+    ) -> BTreeSet<QName> {
+        let start = graph.node(start).unwrap();
+        let mut dist = vec![usize::MAX; graph.node_count()];
+        dist[start] = 0;
+        let mut queue = VecDeque::from([start]);
+        while let Some(node) = queue.pop_front() {
+            if dist[node] == depth {
+                continue;
+            }
+            let next: Vec<usize> = match direction {
+                StepDirection::Forward => graph.out_edges(node).map(|e| e.to).collect(),
+                StepDirection::Backward => graph.in_edges(node).map(|e| e.from).collect(),
+            };
+            for m in next {
+                if dist[m] == usize::MAX {
+                    dist[m] = dist[node] + 1;
+                    queue.push_back(m);
+                }
+            }
+        }
+        (0..graph.node_count())
+            .filter(|&i| dist[i] != usize::MAX)
+            .map(|i| graph.id(i).clone())
+            .collect()
+    }
+
     #[test]
-    fn closure_matches_graph_reachability() {
-        let doc = leaky_doc();
-        let graph = ProvGraph::new(&doc);
-        assert_eq!(
-            closure(&graph, &q("model"), StepDirection::Forward, None),
-            graph.ancestors(&q("model"))
-        );
-        assert_eq!(
-            closure(&graph, &q("test_set"), StepDirection::Backward, None),
-            graph.descendants(&q("test_set"))
-        );
-        assert!(closure(&graph, &q("ghost"), StepDirection::Forward, None).is_empty());
+    fn bounded_repeat_matches_a_depth_bounded_bfs() {
+        for (n, doc) in seeded_docs() {
+            let graph = ProvGraph::new(&doc);
+            for direction in [StepDirection::Forward, StepDirection::Backward] {
+                for depth in 0..6 {
+                    for a in 0..n {
+                        let id = q(&format!("n{a}"));
+                        let repeat = Repeat {
+                            min: 0,
+                            max: Some(depth),
+                        };
+                        assert_eq!(
+                            ends_of(&graph, id.clone(), direction, repeat),
+                            within_hops(&graph, &id, direction, depth),
+                            "node {a} depth {depth} {direction:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plus_repeat_matches_reachability_minus_the_anchor() {
+        // On a cycle the engine reports the >= 1-hop walk back to the
+        // anchor; `ancestors`/`descendants` exclude it by construction.
+        for (n, doc) in seeded_docs() {
+            let graph = ProvGraph::new(&doc);
+            for a in 0..n {
+                let id = q(&format!("n{a}"));
+                let mut up = ends_of(&graph, id.clone(), StepDirection::Forward, Repeat::plus());
+                up.remove(&id);
+                assert_eq!(up, graph.ancestors(&id), "ancestors of n{a}");
+                let mut down = ends_of(&graph, id.clone(), StepDirection::Backward, Repeat::plus());
+                down.remove(&id);
+                assert_eq!(down, graph.descendants(&id), "descendants of n{a}");
+            }
+        }
+        assert!(ends_of(
+            &ProvGraph::new(&leaky_doc()),
+            q("ghost"),
+            StepDirection::Forward,
+            Repeat::plus()
+        )
+        .is_empty());
     }
 
     #[test]

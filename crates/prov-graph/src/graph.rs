@@ -332,6 +332,16 @@ impl<'a> ProvGraph<'a> {
         self.reach(id, false)
     }
 
+    /// The lineage neighbourhood of `focus`: its ancestors, its
+    /// descendants and `focus` itself — the node set of a focused
+    /// picture or sub-document (see [`subgraph`]).
+    pub fn neighbourhood(&self, focus: &QName) -> BTreeSet<QName> {
+        let mut keep = self.ancestors(focus);
+        keep.extend(self.descendants(focus));
+        keep.insert(focus.clone());
+        keep
+    }
+
     fn reach(&self, id: &QName, forward: bool) -> BTreeSet<QName> {
         let idx = &*self.index;
         let Some(start) = self.node(id) else {
@@ -441,6 +451,26 @@ impl<'a> ProvGraph<'a> {
             .map(|i| self.index.ids[i].clone())
             .collect()
     }
+}
+
+/// Extracts the sub-document induced by a set of identifiers: the kept
+/// elements plus every relation whose subject *and* object are kept.
+pub fn subgraph(doc: &ProvDocument, keep: &BTreeSet<QName>) -> ProvDocument {
+    let mut out = ProvDocument::new();
+    out.namespaces_mut()
+        .merge(doc.namespaces())
+        .expect("merging into empty registry cannot conflict");
+    for el in doc.iter_elements() {
+        if keep.contains(&el.id) {
+            out.insert_element(el.clone());
+        }
+    }
+    for rel in doc.relations() {
+        if keep.contains(&rel.subject) && keep.contains(&rel.object) {
+            out.add_relation(rel.clone());
+        }
+    }
+    out
 }
 
 /// An owning, cheaply clonable graph: `Arc<ProvDocument>` plus
@@ -583,6 +613,24 @@ mod tests {
         assert!(desc.contains(&q("report")));
         assert!(g.descendants(&q("report")).is_empty());
         assert!(g.descendants(&q("missing")).is_empty());
+    }
+
+    #[test]
+    fn subgraph_keeps_internal_relations_only() {
+        let d = pipeline_doc();
+        let keep: BTreeSet<QName> = [q("train"), q("data")].into_iter().collect();
+        let sub = subgraph(&d, &keep);
+        assert_eq!(sub.element_count(), 2);
+        assert_eq!(sub.relation_count(), 1); // used(train, data)
+        assert!(sub.namespaces().contains("ex"));
+    }
+
+    #[test]
+    fn subgraph_of_empty_set_is_empty() {
+        let d = pipeline_doc();
+        let sub = subgraph(&d, &BTreeSet::new());
+        assert!(sub.is_empty() || sub.element_count() == 0);
+        assert_eq!(sub.relation_count(), 0);
     }
 
     #[test]

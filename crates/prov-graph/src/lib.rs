@@ -30,14 +30,11 @@
 //! let origins = graph.ancestors(&model);
 //! assert!(origins.contains(&data));
 //! ```
-
 //!
-//! The query stack is a *planned engine* ([`engine`]): path-pattern IR
-//! from `prov-model::query` is planned against the index statistics
-//! ([`GraphIndexStats`]) and executed entirely against the cached
-//! adjacency index. The classic surfaces — [`QueryBuilder`],
-//! [`Traversal`], [`taint`], [`divergence`] — are thin frontends over
-//! the engine's primitives, and the [`audit`] module builds the mlprov
+//! Lineage questions beyond plain reachability go through the planned
+//! [`engine`]: path-pattern IR from `prov-model::query` is planned
+//! against the index statistics ([`GraphIndexStats`]) and executed
+//! against the adjacency index. The [`audit`] module builds the mlprov
 //! ML-audit scenarios (data leakage, GDPR membership, group fairness,
 //! cross-run joins) on top of it.
 
@@ -46,14 +43,8 @@ pub mod diff;
 pub mod dot;
 pub mod engine;
 pub mod graph;
-pub mod impact;
-pub mod query;
-pub mod traverse;
 
 pub use diff::{diff, DocumentDiff, ElementChange};
 pub use dot::{to_dot, DotOptions};
 pub use engine::{execute, execute_with_plan, plan, MatchRow, MatchSet, PlanSide, QueryPlan};
-pub use graph::{Edge, GraphIndex, GraphIndexStats, ProvGraph, SharedGraph};
-pub use impact::{divergence, divergence_graph, taint, taint_graph, Divergence, TaintReport};
-pub use query::{subgraph, QueryBuilder};
-pub use traverse::{Traversal, TraversalOrder, Visit};
+pub use graph::{subgraph, Edge, GraphIndex, GraphIndexStats, ProvGraph, SharedGraph};

@@ -44,11 +44,10 @@ pub fn summarize(store: &DocumentStore) -> Vec<DocumentSummary> {
         .list()
         .into_iter()
         .filter_map(|id| {
-            let doc = store.get(&id)?;
-            // The store's cached index: building it here would be the
-            // per-request O(document) rebuild the cache exists to avoid.
+            // Document and index from one record: the counts below
+            // describe the same version, and nothing is rebuilt.
             let shared = store.graph(&id).ok()?;
-            let index = shared.index();
+            let (doc, index) = (shared.document(), shared.index());
             let stats = doc.stats();
             let run_label = doc
                 .iter_elements()

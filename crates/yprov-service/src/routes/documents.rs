@@ -57,29 +57,20 @@ pub(super) fn delete(state: &ServerState, _: &Request, id: &str) -> (u16, String
 }
 
 pub(super) fn stats(state: &ServerState, _: &Request, id: &str) -> (u16, String) {
-    let Some(doc) = state.store.get(id) else {
-        return not_found(id);
+    // Document and index come from one record, so "relations" and
+    // "graph"."edges" describe the same version. The index statistics
+    // are the node/edge/per-kind counters the query planner costs
+    // anchor sides with.
+    let shared = match state.store.graph(id) {
+        Ok(shared) => shared,
+        Err(e) => return error_response(&e),
     };
-    let s = doc.stats();
-    // The cached index's statistics ride along: the same
-    // node/edge/per-kind counters the query planner costs anchor sides
-    // with.
-    let graph_stats = match state.store.graph(id) {
-        Ok(shared) => {
-            let gs = shared.index().stats();
-            let mut per_kind = serde_json::Map::new();
-            for (kind, count) in &gs.per_kind {
-                per_kind.insert(kind.json_key().to_string(), json!(count));
-            }
-            json!({
-                "nodes": gs.nodes,
-                "edges": gs.edges,
-                "avg_degree": gs.avg_degree(),
-                "per_kind": serde_json::Value::Object(per_kind),
-            })
-        }
-        Err(_) => serde_json::Value::Null,
-    };
+    let s = shared.document().stats();
+    let gs = shared.index().stats();
+    let mut per_kind = serde_json::Map::new();
+    for (kind, count) in &gs.per_kind {
+        per_kind.insert(kind.json_key().to_string(), json!(count));
+    }
     (
         200,
         json!({
@@ -88,7 +79,12 @@ pub(super) fn stats(state: &ServerState, _: &Request, id: &str) -> (u16, String)
             "agents": s.agents,
             "relations": s.relations,
             "bundles": s.bundles,
-            "graph": graph_stats,
+            "graph": {
+                "nodes": gs.nodes,
+                "edges": gs.edges,
+                "avg_degree": gs.avg_degree(),
+                "per_kind": serde_json::Value::Object(per_kind),
+            },
         })
         .to_string(),
     )

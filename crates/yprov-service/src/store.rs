@@ -3,20 +3,19 @@
 //! A [`DocumentStore`] layers three things over a pluggable
 //! [`StorageBackend`]:
 //!
-//! * **parsed documents** — `Arc<ProvDocument>` per handle id, shared
-//!   with every reader;
-//! * **a graph index cache** — one [`SharedGraph`] per document, built
-//!   at upload time (or on first query after reopening a durable
-//!   store), so `ancestors`/`subgraph` stop paying an O(document)
-//!   rebuild per request and become O(answer) walks over a shared
-//!   index. Replacement and deletion invalidate the cached index;
+//! * **one record per document** — the parsed `Arc<ProvDocument>` and
+//!   the [`GraphIndex`] that describes it, swapped in together under
+//!   one write lock, so `ancestors`/`subgraph` are O(answer) walks over
+//!   a shared index and no reader can pair one version's document with
+//!   another's index. A write builds (or extends) the index before it
+//!   takes that lock; a reopened store builds it on the first query;
 //! * **the tamper-evident ledger** — a hash chain over every upload,
 //!   appended (not rewritten) through the backend's ledger hook;
 //! * **watch cursors** — a per-document version that bumps on every
 //!   mutation, with a condvar long-poll (`wait_for_newer`) behind the
 //!   service's watch endpoint. Delta uploads fold into the stored
-//!   document via [`DocumentStore::merge_delta`], extending the cached
-//!   index incrementally when it is still current.
+//!   document via [`DocumentStore::merge_delta`], extending the
+//!   record's index incrementally when it has one.
 //!
 //! Cache hits/misses and backend put/get latency are recorded in the
 //! store's [`obs::Registry`], exposed through the HTTP `/metrics`
@@ -26,13 +25,13 @@ use crate::backend::{DurableBackend, MemoryBackend, StorageBackend, SyncPolicy};
 use crate::error::ServiceError;
 use crate::ledger::{Ledger, LedgerEntry};
 use parking_lot::{Condvar, Mutex, RwLock};
-use prov_graph::SharedGraph;
+use prov_graph::{GraphIndex, SharedGraph};
 use prov_model::query::PathQuery;
 use prov_model::{ProvDocument, QName};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use yprov4ml::hash::sha256_hex;
 
@@ -232,12 +231,34 @@ pub struct DocumentStore {
     inner: Arc<Inner>,
 }
 
+/// One stored document and the index that describes it. A write swaps
+/// the record in with `index` already set; a record loaded at open (or
+/// after `clear_index_cache`) leaves it empty until the first query.
+struct Stored {
+    doc: Arc<ProvDocument>,
+    index: OnceLock<Arc<GraphIndex>>,
+}
+
+impl Stored {
+    fn unindexed(doc: Arc<ProvDocument>) -> Arc<Self> {
+        Arc::new(Stored {
+            doc,
+            index: OnceLock::new(),
+        })
+    }
+}
+
+/// `N` of a `doc-N` handle id, which the auto-id counter must stay
+/// past; 0, which claims nothing, for any other id.
+fn doc_number(id: &str) -> u64 {
+    id.strip_prefix("doc-")
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(0)
+}
+
 struct Inner {
     backend: Box<dyn StorageBackend>,
-    docs: RwLock<BTreeMap<String, Arc<ProvDocument>>>,
-    /// Per-document graph index cache; entries are invalidated on
-    /// replace/delete and rebuilt lazily on query.
-    graphs: RwLock<HashMap<String, SharedGraph>>,
+    docs: RwLock<BTreeMap<String, Arc<Stored>>>,
     next_id: AtomicU64,
     /// Tamper-evident hash chain over uploads this node accepted as
     /// the write primary.
@@ -318,10 +339,8 @@ impl DocumentStore {
                 ProvDocument::from_json_str(text).map_err(|e| ServiceError::InvalidDocument {
                     reason: format!("{id}: {e}"),
                 })?;
-            if let Some(n) = id.strip_prefix("doc-").and_then(|n| n.parse::<u64>().ok()) {
-                max_id = max_id.max(n);
-            }
-            docs.insert(id.to_string(), Arc::new(doc));
+            max_id = max_id.max(doc_number(id));
+            docs.insert(id.to_string(), Stored::unindexed(Arc::new(doc)));
             Ok(())
         })?;
 
@@ -342,7 +361,6 @@ impl DocumentStore {
             inner: Arc::new(Inner {
                 backend,
                 docs: RwLock::new(docs),
-                graphs: RwLock::new(HashMap::new()),
                 next_id: AtomicU64::new(max_id),
                 ledger: Mutex::new(ledger),
                 repl: Mutex::new(repl),
@@ -396,7 +414,9 @@ impl DocumentStore {
     /// query). Exists for benchmarks and tests that need a cold cache.
     #[doc(hidden)]
     pub fn clear_index_cache(&self) {
-        self.inner.graphs.write().clear();
+        for stored in self.inner.docs.write().values_mut() {
+            *stored = Stored::unindexed(Arc::clone(&stored.doc));
+        }
     }
 
     /// Serializes, persists and indexes one document under `id`.
@@ -408,34 +428,53 @@ impl DocumentStore {
     fn insert(&self, id: String, mut doc: ProvDocument) -> Result<Upload, ServiceError> {
         doc.canonicalize();
         let json = doc.to_json_string()?;
-        // One critical section for the byte write, the ledger append
-        // *and* the in-memory maps, so chain order always matches
-        // visible state even under concurrent replacement of the same
-        // id — and a concurrent delta merge can never interleave its
-        // read-modify-write with ours.
+        let index = GraphIndex::build(&doc);
         let ledger = &mut *self.inner.ledger.lock();
+        self.commit(ledger, id, doc, json, index).map(|(up, _)| up)
+    }
+
+    /// The one way a locally written document becomes visible: bytes to
+    /// the backend, entry to the ledger and its line to the backend,
+    /// then the record. The caller holds the ledger lock across its
+    /// whole read-modify-write, so this critical section covers the
+    /// byte write, the ledger append *and* the in-memory record: chain
+    /// order always matches visible state, and uploads, delta merges
+    /// and deletes of one id serialize instead of interleaving.
+    fn commit(
+        &self,
+        ledger: &mut Ledger,
+        id: String,
+        doc: ProvDocument,
+        json: String,
+        index: GraphIndex,
+    ) -> Result<(Upload, u64), ServiceError> {
         let put_span = self.inner.metrics.put_seconds.start_span();
         self.inner.backend.put(&id, json.as_bytes())?;
         drop(put_span);
         let entry = ledger.append(&id, json.as_bytes()).clone();
         self.inner.backend.ledger_append(&entry.to_line())?;
-        let doc = Arc::new(doc);
-        {
-            // Graph and document swap under both write locks (graphs
-            // before docs, the store-wide order) so no reader ever pairs
-            // the new document with a superseded index or vice versa.
-            let mut graphs = self.inner.graphs.write();
-            let mut docs = self.inner.docs.write();
-            // Build the graph index once, at upload time; queries share it.
-            graphs.insert(id.clone(), SharedGraph::new(Arc::clone(&doc)));
-            docs.insert(id.clone(), doc);
-        }
-        self.inner.watch.bump(&id);
-        Ok(Upload {
-            id,
-            entry,
-            canonical_json: json,
-        })
+        let version = self.swap_in(&id, doc, index);
+        Ok((
+            Upload {
+                id,
+                entry,
+                canonical_json: json,
+            },
+            version,
+        ))
+    }
+
+    /// Makes `doc` the visible version of `id` — document and index in
+    /// one record, under one write lock — and bumps the watch version,
+    /// which it returns. `index` was built before the lock is taken, so
+    /// readers never wait out an index build.
+    fn swap_in(&self, id: &str, doc: ProvDocument, index: GraphIndex) -> u64 {
+        let stored = Arc::new(Stored {
+            doc: Arc::new(doc),
+            index: OnceLock::from(Arc::new(index)),
+        });
+        self.inner.docs.write().insert(id.to_string(), stored);
+        self.inner.watch.bump(id)
     }
 
     /// Stores a document, returning its handle id.
@@ -454,8 +493,7 @@ impl DocumentStore {
     }
 
     /// Stores a document under a caller-chosen id (replacing any
-    /// previous document with that id, which also invalidates its
-    /// cached graph index).
+    /// previous document with that id, index included).
     ///
     /// Claiming a `doc-N` id advances the auto-id counter past `N`, so
     /// a later [`Self::upload`] can never silently overwrite it.
@@ -474,15 +512,15 @@ impl DocumentStore {
         doc: ProvDocument,
     ) -> Result<Upload, ServiceError> {
         let id = id.into();
-        if let Some(n) = id.strip_prefix("doc-").and_then(|n| n.parse::<u64>().ok()) {
-            self.inner.next_id.fetch_max(n, Ordering::Relaxed);
-        }
+        self.inner
+            .next_id
+            .fetch_max(doc_number(&id), Ordering::Relaxed);
         self.insert(id, doc)
     }
 
     /// Fetches a document.
     pub fn get(&self, id: &str) -> Option<Arc<ProvDocument>> {
-        self.inner.docs.read().get(id).cloned()
+        self.inner.docs.read().get(id).map(|s| Arc::clone(&s.doc))
     }
 
     /// The document's canonical JSON, served from the backend's stored
@@ -497,27 +535,22 @@ impl DocumentStore {
                 reason: format!("{id}: stored bytes are not UTF-8: {e}"),
             });
         }
-        match self.get(id) {
-            Some(doc) => Ok(doc.to_json_string()?),
-            None => Err(ServiceError::NotFound { id: id.to_string() }),
-        }
+        Ok(self.stored(id)?.doc.to_json_string()?)
     }
 
     /// Removes a document; `Ok(true)` when it existed. The ledger keeps
-    /// its record — deletions stay visible in history — and the cached
-    /// graph index is dropped.
+    /// its record — deletions stay visible in history. Runs in the
+    /// critical section uploads run in, so a racing upload of the same
+    /// id lands wholly before or wholly after it.
     pub fn delete(&self, id: &str) -> Result<bool, ServiceError> {
+        self.delete_locked(&self.inner.ledger.lock(), id)
+    }
+
+    /// [`Self::delete`] for a caller that already holds the ledger lock
+    /// (the mutex is not re-entrant).
+    fn delete_locked(&self, _ledger: &Ledger, id: &str) -> Result<bool, ServiceError> {
         let existed_on_backend = self.inner.backend.delete(id)?;
-        let existed = {
-            // Both maps clear under both write locks: a lazy graph
-            // builder can no longer observe the half-deleted state
-            // (graph gone, document still present) and resurrect a
-            // cache entry for a dead id.
-            let mut graphs = self.inner.graphs.write();
-            let mut docs = self.inner.docs.write();
-            graphs.remove(id);
-            docs.remove(id).is_some()
-        };
+        let existed = self.inner.docs.write().remove(id).is_some();
         self.inner.watch.remove(id);
         Ok(existed || existed_on_backend)
     }
@@ -537,42 +570,33 @@ impl DocumentStore {
         self.len() == 0
     }
 
-    /// The cached [`SharedGraph`] for `id`, building (and caching) it
-    /// on first use. Every lineage query and explorer traversal routes
-    /// through here — the hit path is a map lookup plus two `Arc`
-    /// clones.
+    fn stored(&self, id: &str) -> Result<Arc<Stored>, ServiceError> {
+        let stored = self.inner.docs.read().get(id).cloned();
+        stored.ok_or_else(|| ServiceError::NotFound { id: id.to_string() })
+    }
+
+    /// Document `id` with its graph index, as one [`SharedGraph`].
+    /// Every lineage query and explorer traversal routes through here.
+    /// A hit is a map lookup plus `Arc` clones; the first query of a
+    /// record loaded at open builds the index, outside the map's lock
+    /// (a racing query waits for that build and shares it).
     pub fn graph(&self, id: &str) -> Result<SharedGraph, ServiceError> {
-        if let Some(g) = self.inner.graphs.read().get(id) {
-            self.inner.metrics.cache_hits.inc();
-            return Ok(g.clone());
+        let stored = self.stored(id)?;
+        let mut built = false;
+        let index = stored.index.get_or_init(|| {
+            built = true;
+            Arc::new(GraphIndex::build(&stored.doc))
+        });
+        let metrics = &self.inner.metrics;
+        if built {
+            metrics.cache_misses.inc();
+        } else {
+            metrics.cache_hits.inc();
         }
-        let doc = self
-            .get(id)
-            .ok_or_else(|| ServiceError::NotFound { id: id.to_string() })?;
-        self.inner.metrics.cache_misses.inc();
-        let built = SharedGraph::new(Arc::clone(&doc));
-        let mut graphs = self.inner.graphs.write();
-        // A racing query may have built it first; keep the existing one
-        // so concurrent views share a single index.
-        if let Some(g) = graphs.get(id) {
-            return Ok(g.clone());
-        }
-        // Re-check, under the write lock, that the document we indexed
-        // is still the current one. Without this a builder racing a
-        // replace (or delete) would re-insert an index over the
-        // superseded document *after* the writer invalidated the cache,
-        // and every later query would serve stale lineage as a "hit".
-        let docs = self.inner.docs.read();
-        match docs.get(id) {
-            Some(current) if Arc::ptr_eq(current, &doc) => {
-                graphs.insert(id.to_string(), built.clone());
-                Ok(built)
-            }
-            // Replaced while we were building: serve an index over the
-            // current document but leave the cache to the writer.
-            Some(current) => Ok(SharedGraph::new(Arc::clone(current))),
-            None => Err(ServiceError::NotFound { id: id.to_string() }),
-        }
+        Ok(SharedGraph::from_parts(
+            Arc::clone(&stored.doc),
+            Arc::clone(index),
+        ))
     }
 
     /// Provenance ancestors of `focus` inside document `id` (the
@@ -587,10 +611,7 @@ impl DocumentStore {
     /// it (ancestors + descendants), answered from the cached index.
     pub fn subgraph(&self, id: &str, focus: &QName) -> Result<ProvDocument, ServiceError> {
         let shared = self.graph(id)?;
-        let graph = shared.view();
-        let mut keep = graph.ancestors(focus);
-        keep.extend(graph.descendants(focus));
-        keep.insert(focus.clone());
+        let keep = shared.view().neighbourhood(focus);
         Ok(prov_graph::subgraph(shared.document(), &keep))
     }
 
@@ -625,15 +646,11 @@ impl DocumentStore {
         if extra.is_empty() {
             return self.graph(id);
         }
-        let mut docs = vec![self
-            .get(id)
-            .ok_or_else(|| ServiceError::NotFound { id: id.to_string() })?];
+        let mut docs = vec![self.stored(id)?];
         for other in extra {
-            docs.push(self.get(other).ok_or_else(|| ServiceError::NotFound {
-                id: other.to_string(),
-            })?);
+            docs.push(self.stored(other)?);
         }
-        let refs: Vec<&ProvDocument> = docs.iter().map(|d| &**d).collect();
+        let refs: Vec<&ProvDocument> = docs.iter().map(|s| &*s.doc).collect();
         let merged =
             prov_graph::engine::merged_document(&refs).map_err(|e| ServiceError::Conflict {
                 reason: format!("merging query view over {id} + {extra:?}: {e}"),
@@ -676,10 +693,9 @@ impl DocumentStore {
     /// positions, and the result is persisted, ledgered and replicated
     /// exactly like a full upload.
     ///
-    /// When the cached [`SharedGraph`] still indexes the pre-merge
-    /// document, the index is *extended* with just the new nodes and
-    /// edges ([`prov_graph::GraphIndex::extended`]) instead of rebuilt —
-    /// counted by `store_incremental_merges_total`.
+    /// When the stored record has its index, that index is *extended*
+    /// with just the new nodes and edges ([`GraphIndex::extended`])
+    /// instead of rebuilt — counted by `store_incremental_merges_total`.
     ///
     /// Returns the [`Upload`] (carrying the merged canonical bytes, so
     /// the existing full-document replication path ships it unchanged)
@@ -694,53 +710,26 @@ impl DocumentStore {
         // and replacements of one id serialize instead of losing
         // updates.
         let ledger = &mut *self.inner.ledger.lock();
-        let current = self
-            .inner
-            .docs
-            .read()
-            .get(id)
-            .cloned()
-            .ok_or_else(|| ServiceError::NotFound { id: id.to_string() })?;
-        let cached = self.inner.graphs.read().get(id).cloned();
-        let mut merged = (*current).clone();
+        let current = self.stored(id)?;
+        let mut merged = (*current.doc).clone();
         let applied = merged
             .apply_delta(delta)
             .map_err(|e| ServiceError::Conflict {
                 reason: format!("merging delta into {id}: {e}"),
             })?;
         let json = merged.to_json_string()?;
-        let put_span = self.inner.metrics.put_seconds.start_span();
-        self.inner.backend.put(id, json.as_bytes())?;
-        drop(put_span);
-        let entry = ledger.append(id, json.as_bytes()).clone();
-        self.inner.backend.ledger_append(&entry.to_line())?;
-        let merged = Arc::new(merged);
-        let shared = match &cached {
-            // The cached index describes exactly the document we merged
-            // into: extend it with the delta's additions only.
-            Some(g) if Arc::ptr_eq(g.document(), &current) => {
-                self.inner.metrics.incremental_merges.inc();
-                let index = g.index().extended(&merged, &applied.new_relations);
-                SharedGraph::from_parts(Arc::clone(&merged), Arc::new(index))
-            }
-            // Cold cache (reopened store) or a stale entry: full build.
-            _ => SharedGraph::new(Arc::clone(&merged)),
+        // A record loaded at open and not yet queried has no index to
+        // extend: full build.
+        let base = current.index.get();
+        let index = match base {
+            Some(index) => index.extended(&merged, &applied.new_relations),
+            None => GraphIndex::build(&merged),
         };
-        {
-            let mut graphs = self.inner.graphs.write();
-            let mut docs = self.inner.docs.write();
-            graphs.insert(id.to_string(), shared);
-            docs.insert(id.to_string(), Arc::clone(&merged));
+        let done = self.commit(ledger, id.to_string(), merged, json, index)?;
+        if base.is_some() {
+            self.inner.metrics.incremental_merges.inc();
         }
-        let version = self.inner.watch.bump(id);
-        Ok((
-            Upload {
-                id: id.to_string(),
-                entry,
-                canonical_json: json,
-            },
-            version,
-        ))
+        Ok(done)
     }
 
     /// The document's current watch version, if it exists. Versions
@@ -891,18 +880,12 @@ impl DocumentStore {
                 reason: format!("entry {} document does not parse: {e}", entry.index),
                 expect_index: Some(next),
             })?;
+            let index = GraphIndex::build(&doc);
             self.inner.backend.put(&id, json.as_bytes())?;
-            if let Some(n) = id.strip_prefix("doc-").and_then(|n| n.parse::<u64>().ok()) {
-                self.inner.next_id.fetch_max(n, Ordering::Relaxed);
-            }
-            let doc = Arc::new(doc);
-            {
-                let mut graphs = self.inner.graphs.write();
-                let mut docs = self.inner.docs.write();
-                graphs.insert(id.clone(), SharedGraph::new(Arc::clone(&doc)));
-                docs.insert(id.clone(), doc);
-            }
-            self.inner.watch.bump(&id);
+            self.inner
+                .next_id
+                .fetch_max(doc_number(&id), Ordering::Relaxed);
+            self.swap_in(&id, doc, index);
         }
         let line = entry.to_line();
         chain
@@ -916,7 +899,7 @@ impl DocumentStore {
             let held = self.inner.docs.read().contains_key(&id);
             let lookup = |id: &str| self.inner.backend.get(id).ok().flatten();
             if held && uncommitted_document(ledger, &repl, Some(&id), lookup).is_some() {
-                self.delete(&id)?;
+                self.delete_locked(ledger, &id)?;
             }
         }
         self.inner.backend.repl_append(source, &line)?;
@@ -994,10 +977,12 @@ impl DocumentStore {
     pub fn merged(&self) -> Result<ProvDocument, ServiceError> {
         let docs = self.inner.docs.read();
         let mut merged = ProvDocument::new();
-        for (id, doc) in docs.iter() {
-            merged.merge(doc).map_err(|e| ServiceError::Conflict {
-                reason: format!("merging {id}: {e}"),
-            })?;
+        for (id, stored) in docs.iter() {
+            merged
+                .merge(&stored.doc)
+                .map_err(|e| ServiceError::Conflict {
+                    reason: format!("merging {id}: {e}"),
+                })?;
         }
         Ok(merged)
     }
@@ -1830,9 +1815,9 @@ mod tests {
 
     #[test]
     fn replace_while_querying_never_serves_stale_graph() {
-        // Pins the graph() TOCTOU fix: with the cache evicted, a lazy
-        // builder racing replacements must never re-insert (or serve) an
-        // index over a superseded document.
+        // With the index evicted, a lazy builder racing replacements
+        // must never serve (or leave behind) an index over a superseded
+        // document.
         const GENS: usize = 60;
         fn doc_gen(n: usize) -> ProvDocument {
             let mut doc = ProvDocument::new();
@@ -1861,9 +1846,11 @@ mod tests {
                     let g = store.graph("run-1").unwrap();
                     let doc = g.document();
                     let gen = doc.element_count() - 2;
+                    // What `GET .../stats` reports as "relations" and as
+                    // "graph"."edges" (this generator repeats no relation).
                     assert_eq!(
-                        g.view().edge_count(),
-                        doc.relation_count(),
+                        g.index().stats().edges,
+                        doc.stats().relations,
                         "a served index must describe its own document"
                     );
                     assert!(
@@ -1886,6 +1873,100 @@ mod tests {
         let g = store.graph("run-1").unwrap();
         assert_eq!(g.document().element_count(), GENS + 2);
         assert_eq!(g.view().edge_count(), GENS + 1);
+    }
+
+    /// A [`MemoryBackend`] whose `delete` parks, after the bytes are
+    /// gone, until the test lets it return.
+    struct ParkedDelete {
+        inner: MemoryBackend,
+        deleted: Mutex<std::sync::mpsc::Sender<()>>,
+        resume: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl StorageBackend for ParkedDelete {
+        fn name(&self) -> &'static str {
+            "parked-delete"
+        }
+        fn put(&self, id: &str, bytes: &[u8]) -> Result<(), ServiceError> {
+            self.inner.put(id, bytes)
+        }
+        fn get(&self, id: &str) -> Result<Option<Vec<u8>>, ServiceError> {
+            self.inner.get(id)
+        }
+        fn delete(&self, id: &str) -> Result<bool, ServiceError> {
+            let existed = self.inner.delete(id);
+            self.deleted.lock().send(()).ok();
+            self.resume.lock().recv().ok();
+            existed
+        }
+        fn list(&self) -> Result<Vec<String>, ServiceError> {
+            self.inner.list()
+        }
+        fn scan(
+            &self,
+            visit: &mut dyn FnMut(&str, &[u8]) -> Result<(), ServiceError>,
+        ) -> Result<(), ServiceError> {
+            self.inner.scan(visit)
+        }
+        fn ledger_append(&self, line: &str) -> Result<(), ServiceError> {
+            self.inner.ledger_append(line)
+        }
+        fn ledger_load(&self) -> Result<Option<String>, ServiceError> {
+            self.inner.ledger_load()
+        }
+        fn flush(&self) -> Result<(), ServiceError> {
+            self.inner.flush()
+        }
+        fn repl_append(&self, source: &str, line: &str) -> Result<(), ServiceError> {
+            self.inner.repl_append(source, line)
+        }
+        fn repl_load(&self, source: &str) -> Result<Option<String>, ServiceError> {
+            self.inner.repl_load(source)
+        }
+        fn repl_sources(&self) -> Result<Vec<String>, ServiceError> {
+            self.inner.repl_sources()
+        }
+    }
+
+    #[test]
+    fn delete_racing_an_upload_of_the_same_id_leaves_one_answer() {
+        let (deleted_tx, deleted) = std::sync::mpsc::channel();
+        let (resume, resume_rx) = std::sync::mpsc::channel();
+        let store = DocumentStore::with_backend(ParkedDelete {
+            inner: MemoryBackend::new(),
+            deleted: Mutex::new(deleted_tx),
+            resume: Mutex::new(resume_rx),
+        })
+        .unwrap();
+        store.upload_as("run-1", pipeline_doc()).unwrap();
+
+        let deleter = {
+            let store = store.clone();
+            std::thread::spawn(move || store.delete("run-1").unwrap())
+        };
+        // The delete has removed the bytes and not yet the record.
+        deleted.recv().unwrap();
+        let (uploaded_tx, uploaded) = std::sync::mpsc::channel();
+        let uploader = {
+            let store = store.clone();
+            std::thread::spawn(move || {
+                store.upload_as("run-1", pipeline_doc()).unwrap();
+                uploaded_tx.send(()).ok();
+            })
+        };
+        // An upload that does not wait for the delete finishes well
+        // inside this window, and the delete then clears its record;
+        // one that waits is still parked when the window closes.
+        uploaded.recv_timeout(Duration::from_millis(300)).ok();
+        resume.send(()).unwrap();
+        assert!(deleter.join().unwrap());
+        uploader.join().unwrap();
+
+        let in_map = store.get("run-1").is_some();
+        assert_eq!(store.document_json("run-1").is_ok(), in_map);
+        assert_eq!(store.list().contains(&"run-1".to_string()), in_map);
+        assert_eq!(store.document_version("run-1").is_some(), in_map);
+        store.verify_all().unwrap();
     }
 
     #[test]

@@ -248,12 +248,8 @@ impl Shard {
 
 enum Inner {
     Sync(Mutex<RunState>),
-    Buffered {
-        shard: Shard,
-        handle: Mutex<Option<std::thread::JoinHandle<()>>>,
-    },
-    /// N folding threads; metric records route by a stable hash of the
-    /// metric name, everything else to shard 0.
+    /// N folding threads (one in buffered mode); metric records route by
+    /// a stable hash of the metric name, everything else to shard 0.
     Sharded {
         shards: Vec<Shard>,
         handles: Mutex<Option<Vec<std::thread::JoinHandle<()>>>>,
@@ -299,7 +295,7 @@ fn fold_loop(rx: Receiver<Msg>) {
 /// artifact order, context spans) stays on shard 0.
 fn shard_index(record: &LogRecord, shards: usize) -> usize {
     match record {
-        LogRecord::Metric { name, .. } => crc32(name.as_bytes()) as usize % shards,
+        LogRecord::Metric { name, .. } if shards > 1 => crc32(name.as_bytes()) as usize % shards,
         _ => 0,
     }
 }
@@ -328,46 +324,37 @@ impl Collector {
         })
     }
 
-    /// A buffered collector with a background folding thread.
+    /// A buffered collector: one background folding thread.
     ///
     /// Errors if the OS refuses to spawn the thread (resource
     /// exhaustion) — a library should report that, not panic.
     pub fn buffered() -> Result<Arc<Self>, ProvMLError> {
-        let (tx, rx) = unbounded::<Msg>();
-        let handle = std::thread::Builder::new()
-            .name("yprov4ml-collector".into())
-            .spawn(move || fold_loop(rx))?;
-        Ok(Arc::new(Collector {
-            inner: Inner::Buffered {
-                shard: Shard::new(tx),
-                handle: Mutex::new(Some(handle)),
-            },
-            accepted: AtomicUsize::new(0),
-            enqueue: enqueue_histogram(),
-        }))
+        Collector::sharded(1)
     }
 
     /// A collector folding on `shards` background threads, for runs
     /// whose metric volume outgrows a single folding thread.
     ///
-    /// `shards <= 1` falls back to [`Collector::buffered`]. Determinism:
-    /// records for one metric always fold on the same shard (stable
-    /// name hash) and `close` merges shard states in shard order, so the
-    /// final [`RunState`] equals the buffered collector's whenever the
+    /// `shards <= 1` is [`Collector::buffered`]. Determinism: records
+    /// for one metric always fold on the same shard (stable name hash)
+    /// and `close` merges shard states in shard order, so the final
+    /// [`RunState`] equals the buffered collector's whenever the
     /// per-series submission order is deterministic — concurrent
     /// producers logging disjoint metrics included.
     pub fn sharded(shards: usize) -> Result<Arc<Self>, ProvMLError> {
-        if shards <= 1 {
-            return Collector::buffered();
-        }
+        let shards = shards.max(1);
         let mut folders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for i in 0..shards {
             let (tx, rx) = unbounded::<Msg>();
+            let name = match shards {
+                1 => "yprov4ml-collector".to_string(),
+                _ => format!("yprov4ml-collector-{i}"),
+            };
             // On spawn failure the already-started shards exit on their
             // own once `folders` drops and their channels disconnect.
             let handle = std::thread::Builder::new()
-                .name(format!("yprov4ml-collector-{i}"))
+                .name(name)
                 .spawn(move || fold_loop(rx))?;
             folders.push(Shard::new(tx));
             handles.push(handle);
@@ -390,7 +377,6 @@ impl Collector {
         let _trace = obs::trace::span("collector_enqueue");
         match &self.inner {
             Inner::Sync(state) => state.lock().apply(record),
-            Inner::Buffered { shard, .. } => shard.push(record)?,
             Inner::Sharded { shards, .. } => {
                 shards[shard_index(&record, shards.len())].push(record)?
             }
@@ -420,7 +406,6 @@ impl Collector {
                     state.apply(r);
                 }
             }
-            Inner::Buffered { shard, .. } => shard.send_behind_staged(Msg::Batch(records))?,
             Inner::Sharded { shards, .. } => {
                 let mut per_shard: Vec<Vec<LogRecord>> =
                     (0..shards.len()).map(|_| Vec::new()).collect();
@@ -443,11 +428,6 @@ impl Collector {
     pub fn flush(&self) -> Result<(), ProvMLError> {
         match &self.inner {
             Inner::Sync(_) => Ok(()),
-            Inner::Buffered { shard, .. } => {
-                let (ack_tx, ack_rx) = unbounded();
-                shard.send_behind_staged(Msg::Flush(ack_tx))?;
-                ack_rx.recv().map_err(|_| ProvMLError::CollectorGone)
-            }
             Inner::Sharded { shards, .. } => {
                 // Fan the barrier out first, then collect every ack.
                 let mut acks = Vec::with_capacity(shards.len());
@@ -479,11 +459,6 @@ impl Collector {
     pub fn snapshot(&self) -> Result<RunState, ProvMLError> {
         match &self.inner {
             Inner::Sync(state) => Ok(state.lock().clone()),
-            Inner::Buffered { shard, .. } => {
-                let (out_tx, out_rx) = unbounded();
-                shard.send_behind_staged(Msg::Snapshot(out_tx))?;
-                out_rx.recv().map_err(|_| ProvMLError::CollectorGone)
-            }
             Inner::Sharded { shards, .. } => {
                 let mut outs = Vec::with_capacity(shards.len());
                 for shard in shards {
@@ -514,14 +489,6 @@ impl Collector {
     pub fn close(&self) -> Result<RunState, ProvMLError> {
         match &self.inner {
             Inner::Sync(state) => Ok(std::mem::take(&mut *state.lock())),
-            Inner::Buffered { shard, handle } => {
-                let joined = handle.lock().take().ok_or(ProvMLError::CollectorGone)?;
-                let (out_tx, out_rx) = unbounded();
-                shard.shutdown(out_tx)?;
-                let state = out_rx.recv().map_err(|_| ProvMLError::CollectorGone)?;
-                joined.join().map_err(|_| ProvMLError::CollectorGone)?;
-                Ok(state)
-            }
             Inner::Sharded { shards, handles } => {
                 let joined = handles.lock().take().ok_or(ProvMLError::CollectorGone)?;
                 // All shards drain concurrently; the merge then runs in

@@ -48,7 +48,6 @@
 //! spilled to the chunked stores of [`metric_store`] (§4's Zarr/NetCDF
 //! feature, Table 1).
 
-pub mod artifact_store;
 pub mod collector;
 pub mod compare;
 pub mod crc32;
