@@ -14,6 +14,7 @@ use energy_monitor::energy::EnergyAccumulator;
 use metric_store::codec::{self, CodecId};
 use metric_store::store::MetricStore;
 use metric_store::zarr::{FloatEncoding, ZarrOptions, ZarrStore};
+use metric_store::WorkerPool;
 use train_sim::comm::{step_comm_cost, DdpCommConfig};
 use train_sim::MachineConfig;
 
@@ -25,7 +26,7 @@ fn main() {
     sampling_period_ablation();
 }
 
-/// Does the rayon-parallel chunk pipeline actually pay? Write a long
+/// Does the parallel chunk pipeline actually pay? Write a long
 /// series through thread pools of growing size.
 fn parallel_scaling_ablation() {
     println!("=== ablation 2b: zarr write threads (1M-sample series, 8k chunks) ===");
@@ -33,16 +34,13 @@ fn parallel_scaling_ablation() {
     println!("{:<10} {:>12} {:>9}", "threads", "write ms", "speedup");
     let mut base_ms = 0.0;
     for threads in [1usize, 2, 4, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("build pool");
+        let pool = WorkerPool::new(threads);
         let dir =
             std::env::temp_dir().join(format!("yablate_par_{threads}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let store = ZarrStore::create(&dir, ZarrOptions::default()).expect("create");
         let t0 = std::time::Instant::now();
-        pool.install(|| store.write_series(&series).expect("write"));
+        store.write_many(&[&series], &pool).expect("write");
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         if threads == 1 {
             base_ms = ms;

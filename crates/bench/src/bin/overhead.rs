@@ -1,5 +1,4 @@
-//! The E7 "minimal overhead" table, as a plain binary (the criterion
-//! version is `cargo bench -p bench --bench bench_overhead`).
+//! The E7 "minimal overhead" table.
 //!
 //! Measures the logging hot path with `std::time::Instant` and prints
 //! ns/record for every collection mode, plus the fraction of a

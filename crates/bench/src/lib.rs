@@ -1,6 +1,6 @@
 //! Shared workload generators and experiment drivers for the benchmark
 //! harness. Each table/figure binary (`table1`, `table2`, `figure1`,
-//! `figure3`, `ablation`) and the criterion benches build on these.
+//! `figure3`, `ablation`) builds on these.
 
 pub mod figure3;
 pub mod workload;

@@ -8,8 +8,7 @@
 //! makes Gorilla-style compression representative).
 
 use metric_store::series::{MetricPoint, MetricSeries};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use testkit::Rng;
 use yprov4ml::collector::RunState;
 use yprov4ml::model::{Context, Direction, LogRecord, ParamValue};
 
@@ -31,28 +30,28 @@ pub const TABLE1_METRICS: &[(&str, &str)] = &[
 
 /// One synthetic metric series of `steps` samples.
 pub fn table1_series(name: &str, context: &str, steps: usize, seed: u64) -> MetricSeries {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut series = MetricSeries::new(name, context);
     let base_time: i64 = 1_700_000_000_000_000;
     let mut energy = 0.0f64;
     for i in 0..steps {
         let t = i as f64;
         let value = match name {
-            "loss" => 2.5 / (1.0 + t * 0.002) + rng.gen_range(-0.02..0.02),
-            "grad_norm" => 1.0 / (1.0 + t * 0.001) + rng.gen_range(0.0..0.05),
+            "loss" => 2.5 / (1.0 + t * 0.002) + rng.range(-0.02..0.02),
+            "grad_norm" => 1.0 / (1.0 + t * 0.001) + rng.range(0.0..0.05),
             "learning_rate" => 1e-3 * 0.5f64.powf(t / 20_000.0),
-            "samples_per_s" => 4_000.0 + rng.gen_range(-100.0..100.0),
+            "samples_per_s" => 4_000.0 + rng.range(-100.0..100.0),
             "accuracy" => 1.0 - 0.9 / (1.0 + t * 0.001),
-            "gpu_power_w" => 260.0 + rng.gen_range(-15.0..15.0),
-            "gpu_util" => 0.92 + rng.gen_range(-0.05..0.05),
-            "gpu_mem_bytes" => 48.0e9 + rng.gen_range(-1e8..1e8),
-            "cpu_util" => 0.30 + rng.gen_range(-0.1..0.1),
+            "gpu_power_w" => 260.0 + rng.range(-15.0..15.0),
+            "gpu_util" => 0.92 + rng.range(-0.05..0.05),
+            "gpu_mem_bytes" => 48.0e9 + rng.range(-1e8..1e8),
+            "cpu_util" => 0.30 + rng.range(-0.1..0.1),
             "energy_kwh" => {
                 energy += 260.0 * 0.5 / 3.6e6;
                 energy
             }
             "io_read_bytes" => (i as f64) * 393_216.0 * 256.0,
-            _ => rng.gen_range(0.0..1.0),
+            _ => rng.range(0.0..1.0),
         };
         series.push(MetricPoint {
             step: i as u64,

@@ -8,9 +8,8 @@
 //! deterministic for the simulator and for tests.
 
 use crate::energy::EnergyAccumulator;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Anything that can report instantaneous power draw in watts.
@@ -114,6 +113,21 @@ struct SamplerShared {
     stop: AtomicBool,
 }
 
+impl SamplerShared {
+    fn samples(&self) -> MutexGuard<'_, Vec<PowerSample>> {
+        self.samples.lock().expect("sampler samples poisoned")
+    }
+
+    fn energy(&self) -> MutexGuard<'_, EnergyAccumulator> {
+        self.energy.lock().expect("sampler energy poisoned")
+    }
+
+    fn record(&self, sample: PowerSample) {
+        self.samples().push(sample);
+        self.energy().add_sample(sample.t_s, sample.watts);
+    }
+}
+
 /// A background power sampler.
 ///
 /// Dropping the sampler stops the thread.
@@ -150,11 +164,7 @@ impl PowerSampler {
                         t_s: thread_clock.now_s(),
                         watts: source.watts(),
                     };
-                    thread_shared.samples.lock().push(sample);
-                    thread_shared
-                        .energy
-                        .lock()
-                        .add_sample(sample.t_s, sample.watts);
+                    thread_shared.record(sample);
                     std::thread::sleep(interval);
                 }
             })
@@ -186,11 +196,7 @@ impl PowerSampler {
             t_s: self.clock.now_s(),
             watts,
         };
-        self.shared.samples.lock().push(sample);
-        self.shared
-            .energy
-            .lock()
-            .add_sample(sample.t_s, sample.watts);
+        self.shared.record(sample);
     }
 
     /// Stops the background thread (if any) and returns all samples with
@@ -200,19 +206,19 @@ impl PowerSampler {
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
-        let samples = std::mem::take(&mut *self.shared.samples.lock());
-        let energy = self.shared.energy.lock().clone();
+        let samples = std::mem::take(&mut *self.shared.samples());
+        let energy = self.shared.energy().clone();
         (samples, energy)
     }
 
     /// Snapshot of the integrated energy so far (joules).
     pub fn joules_so_far(&self) -> f64 {
-        self.shared.energy.lock().joules()
+        self.shared.energy().joules()
     }
 
     /// Number of samples collected so far.
     pub fn sample_count(&self) -> usize {
-        self.shared.samples.lock().len()
+        self.shared.samples().len()
     }
 
     /// The sampler's clock.

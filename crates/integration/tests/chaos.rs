@@ -196,12 +196,15 @@ fn seeded_chaos_is_fully_deterministic() {
             events: Vec::new(),
         };
         let result = sim.run(&mut observer);
+        // Taken out so the observer's borrow of `run` ends here, before
+        // the crash.
+        let events = observer.events;
         run.flush().unwrap();
         let run_dir = run.dir().to_path_buf();
         drop(run);
         let (_, recovery) = recover_detailed(&run_dir, &SpillPolicy::Inline).unwrap();
         std::fs::remove_dir_all(&base).ok();
-        (result, observer.events, recovery)
+        (result, events, recovery)
     };
 
     let (result_a, events_a, recovery_a) = run_once("a");

@@ -92,6 +92,18 @@ fn zarr_write_many_is_byte_identical_across_pool_sizes() {
             "zarr store differs between 1 and {threads} threads"
         );
     }
+
+    // One series at a time, on the store's own per-core pool.
+    let dir = base.join("one_by_one");
+    let store = ZarrStore::create(&dir, ZarrOptions::default()).unwrap();
+    for s in &series {
+        store.write_series(s).unwrap();
+    }
+    assert_eq!(
+        &dir_bytes(&dir),
+        reference,
+        "write_series differs from write_many"
+    );
     std::fs::remove_dir_all(&base).ok();
 }
 

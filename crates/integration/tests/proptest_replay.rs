@@ -2,34 +2,25 @@
 //! the simulator accepts must replay *exactly* from its PROV-JSON.
 
 use integration::{replay_from_provenance, simulate_with_provenance};
-use proptest::prelude::*;
+use testkit::check;
 use train_sim::model::{Architecture, ModelConfig};
 use train_sim::sim::{Phase, SimConfig, WalltimeCutoff};
 use train_sim::{DatasetSpec, MachineConfig};
 use yprov4ml::Experiment;
 
-proptest! {
-    // Each case simulates + writes + reloads + re-simulates; keep the
-    // count modest so the suite stays fast.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn any_run_replays_from_its_provenance(
-        arch_pick in 0usize..2,
-        params in prop::sample::select(vec![100_000_000u64, 200_000_000, 600_000_000]),
-        gpus in prop::sample::select(vec![1u32, 8, 16, 64]),
-        batch in prop::sample::select(vec![8u32, 32]),
-        samples in 500u64..5_000,
-        epochs in 1u32..4,
-    ) {
-        let arch = if arch_pick == 0 { Architecture::MaeVit } else { Architecture::SwinV2 };
+// Each case simulates + writes + reloads + re-simulates; keep the
+// count modest so the suite stays fast.
+#[test]
+fn any_run_replays_from_its_provenance() {
+    check(8, |rng, _| {
+        let arch = *rng.pick(&[Architecture::MaeVit, Architecture::SwinV2]);
         let cfg = SimConfig {
-            model: ModelConfig::sized(arch, params),
+            model: ModelConfig::sized(arch, *rng.pick(&[100_000_000u64, 200_000_000, 600_000_000])),
             machine: MachineConfig::frontier_like(),
-            dataset: DatasetSpec::tiny(samples),
-            gpus,
-            per_gpu_batch: batch,
-            epochs,
+            dataset: DatasetSpec::tiny(rng.range(500u64..5_000)),
+            gpus: *rng.pick(&[1u32, 8, 16, 64]),
+            per_gpu_batch: *rng.pick(&[8u32, 32]),
+            epochs: rng.range(1u32..4),
             comm: Default::default(),
             cutoff: WalltimeCutoff::Unlimited,
             exercise_collective: false,
@@ -43,7 +34,9 @@ proptest! {
             "yreplay_prop_{}_{:x}",
             std::process::id(),
             std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
         ));
         let experiment = Experiment::new("replay", &base).unwrap();
         let run = experiment.start_run("r").unwrap();
@@ -54,10 +47,13 @@ proptest! {
         let replay = replay_from_provenance(&doc).unwrap();
         std::fs::remove_dir_all(&base).ok();
 
-        prop_assert!(replay.reproduced,
-            "recorded {:?} vs replayed {}", replay.recorded_loss, replay.replayed_loss);
-        prop_assert_eq!(replay.result.final_loss, original.final_loss);
-        prop_assert_eq!(replay.result.steps, original.steps);
-        prop_assert!((replay.result.energy_kwh - original.energy_kwh).abs() < 1e-12);
-    }
+        assert!(
+            replay.reproduced,
+            "recorded {:?} vs replayed {}",
+            replay.recorded_loss, replay.replayed_loss
+        );
+        assert_eq!(replay.result.final_loss, original.final_loss);
+        assert_eq!(replay.result.steps, original.steps);
+        assert!((replay.result.energy_kwh - original.energy_kwh).abs() < 1e-12);
+    });
 }

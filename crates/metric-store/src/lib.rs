@@ -10,7 +10,7 @@
 //!   each chunk runs through a configurable codec pipeline
 //!   (delta/zigzag/varint for integers, Gorilla-style XOR for floats,
 //!   byte-shuffle, RLE, LZ77 and Huffman for bytes), and chunks compress
-//!   in parallel with rayon;
+//!   in parallel on the [`WorkerPool`];
 //! * [`netcdf`] — a single-file header+variables binary layout in the
 //!   spirit of classic NetCDF (CDF-1), with an optional whole-file
 //!   compressed variant.

@@ -27,10 +27,10 @@ use crate::error::StoreError;
 use crate::pool::WorkerPool;
 use crate::series::MetricSeries;
 use crate::store::{path_size_bytes, MetricStore};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 const MAGIC: [u8; 4] = *b"YNC1";
 const FLAG_COMPRESSED: u8 = 0b0000_0001;
@@ -114,7 +114,7 @@ impl NcStore {
         };
         if store.path.is_file() {
             let loaded = store.load()?;
-            *store.cache.lock() = loaded;
+            *store.cache.lock().expect("series cache poisoned") = loaded;
         }
         Ok(store)
     }
@@ -132,7 +132,7 @@ impl NcStore {
             encode_hist: encode_histogram(),
         };
         let loaded = store.load()?;
-        *store.cache.lock() = loaded;
+        *store.cache.lock().expect("series cache poisoned") = loaded;
         Ok(store)
     }
 
@@ -199,7 +199,7 @@ impl NcStore {
     /// (`BTreeMap`) order from the index-ordered blobs, so the file
     /// bytes are identical for every pool size.
     fn flush_with(&self, pool: &WorkerPool) -> Result<(), StoreError> {
-        let cache = self.cache.lock();
+        let cache = self.cache.lock().expect("series cache poisoned");
         let ordered: Vec<&MetricSeries> = cache.values().collect();
         let encoded: Vec<[Vec<u8>; 4]> = pool.map(ordered.len(), |i| {
             let mut trace = obs::trace::span("chunk_encode");
@@ -300,7 +300,7 @@ impl NcStore {
 
 impl MetricStore for NcStore {
     fn write_series(&self, series: &MetricSeries) -> Result<(), StoreError> {
-        self.cache.lock().insert(
+        self.cache.lock().expect("series cache poisoned").insert(
             (series.name.clone(), series.context.clone()),
             series.clone(),
         );
@@ -311,7 +311,7 @@ impl MetricStore for NcStore {
         // Insert everything, then rewrite the file once: a batch of N
         // series costs one flush instead of N wholesale rewrites.
         {
-            let mut cache = self.cache.lock();
+            let mut cache = self.cache.lock().expect("series cache poisoned");
             for s in series {
                 cache.insert((s.name.clone(), s.context.clone()), (*s).clone());
             }

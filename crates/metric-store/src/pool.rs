@@ -16,8 +16,8 @@
 //! degenerates to an inline serial loop on the caller's thread, exactly
 //! the pre-pool behavior.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
 /// A scoped work-stealing pool with a fixed thread budget.
 ///
@@ -69,7 +69,10 @@ impl WorkerPool {
         let queues: Vec<Mutex<VecDeque<usize>>> =
             (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
         for t in 0..tasks {
-            queues[t * workers / tasks].lock().push_back(t);
+            queues[t * workers / tasks]
+                .lock()
+                .expect("pool poisoned")
+                .push_back(t);
         }
 
         let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(tasks));
@@ -83,7 +86,7 @@ impl WorkerPool {
                     // scrutinee the guard would live through the arms,
                     // and two thieves that each hold their own queue
                     // while locking the other's deadlock.
-                    let own = queues[w].lock().pop_front();
+                    let own = queues[w].lock().expect("pool poisoned").pop_front();
                     // Tasks are never re-queued, so observing every
                     // queue empty means the remaining work is already
                     // running on other workers.
@@ -91,12 +94,12 @@ impl WorkerPool {
                         break;
                     };
                     let r = f(task);
-                    results.lock().push((task, r));
+                    results.lock().expect("pool poisoned").push((task, r));
                 });
             }
         });
 
-        let mut pairs = results.into_inner();
+        let mut pairs = results.into_inner().expect("pool poisoned");
         pairs.sort_unstable_by_key(|(i, _)| *i);
         pairs.into_iter().map(|(_, r)| r).collect()
     }
@@ -126,7 +129,7 @@ fn steal(queues: &[Mutex<VecDeque<usize>>], thief: usize) -> Option<usize> {
         .iter()
         .enumerate()
         .filter(|(i, _)| *i != thief)
-        .map(|(i, q)| (q.lock().len(), i))
+        .map(|(i, q)| (q.lock().expect("pool poisoned").len(), i))
         .collect();
     victims.sort_unstable_by_key(|&(len, _)| std::cmp::Reverse(len));
     for (len, i) in victims {
@@ -134,7 +137,7 @@ fn steal(queues: &[Mutex<VecDeque<usize>>], thief: usize) -> Option<usize> {
             break;
         }
         // Bound first: the guard is gone before the task is looked at.
-        let stolen = queues[i].lock().pop_back();
+        let stolen = queues[i].lock().expect("pool poisoned").pop_back();
         if stolen.is_some() {
             return stolen;
         }

@@ -16,9 +16,9 @@
 //! ```
 //!
 //! Chunks are independent (each frame is self-describing with its codec
-//! pipeline and CRC), so they compress and decompress in parallel with
-//! rayon — the property that lets the paper's library spill very long
-//! metric series without stalling training.
+//! pipeline and CRC), so they compress and decompress in parallel on a
+//! [`WorkerPool`] — the property that lets the paper's library spill
+//! very long metric series without stalling training.
 
 use crate::checksum::crc32;
 use crate::codec::{self, CodecId};
@@ -26,7 +26,6 @@ use crate::error::StoreError;
 use crate::pool::WorkerPool;
 use crate::series::{MetricPoint, MetricSeries};
 use crate::store::{frame_chunk, path_size_bytes, unframe_chunk, MetricStore};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -218,7 +217,12 @@ impl ZarrStore {
         let mut cols: [Vec<u8>; 4] = Default::default();
         for (k, col) in COLUMNS.iter().enumerate() {
             let raw = std::fs::read(dir.join(format!("{col}.{ci}")))?;
-            let (payload, _) = unframe_chunk(&raw)?;
+            let (payload, used) = unframe_chunk(&raw)?;
+            if used != raw.len() {
+                return Err(StoreError::Corrupt(format!(
+                    "trailing bytes in chunk {col}.{ci}"
+                )));
+            }
             cols[k] = payload;
         }
         let steps = codec::decode_u64_column(&cols[0])?;
@@ -349,22 +353,7 @@ impl ZarrStore {
 
 impl MetricStore for ZarrStore {
     fn write_series(&self, series: &MetricSeries) -> Result<(), StoreError> {
-        let dir = self.prepare_series_dir(series)?;
-
-        // Chunks encode and write in parallel; each is independent.
-        let chunks: Vec<(usize, &[MetricPoint])> = series
-            .points
-            .chunks(self.opts.chunk_points)
-            .enumerate()
-            .collect();
-        let results: Vec<Result<(), StoreError>> = chunks
-            .par_iter()
-            .map(|(ci, chunk)| self.write_chunk(&dir, *ci, chunk))
-            .collect();
-        for r in results {
-            r?;
-        }
-        Ok(())
+        self.write_many(&[series], &per_core_pool())
     }
 
     fn write_many(&self, series: &[&MetricSeries], pool: &WorkerPool) -> Result<(), StoreError> {
@@ -398,49 +387,23 @@ impl MetricStore for ZarrStore {
         }
         let n_chunks = meta.points.div_ceil(meta.chunk_points);
 
-        // Decode all chunks in parallel, then stitch in order.
-        let decoded: Vec<Result<[Vec<u8>; 4], StoreError>> = (0..n_chunks)
-            .into_par_iter()
-            .map(|ci| {
-                let mut cols: [Vec<u8>; 4] = Default::default();
-                for (k, col) in COLUMNS.iter().enumerate() {
-                    let raw = std::fs::read(dir.join(format!("{col}.{ci}")))?;
-                    let (payload, used) = unframe_chunk(&raw)?;
-                    if used != raw.len() {
-                        return Err(StoreError::Corrupt(format!(
-                            "trailing bytes in chunk {col}.{ci}"
-                        )));
-                    }
-                    cols[k] = payload;
-                }
-                Ok(cols)
-            })
-            .collect();
-
-        let mut steps = Vec::with_capacity(meta.points);
-        let mut epochs = Vec::with_capacity(meta.points);
-        let mut times = Vec::with_capacity(meta.points);
-        let mut values = Vec::with_capacity(meta.points);
-        for chunk in decoded {
-            let [s, e, t, v] = chunk?;
-            steps.extend(codec::decode_u64_column(&s)?);
-            epochs.extend(codec::decode_u32_column(&e)?);
-            times.extend(codec::decode_i64_column(&t)?);
-            let vals = match meta.float_encoding {
-                FloatEncoding::Xor | FloatEncoding::XorQuantized { .. } => codec::xor::decode(&v)?,
-                FloatEncoding::Raw => codec::decode_f64_raw(&v)?,
-            };
-            values.extend(vals);
-        }
-        if steps.len() != meta.points {
+        // Chunks decode in parallel and are stitched in order.
+        let chunks = per_core_pool().try_map(n_chunks, |ci| {
+            self.read_chunk(&dir, ci, meta.float_encoding)
+        })?;
+        let points: Vec<MetricPoint> = chunks.into_iter().flatten().collect();
+        if points.len() != meta.points {
             return Err(StoreError::Corrupt(format!(
                 "expected {} points, decoded {}",
                 meta.points,
-                steps.len()
+                points.len()
             )));
         }
-        MetricSeries::from_columns(&meta.name, &meta.context, steps, epochs, times, values)
-            .ok_or_else(|| StoreError::Corrupt("column length mismatch".into()))
+        Ok(MetricSeries {
+            name: meta.name,
+            context: meta.context,
+            points,
+        })
     }
 
     fn list_series(&self) -> Result<Vec<(String, String)>, StoreError> {
@@ -460,6 +423,12 @@ impl MetricStore for ZarrStore {
     fn size_bytes(&self) -> Result<u64, StoreError> {
         path_size_bytes(&self.root)
     }
+}
+
+/// One worker per core: what a lone series' chunks are spread over when
+/// the caller brings no pool of its own.
+fn per_core_pool() -> WorkerPool {
+    WorkerPool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// `(min, max)` of the step column in one chunk (0,0 for empty chunks).

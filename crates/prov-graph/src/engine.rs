@@ -705,7 +705,7 @@ mod tests {
     }
 
     /// splitmix64: the seeded generator behind the two properties
-    /// below (the `proptest_graph.rs` forms of them need the registry).
+    /// below (`tests/proptest_graph.rs` holds their forward-only forms).
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = *state;

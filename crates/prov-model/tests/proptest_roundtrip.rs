@@ -1,59 +1,96 @@
 //! Property-based tests: PROV-JSON round-trips are lossless for
 //! arbitrarily generated documents.
 
-use proptest::prelude::*;
 use prov_model::{AttrValue, ProvDocument, QName, RelationKind, XsdDateTime};
+use std::collections::BTreeSet;
+use std::ops::Range;
+use testkit::{check, printable, Rng};
 
-fn arb_local() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9_]{0,12}"
+const LOWER: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
+const LOCAL_TAIL: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";
+
+/// `[a-z][a-z0-9_]{0,12}`
+fn local(rng: &mut Rng) -> String {
+    let tail = rng.range(0usize..13);
+    rng.string(LOWER, 1) + &rng.string(LOCAL_TAIL, tail)
 }
 
-fn arb_qname() -> impl Strategy<Value = QName> {
-    arb_local().prop_map(|l| QName::new("ex", l))
+fn text(rng: &mut Rng, alphabet: &[u8], lens: Range<usize>) -> String {
+    let len = rng.range(lens);
+    rng.string(alphabet, len)
 }
 
-fn arb_value() -> impl Strategy<Value = AttrValue> {
-    prop_oneof![
-        "[ -~]{0,24}".prop_map(AttrValue::String),
-        any::<i64>().prop_map(AttrValue::Int),
-        any::<f64>().prop_map(AttrValue::Double),
-        any::<bool>().prop_map(AttrValue::Bool),
-        arb_qname().prop_map(AttrValue::QualifiedName),
-        (-4_000_000_000i64..4_000_000_000i64, 0u32..1_000_000)
-            .prop_map(|(s, us)| AttrValue::DateTime(XsdDateTime::new(s, us))),
-        ("[ -~]{0,16}", arb_local())
-            .prop_map(|(s, t)| AttrValue::Typed(s, QName::new("ex", format!("t{t}")))),
-    ]
+fn value(rng: &mut Rng) -> AttrValue {
+    let ascii = printable(b"");
+    match rng.below(7) {
+        0 => AttrValue::String(text(rng, &ascii, 0..25)),
+        1 => AttrValue::Int(rng.next_u64() as i64),
+        2 => AttrValue::Double(rng.any_f64()),
+        3 => AttrValue::Bool(rng.bool()),
+        4 => AttrValue::QualifiedName(QName::new("ex", local(rng))),
+        5 => AttrValue::DateTime(XsdDateTime::new(
+            rng.range(-4_000_000_000i64..4_000_000_000),
+            rng.range(0u32..1_000_000),
+        )),
+        _ => AttrValue::Typed(
+            text(rng, &ascii, 0..17),
+            QName::new("ex", format!("t{}", local(rng))),
+        ),
+    }
 }
 
-fn arb_relation_kind() -> impl Strategy<Value = RelationKind> {
-    prop::sample::select(RelationKind::all().to_vec())
+fn relation_kind(rng: &mut Rng) -> RelationKind {
+    *rng.pick(RelationKind::all())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// A set built from `lens`-many (at full size) draws of `local`.
+fn locals(rng: &mut Rng, lens: Range<usize>, size: usize) -> BTreeSet<String> {
+    (0..rng.len(lens, size)).map(|_| local(rng)).collect()
+}
 
-    #[test]
-    fn attribute_value_roundtrips(v in arb_value()) {
+fn attrs(rng: &mut Rng, lens: Range<usize>, size: usize) -> Vec<(String, AttrValue)> {
+    (0..rng.len(lens, size))
+        .map(|_| (local(rng), value(rng)))
+        .collect()
+}
+
+fn relations(
+    rng: &mut Rng,
+    lens: Range<usize>,
+    size: usize,
+) -> Vec<(RelationKind, String, String)> {
+    (0..rng.len(lens, size))
+        .map(|_| (relation_kind(rng), local(rng), local(rng)))
+        .collect()
+}
+
+#[test]
+fn attribute_value_roundtrips() {
+    check(128, |rng, _| {
+        let v = value(rng);
         let json = prov_model::json::value_to_json(&v);
         let back = prov_model::json::value_from_json(&json).unwrap();
         // NaN breaks PartialEq; compare through the typed lexical form.
         match (&v, &back) {
             (AttrValue::Double(a), AttrValue::Double(b)) => {
-                prop_assert!(a.total_cmp(b) == std::cmp::Ordering::Equal,
-                    "double {a:?} -> {b:?}");
+                assert!(
+                    a.total_cmp(b) == std::cmp::Ordering::Equal,
+                    "double {a:?} -> {b:?}"
+                );
             }
-            _ => prop_assert_eq!(&v, &back),
+            _ => assert_eq!(&v, &back),
         }
-    }
+    });
+}
 
-    #[test]
-    fn document_roundtrips(
-        entities in prop::collection::btree_set(arb_local(), 0..8),
-        activities in prop::collection::btree_set(arb_local(), 0..8),
-        attrs in prop::collection::vec((arb_local(), arb_value()), 0..12),
-        rels in prop::collection::vec((arb_relation_kind(), arb_local(), arb_local()), 0..10),
-    ) {
+#[test]
+fn document_roundtrips() {
+    check(128, |rng, size| {
+        let entities = locals(rng, 0..8, size);
+        let activities = locals(rng, 0..8, size);
+        let attrs = attrs(rng, 0..12, size);
+        let rels = relations(rng, 0..10, size);
+
         let mut doc = ProvDocument::new();
         doc.namespaces_mut().register("ex", "http://ex/").unwrap();
 
@@ -71,7 +108,9 @@ proptest! {
                 // NaN values break Vec::contains-based dedup in absorb();
                 // documents still roundtrip, but equality comparison would
                 // be vacuous, so skip NaN here (covered by the value test).
-                if matches!(v, AttrValue::Double(d) if d.is_nan()) { continue; }
+                if matches!(v, AttrValue::Double(d) if d.is_nan()) {
+                    continue;
+                }
                 doc.entity(QName::new("ex", first))
                     .attr(QName::new("ex", format!("k_{k}")), v.clone());
             }
@@ -89,15 +128,20 @@ proptest! {
         let mut orig = doc.clone();
         orig.canonicalize();
         back.canonicalize();
-        prop_assert_eq!(orig, back);
-    }
+        assert_eq!(orig, back);
+    });
+}
 
-    #[test]
-    fn provn_roundtrips_documents(
-        entities in prop::collection::btree_set(arb_local(), 0..8),
-        rels in prop::collection::vec((arb_relation_kind(), arb_local(), arb_local()), 0..8),
-        labels in prop::collection::vec("[ -~&&[^\\\\\"]]{0,16}", 0..4),
-    ) {
+#[test]
+fn provn_roundtrips_documents() {
+    check(128, |rng, size| {
+        let entities = locals(rng, 0..8, size);
+        let rels = relations(rng, 0..8, size);
+        let plain = printable(b"\\\"");
+        let labels: Vec<String> = (0..rng.len(0..4, size))
+            .map(|_| text(rng, &plain, 0..17))
+            .collect();
+
         let mut doc = ProvDocument::new();
         doc.namespaces_mut().register("ex", "http://ex/").unwrap();
         let entities: Vec<String> = entities.into_iter().map(|e| format!("e_{e}")).collect();
@@ -121,15 +165,17 @@ proptest! {
         let mut orig = doc.clone();
         orig.canonicalize();
         parsed.canonicalize();
-        prop_assert_eq!(orig, parsed, "PROV-N text:\n{}", text);
-    }
+        assert_eq!(orig, parsed, "PROV-N text:\n{}", text);
+    });
+}
 
-    #[test]
-    fn turtle_writer_never_panics(
-        entities in prop::collection::btree_set(arb_local(), 0..8),
-        attrs in prop::collection::vec((arb_local(), arb_value()), 0..8),
-        rels in prop::collection::vec((arb_relation_kind(), arb_local(), arb_local()), 0..8),
-    ) {
+#[test]
+fn turtle_writer_never_panics() {
+    check(128, |rng, size| {
+        let entities = locals(rng, 0..8, size);
+        let attrs = attrs(rng, 0..8, size);
+        let rels = relations(rng, 0..8, size);
+
         let mut doc = ProvDocument::new();
         doc.namespaces_mut().register("ex", "http://ex/").unwrap();
         for e in &entities {
@@ -149,26 +195,45 @@ proptest! {
             ));
         }
         let ttl = prov_model::turtle::to_turtle(&doc);
-        prop_assert!(ttl.contains("@prefix prov:"));
-    }
+        assert!(ttl.contains("@prefix prov:"));
+    });
+}
 
-    #[test]
-    fn provn_parser_never_panics_on_garbage(text in "[ -~\\n]{0,300}") {
+#[test]
+fn provn_parser_never_panics_on_garbage() {
+    check(128, |rng, size| {
+        let mut alphabet = printable(b"");
+        alphabet.push(b'\n');
+        let len = rng.len(0..301, size);
+        let text = rng.string(&alphabet, len);
         let _ = prov_model::provn_parse::from_provn(&text); // must not panic
-    }
+    });
+}
 
-    #[test]
-    fn provjson_parser_never_panics_on_arbitrary_json(
-        keys in prop::collection::vec("[a-zA-Z:@$_]{1,12}", 0..8),
-        values in prop::collection::vec(prop_oneof![
-            any::<i64>().prop_map(|i| serde_json::json!(i)),
-            "[ -~]{0,20}".prop_map(|s| serde_json::json!(s)),
-            Just(serde_json::json!(null)),
-            Just(serde_json::json!([1, "x", {}])),
-            Just(serde_json::json!({"$": 5})),
-            Just(serde_json::json!({"$": "x", "type": 7})),
-        ], 0..8),
-    ) {
+#[test]
+fn provjson_parser_never_panics_on_arbitrary_json() {
+    check(128, |rng, size| {
+        let ascii = printable(b"");
+        let keys: Vec<String> = (0..rng.len(0..8, size))
+            .map(|_| {
+                text(
+                    rng,
+                    b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ:@$_",
+                    1..13,
+                )
+            })
+            .collect();
+        let values: Vec<serde_json::Value> = (0..rng.len(0..8, size))
+            .map(|_| match rng.below(6) {
+                0 => serde_json::json!(rng.next_u64() as i64),
+                1 => serde_json::json!(text(rng, &ascii, 0..21)),
+                2 => serde_json::json!(null),
+                3 => serde_json::json!([1, "x", {}]),
+                4 => serde_json::json!({"$": 5}),
+                _ => serde_json::json!({"$": "x", "type": 7}),
+            })
+            .collect();
+
         // Structured garbage at both nesting levels.
         let mut top = serde_json::Map::new();
         for (k, v) in keys.iter().zip(&values) {
@@ -181,12 +246,13 @@ proptest! {
             "used": { "_:id1": top },
         });
         let _ = ProvDocument::from_json(&nested); // must not panic
-    }
+    });
+}
 
-    #[test]
-    fn serialization_is_idempotent(
-        names in prop::collection::btree_set(arb_local(), 1..6),
-    ) {
+#[test]
+fn serialization_is_idempotent() {
+    check(128, |rng, size| {
+        let names = locals(rng, 1..6, size);
         let mut doc = ProvDocument::new();
         doc.namespaces_mut().register("ex", "http://ex/").unwrap();
         let names: Vec<String> = names.into_iter().collect();
@@ -197,13 +263,17 @@ proptest! {
         }
         let j1 = doc.to_json();
         let j2 = ProvDocument::from_json(&j1).unwrap().to_json();
-        prop_assert_eq!(j1, j2);
-    }
+        assert_eq!(j1, j2);
+    });
+}
 
-    #[test]
-    fn datetime_parse_format_roundtrip(s in -10_000_000_000i64..10_000_000_000, us in 0u32..1_000_000) {
+#[test]
+fn datetime_parse_format_roundtrip() {
+    check(128, |rng, _| {
+        let s = rng.range(-10_000_000_000i64..10_000_000_000);
+        let us = rng.range(0u32..1_000_000);
         let t = XsdDateTime::new(s, us);
         let back = XsdDateTime::parse(&t.to_string()).unwrap();
-        prop_assert_eq!(t, back);
-    }
+        assert_eq!(t, back);
+    });
 }

@@ -10,8 +10,7 @@
 //! scatter steps followed by `p−1` all-gather steps, each rank owning
 //! one chunk of the gradient.
 
-use parking_lot::Mutex;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// Sums `shards` element-wise across ranks with a threaded ring
 /// all-reduce and returns every rank's (identical) reduced copy.
@@ -61,9 +60,10 @@ pub fn ring_allreduce(shards: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
                 for s in 0..p - 1 {
                     let send_chunk = (rank + p - s) % p;
                     let (a, b) = (starts[send_chunk], starts[send_chunk + 1]);
-                    *mailboxes[next].lock() = local[a..b].to_vec();
+                    *mailboxes[next].lock().expect("mailbox poisoned") = local[a..b].to_vec();
                     barrier.wait();
-                    let incoming = std::mem::take(&mut *mailboxes[rank].lock());
+                    let incoming =
+                        std::mem::take(&mut *mailboxes[rank].lock().expect("mailbox poisoned"));
                     let recv_chunk = (rank + p - s - 1) % p;
                     let (a, b) = (starts[recv_chunk], starts[recv_chunk + 1]);
                     for (dst, src) in local[a..b].iter_mut().zip(&incoming) {
@@ -77,16 +77,17 @@ pub fn ring_allreduce(shards: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
                 for s in 0..p - 1 {
                     let send_chunk = (rank + 1 + p - s) % p;
                     let (a, b) = (starts[send_chunk], starts[send_chunk + 1]);
-                    *mailboxes[next].lock() = local[a..b].to_vec();
+                    *mailboxes[next].lock().expect("mailbox poisoned") = local[a..b].to_vec();
                     barrier.wait();
-                    let incoming = std::mem::take(&mut *mailboxes[rank].lock());
+                    let incoming =
+                        std::mem::take(&mut *mailboxes[rank].lock().expect("mailbox poisoned"));
                     let recv_chunk = (rank + p - s) % p;
                     let (a, b) = (starts[recv_chunk], starts[recv_chunk + 1]);
                     local[a..b].copy_from_slice(&incoming);
                     barrier.wait();
                 }
 
-                *results[rank].lock() = local;
+                *results[rank].lock().expect("mailbox poisoned") = local;
             });
         }
     });
@@ -94,7 +95,7 @@ pub fn ring_allreduce(shards: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
     Arc::try_unwrap(results)
         .expect("threads joined")
         .into_iter()
-        .map(|m| m.into_inner())
+        .map(|m| m.into_inner().expect("mailbox poisoned"))
         .collect()
 }
 

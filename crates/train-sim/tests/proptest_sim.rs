@@ -1,14 +1,14 @@
 //! Property tests on simulator invariants: physical sanity must hold
 //! for every reachable configuration, not just the paper's corners.
 
-use proptest::prelude::*;
+use testkit::{check, Rng};
 use train_sim::ddp::{ring_allreduce, sequential_allreduce};
 use train_sim::model::{Architecture, ModelConfig};
 use train_sim::sim::{NullObserver, Phase, SimConfig, TrainingSimulation, WalltimeCutoff};
 use train_sim::{DatasetSpec, MachineConfig};
 
-fn arb_arch() -> impl Strategy<Value = Architecture> {
-    prop_oneof![Just(Architecture::MaeVit), Just(Architecture::SwinV2)]
+fn arch(rng: &mut Rng) -> Architecture {
+    *rng.pick(&[Architecture::MaeVit, Architecture::SwinV2])
 }
 
 fn config(arch: Architecture, params: u64, gpus: u32, samples: u64, batch: u32) -> SimConfig {
@@ -29,41 +29,39 @@ fn config(arch: Architecture, params: u64, gpus: u32, samples: u64, batch: u32) 
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn runs_are_physically_sane(
-        arch in arb_arch(),
-        params in 50_000_000u64..2_000_000_000,
-        gpus in 1u32..256,
-        samples in 100u64..20_000,
-        batch in 1u32..64,
-    ) {
+#[test]
+fn runs_are_physically_sane() {
+    check(32, |rng, _| {
+        let arch = arch(rng);
+        let params = rng.range(50_000_000u64..2_000_000_000);
+        let gpus = rng.range(1u32..256);
+        let samples = rng.range(100u64..20_000);
+        let batch = rng.range(1u32..64);
         let cfg = config(arch, params, gpus, samples, batch);
         let Ok(sim) = TrainingSimulation::new(cfg) else {
             // Some corners legitimately fail validation (OOM); fine.
-            return Ok(());
+            return;
         };
         let r = sim.run(&mut NullObserver);
-        prop_assert!(r.walltime_s > 0.0 && r.walltime_s.is_finite());
-        prop_assert!(r.energy_joules > 0.0 && r.energy_joules.is_finite());
-        prop_assert!(r.final_loss > 0.0 && r.final_loss.is_finite());
-        prop_assert!(r.samples_seen >= samples, "each epoch covers the dataset");
-        prop_assert!(r.completed);
-        prop_assert!(r.mean_throughput > 0.0);
+        assert!(r.walltime_s > 0.0 && r.walltime_s.is_finite());
+        assert!(r.energy_joules > 0.0 && r.energy_joules.is_finite());
+        assert!(r.final_loss > 0.0 && r.final_loss.is_finite());
+        assert!(r.samples_seen >= samples, "each epoch covers the dataset");
+        assert!(r.completed);
+        assert!(r.mean_throughput > 0.0);
         // Power sanity: implied draw per node within the hardware budget.
         let nodes = cfg_nodes(gpus);
         let watts = r.energy_joules / r.walltime_s / nodes as f64;
-        prop_assert!(watts > 300.0 && watts < 4_000.0, "node draw {watts} W");
-    }
+        assert!(watts > 300.0 && watts < 4_000.0, "node draw {watts} W");
+    });
+}
 
-    #[test]
-    fn more_gpus_never_slows_a_run(
-        arch in arb_arch(),
-        params in 50_000_000u64..1_000_000_000,
-        samples in 2_000u64..20_000,
-    ) {
+#[test]
+fn more_gpus_never_slows_a_run() {
+    check(32, |rng, _| {
+        let arch = arch(rng);
+        let params = rng.range(50_000_000u64..1_000_000_000);
+        let samples = rng.range(2_000u64..20_000);
         // Same work, doubling GPUs: walltime must not increase (the
         // comm overhead never exceeds the halved compute in this model).
         let mut prev = f64::INFINITY;
@@ -71,66 +69,70 @@ proptest! {
             let r = TrainingSimulation::new(config(arch, params, gpus, samples, 16))
                 .unwrap()
                 .run(&mut NullObserver);
-            prop_assert!(
+            assert!(
                 r.walltime_s <= prev * 1.001,
-                "walltime grew from {prev} to {} at {gpus} GPUs", r.walltime_s
+                "walltime grew from {prev} to {} at {gpus} GPUs",
+                r.walltime_s
             );
             prev = r.walltime_s;
         }
-    }
+    });
+}
 
-    #[test]
-    fn loss_never_increases_with_more_data(
-        arch in arb_arch(),
-        params in 50_000_000u64..1_000_000_000,
-    ) {
+#[test]
+fn loss_never_increases_with_more_data() {
+    check(32, |rng, _| {
+        let arch = arch(rng);
+        let params = rng.range(50_000_000u64..1_000_000_000);
         let mut prev = f64::INFINITY;
         for samples in [500u64, 2_000, 8_000, 32_000] {
             let r = TrainingSimulation::new(config(arch, params, 8, samples, 16))
                 .unwrap()
                 .run(&mut NullObserver);
             // The ripple can wobble a little; the trend must hold.
-            prop_assert!(
+            assert!(
                 r.final_loss <= prev * 1.05,
-                "loss rose from {prev} to {} at {samples} samples", r.final_loss
+                "loss rose from {prev} to {} at {samples} samples",
+                r.final_loss
             );
             prev = r.final_loss;
         }
-    }
+    });
+}
 
-    #[test]
-    fn cutoff_never_yields_more_walltime_than_unlimited(
-        arch in arb_arch(),
-        params in 200_000_000u64..2_000_000_000,
-        budget in 10.0f64..1_000.0,
-    ) {
+#[test]
+fn cutoff_never_yields_more_walltime_than_unlimited() {
+    check(32, |rng, _| {
+        let arch = arch(rng);
+        let params = rng.range(200_000_000u64..2_000_000_000);
+        let budget = rng.range(10.0..1_000.0);
         let mut unlimited = config(arch, params, 8, 50_000, 32);
         unlimited.epochs = 3;
-        let full = TrainingSimulation::new(unlimited.clone()).unwrap().run(&mut NullObserver);
+        let full = TrainingSimulation::new(unlimited.clone())
+            .unwrap()
+            .run(&mut NullObserver);
         let mut capped_cfg = unlimited;
         capped_cfg.cutoff = WalltimeCutoff::Seconds(budget);
-        let capped = TrainingSimulation::new(capped_cfg).unwrap().run(&mut NullObserver);
-        prop_assert!(capped.walltime_s <= full.walltime_s + 1e-9);
+        let capped = TrainingSimulation::new(capped_cfg)
+            .unwrap()
+            .run(&mut NullObserver);
+        assert!(capped.walltime_s <= full.walltime_s + 1e-9);
         if capped.walltime_s < full.walltime_s {
-            prop_assert!(!capped.completed);
+            assert!(!capped.completed);
         }
-        prop_assert!(capped.energy_joules <= full.energy_joules + 1e-6);
-    }
+        assert!(capped.energy_joules <= full.energy_joules + 1e-6);
+    });
+}
 
-    #[test]
-    fn ring_allreduce_matches_sequential(
-        ranks in 1usize..9,
-        n in 0usize..300,
-        seed in any::<u64>(),
-    ) {
-        let mut x = seed | 1;
+#[test]
+fn ring_allreduce_matches_sequential() {
+    check(32, |rng, size| {
+        let ranks = rng.range(1usize..9);
+        let n = rng.len(0..300, size);
         let shards: Vec<Vec<f64>> = (0..ranks)
             .map(|_| {
                 (0..n)
-                    .map(|_| {
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                        ((x >> 16) % 10_000) as f64 / 100.0 - 50.0
-                    })
+                    .map(|_| rng.below(10_000) as f64 / 100.0 - 50.0)
                     .collect()
             })
             .collect();
@@ -138,10 +140,10 @@ proptest! {
         let got = ring_allreduce(shards);
         for (g, e) in got.iter().zip(&expect) {
             for (a, b) in g.iter().zip(e) {
-                prop_assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
+                assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
             }
         }
-    }
+    });
 }
 
 fn cfg_nodes(gpus: u32) -> u32 {

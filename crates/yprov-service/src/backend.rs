@@ -16,11 +16,12 @@
 //!   durability dial reads like the producer's.
 
 use crate::error::ServiceError;
-use parking_lot::Mutex;
+use crate::sync::lock;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 pub use yprov4ml::journal::SyncPolicy;
 
@@ -117,39 +118,39 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn put(&self, id: &str, bytes: &[u8]) -> Result<(), ServiceError> {
-        self.docs.lock().insert(id.to_string(), bytes.to_vec());
+        lock(&self.docs).insert(id.to_string(), bytes.to_vec());
         Ok(())
     }
 
     fn get(&self, id: &str) -> Result<Option<Vec<u8>>, ServiceError> {
-        Ok(self.docs.lock().get(id).cloned())
+        Ok(lock(&self.docs).get(id).cloned())
     }
 
     fn delete(&self, id: &str) -> Result<bool, ServiceError> {
-        Ok(self.docs.lock().remove(id).is_some())
+        Ok(lock(&self.docs).remove(id).is_some())
     }
 
     fn list(&self) -> Result<Vec<String>, ServiceError> {
-        Ok(self.docs.lock().keys().cloned().collect())
+        Ok(lock(&self.docs).keys().cloned().collect())
     }
 
     fn scan(
         &self,
         visit: &mut dyn FnMut(&str, &[u8]) -> Result<(), ServiceError>,
     ) -> Result<(), ServiceError> {
-        for (id, bytes) in self.docs.lock().iter() {
+        for (id, bytes) in lock(&self.docs).iter() {
             visit(id, bytes)?;
         }
         Ok(())
     }
 
     fn ledger_append(&self, line: &str) -> Result<(), ServiceError> {
-        self.ledger.lock().push_str(line);
+        lock(&self.ledger).push_str(line);
         Ok(())
     }
 
     fn ledger_load(&self) -> Result<Option<String>, ServiceError> {
-        let text = self.ledger.lock();
+        let text = lock(&self.ledger);
         Ok((!text.is_empty()).then(|| text.clone()))
     }
 
@@ -158,8 +159,7 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn repl_append(&self, source: &str, line: &str) -> Result<(), ServiceError> {
-        self.repl
-            .lock()
+        lock(&self.repl)
             .entry(source.to_string())
             .or_default()
             .push_str(line);
@@ -167,11 +167,11 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn repl_load(&self, source: &str) -> Result<Option<String>, ServiceError> {
-        Ok(self.repl.lock().get(source).cloned())
+        Ok(lock(&self.repl).get(source).cloned())
     }
 
     fn repl_sources(&self) -> Result<Vec<String>, ServiceError> {
-        Ok(self.repl.lock().keys().cloned().collect())
+        Ok(lock(&self.repl).keys().cloned().collect())
     }
 }
 
@@ -406,7 +406,7 @@ impl StorageBackend for DurableBackend {
     /// One `write(2)` per upload — the whole-file rewrite this replaces
     /// made persisting n uploads cost O(n²) ledger bytes.
     fn ledger_append(&self, line: &str) -> Result<(), ServiceError> {
-        let mut state = self.ledger.lock();
+        let mut state = lock(&self.ledger);
         if state.file.is_none() {
             let path = self.ledger_path();
             let file = OpenOptions::new()
@@ -447,7 +447,7 @@ impl StorageBackend for DurableBackend {
     }
 
     fn flush(&self) -> Result<(), ServiceError> {
-        let mut state = self.ledger.lock();
+        let mut state = lock(&self.ledger);
         if let Some(file) = state.file.as_mut() {
             file.sync_data()
                 .map_err(|e| ServiceError::io("fsync ledger", e))?;

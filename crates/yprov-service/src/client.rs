@@ -36,10 +36,10 @@
 //! whether such a request is attempted again. Servers that answer
 //! `Connection: close` simply never get pooled.
 
-use parking_lot::Mutex;
+use crate::sync::lock;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Ceiling on a server-supplied `Retry-After` wait, so a confused (or
@@ -276,10 +276,10 @@ impl Client {
         );
         let replayable = matches!(method, "GET" | "HEAD" | "PUT" | "DELETE" | "OPTIONS");
         // Take the parked connection in its own statement: an
-        // `if let Some(r) = self.pool.lock().take()` scrutinee keeps
+        // `if let Some(r) = lock(&self.pool).take()` scrutinee keeps
         // the MutexGuard alive for the whole if-let body (2021-edition
         // temporary scope), and re-parking below would self-deadlock.
-        let parked = self.pool.lock().take();
+        let parked = lock(&self.pool).take();
         if let Some(mut reader) = parked {
             // The parked socket keeps whatever read timeout its last
             // request used; re-arm it for this one.
@@ -287,7 +287,7 @@ impl Client {
             match exchange(&mut reader, req.as_bytes()) {
                 Ok((status, retry_after, payload, reuse)) => {
                     if reuse {
-                        *self.pool.lock() = Some(reader);
+                        *lock(&self.pool) = Some(reader);
                     }
                     return Ok((status, retry_after, payload));
                 }
@@ -313,7 +313,7 @@ impl Client {
                 ExchangeError::Io(e) => e,
             })?;
         if reuse {
-            *self.pool.lock() = Some(reader);
+            *lock(&self.pool) = Some(reader);
         }
         Ok((status, retry_after, payload))
     }

@@ -44,13 +44,13 @@ use crate::error::ServiceError;
 use crate::http::{error_body, error_response};
 use crate::ledger::LedgerEntry;
 use crate::store::{DocumentStore, Upload};
-use parking_lot::Mutex;
+use crate::sync::lock;
 use serde_json::json;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Virtual nodes per member: enough that removing one node moves only
@@ -627,7 +627,7 @@ impl Replicator {
     /// peer's lock.
     fn push(&self, store: &DocumentStore, at: usize, up: &Upload) -> Result<(), String> {
         let (peer, link) = (&self.cfg.peers[at], &self.links[at]);
-        let mut next_index = link.next_index.lock();
+        let mut next_index = lock(&link.next_index);
         let mut span = obs::trace::span("replication_push");
         if obs::trace::is_enabled() {
             span.annotate("peer", peer.id.clone());
@@ -918,8 +918,7 @@ impl ClusterClient {
 
     /// The cached keep-alive client for `node`.
     fn client_for(&self, node: &NodeSpec) -> Client {
-        self.clients
-            .lock()
+        lock(&self.clients)
             .entry(node.id.clone())
             .or_insert_with(|| Client::new(node.addr, self.policy))
             .clone()
@@ -927,8 +926,7 @@ impl ClusterClient {
 
     /// The cached probe-policy client for `node`.
     fn probe_client_for(&self, node: &NodeSpec) -> Client {
-        self.probe_clients
-            .lock()
+        lock(&self.probe_clients)
             .entry(node.id.clone())
             .or_insert_with(|| Client::new(node.addr, probe_policy(self.policy)))
             .clone()
@@ -944,7 +942,7 @@ impl ClusterClient {
                 .health()
                 .map(|r| r.status == 200)
                 .unwrap_or(false);
-            self.view.lock().set(&node.id, ok);
+            lock(&self.view).set(&node.id, ok);
             if ok {
                 live.push(node.id.clone());
             }
@@ -954,12 +952,12 @@ impl ClusterClient {
 
     /// The ring over currently-live members.
     pub fn ring(&self) -> Ring {
-        self.view.lock().ring.clone()
+        lock(&self.view).ring.clone()
     }
 
     /// The first `n` nodes for `id` on the live ring, primary first.
     fn replicas(&self, id: &str, n: usize) -> Vec<String> {
-        let view = self.view.lock();
+        let view = lock(&self.view);
         let nodes = view.ring.replicas_for(id, n);
         nodes.into_iter().map(String::from).collect()
     }
@@ -970,7 +968,7 @@ impl ClusterClient {
     }
 
     fn mark_dead(&self, id: &str) {
-        self.view.lock().set(id, false);
+        lock(&self.view).set(id, false);
     }
 
     fn spec(&self, id: &str) -> Option<&NodeSpec> {

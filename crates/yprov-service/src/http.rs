@@ -59,11 +59,11 @@
 use crate::cluster::Replicator;
 use crate::error::ServiceError;
 use crate::store::DocumentStore;
-use crossbeam::channel::{bounded, Sender};
 use serde_json::json;
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicU32;
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -226,7 +226,7 @@ impl Server {
         // call `Ops::tick` with a virtual clock instead.
         let (scraper_stop, scraper_thread) = if config.ops.self_scrape {
             let interval = config.ops.scrape_interval.max(Duration::from_millis(10));
-            let (tx, rx) = bounded::<()>(0);
+            let (tx, rx) = channel::<()>();
             let state = Arc::clone(&state);
             let thread = std::thread::Builder::new()
                 .name("yprov-ops-scrape".into())
@@ -239,7 +239,7 @@ impl Server {
                         .ops
                         .tick(now_s, &[&state.registry, state.store.registry()]);
                     match rx.recv_timeout(interval) {
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
+                        Err(RecvTimeoutError::Timeout) => continue,
                         _ => break, // stop signal or sender dropped
                     }
                 })?;

@@ -61,6 +61,7 @@ mod reactor;
 mod routes;
 pub mod slowlog;
 pub mod store;
+mod sync;
 
 pub use backend::{DurableBackend, MemoryBackend, StorageBackend, SyncPolicy};
 pub use client::{Client, ClientError, Response, RetryPolicy};

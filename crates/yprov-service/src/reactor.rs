@@ -32,13 +32,14 @@ use crate::conn::{HttpParser, Limits, WriteQueue};
 use crate::http::{self, error_body, Request, ServerConfig, ServerState};
 use crate::routes;
 use crate::slowlog::SlowEntry;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::sync::lock;
 use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Raw epoll/eventfd bindings — the only unsafe surface of the core.
@@ -259,16 +260,17 @@ pub(crate) fn spawn(
     poller.add(listener.as_raw_fd(), TOK_LISTENER, sys::EPOLLIN)?;
     poller.add(waker.raw(), TOK_WAKER, sys::EPOLLIN)?;
 
-    let (jobs_tx, jobs_rx) = unbounded::<Job>();
-    let (done_tx, done_rx) = unbounded::<Completion>();
+    let (jobs_tx, jobs_rx) = channel::<Job>();
+    let jobs_rx = Arc::new(Mutex::new(jobs_rx));
+    let (done_tx, done_rx) = channel::<Completion>();
     for i in 0..cfg.workers.max(1) {
-        let rx = jobs_rx.clone();
+        let rx = Arc::clone(&jobs_rx);
         let tx = done_tx.clone();
         let waker = waker.clone();
         let state = Arc::clone(&state);
         std::thread::Builder::new()
             .name(format!("yprov-http-{i}"))
-            .spawn(move || worker(rx, tx, waker, &state))?;
+            .spawn(move || worker(&rx, tx, waker, &state))?;
     }
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -324,13 +326,20 @@ pub(crate) fn spawn(
 /// A worker thread, the one place a request is served: trace adoption,
 /// handler span, route lookup, handler, per-route metrics and slowlog —
 /// then the response goes back to the reactor.
-fn worker(rx: Receiver<Job>, tx: Sender<Completion>, waker: Waker, state: &ServerState) {
-    while let Ok(Job {
-        token,
-        request,
-        started,
-    }) = rx.recv()
-    {
+fn worker(rx: &Mutex<Receiver<Job>>, tx: Sender<Completion>, waker: Waker, state: &ServerState) {
+    loop {
+        // One queue, N workers: whoever holds the receiver takes the
+        // next job. Received in a statement of its own, so the guard is
+        // gone before the handler runs and the workers overlap.
+        let job = lock(rx).recv();
+        let Ok(Job {
+            token,
+            request,
+            started,
+        }) = job
+        else {
+            break; // the reactor dropped its sender
+        };
         let _remote = request
             .traceparent
             .as_deref()

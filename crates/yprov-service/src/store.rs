@@ -24,14 +24,14 @@
 use crate::backend::{DurableBackend, MemoryBackend, StorageBackend, SyncPolicy};
 use crate::error::ServiceError;
 use crate::ledger::{Ledger, LedgerEntry};
-use parking_lot::{Condvar, Mutex, RwLock};
+use crate::sync::{lock, read, write};
 use prov_graph::{GraphIndex, SharedGraph};
 use prov_model::query::PathQuery;
 use prov_model::{ProvDocument, QName};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use yprov4ml::hash::sha256_hex;
 
@@ -111,7 +111,7 @@ struct WatchHub {
 
 impl WatchHub {
     fn bump(&self, id: &str) -> u64 {
-        let mut versions = self.versions.lock();
+        let mut versions = lock(&self.versions);
         let slot = versions.entry(id.to_string()).or_insert(0);
         *slot += 1;
         let v = *slot;
@@ -120,7 +120,7 @@ impl WatchHub {
     }
 
     fn remove(&self, id: &str) {
-        let removed = self.versions.lock().remove(id).is_some();
+        let removed = lock(&self.versions).remove(id).is_some();
         if removed {
             self.cv.notify_all();
         }
@@ -401,7 +401,7 @@ impl DocumentStore {
 
     /// The ledger entries, oldest first.
     pub fn ledger_entries(&self) -> Vec<crate::ledger::LedgerEntry> {
-        self.inner.ledger.lock().entries().to_vec()
+        lock(&self.inner.ledger).entries().to_vec()
     }
 
     /// Forces outstanding backend state (ledger tail, directory
@@ -414,7 +414,7 @@ impl DocumentStore {
     /// query). Exists for benchmarks and tests that need a cold cache.
     #[doc(hidden)]
     pub fn clear_index_cache(&self) {
-        for stored in self.inner.docs.write().values_mut() {
+        for stored in write(&self.inner.docs).values_mut() {
             *stored = Stored::unindexed(Arc::clone(&stored.doc));
         }
     }
@@ -429,7 +429,7 @@ impl DocumentStore {
         doc.canonicalize();
         let json = doc.to_json_string()?;
         let index = GraphIndex::build(&doc);
-        let ledger = &mut *self.inner.ledger.lock();
+        let ledger = &mut *lock(&self.inner.ledger);
         self.commit(ledger, id, doc, json, index).map(|(up, _)| up)
     }
 
@@ -473,7 +473,7 @@ impl DocumentStore {
             doc: Arc::new(doc),
             index: OnceLock::from(Arc::new(index)),
         });
-        self.inner.docs.write().insert(id.to_string(), stored);
+        write(&self.inner.docs).insert(id.to_string(), stored);
         self.inner.watch.bump(id)
     }
 
@@ -520,7 +520,7 @@ impl DocumentStore {
 
     /// Fetches a document.
     pub fn get(&self, id: &str) -> Option<Arc<ProvDocument>> {
-        self.inner.docs.read().get(id).map(|s| Arc::clone(&s.doc))
+        read(&self.inner.docs).get(id).map(|s| Arc::clone(&s.doc))
     }
 
     /// The document's canonical JSON, served from the backend's stored
@@ -543,26 +543,26 @@ impl DocumentStore {
     /// critical section uploads run in, so a racing upload of the same
     /// id lands wholly before or wholly after it.
     pub fn delete(&self, id: &str) -> Result<bool, ServiceError> {
-        self.delete_locked(&self.inner.ledger.lock(), id)
+        self.delete_locked(&lock(&self.inner.ledger), id)
     }
 
     /// [`Self::delete`] for a caller that already holds the ledger lock
     /// (the mutex is not re-entrant).
     fn delete_locked(&self, _ledger: &Ledger, id: &str) -> Result<bool, ServiceError> {
         let existed_on_backend = self.inner.backend.delete(id)?;
-        let existed = self.inner.docs.write().remove(id).is_some();
+        let existed = write(&self.inner.docs).remove(id).is_some();
         self.inner.watch.remove(id);
         Ok(existed || existed_on_backend)
     }
 
     /// All handle ids, sorted.
     pub fn list(&self) -> Vec<String> {
-        self.inner.docs.read().keys().cloned().collect()
+        read(&self.inner.docs).keys().cloned().collect()
     }
 
     /// Number of stored documents.
     pub fn len(&self) -> usize {
-        self.inner.docs.read().len()
+        read(&self.inner.docs).len()
     }
 
     /// True when no documents are stored.
@@ -571,7 +571,7 @@ impl DocumentStore {
     }
 
     fn stored(&self, id: &str) -> Result<Arc<Stored>, ServiceError> {
-        let stored = self.inner.docs.read().get(id).cloned();
+        let stored = read(&self.inner.docs).get(id).cloned();
         stored.ok_or_else(|| ServiceError::NotFound { id: id.to_string() })
     }
 
@@ -709,7 +709,7 @@ impl DocumentStore {
         // same critical section `insert` uses — so concurrent merges
         // and replacements of one id serialize instead of losing
         // updates.
-        let ledger = &mut *self.inner.ledger.lock();
+        let ledger = &mut *lock(&self.inner.ledger);
         let current = self.stored(id)?;
         let mut merged = (*current.doc).clone();
         let applied = merged
@@ -736,7 +736,7 @@ impl DocumentStore {
     /// start at 1 and bump on every mutation (replace, delta merge,
     /// replicated refresh).
     pub fn document_version(&self, id: &str) -> Option<u64> {
-        self.inner.watch.versions.lock().get(id).copied()
+        lock(&self.inner.watch.versions).get(id).copied()
     }
 
     /// Parks the caller until document `id` moves past version `after`,
@@ -746,13 +746,19 @@ impl DocumentStore {
     pub fn wait_for_newer(&self, id: &str, after: u64, timeout: Duration) -> WatchOutcome {
         let deadline = Instant::now() + timeout;
         let hub = &self.inner.watch;
-        let mut versions = hub.versions.lock();
+        let mut versions = lock(&hub.versions);
         loop {
             match versions.get(id).copied() {
                 None => return WatchOutcome::Gone,
                 Some(v) if v > after => return WatchOutcome::Changed(v),
                 Some(_) => {
-                    if hub.cv.wait_until(&mut versions, deadline).timed_out() {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    let (guard, wait) = hub
+                        .cv
+                        .wait_timeout(versions, left)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    versions = guard;
+                    if wait.timed_out() {
                         return match versions.get(id).copied() {
                             None => WatchOutcome::Gone,
                             Some(v) if v > after => WatchOutcome::Changed(v),
@@ -834,8 +840,8 @@ impl DocumentStore {
         // comes before the cursor lock (`verify_all`'s order). Holding it
         // also keeps a local upload of the same id from landing between
         // the check and the drop.
-        let ledger = drop_uncommitted.then(|| self.inner.ledger.lock());
-        let mut repl = self.inner.repl.lock();
+        let ledger = drop_uncommitted.then(|| lock(&self.inner.ledger));
+        let mut repl = lock(&self.inner.repl);
         let chain = repl.entry(source.to_string()).or_default();
         let next = chain.len() as u64;
 
@@ -896,7 +902,7 @@ impl DocumentStore {
             // between leaves a replica the resent entry finds already
             // clean, never chains that commit to bytes other than the
             // ones held.
-            let held = self.inner.docs.read().contains_key(&id);
+            let held = read(&self.inner.docs).contains_key(&id);
             let lookup = |id: &str| self.inner.backend.get(id).ok().flatten();
             if held && uncommitted_document(ledger, &repl, Some(&id), lookup).is_some() {
                 self.delete_locked(ledger, &id)?;
@@ -913,7 +919,7 @@ impl DocumentStore {
     /// `(next_index, head_hash)` of this replica's verified chain for
     /// `source` — the cursor a primary probes before streaming.
     pub fn replication_head(&self, source: &str) -> (u64, String) {
-        let repl = self.inner.repl.lock();
+        let repl = lock(&self.inner.repl);
         match repl.get(source) {
             Some(chain) => (chain.len() as u64, chain.head_hash()),
             None => (0, crate::ledger::GENESIS.to_string()),
@@ -922,9 +928,7 @@ impl DocumentStore {
 
     /// Every source this node replicates, with its applied-entry count.
     pub fn replication_sources(&self) -> Vec<(String, u64)> {
-        self.inner
-            .repl
-            .lock()
+        lock(&self.inner.repl)
             .iter()
             .map(|(s, c)| (s.clone(), c.len() as u64))
             .collect()
@@ -936,7 +940,7 @@ impl DocumentStore {
     /// chain-only, the bytes it committed to no longer exist. No
     /// document is read here; see [`Self::committed_document`].
     pub fn replication_log(&self, from: u64, to: u64) -> Vec<(LedgerEntry, bool)> {
-        let ledger = self.inner.ledger.lock();
+        let ledger = lock(&self.inner.ledger);
         let entries = ledger.entries();
         let from = (from as usize).min(entries.len());
         let to = (to as usize).clamp(from, entries.len());
@@ -965,8 +969,8 @@ impl DocumentStore {
     /// internal integrity, and that every replicated document's current
     /// bytes hash to the latest digest some chain committed to.
     pub fn verify_all(&self) -> Result<(), ServiceError> {
-        let ledger = self.inner.ledger.lock();
-        let repl = self.inner.repl.lock();
+        let ledger = lock(&self.inner.ledger);
+        let repl = lock(&self.inner.repl);
         verify_chains(&ledger, &repl, |id| {
             self.inner.backend.get(id).ok().flatten()
         })
@@ -975,7 +979,7 @@ impl DocumentStore {
     /// Merges every stored document into one (cross-run lineage);
     /// namespace clashes surface as [`ServiceError::Conflict`].
     pub fn merged(&self) -> Result<ProvDocument, ServiceError> {
-        let docs = self.inner.docs.read();
+        let docs = read(&self.inner.docs);
         let mut merged = ProvDocument::new();
         for (id, stored) in docs.iter() {
             merged
@@ -1895,8 +1899,8 @@ mod tests {
         }
         fn delete(&self, id: &str) -> Result<bool, ServiceError> {
             let existed = self.inner.delete(id);
-            self.deleted.lock().send(()).ok();
-            self.resume.lock().recv().ok();
+            lock(&self.deleted).send(()).ok();
+            lock(&self.resume).recv().ok();
             existed
         }
         fn list(&self) -> Result<Vec<String>, ServiceError> {

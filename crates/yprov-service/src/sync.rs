@@ -1,0 +1,21 @@
+//! How this crate takes its locks: whether or not a holder panicked.
+//!
+//! A handler that panics takes its worker thread with it and nothing
+//! else; the store, ledger and connection pools it may have been
+//! holding go on serving the other workers. Each of them is whole
+//! between statements, so the guard a poisoned lock hands back is as
+//! good as any other.
+
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+pub(crate) fn read<T: ?Sized>(rw: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    rw.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+pub(crate) fn write<T: ?Sized>(rw: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    rw.write().unwrap_or_else(PoisonError::into_inner)
+}

@@ -516,3 +516,52 @@ fn parked_watch_outlives_the_idle_reaper() {
     assert_eq!(status, 200, "connection reaped despite fresh activity");
     server.shutdown();
 }
+
+#[test]
+fn two_workers_serve_two_slow_requests_at_once() {
+    // Two long-poll watches on a two-worker server, released from this
+    // thread through the store: each can only answer `changed` if its
+    // handler was running while the other's was still parked. A job
+    // queue that serialised handlers would leave the second watch
+    // queued until the first timed out, and one of them would answer
+    // `changed:false`.
+    let store = DocumentStore::new();
+    let doc = |name: &str| {
+        let mut doc = prov_model::ProvDocument::new();
+        doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+        doc.entity(prov_model::QName::new("ex", name));
+        doc
+    };
+    let first = store.upload(doc("first")).unwrap();
+    let second = store.upload(doc("second")).unwrap();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        store.clone(),
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+
+    let watch = |id: &str| {
+        let mut reader = BufReader::new(connect(&server));
+        let path = format!("/api/v0/documents/{id}/watch?after=1&timeout_ms=3000");
+        reader
+            .get_mut()
+            .write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
+            .unwrap();
+        reader
+    };
+    let mut on_first = watch(&first);
+    let mut on_second = watch(&second);
+
+    // The later arrival is released first.
+    for (id, reader) in [(&second, &mut on_second), (&first, &mut on_first)] {
+        store.merge_delta(id, &doc("extra")).unwrap();
+        let (status, _, body) = read_response(reader);
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"changed\":true"), "{body}");
+    }
+    server.shutdown();
+}

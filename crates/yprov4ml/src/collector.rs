@@ -30,13 +30,13 @@
 
 use crate::crc32::crc32;
 use crate::error::ProvMLError;
+use crate::lock;
 use crate::model::{ArtifactMeta, Direction, LogRecord, ParamValue};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use metric_store::series::{MetricPoint, MetricSeries};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 
 /// Aggregated state of one run, built from the record stream.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -216,7 +216,7 @@ impl Shard {
 
     /// Stages one record; a full buffer goes out as one message.
     fn push(&self, record: LogRecord) -> Result<(), ProvMLError> {
-        let mut guard = self.staged.lock();
+        let mut guard = lock(&self.staged);
         let staged = guard.as_mut().ok_or(ProvMLError::CollectorGone)?;
         staged.push(record);
         if staged.len() >= BATCH {
@@ -228,7 +228,7 @@ impl Shard {
     /// Hands over the staged records, then `msg` behind them: a caller's
     /// own batch, or a barrier that must see everything logged before it.
     fn send_behind_staged(&self, msg: Msg) -> Result<(), ProvMLError> {
-        let mut guard = self.staged.lock();
+        let mut guard = lock(&self.staged);
         let staged = guard.as_mut().ok_or(ProvMLError::CollectorGone)?;
         self.send_staged(staged)?;
         self.send(msg)
@@ -237,7 +237,7 @@ impl Shard {
     /// Closes the staging buffer for good and asks the folding thread
     /// for its final state, behind whatever was still staged.
     fn shutdown(&self, out: Sender<RunState>) -> Result<(), ProvMLError> {
-        let mut guard = self.staged.lock();
+        let mut guard = lock(&self.staged);
         let staged = guard.take().ok_or(ProvMLError::CollectorGone)?;
         if !staged.is_empty() {
             self.send(Msg::Batch(staged))?;
@@ -346,7 +346,7 @@ impl Collector {
         let mut folders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for i in 0..shards {
-            let (tx, rx) = unbounded::<Msg>();
+            let (tx, rx) = channel::<Msg>();
             let name = match shards {
                 1 => "yprov4ml-collector".to_string(),
                 _ => format!("yprov4ml-collector-{i}"),
@@ -376,7 +376,7 @@ impl Collector {
         let _span = self.enqueue.start_span();
         let _trace = obs::trace::span("collector_enqueue");
         match &self.inner {
-            Inner::Sync(state) => state.lock().apply(record),
+            Inner::Sync(state) => lock(state).apply(record),
             Inner::Sharded { shards, .. } => {
                 shards[shard_index(&record, shards.len())].push(record)?
             }
@@ -401,7 +401,7 @@ impl Collector {
         }
         match &self.inner {
             Inner::Sync(state) => {
-                let mut state = state.lock();
+                let mut state = lock(state);
                 for r in records {
                     state.apply(r);
                 }
@@ -432,7 +432,7 @@ impl Collector {
                 // Fan the barrier out first, then collect every ack.
                 let mut acks = Vec::with_capacity(shards.len());
                 for shard in shards {
-                    let (ack_tx, ack_rx) = unbounded();
+                    let (ack_tx, ack_rx) = channel();
                     shard.send_behind_staged(Msg::Flush(ack_tx))?;
                     acks.push(ack_rx);
                 }
@@ -458,11 +458,11 @@ impl Collector {
     /// instant.
     pub fn snapshot(&self) -> Result<RunState, ProvMLError> {
         match &self.inner {
-            Inner::Sync(state) => Ok(state.lock().clone()),
+            Inner::Sync(state) => Ok(lock(state).clone()),
             Inner::Sharded { shards, .. } => {
                 let mut outs = Vec::with_capacity(shards.len());
                 for shard in shards {
-                    let (out_tx, out_rx) = unbounded();
+                    let (out_tx, out_rx) = channel();
                     shard.send_behind_staged(Msg::Snapshot(out_tx))?;
                     outs.push(out_rx);
                 }
@@ -488,14 +488,14 @@ impl Collector {
     /// close, in buffered mode) report [`ProvMLError::CollectorGone`].
     pub fn close(&self) -> Result<RunState, ProvMLError> {
         match &self.inner {
-            Inner::Sync(state) => Ok(std::mem::take(&mut *state.lock())),
+            Inner::Sync(state) => Ok(std::mem::take(&mut *lock(state))),
             Inner::Sharded { shards, handles } => {
-                let joined = handles.lock().take().ok_or(ProvMLError::CollectorGone)?;
+                let joined = lock(handles).take().ok_or(ProvMLError::CollectorGone)?;
                 // All shards drain concurrently; the merge then runs in
                 // shard order, which makes the reduction deterministic.
                 let mut outs = Vec::with_capacity(shards.len());
                 for shard in shards {
-                    let (out_tx, out_rx) = unbounded();
+                    let (out_tx, out_rx) = channel();
                     shard.shutdown(out_tx)?;
                     outs.push(out_rx);
                 }

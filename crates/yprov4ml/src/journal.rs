@@ -34,15 +34,16 @@ mod frame;
 use crate::collector::RunState;
 use crate::crc32::crc32;
 use crate::error::ProvMLError;
+use crate::lock;
 use crate::model::{LogRecord, RunReport, RunStatus};
 use crate::prov_emit::{build_document, RunIdentity};
 use crate::spill::{spill_metrics, SpillPolicy};
 use frame::{Frame, FRAME_RECORDS};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// File name of the journal (segment 0) inside a run directory.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
@@ -385,7 +386,7 @@ impl JournalWriter {
     /// write is returned here once and by `flush`/`close` ever after.
     pub fn append(&self, record: &LogRecord) -> Result<(), ProvMLError> {
         let _span = self.append_hist.start_span();
-        let mut guard = self.inner.lock();
+        let mut guard = lock(&self.inner);
         let st = &mut *guard;
         if st.failed.is_some() {
             return self.write_frame(st, false);
@@ -411,7 +412,7 @@ impl JournalWriter {
     /// Writes the staged frame and fsyncs everything written so far.
     /// Returns the first write error, if there ever was one.
     pub fn flush(&self) -> Result<(), ProvMLError> {
-        self.write_frame(&mut self.inner.lock(), true)
+        self.write_frame(&mut lock(&self.inner), true)
     }
 
     /// Closes the journal: write the staged frame, fsync the file,
@@ -431,7 +432,7 @@ impl JournalWriter {
     /// `/dev/full` where there is one, a read-only handle elsewhere.
     #[cfg(test)]
     pub(crate) fn break_disk(&self) {
-        self.inner.lock().file = OpenOptions::new()
+        lock(&self.inner).file = OpenOptions::new()
             .write(true)
             .open("/dev/full")
             .or_else(|_| File::open(&self.path0))
@@ -444,7 +445,7 @@ impl Drop for JournalWriter {
     /// leaves every acknowledged record in the file (written, not
     /// fsynced; the error, if any, has nowhere to go but the counter).
     fn drop(&mut self) {
-        let _ = self.write_frame(&mut self.inner.lock(), false);
+        let _ = self.write_frame(&mut lock(&self.inner), false);
     }
 }
 
@@ -594,14 +595,15 @@ pub fn recover_detailed(
     let series: Vec<&metric_store::series::MetricSeries> = state.metrics.values().collect();
     let outcome = spill_metrics(run_dir, spill, &series)?;
 
-    // End time: the latest timestamp the journal saw.
+    // End time: the latest timestamp the journal saw, and never before
+    // the start (metric times are the caller's, and a simulated clock
+    // starts at zero).
     let ended_us = state
         .metrics
         .values()
         .filter_map(|s| s.points.last().map(|p| p.time_us))
         .chain(state.artifacts.iter().map(|a| a.logged_at_us))
-        .max()
-        .unwrap_or(replay.header.started_us);
+        .fold(replay.header.started_us, i64::max);
 
     let identity = RunIdentity {
         experiment: replay.header.experiment.clone(),
@@ -1082,6 +1084,37 @@ mod tests {
         writer.flush().unwrap();
         assert_eq!(read_journal(&dir).unwrap().records, 3);
         (3..7).for_each(|i| writer.append(&metric(i)).unwrap());
+        drop(writer);
+        assert_eq!(
+            replayed_steps(&read_journal(&dir).unwrap()),
+            (0..7).collect::<Vec<_>>()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_holder_that_panicked_costs_no_staged_record() {
+        let dir = tmp("holder_panicked");
+        let config = JournalConfig {
+            sync: SyncPolicy::OnFlush,
+            ..Default::default()
+        };
+        let writer = JournalWriter::create_with(&dir, &header(), config).unwrap();
+        (0..3).for_each(|i| writer.append(&metric(i)).unwrap());
+        // A logging thread dies inside the writer's critical section.
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = lock(&writer.inner);
+                panic!("a training step blew up");
+            })
+            .join()
+        });
+        assert!(died.is_err() && writer.inner.is_poisoned());
+        // Appends, flush and the unwinding `Drop` all still go through.
+        (3..5).for_each(|i| writer.append(&metric(i)).unwrap());
+        writer.flush().unwrap();
+        assert_eq!(read_journal(&dir).unwrap().records, 5);
+        (5..7).for_each(|i| writer.append(&metric(i)).unwrap());
         drop(writer);
         assert_eq!(
             replayed_steps(&read_journal(&dir).unwrap()),

@@ -73,3 +73,15 @@ pub use journal::{
 pub use model::{Context, Direction, LogRecord, ParamValue, RunReport, RunStatus};
 pub use run::{DeltaCadence, DeltaEmitter, FinalizeOptions, Run, RunOptions};
 pub use spill::SpillPolicy;
+
+/// Takes `mutex` whether or not a holder panicked. A panicking training
+/// step unwinds through a live [`Run`], and what it leaves must still
+/// reach disk: `JournalWriter`'s `Drop` writes the staged frame during
+/// that unwind, where a second panic is an abort. Every structure
+/// behind these locks is whole between statements, so the guard a
+/// poisoned lock hands back is as good as any.
+pub(crate) fn lock<T: ?Sized>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

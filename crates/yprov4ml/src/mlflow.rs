@@ -28,10 +28,11 @@
 
 use crate::error::ProvMLError;
 use crate::experiment::Experiment;
+use crate::lock;
 use crate::model::{Context, Direction, ParamValue, RunReport};
 use crate::run::{Run, RunOptions};
-use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 struct ShimState {
     tracking_dir: PathBuf,
@@ -52,7 +53,7 @@ impl Default for ShimState {
 static STATE: Mutex<Option<ShimState>> = Mutex::new(None);
 
 fn with_state<T>(f: impl FnOnce(&mut ShimState) -> T) -> T {
-    let mut guard = STATE.lock();
+    let mut guard = lock(&STATE);
     f(guard.get_or_insert_with(ShimState::default))
 }
 
@@ -173,7 +174,7 @@ mod tests {
 
     #[test]
     fn fluent_api_full_cycle() {
-        let _guard = TEST_LOCK.lock();
+        let _guard = lock(&TEST_LOCK);
         let dir = fresh_dir("cycle");
         set_tracking_dir(&dir);
         set_experiment("shim-exp").unwrap();
@@ -199,7 +200,7 @@ mod tests {
 
     #[test]
     fn misuse_is_rejected() {
-        let _guard = TEST_LOCK.lock();
+        let _guard = lock(&TEST_LOCK);
         let dir = fresh_dir("misuse");
         set_tracking_dir(&dir);
         // end without start
@@ -217,7 +218,7 @@ mod tests {
 
     #[test]
     fn failed_runs_marked() {
-        let _guard = TEST_LOCK.lock();
+        let _guard = lock(&TEST_LOCK);
         let dir = fresh_dir("failed");
         set_tracking_dir(&dir);
         set_experiment("fail-exp").unwrap();

@@ -4,14 +4,14 @@ use crate::collector::Collector;
 use crate::error::ProvMLError;
 use crate::hash::sha256_hex;
 use crate::journal::{JournalConfig, JournalHeader, JournalWriter};
+use crate::lock;
 use crate::model::{ArtifactMeta, Context, Direction, LogRecord, ParamValue, RunReport, RunStatus};
 use crate::plugins::{PluginSink, ProvPlugin};
 use crate::prov_emit::{build_document, emit_alerts, emit_overhead, write_prov_files, RunIdentity};
 use crate::spill::{spill_metrics_pooled, SpillOutcome, SpillPolicy};
 use metric_store::WorkerPool;
-use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Knobs for the finalize pipeline (collector drain, metric spill,
 /// provenance emission).
@@ -204,7 +204,7 @@ impl Run {
         };
         // Give plugins a chance to record environment parameters.
         {
-            let mut plugins = run.plugins.lock();
+            let mut plugins = lock(&run.plugins);
             let mut sink = PluginSink::new(&run.collector);
             for p in plugins.iter_mut() {
                 p.on_run_start(&mut sink);
@@ -415,7 +415,7 @@ impl Run {
     /// Invokes every plugin's periodic hook (call once per step or on a
     /// timer; plugins emit extra metrics through their sink).
     pub fn plugin_tick(&self) {
-        let mut plugins = self.plugins.lock();
+        let mut plugins = lock(&self.plugins);
         let mut sink = PluginSink::new(&self.collector);
         for p in plugins.iter_mut() {
             p.on_tick(&mut sink);
@@ -496,7 +496,7 @@ impl Run {
 
     fn finish_with_status(mut self, status: RunStatus) -> Result<RunReport, ProvMLError> {
         {
-            let mut plugins = self.plugins.lock();
+            let mut plugins = lock(&self.plugins);
             let mut sink = PluginSink::new(&self.collector);
             for p in plugins.iter_mut() {
                 p.on_run_end(&mut sink);

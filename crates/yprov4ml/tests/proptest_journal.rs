@@ -3,7 +3,7 @@
 //! a single flipped bit — recovery must neither panic nor error, and
 //! must replay exactly the frames the damage did not touch.
 
-use proptest::prelude::*;
+use testkit::check;
 use yprov4ml::journal::{
     read_journal, JournalConfig, JournalHeader, JournalWriter, SyncPolicy, JOURNAL_FILE,
 };
@@ -68,19 +68,16 @@ fn records_in(frames: usize, n: usize, per_frame: u32) -> usize {
     (frames * per_frame as usize).min(n)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Truncating anywhere in the frame region (at or after the end of
-    /// the header line) never panics or errors, and recovers exactly
-    /// the records of the frames that fit in the surviving prefix, with
-    /// at most one torn frame counted as skipped.
-    #[test]
-    fn truncation_recovers_a_valid_prefix(
-        n in 1usize..40,
-        per_frame in 1u32..9,
-        cut_frac in 0.0f64..1.0,
-    ) {
+/// Truncating anywhere in the frame region (at or after the end of
+/// the header line) never panics or errors, and recovers exactly
+/// the records of the frames that fit in the surviving prefix, with
+/// at most one torn frame counted as skipped.
+#[test]
+fn truncation_recovers_a_valid_prefix() {
+    check(64, |rng, size| {
+        let n = rng.len(1..40, size);
+        let per_frame = rng.range(1u32..9);
+        let cut_frac = rng.unit();
         let (dir, bytes, body_at, frame_ends) = journal_bytes("trunc", n, per_frame);
         let cut = body_at + ((bytes.len() - body_at) as f64 * cut_frac) as usize;
         let cut = cut.min(bytes.len());
@@ -91,19 +88,20 @@ proptest! {
 
         let whole = frame_ends.iter().filter(|&&e| e <= cut).count();
         let complete = records_in(whole, n, per_frame);
-        prop_assert_eq!(replay.records, complete);
-        prop_assert!(replay.skipped <= 1, "skipped {}", replay.skipped);
-        prop_assert_eq!(replay.state.metric_samples, complete);
-    }
+        assert_eq!(replay.records, complete);
+        assert!(replay.skipped <= 1, "skipped {}", replay.skipped);
+        assert_eq!(replay.state.metric_samples, complete);
+    });
+}
 
-    /// Truncating *inside the header* is the one structural failure:
-    /// recovery must report an error (there is nothing to recover into)
-    /// but still must not panic.
-    #[test]
-    fn header_truncation_errors_cleanly(
-        n in 1usize..10,
-        cut_frac in 0.0f64..1.0,
-    ) {
+/// Truncating *inside the header* is the one structural failure:
+/// recovery must report an error (there is nothing to recover into)
+/// but still must not panic.
+#[test]
+fn header_truncation_errors_cleanly() {
+    check(64, |rng, size| {
+        let n = rng.len(1..10, size);
+        let cut_frac = rng.unit();
         let (dir, bytes, body_at, _) = journal_bytes("hdr", n, 4);
         let cut = (body_at as f64 * cut_frac) as usize;
         // Stay strictly inside the header JSON: cutting at its last
@@ -112,20 +110,21 @@ proptest! {
         std::fs::write(dir.join(JOURNAL_FILE), &bytes[..cut]).unwrap();
         let result = read_journal(&dir);
         std::fs::remove_dir_all(&dir).ok();
-        prop_assert!(result.is_err());
-    }
+        assert!(result.is_err());
+    });
+}
 
-    /// Flipping any single bit in the frame region never panics or
-    /// errors; the CRC catches the corruption and exactly the frame
-    /// that was hit is lost — never a neighbour, and never a bogus
-    /// extra record.
-    #[test]
-    fn single_bit_flip_costs_one_frame(
-        n in 2usize..40,
-        per_frame in 1u32..9,
-        pos_frac in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
+/// Flipping any single bit in the frame region never panics or
+/// errors; the CRC catches the corruption and exactly the frame
+/// that was hit is lost — never a neighbour, and never a bogus
+/// extra record.
+#[test]
+fn single_bit_flip_costs_one_frame() {
+    check(64, |rng, size| {
+        let n = rng.len(2..40, size);
+        let per_frame = rng.range(1u32..9);
+        let pos_frac = rng.unit();
+        let bit = rng.range(0u8..8);
         let (dir, mut bytes, body_at, frame_ends) = journal_bytes("flip", n, per_frame);
         let pos = body_at + ((bytes.len() - body_at - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= 1 << bit;
@@ -136,7 +135,7 @@ proptest! {
 
         let hit = frame_ends.iter().filter(|&&e| e <= pos).count();
         let lost = records_in(hit + 1, n, per_frame) - records_in(hit, n, per_frame);
-        prop_assert_eq!(replay.records, n - lost);
-        prop_assert_eq!(replay.skipped, 1);
-    }
+        assert_eq!(replay.records, n - lost);
+        assert_eq!(replay.skipped, 1);
+    });
 }

@@ -2,70 +2,78 @@
 //! streams must fold identically through the sync and buffered
 //! collectors, survive the journal, and always produce valid PROV.
 
-use proptest::prelude::*;
+use testkit::{check, printable, Rng};
 use yprov4ml::collector::{Collector, RunState};
 use yprov4ml::journal::{read_journal, JournalHeader, JournalWriter};
 use yprov4ml::model::{Context, Direction, LogRecord, ParamValue};
 use yprov4ml::prov_emit::{build_document, RunIdentity};
 use yprov4ml::spill::SpillOutcome;
 
-fn arb_context() -> impl Strategy<Value = Context> {
-    prop_oneof![
-        Just(Context::Training),
-        Just(Context::Validation),
-        Just(Context::Testing),
-        "[a-z]{1,8}".prop_map(Context::Custom),
-    ]
+const LOWER: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
+
+/// `[a-z]{1,max}`
+fn name(rng: &mut Rng, max: usize) -> String {
+    let len = rng.range(1..max + 1);
+    rng.string(LOWER, len)
 }
 
-fn arb_param_value() -> impl Strategy<Value = ParamValue> {
-    prop_oneof![
-        any::<i64>().prop_map(ParamValue::Int),
+fn context(rng: &mut Rng) -> Context {
+    match rng.below(4) {
+        0 => Context::Training,
+        1 => Context::Validation,
+        2 => Context::Testing,
+        _ => Context::Custom(name(rng, 8)),
+    }
+}
+
+fn param_value(rng: &mut Rng) -> ParamValue {
+    match rng.below(4) {
+        0 => ParamValue::Int(rng.next_u64() as i64),
         // Finite doubles: NaN params would break state comparison
         // without testing anything new (NaN behaviour is covered in
         // metric values below).
-        (-1e15f64..1e15).prop_map(ParamValue::Float),
-        "[ -~]{0,16}".prop_map(ParamValue::Text),
-        any::<bool>().prop_map(ParamValue::Bool),
-    ]
+        1 => ParamValue::Float(rng.range(-1e15..1e15)),
+        2 => {
+            let len = rng.range(0usize..17);
+            ParamValue::Text(rng.string(&printable(b""), len))
+        }
+        _ => ParamValue::Bool(rng.bool()),
+    }
 }
 
-fn arb_record() -> impl Strategy<Value = LogRecord> {
-    prop_oneof![
-        ("[a-z]{1,10}", arb_param_value(), any::<bool>()).prop_map(|(name, value, input)| {
-            LogRecord::Param {
-                name,
-                value,
-                direction: if input {
-                    Direction::Input
-                } else {
-                    Direction::Output
-                },
-            }
-        }),
-        (
-            "[a-z]{1,10}",
-            arb_context(),
-            any::<u64>(),
-            any::<u32>(),
-            any::<i64>(),
-            any::<f64>()
-        )
-            .prop_map(
-                |(name, context, step, epoch, time_us, value)| LogRecord::Metric {
-                    name,
-                    context,
-                    step,
-                    epoch,
-                    time_us,
-                    value,
-                }
-            ),
-        (arb_context(), any::<i64>())
-            .prop_map(|(context, time_us)| LogRecord::ContextStart { context, time_us }),
-        (arb_context(), any::<i64>())
-            .prop_map(|(context, time_us)| LogRecord::ContextEnd { context, time_us }),
-    ]
+fn record(rng: &mut Rng) -> LogRecord {
+    match rng.below(4) {
+        0 => LogRecord::Param {
+            name: name(rng, 10),
+            value: param_value(rng),
+            direction: if rng.bool() {
+                Direction::Input
+            } else {
+                Direction::Output
+            },
+        },
+        1 => LogRecord::Metric {
+            name: name(rng, 10),
+            context: context(rng),
+            step: rng.next_u64(),
+            epoch: rng.next_u64() as u32,
+            time_us: rng.next_u64() as i64,
+            value: rng.any_f64(),
+        },
+        2 => LogRecord::ContextStart {
+            context: context(rng),
+            time_us: rng.next_u64() as i64,
+        },
+        _ => LogRecord::ContextEnd {
+            context: context(rng),
+            time_us: rng.next_u64() as i64,
+        },
+    }
+}
+
+/// `lens`-many records at full size.
+fn records(rng: &mut Rng, lens: std::ops::Range<usize>, size: usize) -> Vec<LogRecord> {
+    (0..rng.len(lens, size)).map(|_| record(rng)).collect()
 }
 
 fn states_equal_modulo_nan(a: &RunState, b: &RunState) -> bool {
@@ -94,13 +102,10 @@ fn states_equal_modulo_nan(a: &RunState, b: &RunState) -> bool {
         })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn sync_and_buffered_collectors_agree(
-        records in prop::collection::vec(arb_record(), 0..200),
-    ) {
+#[test]
+fn sync_and_buffered_collectors_agree() {
+    check(48, |rng, size| {
+        let records = records(rng, 0..200, size);
         let sync = Collector::synchronous();
         let buffered = Collector::buffered().unwrap();
         for r in &records {
@@ -109,18 +114,21 @@ proptest! {
         }
         let a = sync.close().unwrap();
         let b = buffered.close().unwrap();
-        prop_assert!(states_equal_modulo_nan(&a, &b));
-    }
+        assert!(states_equal_modulo_nan(&a, &b));
+    });
+}
 
-    #[test]
-    fn journal_replay_reproduces_state(
-        records in prop::collection::vec(arb_record(), 0..150),
-    ) {
+#[test]
+fn journal_replay_reproduces_state() {
+    check(48, |rng, size| {
+        let records = records(rng, 0..150, size);
         let dir = std::env::temp_dir().join(format!(
             "yprop_journal_{}_{:x}",
             std::process::id(),
             std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let header = JournalHeader {
@@ -139,17 +147,17 @@ proptest! {
         drop(writer);
         let replay = read_journal(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        prop_assert_eq!(replay.records, records.len());
-        prop_assert_eq!(replay.skipped, 0);
-        prop_assert!(states_equal_modulo_nan(&replay.state, &direct));
-    }
+        assert_eq!(replay.records, records.len());
+        assert_eq!(replay.skipped, 0);
+        assert!(states_equal_modulo_nan(&replay.state, &direct));
+    });
+}
 
-    #[test]
-    fn emitted_documents_always_validate(
-        records in prop::collection::vec(arb_record(), 0..120),
-    ) {
+#[test]
+fn emitted_documents_always_validate() {
+    check(48, |rng, size| {
         let mut state = RunState::default();
-        for r in records {
+        for r in records(rng, 0..120, size) {
             state.apply(r);
         }
         let identity = RunIdentity {
@@ -159,15 +167,19 @@ proptest! {
             started_us: 0,
             ended_us: 1,
         };
-        let spill = SpillOutcome { store_path: None, links: Vec::new(), external_bytes: 0 };
+        let spill = SpillOutcome {
+            store_path: None,
+            links: Vec::new(),
+            external_bytes: 0,
+        };
         let doc = build_document(&identity, &state, &spill, false);
         let issues = prov_model::validate(&doc);
-        prop_assert!(
+        assert!(
             prov_model::validate::is_valid(&doc),
             "invalid doc from arbitrary state: {issues:?}"
         );
         // And it survives the JSON round trip.
         let json = doc.to_json_string().unwrap();
-        prop_assert!(prov_model::ProvDocument::from_json_str(&json).is_ok());
-    }
+        assert!(prov_model::ProvDocument::from_json_str(&json).is_ok());
+    });
 }

@@ -290,7 +290,7 @@ mod tests {
 
     #[test]
     fn diamond_runs_in_dependency_order() {
-        let order = Arc::new(parking_lot::Mutex::new(Vec::<String>::new()));
+        let order = Arc::new(std::sync::Mutex::new(Vec::<String>::new()));
         let mut wf = Workflow::new("diamond");
         for (name, deps) in [
             ("a", vec![]),
@@ -302,22 +302,22 @@ mod tests {
             let name_owned = name.to_string();
             match deps.len() {
                 0 => wf.task(name, [], move |_| {
-                    order.lock().push(name_owned);
+                    order.lock().unwrap().push(name_owned);
                     Ok(TaskOutcome::new().output("o", b"x".to_vec()))
                 }),
                 1 => wf.task(name, [deps[0]], move |_| {
-                    order.lock().push(name_owned);
+                    order.lock().unwrap().push(name_owned);
                     Ok(TaskOutcome::new().output("o", b"x".to_vec()))
                 }),
                 _ => wf.task(name, [deps[0], deps[1]], move |_| {
-                    order.lock().push(name_owned);
+                    order.lock().unwrap().push(name_owned);
                     Ok(TaskOutcome::new().output("o", b"x".to_vec()))
                 }),
             };
         }
         let report = run(wf).unwrap();
         assert!(report.succeeded());
-        let order = order.lock();
+        let order = order.lock().unwrap();
         let pos = |n: &str| order.iter().position(|x| x == n).unwrap();
         assert!(pos("a") < pos("b"));
         assert!(pos("a") < pos("c"));

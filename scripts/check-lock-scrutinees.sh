@@ -7,17 +7,25 @@
 #   let task = queue.lock().pop_back();
 #   if let Some(task) = task { ... }
 #
-# Scans crates/*/src line by line, comments stripped; a scrutinee that
-# rustfmt broke over several lines is not seen.
+# A lock is `.lock()` / `.read()` / `.write()` or a call of the crates'
+# `lock(..)` / `read(..)` / `write(..)` helpers (`yprov4ml::lock`,
+# `yprov_service::sync`). Scans crates/*/src line by line, comments
+# stripped; a scrutinee that rustfmt broke over several lines is not seen.
 set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-hits=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+scan='
   { code = $0; sub(/\/\/.*/, "", code) }
-  code ~ /(^|[^A-Za-z0-9_])(if let|while let|match)[^A-Za-z0-9_].*\.(lock|read|write)\(\)/ {
+  code ~ /(^|[^A-Za-z0-9_])(if let|while let|match)[^A-Za-z0-9_].*(\.(lock|read|write)\(\)|[^A-Za-z0-9_.:](lock|read|write)\()/ {
     printf "%s:%d:%s\n", FILENAME, FNR, $0
-  }')
+  }'
+
+# Self-check: the scan must see both spellings.
+printf 'while let Ok(job) = lock(rx).recv() {\nif let Some(t) = q.lock().pop() {\n' |
+  awk "$scan" | wc -l | grep -qx 2 || { echo "scan missed its sample lines" >&2; exit 2; }
+
+hits=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk "$scan")
 
 if [ -n "$hits" ]; then
   echo "lock taken in an if-let / while-let / match scrutinee:" >&2
