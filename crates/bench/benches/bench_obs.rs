@@ -43,7 +43,9 @@ fn populated_registry(series: usize) -> obs::Registry {
             .add(i as u64 + 1);
     }
     for i in 0..series / 8 {
-        registry.gauge(&format!("pool_size{{shard=\"{i}\"}}")).set(4);
+        registry
+            .gauge(&format!("pool_size{{shard=\"{i}\"}}"))
+            .set(4);
         let h = registry.histogram(&format!("latency_seconds{{shard=\"{i}\"}}"));
         for k in 0..64u64 {
             h.record_ns(1_000 * (k + 1));

@@ -226,7 +226,6 @@ pub fn simulate_streaming_to_service(
     });
     let result = sim.run(&mut observer);
     let shipped = observer.deltas_emitted();
-    drop(observer);
     if errors.is_empty() {
         Ok((result, shipped))
     } else {

@@ -251,9 +251,17 @@ fn primary_killed_mid_upload_cluster_promotes_and_serves() {
     let survivor_idx = (0..ids.len()).find(|i| *i != victim_idx).unwrap();
     let ops_probe = Client::new(addrs[survivor_idx], fast_policy(19));
     let resp = ops_probe.get("/api/v0/obs/health").unwrap();
-    assert_eq!(resp.status, 200, "survivor not ready mid-chaos: {}", resp.body);
+    assert_eq!(
+        resp.status, 200,
+        "survivor not ready mid-chaos: {}",
+        resp.body
+    );
     let resp = ops_probe.get("/api/v0/obs/cluster").unwrap();
-    assert_eq!(resp.status, 200, "dead peer broke federation: {}", resp.body);
+    assert_eq!(
+        resp.status, 200,
+        "dead peer broke federation: {}",
+        resp.body
+    );
     let view: serde_json::Value = serde_json::from_str(&resp.body).unwrap();
     assert_eq!(view["ok"], serde_json::json!(false), "{}", resp.body);
     let corpse = view["members"]

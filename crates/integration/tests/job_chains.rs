@@ -12,7 +12,7 @@ use train_sim::model::{Architecture, ModelConfig};
 use train_sim::sim::{
     Checkpoint, NullObserver, Phase, SimConfig, TrainingSimulation, WalltimeCutoff,
 };
-use train_sim::{DatasetSpec, MachineConfig, TrainObserver};
+use train_sim::{DatasetSpec, MachineConfig};
 use yprov4ml::model::Direction;
 use yprov4ml::Experiment;
 

@@ -136,8 +136,8 @@ fn slowlog_trace_ids_line_up_with_the_chrome_trace_export() {
     obs::trace::set_enabled(true);
     obs::trace::drain();
 
-    let server = Server::bind("127.0.0.1:0", DocumentStore::new(), ServerConfig::default())
-        .unwrap();
+    let server =
+        Server::bind("127.0.0.1:0", DocumentStore::new(), ServerConfig::default()).unwrap();
     let (status, _) = request(server.addr(), "GET", "/healthz", None).unwrap();
     assert_eq!(status, 200);
 

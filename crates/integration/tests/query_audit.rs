@@ -220,7 +220,7 @@ fn cluster_client_queries_survive_primary_failover() {
     drop(listeners);
     let stores: Vec<DocumentStore> = ids
         .iter()
-        .map(|id| DocumentStore::persistent(&base.join(id)).unwrap())
+        .map(|id| DocumentStore::persistent(base.join(id)).unwrap())
         .collect();
     let mut servers: Vec<Option<Server>> = ids
         .iter()

@@ -278,7 +278,10 @@ pub fn set_global(set: Arc<AlertSet>) {
 
 /// The process-global alert set, if one was installed.
 pub fn global() -> Option<Arc<AlertSet>> {
-    global_slot().lock().expect("alerts global poisoned").clone()
+    global_slot()
+        .lock()
+        .expect("alerts global poisoned")
+        .clone()
 }
 
 #[cfg(test)]

@@ -599,13 +599,18 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut i = 0u64;
                     // Bounded so the registry (and the tsdb series
-                    // fuse) stays comfortably sized.
-                    while !stop.load(Ordering::Relaxed) && i < 200 {
+                    // fuse) stays comfortably sized; at least one pass
+                    // even when the scrape loop finishes before this
+                    // thread is first scheduled.
+                    loop {
                         // Each worker keeps registering fresh names so
                         // every scrape races a registration.
                         r.counter(&format!("worker_{w}_burst_{i}")).add(7);
                         r.histogram(&format!("worker_{w}_lat_{i}")).record_ns(640);
                         i += 1;
+                        if stop.load(Ordering::Relaxed) || i >= 200 {
+                            break;
+                        }
                         std::thread::yield_now();
                     }
                     i

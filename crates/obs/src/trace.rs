@@ -585,7 +585,7 @@ pub fn to_chrome_json(spans: &[SpanRecord]) -> String {
             tracks.push(key);
         }
     }
-    tracks.sort_by(|a, b| (a.0, natural_key(a.1)).cmp(&(b.0, natural_key(b.1))));
+    tracks.sort_by_key(|a| (a.0, natural_key(a.1)));
     let tids: BTreeMap<(u32, &str), u32> = tracks
         .iter()
         .enumerate()
@@ -855,7 +855,7 @@ mod tests {
         assert_eq!(sid, root.id());
 
         // A "server" thread adopts the header: its spans join the trace.
-        let server_spans = std::thread::spawn(move || {
+        std::thread::spawn(move || {
             let scope = adopt_remote(&header).expect("valid traceparent adopts");
             {
                 let _s = span("handle_request");
@@ -865,7 +865,6 @@ mod tests {
         })
         .join()
         .unwrap();
-        let _ = server_spans;
         drop(root);
         let spans = drain();
         set_enabled(false);

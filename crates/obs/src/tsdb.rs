@@ -268,9 +268,11 @@ impl Tsdb {
                 *dropped_series += 1;
                 return;
             }
-            let data = series.entry(name.to_string()).or_insert_with(|| SeriesData {
-                tiers: cfg.tiers.iter().map(TierRing::new).collect(),
-            });
+            let data = series
+                .entry(name.to_string())
+                .or_insert_with(|| SeriesData {
+                    tiers: cfg.tiers.iter().map(TierRing::new).collect(),
+                });
             for tier in &mut data.tiers {
                 tier.record(now_s, value);
             }

@@ -298,7 +298,7 @@ fn run_steps(graph: &ProvGraph<'_>, anchor: usize, steps: &[Step]) -> Vec<(usize
             return Vec::new();
         }
     }
-    frontier.into_iter().map(|(n, p)| (n, p)).collect()
+    frontier.into_iter().collect()
 }
 
 /// Expands one step from `frontier`: a layered walk for the exact hop

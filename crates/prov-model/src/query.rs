@@ -129,7 +129,7 @@ impl ElementFilter {
             }
         }
         if let Some(key) = &self.has_attr {
-            if !element.is_some_and(|e| !e.attrs(key).is_empty()) {
+            if element.is_none_or(|e| e.attrs(key).is_empty()) {
                 return false;
             }
         }

@@ -466,7 +466,7 @@ impl TrainingSimulation {
                 samples_per_s: global_batch as f64 / this_step,
             });
 
-            let epoch_boundary = step % steps_per_epoch == 0;
+            let epoch_boundary = step.is_multiple_of(steps_per_epoch);
             if epoch_boundary {
                 let _epoch_span = epoch_hist.start_span();
                 epochs_completed = epoch + 1;
@@ -869,8 +869,7 @@ mod tests {
             .run(&mut NullObserver);
         // ...equals a chain of runs resumed epoch by epoch.
         let mut ckpt = None;
-        let mut last = None;
-        loop {
+        let chained = loop {
             let mut cfg = tiny_cfg(8);
             cfg.resume_from = ckpt;
             // One epoch of walltime per "job".
@@ -878,14 +877,11 @@ mod tests {
             let steps_per_epoch = cfg.dataset.steps_per_epoch(cfg.global_batch());
             cfg.cutoff = WalltimeCutoff::Seconds(step_time * steps_per_epoch as f64 + 1e-6);
             let r = TrainingSimulation::new(cfg).unwrap().run(&mut NullObserver);
-            let done = r.completed;
-            ckpt = Some(r.checkpoint);
-            last = Some(r);
-            if done {
-                break;
+            if r.completed {
+                break r;
             }
-        }
-        let chained = last.unwrap();
+            ckpt = Some(r.checkpoint);
+        };
         assert_eq!(chained.final_loss, full.final_loss, "same loss trajectory");
         assert_eq!(chained.samples_seen, full.samples_seen);
         assert_eq!(chained.steps, full.steps);

@@ -2,15 +2,16 @@
 //!
 //! [`DocumentStore`](crate::store::DocumentStore) keeps parsed
 //! documents and graph indexes in memory; a [`StorageBackend`] owns the
-//! *bytes* — canonical PROV-JSON per document plus the append-only
-//! ledger file. Two implementations ship:
+//! *bytes* — canonical PROV-JSON per document plus the append-only hash
+//! chains that commit to them, named by [`ChainName`]. Two
+//! implementations ship:
 //!
-//! * [`MemoryBackend`] — a mutex-guarded map, the original prototype
+//! * [`MemoryBackend`] — mutex-guarded maps, the original prototype
 //!   behaviour, for tests and ephemeral stores;
 //! * [`DurableBackend`] — one `<id>.json` file per document written via
 //!   tmp-file + rename (a reader or a crash never observes a torn
-//!   document), and a ledger that is *appended to and flushed* per
-//!   upload instead of rewritten in full — turning the old O(n²) ledger
+//!   document), and one file per chain that is *appended to* per entry
+//!   instead of rewritten in full — turning the old O(n²) ledger
 //!   persistence into O(1) per upload. fsync cadence is governed by the
 //!   same [`SyncPolicy`] the yprov4ml journal uses, so the service's
 //!   durability dial reads like the producer's.
@@ -21,16 +22,32 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 pub use yprov4ml::journal::SyncPolicy;
 
+/// What [`StorageBackend::scan`] calls once per stored document.
+pub type Visitor<'a> = dyn FnMut(&str, &[u8]) -> Result<(), ServiceError> + 'a;
+
+/// Which hash chain a line belongs to. A node can be primary for its
+/// own uploads and replica for several peers at once, so it holds one
+/// chain of its own and one verified cursor chain per replication
+/// source — each byte-identical to a prefix of that source's own.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ChainName {
+    /// The node's own ledger (`ledger.txt`).
+    Own,
+    /// The chain applied from this source node (`repl-<source>.chain`).
+    Source(String),
+}
+
 /// Byte-level storage under the document store: documents keyed by
-/// handle id, plus hooks for the append-only ledger.
+/// handle id, plus the append-only chains that commit to them.
 ///
 /// Implementations must be safe to call from the HTTP worker pool
-/// concurrently; the store serializes `put`/`ledger_append` pairs
-/// itself so the ledger order matches the visible document state.
+/// concurrently; the store serializes `put`/`chain_append` pairs
+/// itself so every chain's order matches the visible document state.
 pub trait StorageBackend: Send + Sync + 'static {
     /// A short human-readable name (`"memory"`, `"durable"`).
     fn name(&self) -> &'static str;
@@ -44,48 +61,26 @@ pub trait StorageBackend: Send + Sync + 'static {
     /// Removes a document; `true` when it existed.
     fn delete(&self, id: &str) -> Result<bool, ServiceError>;
 
-    /// All stored ids, sorted.
-    fn list(&self) -> Result<Vec<String>, ServiceError>;
-
     /// Visits every stored document once (open-time recovery path).
-    fn scan(
-        &self,
-        visit: &mut dyn FnMut(&str, &[u8]) -> Result<(), ServiceError>,
-    ) -> Result<(), ServiceError>;
+    fn scan(&self, visit: &mut Visitor<'_>) -> Result<(), ServiceError>;
 
-    /// Appends one serialized ledger entry (newline included) to the
-    /// backend's ledger, durably per its sync policy.
-    fn ledger_append(&self, line: &str) -> Result<(), ServiceError>;
+    /// Appends one serialized entry (newline included) to `chain`,
+    /// durably per the backend's sync policy.
+    fn chain_append(&self, chain: &ChainName, line: &str) -> Result<(), ServiceError>;
 
-    /// The full ledger text as previously appended, `None` when no
-    /// ledger exists yet.
-    fn ledger_load(&self) -> Result<Option<String>, ServiceError>;
+    /// Everything previously appended to `chain`; empty when nothing was.
+    fn chain_load(&self, chain: &ChainName) -> Result<String, ServiceError>;
+
+    /// The chains that exist, sorted ([`ChainName::Own`] first).
+    fn chains(&self) -> Result<Vec<ChainName>, ServiceError>;
 
     /// Forces everything outstanding to stable storage (no-op for
     /// non-durable backends).
     fn flush(&self) -> Result<(), ServiceError>;
 
-    // --- ReplicationLog seam -------------------------------------------
-    //
-    // A replica tracks, per upstream source, the exact chain it has
-    // verified and applied — the replication protocol's durable cursor.
-    // Kept separate from the node's own ledger so a node can be primary
-    // for its own uploads and replica for several peers at once.
-
-    /// Appends one verified replicated ledger line under `source`'s
-    /// replication log, durably per the backend's sync policy.
-    fn repl_append(&self, source: &str, line: &str) -> Result<(), ServiceError>;
-
-    /// The full replication log previously appended for `source`,
-    /// `None` when no frames from that source were ever applied.
-    fn repl_load(&self, source: &str) -> Result<Option<String>, ServiceError>;
-
-    /// Sources with a replication log, sorted.
-    fn repl_sources(&self) -> Result<Vec<String>, ServiceError>;
-
-    /// Count of torn-ledger-tail truncations this backend performed on
-    /// load — a data-edge event worth surfacing in metrics (0 for
-    /// backends that cannot tear).
+    /// Count of torn chain tails this backend truncated on load — a
+    /// data-edge event worth surfacing in metrics (0 for backends that
+    /// cannot tear).
     fn ledger_truncations(&self) -> u64 {
         0
     }
@@ -95,14 +90,13 @@ pub trait StorageBackend: Send + Sync + 'static {
 // In-memory backend
 // ---------------------------------------------------------------------------
 
-/// The prototype's storage: a map of byte vectors. The ledger text is
-/// kept in memory too so `scan`/`ledger_load` behave like a real
-/// backend for store-level code paths and tests.
+/// The prototype's storage: maps of byte vectors. The chains are kept
+/// in memory too so `scan`/`chain_load` behave like a real backend for
+/// store-level code paths and tests.
 #[derive(Default)]
 pub struct MemoryBackend {
     docs: Mutex<BTreeMap<String, Vec<u8>>>,
-    ledger: Mutex<String>,
-    repl: Mutex<BTreeMap<String, String>>,
+    chains: Mutex<BTreeMap<ChainName, String>>,
 }
 
 impl MemoryBackend {
@@ -130,48 +124,31 @@ impl StorageBackend for MemoryBackend {
         Ok(lock(&self.docs).remove(id).is_some())
     }
 
-    fn list(&self) -> Result<Vec<String>, ServiceError> {
-        Ok(lock(&self.docs).keys().cloned().collect())
-    }
-
-    fn scan(
-        &self,
-        visit: &mut dyn FnMut(&str, &[u8]) -> Result<(), ServiceError>,
-    ) -> Result<(), ServiceError> {
+    fn scan(&self, visit: &mut Visitor<'_>) -> Result<(), ServiceError> {
         for (id, bytes) in lock(&self.docs).iter() {
             visit(id, bytes)?;
         }
         Ok(())
     }
 
-    fn ledger_append(&self, line: &str) -> Result<(), ServiceError> {
-        lock(&self.ledger).push_str(line);
-        Ok(())
-    }
-
-    fn ledger_load(&self) -> Result<Option<String>, ServiceError> {
-        let text = lock(&self.ledger);
-        Ok((!text.is_empty()).then(|| text.clone()))
-    }
-
-    fn flush(&self) -> Result<(), ServiceError> {
-        Ok(())
-    }
-
-    fn repl_append(&self, source: &str, line: &str) -> Result<(), ServiceError> {
-        lock(&self.repl)
-            .entry(source.to_string())
+    fn chain_append(&self, chain: &ChainName, line: &str) -> Result<(), ServiceError> {
+        lock(&self.chains)
+            .entry(chain.clone())
             .or_default()
             .push_str(line);
         Ok(())
     }
 
-    fn repl_load(&self, source: &str) -> Result<Option<String>, ServiceError> {
-        Ok(lock(&self.repl).get(source).cloned())
+    fn chain_load(&self, chain: &ChainName) -> Result<String, ServiceError> {
+        Ok(lock(&self.chains).get(chain).cloned().unwrap_or_default())
     }
 
-    fn repl_sources(&self) -> Result<Vec<String>, ServiceError> {
-        Ok(lock(&self.repl).keys().cloned().collect())
+    fn chains(&self) -> Result<Vec<ChainName>, ServiceError> {
+        Ok(lock(&self.chains).keys().cloned().collect())
+    }
+
+    fn flush(&self) -> Result<(), ServiceError> {
+        Ok(())
     }
 }
 
@@ -188,19 +165,33 @@ fn sync_dir(dir: &Path) {
     }
 }
 
-struct LedgerFile {
-    file: Option<File>,
-    unsynced: u32,
+/// One chain's append handle.
+struct ChainFile {
+    file: File,
+    path: PathBuf,
+    /// Lines were written since the file was last fsynced.
+    dirty: bool,
 }
 
 /// Filesystem-backed storage: `<id>.json` per document, written
-/// atomically (tmp + rename), an append-only `ledger.txt`, and one
-/// `repl-<source>.chain` per replicated upstream.
+/// atomically (tmp + rename), and one append-only file per chain:
+/// `ledger.txt` for the node's own, `repl-<source>.chain` per
+/// replicated upstream.
+///
+/// One durability rule covers every file: unless the policy is
+/// [`SyncPolicy::OnFlush`], a document is fsynced before its rename is
+/// published and a chain line when it is written; a chain file's
+/// directory entry is fsynced when the file is created; `flush()`
+/// fsyncs every chain written to since the last flush.
 pub struct DurableBackend {
     dir: PathBuf,
     sync: SyncPolicy,
-    ledger: Mutex<LedgerFile>,
-    truncations: std::sync::atomic::AtomicU64,
+    /// One append handle per chain written to since open.
+    chains: Mutex<BTreeMap<ChainName, ChainFile>>,
+    truncations: AtomicU64,
+    /// File fsyncs issued, documents and chains alike.
+    #[cfg(test)]
+    fsyncs: AtomicU64,
 }
 
 impl DurableBackend {
@@ -210,10 +201,11 @@ impl DurableBackend {
         Self::open_with_sync(dir, SyncPolicy::default())
     }
 
-    /// Opens with an explicit fsync cadence. `SyncPolicy::Always` gives
-    /// WAL-grade durability per upload; `EveryN` bounds the loss window;
-    /// `OnFlush` trusts the OS page cache (process crashes still lose
-    /// nothing, power loss may).
+    /// Opens with an explicit fsync cadence. `Always` and `EveryN` both
+    /// fsync every document and chain line as it is written (a chain
+    /// line must be as durable as the document it commits to);
+    /// `OnFlush` trusts the OS page cache until [`StorageBackend::flush`]
+    /// (process crashes still lose nothing, power loss may).
     pub fn open_with_sync(dir: impl Into<PathBuf>, sync: SyncPolicy) -> Result<Self, ServiceError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
@@ -221,11 +213,10 @@ impl DurableBackend {
         Ok(DurableBackend {
             dir,
             sync,
-            ledger: Mutex::new(LedgerFile {
-                file: None,
-                unsynced: 0,
-            }),
-            truncations: std::sync::atomic::AtomicU64::new(0),
+            chains: Mutex::new(BTreeMap::new()),
+            truncations: AtomicU64::new(0),
+            #[cfg(test)]
+            fsyncs: AtomicU64::new(0),
         })
     }
 
@@ -234,9 +225,16 @@ impl DurableBackend {
         &self.dir
     }
 
-    /// Whether document writes fsync before the rename is published.
-    fn fsync_documents(&self) -> bool {
+    /// Whether a write is fsynced as it is made, not at `flush()`.
+    fn fsync_each_write(&self) -> bool {
         !matches!(self.sync, SyncPolicy::OnFlush)
+    }
+
+    fn fsync(&self, file: &File, path: &Path) -> Result<(), ServiceError> {
+        #[cfg(test)]
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        file.sync_data()
+            .map_err(|e| ServiceError::io(format!("fsync {}", path.display()), e))
     }
 
     fn doc_path(&self, id: &str) -> Result<PathBuf, ServiceError> {
@@ -255,11 +253,11 @@ impl DurableBackend {
         Ok(self.dir.join(format!("{id}.json")))
     }
 
-    fn ledger_path(&self) -> PathBuf {
-        self.dir.join("ledger.txt")
-    }
-
-    fn repl_path(&self, source: &str) -> Result<PathBuf, ServiceError> {
+    fn chain_path(&self, chain: &ChainName) -> Result<PathBuf, ServiceError> {
+        let source = match chain {
+            ChainName::Own => return Ok(self.dir.join("ledger.txt")),
+            ChainName::Source(source) => source,
+        };
         // Source node ids become file names too; same escape rules as
         // document handles.
         if source.is_empty()
@@ -272,43 +270,6 @@ impl DurableBackend {
             });
         }
         Ok(self.dir.join(format!("repl-{source}.chain")))
-    }
-
-    /// Loads a line-oriented chain file, repairing (and counting) a
-    /// torn final record left by a crash mid-append. The truncation is
-    /// no longer silent: it logs a recovery-style warning and shows up
-    /// in `/metrics` as `store_ledger_truncations_total`.
-    fn load_chain_file(&self, path: &Path) -> Result<Option<String>, ServiceError> {
-        let mut text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(ServiceError::io(format!("read {}", path.display()), e)),
-        };
-        if !text.is_empty() && !text.ends_with('\n') {
-            // A crash mid-append tore the final record. Truncate the
-            // file back to the last complete line so future appends
-            // start on a fresh line instead of gluing a new record onto
-            // the fragment.
-            let keep = text.rfind('\n').map(|p| p + 1).unwrap_or(0);
-            let torn = text.len() - keep;
-            text.truncate(keep);
-            let file = OpenOptions::new()
-                .write(true)
-                .open(path)
-                .map_err(|e| ServiceError::io(format!("open {}", path.display()), e))?;
-            file.set_len(keep as u64)
-                .map_err(|e| ServiceError::io(format!("truncate {}", path.display()), e))?;
-            file.sync_data()
-                .map_err(|e| ServiceError::io(format!("fsync {}", path.display()), e))?;
-            self.truncations
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            eprintln!(
-                "[yprov-service] recovery: dropped a torn {torn}-byte tail from {} \
-                 (crash mid-append; chain before it is intact)",
-                path.display()
-            );
-        }
-        Ok(Some(text))
     }
 }
 
@@ -327,14 +288,13 @@ impl StorageBackend for DurableBackend {
             .map_err(|e| ServiceError::io(format!("create {}", tmp.display()), e))?;
         file.write_all(bytes)
             .map_err(|e| ServiceError::io(format!("write {}", tmp.display()), e))?;
-        if self.fsync_documents() {
-            file.sync_data()
-                .map_err(|e| ServiceError::io(format!("fsync {}", tmp.display()), e))?;
+        if self.fsync_each_write() {
+            self.fsync(&file, &tmp)?;
         }
         drop(file);
         std::fs::rename(&tmp, &path)
             .map_err(|e| ServiceError::io(format!("rename into {}", path.display()), e))?;
-        if self.fsync_documents() {
+        if self.fsync_each_write() {
             sync_dir(&self.dir);
         }
         Ok(())
@@ -358,19 +318,7 @@ impl StorageBackend for DurableBackend {
         }
     }
 
-    fn list(&self) -> Result<Vec<String>, ServiceError> {
-        let mut ids = Vec::new();
-        self.scan(&mut |id, _| {
-            ids.push(id.to_string());
-            Ok(())
-        })?;
-        Ok(ids)
-    }
-
-    fn scan(
-        &self,
-        visit: &mut dyn FnMut(&str, &[u8]) -> Result<(), ServiceError>,
-    ) -> Result<(), ServiceError> {
+    fn scan(&self, visit: &mut Visitor<'_>) -> Result<(), ServiceError> {
         let read_dir = std::fs::read_dir(&self.dir)
             .map_err(|e| ServiceError::io(format!("read dir {}", self.dir.display()), e))?;
         let mut paths: Vec<PathBuf> = Vec::new();
@@ -403,108 +351,105 @@ impl StorageBackend for DurableBackend {
         Ok(())
     }
 
-    /// One `write(2)` per upload — the whole-file rewrite this replaces
-    /// made persisting n uploads cost O(n²) ledger bytes.
-    fn ledger_append(&self, line: &str) -> Result<(), ServiceError> {
-        let mut state = lock(&self.ledger);
-        if state.file.is_none() {
-            let path = self.ledger_path();
+    /// One `write(2)` per entry through the chain's cached handle — the
+    /// whole-file rewrite this replaces made persisting n uploads cost
+    /// O(n²) ledger bytes.
+    fn chain_append(&self, chain: &ChainName, line: &str) -> Result<(), ServiceError> {
+        let mut chains = lock(&self.chains);
+        if !chains.contains_key(chain) {
+            let path = self.chain_path(chain)?;
+            let created = !path.exists();
             let file = OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(&path)
                 .map_err(|e| ServiceError::io(format!("open {}", path.display()), e))?;
-            sync_dir(&self.dir);
-            state.file = Some(file);
+            if created {
+                // The chain's name must survive a power loss its lines do.
+                sync_dir(&self.dir);
+            }
+            let dirty = false;
+            chains.insert(chain.clone(), ChainFile { file, path, dirty });
         }
-        let file = state.file.as_mut().expect("opened above");
-        file.write_all(line.as_bytes())
-            .map_err(|e| ServiceError::io("append ledger entry", e))?;
-        match self.sync {
-            SyncPolicy::Always => {
-                file.sync_data()
-                    .map_err(|e| ServiceError::io("fsync ledger", e))?;
-            }
-            SyncPolicy::EveryN(n) => {
-                state.unsynced += 1;
-                if state.unsynced >= n.max(1) {
-                    state
-                        .file
-                        .as_mut()
-                        .expect("opened above")
-                        .sync_data()
-                        .map_err(|e| ServiceError::io("fsync ledger", e))?;
-                    state.unsynced = 0;
-                }
-            }
-            SyncPolicy::OnFlush => {}
+        let open = chains.get_mut(chain).expect("opened above");
+        open.file
+            .write_all(line.as_bytes())
+            .map_err(|e| ServiceError::io(format!("append {}", open.path.display()), e))?;
+        if self.fsync_each_write() {
+            self.fsync(&open.file, &open.path)?;
+        } else {
+            open.dirty = true;
         }
         Ok(())
     }
 
-    fn ledger_load(&self) -> Result<Option<String>, ServiceError> {
-        self.load_chain_file(&self.ledger_path())
+    /// Reads a chain file, repairing (and counting) a torn final record
+    /// left by a crash mid-append. The truncation is not silent: it
+    /// logs a recovery-style warning and shows up in `/metrics` as
+    /// `store_ledger_truncations_total`.
+    fn chain_load(&self, chain: &ChainName) -> Result<String, ServiceError> {
+        let path = self.chain_path(chain)?;
+        let mut text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(String::new()),
+            Err(e) => return Err(ServiceError::io(format!("read {}", path.display()), e)),
+        };
+        if !text.is_empty() && !text.ends_with('\n') {
+            // A crash mid-append tore the final record. Truncate the
+            // file back to the last complete line so future appends
+            // start on a fresh line instead of gluing a new record onto
+            // the fragment.
+            let keep = text.rfind('\n').map(|p| p + 1).unwrap_or(0);
+            let torn = text.len() - keep;
+            text.truncate(keep);
+            let file = OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .map_err(|e| ServiceError::io(format!("open {}", path.display()), e))?;
+            file.set_len(keep as u64)
+                .map_err(|e| ServiceError::io(format!("truncate {}", path.display()), e))?;
+            self.fsync(&file, &path)?;
+            self.truncations.fetch_add(1, Ordering::Relaxed);
+            eprintln!(
+                "[yprov-service] recovery: dropped a torn {torn}-byte tail from {} \
+                 (crash mid-append; chain before it is intact)",
+                path.display()
+            );
+        }
+        Ok(text)
+    }
+
+    fn chains(&self) -> Result<Vec<ChainName>, ServiceError> {
+        let read_dir = std::fs::read_dir(&self.dir)
+            .map_err(|e| ServiceError::io(format!("read dir {}", self.dir.display()), e))?;
+        let mut chains = Vec::new();
+        for entry in read_dir {
+            let name = entry.map_err(|e| ServiceError::io("read dir entry", e))?;
+            let name = name.file_name().to_string_lossy().into_owned();
+            if name == "ledger.txt" {
+                chains.push(ChainName::Own);
+            } else if let Some(source) = name
+                .strip_prefix("repl-")
+                .and_then(|s| s.strip_suffix(".chain"))
+            {
+                chains.push(ChainName::Source(source.to_string()));
+            }
+        }
+        chains.sort();
+        Ok(chains)
     }
 
     fn flush(&self) -> Result<(), ServiceError> {
-        let mut state = lock(&self.ledger);
-        if let Some(file) = state.file.as_mut() {
-            file.sync_data()
-                .map_err(|e| ServiceError::io("fsync ledger", e))?;
-            state.unsynced = 0;
+        for chain in lock(&self.chains).values_mut().filter(|c| c.dirty) {
+            self.fsync(&chain.file, &chain.path)?;
+            chain.dirty = false;
         }
         sync_dir(&self.dir);
         Ok(())
     }
 
-    /// Open-append-close per line: replication frames are not the hot
-    /// path, and skipping a per-source handle cache keeps the seam
-    /// small. `SyncPolicy::OnFlush` still skips the fsync.
-    fn repl_append(&self, source: &str, line: &str) -> Result<(), ServiceError> {
-        let path = self.repl_path(source)?;
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| ServiceError::io(format!("open {}", path.display()), e))?;
-        file.write_all(line.as_bytes())
-            .map_err(|e| ServiceError::io(format!("append {}", path.display()), e))?;
-        if !matches!(self.sync, SyncPolicy::OnFlush) {
-            file.sync_data()
-                .map_err(|e| ServiceError::io(format!("fsync {}", path.display()), e))?;
-        }
-        Ok(())
-    }
-
-    fn repl_load(&self, source: &str) -> Result<Option<String>, ServiceError> {
-        let path = self.repl_path(source)?;
-        self.load_chain_file(&path)
-    }
-
-    fn repl_sources(&self) -> Result<Vec<String>, ServiceError> {
-        let read_dir = std::fs::read_dir(&self.dir)
-            .map_err(|e| ServiceError::io(format!("read dir {}", self.dir.display()), e))?;
-        let mut sources = Vec::new();
-        for entry in read_dir {
-            let path = entry
-                .map_err(|e| ServiceError::io("read dir entry", e))?
-                .path();
-            let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                continue;
-            };
-            if let Some(source) = name
-                .strip_prefix("repl-")
-                .and_then(|s| s.strip_suffix(".chain"))
-            {
-                sources.push(source.to_string());
-            }
-        }
-        sources.sort();
-        Ok(sources)
-    }
-
     fn ledger_truncations(&self) -> u64 {
-        self.truncations.load(std::sync::atomic::Ordering::Relaxed)
+        self.truncations.load(Ordering::Relaxed)
     }
 }
 
@@ -518,33 +463,55 @@ mod tests {
         d
     }
 
+    fn ids(b: &dyn StorageBackend) -> Vec<String> {
+        let mut ids = Vec::new();
+        b.scan(&mut |id, _| {
+            ids.push(id.to_string());
+            Ok(())
+        })
+        .unwrap();
+        ids
+    }
+
     #[test]
     fn memory_backend_round_trips() {
         let b = MemoryBackend::new();
         b.put("doc-1", b"one").unwrap();
         b.put("doc-2", b"two").unwrap();
         assert_eq!(b.get("doc-1").unwrap().as_deref(), Some(&b"one"[..]));
-        assert_eq!(b.list().unwrap(), vec!["doc-1", "doc-2"]);
+        assert_eq!(ids(&b), vec!["doc-1", "doc-2"]);
         assert!(b.delete("doc-1").unwrap());
         assert!(!b.delete("doc-1").unwrap());
-        b.ledger_append("line 1\n").unwrap();
-        assert_eq!(b.ledger_load().unwrap().as_deref(), Some("line 1\n"));
+        let source = ChainName::Source("node-a".into());
+        b.chain_append(&source, "line 2\n").unwrap();
+        b.chain_append(&ChainName::Own, "line 1\n").unwrap();
+        assert_eq!(b.chain_load(&ChainName::Own).unwrap(), "line 1\n");
+        assert_eq!(b.chain_load(&source).unwrap(), "line 2\n");
+        assert_eq!(b.chains().unwrap(), vec![ChainName::Own, source]);
     }
 
     #[test]
     fn durable_backend_round_trips_and_persists() {
         let dir = tmp("rt");
+        let source = ChainName::Source("node-a".into());
         {
             let b = DurableBackend::open(&dir).unwrap();
+            assert_eq!(b.chain_load(&ChainName::Own).unwrap(), "");
             b.put("doc-1", b"{\"a\":1}").unwrap();
             b.put("doc-1", b"{\"a\":2}").unwrap(); // replace
-            b.ledger_append("0 doc-1 d p h\n").unwrap();
+            b.chain_append(&ChainName::Own, "0 doc-1 d p h\n").unwrap();
+            b.chain_append(&source, "0 doc-9 d p h\n").unwrap();
             b.flush().unwrap();
         }
         let b = DurableBackend::open(&dir).unwrap();
         assert_eq!(b.get("doc-1").unwrap().as_deref(), Some(&b"{\"a\":2}"[..]));
-        assert_eq!(b.list().unwrap(), vec!["doc-1"]);
-        assert_eq!(b.ledger_load().unwrap().as_deref(), Some("0 doc-1 d p h\n"));
+        assert_eq!(ids(&b), vec!["doc-1"]);
+        assert_eq!(b.chains().unwrap(), vec![ChainName::Own, source.clone()]);
+        assert_eq!(b.chain_load(&ChainName::Own).unwrap(), "0 doc-1 d p h\n");
+        assert_eq!(
+            std::fs::read_to_string(dir.join("repl-node-a.chain")).unwrap(),
+            "0 doc-9 d p h\n"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -585,7 +552,7 @@ mod tests {
         let dir = tmp("ledger_torn");
         {
             let b = DurableBackend::open(&dir).unwrap();
-            b.ledger_append("0 doc-1 d p h\n").unwrap();
+            b.chain_append(&ChainName::Own, "0 doc-1 d p h\n").unwrap();
             b.flush().unwrap();
         }
         // Crash mid-append: a partial, unterminated record.
@@ -596,10 +563,11 @@ mod tests {
             .write_all(b"1 doc-2 dead")
             .unwrap();
         let b = DurableBackend::open(&dir).unwrap();
-        assert_eq!(b.ledger_load().unwrap().as_deref(), Some("0 doc-1 d p h\n"));
+        assert_eq!(b.chain_load(&ChainName::Own).unwrap(), "0 doc-1 d p h\n");
+        assert_eq!(b.ledger_truncations(), 1);
         // The file itself was repaired: a fresh append lands on its own
         // line.
-        b.ledger_append("1 doc-2 d p h\n").unwrap();
+        b.chain_append(&ChainName::Own, "1 doc-2 d p h\n").unwrap();
         b.flush().unwrap();
         let text = std::fs::read_to_string(dir.join("ledger.txt")).unwrap();
         assert_eq!(text, "0 doc-1 d p h\n1 doc-2 d p h\n");
@@ -617,12 +585,60 @@ mod tests {
             let b = DurableBackend::open_with_sync(&dir, sync).unwrap();
             for i in 0..5 {
                 b.put(&format!("doc-{i}"), b"{}").unwrap();
-                b.ledger_append(&format!("{i} doc-{i} d p h\n")).unwrap();
+                b.chain_append(&ChainName::Own, &format!("{i} doc-{i} d p h\n"))
+                    .unwrap();
             }
             b.flush().unwrap();
-            assert_eq!(b.list().unwrap().len(), 5);
-            assert_eq!(b.ledger_load().unwrap().unwrap().lines().count(), 5);
+            assert_eq!(ids(&b).len(), 5);
+            let ledger = b.chain_load(&ChainName::Own).unwrap();
+            assert_eq!(ledger.lines().count(), 5);
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// Under `sync`, a document put and a chain append each cost
+    /// `per_write` fsyncs, and `flush()` fsyncs each chain written to
+    /// without one, once, leaving none with unsynced lines.
+    fn assert_fsync_rule(tag: &str, sync: SyncPolicy, per_write: u64) {
+        let dir = tmp(&format!("fsyncs_{tag}"));
+        let b = DurableBackend::open_with_sync(&dir, sync).unwrap();
+        let count = || b.fsyncs.load(Ordering::Relaxed);
+        let source = ChainName::Source("node-a".into());
+        for i in 0..3 {
+            let before = count();
+            b.put(&format!("doc-{i}"), b"{}").unwrap();
+            assert_eq!(count() - before, per_write, "document put");
+            for chain in [&ChainName::Own, &source] {
+                let before = count();
+                b.chain_append(chain, &format!("{i} doc-{i} d p h\n"))
+                    .unwrap();
+                assert_eq!(count() - before, per_write, "{chain:?} append");
+            }
+        }
+        let dirty = lock(&b.chains).values().filter(|c| c.dirty).count() as u64;
+        assert_eq!(dirty, 2 * (1 - per_write));
+        let before = count();
+        b.flush().unwrap();
+        assert_eq!(count() - before, dirty, "flush fsyncs each dirty chain");
+        assert!(
+            lock(&b.chains).values().all(|c| !c.dirty),
+            "flush leaves no chain with unsynced lines"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn always_fsyncs_a_chain_line_as_it_fsyncs_a_document() {
+        assert_fsync_rule("always", SyncPolicy::Always, 1);
+    }
+
+    #[test]
+    fn every_n_fsyncs_a_chain_line_as_it_fsyncs_a_document() {
+        assert_fsync_rule("everyn", SyncPolicy::EveryN(64), 1);
+    }
+
+    #[test]
+    fn on_flush_fsyncs_chains_at_flush_only() {
+        assert_fsync_rule("onflush", SyncPolicy::OnFlush, 0);
     }
 }

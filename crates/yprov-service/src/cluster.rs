@@ -39,7 +39,7 @@
 //! the cluster chaos harness; the handles are shared atomics so a test
 //! can flip them mid-run.
 
-use crate::client::{Client, Response, RetryPolicy};
+use crate::client::{Client, ClientError, Response, RetryPolicy};
 use crate::error::ServiceError;
 use crate::http::{error_body, error_response};
 use crate::ledger::LedgerEntry;
@@ -158,26 +158,6 @@ impl Ring {
 // Frame wire format
 // ---------------------------------------------------------------------------
 
-pub(crate) fn entry_to_json(e: &LedgerEntry) -> serde_json::Value {
-    json!({
-        "index": e.index,
-        "document_id": e.document_id,
-        "document_digest": e.document_digest,
-        "prev_hash": e.prev_hash,
-        "entry_hash": e.entry_hash,
-    })
-}
-
-fn entry_from_json(v: &serde_json::Value) -> Option<LedgerEntry> {
-    Some(LedgerEntry {
-        index: v.get("index")?.as_u64()?,
-        document_id: v.get("document_id")?.as_str()?.to_string(),
-        document_digest: v.get("document_digest")?.as_str()?.to_string(),
-        prev_hash: v.get("prev_hash")?.as_str()?.to_string(),
-        entry_hash: v.get("entry_hash")?.as_str()?.to_string(),
-    })
-}
-
 /// One frame: a chain entry from the source's ledger and, unless it
 /// ships chain-only, the canonical document bytes its digest commits
 /// to.
@@ -216,7 +196,7 @@ pub fn encode_batch(source: &str, frames: &[Frame]) -> String {
         .iter()
         .map(|f| {
             json!({
-                "entry": entry_to_json(&f.entry),
+                "entry": f.entry.to_json(),
                 "document_bytes": f.document.as_ref().map(|d| d.len()),
                 "superseded": f.superseded,
             })
@@ -266,7 +246,7 @@ pub(crate) fn decode_batch(body: &str) -> Result<(String, Vec<Frame<'_>>), Batch
     };
     let mut frames = Vec::with_capacity(announced.len());
     for f in announced {
-        let entry = f.get("entry").and_then(entry_from_json);
+        let entry = f.get("entry").and_then(LedgerEntry::from_json);
         let entry = entry.ok_or_else(|| header("a frame is missing a well-formed \"entry\""))?;
         let superseded = f.get("superseded").and_then(|s| s.as_bool());
         let superseded = superseded.ok_or_else(|| header("a frame is missing \"superseded\""))?;
@@ -1031,44 +1011,42 @@ impl ClusterClient {
     /// answers. A 404 is remembered but later replicas are still asked
     /// — only when no replica holds the document is the 404 returned.
     pub fn get(&self, id: &str) -> Result<Response, ClusterError> {
-        let mut detail = Vec::new();
-        let mut missing: Option<Response> = None;
-        for node_id in &self.route_order(id) {
-            let Some(node) = self.spec(node_id) else {
-                continue;
-            };
-            let client = self.client_for(node);
-            match client.get(&format!("/api/v0/documents/{}", encode_id(id))) {
-                Ok(resp) if resp.status == 200 => return Ok(resp),
-                Ok(resp) if resp.status == 404 => missing = Some(resp),
-                Ok(resp) => detail.push(format!("{node_id}: HTTP {}", resp.status)),
-                Err(e) => {
-                    self.mark_dead(node_id);
-                    detail.push(format!("{node_id}: {e}"));
-                }
-            }
-        }
-        missing.ok_or(ClusterError::Unavailable {
-            detail: detail.join("; "),
-        })
+        let path = format!("/api/v0/documents/{}", encode_id(id));
+        self.read_any(id, |status| status == 200, |client| client.get(&path))
     }
 
     /// Runs a lineage query / ML audit against document `id`, failing
     /// over across the document's replica set exactly like [`Self::get`]
     /// — the query endpoint is side-effect free, so replaying it on the
-    /// next replica is always safe. A 404 from a replica means that node
-    /// does not hold the document; the next one is tried, and the last
-    /// 404 is surfaced only when no replica can answer.
+    /// next replica is always safe. A 400 (the query itself is bad) is
+    /// the answer, wherever it comes from.
     pub fn query(&self, id: &str, body_json: &str) -> Result<Response, ClusterError> {
+        let encoded = encode_id(id);
+        self.read_any(
+            id,
+            |status| status == 200 || status == 400,
+            |client| client.query(&encoded, body_json),
+        )
+    }
+
+    /// Sends `request` to `id`'s nodes in ring order until a status
+    /// `answers`. A 404 means that node does not hold the document: it
+    /// is remembered and surfaced only when no node answers; a
+    /// transport failure marks the node dead.
+    fn read_any(
+        &self,
+        id: &str,
+        answers: impl Fn(u16) -> bool,
+        request: impl Fn(&Client) -> Result<Response, ClientError>,
+    ) -> Result<Response, ClusterError> {
         let mut detail = Vec::new();
         let mut missing: Option<Response> = None;
         for node_id in &self.route_order(id) {
             let Some(node) = self.spec(node_id) else {
                 continue;
             };
-            let client = self.client_for(node);
-            match client.query(&encode_id(id), body_json) {
-                Ok(resp) if resp.status == 200 || resp.status == 400 => return Ok(resp),
+            match request(&self.client_for(node)) {
+                Ok(resp) if answers(resp.status) => return Ok(resp),
                 Ok(resp) if resp.status == 404 => missing = Some(resp),
                 Ok(resp) => detail.push(format!("{node_id}: HTTP {}", resp.status)),
                 Err(e) => {
@@ -1119,7 +1097,7 @@ mod tests {
                 .or_insert(0usize) += 1;
         }
         assert_eq!(owners.len(), 3, "every node should own some keys");
-        for (_, n) in &owners {
+        for n in owners.values() {
             assert!(*n > 30, "grossly unbalanced ring: {owners:?}");
         }
         // Removing one member only moves the keys it owned.
@@ -1261,10 +1239,8 @@ mod tests {
         });
         let registry = obs::Registry::new();
         // In one request, and cut between the two (`BATCH_BYTES`).
-        for cut in [&[1..3][..], &[1..2, 2..3]] {
+        for batches in [vec![0..1, 1..3], vec![0..1, 1..2, 2..3]] {
             let store = DocumentStore::new();
-            let mut batches = vec![0..1];
-            batches.extend_from_slice(cut);
             for batch in batches {
                 let last = batch.end == frames.len();
                 let body = encode_batch("node-a", &frames[batch]);

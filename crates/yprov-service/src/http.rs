@@ -870,7 +870,7 @@ mod tests {
             .map(|h| h.join().unwrap().unwrap_or(0))
             .collect();
         assert!(
-            statuses.iter().any(|&s| s == 503),
+            statuses.contains(&503),
             "expected load shedding, got {statuses:?}"
         );
 
@@ -1366,7 +1366,7 @@ mod tests {
         assert_eq!(v["rows"][0]["end"], "ex:data");
         let path = v["rows"][0]["path"].as_array().unwrap();
         assert_eq!(path.len(), 3, "{resp}");
-        assert!(v["plan"]["reason"].as_str().unwrap().len() > 0);
+        assert!(!v["plan"]["reason"].as_str().unwrap().is_empty());
         assert!(v["dot"].as_str().unwrap().contains("digraph"));
 
         // Malformed bodies are 400s that say what went wrong.

@@ -11,6 +11,7 @@
 //! point on.
 
 use crate::error::ServiceError;
+use serde_json::json;
 use yprov4ml::hash::{sha256_hex, Sha256};
 
 /// One link of the chain.
@@ -29,9 +30,9 @@ pub struct LedgerEntry {
 }
 
 impl LedgerEntry {
-    /// The entry's one-line wire form (newline included) — the unit the
-    /// durable backend appends per upload and the replication protocol
-    /// ships per frame.
+    /// The entry's line in a chain file (newline included): what the
+    /// durable backend appends to `ledger.txt` or `repl-<source>.chain`
+    /// per entry, and [`Ledger::from_text`] parses back.
     pub fn to_line(&self) -> String {
         format!(
             "{} {} {} {} {}\n",
@@ -39,43 +40,50 @@ impl LedgerEntry {
         )
     }
 
-    /// Recomputes what this entry's hash *should* be from its fields.
-    /// A replica calls this before applying a replicated frame: an
-    /// entry whose recorded `entry_hash` disagrees was corrupted or
-    /// forged in flight.
-    pub fn expected_hash(&self) -> String {
-        entry_hash(
-            self.index,
-            &self.document_id,
-            &self.document_digest,
-            &self.prev_hash,
-        )
-    }
-
-    /// Whether the entry's recorded hash matches its contents.
-    pub fn is_self_consistent(&self) -> bool {
-        self.expected_hash() == self.entry_hash
-    }
-
-    /// Parses one wire line (the inverse of [`Self::to_line`]).
-    pub fn from_line(line: &str) -> Result<LedgerEntry, ServiceError> {
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        if parts.len() != 5 {
-            return Err(ServiceError::LedgerFormat {
-                line: 1,
-                reason: format!("expected 5 fields, got {}", parts.len()),
-            });
-        }
-        Ok(LedgerEntry {
-            index: parts[0].parse().map_err(|_| ServiceError::LedgerFormat {
-                line: 1,
-                reason: format!("bad index {:?}", parts[0]),
-            })?,
-            document_id: parts[1].to_string(),
-            document_digest: parts[2].to_string(),
-            prev_hash: parts[3].to_string(),
-            entry_hash: parts[4].to_string(),
+    /// The entry as a JSON object — its form in replication frames and
+    /// in `GET /api/v0/ledger`.
+    pub fn to_json(&self) -> serde_json::Value {
+        json!({
+            "index": self.index,
+            "document_id": self.document_id,
+            "document_digest": self.document_digest,
+            "prev_hash": self.prev_hash,
+            "entry_hash": self.entry_hash,
         })
+    }
+
+    /// Reads [`Self::to_json`]'s object back; `None` when a field is
+    /// missing or of the wrong type.
+    pub fn from_json(v: &serde_json::Value) -> Option<LedgerEntry> {
+        Some(LedgerEntry {
+            index: v.get("index")?.as_u64()?,
+            document_id: v.get("document_id")?.as_str()?.to_string(),
+            document_digest: v.get("document_digest")?.as_str()?.to_string(),
+            prev_hash: v.get("prev_hash")?.as_str()?.to_string(),
+            entry_hash: v.get("entry_hash")?.as_str()?.to_string(),
+        })
+    }
+
+    /// Whether the entry's recorded hash recomputes from its fields. A
+    /// replica checks this before applying a replicated frame: an entry
+    /// whose recorded `entry_hash` disagrees was corrupted or forged in
+    /// flight.
+    pub fn is_self_consistent(&self) -> bool {
+        let (index, id, digest) = (self.index, &self.document_id, &self.document_digest);
+        entry_hash(index, id, digest, &self.prev_hash) == self.entry_hash
+    }
+
+    /// Whether the entry may follow a chain of `len` entries whose head
+    /// hash is `head`: right index, matching `prev_hash`, and a
+    /// self-consistent `entry_hash`.
+    fn extends(&self, len: usize, head: &str) -> Result<(), LedgerIssue> {
+        if self.index != len as u64 || self.prev_hash != head {
+            return Err(LedgerIssue::ChainBroken { index: self.index });
+        }
+        if !self.is_self_consistent() {
+            return Err(LedgerIssue::EntryTampered { index: self.index });
+        }
+        Ok(())
     }
 }
 
@@ -147,8 +155,8 @@ impl Ledger {
     pub fn head_hash(&self) -> String {
         self.entries
             .last()
-            .map(|e| e.entry_hash.clone())
-            .unwrap_or_else(|| GENESIS.to_string())
+            .map_or(GENESIS, |e| &e.entry_hash)
+            .to_string()
     }
 
     /// Appends an already-hashed entry *verbatim* — the replica-side
@@ -157,12 +165,7 @@ impl Ledger {
     /// must extend the chain: right index, matching `prev_hash`, and a
     /// self-consistent `entry_hash`.
     pub fn append_entry(&mut self, entry: LedgerEntry) -> Result<(), LedgerIssue> {
-        if entry.index != self.entries.len() as u64 || entry.prev_hash != self.head_hash() {
-            return Err(LedgerIssue::ChainBroken { index: entry.index });
-        }
-        if !entry.is_self_consistent() {
-            return Err(LedgerIssue::EntryTampered { index: entry.index });
-        }
+        entry.extends(self.len(), &self.head_hash())?;
         self.entries.push(entry);
         Ok(())
     }
@@ -175,11 +178,7 @@ impl Ledger {
     ) -> &LedgerEntry {
         let document_id = document_id.into();
         let document_digest = sha256_hex(canonical_json);
-        let prev_hash = self
-            .entries
-            .last()
-            .map(|e| e.entry_hash.clone())
-            .unwrap_or_else(|| GENESIS.to_string());
+        let prev_hash = self.head_hash();
         let index = self.entries.len() as u64;
         let hash = entry_hash(index, &document_id, &document_digest, &prev_hash);
         self.entries.push(LedgerEntry {
@@ -192,64 +191,18 @@ impl Ledger {
         self.entries.last().expect("just pushed")
     }
 
-    /// Verifies the chain's internal integrity.
+    /// Verifies the chain's internal integrity: every entry, replayed
+    /// from genesis, passes the check [`Self::append_entry`] makes.
     pub fn verify_chain(&self) -> Result<(), LedgerIssue> {
-        let mut prev = GENESIS.to_string();
-        for e in &self.entries {
-            if e.prev_hash != prev {
-                return Err(LedgerIssue::ChainBroken { index: e.index });
-            }
-            let expect = entry_hash(e.index, &e.document_id, &e.document_digest, &e.prev_hash);
-            if expect != e.entry_hash {
-                return Err(LedgerIssue::EntryTampered { index: e.index });
-            }
-            prev = e.entry_hash.clone();
+        let mut head = GENESIS;
+        for (len, e) in self.entries.iter().enumerate() {
+            e.extends(len, head)?;
+            head = &e.entry_hash;
         }
         Ok(())
     }
 
-    /// Verifies the chain *and* that each referenced document, fetched
-    /// through `lookup`, still hashes to its recorded digest.
-    ///
-    /// Only the *latest* entry per document id is checked against the
-    /// current bytes: a re-upload under the same id (legitimate
-    /// replacement via `upload_as`) supersedes earlier entries, whose
-    /// digests describe document versions that no longer exist. The
-    /// superseded entries still participate in [`Self::verify_chain`],
-    /// so history stays tamper-evident. Documents that no longer exist
-    /// are skipped (deletion is visible through the chain itself; this
-    /// checks the survivors for silent edits).
-    pub fn verify_against(
-        &self,
-        lookup: impl Fn(&str) -> Option<Vec<u8>>,
-    ) -> Result<(), LedgerIssue> {
-        self.verify_chain()?;
-        let mut latest: std::collections::HashMap<&str, &LedgerEntry> =
-            std::collections::HashMap::new();
-        for e in &self.entries {
-            latest.insert(e.document_id.as_str(), e);
-        }
-        for e in latest.into_values() {
-            if let Some(bytes) = lookup(&e.document_id) {
-                if sha256_hex(&bytes) != e.document_digest {
-                    return Err(LedgerIssue::DocumentChanged {
-                        index: e.index,
-                        document_id: e.document_id.clone(),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Serializes the ledger to a line-oriented text format
-    /// (concatenated [`LedgerEntry::to_line`]s).
-    pub fn to_text(&self) -> String {
-        self.entries.iter().map(LedgerEntry::to_line).collect()
-    }
-
-    /// Parses the format written by [`Self::to_text`] /
-    /// [`LedgerEntry::to_line`].
+    /// Parses concatenated [`LedgerEntry::to_line`]s.
     ///
     /// Appends always write whole newline-terminated records, so a file
     /// that does not end in a newline was torn by a crash mid-append:
@@ -343,29 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn silent_document_edit_detected() {
-        let mut ledger = Ledger::new();
-        let good = br#"{"loss": 0.5}"#.to_vec();
-        ledger.append("doc-1", &good);
-        // Unedited document passes.
-        let store = good.clone();
-        ledger
-            .verify_against(|id| (id == "doc-1").then(|| store.clone()))
-            .unwrap();
-        // Edited ("the loss was better than it was") fails.
-        let edited = br#"{"loss": 0.1}"#.to_vec();
-        assert_eq!(
-            ledger.verify_against(|id| (id == "doc-1").then(|| edited.clone())),
-            Err(LedgerIssue::DocumentChanged {
-                index: 0,
-                document_id: "doc-1".into()
-            })
-        );
-        // Deleted documents are skipped (the chain still proves they existed).
-        ledger.verify_against(|_| None).unwrap();
-    }
-
-    #[test]
     fn replacement_checks_only_the_latest_entry_per_id() {
         // Two uploads under the same id: the store now holds only v2.
         let mut ledger = Ledger::new();
@@ -373,33 +303,32 @@ mod tests {
         let v2 = br#"{"loss": 0.4}"#.to_vec();
         ledger.append("doc-1", &v1);
         ledger.append("doc-1", &v2);
+        let chains = [(crate::backend::ChainName::Own, ledger)].into();
+        let verify = |stored: &[u8]| {
+            crate::store::verify_chains(&chains, |id| (id == "doc-1").then(|| stored.to_vec()))
+        };
         // The superseded v1 digest must not fail verification...
-        ledger
-            .verify_against(|id| (id == "doc-1").then(|| v2.clone()))
-            .unwrap();
-        // ...but the latest entry still catches a silent edit.
-        let edited = br#"{"loss": 0.1}"#.to_vec();
-        assert_eq!(
-            ledger.verify_against(|id| (id == "doc-1").then(|| edited.clone())),
-            Err(LedgerIssue::DocumentChanged {
-                index: 1,
-                document_id: "doc-1".into()
-            })
-        );
+        verify(&v2).unwrap();
+        // ...but the latest entry still catches a silent edit, and the
+        // superseded bytes no longer count as committed.
+        for stored in [&br#"{"loss": 0.1}"#[..], &v1] {
+            assert!(matches!(
+                verify(stored),
+                Err(ServiceError::LedgerVerification(LedgerIssue::DocumentChanged { document_id, .. }))
+                    if document_id == "doc-1"
+            ));
+        }
     }
 
-    #[test]
-    fn entry_line_matches_text_format() {
-        let ledger = chain(3);
-        let lines: String = ledger.entries().iter().map(LedgerEntry::to_line).collect();
-        assert_eq!(lines, ledger.to_text());
+    /// The chain as a chain file holds it.
+    fn text(ledger: &Ledger) -> String {
+        ledger.entries().iter().map(LedgerEntry::to_line).collect()
     }
 
     #[test]
     fn text_roundtrip() {
         let ledger = chain(7);
-        let text = ledger.to_text();
-        let back = Ledger::from_text(&text).unwrap();
+        let back = Ledger::from_text(&text(&ledger)).unwrap();
         assert_eq!(back.entries(), ledger.entries());
         back.verify_chain().unwrap();
         assert!(Ledger::from_text("1 two three\n").is_err());
@@ -407,9 +336,22 @@ mod tests {
     }
 
     #[test]
+    fn entry_json_round_trips() {
+        let ledger = chain(2);
+        let entry = &ledger.entries()[1];
+        assert_eq!(
+            LedgerEntry::from_json(&entry.to_json()).as_ref(),
+            Some(entry)
+        );
+        let mut v = entry.to_json();
+        v["index"] = serde_json::Value::from("1");
+        assert_eq!(LedgerEntry::from_json(&v), None);
+    }
+
+    #[test]
     fn torn_tail_from_crashed_append_is_dropped() {
         let ledger = chain(4);
-        let mut text = ledger.to_text();
+        let mut text = text(&ledger);
         // A crash mid-append leaves a partial, unterminated line.
         text.push_str("4 doc-4 deadbeef");
         let back = Ledger::from_text(&text).unwrap();

@@ -8,7 +8,8 @@
 //! * [`backend`] — the pluggable storage layer: [`StorageBackend`]
 //!   with an in-memory map ([`MemoryBackend`]) and a crash-safe
 //!   directory backend ([`DurableBackend`]: tmp-file + rename document
-//!   writes, append-only ledger file, configurable fsync cadence);
+//!   writes, one append-only file per hash chain, configurable fsync
+//!   cadence);
 //! * [`store`] — an in-process, thread-safe document store keyed by
 //!   handle ids, with merge, per-document statistics, a per-document
 //!   graph index cache and lineage queries running on `prov-graph`;
@@ -63,7 +64,7 @@ pub mod slowlog;
 pub mod store;
 mod sync;
 
-pub use backend::{DurableBackend, MemoryBackend, StorageBackend, SyncPolicy};
+pub use backend::{ChainName, DurableBackend, MemoryBackend, StorageBackend, SyncPolicy};
 pub use client::{Client, ClientError, Response, RetryPolicy};
 pub use cluster::{
     ClusterClient, ClusterConfig, ClusterError, NodeSpec, ReplicationChaos, Replicator, Ring,

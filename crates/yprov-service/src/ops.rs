@@ -365,7 +365,10 @@ mod tests {
         ops.tick(1.0, &[&server_reg, &store_reg]);
         // Both registries' series landed...
         assert!(ops.tsdb().latest("requests_total", 1.0, 2.0).is_some());
-        assert_eq!(ops.tsdb().latest("store_cache_entries", 1.0, 2.0), Some(3.0));
+        assert_eq!(
+            ops.tsdb().latest("store_cache_entries", 1.0, 2.0),
+            Some(3.0)
+        );
         // ...and the rule fired off the merged view (rate 100/s > 5).
         assert_eq!(
             ops.alerts().states()[0].phase,

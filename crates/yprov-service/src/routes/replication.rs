@@ -1,6 +1,7 @@
 //! The ledger and the replica side of replication.
 
 use crate::http::{error_body, Request, ServerState};
+use crate::ledger::LedgerEntry;
 use serde_json::json;
 
 pub(super) fn ledger(state: &ServerState, _: &Request, _: &str) -> (u16, String) {
@@ -8,7 +9,7 @@ pub(super) fn ledger(state: &ServerState, _: &Request, _: &str) -> (u16, String)
         .store
         .ledger_entries()
         .iter()
-        .map(crate::cluster::entry_to_json)
+        .map(LedgerEntry::to_json)
         .collect();
     (200, json!({"entries": entries}).to_string())
 }

@@ -9,8 +9,10 @@
 //!   a shared index and no reader can pair one version's document with
 //!   another's index. A write builds (or extends) the index before it
 //!   takes that lock; a reopened store builds it on the first query;
-//! * **the tamper-evident ledger** — a hash chain over every upload,
-//!   appended (not rewritten) through the backend's ledger hook;
+//! * **the hash chains** — the node's own tamper-evident ledger over
+//!   every upload it accepted and one verified cursor chain per
+//!   replication source, held under one lock and appended (not
+//!   rewritten) through the backend's chain hooks;
 //! * **watch cursors** — a per-document version that bumps on every
 //!   mutation, with a condvar long-poll (`wait_for_newer`) behind the
 //!   service's watch endpoint. Delta uploads fold into the stored
@@ -21,7 +23,7 @@
 //! store's [`obs::Registry`], exposed through the HTTP `/metrics`
 //! endpoint.
 
-use crate::backend::{DurableBackend, MemoryBackend, StorageBackend, SyncPolicy};
+use crate::backend::{ChainName, DurableBackend, MemoryBackend, StorageBackend, SyncPolicy};
 use crate::error::ServiceError;
 use crate::ledger::{Ledger, LedgerEntry};
 use crate::sync::{lock, read, write};
@@ -154,6 +156,11 @@ pub struct Upload {
     pub canonical_json: String,
 }
 
+/// Every hash chain a node holds: its own ledger (always present) and
+/// the verified cursor chain of each replication source, byte-identical
+/// to a prefix of that source's own ledger.
+type Chains = BTreeMap<ChainName, Ledger>;
+
 /// The rule that ties stored bytes to chains: a stored document is
 /// *committed* when its bytes hash to the latest digest *some* chain
 /// (own ledger or a replication cursor) records for its id — a document
@@ -162,13 +169,12 @@ pub struct Upload {
 /// Returns the first stored document that no chain commits, looking at
 /// `only` or, with `None`, at every id any chain names.
 fn uncommitted_document(
-    ledger: &Ledger,
-    repl: &BTreeMap<String, Ledger>,
+    chains: &Chains,
     only: Option<&str>,
     lookup: impl Fn(&str) -> Option<Vec<u8>>,
 ) -> Option<String> {
     let mut latest: HashMap<&str, Vec<&str>> = HashMap::new();
-    for chain in std::iter::once(ledger).chain(repl.values()) {
+    for chain in chains.values() {
         let mut per_chain: HashMap<&str, &str> = HashMap::new();
         for e in chain.entries() {
             if only.is_none_or(|id| id == e.document_id) {
@@ -189,15 +195,14 @@ fn uncommitted_document(
 /// endpoint: every chain (own ledger + replication cursors) must verify
 /// internally, and every surviving document must be committed by some
 /// chain ([`uncommitted_document`]).
-fn verify_chains(
-    ledger: &Ledger,
-    repl: &BTreeMap<String, Ledger>,
+pub(crate) fn verify_chains(
+    chains: &Chains,
     lookup: impl Fn(&str) -> Option<Vec<u8>>,
 ) -> Result<(), ServiceError> {
-    for chain in std::iter::once(ledger).chain(repl.values()) {
+    for chain in chains.values() {
         chain.verify_chain()?;
     }
-    match uncommitted_document(ledger, repl, None, lookup) {
+    match uncommitted_document(chains, None, lookup) {
         Some(document_id) => Err(ServiceError::LedgerVerification(
             crate::ledger::LedgerIssue::DocumentChanged {
                 index: 0,
@@ -222,6 +227,23 @@ pub enum ReplicationApply {
     /// unless the entry was superseded — a held copy of the id that no
     /// chain commits any more was dropped.
     ChainOnly,
+}
+
+/// A replicated document checked against the entry that carries it: its
+/// bytes must hash to the entry's digest (a torn or corrupted frame
+/// dies here) and parse. The error is the refusal's reason.
+fn parse_frame(entry: &LedgerEntry, json: &str) -> Result<(ProvDocument, GraphIndex), String> {
+    if sha256_hex(json.as_bytes()) != entry.document_digest {
+        return Err(format!(
+            "entry {} document bytes do not hash to the recorded digest \
+             (torn or corrupted frame)",
+            entry.index
+        ));
+    }
+    let doc = ProvDocument::from_json_str(json)
+        .map_err(|e| format!("entry {} document does not parse: {e}", entry.index))?;
+    let index = GraphIndex::build(&doc);
+    Ok((doc, index))
 }
 
 /// A thread-safe store of provenance documents keyed by handle ids
@@ -260,13 +282,10 @@ struct Inner {
     backend: Box<dyn StorageBackend>,
     docs: RwLock<BTreeMap<String, Arc<Stored>>>,
     next_id: AtomicU64,
-    /// Tamper-evident hash chain over uploads this node accepted as
-    /// the write primary.
-    ledger: Mutex<Ledger>,
-    /// Per-source verified replication cursors: the exact chain of
-    /// frames applied from each upstream peer, byte-identical to the
-    /// upstream's own ledger prefix.
-    repl: Mutex<BTreeMap<String, Ledger>>,
+    /// Every chain, under the lock that every write of a document —
+    /// local commit, delete, replicated apply — holds throughout, so
+    /// chain order always matches visible state.
+    chains: Mutex<Chains>,
     registry: Arc<obs::Registry>,
     metrics: StoreMetrics,
     /// Version cursors for the watch endpoint.
@@ -305,28 +324,20 @@ impl DocumentStore {
     }
 
     /// Opens a store over any [`StorageBackend`]: replays the backend's
-    /// ledger, loads and parses every stored document, restores the id
-    /// counter past the highest `doc-N`, and verifies the ledger chain
-    /// against the surviving documents.
+    /// chains, loads and parses every stored document, restores the id
+    /// counter past the highest `doc-N`, and verifies every chain and
+    /// the surviving documents against them.
     pub fn with_backend(backend: impl StorageBackend) -> Result<Self, ServiceError> {
         Self::open(Box::new(backend))
     }
 
     fn open(backend: Box<dyn StorageBackend>) -> Result<Self, ServiceError> {
-        let ledger = match backend.ledger_load()? {
-            Some(text) => Ledger::from_text(&text)?,
-            None => Ledger::new(),
-        };
-
-        // Restore every replication cursor so a restarted replica
-        // resumes exactly where its verified chains left off.
-        let mut repl = BTreeMap::new();
-        for source in backend.repl_sources()? {
-            if let Some(text) = backend.repl_load(&source)? {
-                let chain = Ledger::from_text(&text)?;
-                chain.verify_chain()?;
-                repl.insert(source, chain);
-            }
+        // Every replication cursor is restored with the own ledger, so
+        // a restarted replica resumes exactly where its chains left off.
+        let mut chains = Chains::from([(ChainName::Own, Ledger::new())]);
+        for name in backend.chains()? {
+            let chain = Ledger::from_text(&backend.chain_load(&name)?)?;
+            chains.insert(name, chain);
         }
 
         let mut docs = BTreeMap::new();
@@ -346,7 +357,7 @@ impl DocumentStore {
 
         // Integrity: every chain must be sound and the latest surviving
         // version of every document must hash as recorded by some chain.
-        verify_chains(&ledger, &repl, |id| backend.get(id).ok().flatten())?;
+        verify_chains(&chains, |id| backend.get(id).ok().flatten())?;
 
         let registry = Arc::new(obs::Registry::new());
         let metrics = StoreMetrics::new(&registry);
@@ -362,8 +373,7 @@ impl DocumentStore {
                 backend,
                 docs: RwLock::new(docs),
                 next_id: AtomicU64::new(max_id),
-                ledger: Mutex::new(ledger),
-                repl: Mutex::new(repl),
+                chains: Mutex::new(chains),
                 registry,
                 metrics,
                 watch: WatchHub {
@@ -401,10 +411,10 @@ impl DocumentStore {
 
     /// The ledger entries, oldest first.
     pub fn ledger_entries(&self) -> Vec<crate::ledger::LedgerEntry> {
-        lock(&self.inner.ledger).entries().to_vec()
+        lock(&self.inner.chains)[&ChainName::Own].entries().to_vec()
     }
 
-    /// Forces outstanding backend state (ledger tail, directory
+    /// Forces outstanding backend state (chain tails, directory
     /// entries) to stable storage.
     pub fn flush(&self) -> Result<(), ServiceError> {
         self.inner.backend.flush()
@@ -429,20 +439,19 @@ impl DocumentStore {
         doc.canonicalize();
         let json = doc.to_json_string()?;
         let index = GraphIndex::build(&doc);
-        let ledger = &mut *lock(&self.inner.ledger);
-        self.commit(ledger, id, doc, json, index).map(|(up, _)| up)
+        let chains = &mut *lock(&self.inner.chains);
+        self.commit(chains, id, doc, json, index).map(|(up, _)| up)
     }
 
     /// The one way a locally written document becomes visible: bytes to
-    /// the backend, entry to the ledger and its line to the backend,
-    /// then the record. The caller holds the ledger lock across its
-    /// whole read-modify-write, so this critical section covers the
-    /// byte write, the ledger append *and* the in-memory record: chain
-    /// order always matches visible state, and uploads, delta merges
-    /// and deletes of one id serialize instead of interleaving.
+    /// the backend, entry to the own ledger and its line to the
+    /// backend, then the record. The caller holds the chains' lock
+    /// across its whole read-modify-write, so uploads, delta merges,
+    /// deletes and replicated applies of one id serialize instead of
+    /// interleaving.
     fn commit(
         &self,
-        ledger: &mut Ledger,
+        chains: &mut Chains,
         id: String,
         doc: ProvDocument,
         json: String,
@@ -451,8 +460,11 @@ impl DocumentStore {
         let put_span = self.inner.metrics.put_seconds.start_span();
         self.inner.backend.put(&id, json.as_bytes())?;
         drop(put_span);
+        let ledger = chains.entry(ChainName::Own).or_default();
         let entry = ledger.append(&id, json.as_bytes()).clone();
-        self.inner.backend.ledger_append(&entry.to_line())?;
+        self.inner
+            .backend
+            .chain_append(&ChainName::Own, &entry.to_line())?;
         let version = self.swap_in(&id, doc, index);
         Ok((
             Upload {
@@ -540,15 +552,16 @@ impl DocumentStore {
 
     /// Removes a document; `Ok(true)` when it existed. The ledger keeps
     /// its record — deletions stay visible in history. Runs in the
-    /// critical section uploads run in, so a racing upload of the same
-    /// id lands wholly before or wholly after it.
+    /// critical section every write runs in, so a racing upload or
+    /// replicated apply of the same id lands wholly before or wholly
+    /// after it.
     pub fn delete(&self, id: &str) -> Result<bool, ServiceError> {
-        self.delete_locked(&lock(&self.inner.ledger), id)
+        self.delete_locked(&lock(&self.inner.chains), id)
     }
 
-    /// [`Self::delete`] for a caller that already holds the ledger lock
-    /// (the mutex is not re-entrant).
-    fn delete_locked(&self, _ledger: &Ledger, id: &str) -> Result<bool, ServiceError> {
+    /// [`Self::delete`] for a caller that already holds the chains'
+    /// lock (the mutex is not re-entrant).
+    fn delete_locked(&self, _chains: &Chains, id: &str) -> Result<bool, ServiceError> {
         let existed_on_backend = self.inner.backend.delete(id)?;
         let existed = write(&self.inner.docs).remove(id).is_some();
         self.inner.watch.remove(id);
@@ -705,11 +718,11 @@ impl DocumentStore {
         id: &str,
         delta: &ProvDocument,
     ) -> Result<(Upload, u64), ServiceError> {
-        // The whole read-modify-write runs under the ledger lock — the
+        // The whole read-modify-write runs under the chains' lock — the
         // same critical section `insert` uses — so concurrent merges
         // and replacements of one id serialize instead of losing
         // updates.
-        let ledger = &mut *lock(&self.inner.ledger);
+        let chains = &mut *lock(&self.inner.chains);
         let current = self.stored(id)?;
         let mut merged = (*current.doc).clone();
         let applied = merged
@@ -725,7 +738,7 @@ impl DocumentStore {
             Some(index) => index.extended(&merged, &applied.new_relations),
             None => GraphIndex::build(&merged),
         };
-        let done = self.commit(ledger, id.to_string(), merged, json, index)?;
+        let done = self.commit(chains, id.to_string(), merged, json, index)?;
         if base.is_some() {
             self.inner.metrics.incremental_merges.inc();
         }
@@ -787,9 +800,10 @@ impl DocumentStore {
     /// 3. when document bytes ride along, their SHA-256 must equal the
     ///    entry's digest — a torn or corrupted frame dies here.
     ///
-    /// Only then are the bytes stored, the document parsed and indexed
-    /// (so the replica serves reads immediately), and the entry appended
-    /// verbatim to the durable replication cursor.
+    /// Only then are the bytes stored, the document (parsed and indexed
+    /// before the chains' lock is taken) swapped in so the replica
+    /// serves reads immediately, and the entry appended verbatim to the
+    /// durable replication cursor.
     ///
     /// A frame without bytes (`None`) advances the cursor only, and is
     /// taken as the source's last word on the id: if this node holds a
@@ -836,13 +850,12 @@ impl DocumentStore {
                 expect_index: None,
             });
         }
-        // The drop rule reads the own ledger too, and the ledger lock
-        // comes before the cursor lock (`verify_all`'s order). Holding it
-        // also keeps a local upload of the same id from landing between
-        // the check and the drop.
-        let ledger = drop_uncommitted.then(|| lock(&self.inner.ledger));
-        let mut repl = lock(&self.inner.repl);
-        let chain = repl.entry(source.to_string()).or_default();
+        // The document is checked against its own entry, not the chain:
+        // hash, parse and index it before the lock is taken.
+        let parsed = doc_json.map(|json| parse_frame(&entry, json));
+        let name = ChainName::Source(source.to_string());
+        let chains = &mut *lock(&self.inner.chains);
+        let chain = chains.entry(name.clone()).or_default();
         let next = chain.len() as u64;
 
         if entry.index < next {
@@ -871,44 +884,33 @@ impl DocumentStore {
             });
         }
         let id = entry.document_id.clone();
-        if let Some(json) = doc_json {
-            if sha256_hex(json.as_bytes()) != entry.document_digest {
-                return Err(ServiceError::Replication {
-                    reason: format!(
-                        "entry {} document bytes do not hash to the recorded digest \
-                         (torn or corrupted frame)",
-                        entry.index
-                    ),
-                    expect_index: Some(next),
-                });
-            }
-            let doc = ProvDocument::from_json_str(json).map_err(|e| ServiceError::Replication {
-                reason: format!("entry {} document does not parse: {e}", entry.index),
+        let line = entry.to_line();
+        if let (Some(json), Some(parsed)) = (doc_json, parsed) {
+            let (doc, index) = parsed.map_err(|reason| ServiceError::Replication {
+                reason,
                 expect_index: Some(next),
             })?;
-            let index = GraphIndex::build(&doc);
             self.inner.backend.put(&id, json.as_bytes())?;
             self.inner
                 .next_id
                 .fetch_max(doc_number(&id), Ordering::Relaxed);
             self.swap_in(&id, doc, index);
         }
-        let line = entry.to_line();
         chain
             .append_entry(entry)
             .map_err(ServiceError::LedgerVerification)?;
-        if let Some(ledger) = &ledger {
+        if drop_uncommitted {
             // The copy goes before the entry is durable: a crash in
             // between leaves a replica the resent entry finds already
             // clean, never chains that commit to bytes other than the
             // ones held.
             let held = read(&self.inner.docs).contains_key(&id);
             let lookup = |id: &str| self.inner.backend.get(id).ok().flatten();
-            if held && uncommitted_document(ledger, &repl, Some(&id), lookup).is_some() {
-                self.delete_locked(ledger, &id)?;
+            if held && uncommitted_document(chains, Some(&id), lookup).is_some() {
+                self.delete_locked(chains, &id)?;
             }
         }
-        self.inner.backend.repl_append(source, &line)?;
+        self.inner.backend.chain_append(&name, &line)?;
         Ok(if doc_json.is_some() {
             ReplicationApply::Applied
         } else {
@@ -919,8 +921,8 @@ impl DocumentStore {
     /// `(next_index, head_hash)` of this replica's verified chain for
     /// `source` — the cursor a primary probes before streaming.
     pub fn replication_head(&self, source: &str) -> (u64, String) {
-        let repl = lock(&self.inner.repl);
-        match repl.get(source) {
+        let name = ChainName::Source(source.to_string());
+        match lock(&self.inner.chains).get(&name) {
             Some(chain) => (chain.len() as u64, chain.head_hash()),
             None => (0, crate::ledger::GENESIS.to_string()),
         }
@@ -928,10 +930,12 @@ impl DocumentStore {
 
     /// Every source this node replicates, with its applied-entry count.
     pub fn replication_sources(&self) -> Vec<(String, u64)> {
-        lock(&self.inner.repl)
-            .iter()
-            .map(|(s, c)| (s.clone(), c.len() as u64))
-            .collect()
+        let chains = lock(&self.inner.chains);
+        let sources = chains.iter().filter_map(|(name, chain)| match name {
+            ChainName::Own => None,
+            ChainName::Source(source) => Some((source.clone(), chain.len() as u64)),
+        });
+        sources.collect()
     }
 
     /// The primary-side replication log: this node's own ledger entries
@@ -940,8 +944,8 @@ impl DocumentStore {
     /// chain-only, the bytes it committed to no longer exist. No
     /// document is read here; see [`Self::committed_document`].
     pub fn replication_log(&self, from: u64, to: u64) -> Vec<(LedgerEntry, bool)> {
-        let ledger = lock(&self.inner.ledger);
-        let entries = ledger.entries();
+        let chains = lock(&self.inner.chains);
+        let entries = chains[&ChainName::Own].entries();
         let from = (from as usize).min(entries.len());
         let to = (to as usize).clamp(from, entries.len());
         let mut latest: HashMap<&str, u64> = HashMap::new();
@@ -969,11 +973,8 @@ impl DocumentStore {
     /// internal integrity, and that every replicated document's current
     /// bytes hash to the latest digest some chain committed to.
     pub fn verify_all(&self) -> Result<(), ServiceError> {
-        let ledger = lock(&self.inner.ledger);
-        let repl = lock(&self.inner.repl);
-        verify_chains(&ledger, &repl, |id| {
-            self.inner.backend.get(id).ok().flatten()
-        })
+        let chains = lock(&self.inner.chains);
+        verify_chains(&chains, |id| self.inner.backend.get(id).ok().flatten())
     }
 
     /// Merges every stored document into one (cross-run lineage);
@@ -1171,17 +1172,28 @@ mod tests {
         {
             let store = DocumentStore::persistent(&dir).unwrap();
             store.upload_as("run-1", pipeline_doc()).unwrap();
-            store.upload_as("run-1", ProvDocument::new()).unwrap();
+            store.upload_as("run-1", eval_delta()).unwrap();
             assert_eq!(store.ledger_entries().len(), 2, "history keeps both");
         }
         let reopened = DocumentStore::persistent(&dir).unwrap();
         assert_eq!(reopened.len(), 1);
-        assert_eq!(reopened.get("run-1").unwrap().element_count(), 0);
+        assert_eq!(reopened.get("run-1").unwrap().element_count(), 2);
         let entries = reopened.ledger_entries();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].document_id, "run-1");
         assert_eq!(entries[1].document_id, "run-1");
         assert_ne!(entries[0].document_digest, entries[1].document_digest);
+        // The superseded digest does not fail verification, but the
+        // latest one still catches a silent edit of the replacement.
+        drop(reopened);
+        let path = dir.join("run-1.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("ex:report", "ex:fudged")).unwrap();
+        assert!(matches!(
+            DocumentStore::persistent(&dir).err(),
+            Some(ServiceError::LedgerVerification(LedgerIssue::DocumentChanged { document_id, .. }))
+                if document_id == "run-1"
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1903,37 +1915,33 @@ mod tests {
             lock(&self.resume).recv().ok();
             existed
         }
-        fn list(&self) -> Result<Vec<String>, ServiceError> {
-            self.inner.list()
-        }
-        fn scan(
-            &self,
-            visit: &mut dyn FnMut(&str, &[u8]) -> Result<(), ServiceError>,
-        ) -> Result<(), ServiceError> {
+        fn scan(&self, visit: &mut crate::backend::Visitor<'_>) -> Result<(), ServiceError> {
             self.inner.scan(visit)
         }
-        fn ledger_append(&self, line: &str) -> Result<(), ServiceError> {
-            self.inner.ledger_append(line)
+        fn chain_append(&self, chain: &ChainName, line: &str) -> Result<(), ServiceError> {
+            self.inner.chain_append(chain, line)
         }
-        fn ledger_load(&self) -> Result<Option<String>, ServiceError> {
-            self.inner.ledger_load()
+        fn chain_load(&self, chain: &ChainName) -> Result<String, ServiceError> {
+            self.inner.chain_load(chain)
+        }
+        fn chains(&self) -> Result<Vec<ChainName>, ServiceError> {
+            self.inner.chains()
         }
         fn flush(&self) -> Result<(), ServiceError> {
             self.inner.flush()
         }
-        fn repl_append(&self, source: &str, line: &str) -> Result<(), ServiceError> {
-            self.inner.repl_append(source, line)
-        }
-        fn repl_load(&self, source: &str) -> Result<Option<String>, ServiceError> {
-            self.inner.repl_load(source)
-        }
-        fn repl_sources(&self) -> Result<Vec<String>, ServiceError> {
-            self.inner.repl_sources()
-        }
     }
 
-    #[test]
-    fn delete_racing_an_upload_of_the_same_id_leaves_one_answer() {
+    /// Deletes `run-1` on a store whose backend parks the delete after
+    /// the bytes are gone, runs `write` (which writes `run-1`) on a
+    /// second thread meanwhile, and checks that map and backend agree
+    /// once both are done. A `write` that does not wait for the delete
+    /// finishes inside the window and the delete then clears its
+    /// record; one that waits is still parked when the window closes.
+    fn race_a_parked_delete(
+        setup: impl FnOnce(&DocumentStore),
+        write: impl FnOnce(&DocumentStore) + Send + 'static,
+    ) {
         let (deleted_tx, deleted) = std::sync::mpsc::channel();
         let (resume, resume_rx) = std::sync::mpsc::channel();
         let store = DocumentStore::with_backend(ParkedDelete {
@@ -1942,7 +1950,7 @@ mod tests {
             resume: Mutex::new(resume_rx),
         })
         .unwrap();
-        store.upload_as("run-1", pipeline_doc()).unwrap();
+        setup(&store);
 
         let deleter = {
             let store = store.clone();
@@ -1950,27 +1958,95 @@ mod tests {
         };
         // The delete has removed the bytes and not yet the record.
         deleted.recv().unwrap();
-        let (uploaded_tx, uploaded) = std::sync::mpsc::channel();
-        let uploader = {
+        let (written_tx, written) = std::sync::mpsc::channel();
+        let writer = {
             let store = store.clone();
             std::thread::spawn(move || {
-                store.upload_as("run-1", pipeline_doc()).unwrap();
-                uploaded_tx.send(()).ok();
+                write(&store);
+                written_tx.send(()).ok();
             })
         };
-        // An upload that does not wait for the delete finishes well
-        // inside this window, and the delete then clears its record;
-        // one that waits is still parked when the window closes.
-        uploaded.recv_timeout(Duration::from_millis(300)).ok();
+        written.recv_timeout(Duration::from_millis(300)).ok();
         resume.send(()).unwrap();
         assert!(deleter.join().unwrap());
-        uploader.join().unwrap();
+        writer.join().unwrap();
 
         let in_map = store.get("run-1").is_some();
         assert_eq!(store.document_json("run-1").is_ok(), in_map);
         assert_eq!(store.list().contains(&"run-1".to_string()), in_map);
         assert_eq!(store.document_version("run-1").is_some(), in_map);
         store.verify_all().unwrap();
+    }
+
+    #[test]
+    fn delete_racing_an_upload_of_the_same_id_leaves_one_answer() {
+        race_a_parked_delete(
+            |store| {
+                store.upload_as("run-1", pipeline_doc()).unwrap();
+            },
+            |store| {
+                store.upload_as("run-1", pipeline_doc()).unwrap();
+            },
+        );
+    }
+
+    #[test]
+    fn delete_racing_a_replicated_apply_of_the_same_id_leaves_one_answer() {
+        let primary = DocumentStore::new();
+        let v1 = primary.upload_as_full("run-1", pipeline_doc()).unwrap();
+        let v2 = primary
+            .upload_as_full("run-1", ProvDocument::new())
+            .unwrap();
+        race_a_parked_delete(
+            move |store| {
+                store
+                    .apply_replicated("node-a", v1.entry, Some(&v1.canonical_json))
+                    .unwrap();
+            },
+            move |store| {
+                store
+                    .apply_replicated("node-a", v2.entry, Some(&v2.canonical_json))
+                    .unwrap();
+            },
+        );
+    }
+
+    #[test]
+    fn torn_replica_chain_tail_is_truncated_counted_and_reopens_verified() {
+        let dir = std::env::temp_dir().join(format!("ysvc_repl_torn_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let primary = DocumentStore::new();
+        let v1 = primary.upload_as_full("run-1", pipeline_doc()).unwrap();
+        let v2 = primary.upload_as_full("run-2", pipeline_doc()).unwrap();
+        let apply = |store: &DocumentStore, up: &Upload| {
+            let json = Some(up.canonical_json.as_str());
+            store
+                .apply_replicated("node-a", up.entry.clone(), json)
+                .unwrap()
+        };
+        apply(&DocumentStore::persistent(&dir).unwrap(), &v1);
+        // A crash mid-append left part of the next entry's line.
+        let chain = dir.join("repl-node-a.chain");
+        let lines = v1.entry.to_line() + &v2.entry.to_line();
+        std::fs::write(&chain, &lines[..lines.len() - 40]).unwrap();
+
+        let reopened = DocumentStore::persistent(&dir).unwrap();
+        let scrape = reopened.registry().render_prometheus();
+        assert!(
+            scrape.contains("store_ledger_truncations_total 1"),
+            "{scrape}"
+        );
+        assert_eq!(reopened.replication_head("node-a").0, 1);
+        reopened.verify_all().unwrap();
+        // The repaired file takes the resent entry on a line of its own.
+        apply(&reopened, &v2);
+        assert_eq!(std::fs::read_to_string(&chain).unwrap(), lines);
+        drop(reopened);
+        DocumentStore::persistent(&dir)
+            .unwrap()
+            .verify_all()
+            .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2020,7 +2096,7 @@ mod tests {
         assert_eq!(solo.document().element_count(), 3);
 
         // The joined view spans both documents' elements and edges.
-        let joined = store.query_view(&a, &[b.clone()]).unwrap();
+        let joined = store.query_view(&a, std::slice::from_ref(&b)).unwrap();
         assert_eq!(joined.document().element_count(), 4);
         assert_eq!(joined.view().edge_count(), 3);
 

@@ -392,7 +392,10 @@ fn reactor_loop_metrics_surface_in_the_scrape() {
         "# HELP reactor_queued_bytes ",
         "# TYPE reactor_queued_bytes gauge",
     ] {
-        assert!(metrics.contains(needle), "missing {needle:?} in:\n{metrics}");
+        assert!(
+            metrics.contains(needle),
+            "missing {needle:?} in:\n{metrics}"
+        );
     }
     let lag_count = metrics
         .lines()

@@ -7,9 +7,9 @@
 //! run state. A producer slower than the fold (any real training loop)
 //! lets the folding thread park, and waking it costs more than the fold
 //! itself; one hand-off per batch pays that wake once per 256 records.
-//! A synchronous mode (mutex around the state) exists for tests and for
-//! workloads where determinism matters more than latency; the overhead
-//! benchmark (E7) compares the two.
+//! A synchronous mode (mutex around the state) is the reference fold
+//! the tests compare the others against; the overhead benchmark (E7)
+//! compares the two.
 //!
 //! For high metric volumes the fold itself becomes the bottleneck, so a
 //! third mode shards the fold across N background threads keyed by a

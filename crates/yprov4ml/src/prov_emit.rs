@@ -294,7 +294,11 @@ pub fn emit_overhead(doc: &mut ProvDocument, identity: &RunIdentity, delta: &obs
 /// `states` usually comes from [`obs::alerts::global`], the alert set
 /// a co-located service's scraper evaluates; rules still `Inactive`
 /// are skipped so a quiet run adds nothing.
-pub fn emit_alerts(doc: &mut ProvDocument, identity: &RunIdentity, states: &[obs::alerts::AlertState]) {
+pub fn emit_alerts(
+    doc: &mut ProvDocument,
+    identity: &RunIdentity,
+    states: &[obs::alerts::AlertState],
+) {
     let run_activity = QName::new("exp", identity.run.clone());
     let alert_ty = QName::yprov("Alert");
     for state in states {
@@ -319,10 +323,7 @@ pub fn emit_alerts(doc: &mut ProvDocument, identity: &RunIdentity, states: &[obs
                 AttrValue::Double(state.rule.threshold),
             )
             .attr(QName::yprov("for_s"), AttrValue::Double(state.rule.for_s))
-            .attr(
-                QName::yprov("phase"),
-                AttrValue::from(state.phase.as_str()),
-            );
+            .attr(QName::yprov("phase"), AttrValue::from(state.phase.as_str()));
         if let Some(v) = state.last_value {
             builder = builder.attr(QName::yprov("last_value"), AttrValue::Double(v));
         }

@@ -107,8 +107,6 @@ pub struct RunOptions {
     /// Metric spill policy (inline by default — the paper's "normal"
     /// single-file output).
     pub spill: SpillPolicy,
-    /// Use the synchronous collector instead of the buffered one.
-    pub synchronous: bool,
     /// User recorded as the responsible agent.
     pub user: Option<String>,
     /// Plugins activated for this run.
@@ -122,7 +120,7 @@ pub struct RunOptions {
     /// `journal` is set).
     pub journal_config: JournalConfig,
     /// Finalize-pipeline parallelism (collector sharding + spill
-    /// encoding). Ignored when `synchronous` is set.
+    /// encoding).
     pub finalize: FinalizeOptions,
 }
 
@@ -130,7 +128,6 @@ impl std::fmt::Debug for RunOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunOptions")
             .field("spill", &self.spill)
-            .field("synchronous", &self.synchronous)
             .field("user", &self.user)
             .field("plugins", &self.plugins.len())
             .field("journal", &self.journal)
@@ -173,11 +170,7 @@ impl Run {
     ) -> Result<Run, ProvMLError> {
         let dir = experiment_dir.join(&name);
         std::fs::create_dir_all(dir.join("artifacts"))?;
-        let collector = if options.synchronous {
-            Collector::synchronous()
-        } else {
-            Collector::sharded(options.finalize.threads)?
-        };
+        let collector = Collector::sharded(options.finalize.threads)?;
         let user = options.user.unwrap_or_else(|| "unknown".to_string());
         let started_us = now_us();
         let journal = if options.journal {
@@ -898,27 +891,6 @@ mod tests {
         assert!(std::fs::read_to_string(dir.join("prov.json"))
             .unwrap()
             .contains("loss"));
-        std::fs::remove_dir_all(&b).ok();
-    }
-
-    #[test]
-    fn synchronous_mode_works() {
-        let b = base("sync");
-        let exp = Experiment::new("e", &b).unwrap();
-        let run = exp
-            .start_run_with(
-                "r",
-                RunOptions {
-                    synchronous: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        run.log_metric("m", Context::Testing, 0, 0, 1.0);
-        assert_eq!(run.records_accepted(), 1);
-        run.flush().unwrap();
-        let report = run.finish().unwrap();
-        assert_eq!(report.metric_samples, 1);
         std::fs::remove_dir_all(&b).ok();
     }
 }
