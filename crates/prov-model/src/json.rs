@@ -95,7 +95,7 @@ pub(crate) fn relation_order(a: &Relation, b: &Relation) -> Ordering {
 /// How `a.to_string()` and `b.to_string()` compare, without rendering
 /// either. Comparing prefix then local is not the same thing: `:`
 /// sorts after the digits, so `ex2:a` < `ex:a`.
-fn rendered_order(a: &QName, b: &QName) -> Ordering {
+pub(crate) fn rendered_order(a: &QName, b: &QName) -> Ordering {
     if a.prefix() == b.prefix() {
         return a.local().cmp(b.local());
     }
@@ -103,7 +103,7 @@ fn rendered_order(a: &QName, b: &QName) -> Ordering {
 }
 
 /// The bytes of `q.to_string()`.
-fn rendered_bytes(q: &QName) -> impl Iterator<Item = u8> + '_ {
+pub(crate) fn rendered_bytes(q: &QName) -> impl Iterator<Item = u8> + '_ {
     let prefix = q.prefix().bytes();
     prefix.chain(std::iter::once(b':')).chain(q.local().bytes())
 }

@@ -1,295 +1,377 @@
-//! Streaming PROV-JSON emission: the one writer.
+//! PROV-JSON emission: the one writer.
 //!
 //! Every PROV-JSON text this crate prints comes from here, stored
 //! documents and [`ProvDocument::to_json_string`] included: the
-//! document is serialized *directly* into an [`std::io::Write`] sink
-//! through lightweight borrow wrappers, cloning nothing but the
-//! rendered map keys. [`ProvDocument::to_json`] still materializes a
-//! [`serde_json::Value`] tree for callers that want one, which clones
-//! every identifier, attribute and metric string; for the large
-//! inline-metrics documents of the finalize pipeline that doubles peak
-//! memory and adds a full extra pass, so nothing prints through it.
+//! document is written straight to bytes through
+//! [`crate::json_write::JsonWriter`], cloning and rendering nothing.
+//! [`ProvDocument::to_json`] still materializes a `serde_json::Value`
+//! tree for callers that want one; nothing prints through it.
 //!
 //! The output is **byte-identical** to that tree printed by
-//! `serde_json`: the wrappers reproduce exactly the ordering
-//! serde_json's `Map` (a `BTreeMap<String, Value>`) would impose —
-//! blocks and keys sorted by rendered string, anonymous relation ids
-//! numbered in [`RelationKind::all`] order, later formal-argument
-//! inserts overwriting earlier ones. The parity tests at the bottom of
-//! this file pin that guarantee.
+//! `serde_json`, whose `Map` sorts keys by string:
+//! - blocks, element ids, attribute keys, relation ids, relation-body
+//!   keys and bundle names are ordered by their rendered bytes
+//!   (`prefix:local`), compared without building the strings; `QName`'s
+//!   own order differs (`ex` < `ex2`, but `ex2:a` < `ex:a`);
+//! - where two members of one object render to one key, the last one
+//!   inserted wins, in the tree's insertion order (a relation body:
+//!   subject, object, time, extras, then attributes);
+//! - anonymous relation ids (`_:id000001`, …) number in
+//!   [`RelationKind::all`] order, restarting in each bundle,
+//!   independently of the order the blocks are emitted in.
+//!
+//! The parity tests at the bottom of this file and the generated
+//! differential suite (`tests/writer_differential.rs`) pin that.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::io::Write;
+use std::sync::OnceLock;
 
-use serde::ser::{Serialize, SerializeMap, SerializeSeq, Serializer};
-
+use crate::datetime::XsdDateTime;
 use crate::document::ProvDocument;
 use crate::error::ProvError;
+use crate::json::{rendered_bytes, rendered_order};
+use crate::json_write::{decimal, JsonWriter};
 use crate::qname::QName;
 use crate::record::ElementKind;
 use crate::relation::{Relation, RelationKind};
-use crate::value::{format_double, AttrValue};
+use crate::value::{AttrValue, XsdDouble};
 
 impl ProvDocument {
     /// Streams compact PROV-JSON into `writer`.
     pub fn write_json<W: Write>(&self, writer: W) -> Result<(), ProvError> {
-        Ok(serde_json::to_writer(writer, &SerDoc::new(self))?)
+        let mut w = DocWriter::new(self, JsonWriter::new(writer, false));
+        w.document(self);
+        Ok(w.w.finish()?)
     }
 
     /// Streams pretty-printed PROV-JSON into `writer`.
     pub fn write_json_pretty<W: Write>(&self, writer: W) -> Result<(), ProvError> {
-        Ok(serde_json::to_writer_pretty(writer, &SerDoc::new(self))?)
+        let mut w = DocWriter::new(self, JsonWriter::new(writer, true));
+        w.document(self);
+        Ok(w.w.finish()?)
     }
 }
 
-/// What [`ProvDocument::to_json_string`] and its pretty twin return:
-/// the streamed bytes, as a `String`.
+/// What [`ProvDocument::to_json_string`] and its pretty twin return.
 pub(crate) fn to_string(doc: &ProvDocument, pretty: bool) -> Result<String, ProvError> {
-    let mut out = Vec::new();
-    if pretty {
-        doc.write_json_pretty(&mut out)?;
-    } else {
-        doc.write_json(&mut out)?;
+    let mut w = DocWriter::new(doc, JsonWriter::in_memory(pretty));
+    w.document(doc);
+    Ok(w.w.into_string())
+}
+
+/// An object key, as it renders.
+#[derive(Clone, Copy)]
+enum Key<'a> {
+    Str(&'a str),
+    /// `prefix:local`.
+    Name(&'a QName),
+    /// An anonymous relation's `_:id` and its number, zero-padded to six
+    /// digits.
+    Anon(u64),
+}
+
+impl Key<'_> {
+    /// How the two rendered keys compare, byte by byte.
+    fn cmp(&self, other: &Key<'_>) -> Ordering {
+        match (self, other) {
+            (Key::Name(a), Key::Name(b)) => rendered_order(a, b),
+            (Key::Str(a), Key::Str(b)) => a.cmp(b),
+            // Both six digits wide.
+            (Key::Anon(a), Key::Anon(b)) if *a.max(b) < 1_000_000 => a.cmp(b),
+            _ => {
+                let (mut a, mut b) = ([0; 24], [0; 24]);
+                self.bytes(&mut a).cmp(other.bytes(&mut b))
+            }
+        }
     }
-    Ok(String::from_utf8(out).expect("the streaming writer emits only UTF-8"))
+
+    fn bytes<'s>(&'s self, anon: &'s mut [u8; 24]) -> impl Iterator<Item = u8> + 's {
+        let (name, text) = match self {
+            Key::Str(s) => (None, *s),
+            Key::Name(q) => (Some(*q), ""),
+            Key::Anon(n) => (None, anon_key(*n, anon)),
+        };
+        name.into_iter()
+            .flat_map(rendered_bytes)
+            .chain(text.bytes())
+    }
+
+    fn write<W: Write>(&self, w: &mut JsonWriter<W>) {
+        match self {
+            Key::Str(s) => w.key(s),
+            Key::Name(q) => w.key_qname(q),
+            Key::Anon(n) => w.key(anon_key(*n, &mut [0; 24])),
+        }
+    }
+}
+
+/// `format!("_:id{n:06}")` on the stack.
+fn anon_key(n: u64, buf: &mut [u8; 24]) -> &str {
+    let mut digits = [0; 20];
+    let digits = decimal(n, &mut digits);
+    let zeros = 6usize.saturating_sub(digits.len());
+    let len = 4 + zeros + digits.len();
+    buf[..4].copy_from_slice(b"_:id");
+    buf[4..4 + zeros].fill(b'0');
+    buf[4 + zeros..len].copy_from_slice(digits);
+    std::str::from_utf8(&buf[..len]).expect("ASCII")
+}
+
+/// Puts `members` in the order a string-keyed map prints them: by
+/// rendered key, and of members sharing a key only the last one pushed,
+/// the one a map's `insert` keeps. Input already in that order, the
+/// common case, costs one comparison per member.
+fn map_order<T>(members: &mut Vec<(Key<'_>, T)>) {
+    if members.windows(2).all(|m| m[0].0.cmp(&m[1].0).is_lt()) {
+        return;
+    }
+    // Stable: members sharing a key stay in the order pushed.
+    members.sort_by(|a, b| a.0.cmp(&b.0));
+    members.dedup_by(|later, kept| {
+        let same = later.0.cmp(&kept.0).is_eq();
+        if same {
+            std::mem::swap(later, kept);
+        }
+        same
+    });
+}
+
+/// A member value of a prefix block or an attribute map or relation
+/// body.
+enum Val<'a> {
+    Str(&'a str),
+    Name(&'a QName),
+    Time(XsdDateTime),
+    Values(&'a [AttrValue]),
 }
 
 /// One top-level (or bundle-level) block of the PROV-JSON object.
-enum Block<'a> {
-    /// The `prefix` block: prefix (or `"default"`) to IRI.
-    Prefix(BTreeMap<String, String>),
-    /// An element block: rendered id to the element's attribute map.
-    Elements(BTreeMap<String, &'a BTreeMap<QName, Vec<AttrValue>>>),
-    /// A relation block: rendered (or anonymous) id to the relation.
-    Relations(BTreeMap<String, &'a Relation>),
-    /// The `bundle` block: rendered bundle name to its prepared document.
-    Bundles(BTreeMap<String, SerDoc<'a>>),
+#[derive(Clone, Copy)]
+enum Block {
+    Prefix,
+    Elements(ElementKind),
+    Relations(RelationKind),
+    Bundles,
 }
 
-/// A document prepared for streaming: blocks keyed by their top-level
-/// JSON key, pre-sorted the same way serde_json's map would sort them.
-struct SerDoc<'a> {
-    blocks: BTreeMap<&'static str, Block<'a>>,
+/// Every block with its key, in key order: the order they print in.
+fn blocks() -> &'static [(&'static str, Block)] {
+    static BLOCKS: OnceLock<Vec<(&'static str, Block)>> = OnceLock::new();
+    BLOCKS.get_or_init(|| {
+        let mut blocks = vec![("prefix", Block::Prefix), ("bundle", Block::Bundles)];
+        blocks.extend(ElementKind::all().map(|k| (k.json_key(), Block::Elements(k))));
+        blocks.extend(
+            RelationKind::all()
+                .iter()
+                .map(|&k| (k.json_key(), Block::Relations(k))),
+        );
+        blocks.sort_unstable_by_key(|b| b.0);
+        blocks
+    })
 }
 
-impl<'a> SerDoc<'a> {
-    fn new(doc: &'a ProvDocument) -> Self {
-        let mut blocks: BTreeMap<&'static str, Block<'a>> = BTreeMap::new();
+/// Writes a document and its bundles into one writer, through scratch
+/// lists reused by every block (`elements`, `relations`) and every
+/// attribute map and relation body (`members`).
+///
+/// The lists are sized before the first byte is written, so nothing
+/// else is allocated while the output grows.
+struct DocWriter<'a, W: Write> {
+    w: JsonWriter<W>,
+    elements: Vec<(Key<'a>, &'a BTreeMap<QName, Vec<AttrValue>>)>,
+    relations: Vec<(Key<'a>, &'a Relation)>,
+    members: Vec<(Key<'a>, Val<'a>)>,
+}
 
-        let mut prefix = BTreeMap::new();
-        for ns in doc.namespaces().iter() {
-            prefix.insert(ns.prefix, ns.iri);
+impl<'a, W: Write> DocWriter<'a, W> {
+    fn new(doc: &ProvDocument, w: JsonWriter<W>) -> Self {
+        DocWriter {
+            w,
+            elements: Vec::with_capacity(doc.element_count()),
+            relations: Vec::with_capacity(doc.relation_count()),
+            members: Vec::with_capacity(32),
         }
-        if let Some(d) = doc.namespaces().default_ns() {
-            prefix.insert("default".to_string(), d.to_string());
-        }
-        if !prefix.is_empty() {
-            blocks.insert("prefix", Block::Prefix(prefix));
-        }
-
-        for kind in ElementKind::all() {
-            let mut block = BTreeMap::new();
-            for el in doc.iter_kind(kind) {
-                block.insert(el.id.to_string(), &el.attributes);
-            }
-            if !block.is_empty() {
-                blocks.insert(kind.json_key(), Block::Elements(block));
-            }
-        }
-
-        // Anonymous ids number in `RelationKind::all()` order — the
-        // order `doc_to_json` visits relations — independent of the
-        // alphabetical order the blocks end up emitted in.
-        let mut anon = 0u64;
-        for kind in RelationKind::all() {
-            let mut block = BTreeMap::new();
-            for rel in doc.relations_of(*kind) {
-                let key = match &rel.id {
-                    Some(q) => q.to_string(),
-                    None => {
-                        anon += 1;
-                        format!("_:id{anon:06}")
-                    }
-                };
-                block.insert(key, rel);
-            }
-            if !block.is_empty() {
-                blocks.insert(kind.json_key(), Block::Relations(block));
-            }
-        }
-
-        let mut bundles = BTreeMap::new();
-        for (name, bundle) in doc.iter_bundles() {
-            // Each bundle restarts its own anonymous-id counter, just
-            // like the recursive `doc_to_json` call does.
-            bundles.insert(name.to_string(), SerDoc::new(bundle));
-        }
-        if !bundles.is_empty() {
-            blocks.insert("bundle", Block::Bundles(bundles));
-        }
-
-        SerDoc { blocks }
     }
-}
 
-impl Serialize for SerDoc<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut map = serializer.serialize_map(Some(self.blocks.len()))?;
-        for (key, block) in &self.blocks {
+    fn document(&mut self, doc: &'a ProvDocument) {
+        // The anonymous ids each relation kind starts after: the count
+        // of anonymous relations of the kinds before it in
+        // `RelationKind::all()`, where a kind's discriminant is its
+        // position.
+        let mut anon_before = [0u64; RelationKind::all().len() + 1];
+        for rel in doc.relations().iter().filter(|r| r.id.is_none()) {
+            anon_before[rel.kind as usize + 1] += 1;
+        }
+        for k in 1..anon_before.len() {
+            anon_before[k] += anon_before[k - 1];
+        }
+        self.w.begin_object();
+        for &(key, block) in blocks() {
             match block {
-                Block::Prefix(p) => map.serialize_entry(key, p)?,
-                Block::Elements(els) => map.serialize_entry(key, &SerElements(els))?,
-                Block::Relations(rels) => map.serialize_entry(key, &SerRelations(rels))?,
-                Block::Bundles(b) => map.serialize_entry(key, b)?,
+                Block::Prefix => {
+                    self.members.clear();
+                    let bindings = doc.namespaces().bindings();
+                    let default = doc.namespaces().default_ns().map(|d| ("default", d));
+                    for (prefix, iri) in bindings.chain(default) {
+                        self.members.push((Key::Str(prefix), Val::Str(iri)));
+                    }
+                    if !self.members.is_empty() {
+                        self.w.key(key);
+                        self.map();
+                    }
+                }
+                Block::Elements(kind) => {
+                    let mut elements = std::mem::take(&mut self.elements);
+                    elements.clear();
+                    elements.extend(
+                        doc.iter_kind(kind)
+                            .map(|el| (Key::Name(&el.id), &el.attributes)),
+                    );
+                    if !elements.is_empty() {
+                        map_order(&mut elements);
+                        self.w.key(key);
+                        self.w.begin_object();
+                        for (id, attrs) in &elements {
+                            id.write(&mut self.w);
+                            self.attributes(attrs);
+                        }
+                        self.w.end_object();
+                    }
+                    self.elements = elements;
+                }
+                Block::Relations(kind) => {
+                    let mut anon = anon_before[kind as usize];
+                    let mut relations = std::mem::take(&mut self.relations);
+                    relations.clear();
+                    relations.extend(doc.relations_of(kind).map(|rel| match &rel.id {
+                        Some(id) => (Key::Name(id), rel),
+                        None => {
+                            anon += 1;
+                            (Key::Anon(anon), rel)
+                        }
+                    }));
+                    if !relations.is_empty() {
+                        map_order(&mut relations);
+                        self.w.key(key);
+                        self.w.begin_object();
+                        for (id, rel) in &relations {
+                            id.write(&mut self.w);
+                            self.relation(rel);
+                        }
+                        self.w.end_object();
+                    }
+                    self.relations = relations;
+                }
+                Block::Bundles => {
+                    let mut bundles: Vec<_> = doc
+                        .iter_bundles()
+                        .map(|(name, bundle)| (Key::Name(name), bundle))
+                        .collect();
+                    if bundles.is_empty() {
+                        continue;
+                    }
+                    map_order(&mut bundles);
+                    self.w.key(key);
+                    self.w.begin_object();
+                    for (name, bundle) in &bundles {
+                        name.write(&mut self.w);
+                        self.document(bundle);
+                    }
+                    self.w.end_object();
+                }
             }
         }
-        map.end()
+        self.w.end_object();
     }
-}
 
-struct SerElements<'a>(&'a BTreeMap<String, &'a BTreeMap<QName, Vec<AttrValue>>>);
-
-impl Serialize for SerElements<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut map = serializer.serialize_map(Some(self.0.len()))?;
-        for (id, attrs) in self.0 {
-            map.serialize_entry(id, &SerAttrs(attrs))?;
+    fn attributes(&mut self, attrs: &'a BTreeMap<QName, Vec<AttrValue>>) {
+        self.members.clear();
+        for (key, values) in attrs {
+            self.members.push((Key::Name(key), Val::Values(values)));
         }
-        map.end()
+        self.map();
     }
-}
 
-/// Re-keys an attribute map by *rendered* key string. `QName`'s `Ord`
-/// and the rendered string's order can disagree (`:` sorts between `9`
-/// and `A`), and serde_json sorts objects by string — so the rendered
-/// order is the one that must win.
-fn rekey_attrs(attrs: &BTreeMap<QName, Vec<AttrValue>>) -> BTreeMap<String, &Vec<AttrValue>> {
-    let mut rekeyed = BTreeMap::new();
-    for (key, values) in attrs {
-        rekeyed.insert(key.to_string(), values);
-    }
-    rekeyed
-}
-
-struct SerAttrs<'a>(&'a BTreeMap<QName, Vec<AttrValue>>);
-
-impl Serialize for SerAttrs<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let rekeyed = rekey_attrs(self.0);
-        let mut map = serializer.serialize_map(Some(rekeyed.len()))?;
-        for (key, values) in &rekeyed {
-            map.serialize_entry(key, &SerValues(values.as_slice()))?;
+    /// A relation body: its members pushed in the tree's insertion
+    /// order, so a later one wins a key they share.
+    fn relation(&mut self, rel: &'a Relation) {
+        self.members.clear();
+        let kind = rel.kind;
+        self.members
+            .push((Key::Str(kind.subject_key()), Val::Name(&rel.subject)));
+        self.members
+            .push((Key::Str(kind.object_key()), Val::Name(&rel.object)));
+        if let Some(t) = rel.time {
+            self.members.push((Key::Str("prov:time"), Val::Time(t)));
         }
-        map.end()
+        for (key, name) in &rel.extras {
+            self.members.push((Key::Str(key), Val::Name(name)));
+        }
+        for (key, values) in &rel.attributes {
+            self.members.push((Key::Name(key), Val::Values(values)));
+        }
+        self.map();
     }
-}
 
-/// One attribute's values: a single value serializes bare, anything
-/// else as an array.
-struct SerValues<'a>(&'a [AttrValue]);
-
-impl Serialize for SerValues<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        if self.0.len() == 1 {
-            SerVal(&self.0[0]).serialize(serializer)
-        } else {
-            let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
-            for v in self.0 {
-                seq.serialize_element(&SerVal(v))?;
+    /// Writes the scratch members as one object.
+    fn map(&mut self) {
+        map_order(&mut self.members);
+        self.w.begin_object();
+        for (key, val) in &self.members {
+            key.write(&mut self.w);
+            match val {
+                Val::Str(s) => self.w.str(s),
+                Val::Name(q) => self.w.qname(q),
+                Val::Time(t) => self.w.display(t),
+                Val::Values(values) => write_values(&mut self.w, values),
             }
-            seq.end()
         }
+        self.w.end_object();
     }
 }
 
-fn typed_literal<S: Serializer>(serializer: S, lexical: &str, ty: &str) -> Result<S::Ok, S::Error> {
-    // "$" (0x24) sorts before "lang" and "type", matching the map order.
-    let mut map = serializer.serialize_map(Some(2))?;
-    map.serialize_entry("$", lexical)?;
-    map.serialize_entry("type", ty)?;
-    map.end()
+/// One attribute's values: a single value bare, anything else (none
+/// included) as an array.
+fn write_values<W: Write>(w: &mut JsonWriter<W>, values: &[AttrValue]) {
+    match values {
+        [one] => write_value(w, one),
+        _ => w.array(|w| values.iter().for_each(|v| write_value(w, v))),
+    }
 }
 
 /// One attribute value, following `value_to_json`'s rendering rules.
-struct SerVal<'a>(&'a AttrValue);
-
-impl Serialize for SerVal<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        match self.0 {
-            AttrValue::String(s) => serializer.serialize_str(s),
-            AttrValue::LangString(s, lang) => {
-                let mut map = serializer.serialize_map(Some(2))?;
-                map.serialize_entry("$", s)?;
-                map.serialize_entry("lang", lang)?;
-                map.end()
-            }
-            AttrValue::Int(i) => serializer.serialize_i64(*i),
-            AttrValue::Bool(b) => serializer.serialize_bool(*b),
-            AttrValue::Double(d) => typed_literal(serializer, &format_double(*d), "xsd:double"),
-            AttrValue::QualifiedName(q) => {
-                typed_literal(serializer, &q.to_string(), "prov:QUALIFIED_NAME")
-            }
-            AttrValue::DateTime(t) => typed_literal(serializer, &t.to_string(), "xsd:dateTime"),
-            AttrValue::Typed(s, t) => typed_literal(serializer, s, &t.to_string()),
-        }
+fn write_value<W: Write>(w: &mut JsonWriter<W>, value: &AttrValue) {
+    match value {
+        AttrValue::String(s) => w.str(s),
+        AttrValue::LangString(s, lang) => w.object(|w| {
+            w.key("$");
+            w.str(s);
+            w.key("lang");
+            w.str(lang);
+        }),
+        AttrValue::Int(i) => w.i64(*i),
+        AttrValue::Bool(b) => w.bool(*b),
+        AttrValue::Double(d) => typed_literal(w, |w| w.display(XsdDouble(*d)), &["xsd:double"]),
+        AttrValue::QualifiedName(q) => typed_literal(w, |w| w.qname(q), &["prov:QUALIFIED_NAME"]),
+        AttrValue::DateTime(t) => typed_literal(w, |w| w.display(t), &["xsd:dateTime"]),
+        AttrValue::Typed(s, ty) => typed_literal(w, |w| w.str(s), &[ty.prefix(), ":", ty.local()]),
     }
 }
 
-struct SerRelations<'a>(&'a BTreeMap<String, &'a Relation>);
-
-impl Serialize for SerRelations<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut map = serializer.serialize_map(Some(self.0.len()))?;
-        for (id, rel) in self.0 {
-            map.serialize_entry(id, &SerRel(rel))?;
-        }
-        map.end()
-    }
-}
-
-/// One relation body value: formal arguments render as plain strings,
-/// application attributes through the value rules.
-enum RelVal<'a> {
-    Str(String),
-    Attrs(&'a Vec<AttrValue>),
-}
-
-struct SerRel<'a>(&'a Relation);
-
-impl Serialize for SerRel<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let rel = self.0;
-        // Same insertion sequence as `relation_to_json` — subject,
-        // object, time, extras, then attributes — into a string-keyed
-        // map, so later inserts overwrite earlier ones identically.
-        let mut obj: BTreeMap<String, RelVal<'_>> = BTreeMap::new();
-        obj.insert(
-            rel.kind.subject_key().to_string(),
-            RelVal::Str(rel.subject.to_string()),
-        );
-        obj.insert(
-            rel.kind.object_key().to_string(),
-            RelVal::Str(rel.object.to_string()),
-        );
-        if let Some(t) = rel.time {
-            obj.insert("prov:time".to_string(), RelVal::Str(t.to_string()));
-        }
-        for (k, v) in &rel.extras {
-            obj.insert(k.clone(), RelVal::Str(v.to_string()));
-        }
-        for (key, values) in rekey_attrs(&rel.attributes) {
-            obj.insert(key, RelVal::Attrs(values));
-        }
-
-        let mut map = serializer.serialize_map(Some(obj.len()))?;
-        for (key, val) in &obj {
-            match val {
-                RelVal::Str(s) => map.serialize_entry(key, s)?,
-                RelVal::Attrs(values) => map.serialize_entry(key, &SerValues(values.as_slice()))?,
-            }
-        }
-        map.end()
-    }
+/// `{"$": <lexical>, "type": <ty>}`; "$" (0x24) sorts before "type".
+fn typed_literal<W: Write>(
+    w: &mut JsonWriter<W>,
+    lexical: impl FnOnce(&mut JsonWriter<W>),
+    ty: &[&str],
+) {
+    w.object(|w| {
+        w.key("$");
+        lexical(w);
+        w.key("type");
+        w.str_parts(ty);
+    })
 }
 
 #[cfg(test)]

@@ -204,6 +204,12 @@ impl NamespaceRegistry {
         })
     }
 
+    /// The explicit bindings as `(prefix, iri)`, in prefix order,
+    /// borrowed.
+    pub(crate) fn bindings(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.bindings.iter().map(|(p, i)| (p.as_str(), i.as_str()))
+    }
+
     /// Number of explicit bindings (implicit `prov`/`xsd` not counted).
     pub fn len(&self) -> usize {
         self.bindings.len()

@@ -46,8 +46,9 @@ pub enum RelationKind {
 }
 
 impl RelationKind {
-    /// All relation kinds, in PROV-JSON document order.
-    pub fn all() -> &'static [RelationKind] {
+    /// All relation kinds, in PROV-JSON document order: declaration
+    /// order, so a kind's discriminant is its position here.
+    pub const fn all() -> &'static [RelationKind] {
         use RelationKind::*;
         &[
             Used,
@@ -275,6 +276,18 @@ mod tests {
             assert_eq!(RelationKind::from_json_key(k.json_key()), Some(*k));
         }
         assert_eq!(RelationKind::from_json_key("notARelation"), None);
+    }
+
+    #[test]
+    fn a_kinds_discriminant_is_its_position_in_all() {
+        for (i, k) in RelationKind::all().iter().enumerate() {
+            assert_eq!(*k as usize, i, "{k}");
+        }
+        // Every variant is listed: the last one declared closes the list.
+        assert_eq!(
+            RelationKind::all().len(),
+            RelationKind::HadMember as usize + 1
+        );
     }
 
     #[test]

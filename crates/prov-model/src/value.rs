@@ -113,17 +113,23 @@ impl AttrValue {
 /// Formats a double so that parsing it back is lossless and special
 /// values use the XSD lexical forms (`NaN`, `INF`, `-INF`).
 pub fn format_double(d: f64) -> String {
-    if d.is_nan() {
-        "NaN".to_string()
-    } else if d.is_infinite() {
-        if d > 0.0 {
-            "INF".to_string()
+    XsdDouble(d).to_string()
+}
+
+/// [`format_double`]'s text, displayed without building a `String`.
+pub(crate) struct XsdDouble(pub f64);
+
+impl fmt::Display for XsdDouble {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let d = self.0;
+        if d.is_nan() {
+            f.write_str("NaN")
+        } else if d.is_infinite() {
+            f.write_str(if d > 0.0 { "INF" } else { "-INF" })
         } else {
-            "-INF".to_string()
+            // `{:?}` is Rust's shortest round-trippable float formatting.
+            write!(f, "{d:?}")
         }
-    } else {
-        // `{:?}` is Rust's shortest round-trippable float formatting.
-        format!("{d:?}")
     }
 }
 

@@ -20,7 +20,7 @@ use crate::error::ServiceError;
 use crate::sync::lock;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -156,12 +156,18 @@ impl StorageBackend for MemoryBackend {
 // Durable backend
 // ---------------------------------------------------------------------------
 
-/// Best-effort directory fsync so renames and fresh file names survive
-/// power loss (a no-op on platforms where directories cannot be
-/// opened).
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
+/// Directory fsync, so renames and fresh file names survive power
+/// loss. A filesystem that cannot fsync a directory (the call fails with
+/// `InvalidInput` or `Unsupported`) makes this a no-op; any other
+/// failure, the directory being gone included, is the caller's error.
+/// It opens the directory as a file, as Unix allows; a platform that
+/// refuses that (Windows: `PermissionDenied`) is not supported.
+fn sync_dir(dir: &Path) -> Result<(), ServiceError> {
+    match File::open(dir).and_then(|d| d.sync_all()) {
+        Err(e) if !matches!(e.kind(), ErrorKind::InvalidInput | ErrorKind::Unsupported) => {
+            Err(ServiceError::io(format!("fsync {}", dir.display()), e))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -295,7 +301,7 @@ impl StorageBackend for DurableBackend {
         std::fs::rename(&tmp, &path)
             .map_err(|e| ServiceError::io(format!("rename into {}", path.display()), e))?;
         if self.fsync_each_write() {
-            sync_dir(&self.dir);
+            sync_dir(&self.dir)?;
         }
         Ok(())
     }
@@ -366,7 +372,7 @@ impl StorageBackend for DurableBackend {
                 .map_err(|e| ServiceError::io(format!("open {}", path.display()), e))?;
             if created {
                 // The chain's name must survive a power loss its lines do.
-                sync_dir(&self.dir);
+                sync_dir(&self.dir)?;
             }
             let dirty = false;
             chains.insert(chain.clone(), ChainFile { file, path, dirty });
@@ -444,8 +450,7 @@ impl StorageBackend for DurableBackend {
             self.fsync(&chain.file, &chain.path)?;
             chain.dirty = false;
         }
-        sync_dir(&self.dir);
-        Ok(())
+        sync_dir(&self.dir)
     }
 
     fn ledger_truncations(&self) -> u64 {
@@ -640,5 +645,18 @@ mod tests {
     #[test]
     fn on_flush_fsyncs_chains_at_flush_only() {
         assert_fsync_rule("onflush", SyncPolicy::OnFlush, 0);
+    }
+
+    #[test]
+    fn flush_reports_a_directory_it_cannot_fsync() {
+        let dir = tmp("gone");
+        let b = DurableBackend::open_with_sync(&dir, SyncPolicy::OnFlush).unwrap();
+        b.put("doc-1", b"{}").unwrap();
+        b.flush().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            matches!(b.flush(), Err(ServiceError::Io { .. })),
+            "a flush that made nothing durable must say so"
+        );
     }
 }

@@ -59,7 +59,6 @@
 use crate::cluster::Replicator;
 use crate::error::ServiceError;
 use crate::store::DocumentStore;
-use serde_json::json;
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicU32;
@@ -423,7 +422,17 @@ fn url_decode(s: &str) -> String {
 
 /// The JSON body every refusal carries: `{"error": <msg>}`.
 pub(crate) fn error_body(msg: &str) -> String {
-    json!({ "error": msg }).to_string()
+    one_member("error", msg)
+}
+
+/// `{"<key>": "<value>"}`.
+pub(crate) fn one_member(key: &str, value: &str) -> String {
+    prov_model::json_write::to_string(|w| {
+        w.object(|w| {
+            w.key(key);
+            w.str(value);
+        })
+    })
 }
 
 /// Maps a [`ServiceError`] onto its HTTP status and a JSON error body.
@@ -503,6 +512,21 @@ pub fn request(
 mod tests {
     use super::*;
     use prov_model::{ProvDocument, QName};
+
+    #[test]
+    fn error_body_matches_its_tree() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for msg in [
+            "",
+            "no such route",
+            "document \"a\\b\" not found",
+            &controls,
+            "invalid JSON: expected `,` or `}` at line 1 column 9\r\n\u{2028}é",
+        ] {
+            let tree = serde_json::json!({ "error": msg }).to_string();
+            assert_eq!(error_body(msg), tree);
+        }
+    }
 
     fn sample_doc_json() -> String {
         let mut doc = ProvDocument::new();

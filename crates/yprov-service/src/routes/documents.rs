@@ -1,15 +1,27 @@
 //! `/api/v0/documents…`: upload, fetch, delete, lineage, exports, live
 //! deltas and the watch long-poll.
 
-use crate::http::{error_body, error_response, Request, ServerState};
+use crate::cluster::ReplicationOutcome;
+use crate::http::{error_body, error_response, one_member, Request, ServerState};
 use crate::store::{Upload, WatchOutcome};
+use prov_graph::GraphIndexStats;
+use prov_model::document::DocumentStats;
+use prov_model::json_write::to_string as json;
 use prov_model::{ProvDocument, QName};
-use serde_json::json;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 pub(super) fn list(state: &ServerState, _: &Request, _: &str) -> (u16, String) {
-    (200, json!({"documents": state.store.list()}).to_string())
+    (200, list_body(&state.store.list()))
+}
+
+fn list_body(ids: &[String]) -> String {
+    json(|w| {
+        w.object(|w| {
+            w.key("documents");
+            w.array(|w| ids.iter().for_each(|id| w.str(id)));
+        })
+    })
 }
 
 pub(super) fn upload(state: &ServerState, req: &Request, _: &str) -> (u16, String) {
@@ -50,7 +62,7 @@ pub(super) fn get(state: &ServerState, _: &Request, id: &str) -> (u16, String) {
 
 pub(super) fn delete(state: &ServerState, _: &Request, id: &str) -> (u16, String) {
     match state.store.delete(id) {
-        Ok(true) => (200, json!({"deleted": id}).to_string()),
+        Ok(true) => (200, one_member("deleted", id)),
         Ok(false) => not_found(id),
         Err(e) => error_response(&e),
     }
@@ -65,29 +77,50 @@ pub(super) fn stats(state: &ServerState, _: &Request, id: &str) -> (u16, String)
         Ok(shared) => shared,
         Err(e) => return error_response(&e),
     };
-    let s = shared.document().stats();
-    let gs = shared.index().stats();
-    let mut per_kind = serde_json::Map::new();
-    for (kind, count) in &gs.per_kind {
-        per_kind.insert(kind.json_key().to_string(), json!(count));
-    }
     (
         200,
-        json!({
-            "entities": s.entities,
-            "activities": s.activities,
-            "agents": s.agents,
-            "relations": s.relations,
-            "bundles": s.bundles,
-            "graph": {
-                "nodes": gs.nodes,
-                "edges": gs.edges,
-                "avg_degree": gs.avg_degree(),
-                "per_kind": serde_json::Value::Object(per_kind),
-            },
-        })
-        .to_string(),
+        stats_body(&shared.document().stats(), &shared.index().stats()),
     )
+}
+
+fn stats_body(s: &DocumentStats, gs: &GraphIndexStats) -> String {
+    let mut per_kind: Vec<(&str, usize)> = gs
+        .per_kind
+        .iter()
+        .map(|(kind, count)| (kind.json_key(), *count))
+        .collect();
+    per_kind.sort_unstable_by_key(|(key, _)| *key);
+    json(|w| {
+        w.object(|w| {
+            for (key, count) in [
+                ("activities", s.activities),
+                ("agents", s.agents),
+                ("bundles", s.bundles),
+                ("entities", s.entities),
+            ] {
+                w.key(key);
+                w.u64(count as u64);
+            }
+            w.key("graph");
+            w.object(|w| {
+                w.key("avg_degree");
+                w.f64(gs.avg_degree());
+                w.key("edges");
+                w.u64(gs.edges as u64);
+                w.key("nodes");
+                w.u64(gs.nodes as u64);
+                w.key("per_kind");
+                w.object(|w| {
+                    for (key, count) in &per_kind {
+                        w.key(key);
+                        w.u64(*count as u64);
+                    }
+                });
+            });
+            w.key("relations");
+            w.u64(s.relations as u64);
+        })
+    })
 }
 
 pub(super) fn ancestors(state: &ServerState, req: &Request, id: &str) -> (u16, String) {
@@ -96,14 +129,20 @@ pub(super) fn ancestors(state: &ServerState, req: &Request, id: &str) -> (u16, S
         Err(refused) => return refused,
     };
     match state.store.ancestors(id, &q) {
-        Ok(anc) => (
-            200,
-            json!({"focus": q.to_string(),
-                   "ancestors": anc.iter().map(|a| a.to_string()).collect::<Vec<_>>()})
-            .to_string(),
-        ),
+        Ok(anc) => (200, ancestors_body(&q, &anc)),
         Err(e) => error_response(&e),
     }
+}
+
+fn ancestors_body(focus: &QName, ancestors: &[QName]) -> String {
+    json(|w| {
+        w.object(|w| {
+            w.key("ancestors");
+            w.array(|w| ancestors.iter().for_each(|a| w.qname(a)));
+            w.key("focus");
+            w.qname(focus);
+        })
+    })
 }
 
 pub(super) fn subgraph(state: &ServerState, req: &Request, id: &str) -> (u16, String) {
@@ -146,7 +185,7 @@ pub(super) fn merge_delta(state: &ServerState, req: &Request, id: &str) -> (u16,
             // frame path: the Upload carries the full post-merge
             // bytes, so replicas need no delta-aware logic.
             match acked_response(state, &up) {
-                (201, _) => (200, json!({"id": up.id, "version": version}).to_string()),
+                (201, _) => (200, merged_body(&up.id, version)),
                 refused => refused,
             }
         }
@@ -164,23 +203,44 @@ pub(super) fn watch(state: &ServerState, req: &Request, id: &str) -> (u16, Strin
     let timeout = Duration::from_millis(timeout_ms);
     match state.store.wait_for_newer(id, after, timeout) {
         WatchOutcome::Gone => not_found(id),
-        WatchOutcome::Unchanged(version) => (
-            200,
-            json!({"id": id, "version": version, "changed": false}).to_string(),
-        ),
+        WatchOutcome::Unchanged(version) => (200, unchanged_body(id, version)),
         WatchOutcome::Changed(version) => match state.store.document_json(id) {
-            // The stored canonical bytes embed verbatim — the watcher
-            // receives exactly what a plain GET serves.
-            Ok(doc_json) => (
-                200,
-                format!(
-                    "{{\"id\":{},\"version\":{version},\"changed\":true,\"document\":{doc_json}}}",
-                    json!(id)
-                ),
-            ),
+            Ok(doc_json) => (200, changed_body(id, version, &doc_json)),
             Err(e) => error_response(&e),
         },
     }
+}
+
+fn merged_body(id: &str, version: u64) -> String {
+    json(|w| {
+        w.object(|w| {
+            w.key("id");
+            w.str(id);
+            w.key("version");
+            w.u64(version);
+        })
+    })
+}
+
+fn unchanged_body(id: &str, version: u64) -> String {
+    json(|w| {
+        w.object(|w| {
+            w.key("changed");
+            w.bool(false);
+            w.key("id");
+            w.str(id);
+            w.key("version");
+            w.u64(version);
+        })
+    })
+}
+
+/// The stored canonical bytes embed verbatim, so the watcher receives
+/// exactly what a plain GET serves. Unlike every other body, its keys
+/// are not in ascending order.
+fn changed_body(id: &str, version: u64, doc_json: &str) -> String {
+    let id = json(|w| w.str(id));
+    format!("{{\"id\":{id},\"version\":{version},\"changed\":true,\"document\":{doc_json}}}")
 }
 
 /// The `?focus=prefix:local` node of a lineage route, or its `400`.
@@ -220,19 +280,207 @@ fn acked_response(state: &ServerState, up: &Upload) -> (u16, String) {
     if let Some(r) = &state.replicator {
         let outcome = r.replicate(&state.store, up);
         if !outcome.acked() {
-            return (
-                503,
-                json!({
-                    "error": format!(
-                        "under-replicated: {}/{} replica confirmations",
-                        outcome.confirmed, outcome.required
-                    ),
-                    "detail": outcome.errors,
-                    "id": up.id,
-                })
-                .to_string(),
+            return (503, under_replicated_body(&up.id, &outcome));
+        }
+    }
+    (201, one_member("id", &up.id))
+}
+
+fn under_replicated_body(id: &str, outcome: &ReplicationOutcome) -> String {
+    json(|w| {
+        w.object(|w| {
+            w.key("detail");
+            w.array(|w| outcome.errors.iter().for_each(|e| w.str(e)));
+            w.key("error");
+            w.display(format_args!(
+                "under-replicated: {}/{} replica confirmations",
+                outcome.confirmed, outcome.required
+            ));
+            w.key("id");
+            w.str(id);
+        })
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prov_model::RelationKind;
+    use serde_json::json;
+
+    /// The `json!` trees these bodies were printed from: the reference
+    /// each body is held to.
+    mod reference {
+        use super::*;
+
+        pub(super) fn list(ids: &[String]) -> String {
+            json!({ "documents": ids }).to_string()
+        }
+
+        pub(super) fn deleted(id: &str) -> String {
+            json!({ "deleted": id }).to_string()
+        }
+
+        pub(super) fn stats(s: &DocumentStats, gs: &GraphIndexStats) -> String {
+            let mut per_kind = serde_json::Map::new();
+            for (kind, count) in &gs.per_kind {
+                per_kind.insert(kind.json_key().to_string(), json!(count));
+            }
+            json!({
+                "entities": s.entities,
+                "activities": s.activities,
+                "agents": s.agents,
+                "relations": s.relations,
+                "bundles": s.bundles,
+                "graph": {
+                    "nodes": gs.nodes,
+                    "edges": gs.edges,
+                    "avg_degree": gs.avg_degree(),
+                    "per_kind": serde_json::Value::Object(per_kind),
+                },
+            })
+            .to_string()
+        }
+
+        pub(super) fn ancestors(focus: &QName, anc: &[QName]) -> String {
+            json!({"focus": focus.to_string(),
+                   "ancestors": anc.iter().map(|a| a.to_string()).collect::<Vec<_>>()})
+            .to_string()
+        }
+
+        pub(super) fn merged(id: &str, version: u64) -> String {
+            json!({"id": id, "version": version}).to_string()
+        }
+
+        pub(super) fn unchanged(id: &str, version: u64) -> String {
+            json!({"id": id, "version": version, "changed": false}).to_string()
+        }
+
+        pub(super) fn changed(id: &str, version: u64, doc_json: &str) -> String {
+            format!(
+                "{{\"id\":{},\"version\":{version},\"changed\":true,\"document\":{doc_json}}}",
+                json!(id)
+            )
+        }
+
+        pub(super) fn under_replicated(id: &str, outcome: &ReplicationOutcome) -> String {
+            json!({
+                "error": format!(
+                    "under-replicated: {}/{} replica confirmations",
+                    outcome.confirmed, outcome.required
+                ),
+                "detail": outcome.errors,
+                "id": id,
+            })
+            .to_string()
+        }
+
+        pub(super) fn created(id: &str) -> String {
+            json!({ "id": id }).to_string()
+        }
+    }
+
+    /// Ids as a client may send them, percent-decoded: empty, quoted,
+    /// escaped, control bytes, non-ASCII.
+    fn ids() -> Vec<String> {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        ["", "doc-1", "a\"b", "back\\slash", &controls, "é\u{2028}😀"]
+            .map(String::from)
+            .to_vec()
+    }
+
+    fn names() -> Vec<QName> {
+        ["x", "q\"t", "tab\there"]
+            .iter()
+            .flat_map(|local| ["ex", "ex2", "yprov4ml"].map(|p| QName::new(p, local)))
+            .collect()
+    }
+
+    #[test]
+    fn list_body_matches_its_tree() {
+        let all = ids();
+        for n in 0..=all.len() {
+            assert_eq!(list_body(&all[..n]), reference::list(&all[..n]));
+        }
+    }
+
+    #[test]
+    fn deleted_created_and_merged_bodies_match_their_trees() {
+        for id in ids() {
+            assert_eq!(one_member("deleted", &id), reference::deleted(&id));
+            assert_eq!(one_member("id", &id), reference::created(&id));
+            for version in [0, 1, u64::MAX] {
+                assert_eq!(merged_body(&id, version), reference::merged(&id, version));
+            }
+        }
+    }
+
+    #[test]
+    fn stats_body_matches_its_tree() {
+        for (nodes, edges) in [(0, 0), (3, 7), (724, 1439), (usize::MAX, 1)] {
+            let s = DocumentStats {
+                entities: nodes / 2,
+                activities: nodes / 3,
+                agents: 1,
+                relations: edges,
+                bundles: edges % 3,
+                per_relation: Default::default(),
+            };
+            let gs = GraphIndexStats {
+                nodes,
+                edges,
+                per_kind: RelationKind::all()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, kind)| (*kind, i * edges))
+                    .collect(),
+            };
+            assert_eq!(stats_body(&s, &gs), reference::stats(&s, &gs));
+        }
+    }
+
+    #[test]
+    fn ancestors_body_matches_its_tree() {
+        let all = names();
+        for n in 0..=all.len() {
+            assert_eq!(
+                ancestors_body(&all[n % all.len()], &all[..n]),
+                reference::ancestors(&all[n % all.len()], &all[..n])
             );
         }
     }
-    (201, json!({"id": up.id}).to_string())
+
+    #[test]
+    fn watch_bodies_match_their_trees() {
+        for id in ids() {
+            for version in [0, 7, u64::MAX] {
+                assert_eq!(
+                    unchanged_body(&id, version),
+                    reference::unchanged(&id, version)
+                );
+                let doc = r#"{"entity":{"ex:a":{}}}"#;
+                assert_eq!(
+                    changed_body(&id, version, doc),
+                    reference::changed(&id, version, doc)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn under_replicated_body_matches_its_tree() {
+        for id in ids() {
+            for errors in [vec![], ids(), vec!["peer \"b\": timed out\n".to_string()]] {
+                let outcome = ReplicationOutcome {
+                    confirmed: 1,
+                    required: 2,
+                    errors,
+                };
+                assert_eq!(
+                    under_replicated_body(&id, &outcome),
+                    reference::under_replicated(&id, &outcome)
+                );
+            }
+        }
+    }
 }

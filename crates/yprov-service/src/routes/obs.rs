@@ -1,11 +1,10 @@
 //! Liveness, the metrics scrape, the explorer page and the ops plane
 //! (`/api/v0/obs/…`).
 
-use crate::http::{error_body, Request, ServerState};
-use serde_json::json;
+use crate::http::{error_body, one_member, Request, ServerState};
 
 pub(super) fn healthz(_: &ServerState, _: &Request, _: &str) -> (u16, String) {
-    (200, json!({"status": "ok"}).to_string())
+    (200, one_member("status", "ok"))
 }
 
 /// One scrape covers both registries: the server's request metrics and
@@ -73,4 +72,15 @@ pub(super) fn cluster(state: &ServerState, _: &Request, _: &str) -> (u16, String
             &exposition(state),
         ),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn healthz_body_matches_its_tree() {
+        let tree = serde_json::json!({"status": "ok"}).to_string();
+        assert_eq!(one_member("status", "ok"), tree);
+    }
 }

@@ -4,10 +4,12 @@
 use crate::error::ServiceError;
 use crate::http::{error_body, error_response, Request, ServerState};
 use crate::store::DocumentStore;
-use prov_graph::{audit, ProvGraph, QueryPlan};
+use prov_graph::audit::{CrossRunJoin, FairnessReport, GdprReport, LeakageReport};
+use prov_graph::{audit, MatchRow, MatchSet, ProvGraph, QueryPlan};
+use prov_model::json_write::{to_string as json, JsonWriter};
 use prov_model::query::{ElementFilter, PathQuery};
 use prov_model::{ProvDocument, QName};
-use serde_json::json;
+use std::io::Sink;
 use std::time::{Duration, Instant};
 
 /// Serves one query request.
@@ -24,13 +26,16 @@ use std::time::{Duration, Instant};
 /// documents into the queried view (canonical merge), and
 /// `"render": "dot"` additionally returns the matched subgraph as
 /// Graphviz DOT under `"dot"`.
+///
+/// Responses are written straight to bytes, keys in ascending order.
 pub(super) fn handle_query(state: &ServerState, req: &Request, id: &str) -> (u16, String) {
     let store = &state.store;
     let text = match std::str::from_utf8(&req.body) {
         Ok(t) => t,
         Err(_) => return (400, error_body("body is not UTF-8")),
     };
-    let v: serde_json::Value = match serde_json::from_str(text) {
+    let parsed = serde_json::from_str::<serde_json::Value>(text); // reads JSON
+    let v = match parsed {
         Ok(v) => v,
         Err(e) => return (400, error_body(&format!("body is not JSON: {e}"))),
     };
@@ -40,7 +45,7 @@ pub(super) fn handle_query(state: &ServerState, req: &Request, id: &str) -> (u16
 
     let extra: Option<Vec<String>> = match obj.get("docs") {
         None => Some(Vec::new()),
-        Some(serde_json::Value::Array(ids)) => ids
+        Some(serde_json::Value::Array(ids)) => ids // reads JSON
             .iter()
             .map(|entry| entry.as_str().map(str::to_string))
             .collect(),
@@ -50,11 +55,7 @@ pub(super) fn handle_query(state: &ServerState, req: &Request, id: &str) -> (u16
         return (400, error_body("\"docs\" must be an array of document ids"));
     };
     let render_dot = matches!(obj.get("render").and_then(|r| r.as_str()), Some("dot"));
-    let documents_json = || {
-        let mut all = vec![json!(id)];
-        all.extend(extra.iter().map(|e| json!(e)));
-        serde_json::Value::Array(all)
-    };
+    let documents = Documents { id, extra: &extra };
 
     match (obj.get("query"), obj.get("audit").and_then(|a| a.as_str())) {
         (Some(q), None) => {
@@ -66,37 +67,14 @@ pub(super) fn handle_query(state: &ServerState, req: &Request, id: &str) -> (u16
                 Ok(r) => r,
                 Err(e) => return error_response(&e),
             };
-            let rows: Vec<serde_json::Value> = set.rows.iter().map(row_json).collect();
-            let mut out = match json!({
-                "scenario": "path",
-                "documents": documents_json(),
-                "plan": plan_json(&set.plan),
-                "rows": rows,
-                "row_count": set.rows.len(),
-                "truncated": set.truncated,
-            }) {
-                serde_json::Value::Object(o) => o,
-                _ => unreachable!("json! object literal"),
-            };
-            if render_dot {
+            let dot = render_dot.then(|| {
                 let sub = prov_graph::subgraph(shared.document(), &set.node_set());
-                out.insert(
-                    "dot".into(),
-                    json!(prov_graph::to_dot(&sub, &prov_graph::DotOptions::default())),
-                );
-            }
-            (200, serde_json::Value::Object(out).to_string())
+                prov_graph::to_dot(&sub, &prov_graph::DotOptions::default())
+            });
+            (200, path_body(&documents, &set, dot.as_deref()))
         }
 
-        (None, Some(scenario)) => handle_audit(
-            store,
-            id,
-            &extra,
-            scenario,
-            obj,
-            render_dot,
-            documents_json(),
-        ),
+        (None, Some(scenario)) => handle_audit(store, &documents, scenario, obj, render_dot),
 
         _ => (
             400,
@@ -105,28 +83,187 @@ pub(super) fn handle_query(state: &ServerState, req: &Request, id: &str) -> (u16
     }
 }
 
-/// JSON rendering of a planner decision.
-fn plan_json(plan: &QueryPlan) -> serde_json::Value {
+/// The documents a request queries: its own, then the `"docs"` it
+/// joins, as every response lists them under `"documents"`.
+struct Documents<'a> {
+    id: &'a str,
+    extra: &'a [String],
+}
+
+/// `"documents"`, then `"dot"` when the subgraph was rendered: no key
+/// of any response sorts between the two.
+fn write_documents(w: &mut JsonWriter<Sink>, documents: &Documents<'_>, dot: Option<&str>) {
+    w.key("documents");
+    w.array(|w| {
+        w.str(documents.id);
+        documents.extra.iter().for_each(|e| w.str(e));
+    });
+    if let Some(dot) = dot {
+        w.key("dot");
+        w.str(dot);
+    }
+}
+
+/// A planner decision.
+fn write_plan(w: &mut JsonWriter<Sink>, plan: &QueryPlan) {
     let side = match plan.side {
         prov_graph::PlanSide::FromStart => "from_start",
         prov_graph::PlanSide::FromEnd => "from_end",
     };
-    json!({
-        "side": side,
-        "start_candidates": plan.start_candidates,
-        "end_candidates": plan.end_candidates,
-        "cost_from_start": plan.cost_from_start,
-        "cost_from_end": plan.cost_from_end,
-        "reason": plan.reason,
+    w.key("plan");
+    w.object(|w| {
+        w.key("cost_from_end");
+        w.f64(plan.cost_from_end);
+        w.key("cost_from_start");
+        w.f64(plan.cost_from_start);
+        w.key("end_candidates");
+        w.u64(plan.end_candidates as u64);
+        w.key("reason");
+        w.str(&plan.reason);
+        w.key("side");
+        w.str(side);
+        w.key("start_candidates");
+        w.u64(plan.start_candidates as u64);
+    });
+}
+
+fn write_names(w: &mut JsonWriter<Sink>, names: &[QName]) {
+    w.array(|w| names.iter().for_each(|q| w.qname(q)));
+}
+
+/// `(start, end)` matches with their witness paths.
+fn write_rows(w: &mut JsonWriter<Sink>, rows: &[MatchRow]) {
+    w.array(|w| {
+        for row in rows {
+            w.object(|w| {
+                w.key("end");
+                w.qname(&row.end);
+                w.key("path");
+                write_names(w, &row.path);
+                w.key("start");
+                w.qname(&row.start);
+            });
+        }
+    });
+}
+
+fn path_body(documents: &Documents<'_>, set: &MatchSet, dot: Option<&str>) -> String {
+    json(|w| {
+        w.object(|w| {
+            write_documents(w, documents, dot);
+            write_plan(w, &set.plan);
+            w.key("row_count");
+            w.u64(set.rows.len() as u64);
+            w.key("rows");
+            write_rows(w, &set.rows);
+            w.key("scenario");
+            w.str("path");
+            w.key("truncated");
+            w.bool(set.truncated);
+        })
     })
 }
 
-/// JSON rendering of one `(start, end)` match with its witness path.
-fn row_json(row: &prov_graph::MatchRow) -> serde_json::Value {
-    json!({
-        "start": row.start.to_string(),
-        "end": row.end.to_string(),
-        "path": row.path.iter().map(|q| q.to_string()).collect::<Vec<String>>(),
+/// What one of the planned audits found.
+enum Report {
+    Leakage(LeakageReport),
+    Gdpr(GdprReport),
+    Fairness(FairnessReport),
+}
+
+fn audit_body(
+    documents: &Documents<'_>,
+    plan: &QueryPlan,
+    report: &Report,
+    dot: Option<&str>,
+) -> String {
+    json(|w| {
+        w.object(|w| match report {
+            Report::Leakage(r) => {
+                w.key("clean");
+                w.bool(r.is_clean());
+                write_documents(w, documents, dot);
+                w.key("leaks");
+                write_rows(w, &r.leaks);
+                write_plan(w, plan);
+                w.key("scenario");
+                w.str("leakage");
+                w.key("test_artifacts");
+                w.u64(r.test_artifacts as u64);
+                w.key("training_activities");
+                w.u64(r.training_activities as u64);
+            }
+            Report::Gdpr(r) => {
+                write_documents(w, documents, dot);
+                w.key("model");
+                w.qname(&r.model);
+                w.key("path");
+                write_names(w, &r.path);
+                write_plan(w, plan);
+                w.key("sample");
+                w.qname(&r.sample);
+                w.key("scenario");
+                w.str("gdpr");
+                w.key("trained_on");
+                w.bool(r.trained_on);
+            }
+            Report::Fairness(r) => {
+                w.key("balance");
+                w.f64(r.balance());
+                write_documents(w, documents, dot);
+                w.key("group_key");
+                w.qname(&r.group_key);
+                w.key("groups");
+                w.object(|w| {
+                    for (value, count) in &r.groups {
+                        w.key(value);
+                        w.u64(*count as u64);
+                    }
+                });
+                w.key("model");
+                w.qname(&r.model);
+                write_plan(w, plan);
+                w.key("scenario");
+                w.str("fairness");
+                w.key("total");
+                w.u64(r.total as u64);
+            }
+        })
+    })
+}
+
+fn join_body(documents: &Documents<'_>, join: &CrossRunJoin) -> String {
+    json(|w| {
+        w.object(|w| {
+            w.key("digest_key");
+            w.qname(&join.digest_key);
+            write_documents(w, documents, None);
+            w.key("joined");
+            w.array(|w| {
+                for j in &join.joined {
+                    w.object(|w| {
+                        w.key("artifacts");
+                        write_names(w, &j.artifacts);
+                        w.key("consumers");
+                        write_names(w, &j.consumers);
+                        w.key("digest");
+                        w.str(&j.digest);
+                        w.key("producers");
+                        write_names(w, &j.producers);
+                        w.key("shared");
+                        w.bool(j.is_shared());
+                    });
+                }
+            });
+            w.key("merged_edges");
+            w.u64(join.merged_edges as u64);
+            w.key("merged_nodes");
+            w.u64(join.merged_nodes as u64);
+            w.key("scenario");
+            w.str("join");
+            w.key("shared_count");
+            w.u64(join.shared().len() as u64);
+        })
     })
 }
 
@@ -152,13 +289,12 @@ fn plan_then_run<R>(
 /// Dispatches the `"audit"` scenarios of [`handle_query`].
 fn handle_audit(
     store: &DocumentStore,
-    id: &str,
-    extra: &[String],
+    documents: &Documents<'_>,
     scenario: &str,
-    obj: &serde_json::Map<String, serde_json::Value>,
+    obj: &serde_json::Map<String, serde_json::Value>, // reads JSON
     render_dot: bool,
-    documents: serde_json::Value,
 ) -> (u16, String) {
+    let (id, extra) = (documents.id, documents.extra);
     let qname_arg = |key: &str| -> Result<Option<QName>, String> {
         match obj.get(key) {
             None => Ok(None),
@@ -214,32 +350,7 @@ fn handle_audit(
         // The merge + digest scan is the whole cost; there is no
         // separate planning phase to split out.
         store.note_query_timing(Duration::ZERO, t0.elapsed());
-        let joined: Vec<serde_json::Value> = join
-            .joined
-            .iter()
-            .map(|j| {
-                json!({
-                    "digest": j.digest,
-                    "artifacts": j.artifacts.iter().map(|q| q.to_string()).collect::<Vec<String>>(),
-                    "producers": j.producers.iter().map(|q| q.to_string()).collect::<Vec<String>>(),
-                    "consumers": j.consumers.iter().map(|q| q.to_string()).collect::<Vec<String>>(),
-                    "shared": j.is_shared(),
-                })
-            })
-            .collect();
-        return (
-            200,
-            json!({
-                "scenario": "join",
-                "documents": documents,
-                "digest_key": join.digest_key.to_string(),
-                "merged_nodes": join.merged_nodes,
-                "merged_edges": join.merged_edges,
-                "shared_count": join.shared().len(),
-                "joined": joined,
-            })
-            .to_string(),
-        );
+        return (200, join_body(documents, &join));
     }
 
     let shared = match store.query_view(id, extra) {
@@ -248,7 +359,7 @@ fn handle_audit(
     };
     let graph = shared.view();
 
-    let (audit_query, result): (PathQuery, _) = match scenario {
+    let (audit_query, plan, report) = match scenario {
         "leakage" => {
             let test = arg!(filter_arg("test")).unwrap_or_else(audit::default_test_filter);
             let training =
@@ -258,19 +369,7 @@ fn handle_audit(
             let (plan, report) = plan_then_run(store, &graph, &query, || {
                 audit::data_leakage(&graph, Some(test), Some(training))
             });
-            let leaks: Vec<serde_json::Value> = report.leaks.iter().map(row_json).collect();
-            (
-                query,
-                json!({
-                    "scenario": "leakage",
-                    "documents": documents,
-                    "clean": report.is_clean(),
-                    "test_artifacts": report.test_artifacts,
-                    "training_activities": report.training_activities,
-                    "leaks": leaks,
-                    "plan": plan_json(&plan),
-                }),
-            )
+            (query, plan, Report::Leakage(report))
         }
         "gdpr" => {
             let incomplete = || {
@@ -290,18 +389,7 @@ fn handle_audit(
             let (plan, report) = plan_then_run(store, &graph, &query, || {
                 audit::gdpr_trained_on(&graph, &sample, &model)
             });
-            (
-                query,
-                json!({
-                    "scenario": "gdpr",
-                    "documents": documents,
-                    "sample": report.sample.to_string(),
-                    "model": report.model.to_string(),
-                    "trained_on": report.trained_on,
-                    "path": report.path.iter().map(|q| q.to_string()).collect::<Vec<String>>(),
-                    "plan": plan_json(&plan),
-                }),
-            )
+            (query, plan, Report::Gdpr(report))
         }
         "fairness" => {
             let Some(model) = arg!(qname_arg("model")) else {
@@ -313,23 +401,7 @@ fn handle_audit(
             let (plan, report) = plan_then_run(store, &graph, &query, || {
                 audit::group_fairness(&graph, &model, &group_key)
             });
-            let mut groups = serde_json::Map::new();
-            for (value, count) in &report.groups {
-                groups.insert(value.clone(), json!(count));
-            }
-            (
-                query,
-                json!({
-                    "scenario": "fairness",
-                    "documents": documents,
-                    "model": report.model.to_string(),
-                    "group_key": report.group_key.to_string(),
-                    "groups": serde_json::Value::Object(groups),
-                    "total": report.total,
-                    "balance": report.balance(),
-                    "plan": plan_json(&plan),
-                }),
-            )
+            (query, plan, Report::Fairness(report))
         }
         other => {
             return (
@@ -342,19 +414,318 @@ fn handle_audit(
         }
     };
 
-    let mut out = match result {
-        serde_json::Value::Object(o) => o,
-        _ => unreachable!("audit responses are objects"),
-    };
-    if render_dot {
-        // Re-run the audit's own query for its witness nodes — the
-        // matched subgraph is what the explorer renders.
+    // Re-run the audit's own query for its witness nodes — the matched
+    // subgraph is what the explorer renders.
+    let dot = render_dot.then(|| {
         let set = prov_graph::execute(&graph, &audit_query);
         let sub = prov_graph::subgraph(shared.document(), &set.node_set());
-        out.insert(
-            "dot".into(),
-            json!(prov_graph::to_dot(&sub, &prov_graph::DotOptions::default())),
-        );
+        prov_graph::to_dot(&sub, &prov_graph::DotOptions::default())
+    });
+    (200, audit_body(documents, &plan, &report, dot.as_deref()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prov_graph::audit::JoinedArtifact;
+    use prov_graph::PlanSide;
+    use serde_json::{json, Value};
+
+    /// The `json!` trees these bodies were printed from: the reference
+    /// each body is held to.
+    mod reference {
+        use super::*;
+
+        pub(super) fn documents(d: &Documents<'_>) -> Value {
+            let mut all = vec![json!(d.id)];
+            all.extend(d.extra.iter().map(|e| json!(e)));
+            Value::Array(all)
+        }
+
+        pub(super) fn plan(plan: &QueryPlan) -> Value {
+            let side = match plan.side {
+                PlanSide::FromStart => "from_start",
+                PlanSide::FromEnd => "from_end",
+            };
+            json!({
+                "side": side,
+                "start_candidates": plan.start_candidates,
+                "end_candidates": plan.end_candidates,
+                "cost_from_start": plan.cost_from_start,
+                "cost_from_end": plan.cost_from_end,
+                "reason": plan.reason,
+            })
+        }
+
+        pub(super) fn row(row: &MatchRow) -> Value {
+            json!({
+                "start": row.start.to_string(),
+                "end": row.end.to_string(),
+                "path": row.path.iter().map(|q| q.to_string()).collect::<Vec<String>>(),
+            })
+        }
+
+        fn with_dot(body: Value, dot: Option<&str>) -> String {
+            let Value::Object(mut out) = body else {
+                unreachable!("json! object literal")
+            };
+            if let Some(dot) = dot {
+                out.insert("dot".into(), json!(dot));
+            }
+            Value::Object(out).to_string()
+        }
+
+        pub(super) fn path(d: &Documents<'_>, set: &MatchSet, dot: Option<&str>) -> String {
+            let rows: Vec<Value> = set.rows.iter().map(row).collect();
+            let body = json!({
+                "scenario": "path",
+                "documents": documents(d),
+                "plan": plan(&set.plan),
+                "rows": rows,
+                "row_count": set.rows.len(),
+                "truncated": set.truncated,
+            });
+            with_dot(body, dot)
+        }
+
+        pub(super) fn audit(
+            d: &Documents<'_>,
+            p: &QueryPlan,
+            report: &Report,
+            dot: Option<&str>,
+        ) -> String {
+            let body = match report {
+                Report::Leakage(report) => {
+                    let leaks: Vec<Value> = report.leaks.iter().map(row).collect();
+                    json!({
+                        "scenario": "leakage",
+                        "documents": documents(d),
+                        "clean": report.is_clean(),
+                        "test_artifacts": report.test_artifacts,
+                        "training_activities": report.training_activities,
+                        "leaks": leaks,
+                        "plan": plan(p),
+                    })
+                }
+                Report::Gdpr(report) => json!({
+                    "scenario": "gdpr",
+                    "documents": documents(d),
+                    "sample": report.sample.to_string(),
+                    "model": report.model.to_string(),
+                    "trained_on": report.trained_on,
+                    "path": report.path.iter().map(|q| q.to_string()).collect::<Vec<String>>(),
+                    "plan": plan(p),
+                }),
+                Report::Fairness(report) => {
+                    let mut groups = serde_json::Map::new();
+                    for (value, count) in &report.groups {
+                        groups.insert(value.clone(), json!(count));
+                    }
+                    json!({
+                        "scenario": "fairness",
+                        "documents": documents(d),
+                        "model": report.model.to_string(),
+                        "group_key": report.group_key.to_string(),
+                        "groups": Value::Object(groups),
+                        "total": report.total,
+                        "balance": report.balance(),
+                        "plan": plan(p),
+                    })
+                }
+            };
+            with_dot(body, dot)
+        }
+
+        pub(super) fn join(d: &Documents<'_>, join: &CrossRunJoin) -> String {
+            let names = |qs: &[QName]| qs.iter().map(|q| q.to_string()).collect::<Vec<String>>();
+            let joined: Vec<Value> = join
+                .joined
+                .iter()
+                .map(|j| {
+                    json!({
+                        "digest": j.digest,
+                        "artifacts": names(&j.artifacts),
+                        "producers": names(&j.producers),
+                        "consumers": names(&j.consumers),
+                        "shared": j.is_shared(),
+                    })
+                })
+                .collect();
+            json!({
+                "scenario": "join",
+                "documents": documents(d),
+                "digest_key": join.digest_key.to_string(),
+                "merged_nodes": join.merged_nodes,
+                "merged_edges": join.merged_edges,
+                "shared_count": join.shared().len(),
+                "joined": joined,
+            })
+            .to_string()
+        }
     }
-    (200, serde_json::Value::Object(out).to_string())
+
+    fn names(n: usize) -> Vec<QName> {
+        ["x", "q\"t", "tab\there", "é"]
+            .iter()
+            .flat_map(|local| ["ex", "ex2", "yprov4ml"].map(|p| QName::new(p, local)))
+            .take(n)
+            .collect()
+    }
+
+    fn rows(n: usize) -> Vec<MatchRow> {
+        (0..n)
+            .map(|i| MatchRow {
+                start: names(12)[i % 12].clone(),
+                end: names(12)[(i * 5) % 12].clone(),
+                path: names(i % 5),
+            })
+            .collect()
+    }
+
+    fn plans() -> Vec<QueryPlan> {
+        [
+            (PlanSide::FromStart, 0, 0, 0.0, 0.0, String::new()),
+            (
+                PlanSide::FromEnd,
+                40,
+                2,
+                1e21,
+                0.1,
+                "3 end anchor(s) \"x\"\n".into(),
+            ),
+            (
+                PlanSide::FromStart,
+                1,
+                1,
+                f64::NAN,
+                f64::INFINITY,
+                "tab\t".into(),
+            ),
+        ]
+        .into_iter()
+        .map(
+            |(side, start, end, cost_from_start, cost_from_end, reason)| QueryPlan {
+                side,
+                start_candidates: start,
+                end_candidates: end,
+                cost_from_start,
+                cost_from_end,
+                reason,
+            },
+        )
+        .collect()
+    }
+
+    /// Each body over every combination of documents, dot and plan.
+    fn cases(mut check: impl FnMut(&Documents<'_>, Option<&str>, &QueryPlan, usize)) {
+        let extra: Vec<String> = ["b", "c\"d", "\u{1}é"].map(String::from).to_vec();
+        let dots = [
+            None,
+            Some(""),
+            Some("digraph {\n  \"ex:a\" -> \"ex:b\";\n}\n"),
+        ];
+        for n in 0..=extra.len() {
+            let documents = Documents {
+                id: "run \"1\"",
+                extra: &extra[..n],
+            };
+            for (i, dot) in dots.iter().enumerate() {
+                for plan in plans() {
+                    check(&documents, *dot, &plan, n * 3 + i);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn path_body_matches_its_tree() {
+        cases(|documents, dot, plan, n| {
+            let set = MatchSet {
+                plan: plan.clone(),
+                rows: rows(n),
+                truncated: n % 2 == 1,
+            };
+            assert_eq!(
+                path_body(documents, &set, dot),
+                reference::path(documents, &set, dot)
+            );
+        });
+    }
+
+    #[test]
+    fn leakage_body_matches_its_tree() {
+        cases(|documents, dot, plan, n| {
+            let report = Report::Leakage(LeakageReport {
+                leaks: rows(n % 4),
+                test_artifacts: n,
+                training_activities: n * 7,
+            });
+            assert_eq!(
+                audit_body(documents, plan, &report, dot),
+                reference::audit(documents, plan, &report, dot)
+            );
+        });
+    }
+
+    #[test]
+    fn gdpr_body_matches_its_tree() {
+        cases(|documents, dot, plan, n| {
+            let report = Report::Gdpr(GdprReport {
+                sample: names(12)[n % 12].clone(),
+                model: names(12)[(n + 5) % 12].clone(),
+                trained_on: n % 2 == 0,
+                path: names(n % 6),
+            });
+            assert_eq!(
+                audit_body(documents, plan, &report, dot),
+                reference::audit(documents, plan, &report, dot)
+            );
+        });
+    }
+
+    #[test]
+    fn fairness_body_matches_its_tree() {
+        cases(|documents, dot, plan, n| {
+            let groups = ["", "a", "b\"", "\n", "é", "Z"]
+                .iter()
+                .take(n % 7)
+                .enumerate()
+                .map(|(i, g)| (g.to_string(), i * n))
+                .collect();
+            let report = Report::Fairness(FairnessReport {
+                model: names(12)[n % 12].clone(),
+                group_key: QName::yprov("group"),
+                groups,
+                total: n * 3,
+            });
+            assert_eq!(
+                audit_body(documents, plan, &report, dot),
+                reference::audit(documents, plan, &report, dot)
+            );
+        });
+    }
+
+    #[test]
+    fn join_body_matches_its_tree() {
+        cases(|documents, _, _, n| {
+            let joined = (0..n % 4)
+                .map(|i| JoinedArtifact {
+                    digest: format!("sha256:{i}\"\t"),
+                    artifacts: names(i + 1),
+                    producers: names(i),
+                    consumers: names(2 * i),
+                })
+                .collect();
+            let join = CrossRunJoin {
+                digest_key: QName::yprov("sha256"),
+                joined,
+                merged_nodes: n * 11,
+                merged_edges: n * 13,
+            };
+            assert_eq!(
+                join_body(documents, &join),
+                reference::join(documents, &join)
+            );
+        });
+    }
 }
