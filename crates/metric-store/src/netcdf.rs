@@ -463,6 +463,22 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Rewrites the first column's offset, `0`, in the header of the
+    /// file at `path` as `offset`; the header length in front of it
+    /// follows.
+    fn forge_first_offset(path: &Path, offset: &str) {
+        let bytes = std::fs::read(path).unwrap();
+        let header_len = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+        let header = std::str::from_utf8(&bytes[9..9 + header_len]).unwrap();
+        let forged = header.replacen("\"offset\":0,", &format!("\"offset\":{offset},"), 1);
+        assert_ne!(forged, header);
+        let mut file = bytes[..5].to_vec();
+        file.extend_from_slice(&(forged.len() as u32).to_le_bytes());
+        file.extend_from_slice(forged.as_bytes());
+        file.extend_from_slice(&bytes[9 + header_len..]);
+        std::fs::write(path, file).unwrap();
+    }
+
     #[test]
     fn a_column_range_that_wraps_is_an_error_not_a_panic() {
         let path = tmpfile("wrapping");
@@ -470,22 +486,24 @@ mod tests {
         store
             .write_series(&series("loss", "training", 100))
             .unwrap();
-        // The first column's offset, `0`, becomes `u64::MAX`; the header
-        // length in front of it follows.
-        let bytes = std::fs::read(&path).unwrap();
-        let header_len = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
-        let header = std::str::from_utf8(&bytes[9..9 + header_len]).unwrap();
-        let forged = header.replacen("\"offset\":0,", &format!("\"offset\":{},", u64::MAX), 1);
-        assert_ne!(forged, header);
-        let mut file = bytes[..5].to_vec();
-        file.extend_from_slice(&(forged.len() as u32).to_le_bytes());
-        file.extend_from_slice(forged.as_bytes());
-        file.extend_from_slice(&bytes[9 + header_len..]);
-        std::fs::write(&path, file).unwrap();
+        forge_first_offset(&path, &u64::MAX.to_string());
         assert!(matches!(
             store.read_series("loss", "training"),
             Err(StoreError::Truncated(_))
         ));
+        assert!(NcStore::open(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_negative_offset_is_refused() {
+        let path = tmpfile("negative");
+        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        store
+            .write_series(&series("loss", "training", 100))
+            .unwrap();
+        forge_first_offset(&path, "-1");
+        assert!(store.read_series("loss", "training").is_err());
         assert!(NcStore::open(&path).is_err());
         std::fs::remove_file(&path).ok();
     }

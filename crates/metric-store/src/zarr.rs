@@ -889,6 +889,93 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A store holding one six-point `power@telemetry` series in chunks
+    /// of four, and the path of its `.zarray`.
+    fn quantized_store(tag: &str) -> (PathBuf, ZarrStore, PathBuf) {
+        let dir = tmpdir(tag);
+        let store = ZarrStore::create(
+            &dir,
+            ZarrOptions {
+                chunk_points: 4,
+                float_encoding: FloatEncoding::XorQuantized { mantissa_bits: 12 },
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut s = series(6);
+        s.name = "power".into();
+        s.context = "telemetry".into();
+        store.write_series(&s).unwrap();
+        let meta = store.series_dir("power", "telemetry").join(".zarray");
+        (dir, store, meta)
+    }
+
+    #[test]
+    fn an_xor_quantized_zarray_is_these_bytes() {
+        let (dir, _, meta) = quantized_store("zarray_bytes");
+        let expected = r#"{
+  "format": "yzarr-1",
+  "name": "power",
+  "context": "telemetry",
+  "points": 6,
+  "chunk_points": 4,
+  "float_encoding": {
+    "xor_quantized": {
+      "mantissa_bits": 12
+    }
+  },
+  "chunk_step_ranges": [
+    [
+      0,
+      3
+    ],
+    [
+      4,
+      5
+    ]
+  ]
+}"#;
+        assert_eq!(std::fs::read_to_string(&meta).unwrap(), expected);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_zarray_the_reader_cannot_take_is_refused() {
+        let (dir, store, meta) = quantized_store("zarray_refused");
+        let original = std::fs::read_to_string(&meta).unwrap();
+        for (from, to) in [
+            ("\"mantissa_bits\": 12", "\"mantissa_bits\": 300"),
+            ("  \"points\": 6,\n", ""),
+            (
+                "{\n    \"xor_quantized\": {\n      \"mantissa_bits\": 12\n    }\n  }",
+                "\"zstd\"",
+            ),
+        ] {
+            let forged = original.replacen(from, to, 1);
+            assert_ne!(forged, original, "{from}");
+            std::fs::write(&meta, forged).unwrap();
+            assert!(store.read_series("power", "telemetry").is_err(), "{from}");
+            assert!(store.list_series().is_err(), "{from}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_zarray_without_step_ranges_still_reads() {
+        let (dir, store, meta) = quantized_store("zarray_no_ranges");
+        let mut text = std::fs::read_to_string(&meta).unwrap();
+        let cut = text.find(",\n  \"chunk_step_ranges\"").unwrap();
+        text.truncate(cut);
+        text.push_str("\n}");
+        std::fs::write(&meta, text).unwrap();
+        assert_eq!(store.read_series("power", "telemetry").unwrap().len(), 6);
+        assert_eq!(
+            store.read_range("power", "telemetry", 2, 4).unwrap().len(),
+            3
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn compresses_much_better_than_raw_points() {
         let dir = tmpdir("ratio");

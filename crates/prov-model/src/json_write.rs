@@ -427,9 +427,11 @@ mod tests {
         (0u8..0x20).map(char::from).collect()
     }
 
-    #[test]
-    fn values_print_as_the_value_tree_prints() {
-        let tree = json!({
+    /// A value holding every escape, every control byte, U+2028,
+    /// integer and float extremes, non-finite floats and empty objects
+    /// and arrays nested at several depths.
+    fn tree() -> Value {
+        json!({
             "": "",
             "quote \" and \\ backslash": "\"\\/",
             "controls": every_control_byte(),
@@ -439,15 +441,82 @@ mod tests {
             "nonfinite": [f64::NAN, f64::INFINITY, f64::NEG_INFINITY],
             "empty": {"object": {}, "array": []},
             "nested": [[], {}, [1, [2, {"a": null, "b": true, "c": false}]]],
-        });
-        for pretty in [false, true] {
-            let reference = if pretty {
-                serde_json::to_string_pretty(&tree).unwrap()
-            } else {
-                serde_json::to_string(&tree).unwrap()
-            };
-            assert_eq!(written(&tree, pretty), reference, "pretty: {pretty}");
+        })
+    }
+
+    /// `tree()` as the `serde_json` stand-in printed it, compact and
+    /// pretty, captured while it was the workspace's printer.
+    const TREE_COMPACT: &str = concat!(
+        r#"{"":"","controls":"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f","empty":{"array":[],"object":{}},"floats":[0.0,-0.0,1.5,1e21,1e-7,5e-324,1.7976931348623157e308,-2.5e-9,123456789.125],"ints":[0,1,-1,-9223372036854775808,9223372036854775807,18446744073709551615],"nested":[[],{},[1,[2,{"a":null,"b":true,"c":false}]]],"nonfinite":[null,null,null],"quote \" and \\ backslash":"\"\\/","#,
+        "\"unicode\":\"é \u{2028} 😀 \u{7f}\"}"
+    );
+
+    const TREE_PRETTY: &str = concat!(
+        r#"{
+  "": "",
+  "controls": "\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f",
+  "empty": {
+    "array": [],
+    "object": {}
+  },
+  "floats": [
+    0.0,
+    -0.0,
+    1.5,
+    1e21,
+    1e-7,
+    5e-324,
+    1.7976931348623157e308,
+    -2.5e-9,
+    123456789.125
+  ],
+  "ints": [
+    0,
+    1,
+    -1,
+    -9223372036854775808,
+    9223372036854775807,
+    18446744073709551615
+  ],
+  "nested": [
+    [],
+    {},
+    [
+      1,
+      [
+        2,
+        {
+          "a": null,
+          "b": true,
+          "c": false
         }
+      ]
+    ]
+  ],
+  "nonfinite": [
+    null,
+    null,
+    null
+  ],
+  "quote \" and \\ backslash": "\"\\/",
+"#,
+        "  \"unicode\": \"é \u{2028} 😀 \u{7f}\"\n}"
+    );
+
+    /// `a"b\c`, every control byte, `é` and U+2028, printed as a JSON
+    /// string by the stand-in.
+    const NASTY_PRINTED: &str = concat!(
+        r#""a\"b\\c\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001fé"#,
+        "\u{2028}\""
+    );
+
+    #[test]
+    fn values_print_as_the_value_tree_prints() {
+        let tree = tree();
+        assert_eq!(written(&tree, false), TREE_COMPACT);
+        assert_eq!(written(&tree, true), TREE_PRETTY);
+        assert_eq!(serde_json::to_string(&tree).unwrap(), TREE_COMPACT);
+        assert_eq!(serde_json::to_string_pretty(&tree).unwrap(), TREE_PRETTY);
         let nonfinite = to_string(|w| {
             w.array(|w| {
                 [f64::NAN, f64::INFINITY, -0.0]
@@ -467,12 +536,15 @@ mod tests {
                 w.display(&nasty);
             })
         });
+        assert_eq!(body, format!("{{{NASTY_PRINTED}:{NASTY_PRINTED}}}"));
         let mut reference = serde_json::Map::new();
         reference.insert(nasty.clone(), json!(nasty));
         assert_eq!(body, Value::Object(reference).to_string());
         // Longer than the stack buffer: the same bytes through a String.
         let long = "x\"".repeat(100);
-        assert_eq!(to_string(|w| w.display(&long)), json!(long).to_string());
+        let printed = format!("\"{}\"", "x\\\"".repeat(100));
+        assert_eq!(to_string(|w| w.display(&long)), printed);
+        assert_eq!(json!(long).to_string(), printed);
     }
 
     #[test]
@@ -535,7 +607,12 @@ mod tests {
         w.array(|w| items.iter().for_each(|s| w.str(s)));
         assert_eq!(w.buf.capacity(), SPILL_AT);
         w.finish().unwrap();
-        let reference = serde_json::to_string_pretty(&items).unwrap();
+        let quoted: Vec<String> = items
+            .iter()
+            .map(|s| format!("  \"{}\"", s.replace('"', "\\\"")))
+            .collect();
+        let reference = format!("[\n{}\n]", quoted.join(",\n"));
+        assert_eq!(serde_json::to_string_pretty(&items).unwrap(), reference);
         assert_eq!(String::from_utf8(chunks.1).unwrap(), reference);
         assert!(chunks.0.len() >= 5, "{:?}", chunks.0);
         let longest_run = 100_000;

@@ -1444,4 +1444,13 @@ mod tests {
         assert!(read_journal(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    #[test]
+    fn a_header_without_a_run_errors() {
+        let dir = tmp("no_run");
+        let header = r#"{"version":3,"experiment":"exp","user":"tester","started_us":1000}"#;
+        std::fs::write(dir.join(JOURNAL_FILE), format!("{header}\n")).unwrap();
+        assert!(read_journal(&dir).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
