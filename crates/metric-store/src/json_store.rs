@@ -72,9 +72,11 @@ impl JsonStore {
                 .ok_or_else(|| StoreError::BadMetadata("point missing time_us".into()))?;
             let value = json_to_float(p.get("value").unwrap_or(&Value::Null))
                 .ok_or_else(|| StoreError::BadMetadata("point missing value".into()))?;
+            let epoch = u32::try_from(get_u64("epoch")?)
+                .map_err(|_| StoreError::BadMetadata("point epoch exceeds u32".into()))?;
             series.push(MetricPoint {
                 step: get_u64("step")?,
-                epoch: get_u64("epoch")? as u32,
+                epoch,
                 time_us,
                 value,
             });
@@ -385,6 +387,10 @@ mod tests {
         let v = json!({"name": "m", "context": "c", "points": [{"step": 1}]});
         assert!(JsonStore::series_from_json(&v).is_err());
         let v = json!({"points": []});
+        assert!(JsonStore::series_from_json(&v).is_err());
+        // An epoch past u32 is refused, not wrapped to epoch 0.
+        let point = json!({"epoch": 1u64 << 32, "step": 1, "time_us": 0, "value": 0.5});
+        let v = json!({"name": "m", "context": "c", "points": [point]});
         assert!(JsonStore::series_from_json(&v).is_err());
     }
 }
