@@ -17,8 +17,8 @@
 //! `YPROV_BENCH_SMOKE=1` shrinks iteration counts so CI can exercise
 //! the harness cheaply.
 
+use json::json;
 use obs::alerts::{AlertRule, Cmp};
-use serde_json::json;
 use std::time::Instant;
 use yprov_service::{Ops, OpsConfig, SlowEntry, SlowLog};
 
@@ -54,7 +54,7 @@ fn populated_registry(series: usize) -> obs::Registry {
     registry
 }
 
-fn bench_scrape_tick(ticks: u64, series: usize) -> serde_json::Value {
+fn bench_scrape_tick(ticks: u64, series: usize) -> json::Value {
     let cfg = OpsConfig {
         self_scrape: false,
         alert_rules: vec![AlertRule::new(
@@ -94,7 +94,7 @@ fn bench_scrape_tick(ticks: u64, series: usize) -> serde_json::Value {
     })
 }
 
-fn bench_slowlog(iters: u64) -> serde_json::Value {
+fn bench_slowlog(iters: u64) -> json::Value {
     // The server moves the method and path it already owns into the
     // entry, so the entry here carries none: building it allocates
     // nothing, and what is timed is the log.
@@ -127,7 +127,7 @@ fn bench_slowlog(iters: u64) -> serde_json::Value {
     })
 }
 
-fn bench_instrument(iters: u64) -> serde_json::Value {
+fn bench_instrument(iters: u64) -> json::Value {
     let enabled_reg = obs::Registry::new();
     let on = enabled_reg.counter("requests_total");
     let enabled_ns = time_ns(iters, |_| on.inc());

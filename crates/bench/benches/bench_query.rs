@@ -14,11 +14,11 @@
 //! Results land in `BENCH_query.json` at the repo root.
 //! `YPROV_BENCH_SMOKE=1` shrinks sizes and iterations for CI.
 
+use json::json;
 use prov_graph::audit;
 use prov_graph::{execute_with_plan, plan, PlanSide, ProvGraph, QueryPlan};
 use prov_model::query::{Repeat, Step, StepDirection};
 use prov_model::{AttrValue, ElementFilter, PathQuery, ProvDocument, QName};
-use serde_json::json;
 use std::time::Instant;
 
 fn q(name: &str) -> QName {
@@ -107,7 +107,7 @@ fn time_query<F: Fn(&ProvGraph<'_>) -> QueryPlan>(
     (median_micros(samples), rows)
 }
 
-fn run_cell(layers: usize, width: usize, iters: usize) -> serde_json::Value {
+fn run_cell(layers: usize, width: usize, iters: usize) -> json::Value {
     let doc = lattice_doc(layers, width);
     let graph = ProvGraph::new(&doc);
     let query = skewed_query();
@@ -166,7 +166,7 @@ fn main() {
     };
     let iters = if smoke { 5 } else { 25 };
 
-    let cells: Vec<serde_json::Value> = sizes
+    let cells: Vec<json::Value> = sizes
         .iter()
         .map(|&(layers, width)| run_cell(layers, width, iters))
         .collect();

@@ -5,10 +5,8 @@
 //! kWh to grams of CO₂-equivalent depends on the grid feeding the
 //! machine.
 
-use serde::{Deserialize, Serialize};
-
 /// A grid carbon intensity in gCO₂e per kWh.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CarbonIntensity {
     /// Grams of CO₂-equivalent emitted per kilowatt-hour consumed.
     pub g_per_kwh: f64,

@@ -7,10 +7,8 @@
 //! which matches the shape of published MI250X power traces well enough
 //! for trade-off studies.
 
-use serde::{Deserialize, Serialize};
-
 /// An affine-plus-bend utilization → watts model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     /// Human-readable device name.
     pub name: String,

@@ -126,7 +126,7 @@ fn crashed_run_recovers_and_uploads_through_flaky_server() {
     assert_eq!(resp.attempts, 3, "two injected failures, then success");
 
     // The upload really landed.
-    let id: serde_json::Value = serde_json::from_str(&resp.body).unwrap();
+    let id: json::Value = json::parse(&resp.body).unwrap();
     let fetched = client
         .get(&format!("/api/v0/documents/{}", id["id"].as_str().unwrap()))
         .unwrap();

@@ -262,15 +262,15 @@ fn primary_killed_mid_upload_cluster_promotes_and_serves() {
         "dead peer broke federation: {}",
         resp.body
     );
-    let view: serde_json::Value = serde_json::from_str(&resp.body).unwrap();
-    assert_eq!(view["ok"], serde_json::json!(false), "{}", resp.body);
+    let view: json::Value = json::parse(&resp.body).unwrap();
+    assert_eq!(view["ok"], json::json!(false), "{}", resp.body);
     let corpse = view["members"]
         .as_array()
         .unwrap()
         .iter()
-        .find(|m| m["id"] == serde_json::json!(victim_id.as_str()))
+        .find(|m| m["id"] == json::json!(victim_id.as_str()))
         .expect("dead member still listed");
-    assert_eq!(corpse["ok"], serde_json::json!(false));
+    assert_eq!(corpse["ok"], json::json!(false));
     if let Some(out) = std::env::var_os("YPROV_OBS_ARTIFACTS") {
         let out = PathBuf::from(out);
         for (i, server) in servers.iter().enumerate() {
@@ -360,7 +360,7 @@ fn torn_duplicated_and_delayed_frames_converge() {
         assert_eq!(from_a.body, from_b.body, "run-{i} bytes diverged");
     }
     let head = b.get("/api/v0/replication/head?source=node-a").unwrap();
-    let head: serde_json::Value = serde_json::from_str(&head.body).unwrap();
+    let head: json::Value = json::parse(&head.body).unwrap();
     assert_eq!(head["next_index"], 3, "duplicates must not double-apply");
     for client in [&a, &b] {
         assert_eq!(client.get("/api/v0/ledger/verify").unwrap().status, 200);
@@ -426,7 +426,7 @@ fn partition_heals_through_resync_byte_identically() {
         assert!(body.contains("under-replicated"), "{body}");
     }
     // B is stale: it saw only entry 0.
-    let head: serde_json::Value = serde_json::from_str(
+    let head: json::Value = json::parse(
         &b.get("/api/v0/replication/head?source=node-a")
             .unwrap()
             .body,

@@ -76,7 +76,7 @@ fn full_pipeline() {
     let json = std::fs::read_to_string(&report.prov_json_path).unwrap();
     let (status, body) = request(server.addr(), "POST", "/api/v0/documents", Some(&json)).unwrap();
     assert_eq!(status, 201, "{body}");
-    let id: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let id: json::Value = json::parse(&body).unwrap();
     let id = id["id"].as_str().unwrap();
     let (status, stats) = request(
         server.addr(),
@@ -86,7 +86,7 @@ fn full_pipeline() {
     )
     .unwrap();
     assert_eq!(status, 200);
-    let stats: serde_json::Value = serde_json::from_str(&stats).unwrap();
+    let stats: json::Value = json::parse(&stats).unwrap();
     assert!(stats["entities"].as_u64().unwrap() > 3);
     server.shutdown();
 

@@ -52,12 +52,12 @@ fn small_cfg() -> SimConfig {
 }
 
 fn doc_id(body: &str) -> String {
-    let v: serde_json::Value = serde_json::from_str(body).unwrap();
+    let v: json::Value = json::parse(body).unwrap();
     v["id"].as_str().unwrap().to_string()
 }
 
 fn merged_version(body: &str) -> u64 {
-    let v: serde_json::Value = serde_json::from_str(body).unwrap();
+    let v: json::Value = json::parse(body).unwrap();
     v["version"].as_u64().unwrap()
 }
 
@@ -187,7 +187,7 @@ fn concurrent_watcher_observes_every_merged_version_in_order() {
                     .watch(&id, cursor, Duration::from_millis(300))
                     .unwrap();
                 assert_eq!(resp.status, 200, "{}", resp.body);
-                let v: serde_json::Value = serde_json::from_str(&resp.body).unwrap();
+                let v: json::Value = json::parse(&resp.body).unwrap();
                 if v["changed"].as_bool().unwrap() {
                     cursor = v["version"].as_u64().unwrap();
                     seen.lock().unwrap().push(cursor);

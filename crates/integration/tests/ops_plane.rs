@@ -86,8 +86,8 @@ fn federated_cluster_view_degrades_but_answers_with_a_dead_member() {
     // Healthy ring: all three members report ok through any node.
     let (status, body) = request(addrs[0], "GET", "/api/v0/obs/cluster", None).unwrap();
     assert_eq!(status, 200, "{body}");
-    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
-    assert_eq!(v["ok"], serde_json::json!(true), "{body}");
+    let v: json::Value = json::parse(&body).unwrap();
+    assert_eq!(v["ok"], json::json!(true), "{body}");
     assert_eq!(v["members"].as_array().unwrap().len(), 3);
     let merged = v["metrics"].as_str().unwrap();
     for id in ids {
@@ -101,15 +101,15 @@ fn federated_cluster_view_degrades_but_answers_with_a_dead_member() {
     servers.pop().unwrap().shutdown();
     let (status, body) = request(addrs[0], "GET", "/api/v0/obs/cluster", None).unwrap();
     assert_eq!(status, 200, "a dead peer must not fail the endpoint");
-    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
-    assert_eq!(v["ok"], serde_json::json!(false), "{body}");
+    let v: json::Value = json::parse(&body).unwrap();
+    assert_eq!(v["ok"], json::json!(false), "{body}");
     let members = v["members"].as_array().unwrap();
     assert_eq!(members.len(), 3, "the corpse still gets a member entry");
     let dead = members
         .iter()
-        .find(|m| m["id"] == serde_json::json!("node-c"))
+        .find(|m| m["id"] == json::json!("node-c"))
         .unwrap();
-    assert_eq!(dead["ok"], serde_json::json!(false));
+    assert_eq!(dead["ok"], json::json!(false));
     assert!(dead["error"].as_str().is_some_and(|e| !e.is_empty()));
     // The survivors keep their labelled series and health payloads.
     let merged = v["metrics"].as_str().unwrap();
@@ -117,12 +117,9 @@ fn federated_cluster_view_degrades_but_answers_with_a_dead_member() {
     assert!(merged.contains("member=\"node-b\""));
     assert!(!merged.contains("member=\"node-c\""));
     for id in ["node-a", "node-b"] {
-        let m = members
-            .iter()
-            .find(|m| m["id"] == serde_json::json!(id))
-            .unwrap();
-        assert_eq!(m["ok"], serde_json::json!(true), "{body}");
-        assert_eq!(m["health"]["ready"], serde_json::json!(true), "{body}");
+        let m = members.iter().find(|m| m["id"] == json::json!(id)).unwrap();
+        assert_eq!(m["ok"], json::json!(true), "{body}");
+        assert_eq!(m["health"]["ready"], json::json!(true), "{body}");
     }
 
     for server in servers {
@@ -143,12 +140,12 @@ fn slowlog_trace_ids_line_up_with_the_chrome_trace_export() {
 
     let (status, body) = request(server.addr(), "GET", "/api/v0/obs/slowlog", None).unwrap();
     assert_eq!(status, 200, "{body}");
-    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let v: json::Value = json::parse(&body).unwrap();
     let healthz = v["routes"]
         .as_array()
         .unwrap()
         .iter()
-        .find(|r| r["route"] == serde_json::json!("/healthz"))
+        .find(|r| r["route"] == json::json!("/healthz"))
         .unwrap_or_else(|| panic!("no /healthz slowlog ring in {body}"));
     let trace_id = healthz["slowest"][0]["trace_id"]
         .as_str()

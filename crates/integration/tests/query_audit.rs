@@ -78,11 +78,11 @@ fn produce_runs(base: &std::path::Path) -> (String, String) {
 }
 
 fn doc_id(body: &str) -> String {
-    let v: serde_json::Value = serde_json::from_str(body).unwrap();
+    let v: json::Value = json::parse(body).unwrap();
     v["id"].as_str().unwrap().to_string()
 }
 
-fn post_query(addr: SocketAddr, id: &str, body: &str) -> (u16, serde_json::Value) {
+fn post_query(addr: SocketAddr, id: &str, body: &str) -> (u16, json::Value) {
     let (status, resp) = request(
         addr,
         "POST",
@@ -90,8 +90,7 @@ fn post_query(addr: SocketAddr, id: &str, body: &str) -> (u16, serde_json::Value
         Some(body),
     )
     .unwrap();
-    let v: serde_json::Value =
-        serde_json::from_str(&resp).unwrap_or(serde_json::Value::String(resp));
+    let v: json::Value = json::parse(&resp).unwrap_or(json::Value::String(resp));
     (status, v)
 }
 
@@ -263,7 +262,7 @@ fn cluster_client_queries_survive_primary_failover() {
         .query("run-leaky", r#"{"audit": "leakage"}"#)
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
-    let v: serde_json::Value = serde_json::from_str(&resp.body).unwrap();
+    let v: json::Value = json::parse(&resp.body).unwrap();
     assert_eq!(v["clean"], false, "{}", resp.body);
 
     // Kill the primary: the query fails over to a replica.
@@ -274,7 +273,7 @@ fn cluster_client_queries_survive_primary_failover() {
         .query("run-leaky", r#"{"audit": "leakage"}"#)
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
-    let v: serde_json::Value = serde_json::from_str(&resp.body).unwrap();
+    let v: json::Value = json::parse(&resp.body).unwrap();
     assert_eq!(v["clean"], false, "{}", resp.body);
 
     // Body errors are authoritative, not retried into unavailability.

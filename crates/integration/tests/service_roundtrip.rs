@@ -56,7 +56,7 @@ fn http_roundtrip_with_generated_documents() {
             std::fs::read_to_string(experiment.dir().join(&name).join("prov.json")).unwrap();
         let (status, body) = request(addr, "POST", "/api/v0/documents", Some(&disk_json)).unwrap();
         assert_eq!(status, 201);
-        let id: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let id: json::Value = json::parse(&body).unwrap();
         let id = id["id"].as_str().unwrap();
 
         let (status, served) =
@@ -78,7 +78,7 @@ fn http_roundtrip_with_generated_documents() {
     )
     .unwrap();
     assert_eq!(status, 200, "{body}");
-    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let v: json::Value = json::parse(&body).unwrap();
     let ancestors: Vec<&str> = v["ancestors"]
         .as_array()
         .unwrap()

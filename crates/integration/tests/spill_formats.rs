@@ -95,7 +95,7 @@ fn formats_hold_identical_data_with_table1_size_ordering() {
         .attr(&prov_model::QName::yprov("values"))
         .and_then(|v| v.as_str())
         .unwrap();
-    let parsed: serde_json::Value = serde_json::from_str(inline_values).unwrap();
+    let parsed: json::Value = json::parse(inline_values).unwrap();
     assert_eq!(parsed["points"].as_array().unwrap().len(), STEPS as usize);
 
     // The spilled documents carry links instead.

@@ -64,7 +64,7 @@ fn traced_run_exports_perfetto_compatible_json() {
     assert!(written > 0, "a traced run must record spans");
 
     let body = std::fs::read_to_string(&trace_path).unwrap();
-    let json: serde_json::Value = serde_json::from_str(&body).expect("trace.json parses");
+    let json: json::Value = json::parse(&body).expect("trace.json parses");
     let events = json["traceEvents"].as_array().expect("traceEvents array");
     assert!(!events.is_empty());
 
@@ -166,8 +166,7 @@ fn disabled_tracing_leaves_recovered_prov_byte_identical() {
     assert!(text_c.contains("wasGeneratedBy"));
     let crash_trace = run_dir.join("trace_crash.json");
     assert!(crash_trace.exists(), "flight recorder dump written");
-    let dump: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&crash_trace).unwrap()).unwrap();
+    let dump: json::Value = json::parse(&std::fs::read_to_string(&crash_trace).unwrap()).unwrap();
     assert!(dump["traceEvents"]
         .as_array()
         .unwrap()

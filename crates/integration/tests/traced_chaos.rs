@@ -71,7 +71,7 @@ fn traced_chaos_run_dumps_flight_recorder_on_recovery() {
     let crash_trace = run_dir.join("trace_crash.json");
     assert!(crash_trace.exists(), "trace_crash.json written by recovery");
     let body = std::fs::read_to_string(&crash_trace).unwrap();
-    let json: serde_json::Value = serde_json::from_str(&body).expect("dump parses");
+    let json: json::Value = json::parse(&body).expect("dump parses");
     let events = json["traceEvents"].as_array().unwrap();
     assert!(events
         .iter()

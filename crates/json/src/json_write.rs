@@ -1,9 +1,9 @@
-//! A JSON writer over a byte buffer: the one way the PROV-JSON document
-//! path and the service's responses write JSON.
+//! A JSON writer over a byte buffer: the one way the workspace writes
+//! JSON. PROV-JSON documents, service responses, on-disk records and
+//! every printed [`Value`](crate::Value) go through it.
 //!
-//! The bytes are those the workspace's `serde_json` prints a `Value`
-//! tree as, so text written here equals the tree built for it and
-//! printed:
+//! The byte rules, which every file and fixture in the workspace was
+//! written with:
 //! - a string escapes `"`, `\`, `\n`, `\r`, `\t`, `\b` and `\f` by name
 //!   and every other byte below 0x20 as `\u00xx`; everything else,
 //!   non-ASCII and U+2028 included, is copied as is;
@@ -13,8 +13,10 @@
 //!   a line of its own, indented two spaces per level, with `": "` after
 //!   a key, and an empty object or array stays `{}` / `[]`.
 //!
-//! Object keys are the caller's to order, and they must ascend (byte
-//! order), as a string-keyed map prints them; debug builds assert it.
+//! The caller orders an object's members. A map's keys ([`JsonWriter::key`])
+//! must ascend (byte order), as a string-keyed map prints them; debug
+//! builds assert it. A record's fields ([`JsonWriter::field`]) print in
+//! the order the record declares them, unchecked.
 //!
 //! Cost model: a clean run of a string is one `extend_from_slice`, an
 //! integer is formatted without `fmt`, a float or a `Display` value is
@@ -27,8 +29,6 @@
 
 use std::fmt::{self, Write as _};
 use std::io::{self, Write};
-
-use crate::qname::QName;
 
 /// The most a streaming writer holds before it hands bytes to its sink.
 const SPILL_AT: usize = 64 * 1024;
@@ -53,7 +53,7 @@ static ESCAPE: [u8; 256] = {
 };
 
 /// `n` in decimal, at the end of `buf`: the digits written.
-pub(crate) fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
+pub fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
     let mut start = buf.len();
     loop {
         start -= 1;
@@ -90,8 +90,7 @@ struct Open {
     members: bool,
 }
 
-/// Writes JSON into a byte buffer, compact or pretty. Outside this
-/// crate it is reached through [`to_string`].
+/// Writes JSON into a byte buffer, compact or pretty.
 pub struct JsonWriter<W: Write> {
     buf: Vec<u8>,
     sink: W,
@@ -105,7 +104,8 @@ pub struct JsonWriter<W: Write> {
     last_keys: Vec<Option<Vec<u8>>>,
 }
 
-/// Compact JSON text written by `body`: how a response body is made.
+/// Compact JSON text written by `body`: how a response body or a
+/// record is made.
 pub fn to_string(body: impl FnOnce(&mut JsonWriter<io::Sink>)) -> String {
     let mut w = JsonWriter::in_memory(false);
     body(&mut w);
@@ -115,12 +115,12 @@ pub fn to_string(body: impl FnOnce(&mut JsonWriter<io::Sink>)) -> String {
 impl JsonWriter<io::Sink> {
     /// A writer whose buffer is where the text ends up: nothing is handed
     /// over; [`JsonWriter::into_string`] takes the text.
-    pub(crate) fn in_memory(pretty: bool) -> Self {
+    pub fn in_memory(pretty: bool) -> Self {
         Self::with_buffer(io::sink(), pretty, Vec::new(), usize::MAX)
     }
 
     /// The text written.
-    pub(crate) fn into_string(self) -> String {
+    pub fn into_string(self) -> String {
         debug_assert!(self.open.is_empty(), "an object or array is still open");
         String::from_utf8(self.buf).expect("the writer emits only UTF-8")
     }
@@ -128,7 +128,7 @@ impl JsonWriter<io::Sink> {
 
 impl<W: Write> JsonWriter<W> {
     /// A writer streaming into `sink` through a 64 KiB buffer.
-    pub(crate) fn new(sink: W, pretty: bool) -> Self {
+    pub fn new(sink: W, pretty: bool) -> Self {
         Self::with_buffer(sink, pretty, Vec::with_capacity(SPILL_AT), SPILL_AT)
     }
 
@@ -146,7 +146,7 @@ impl<W: Write> JsonWriter<W> {
     }
 
     /// Hands what is left to the sink; the first I/O error met, if any.
-    pub(crate) fn finish(mut self) -> io::Result<()> {
+    pub fn finish(mut self) -> io::Result<()> {
         debug_assert!(self.open.is_empty(), "an object or array is still open");
         self.spill();
         self.error.map_or(Ok(()), Err)
@@ -228,14 +228,14 @@ impl<W: Write> JsonWriter<W> {
 
     /// Before a value: in an array the value is a member; in an object
     /// its key started the member.
-    fn value(&mut self) {
+    fn before_value(&mut self) {
         if matches!(self.open.last(), Some(Open { array: true, .. })) {
             self.member();
         }
     }
 
     fn begin(&mut self, array: bool, byte: u8) {
-        self.value();
+        self.before_value();
         self.put(&[byte]);
         self.open.push(Open {
             array,
@@ -256,11 +256,11 @@ impl<W: Write> JsonWriter<W> {
         self.put(&[byte]);
     }
 
-    pub(crate) fn begin_object(&mut self) {
+    pub fn begin_object(&mut self) {
         self.begin(false, b'{');
     }
 
-    pub(crate) fn end_object(&mut self) {
+    pub fn end_object(&mut self) {
         self.end(false, b'}');
     }
 
@@ -286,20 +286,26 @@ impl<W: Write> JsonWriter<W> {
         self.put(b"\"");
     }
 
-    /// The next member's key.
+    /// The next map member's key.
     pub fn key(&mut self, key: &str) {
         self.key_parts(&[key]);
     }
 
-    /// The next member's key, `q` as `prefix:local`.
-    pub fn key_qname(&mut self, q: &QName) {
-        self.key_parts(&[q.prefix(), ":", q.local()]);
-    }
-
-    /// The next member's key: `parts` concatenated.
-    fn key_parts(&mut self, parts: &[&str]) {
+    /// The next map member's key: `parts` concatenated.
+    pub fn key_parts(&mut self, parts: &[&str]) {
         #[cfg(debug_assertions)]
         self.check_key_order(parts);
+        self.field_parts(parts);
+    }
+
+    /// The next record field's name, in the record's own order; the
+    /// writer, for its value.
+    pub fn field(&mut self, name: &str) -> &mut Self {
+        self.field_parts(&[name]);
+        self
+    }
+
+    fn field_parts(&mut self, parts: &[&str]) {
         self.member();
         self.quoted(parts);
         self.put(if self.pretty { b": " } else { b":" });
@@ -324,18 +330,13 @@ impl<W: Write> JsonWriter<W> {
     }
 
     pub fn str(&mut self, s: &str) {
-        self.value();
+        self.before_value();
         self.quoted(&[s]);
-    }
-
-    /// `q` as the string `prefix:local`.
-    pub fn qname(&mut self, q: &QName) {
-        self.str_parts(&[q.prefix(), ":", q.local()]);
     }
 
     /// `parts` concatenated, as one string.
     pub fn str_parts(&mut self, parts: &[&str]) {
-        self.value();
+        self.before_value();
         self.quoted(parts);
     }
 
@@ -355,12 +356,12 @@ impl<W: Write> JsonWriter<W> {
     }
 
     pub fn u64(&mut self, n: u64) {
-        self.value();
+        self.before_value();
         self.put(decimal(n, &mut [0; 20]));
     }
 
     pub fn i64(&mut self, n: i64) {
-        self.value();
+        self.before_value();
         if n < 0 {
             self.put(b"-");
         }
@@ -372,7 +373,7 @@ impl<W: Write> JsonWriter<W> {
         if !v.is_finite() {
             return self.null();
         }
-        self.value();
+        self.before_value();
         let mut text = StackText {
             buf: [0; 64],
             len: 0,
@@ -382,44 +383,32 @@ impl<W: Write> JsonWriter<W> {
     }
 
     pub fn bool(&mut self, b: bool) {
-        self.value();
+        self.before_value();
         self.put(if b { b"true" } else { b"false" });
     }
 
     pub fn null(&mut self) {
-        self.value();
+        self.before_value();
         self.put(b"null");
+    }
+
+    /// `text`, which must already be one JSON value, copied as is: how
+    /// stored bytes are embedded without being parsed and printed again.
+    pub fn raw(&mut self, text: &str) {
+        self.before_value();
+        self.put(text.as_bytes());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::{json, Value};
+    use crate::{json, Value};
 
     /// `value` written through the writer, compact or pretty.
     fn written(value: &Value, pretty: bool) -> String {
-        fn walk<W: Write>(w: &mut JsonWriter<W>, v: &Value) {
-            match v {
-                Value::Null => w.null(),
-                Value::Bool(b) => w.bool(*b),
-                Value::Number(n) => match (n.as_u64(), n.as_i64()) {
-                    (Some(u), _) => w.u64(u),
-                    (None, Some(i)) => w.i64(i),
-                    _ => w.f64(n.as_f64().unwrap()),
-                },
-                Value::String(s) => w.str(s),
-                Value::Array(items) => w.array(|w| items.iter().for_each(|item| walk(w, item))),
-                Value::Object(map) => w.object(|w| {
-                    for (k, item) in map {
-                        w.key(k);
-                        walk(w, item);
-                    }
-                }),
-            }
-        }
         let mut w = JsonWriter::in_memory(pretty);
-        walk(&mut w, value);
+        w.value(value);
         w.into_string()
     }
 
@@ -444,8 +433,9 @@ mod tests {
         })
     }
 
-    /// `tree()` as the `serde_json` stand-in printed it, compact and
-    /// pretty, captured while it was the workspace's printer.
+    /// `tree()` as the workspace's previous JSON printer printed it,
+    /// compact and pretty, captured before this writer replaced it: the
+    /// reference this writer is held to.
     const TREE_COMPACT: &str = concat!(
         r#"{"":"","controls":"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f","empty":{"array":[],"object":{}},"floats":[0.0,-0.0,1.5,1e21,1e-7,5e-324,1.7976931348623157e308,-2.5e-9,123456789.125],"ints":[0,1,-1,-9223372036854775808,9223372036854775807,18446744073709551615],"nested":[[],{},[1,[2,{"a":null,"b":true,"c":false}]]],"nonfinite":[null,null,null],"quote \" and \\ backslash":"\"\\/","#,
         "\"unicode\":\"é \u{2028} 😀 \u{7f}\"}"
@@ -504,7 +494,7 @@ mod tests {
     );
 
     /// `a"b\c`, every control byte, `é` and U+2028, printed as a JSON
-    /// string by the stand-in.
+    /// string by the same previous printer.
     const NASTY_PRINTED: &str = concat!(
         r#""a\"b\\c\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001fé"#,
         "\u{2028}\""
@@ -515,8 +505,8 @@ mod tests {
         let tree = tree();
         assert_eq!(written(&tree, false), TREE_COMPACT);
         assert_eq!(written(&tree, true), TREE_PRETTY);
-        assert_eq!(serde_json::to_string(&tree).unwrap(), TREE_COMPACT);
-        assert_eq!(serde_json::to_string_pretty(&tree).unwrap(), TREE_PRETTY);
+        assert_eq!(tree.to_string(), TREE_COMPACT);
+        assert_eq!(format!("{tree:#}"), TREE_PRETTY);
         let nonfinite = to_string(|w| {
             w.array(|w| {
                 [f64::NAN, f64::INFINITY, -0.0]
@@ -537,23 +527,19 @@ mod tests {
             })
         });
         assert_eq!(body, format!("{{{NASTY_PRINTED}:{NASTY_PRINTED}}}"));
-        let mut reference = serde_json::Map::new();
-        reference.insert(nasty.clone(), json!(nasty));
-        assert_eq!(body, Value::Object(reference).to_string());
         // Longer than the stack buffer: the same bytes through a String.
         let long = "x\"".repeat(100);
         let printed = format!("\"{}\"", "x\\\"".repeat(100));
         assert_eq!(to_string(|w| w.display(&long)), printed);
-        assert_eq!(json!(long).to_string(), printed);
     }
 
     #[test]
     fn qualified_names_print_as_prefix_colon_local() {
-        let q = QName::new("ex", "a\"b");
+        let q = ["ex", ":", "a\"b"];
         let body = to_string(|w| {
             w.object(|w| {
-                w.key_qname(&q);
-                w.qname(&q);
+                w.key_parts(&q);
+                w.str_parts(&q);
             })
         });
         assert_eq!(body, r#"{"ex:a\"b":"ex:a\"b"}"#);
@@ -612,7 +598,6 @@ mod tests {
             .map(|s| format!("  \"{}\"", s.replace('"', "\\\"")))
             .collect();
         let reference = format!("[\n{}\n]", quoted.join(",\n"));
-        assert_eq!(serde_json::to_string_pretty(&items).unwrap(), reference);
         assert_eq!(String::from_utf8(chunks.1).unwrap(), reference);
         assert!(chunks.0.len() >= 5, "{:?}", chunks.0);
         let longest_run = 100_000;

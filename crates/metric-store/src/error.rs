@@ -17,8 +17,8 @@ pub enum StoreError {
     NotFound(String),
     /// Metadata was syntactically valid but semantically inconsistent.
     BadMetadata(String),
-    /// JSON (de)serialization failure in metadata handling.
-    Json(serde_json::Error),
+    /// Metadata that is not valid JSON.
+    Json(json::Error),
 }
 
 impl fmt::Display for StoreError {
@@ -51,8 +51,8 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-impl From<serde_json::Error> for StoreError {
-    fn from(e: serde_json::Error) -> Self {
+impl From<json::Error> for StoreError {
+    fn from(e: json::Error) -> Self {
         StoreError::Json(e)
     }
 }

@@ -8,9 +8,8 @@
 use crate::error::StoreError;
 use crate::series::{MetricPoint, MetricSeries};
 use crate::store::{path_size_bytes, MetricStore};
-use serde::ser::{Serialize, SerializeMap, SerializeSeq, Serializer};
-use serde_json::Value;
-use std::io::Write as _;
+use json::{JsonWriter, Value};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// A directory of `<name>@<context>.json` files, one per series.
@@ -45,7 +44,44 @@ impl JsonStore {
         self.root.join(format!("{safe}.json"))
     }
 
-    /// Parses the representation [`SeriesJson`] writes.
+    /// A series as the inline-JSON representation used both by this store
+    /// and by the provenance layer when metrics stay in the PROV file:
+    /// `context`, `name` and `points[{epoch, step, time_us, value}]`, keys
+    /// ascending, non-finite values as the strings `"NaN"`, `"INF"` and
+    /// `"-INF"`. Nothing is built per sample.
+    pub fn series_to_json<W: Write>(w: &mut JsonWriter<W>, series: &MetricSeries) {
+        w.object(|w| {
+            w.key("context");
+            w.str(&series.context);
+            w.key("name");
+            w.str(&series.name);
+            w.key("points");
+            w.array(|w| {
+                for p in &series.points {
+                    w.object(|w| {
+                        w.key("epoch");
+                        w.u64(p.epoch.into());
+                        w.key("step");
+                        w.u64(p.step);
+                        w.key("time_us");
+                        w.i64(p.time_us);
+                        w.key("value");
+                        if p.value.is_finite() {
+                            w.f64(p.value);
+                        } else if p.value.is_nan() {
+                            w.str("NaN");
+                        } else if p.value > 0.0 {
+                            w.str("INF");
+                        } else {
+                            w.str("-INF");
+                        }
+                    })
+                }
+            });
+        })
+    }
+
+    /// Parses the representation [`JsonStore::series_to_json`] writes.
     pub fn series_from_json(value: &Value) -> Result<MetricSeries, StoreError> {
         let name = value
             .get("name")
@@ -85,63 +121,9 @@ impl JsonStore {
     }
 }
 
-/// A borrowed view of a series that serializes as the inline-JSON
-/// representation used both by this store and by the provenance layer
-/// when metrics stay in the PROV file: `context`, `name` and
-/// `points[{epoch, step, time_us, value}]`, keys in sorted order (the
-/// order a `serde_json::Value` tree prints them in), non-finite values
-/// as the strings `"NaN"`, `"INF"` and `"-INF"`. It streams through any
-/// serializer, so a series is printed without building a `Value` per
-/// sample first.
-pub struct SeriesJson<'a>(pub &'a MetricSeries);
-
-impl Serialize for SeriesJson<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut map = serializer.serialize_map(Some(3))?;
-        map.serialize_entry("context", &self.0.context)?;
-        map.serialize_entry("name", &self.0.name)?;
-        map.serialize_entry("points", &PointsJson(&self.0.points))?;
-        map.end()
-    }
-}
-
-struct PointsJson<'a>(&'a [MetricPoint]);
-
-impl Serialize for PointsJson<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
-        for point in self.0 {
-            seq.serialize_element(&PointJson(point))?;
-        }
-        seq.end()
-    }
-}
-
-struct PointJson<'a>(&'a MetricPoint);
-
-impl Serialize for PointJson<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let p = self.0;
-        let mut map = serializer.serialize_map(Some(4))?;
-        map.serialize_entry("epoch", &p.epoch)?;
-        map.serialize_entry("step", &p.step)?;
-        map.serialize_entry("time_us", &p.time_us)?;
-        if p.value.is_finite() {
-            map.serialize_entry("value", &p.value)?;
-        } else if p.value.is_nan() {
-            map.serialize_entry("value", "NaN")?;
-        } else if p.value > 0.0 {
-            map.serialize_entry("value", "INF")?;
-        } else {
-            map.serialize_entry("value", "-INF")?;
-        }
-        map.end()
-    }
-}
-
 fn json_to_float(v: &Value) -> Option<f64> {
     match v {
-        Value::Number(n) => n.as_f64(),
+        Value::Number(n) => Some(n.as_f64()),
         Value::String(s) => crate::series_special_float(s),
         _ => None,
     }
@@ -150,10 +132,9 @@ fn json_to_float(v: &Value) -> Option<f64> {
 impl MetricStore for JsonStore {
     fn write_series(&self, series: &MetricSeries) -> Result<(), StoreError> {
         let file = std::fs::File::create(self.file(&series.name, &series.context))?;
-        let mut writer = std::io::BufWriter::new(file);
-        serde_json::to_writer_pretty(&mut writer, &SeriesJson(series))?;
-        writer.flush()?;
-        Ok(())
+        let mut w = JsonWriter::new(file, true);
+        Self::series_to_json(&mut w, series);
+        Ok(w.finish()?)
     }
 
     fn read_series(&self, name: &str, context: &str) -> Result<MetricSeries, StoreError> {
@@ -161,8 +142,7 @@ impl MetricStore for JsonStore {
         if !path.is_file() {
             return Err(StoreError::NotFound(format!("{name}@{context}")));
         }
-        let value: Value = serde_json::from_str(&std::fs::read_to_string(path)?)?;
-        Self::series_from_json(&value)
+        Self::series_from_json(&json::parse(&std::fs::read_to_string(path)?)?)
     }
 
     fn list_series(&self) -> Result<Vec<(String, String)>, StoreError> {
@@ -170,7 +150,7 @@ impl MetricStore for JsonStore {
         for entry in std::fs::read_dir(&self.root)? {
             let path = entry?.path();
             if path.extension().is_some_and(|e| e == "json") {
-                let value: Value = serde_json::from_str(&std::fs::read_to_string(&path)?)?;
+                let value = json::parse(&std::fs::read_to_string(&path)?)?;
                 if let (Some(n), Some(c)) = (
                     value.get("name").and_then(Value::as_str),
                     value.get("context").and_then(Value::as_str),
@@ -191,7 +171,7 @@ impl MetricStore for JsonStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
+    use json::json;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("yjson_test_{tag}_{}", std::process::id()));
@@ -224,8 +204,8 @@ mod tests {
 
     #[test]
     fn series_view_prints_what_the_value_tree_printed() {
-        // The literals are what the `serde_json::Value` builder this
-        // view replaced printed (`to_string` and `to_string_pretty`) for
+        // The literals are what the `Value` tree builder this
+        // writer replaced printed (`to_string` and `to_string_pretty`) for
         // the same series: every non-finite spelling, a negative zero,
         // the smallest and a large double, the integer extremes, and a
         // name that needs escaping and holds non-ASCII text.
@@ -296,19 +276,21 @@ mod tests {
     }
   ]
 }"#;
-        assert_eq!(serde_json::to_string(&SeriesJson(&s)).unwrap(), compact);
-        assert_eq!(
-            serde_json::to_string_pretty(&SeriesJson(&s)).unwrap(),
-            pretty
-        );
+        let printed = |s: &MetricSeries, pretty: bool| {
+            let mut w = JsonWriter::in_memory(pretty);
+            JsonStore::series_to_json(&mut w, s);
+            w.into_string()
+        };
+        assert_eq!(printed(&s, false), compact);
+        assert_eq!(printed(&s, true), pretty);
 
         let empty = MetricSeries::new("empty", "testing");
         assert_eq!(
-            serde_json::to_string(&SeriesJson(&empty)).unwrap(),
+            printed(&empty, false),
             r#"{"context":"testing","name":"empty","points":[]}"#
         );
         assert_eq!(
-            serde_json::to_string_pretty(&SeriesJson(&empty)).unwrap(),
+            printed(&empty, true),
             "{\n  \"context\": \"testing\",\n  \"name\": \"empty\",\n  \"points\": []\n}"
         );
 

@@ -27,7 +27,7 @@ use crate::error::StoreError;
 use crate::pool::WorkerPool;
 use crate::series::MetricSeries;
 use crate::store::{path_size_bytes, MetricStore};
-use serde::{Deserialize, Serialize};
+use json::Value;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -50,14 +50,14 @@ impl Default for NcOptions {
     }
 }
 
-#[derive(Debug, Serialize, Deserialize, Clone)]
+#[derive(Debug, Clone)]
 struct ColumnDesc {
     offset: u64,
     length: u64,
     crc: u32,
 }
 
-#[derive(Debug, Serialize, Deserialize, Clone)]
+#[derive(Debug, Clone)]
 struct VarDesc {
     name: String,
     context: String,
@@ -66,10 +66,76 @@ struct VarDesc {
     columns: [ColumnDesc; 4],
 }
 
-#[derive(Debug, Serialize, Deserialize, Default)]
+#[derive(Debug)]
 struct Header {
     format: String,
     vars: Vec<VarDesc>,
+}
+
+impl Header {
+    /// Compact JSON, every record's fields in the order declared above.
+    fn to_json(&self) -> String {
+        json::to_string(|w| {
+            w.object(|w| {
+                w.field("format").str(&self.format);
+                w.field("vars");
+                w.array(|w| {
+                    for var in &self.vars {
+                        w.object(|w| {
+                            w.field("name").str(&var.name);
+                            w.field("context").str(&var.context);
+                            w.field("points").u64(var.points as u64);
+                            w.field("columns");
+                            w.array(|w| {
+                                for col in &var.columns {
+                                    w.object(|w| {
+                                        w.field("offset").u64(col.offset);
+                                        w.field("length").u64(col.length);
+                                        w.field("crc").u64(col.crc.into());
+                                    })
+                                }
+                            });
+                        })
+                    }
+                });
+            })
+        })
+    }
+
+    /// `None` unless every field is there with its type and range;
+    /// members not named above are ignored.
+    fn from_json(v: &Value) -> Option<Header> {
+        let column = |c: &Value| {
+            Some(ColumnDesc {
+                offset: c.get("offset")?.as_u64()?,
+                length: c.get("length")?.as_u64()?,
+                crc: u32::try_from(c.get("crc")?.as_u64()?).ok()?,
+            })
+        };
+        let var = |v: &Value| {
+            let columns: Vec<ColumnDesc> = v
+                .get("columns")?
+                .as_array()?
+                .iter()
+                .map(column)
+                .collect::<Option<_>>()?;
+            Some(VarDesc {
+                name: v.get("name")?.as_str()?.to_string(),
+                context: v.get("context")?.as_str()?.to_string(),
+                points: usize::try_from(v.get("points")?.as_u64()?).ok()?,
+                columns: columns.try_into().ok()?,
+            })
+        };
+        Some(Header {
+            format: v.get("format")?.as_str()?.to_string(),
+            vars: v
+                .get("vars")?
+                .as_array()?
+                .iter()
+                .map(var)
+                .collect::<Option<_>>()?,
+        })
+    }
 }
 
 /// `body[offset..offset + length]` if the body holds that range; the
@@ -234,7 +300,7 @@ impl NcStore {
             format: "ync-1".into(),
             vars,
         };
-        let header_json = serde_json::to_vec(&header)?;
+        let header_json = header.to_json().into_bytes();
 
         let mut out = Vec::with_capacity(9 + header_json.len() + body_len as usize);
         out.extend_from_slice(&MAGIC);
@@ -271,7 +337,8 @@ impl NcStore {
         let header_bytes = data
             .get(9..header_end)
             .ok_or_else(|| StoreError::Truncated("nc header".into()))?;
-        let header: Header = serde_json::from_slice(header_bytes)?;
+        let header = Header::from_json(&json::parse_bytes(header_bytes)?)
+            .ok_or_else(|| StoreError::BadMetadata("nc header".into()))?;
         if header.format != "ync-1" {
             return Err(StoreError::UnknownFormat(header.format));
         }

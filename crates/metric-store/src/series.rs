@@ -1,11 +1,9 @@
 //! In-memory representation of one metric time series.
 
-use serde::{Deserialize, Serialize};
-
 /// One sample of a metric: which step/epoch it belongs to, when it was
 /// taken, and its value. This mirrors yProv4ML's metric records (step,
 /// context epoch, wall time, value).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricPoint {
     /// Global step counter at which the sample was logged.
     pub step: u64,
@@ -18,7 +16,7 @@ pub struct MetricPoint {
 }
 
 /// A named metric series within one context (e.g. `loss` in `training`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricSeries {
     /// Metric name (`loss`, `gpu_power_w`, ...).
     pub name: String,

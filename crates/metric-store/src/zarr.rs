@@ -26,12 +26,11 @@ use crate::error::StoreError;
 use crate::pool::WorkerPool;
 use crate::series::{MetricPoint, MetricSeries};
 use crate::store::{frame_chunk, path_size_bytes, unframe_chunk, MetricStore};
-use serde::{Deserialize, Serialize};
+use json::{JsonWriter, Value};
 use std::path::{Path, PathBuf};
 
 /// How the `values` (f64) column is encoded inside each chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FloatEncoding {
     /// Gorilla-style XOR bit-packing (best for smooth series).
     Xor,
@@ -69,7 +68,7 @@ impl Default for ZarrOptions {
     }
 }
 
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct ArrayMeta {
     format: String,
     name: String,
@@ -80,8 +79,85 @@ struct ArrayMeta {
     /// Per-chunk `(min step, max step)` statistics, enabling range
     /// queries that skip chunks entirely (absent in files written by
     /// older versions — range reads then scan every chunk).
-    #[serde(default)]
     chunk_step_ranges: Vec<(u64, u64)>,
+}
+
+impl ArrayMeta {
+    /// Pretty JSON, fields in the order declared above; an encoding is
+    /// `"xor"`, `"raw"` or `{"xor_quantized": {"mantissa_bits": n}}`.
+    fn to_json(&self) -> String {
+        let mut w = JsonWriter::in_memory(true);
+        w.object(|w| {
+            w.field("format").str(&self.format);
+            w.field("name").str(&self.name);
+            w.field("context").str(&self.context);
+            w.field("points").u64(self.points as u64);
+            w.field("chunk_points").u64(self.chunk_points as u64);
+            w.field("float_encoding");
+            match self.float_encoding {
+                FloatEncoding::Xor => w.str("xor"),
+                FloatEncoding::Raw => w.str("raw"),
+                FloatEncoding::XorQuantized { mantissa_bits } => w.object(|w| {
+                    w.field("xor_quantized");
+                    w.object(|w| {
+                        w.field("mantissa_bits").u64(mantissa_bits.into());
+                    });
+                }),
+            }
+            w.field("chunk_step_ranges");
+            w.array(|w| {
+                for &(lo, hi) in &self.chunk_step_ranges {
+                    w.array(|w| {
+                        w.u64(lo);
+                        w.u64(hi);
+                    });
+                }
+            });
+        });
+        w.into_string()
+    }
+
+    /// `None` unless every field is there with its type and range
+    /// (`chunk_step_ranges` may be absent); other members are ignored.
+    fn from_json(v: &Value) -> Option<ArrayMeta> {
+        let float_encoding = match v.get("float_encoding")? {
+            Value::String(s) if s == "xor" => FloatEncoding::Xor,
+            Value::String(s) if s == "raw" => FloatEncoding::Raw,
+            tagged => match tagged.as_variant()? {
+                ("xor_quantized", body) => FloatEncoding::XorQuantized {
+                    mantissa_bits: u8::try_from(body.get("mantissa_bits")?.as_u64()?).ok()?,
+                },
+                _ => return None,
+            },
+        };
+        let range = |pair: &Value| match pair.as_array()?.as_slice() {
+            [lo, hi] => Some((lo.as_u64()?, hi.as_u64()?)),
+            _ => None,
+        };
+        let chunk_step_ranges = match v.get("chunk_step_ranges") {
+            None => Vec::new(),
+            Some(ranges) => ranges
+                .as_array()?
+                .iter()
+                .map(range)
+                .collect::<Option<_>>()?,
+        };
+        Some(ArrayMeta {
+            format: v.get("format")?.as_str()?.to_string(),
+            name: v.get("name")?.as_str()?.to_string(),
+            context: v.get("context")?.as_str()?.to_string(),
+            points: usize::try_from(v.get("points")?.as_u64()?).ok()?,
+            chunk_points: usize::try_from(v.get("chunk_points")?.as_u64()?).ok()?,
+            float_encoding,
+            chunk_step_ranges,
+        })
+    }
+
+    fn read(path: &Path) -> Result<ArrayMeta, StoreError> {
+        let value = json::parse(&std::fs::read_to_string(path)?)?;
+        ArrayMeta::from_json(&value)
+            .ok_or_else(|| StoreError::BadMetadata(format!("unreadable {}", path.display())))
+    }
 }
 
 const COLUMNS: [&str; 4] = ["steps", "epochs", "times", "values"];
@@ -107,12 +183,7 @@ impl ZarrStore {
         std::fs::create_dir_all(&root)?;
         let group = root.join(".zgroup");
         if !group.exists() {
-            std::fs::write(
-                &group,
-                serde_json::to_string(&serde_json::json!({
-                    "format": "yzarr-1"
-                }))?,
-            )?;
+            std::fs::write(&group, r#"{"format":"yzarr-1"}"#)?;
         }
         if opts.chunk_points == 0 {
             return Err(StoreError::BadMetadata("chunk_points must be > 0".into()));
@@ -172,7 +243,7 @@ impl ZarrStore {
             series.points.extend_from_slice(new_points);
             return self.write_series(&series);
         }
-        let mut meta: ArrayMeta = serde_json::from_str(&std::fs::read_to_string(&meta_path)?)?;
+        let mut meta = ArrayMeta::read(&meta_path)?;
         if meta.chunk_points != self.opts.chunk_points
             || meta.float_encoding != self.opts.float_encoding
         {
@@ -203,7 +274,7 @@ impl ZarrStore {
             meta.chunk_step_ranges.push(step_range(chunk));
         }
         meta.points += new_points.len();
-        std::fs::write(&meta_path, serde_json::to_string_pretty(&meta)?)?;
+        std::fs::write(&meta_path, meta.to_json())?;
         Ok(())
     }
 
@@ -256,7 +327,7 @@ impl ZarrStore {
         if !meta_path.is_file() {
             return Err(StoreError::NotFound(format!("{name}@{context}")));
         }
-        let meta: ArrayMeta = serde_json::from_str(&std::fs::read_to_string(&meta_path)?)?;
+        let meta = ArrayMeta::read(&meta_path)?;
         let n_chunks = meta.points.div_ceil(meta.chunk_points.max(1));
 
         let mut out = MetricSeries::new(name, context);
@@ -298,7 +369,7 @@ impl ZarrStore {
             float_encoding: self.opts.float_encoding,
             chunk_step_ranges,
         };
-        std::fs::write(dir.join(".zarray"), serde_json::to_string_pretty(&meta)?)?;
+        std::fs::write(dir.join(".zarray"), meta.to_json())?;
         Ok(dir)
     }
 
@@ -381,7 +452,7 @@ impl MetricStore for ZarrStore {
         if !meta_path.is_file() {
             return Err(StoreError::NotFound(format!("{name}@{context}")));
         }
-        let meta: ArrayMeta = serde_json::from_str(&std::fs::read_to_string(&meta_path)?)?;
+        let meta = ArrayMeta::read(&meta_path)?;
         if meta.chunk_points == 0 {
             return Err(StoreError::BadMetadata("chunk_points is zero".into()));
         }
@@ -412,7 +483,7 @@ impl MetricStore for ZarrStore {
             let path = entry?.path();
             let meta_path = path.join(".zarray");
             if meta_path.is_file() {
-                let meta: ArrayMeta = serde_json::from_str(&std::fs::read_to_string(&meta_path)?)?;
+                let meta = ArrayMeta::read(&meta_path)?;
                 out.push((meta.name, meta.context));
             }
         }

@@ -1,6 +1,7 @@
 //! # obs
 //!
-//! A from-scratch, dependency-free observability layer: lock-free
+//! A from-scratch observability layer with no external dependency (its
+//! trace export writes through the workspace's `json` crate): lock-free
 //! counters, gauges and histograms in a named [`Registry`], lightweight
 //! [`SpanTimer`]s for timing code regions, and Prometheus text
 //! exposition for scraping.

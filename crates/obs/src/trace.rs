@@ -40,7 +40,6 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -535,22 +534,6 @@ pub fn dropped() -> u64 {
         .sum()
 }
 
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders spans as Chrome trace-event JSON (the format Perfetto and
 /// `chrome://tracing` load): complete `X` events with microsecond
 /// timestamps, one trace-event process per clock (pid 1 = wall clock,
@@ -592,75 +575,73 @@ pub fn to_chrome_json(spans: &[SpanRecord]) -> String {
         .map(|(i, &(pid, track))| ((pid, track), i as u32 + 1))
         .collect();
 
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let mut push_event = |out: &mut String, body: &str| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        out.push_str(body);
-    };
-
-    let mut pids_seen: Vec<u32> = tracks.iter().map(|&(pid, _)| pid).collect();
-    pids_seen.dedup();
-    for pid in pids_seen {
-        let name = match pid {
-            1 => "wall clock",
-            _ => "simulated ranks",
-        };
-        push_event(
-            &mut out,
-            &format!(
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            ),
-        );
-    }
-    for &(pid, track) in &tracks {
-        let tid = tids[&(pid, track)];
-        let mut body = format!(
-            "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\""
-        );
-        json_escape_into(&mut body, track);
-        body.push_str("\"}}");
-        push_event(&mut out, &body);
-    }
-
+    let mut pids: Vec<u32> = tracks.iter().map(|&(pid, _)| pid).collect();
+    pids.dedup();
     let mut sorted: Vec<&SpanRecord> = spans.iter().collect();
     sorted.sort_by_key(|s| (s.start_ns, u64::MAX - (s.end_ns - s.start_ns), s.id));
-    for s in sorted {
-        let pid = pid_of(s.clock);
-        let tid = tids[&(pid, s.track.as_str())];
-        let ts_us = s.start_ns as f64 / 1_000.0;
-        let dur_us = (s.end_ns - s.start_ns) as f64 / 1_000.0;
-        let mut body = String::from("{\"ph\":\"X\",\"name\":\"");
-        json_escape_into(&mut body, &s.name);
-        let _ = write!(
-            body,
-            "\",\"cat\":\"{}\",\"ts\":{ts_us:.3},\"dur\":{dur_us:.3},\"pid\":{pid},\"tid\":{tid},\
-             \"args\":{{\"id\":{}",
-            match s.clock {
-                Clock::Wall => "wall",
-                Clock::Simulated => "sim",
-            },
-            s.id
-        );
-        if s.parent != 0 {
-            let _ = write!(body, ",\"parent\":{}", s.parent);
-        }
-        let _ = write!(body, ",\"trace_id\":\"{:032x}\"", s.trace_id);
-        for (k, v) in &s.args {
-            body.push_str(",\"");
-            json_escape_into(&mut body, k);
-            body.push_str("\":\"");
-            json_escape_into(&mut body, v);
-            body.push('"');
-        }
-        body.push_str("}}");
-        push_event(&mut out, &body);
-    }
-    out.push_str("]}\n");
+
+    let mut out = json::to_string(|w| {
+        w.object(|w| {
+            w.field("displayTimeUnit").str("ms");
+            w.field("traceEvents");
+            w.array(|w| {
+                for &pid in &pids {
+                    let name = if pid == 1 {
+                        "wall clock"
+                    } else {
+                        "simulated ranks"
+                    };
+                    metadata(w, "process_name", pid, 0, name);
+                }
+                for &(pid, track) in &tracks {
+                    metadata(w, "thread_name", pid, tids[&(pid, track)], track);
+                }
+                for s in sorted {
+                    let pid = pid_of(s.clock);
+                    w.object(|w| {
+                        w.field("ph").str("X");
+                        w.field("name").str(&s.name);
+                        w.field("cat").str(match s.clock {
+                            Clock::Wall => "wall",
+                            Clock::Simulated => "sim",
+                        });
+                        w.field("ts").f64(s.start_ns as f64 / 1_000.0);
+                        w.field("dur").f64((s.end_ns - s.start_ns) as f64 / 1_000.0);
+                        w.field("pid").u64(pid.into());
+                        w.field("tid").u64(tids[&(pid, s.track.as_str())].into());
+                        w.field("args");
+                        w.object(|w| {
+                            w.field("id").u64(s.id);
+                            if s.parent != 0 {
+                                w.field("parent").u64(s.parent);
+                            }
+                            w.field("trace_id")
+                                .display(format_args!("{:032x}", s.trace_id));
+                            for (k, v) in &s.args {
+                                w.field(k).str(v);
+                            }
+                        });
+                    });
+                }
+            });
+        })
+    });
+    out.push('\n');
     out
+}
+
+/// A `process_name` or `thread_name` metadata event.
+fn metadata(w: &mut json::JsonWriter<std::io::Sink>, kind: &str, pid: u32, tid: u32, name: &str) {
+    w.object(|w| {
+        w.field("ph").str("M");
+        w.field("name").str(kind);
+        w.field("pid").u64(pid.into());
+        w.field("tid").u64(tid.into());
+        w.field("args");
+        w.object(|w| {
+            w.field("name").str(name);
+        });
+    });
 }
 
 /// Drains every recorded span and writes Chrome trace-event JSON to

@@ -9,19 +9,9 @@ pub enum ProvError {
     InvalidQName(String),
     /// A namespace prefix was used without being registered.
     UnknownPrefix(String),
-    /// The PROV-JSON text was not valid JSON (what
-    /// [`crate::ProvDocument::from_json_str`] reports).
-    Syntax {
-        /// 1-based line of the offending byte.
-        line: usize,
-        /// Bytes into that line, the offending one included.
-        column: usize,
-        /// What the reader expected there.
-        message: String,
-    },
-    /// `serde_json` failed: a [`serde_json::Value`] could not be read
-    /// for [`crate::ProvDocument::from_json`], or a writer failed.
-    Json(serde_json::Error),
+    /// The text was not valid JSON: what the reader expected, and the
+    /// line and column where.
+    Json(json::Error),
     /// The JSON was well-formed but violated the PROV-JSON structure.
     Structure(String),
     /// An attribute value had an unsupported or inconsistent `xsd` type.
@@ -42,11 +32,6 @@ impl fmt::Display for ProvError {
         match self {
             ProvError::InvalidQName(s) => write!(f, "invalid qualified name: {s:?}"),
             ProvError::UnknownPrefix(p) => write!(f, "unknown namespace prefix: {p:?}"),
-            ProvError::Syntax {
-                line,
-                column,
-                message,
-            } => write!(f, "invalid JSON: {message} at line {line} column {column}"),
             ProvError::Json(e) => write!(f, "invalid JSON: {e}"),
             ProvError::Structure(m) => write!(f, "invalid PROV-JSON structure: {m}"),
             ProvError::BadValue(m) => write!(f, "invalid attribute value: {m}"),
@@ -68,8 +53,8 @@ impl std::error::Error for ProvError {
     }
 }
 
-impl From<serde_json::Error> for ProvError {
-    fn from(e: serde_json::Error) -> Self {
+impl From<json::Error> for ProvError {
+    fn from(e: json::Error) -> Self {
         ProvError::Json(e)
     }
 }
@@ -103,11 +88,7 @@ mod tests {
 
     #[test]
     fn syntax_error_reads_like_the_json_one() {
-        let e = ProvError::Syntax {
-            line: 2,
-            column: 8,
-            message: "expected value".into(),
-        };
+        let e = ProvError::from(json::parse("{\n  \"a\": ?}").unwrap_err());
         assert_eq!(
             e.to_string(),
             "invalid JSON: expected value at line 2 column 8"
@@ -116,8 +97,7 @@ mod tests {
 
     #[test]
     fn json_error_wraps_source() {
-        let bad = serde_json::from_str::<serde_json::Value>("{");
-        let e: ProvError = bad.unwrap_err().into();
+        let e: ProvError = json::parse("{").unwrap_err().into();
         assert!(std::error::Error::source(&e).is_some());
         assert!(e.to_string().contains("invalid JSON"));
     }

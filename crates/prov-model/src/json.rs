@@ -13,14 +13,14 @@ use crate::record::{Element, ElementKind};
 use crate::relation::{Relation, RelationKind};
 use crate::value::{format_double, AttrValue};
 use crate::XsdDateTime;
-use serde_json::{json, Map, Value};
+use json::{json, Map, Value};
 use std::cmp::Ordering;
 
 impl ProvDocument {
-    /// Serializes to a PROV-JSON [`serde_json::Value`], for callers
-    /// that want the tree. Text is printed by the streaming writer
+    /// Serializes to a PROV-JSON [`json::Value`], for callers that want
+    /// the tree. Text is printed by the streaming writer
     /// ([`ProvDocument::write_json`]), whose parity tests compare it
-    /// against this tree printed by `serde_json`.
+    /// against this tree printed.
     pub fn to_json(&self) -> Value {
         doc_to_json(self)
     }
@@ -43,8 +43,8 @@ impl ProvDocument {
 
     /// Parses a PROV-JSON string into a document, without a `Value`
     /// tree in between. Equal to [`ProvDocument::from_json`] on the
-    /// `Value` `serde_json` parses from `s`, except that malformed JSON
-    /// is a [`ProvError::Syntax`].
+    /// `Value` [`json::parse`] reads from `s`; malformed JSON is a
+    /// [`ProvError::Json`].
     pub fn from_json_str(s: &str) -> Result<Self, ProvError> {
         crate::json_read::read_document(s)
     }
@@ -205,12 +205,10 @@ pub fn value_to_json(v: &AttrValue) -> Value {
     match v {
         AttrValue::String(s) => Value::String(s.clone()),
         AttrValue::LangString(s, lang) => json!({ "$": s, "lang": lang }),
-        AttrValue::Int(i) => json!(i),
-        AttrValue::Bool(b) => json!(b),
-        // Doubles always use the typed-literal form: serde_json's float
-        // parsing is approximate (no `float_roundtrip` feature), while the
-        // lexical form printed with Rust's shortest-roundtrip formatter
-        // parses back exactly.
+        AttrValue::Int(i) => json!(*i),
+        AttrValue::Bool(b) => json!(*b),
+        // Doubles always use the typed-literal form, which carries NaN
+        // and the infinities that a JSON number cannot.
         AttrValue::Double(d) => json!({ "$": format_double(*d), "type": "xsd:double" }),
         AttrValue::QualifiedName(q) => json!({ "$": q.to_string(), "type": "prov:QUALIFIED_NAME" }),
         AttrValue::DateTime(t) => json!({ "$": t.to_string(), "type": "xsd:dateTime" }),
@@ -335,15 +333,10 @@ pub fn value_from_json(v: &Value) -> Result<AttrValue, ProvError> {
     match v {
         Value::String(s) => Ok(AttrValue::String(s.clone())),
         Value::Bool(b) => Ok(AttrValue::Bool(*b)),
-        Value::Number(n) => {
-            if let Some(i) = n.as_i64() {
-                Ok(AttrValue::Int(i))
-            } else if let Some(d) = n.as_f64() {
-                Ok(AttrValue::Double(d))
-            } else {
-                Err(ProvError::BadValue(format!("unrepresentable number {n}")))
-            }
-        }
+        Value::Number(n) => Ok(match n.as_i64() {
+            Some(i) => AttrValue::Int(i),
+            None => AttrValue::Double(n.as_f64()),
+        }),
         Value::Object(obj) => {
             let lexical = obj
                 .get("$")

@@ -2,13 +2,12 @@
 //!
 //! Every PROV-JSON text this crate prints comes from here, stored
 //! documents and [`ProvDocument::to_json_string`] included: the
-//! document is written straight to bytes through
-//! [`crate::json_write::JsonWriter`], cloning and rendering nothing.
-//! [`ProvDocument::to_json`] still materializes a `serde_json::Value`
-//! tree for callers that want one; nothing prints through it.
+//! document is written straight to bytes through [`json::JsonWriter`],
+//! cloning and rendering nothing. [`ProvDocument::to_json`] still
+//! materializes a [`json::Value`] tree for callers that want one.
 //!
-//! The output is **byte-identical** to that tree printed by
-//! `serde_json`, whose `Map` sorts keys by string:
+//! The output is **byte-identical** to that tree printed, whose `Map`
+//! sorts keys by string:
 //! - blocks, element ids, attribute keys, relation ids, relation-body
 //!   keys and bundle names are ordered by their rendered bytes
 //!   (`prefix:local`), compared without building the strings; `QName`'s
@@ -28,11 +27,12 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::OnceLock;
 
+use json::{decimal, JsonWriter};
+
 use crate::datetime::XsdDateTime;
 use crate::document::ProvDocument;
 use crate::error::ProvError;
 use crate::json::{rendered_bytes, rendered_order};
-use crate::json_write::{decimal, JsonWriter};
 use crate::qname::QName;
 use crate::record::ElementKind;
 use crate::relation::{Relation, RelationKind};
@@ -101,7 +101,7 @@ impl Key<'_> {
     fn write<W: Write>(&self, w: &mut JsonWriter<W>) {
         match self {
             Key::Str(s) => w.key(s),
-            Key::Name(q) => w.key_qname(q),
+            Key::Name(q) => w.key_parts(&q.parts()),
             Key::Anon(n) => w.key(anon_key(*n, &mut [0; 24])),
         }
     }
@@ -323,7 +323,7 @@ impl<'a, W: Write> DocWriter<'a, W> {
             key.write(&mut self.w);
             match val {
                 Val::Str(s) => self.w.str(s),
-                Val::Name(q) => self.w.qname(q),
+                Val::Name(q) => self.w.str_parts(&q.parts()),
                 Val::Time(t) => self.w.display(t),
                 Val::Values(values) => write_values(&mut self.w, values),
             }
@@ -354,9 +354,11 @@ fn write_value<W: Write>(w: &mut JsonWriter<W>, value: &AttrValue) {
         AttrValue::Int(i) => w.i64(*i),
         AttrValue::Bool(b) => w.bool(*b),
         AttrValue::Double(d) => typed_literal(w, |w| w.display(XsdDouble(*d)), &["xsd:double"]),
-        AttrValue::QualifiedName(q) => typed_literal(w, |w| w.qname(q), &["prov:QUALIFIED_NAME"]),
+        AttrValue::QualifiedName(q) => {
+            typed_literal(w, |w| w.str_parts(&q.parts()), &["prov:QUALIFIED_NAME"])
+        }
         AttrValue::DateTime(t) => typed_literal(w, |w| w.display(t), &["xsd:dateTime"]),
-        AttrValue::Typed(s, ty) => typed_literal(w, |w| w.str(s), &[ty.prefix(), ":", ty.local()]),
+        AttrValue::Typed(s, ty) => typed_literal(w, |w| w.str(s), &ty.parts()),
     }
 }
 
@@ -459,14 +461,13 @@ mod tests {
         doc
     }
 
-    /// The reference the writer is held to: the `Value` tree, printed
-    /// by `serde_json`.
+    /// The reference the writer is held to: the `Value` tree, printed.
     fn tree_compact(doc: &ProvDocument) -> String {
-        serde_json::to_string(&doc.to_json()).unwrap()
+        doc.to_json().to_string()
     }
 
     fn tree_pretty(doc: &ProvDocument) -> String {
-        serde_json::to_string_pretty(&doc.to_json()).unwrap()
+        format!("{:#}", doc.to_json())
     }
 
     #[test]
@@ -544,7 +545,7 @@ mod tests {
         let text = String::from_utf8(streamed).unwrap();
         assert_eq!(text, tree_compact(&doc));
         // used is first in RelationKind::all() → takes _:id000001.
-        let v: serde_json::Value = serde_json::from_str(&text).unwrap();
+        let v = json::parse(&text).unwrap();
         assert!(v["used"].get("_:id000001").is_some());
         assert!(v["wasGeneratedBy"].get("_:id000002").is_some());
         assert!(v["wasStartedBy"].get("_:id000003").is_some());

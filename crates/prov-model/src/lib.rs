@@ -38,7 +38,6 @@ pub mod error;
 pub mod json;
 mod json_read;
 pub mod json_stream;
-pub mod json_write;
 pub mod provn;
 pub mod provn_parse;
 pub mod qname;

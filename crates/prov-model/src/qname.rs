@@ -91,6 +91,12 @@ impl QName {
         &self.local
     }
 
+    /// `prefix`, `:`, `local`: the rendered name in pieces, for a writer
+    /// to print without building the string.
+    pub fn parts(&self) -> [&str; 3] {
+        [&self.prefix, ":", &self.local]
+    }
+
     /// Expands this name against a registry, producing a full IRI.
     pub fn expand(&self, reg: &NamespaceRegistry) -> Result<String, ProvError> {
         let ns = reg

@@ -38,7 +38,7 @@ use crate::error::ProvError;
 use crate::qname::QName;
 use crate::record::{Element, ElementKind};
 use crate::relation::RelationKind;
-use serde_json::{json, Map, Value};
+use json::{json, Map, Value};
 
 /// A predicate over graph nodes (declared elements or dangling
 /// references). All clauses of a filter must hold.
@@ -197,13 +197,13 @@ impl ElementFilter {
         if let Some((key, bound)) = &self.attr_lt {
             obj.insert(
                 "attrLt".into(),
-                json!({"key": key.to_string(), "value": bound}),
+                json!({"key": key.to_string(), "value": *bound}),
             );
         }
         if let Some((key, bound)) = &self.attr_gt {
             obj.insert(
                 "attrGt".into(),
-                json!({"key": key.to_string(), "value": bound}),
+                json!({"key": key.to_string(), "value": *bound}),
             );
         }
         if !self.any_of.is_empty() {
@@ -479,7 +479,7 @@ impl PathQuery {
 
     /// Parses a query from a JSON string.
     pub fn from_json_str(s: &str) -> Result<Self, ProvError> {
-        let v: Value = serde_json::from_str(s)?;
+        let v: Value = json::parse(s)?;
         PathQuery::from_json(&v)
     }
 }
@@ -722,20 +722,20 @@ mod tests {
             ),
             ("{\"min\": 2}", Repeat { min: 2, max: None }),
         ] {
-            let v: Value = serde_json::from_str(text).unwrap();
+            let v: Value = json::parse(text).unwrap();
             assert_eq!(repeat_from_json(&v).unwrap(), want, "{text}");
             // And back: the rendered form re-parses to the same repeat.
             let rendered = repeat_to_json(want);
             assert_eq!(repeat_from_json(&rendered).unwrap(), want);
         }
-        let bad: Value = serde_json::from_str("{\"min\": 5, \"max\": 2}").unwrap();
+        let bad: Value = json::parse("{\"min\": 5, \"max\": 2}").unwrap();
         assert!(repeat_from_json(&bad).is_err());
     }
 
     #[test]
     fn unknown_clauses_are_rejected() {
         assert!(PathQuery::from_json_str(r#"{"strat": {}}"#).is_err());
-        assert!(ElementFilter::from_json(&serde_json::json!({"knid": "entity"})).is_err());
-        assert!(Step::from_json(&serde_json::json!({"dir": "sideways"})).is_err());
+        assert!(ElementFilter::from_json(&json::json!({"knid": "entity"})).is_err());
+        assert!(Step::from_json(&json::json!({"dir": "sideways"})).is_err());
     }
 }

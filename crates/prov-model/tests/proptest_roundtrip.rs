@@ -223,26 +223,26 @@ fn provjson_parser_never_panics_on_arbitrary_json() {
                 )
             })
             .collect();
-        let values: Vec<serde_json::Value> = (0..rng.len(0..8, size))
+        let values: Vec<json::Value> = (0..rng.len(0..8, size))
             .map(|_| match rng.below(6) {
-                0 => serde_json::json!(rng.next_u64() as i64),
-                1 => serde_json::json!(text(rng, &ascii, 0..21)),
-                2 => serde_json::json!(null),
-                3 => serde_json::json!([1, "x", {}]),
-                4 => serde_json::json!({"$": 5}),
-                _ => serde_json::json!({"$": "x", "type": 7}),
+                0 => json::json!(rng.next_u64() as i64),
+                1 => json::json!(text(rng, &ascii, 0..21)),
+                2 => json::json!(null),
+                3 => json::json!([1, "x", {}]),
+                4 => json::json!({"$": 5}),
+                _ => json::json!({"$": "x", "type": 7}),
             })
             .collect();
 
         // Structured garbage at both nesting levels.
-        let mut top = serde_json::Map::new();
+        let mut top = json::Map::new();
         for (k, v) in keys.iter().zip(&values) {
             top.insert(k.clone(), v.clone());
         }
-        let _ = ProvDocument::from_json(&serde_json::Value::Object(top.clone()));
+        let _ = ProvDocument::from_json(&json::Value::Object(top.clone()));
         // And as element blocks with garbage attribute objects.
-        let nested = serde_json::json!({
-            "entity": top,
+        let nested = json::json!({
+            "entity": top.clone(),
             "used": { "_:id1": top },
         });
         let _ = ProvDocument::from_json(&nested); // must not panic

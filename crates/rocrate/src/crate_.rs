@@ -1,6 +1,6 @@
 //! The crate model and its JSON-LD (de)serialization.
 
-use serde_json::{json, Map, Value};
+use json::{json, Map, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -18,7 +18,7 @@ pub enum RoCrateError {
     /// Filesystem failure.
     Io(std::io::Error),
     /// The metadata file is not valid JSON.
-    Json(serde_json::Error),
+    Json(json::Error),
     /// The JSON was readable but not a well-formed RO-Crate.
     Malformed(String),
     /// A data entity references a file missing from the directory.
@@ -43,8 +43,8 @@ impl From<std::io::Error> for RoCrateError {
         RoCrateError::Io(e)
     }
 }
-impl From<serde_json::Error> for RoCrateError {
-    fn from(e: serde_json::Error) -> Self {
+impl From<json::Error> for RoCrateError {
+    fn from(e: json::Error) -> Self {
         RoCrateError::Json(e)
     }
 }
@@ -190,25 +190,25 @@ impl RoCrate {
             .entities
             .iter()
             .filter(|e| e.is_file())
-            .map(|e| json!({ "@id": e.id }))
+            .map(|e| json!({ "@id": &e.id }))
             .collect();
         graph.push(json!({
             "@id": "./",
             "@type": "Dataset",
-            "name": self.name,
-            "description": self.description,
+            "name": &self.name,
+            "description": &self.description,
             "hasPart": has_part,
         }));
 
         for e in &self.entities {
             let mut obj = Map::new();
-            obj.insert("@id".into(), json!(e.id));
+            obj.insert("@id".into(), json!(&e.id));
             obj.insert(
                 "@type".into(),
                 if e.types.len() == 1 {
-                    json!(e.types[0])
+                    json!(&e.types[0])
                 } else {
-                    json!(e.types)
+                    json!(e.types.clone())
                 },
             );
             for (k, v) in &e.properties {
@@ -241,7 +241,7 @@ impl RoCrate {
                 return Err(RoCrateError::MissingFile(e.id.clone()));
             }
         }
-        let text = serde_json::to_string_pretty(&self.to_metadata_json())?;
+        let text = format!("{:#}", self.to_metadata_json());
         std::fs::write(dir.join(METADATA_FILE), text)?;
         Ok(())
     }
@@ -249,7 +249,7 @@ impl RoCrate {
     /// Reads a crate from a directory containing the descriptor.
     pub fn read(dir: impl AsRef<Path>) -> Result<RoCrate, RoCrateError> {
         let text = std::fs::read_to_string(dir.as_ref().join(METADATA_FILE))?;
-        Self::from_metadata_json(&serde_json::from_str(&text)?)
+        Self::from_metadata_json(&json::parse(&text)?)
     }
 
     /// Parses the JSON-LD descriptor.
@@ -259,7 +259,7 @@ impl RoCrate {
             .and_then(Value::as_array)
             .ok_or_else(|| RoCrateError::Malformed("missing @graph".into()))?;
 
-        let find = |id: &str| -> Option<&Map<String, Value>> {
+        let find = |id: &str| -> Option<&Map> {
             graph
                 .iter()
                 .filter_map(Value::as_object)

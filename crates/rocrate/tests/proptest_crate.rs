@@ -70,7 +70,7 @@ fn parser_never_panics_on_arbitrary_json() {
     check(64, |rng, size| {
         let len = rng.len(0..201, size);
         let text = rng.string(&printable(b""), len);
-        if let Ok(value) = serde_json::from_str::<serde_json::Value>(&text) {
+        if let Ok(value) = json::parse(&text) {
             let _ = RoCrate::from_metadata_json(&value); // must not panic
         }
     });
@@ -82,9 +82,9 @@ fn parser_never_panics_on_structured_garbage() {
         let mut graph = Vec::new();
         for _ in 0..rng.len(0..8, size) {
             let k = text(rng, b"abcdefghijklmnopqrstuvwxyz@", 1..9);
-            graph.push(serde_json::json!({ k.as_str(): 1 }));
+            graph.push(json::json!({ k.as_str(): 1 }));
         }
-        let value = serde_json::json!({"@context": "x", "@graph": graph});
+        let value = json::json!({"@context": "x", "@graph": graph});
         let _ = RoCrate::from_metadata_json(&value); // must not panic
     });
 }

@@ -8,10 +8,9 @@
 //! the backward pass; the overlappable fraction is a model parameter.
 
 use crate::machine::MachineConfig;
-use serde::{Deserialize, Serialize};
 
 /// Tunables of the DDP communication model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DdpCommConfig {
     /// Gradient bucket size in bytes (PyTorch default 25 MiB).
     pub bucket_bytes: u64,

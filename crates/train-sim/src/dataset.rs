@@ -6,10 +6,8 @@
 //! layer — only volume and shape matter to walltime/energy — so the
 //! dataset is described, not materialized.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a training dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Dataset name for provenance records.
     pub name: String,

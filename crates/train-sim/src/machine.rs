@@ -5,10 +5,8 @@
 //! as 8 GPUs. GCDs within a node talk over Infinity Fabric; nodes talk
 //! over a Slingshot-11 network (4 × 25 GB/s NICs per node).
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of the machine a job runs on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Machine name in provenance records.
     pub name: String,

@@ -1,10 +1,8 @@
 //! The architecture zoo: the two model families of the paper's scaling
 //! study, at the four sizes used on Frontier.
 
-use serde::{Deserialize, Serialize};
-
 /// Which architecture family a configuration belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Architecture {
     /// Masked Autoencoder with a ViT backbone (He et al., CVPR'22).
     /// Masked pre-training pushes only ~25 % of patch tokens through the
@@ -54,7 +52,7 @@ impl std::fmt::Display for Architecture {
 }
 
 /// A concrete model configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Architecture family.
     pub arch: Architecture,

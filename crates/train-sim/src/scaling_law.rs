@@ -15,10 +15,9 @@
 //! and keeps improving at scale.
 
 use crate::model::Architecture;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the loss law for one architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LossLaw {
     /// Irreducible loss floor.
     pub e: f64,

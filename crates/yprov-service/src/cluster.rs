@@ -45,7 +45,7 @@ use crate::http::{error_body, error_response};
 use crate::ledger::LedgerEntry;
 use crate::store::{DocumentStore, Upload};
 use crate::sync::lock;
-use serde_json::json;
+use json::json;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -192,7 +192,7 @@ fn frame_bytes(frame: &Frame) -> usize {
 /// supersedes it — followed by the documents' bytes, unescaped, in
 /// frame order.
 pub fn encode_batch(source: &str, frames: &[Frame]) -> String {
-    let header: Vec<serde_json::Value> = frames
+    let header: Vec<json::Value> = frames
         .iter()
         .map(|f| {
             json!({
@@ -234,8 +234,7 @@ pub(crate) fn decode_batch(body: &str) -> Result<(String, Vec<Frame<'_>>), Batch
     let (line, mut rest) = body
         .split_once('\n')
         .ok_or_else(|| header("no header line"))?;
-    let v: serde_json::Value =
-        serde_json::from_str(line).map_err(|e| BatchError::Header(e.to_string()))?;
+    let v: json::Value = json::parse(line).map_err(|e| BatchError::Header(e.to_string()))?;
     let source = v.get("source").and_then(|s| s.as_str());
     let source = source.ok_or_else(|| header("missing \"source\""))?;
     let announced = v.get("frames").and_then(|f| f.as_array());
@@ -251,7 +250,7 @@ pub(crate) fn decode_batch(body: &str) -> Result<(String, Vec<Frame<'_>>), Batch
         let superseded = f.get("superseded").and_then(|s| s.as_bool());
         let superseded = superseded.ok_or_else(|| header("a frame is missing \"superseded\""))?;
         let document = match f.get("document_bytes") {
-            Some(serde_json::Value::Null) => None,
+            Some(json::Value::Null) => None,
             Some(n) => {
                 let len = n.as_u64().and_then(|n| usize::try_from(n).ok());
                 let len = len.ok_or_else(|| header("a \"document_bytes\" is not a length"))?;
@@ -682,7 +681,7 @@ impl Replicator {
             encode_id(&self.cfg.node_id)
         );
         let resp = client.get(&path).map_err(|e| e.to_string())?;
-        let v: serde_json::Value = serde_json::from_str(&resp.body).unwrap_or_default();
+        let v: json::Value = json::parse(&resp.body).unwrap_or_default();
         let next = v.get("next_index").and_then(|n| n.as_u64());
         let (200, Some(next)) = (resp.status, next) else {
             return Err(format!("head: HTTP {}: {}", resp.status, resp.body.trim()));
@@ -775,7 +774,7 @@ impl Replicator {
                 .map_err(|e| e.to_string())
         };
         let resp = send(&body)?;
-        let v: serde_json::Value = serde_json::from_str(&resp.body).unwrap_or_default();
+        let v: json::Value = json::parse(&resp.body).unwrap_or_default();
         let field = |name: &str| v.get(name).and_then(|n| n.as_u64());
         let reply = match (resp.status, field("next_index"), field("expect_index")) {
             (200, Some(head), _) => Reply::Head(head),
@@ -1180,12 +1179,12 @@ mod tests {
         // the index to resume from.
         let (status, reply, _) = apply(&body[..body.len() - 1]);
         assert_eq!(status, 409, "{reply}");
-        let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        let v: json::Value = json::parse(&reply).unwrap();
         assert_eq!(v["expect_index"], 0, "{reply}");
         // Whole, it applies: two documents, three entries.
         let (status, reply, store) = apply(&body);
         assert_eq!(status, 200, "{reply}");
-        let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        let v: json::Value = json::parse(&reply).unwrap();
         assert_eq!(v["next_index"], 3, "{reply}");
         assert_eq!(store.list(), vec!["run-2", "run-é"]);
         store.verify_all().unwrap();
@@ -1206,7 +1205,7 @@ mod tests {
         let store = DocumentStore::new();
         let (status, reply) = apply_batch(&store, &registry, body.as_bytes());
         assert_eq!(status, 409, "{reply}");
-        let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        let v: json::Value = json::parse(&reply).unwrap();
         assert_eq!(v["expect_index"], 2, "{reply}");
         assert_eq!(store.list(), vec!["run-é"], "the frames before it stand");
         assert_eq!(store.replication_head("node-a").0, 2);
@@ -1348,7 +1347,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 200);
-        let head: serde_json::Value = serde_json::from_str(&head).unwrap();
+        let head: json::Value = json::parse(&head).unwrap();
         assert_eq!(head["next_index"], 1);
 
         // Both nodes' chains verify end-to-end.

@@ -427,7 +427,7 @@ pub(crate) fn error_body(msg: &str) -> String {
 
 /// `{"<key>": "<value>"}`.
 pub(crate) fn one_member(key: &str, value: &str) -> String {
-    prov_model::json_write::to_string(|w| {
+    json::to_string(|w| {
         w.object(|w| {
             w.key(key);
             w.str(value);
@@ -523,7 +523,7 @@ mod tests {
             &controls,
             "invalid JSON: expected `,` or `}` at line 1 column 9\r\n\u{2028}é",
         ] {
-            let tree = serde_json::json!({ "error": msg }).to_string();
+            let tree = json::json!({ "error": msg }).to_string();
             assert_eq!(error_body(msg), tree);
         }
     }
@@ -582,7 +582,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 201, "{body}");
-        let id: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let id: json::Value = json::parse(&body).unwrap();
         let id = id["id"].as_str().unwrap().to_string();
 
         let (status, listing) = request(server.addr(), "GET", "/api/v0/documents", None).unwrap();
@@ -629,7 +629,7 @@ mod tests {
             Some(&sample_doc_json()),
         )
         .unwrap();
-        let id: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let id: json::Value = json::parse(&body).unwrap();
         let id = id["id"].as_str().unwrap().to_string();
 
         let (status, stats) = request(
@@ -640,7 +640,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 200);
-        let stats: serde_json::Value = serde_json::from_str(&stats).unwrap();
+        let stats: json::Value = json::parse(&stats).unwrap();
         assert_eq!(stats["entities"], 2);
         assert_eq!(stats["activities"], 1);
 
@@ -681,7 +681,7 @@ mod tests {
         .unwrap();
         let (status, body) = request(server.addr(), "GET", "/api/v0/ledger", None).unwrap();
         assert_eq!(status, 200);
-        let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let v: json::Value = json::parse(&body).unwrap();
         let entries = v["entries"].as_array().unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0]["index"], 0);
@@ -720,7 +720,7 @@ mod tests {
             Some(&sample_doc_json()),
         )
         .unwrap();
-        let id: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let id: json::Value = json::parse(&body).unwrap();
         let id = id["id"].as_str().unwrap().to_string();
 
         let (status, provn) = request(
@@ -826,7 +826,7 @@ mod tests {
             h.join().unwrap();
         }
         let (_, listing) = request(addr, "GET", "/api/v0/documents", None).unwrap();
-        let listing: serde_json::Value = serde_json::from_str(&listing).unwrap();
+        let listing: json::Value = json::parse(&listing).unwrap();
         assert_eq!(listing["documents"].as_array().unwrap().len(), 80);
         server.shutdown();
     }
@@ -1142,7 +1142,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 201);
-        let id: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let id: json::Value = json::parse(&body).unwrap();
         let id = id["id"].as_str().unwrap().to_string();
         let (status, _) = request(
             server.addr(),
@@ -1214,7 +1214,7 @@ mod tests {
         let (status, w) =
             request(addr, "GET", "/api/v0/documents/doc-1/watch?after=0", None).unwrap();
         assert_eq!(status, 200, "{w}");
-        let w: serde_json::Value = serde_json::from_str(&w).unwrap();
+        let w: json::Value = json::parse(&w).unwrap();
         assert_eq!(w["changed"], true);
         assert_eq!(w["version"], 1);
         assert_eq!(w["id"], "doc-1");
@@ -1239,11 +1239,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 200, "{body}");
-        let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let v: json::Value = json::parse(&body).unwrap();
         assert_eq!(v["version"], 2);
         let (status, w) = watcher.join().unwrap();
         assert_eq!(status, 200, "{w}");
-        let w: serde_json::Value = serde_json::from_str(&w).unwrap();
+        let w: json::Value = json::parse(&w).unwrap();
         assert_eq!(w["changed"], true);
         assert_eq!(w["version"], 2);
         let merged = ProvDocument::from_json_str(&w["document"].to_string()).unwrap();
@@ -1258,7 +1258,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 200);
-        let w: serde_json::Value = serde_json::from_str(&w).unwrap();
+        let w: json::Value = json::parse(&w).unwrap();
         assert_eq!(w["changed"], false);
         assert_eq!(w["version"], 2);
 
@@ -1293,7 +1293,7 @@ mod tests {
             Some(&sample_doc_json()),
         )
         .unwrap();
-        let id: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let id: json::Value = json::parse(&body).unwrap();
         let id = id["id"].as_str().unwrap().to_string();
         for _ in 0..2 {
             let (status, _) = request(
@@ -1358,7 +1358,7 @@ mod tests {
     fn upload(addr: std::net::SocketAddr, json: &str) -> String {
         let (status, body) = request(addr, "POST", "/api/v0/documents", Some(json)).unwrap();
         assert_eq!(status, 201, "{body}");
-        let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let v: json::Value = json::parse(&body).unwrap();
         v["id"].as_str().unwrap().to_string()
     }
 
@@ -1382,7 +1382,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 200, "{resp}");
-        let v: serde_json::Value = serde_json::from_str(&resp).unwrap();
+        let v: json::Value = json::parse(&resp).unwrap();
         assert_eq!(v["scenario"], "path");
         assert_eq!(v["row_count"], 1);
         assert_eq!(v["truncated"], false);
@@ -1438,7 +1438,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(status, 200, "{resp}");
-            serde_json::from_str::<serde_json::Value>(&resp).unwrap()
+            json::parse(&resp).unwrap()
         };
 
         // Data leakage: the default filters catch test_split -> training_run.
@@ -1520,7 +1520,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 200, "{resp}");
-        let v: serde_json::Value = serde_json::from_str(&resp).unwrap();
+        let v: json::Value = json::parse(&resp).unwrap();
         assert_eq!(v["scenario"], "join");
         assert_eq!(v["shared_count"], 1);
         assert_eq!(v["documents"].as_array().unwrap().len(), 2);
@@ -1544,7 +1544,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 200, "{resp}");
-        let v: serde_json::Value = serde_json::from_str(&resp).unwrap();
+        let v: json::Value = json::parse(&resp).unwrap();
         assert_eq!(v["row_count"], 2, "{resp}");
 
         // Joining against a missing document is a 404, not a panic.
@@ -1571,7 +1571,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 200);
-        let v: serde_json::Value = serde_json::from_str(&stats).unwrap();
+        let v: json::Value = json::parse(&stats).unwrap();
         assert_eq!(v["graph"]["nodes"], 3, "{stats}");
         assert_eq!(v["graph"]["edges"], 2);
         assert_eq!(v["graph"]["per_kind"]["used"], 1);

@@ -11,7 +11,7 @@
 //! point on.
 
 use crate::error::ServiceError;
-use serde_json::json;
+use json::json;
 use yprov4ml::hash::{sha256_hex, Sha256};
 
 /// One link of the chain.
@@ -42,19 +42,19 @@ impl LedgerEntry {
 
     /// The entry as a JSON object — its form in replication frames and
     /// in `GET /api/v0/ledger`.
-    pub fn to_json(&self) -> serde_json::Value {
+    pub fn to_json(&self) -> json::Value {
         json!({
             "index": self.index,
-            "document_id": self.document_id,
-            "document_digest": self.document_digest,
-            "prev_hash": self.prev_hash,
-            "entry_hash": self.entry_hash,
+            "document_id": &self.document_id,
+            "document_digest": &self.document_digest,
+            "prev_hash": &self.prev_hash,
+            "entry_hash": &self.entry_hash,
         })
     }
 
     /// Reads [`Self::to_json`]'s object back; `None` when a field is
     /// missing or of the wrong type.
-    pub fn from_json(v: &serde_json::Value) -> Option<LedgerEntry> {
+    pub fn from_json(v: &json::Value) -> Option<LedgerEntry> {
         Some(LedgerEntry {
             index: v.get("index")?.as_u64()?,
             document_id: v.get("document_id")?.as_str()?.to_string(),
@@ -344,7 +344,9 @@ mod tests {
             Some(entry)
         );
         let mut v = entry.to_json();
-        v["index"] = serde_json::Value::from("1");
+        if let json::Value::Object(fields) = &mut v {
+            fields.insert("index".into(), "1".into());
+        }
         assert_eq!(LedgerEntry::from_json(&v), None);
     }
 

@@ -24,10 +24,10 @@
 use crate::cluster::Replicator;
 use crate::slowlog::SlowLog;
 use crate::store::DocumentStore;
+use json::json;
 use obs::alerts::{AlertRule, AlertSet};
 use obs::tsdb::{Tsdb, TsdbConfig};
 use obs::{Registry, Snapshot};
-use serde_json::json;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -117,7 +117,7 @@ impl Ops {
 
     /// The `/api/v0/obs/alerts` body.
     pub fn alerts_json(&self) -> String {
-        let states: Vec<serde_json::Value> = self
+        let states: Vec<json::Value> = self
             .alerts
             .states()
             .into_iter()
@@ -143,16 +143,16 @@ impl Ops {
     pub fn slowlog_json(&self) -> String {
         let entry_json = |e: &crate::slowlog::SlowEntry| {
             json!({
-                "method": e.method,
-                "path": e.path,
+                "method": &e.method,
+                "path": &e.path,
                 "status": e.status,
                 "latency_ns": e.latency_ns,
                 "shed": e.shed,
-                "trace_id": e.trace_id,
+                "trace_id": e.trace_id.as_ref(),
                 "seq": e.seq,
             })
         };
-        let routes: Vec<serde_json::Value> = self
+        let routes: Vec<json::Value> = self
             .slowlog
             .snapshot()
             .into_iter()
@@ -170,7 +170,7 @@ impl Ops {
     /// The `/api/v0/obs/timeseries` body for one query.
     pub fn timeseries_json(&self, metric: &str, since_s: f64, step_s: f64, now_s: f64) -> String {
         let series = self.tsdb.query(metric, since_s, step_s, now_s);
-        let points: Vec<serde_json::Value> = series
+        let points: Vec<json::Value> = series
             .points
             .iter()
             .map(|p| {
@@ -203,7 +203,7 @@ pub fn health_json(store: &DocumentStore, registry: &Registry) -> (bool, String)
         Ok(()) => json!({"ok": true}),
         Err(e) => json!({"ok": false, "error": e.to_string()}),
     };
-    let sources: Vec<serde_json::Value> = store
+    let sources: Vec<json::Value> = store
         .replication_sources()
         .into_iter()
         .map(|(source, entries)| json!({"source": source, "entries": entries}))
@@ -288,10 +288,10 @@ pub fn cluster_json(
     let (_, own_health) = health_json(store, registry);
     merged.push_str(&label_member(self_exposition, &self_id));
     members.push(json!({
-        "id": self_id,
+        "id": &self_id,
         "ok": true,
-        "health": serde_json::from_str::<serde_json::Value>(&own_health)
-            .unwrap_or(serde_json::Value::Null),
+        "health": json::parse(&own_health)
+            .unwrap_or(json::Value::Null),
     }));
 
     if let Some(replicator) = replicator {
@@ -302,10 +302,10 @@ pub fn cluster_json(
                 (Ok(m), Ok(h)) if m.status == 200 => {
                     merged.push_str(&label_member(&m.body, &peer.id));
                     members.push(json!({
-                        "id": peer.id,
+                        "id": &peer.id,
                         "ok": h.status == 200,
-                        "health": serde_json::from_str::<serde_json::Value>(&h.body)
-                            .unwrap_or(serde_json::Value::Null),
+                        "health": json::parse(&h.body)
+                            .unwrap_or(json::Value::Null),
                     }));
                     if h.status != 200 {
                         degraded = true;
@@ -319,7 +319,7 @@ pub fn cluster_json(
                         (Ok(m), _) => format!("metrics returned {}", m.status),
                     };
                     members.push(json!({
-                        "id": peer.id,
+                        "id": &peer.id,
                         "ok": false,
                         "error": error,
                     }));
@@ -329,7 +329,7 @@ pub fn cluster_json(
     }
 
     json!({
-        "self": members[0]["id"],
+        "self": members[0]["id"].clone(),
         "ok": !degraded,
         "members": members,
         "metrics": merged,
@@ -399,7 +399,7 @@ mod tests {
         let registry = Registry::new();
         let (ready, body) = health_json(&store, &registry);
         assert!(ready, "{body}");
-        let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let v: json::Value = json::parse(&body).unwrap();
         assert_eq!(v["live"], json!(true));
         assert_eq!(v["ready"], json!(true));
         assert_eq!(v["checks"]["backend_writable"]["ok"], json!(true));
@@ -412,7 +412,7 @@ mod tests {
         let registry = Registry::new();
         registry.counter("up_total").inc();
         let body = cluster_json(&store, &registry, None, &registry.render_prometheus());
-        let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let v: json::Value = json::parse(&body).unwrap();
         assert_eq!(v["self"], json!("self"));
         assert_eq!(v["ok"], json!(true));
         assert_eq!(v["members"].as_array().unwrap().len(), 1);

@@ -80,7 +80,7 @@ mod tests {
 
     #[test]
     fn healthz_body_matches_its_tree() {
-        let tree = serde_json::json!({"status": "ok"}).to_string();
+        let tree = json::json!({"status": "ok"}).to_string();
         assert_eq!(one_member("status", "ok"), tree);
     }
 }

@@ -4,9 +4,9 @@
 use crate::error::ServiceError;
 use crate::http::{error_body, error_response, Request, ServerState};
 use crate::store::DocumentStore;
+use json::JsonWriter;
 use prov_graph::audit::{CrossRunJoin, FairnessReport, GdprReport, LeakageReport};
 use prov_graph::{audit, MatchRow, MatchSet, ProvGraph, QueryPlan};
-use prov_model::json_write::{to_string as json, JsonWriter};
 use prov_model::query::{ElementFilter, PathQuery};
 use prov_model::{ProvDocument, QName};
 use std::io::Sink;
@@ -34,7 +34,7 @@ pub(super) fn handle_query(state: &ServerState, req: &Request, id: &str) -> (u16
         Ok(t) => t,
         Err(_) => return (400, error_body("body is not UTF-8")),
     };
-    let parsed = serde_json::from_str::<serde_json::Value>(text); // reads JSON
+    let parsed = json::parse(text); // reads JSON
     let v = match parsed {
         Ok(v) => v,
         Err(e) => return (400, error_body(&format!("body is not JSON: {e}"))),
@@ -45,7 +45,7 @@ pub(super) fn handle_query(state: &ServerState, req: &Request, id: &str) -> (u16
 
     let extra: Option<Vec<String>> = match obj.get("docs") {
         None => Some(Vec::new()),
-        Some(serde_json::Value::Array(ids)) => ids // reads JSON
+        Some(json::Value::Array(ids)) => ids // reads JSON
             .iter()
             .map(|entry| entry.as_str().map(str::to_string))
             .collect(),
@@ -128,7 +128,7 @@ fn write_plan(w: &mut JsonWriter<Sink>, plan: &QueryPlan) {
 }
 
 fn write_names(w: &mut JsonWriter<Sink>, names: &[QName]) {
-    w.array(|w| names.iter().for_each(|q| w.qname(q)));
+    w.array(|w| names.iter().for_each(|q| w.str_parts(&q.parts())));
 }
 
 /// `(start, end)` matches with their witness paths.
@@ -137,18 +137,18 @@ fn write_rows(w: &mut JsonWriter<Sink>, rows: &[MatchRow]) {
         for row in rows {
             w.object(|w| {
                 w.key("end");
-                w.qname(&row.end);
+                w.str_parts(&row.end.parts());
                 w.key("path");
                 write_names(w, &row.path);
                 w.key("start");
-                w.qname(&row.start);
+                w.str_parts(&row.start.parts());
             });
         }
     });
 }
 
 fn path_body(documents: &Documents<'_>, set: &MatchSet, dot: Option<&str>) -> String {
-    json(|w| {
+    json::to_string(|w| {
         w.object(|w| {
             write_documents(w, documents, dot);
             write_plan(w, &set.plan);
@@ -177,7 +177,7 @@ fn audit_body(
     report: &Report,
     dot: Option<&str>,
 ) -> String {
-    json(|w| {
+    json::to_string(|w| {
         w.object(|w| match report {
             Report::Leakage(r) => {
                 w.key("clean");
@@ -196,12 +196,12 @@ fn audit_body(
             Report::Gdpr(r) => {
                 write_documents(w, documents, dot);
                 w.key("model");
-                w.qname(&r.model);
+                w.str_parts(&r.model.parts());
                 w.key("path");
                 write_names(w, &r.path);
                 write_plan(w, plan);
                 w.key("sample");
-                w.qname(&r.sample);
+                w.str_parts(&r.sample.parts());
                 w.key("scenario");
                 w.str("gdpr");
                 w.key("trained_on");
@@ -212,7 +212,7 @@ fn audit_body(
                 w.f64(r.balance());
                 write_documents(w, documents, dot);
                 w.key("group_key");
-                w.qname(&r.group_key);
+                w.str_parts(&r.group_key.parts());
                 w.key("groups");
                 w.object(|w| {
                     for (value, count) in &r.groups {
@@ -221,7 +221,7 @@ fn audit_body(
                     }
                 });
                 w.key("model");
-                w.qname(&r.model);
+                w.str_parts(&r.model.parts());
                 write_plan(w, plan);
                 w.key("scenario");
                 w.str("fairness");
@@ -233,10 +233,10 @@ fn audit_body(
 }
 
 fn join_body(documents: &Documents<'_>, join: &CrossRunJoin) -> String {
-    json(|w| {
+    json::to_string(|w| {
         w.object(|w| {
             w.key("digest_key");
-            w.qname(&join.digest_key);
+            w.str_parts(&join.digest_key.parts());
             write_documents(w, documents, None);
             w.key("joined");
             w.array(|w| {
@@ -291,7 +291,7 @@ fn handle_audit(
     store: &DocumentStore,
     documents: &Documents<'_>,
     scenario: &str,
-    obj: &serde_json::Map<String, serde_json::Value>, // reads JSON
+    obj: &json::Map, // reads JSON
     render_dot: bool,
 ) -> (u16, String) {
     let (id, extra) = (documents.id, documents.extra);
@@ -427,9 +427,9 @@ fn handle_audit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use json::{json, Value};
     use prov_graph::audit::JoinedArtifact;
     use prov_graph::PlanSide;
-    use serde_json::{json, Value};
 
     /// The `json!` trees these bodies were printed from: the reference
     /// each body is held to.
@@ -453,7 +453,7 @@ mod tests {
                 "end_candidates": plan.end_candidates,
                 "cost_from_start": plan.cost_from_start,
                 "cost_from_end": plan.cost_from_end,
-                "reason": plan.reason,
+                "reason": &plan.reason,
             })
         }
 
@@ -517,9 +517,9 @@ mod tests {
                     "plan": plan(p),
                 }),
                 Report::Fairness(report) => {
-                    let mut groups = serde_json::Map::new();
+                    let mut groups = json::Map::new();
                     for (value, count) in &report.groups {
-                        groups.insert(value.clone(), json!(count));
+                        groups.insert(value.clone(), json!(*count));
                     }
                     json!({
                         "scenario": "fairness",
@@ -543,7 +543,7 @@ mod tests {
                 .iter()
                 .map(|j| {
                     json!({
-                        "digest": j.digest,
+                        "digest": &j.digest,
                         "artifacts": names(&j.artifacts),
                         "producers": names(&j.producers),
                         "consumers": names(&j.consumers),

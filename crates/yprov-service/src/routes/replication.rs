@@ -2,10 +2,10 @@
 
 use crate::http::{error_body, Request, ServerState};
 use crate::ledger::LedgerEntry;
-use serde_json::json;
+use json::json;
 
 pub(super) fn ledger(state: &ServerState, _: &Request, _: &str) -> (u16, String) {
-    let entries: Vec<serde_json::Value> = state
+    let entries: Vec<json::Value> = state
         .store
         .ledger_entries()
         .iter()
@@ -42,7 +42,7 @@ pub(super) fn head(state: &ServerState, req: &Request, _: &str) -> (u16, String)
 }
 
 pub(super) fn sources(state: &ServerState, _: &Request, _: &str) -> (u16, String) {
-    let sources: Vec<serde_json::Value> = state
+    let sources: Vec<json::Value> = state
         .store
         .replication_sources()
         .into_iter()

@@ -247,7 +247,7 @@ fn graceful_stop_drains_a_mid_flight_response_without_reset() {
     )
     .unwrap();
     assert_eq!(status, 201, "{upload}");
-    let id: serde_json::Value = serde_json::from_str(&upload).unwrap();
+    let id: json::Value = json::parse(&upload).unwrap();
     let id = id["id"].as_str().unwrap().to_string();
 
     let stream = connect(&server);
@@ -463,7 +463,7 @@ fn parked_watch_outlives_the_idle_reaper() {
     )
     .unwrap();
     assert_eq!(status, 201, "{upload}");
-    let id: serde_json::Value = serde_json::from_str(&upload).unwrap();
+    let id: json::Value = json::parse(&upload).unwrap();
     let id = id["id"].as_str().unwrap().to_string();
 
     let stream = connect(&server);

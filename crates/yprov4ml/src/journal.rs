@@ -39,7 +39,6 @@ use crate::model::{LogRecord, RunReport, RunStatus};
 use crate::prov_emit::{build_document, RunIdentity};
 use crate::spill::{spill_metrics, SpillPolicy};
 use frame::{Frame, FRAME_RECORDS};
-use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::path::{Path, PathBuf};
@@ -61,7 +60,7 @@ pub fn segment_file_name(segment: u32) -> String {
 }
 
 /// The journal header (first line of every segment).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JournalHeader {
     /// Format version.
     pub version: u32,
@@ -85,6 +84,30 @@ impl JournalHeader {
             user: user.to_string(),
             started_us,
         }
+    }
+
+    /// The header line: compact JSON, fields in the order declared above.
+    fn to_json(&self) -> String {
+        json::to_string(|w| {
+            w.object(|w| {
+                w.field("version").u64(self.version.into());
+                w.field("experiment").str(&self.experiment);
+                w.field("run").str(&self.run);
+                w.field("user").str(&self.user);
+                w.field("started_us").i64(self.started_us);
+            })
+        })
+    }
+
+    /// `None` unless every field is there with its type and range.
+    fn from_json(v: &json::Value) -> Option<JournalHeader> {
+        Some(JournalHeader {
+            version: u32::try_from(v.get("version")?.as_u64()?).ok()?,
+            experiment: v.get("experiment")?.as_str()?.to_string(),
+            run: v.get("run")?.as_str()?.to_string(),
+            user: v.get("user")?.as_str()?.to_string(),
+            started_us: v.get("started_us")?.as_i64()?,
+        })
     }
 }
 
@@ -216,8 +239,10 @@ fn split_segment<'a>(
         )));
     }
     let line_end = data.iter().position(|&b| b == b'\n');
-    let header = serde_json::from_slice(&data[..line_end.unwrap_or(data.len())])
+    let line = json::parse_bytes(&data[..line_end.unwrap_or(data.len())])
         .map_err(metric_store::StoreError::Json)?;
+    let header = JournalHeader::from_json(&line)
+        .ok_or_else(|| ProvMLError::Journal(format!("{}: unreadable header", path.display())))?;
     Ok((header, line_end.map_or(&[][..], |end| &data[end + 1..])))
 }
 
@@ -242,9 +267,9 @@ impl JournalWriter {
         let stamp = |header: &JournalHeader| {
             let mut stamped = header.clone();
             stamped.version = JOURNAL_VERSION;
-            serde_json::to_string(&stamped).map_err(metric_store::StoreError::Json)
+            stamped.to_json()
         };
-        let mut header_line = stamp(header)?;
+        let mut header_line = stamp(header);
 
         let (file, segment, segment_bytes) = match config.mode {
             JournalMode::FailIfExists => {
@@ -273,7 +298,7 @@ impl JournalWriter {
                         ))),
                     }
                 };
-                header_line = stamp(&disk_header(&path0)?)?;
+                header_line = stamp(&disk_header(&path0)?);
                 let mut segment = 0u32;
                 while run_dir.join(segment_file_name(segment + 1)).exists() {
                     segment += 1;
@@ -391,9 +416,7 @@ impl JournalWriter {
         if st.failed.is_some() {
             return self.write_frame(st, false);
         }
-        st.frame
-            .push(record)
-            .map_err(metric_store::StoreError::Json)?;
+        st.frame.push(record)?;
         let full = st.frame.len() >= FRAME_RECORDS;
         let (seal, sync) = match self.config.sync {
             SyncPolicy::Always => (true, true),
@@ -480,7 +503,7 @@ fn parse_framed(chunk: &[u8]) -> Option<LogRecord> {
     if crc32(json) != stored {
         return None;
     }
-    serde_json::from_slice(json).ok()
+    LogRecord::from_json_bytes(json)
 }
 
 /// Reads a journal (all rotation segments, in order) into a
@@ -537,7 +560,7 @@ pub fn read_journal(run_dir: &Path) -> Result<JournalReplay, ProvMLError> {
                 let parsed = if version == 2 {
                     parse_framed(chunk)
                 } else {
-                    serde_json::from_slice::<LogRecord>(chunk).ok()
+                    LogRecord::from_json_bytes(chunk)
                 };
                 match parsed {
                     Some(record) => apply(record),
@@ -558,7 +581,7 @@ pub fn read_journal(run_dir: &Path) -> Result<JournalReplay, ProvMLError> {
 }
 
 /// What [`recover_detailed`] found in the journal.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryReport {
     /// Complete records replayed.
     pub records: usize,
@@ -1203,10 +1226,10 @@ mod tests {
         let dir = tmp("legacy");
         let mut h = header();
         h.version = 1;
-        let mut content = serde_json::to_string(&h).unwrap();
+        let mut content = h.to_json();
         content.push('\n');
         for i in 0..5u64 {
-            content.push_str(&serde_json::to_string(&metric(i)).unwrap());
+            content.push_str(&metric(i).to_json().unwrap());
             content.push('\n');
         }
         std::fs::write(dir.join(JOURNAL_FILE), content).unwrap();

@@ -18,6 +18,7 @@
 //! the spill's ([`metric_store::codec`]); nothing here is a new codec.
 
 use crate::crc32::crc32;
+use crate::error::ProvMLError;
 use crate::model::{Context, LogRecord};
 use metric_store::codec::{delta, rle, varint, xor};
 use metric_store::StoreError;
@@ -61,7 +62,7 @@ impl Frame {
     }
 
     /// Stages one record. On error nothing was staged.
-    pub(super) fn push(&mut self, record: &LogRecord) -> Result<(), serde_json::Error> {
+    pub(super) fn push(&mut self, record: &LogRecord) -> Result<(), ProvMLError> {
         let LogRecord::Metric {
             name,
             context,
@@ -71,11 +72,7 @@ impl Frame {
             value,
         } = record
         else {
-            let at = self.json.len();
-            if let Err(e) = serde_json::to_writer(&mut self.json, record) {
-                self.json.truncate(at);
-                return Err(e);
-            }
+            self.json.extend_from_slice(record.to_json()?.as_bytes());
             self.json.push(b'\n');
             self.tags.push(0);
             return Ok(());
@@ -315,7 +312,10 @@ fn decode(payload: &[u8]) -> Result<Vec<LogRecord>, StoreError> {
     for &tag in &tags {
         if tag == 0 {
             let line = json.next().ok_or_else(|| corrupt("missing JSON record"))?;
-            records.push(serde_json::from_slice(line).map_err(StoreError::Json)?);
+            records.push(
+                LogRecord::from_json_bytes(line)
+                    .ok_or_else(|| corrupt("unreadable JSON record"))?,
+            );
             continue;
         }
         let series = tag as usize - 1;

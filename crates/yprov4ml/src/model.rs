@@ -1,7 +1,9 @@
 //! The run-level data model (paper Figure 2).
 
-use serde::{Deserialize, Serialize};
+use crate::error::ProvMLError;
+use json::{JsonWriter, Value};
 use std::fmt;
+use std::io::Write;
 use std::path::PathBuf;
 
 /// A stage of the ML process within a run.
@@ -9,7 +11,7 @@ use std::path::PathBuf;
 /// Training and validation are epoch-structured; testing usually runs
 /// once; any further stage (data preparation, export, ...) is a custom
 /// context, matching the paper's "others can be defined by the user".
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Context {
     /// The training loop.
     Training,
@@ -53,7 +55,7 @@ impl fmt::Display for Context {
 ///
 /// Inputs become `used` edges in the provenance graph; outputs become
 /// `wasGeneratedBy` edges (§4's relationship rework).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// The run required this item (dataset, config, pretrained weights).
     Input,
@@ -62,7 +64,7 @@ pub enum Direction {
 }
 
 /// A parameter value: one-time configuration recorded at log time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParamValue {
     /// Floating-point parameter.
     Float(f64),
@@ -142,7 +144,7 @@ impl From<bool> for ParamValue {
 }
 
 /// Metadata of a logged artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArtifactMeta {
     /// Logical name (`model.ckpt`).
     pub name: String,
@@ -161,7 +163,7 @@ pub struct ArtifactMeta {
 }
 
 /// One record flowing from the user API to the collector thread.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
     /// A parameter.
     Param {
@@ -205,8 +207,215 @@ pub enum LogRecord {
     },
 }
 
+// The journal's JSON form of a record: a struct's fields in declaration
+// order, an enum variant as its name (`"Training"`) or, when it carries
+// data, as `{"Name": data}`. Readers give `None` for anything else and
+// ignore members they do not name.
+
+impl Context {
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        match self {
+            Context::Training => w.str("Training"),
+            Context::Validation => w.str("Validation"),
+            Context::Testing => w.str("Testing"),
+            Context::Custom(name) => w.object(|w| {
+                w.field("Custom").str(name);
+            }),
+        }
+    }
+
+    fn from_json(v: &Value) -> Option<Context> {
+        Some(match v {
+            Value::String(s) => match s.as_str() {
+                "Training" => Context::Training,
+                "Validation" => Context::Validation,
+                "Testing" => Context::Testing,
+                _ => return None,
+            },
+            tagged => match tagged.as_variant()? {
+                ("Custom", name) => Context::Custom(name.as_str()?.to_string()),
+                _ => return None,
+            },
+        })
+    }
+}
+
+impl Direction {
+    fn name(self) -> &'static str {
+        match self {
+            Direction::Input => "Input",
+            Direction::Output => "Output",
+        }
+    }
+
+    fn from_json(v: &Value) -> Option<Direction> {
+        match v.as_str()? {
+            "Input" => Some(Direction::Input),
+            "Output" => Some(Direction::Output),
+            _ => None,
+        }
+    }
+}
+
+impl ParamValue {
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        w.object(|w| match self {
+            ParamValue::Float(v) => w.field("Float").f64(*v),
+            ParamValue::Int(v) => w.field("Int").i64(*v),
+            ParamValue::Text(s) => w.field("Text").str(s),
+            ParamValue::Bool(b) => w.field("Bool").bool(*b),
+        })
+    }
+
+    fn from_json(v: &Value) -> Option<ParamValue> {
+        Some(match v.as_variant()? {
+            ("Float", x) => ParamValue::Float(x.as_f64()?),
+            ("Int", x) => ParamValue::Int(x.as_i64()?),
+            ("Text", x) => ParamValue::Text(x.as_str()?.to_string()),
+            ("Bool", x) => ParamValue::Bool(x.as_bool()?),
+            _ => return None,
+        })
+    }
+}
+
+impl ArtifactMeta {
+    /// `stored_path` must be UTF-8 ([`LogRecord::to_json`] checks).
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        w.object(|w| {
+            w.field("name").str(&self.name);
+            w.field("stored_path")
+                .str(&self.stored_path.to_string_lossy());
+            w.field("sha256").str(&self.sha256);
+            w.field("bytes").u64(self.bytes);
+            w.field("direction").str(self.direction.name());
+            w.field("context");
+            match &self.context {
+                Some(context) => context.write_json(w),
+                None => w.null(),
+            }
+            w.field("logged_at_us").i64(self.logged_at_us);
+        })
+    }
+
+    fn from_json(v: &Value) -> Option<ArtifactMeta> {
+        Some(ArtifactMeta {
+            name: v.get("name")?.as_str()?.to_string(),
+            stored_path: PathBuf::from(v.get("stored_path")?.as_str()?),
+            sha256: v.get("sha256")?.as_str()?.to_string(),
+            bytes: v.get("bytes")?.as_u64()?,
+            direction: Direction::from_json(v.get("direction")?)?,
+            context: match v.get("context") {
+                None | Some(Value::Null) => None,
+                Some(context) => Some(Context::from_json(context)?),
+            },
+            logged_at_us: v.get("logged_at_us")?.as_i64()?,
+        })
+    }
+}
+
+impl LogRecord {
+    /// The record as one line of compact JSON; an error for an artifact
+    /// whose stored path is not UTF-8, which JSON cannot carry.
+    pub(crate) fn to_json(&self) -> Result<String, ProvMLError> {
+        if let LogRecord::Artifact(meta) = self {
+            if meta.stored_path.to_str().is_none() {
+                return Err(ProvMLError::Journal(format!(
+                    "artifact path {} is not UTF-8",
+                    meta.stored_path.display()
+                )));
+            }
+        }
+        Ok(json::to_string(|w| {
+            w.object(|w| match self {
+                LogRecord::Param {
+                    name,
+                    value,
+                    direction,
+                } => {
+                    w.field("Param");
+                    w.object(|w| {
+                        w.field("name").str(name);
+                        w.field("value");
+                        value.write_json(w);
+                        w.field("direction").str(direction.name());
+                    });
+                }
+                LogRecord::Metric {
+                    name,
+                    context,
+                    step,
+                    epoch,
+                    time_us,
+                    value,
+                } => {
+                    w.field("Metric");
+                    w.object(|w| {
+                        w.field("name").str(name);
+                        w.field("context");
+                        context.write_json(w);
+                        w.field("step").u64(*step);
+                        w.field("epoch").u64((*epoch).into());
+                        w.field("time_us").i64(*time_us);
+                        w.field("value").f64(*value);
+                    });
+                }
+                LogRecord::Artifact(meta) => {
+                    w.field("Artifact");
+                    meta.write_json(w);
+                }
+                LogRecord::ContextStart { context, time_us }
+                | LogRecord::ContextEnd { context, time_us } => {
+                    let start = matches!(self, LogRecord::ContextStart { .. });
+                    w.field(if start { "ContextStart" } else { "ContextEnd" });
+                    w.object(|w| {
+                        w.field("context");
+                        context.write_json(w);
+                        w.field("time_us").i64(*time_us);
+                    });
+                }
+            })
+        }))
+    }
+
+    /// Reads what [`LogRecord::to_json`] writes.
+    pub(crate) fn from_json(v: &Value) -> Option<LogRecord> {
+        let (tag, body) = v.as_variant()?;
+        let field = |name: &str| body.get(name);
+        Some(match tag {
+            "Param" => LogRecord::Param {
+                name: field("name")?.as_str()?.to_string(),
+                value: ParamValue::from_json(field("value")?)?,
+                direction: Direction::from_json(field("direction")?)?,
+            },
+            "Metric" => LogRecord::Metric {
+                name: field("name")?.as_str()?.to_string(),
+                context: Context::from_json(field("context")?)?,
+                step: field("step")?.as_u64()?,
+                epoch: u32::try_from(field("epoch")?.as_u64()?).ok()?,
+                time_us: field("time_us")?.as_i64()?,
+                value: field("value")?.as_f64()?,
+            },
+            "Artifact" => LogRecord::Artifact(ArtifactMeta::from_json(body)?),
+            "ContextStart" => LogRecord::ContextStart {
+                context: Context::from_json(field("context")?)?,
+                time_us: field("time_us")?.as_i64()?,
+            },
+            "ContextEnd" => LogRecord::ContextEnd {
+                context: Context::from_json(field("context")?)?,
+                time_us: field("time_us")?.as_i64()?,
+            },
+            _ => return None,
+        })
+    }
+
+    /// Reads one record from JSON bytes.
+    pub(crate) fn from_json_bytes(bytes: &[u8]) -> Option<LogRecord> {
+        LogRecord::from_json(&json::parse_bytes(bytes).ok()?)
+    }
+}
+
 /// Lifecycle state of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunStatus {
     /// Accepting log records.
     Active,

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let json = std::fs::read_to_string(experiment.dir().join(&name).join("prov.json"))?;
         let (status, body) = request(addr, "POST", "/api/v0/documents", Some(&json))?;
         assert_eq!(status, 201, "{body}");
-        let v: serde_json::Value = serde_json::from_str(&body)?;
+        let v: json::Value = json::parse(&body)?;
         let id = v["id"].as_str().unwrap().to_string();
         println!("uploaded {name} as {id}");
         ids.push((name, id));
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     assert_eq!(status, 200, "{body}");
     println!("\nlineage of {focus}:");
-    let v: serde_json::Value = serde_json::from_str(&body)?;
+    let v: json::Value = json::parse(&body)?;
     for a in v["ancestors"].as_array().unwrap() {
         println!("  <- {}", a.as_str().unwrap());
     }

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Fails when a response or document writer builds a `serde_json::Value`
-# tree (or goes through serde's `Serialize`) instead of writing bytes
-# through `prov_model::json_write`. Checked: the non-test code (every line
-# before the first `#[cfg(test)]`) of the PROV-JSON writer and of the
-# service's document, query and ops routes and error bodies. A hit is a
-# line naming `serde_json::Value`, `json!`, `serde::Serialize` or
-# `serde::ser`, comments stripped.
+# Fails when a response or document writer builds a `json::Value` tree
+# instead of writing bytes through `json::JsonWriter`. Checked: the
+# non-test code (every line before the first `#[cfg(test)]`) of the
+# PROV-JSON writer and of the service's document, query and ops routes
+# and error bodies. A hit is a line naming `json::Value` or `json::Map`,
+# importing either (`use json::{..., Value}`), or building a `json!`
+# tree, comments stripped.
 #
 # Reading JSON is not this guard's business: a line that parses a request
 # body says so with a trailing `// reads JSON` and is skipped.
@@ -26,21 +26,23 @@ scan='
   /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
   in_tests || /\/\/ reads JSON[[:space:]]*$/ { next }
   { code = $0; sub(/\/\/.*/, "", code) }
-  code ~ /serde_json::Value|json!|serde::Serialize|serde::ser([^A-Za-z_]|$)/ {
+  code ~ /json!|json::(Value|Map)([^A-Za-z_]|$)|json::\{[^}]*(Value|Map)/ {
     printf "%s:%d:%s\n", FILENAME, FNR, $0
   }'
 
 # Self-check: the scan must see each spelling, skip comments, marked
-# reads and test code.
+# reads, test code and names that only start like a tree's.
 sample=$(mktemp)
 trap 'rm -f "$sample"' EXIT
 cat >"$sample" <<'EOF'
 let v = json!({"a": 1});
-let t: serde_json::Value = tree();
-use serde::Serialize;
-use serde::ser::SerializeMap;
-// a comment may say json! and serde_json::Value
-let v: serde_json::Value = serde_json::from_str(text)?; // reads JSON
+let t: json::Value = tree();
+use json::{json, JsonWriter, Value};
+let m = json::Map::new();
+let w = json::JsonWriter::in_memory(false);
+let s = prov_model::json::value_to_json(&v);
+// a comment may say json! and json::Value
+let v: json::Value = json::parse(text)?; // reads JSON
 #[cfg(test)]
 let v = json!({"b": 2});
 EOF
@@ -49,7 +51,7 @@ awk "$scan" "$sample" | wc -l | grep -qx 4 || { echo "scan missed or over-matche
 hits=$(awk "$scan" "${files[@]}")
 
 if [ -n "$hits" ]; then
-  echo "a JSON writer builds a Value tree or uses serde's Serialize (write through prov_model::json_write):" >&2
+  echo "a JSON writer builds a Value tree (write through json::JsonWriter):" >&2
   echo "$hits" >&2
   exit 1
 fi
