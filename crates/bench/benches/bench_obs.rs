@@ -64,7 +64,6 @@ fn bench_scrape_tick(ticks: u64, series: usize) -> json::Value {
             1e12,
             5.0,
         )],
-        ..OpsConfig::default()
     };
 
     let enabled_reg = populated_registry(series);

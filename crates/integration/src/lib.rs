@@ -233,6 +233,22 @@ pub fn simulate_streaming_to_service(
     }
 }
 
+/// Runs a service test once per store backend: in memory, then durable.
+/// Each pass gets a directory of its own under `base` (`memory/` and
+/// `durable/`, the durable store in its `store/`).
+pub fn for_each_store(
+    base: &std::path::Path,
+    test: impl Fn(yprov_service::DocumentStore, &std::path::Path),
+) {
+    eprintln!("over the memory store");
+    test(yprov_service::DocumentStore::new(), &base.join("memory"));
+    eprintln!("over the durable store");
+    let dir = base.join("durable");
+    let store =
+        yprov_service::DocumentStore::persistent(dir.join("store")).expect("open a durable store");
+    test(store, &dir);
+}
+
 /// Reconstructs a runnable [`SimConfig`] from a run's provenance
 /// document — the paper's reproducibility goal ("reproducing an
 /// experiment by simply sharing a provJSON file would become trivial").

@@ -184,7 +184,6 @@ fn alert_rules_walk_pending_firing_resolved_under_a_virtual_clock() {
                     0.5,
                     2.0,
                 )],
-                ..OpsConfig::default()
             },
             ..ServerConfig::default()
         },

@@ -2,8 +2,9 @@
 //! train-sim run whose provenance leaks the test split into training,
 //! audited over real HTTP; a cross-run join
 //! through shared artifact digests; and the same queries through the
-//! failover-aware [`ClusterClient`]. The store backend follows
-//! `YPROV_TEST_BACKEND` like the rest of the suite.
+//! failover-aware [`ClusterClient`]. The single-node audits run over
+//! the in-memory and the durable store; the cluster's nodes are
+//! durable.
 
 use integration::simulate_with_provenance;
 use std::net::{SocketAddr, TcpListener};
@@ -16,13 +17,6 @@ use yprov4ml::Experiment;
 use yprov_service::client::{Client, RetryPolicy};
 use yprov_service::http::request;
 use yprov_service::{ClusterClient, ClusterConfig, DocumentStore, NodeSpec, Server, ServerConfig};
-
-fn store_for_test(dir: &std::path::Path) -> DocumentStore {
-    match std::env::var("YPROV_TEST_BACKEND").as_deref() {
-        Ok("durable") => DocumentStore::persistent(dir).unwrap(),
-        _ => DocumentStore::new(),
-    }
-}
 
 fn policy() -> RetryPolicy {
     RetryPolicy {
@@ -100,88 +94,89 @@ fn train_sim_leakage_is_audited_end_to_end() {
     std::fs::remove_dir_all(&base).ok();
     let (leaky_json, clean_json) = produce_runs(&base);
 
-    let store = store_for_test(&base.join("store"));
-    let server = Server::bind("127.0.0.1:0", store, ServerConfig::default()).unwrap();
-    let addr = server.addr();
+    integration::for_each_store(&base, |store, _| {
+        let server = Server::bind("127.0.0.1:0", store, ServerConfig::default()).unwrap();
+        let addr = server.addr();
 
-    let client = Client::new(addr, policy());
-    let leaky = doc_id(&client.upload_document(&leaky_json).unwrap().body);
-    let clean = doc_id(&client.upload_document(&clean_json).unwrap().body);
+        let client = Client::new(addr, policy());
+        let leaky = doc_id(&client.upload_document(&leaky_json).unwrap().body);
+        let clean = doc_id(&client.upload_document(&clean_json).unwrap().body);
 
-    // Audit 1 — data leakage. The default filters catch the test
-    // split feeding the training activity; the clean run passes.
-    let (status, v) = post_query(addr, &leaky, r#"{"audit": "leakage", "render": "dot"}"#);
-    assert_eq!(status, 200, "{v}");
-    assert_eq!(v["clean"], false, "{v}");
-    assert_eq!(
-        v["leaks"][0]["start"],
-        "exp:train-a/artifact/test_split.bin"
-    );
-    assert_eq!(v["leaks"][0]["end"], "exp:train-a");
-    assert!(v["dot"].as_str().unwrap().contains("digraph"));
-    let (status, v) = post_query(addr, &clean, r#"{"audit": "leakage"}"#);
-    assert_eq!(status, 200);
-    assert_eq!(v["clean"], true, "{v}");
-    assert_eq!(v["test_artifacts"], 0);
+        // Audit 1 — data leakage. The default filters catch the test
+        // split feeding the training activity; the clean run passes.
+        let (status, v) = post_query(addr, &leaky, r#"{"audit": "leakage", "render": "dot"}"#);
+        assert_eq!(status, 200, "{v}");
+        assert_eq!(v["clean"], false, "{v}");
+        assert_eq!(
+            v["leaks"][0]["start"],
+            "exp:train-a/artifact/test_split.bin"
+        );
+        assert_eq!(v["leaks"][0]["end"], "exp:train-a");
+        assert!(v["dot"].as_str().unwrap().contains("digraph"));
+        let (status, v) = post_query(addr, &clean, r#"{"audit": "leakage"}"#);
+        assert_eq!(status, 200);
+        assert_eq!(v["clean"], true, "{v}");
+        assert_eq!(v["test_artifacts"], 0);
 
-    // Audit 2 — GDPR membership: the corpus is in the model's
-    // provenance closure; the reverse direction is not membership.
-    let body = r#"{"audit": "gdpr",
-        "sample": "exp:train-a/artifact/corpus.bin",
-        "model": "exp:train-a/artifact/model.ckpt"}"#;
-    let (status, v) = post_query(addr, &leaky, body);
-    assert_eq!(status, 200, "{v}");
-    assert_eq!(v["trained_on"], true, "{v}");
-    let path = v["path"].as_array().unwrap();
-    assert_eq!(path.first().unwrap(), "exp:train-a/artifact/corpus.bin");
-    assert_eq!(path.last().unwrap(), "exp:train-a/artifact/model.ckpt");
-    let body = r#"{"audit": "gdpr",
-        "sample": "exp:train-a/artifact/model.ckpt",
-        "model": "exp:train-a/artifact/corpus.bin"}"#;
-    let (status, v) = post_query(addr, &leaky, body);
-    assert_eq!(status, 200);
-    assert_eq!(v["trained_on"], false, "{v}");
+        // Audit 2 — GDPR membership: the corpus is in the model's
+        // provenance closure; the reverse direction is not membership.
+        let body = r#"{"audit": "gdpr",
+            "sample": "exp:train-a/artifact/corpus.bin",
+            "model": "exp:train-a/artifact/model.ckpt"}"#;
+        let (status, v) = post_query(addr, &leaky, body);
+        assert_eq!(status, 200, "{v}");
+        assert_eq!(v["trained_on"], true, "{v}");
+        let path = v["path"].as_array().unwrap();
+        assert_eq!(path.first().unwrap(), "exp:train-a/artifact/corpus.bin");
+        assert_eq!(path.last().unwrap(), "exp:train-a/artifact/model.ckpt");
+        let body = r#"{"audit": "gdpr",
+            "sample": "exp:train-a/artifact/model.ckpt",
+            "model": "exp:train-a/artifact/corpus.bin"}"#;
+        let (status, v) = post_query(addr, &leaky, body);
+        assert_eq!(status, 200);
+        assert_eq!(v["trained_on"], false, "{v}");
 
-    // Audit 3 — group fairness over a run whose samples carry
-    // yprov4ml:group attributes.
-    let fairness_doc = fairness_doc_json();
-    let fid = doc_id(&client.upload_document(&fairness_doc).unwrap().body);
-    let (status, v) = post_query(addr, &fid, r#"{"audit": "fairness", "model": "exp:model"}"#);
-    assert_eq!(status, 200, "{v}");
-    assert_eq!(v["groups"]["a"], 2, "{v}");
-    assert_eq!(v["groups"]["b"], 1);
-    assert_eq!(v["total"], 3);
-    assert_eq!(v["balance"], 0.5);
+        // Audit 3 — group fairness over a run whose samples carry
+        // yprov4ml:group attributes.
+        let fairness_doc = fairness_doc_json();
+        let fid = doc_id(&client.upload_document(&fairness_doc).unwrap().body);
+        let (status, v) = post_query(addr, &fid, r#"{"audit": "fairness", "model": "exp:model"}"#);
+        assert_eq!(status, 200, "{v}");
+        assert_eq!(v["groups"]["a"], 2, "{v}");
+        assert_eq!(v["groups"]["b"], 1);
+        assert_eq!(v["total"], 3);
+        assert_eq!(v["balance"], 0.5);
 
-    // Cross-run join: the shared corpus digest links both runs.
-    let body = format!(r#"{{"audit": "join", "docs": ["{clean}"]}}"#);
-    let (status, v) = post_query(addr, &leaky, &body);
-    assert_eq!(status, 200, "{v}");
-    assert!(v["shared_count"].as_u64().unwrap() >= 1, "{v}");
-    let shared = v["joined"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .find(|j| j["shared"] == true)
-        .expect("corpus digest is shared");
-    let artifacts = shared["artifacts"].as_array().unwrap();
-    assert_eq!(artifacts.len(), 2, "{v}");
-    let consumers = shared["consumers"].as_array().unwrap();
-    assert_eq!(consumers.len(), 2, "both runs consumed the corpus");
+        // Cross-run join: the shared corpus digest links both runs.
+        let body = format!(r#"{{"audit": "join", "docs": ["{clean}"]}}"#);
+        let (status, v) = post_query(addr, &leaky, &body);
+        assert_eq!(status, 200, "{v}");
+        assert!(v["shared_count"].as_u64().unwrap() >= 1, "{v}");
+        let shared = v["joined"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|j| j["shared"] == true)
+            .expect("corpus digest is shared");
+        let artifacts = shared["artifacts"].as_array().unwrap();
+        assert_eq!(artifacts.len(), 2, "{v}");
+        let consumers = shared["consumers"].as_array().unwrap();
+        assert_eq!(consumers.len(), 2, "both runs consumed the corpus");
 
-    // A raw path query runs over the same endpoint: the model's
-    // full provenance closure includes the leaked test split.
-    let body = r#"{"query": {
-        "start": {"id": "exp:train-a/artifact/model.ckpt"},
-        "steps": [{"dir": "forward", "repeat": "+",
-                   "target": {"idContains": "test_split"}}]
-    }}"#;
-    let (status, v) = post_query(addr, &leaky, body);
-    assert_eq!(status, 200, "{v}");
-    assert_eq!(v["row_count"], 1, "{v}");
-    assert_eq!(v["rows"][0]["end"], "exp:train-a/artifact/test_split.bin");
+        // A raw path query runs over the same endpoint: the model's
+        // full provenance closure includes the leaked test split.
+        let body = r#"{"query": {
+            "start": {"id": "exp:train-a/artifact/model.ckpt"},
+            "steps": [{"dir": "forward", "repeat": "+",
+                       "target": {"idContains": "test_split"}}]
+        }}"#;
+        let (status, v) = post_query(addr, &leaky, body);
+        assert_eq!(status, 200, "{v}");
+        assert_eq!(v["row_count"], 1, "{v}");
+        assert_eq!(v["rows"][0]["end"], "exp:train-a/artifact/test_split.bin");
 
-    server.shutdown();
+        server.shutdown();
+    });
     std::fs::remove_dir_all(&base).ok();
 }
 

@@ -20,7 +20,7 @@ use crate::error::ServiceError;
 use crate::sync::lock;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -156,21 +156,6 @@ impl StorageBackend for MemoryBackend {
 // Durable backend
 // ---------------------------------------------------------------------------
 
-/// Directory fsync, so renames and fresh file names survive power
-/// loss. A filesystem that cannot fsync a directory (the call fails with
-/// `InvalidInput` or `Unsupported`) makes this a no-op; any other
-/// failure, the directory being gone included, is the caller's error.
-/// It opens the directory as a file, as Unix allows; a platform that
-/// refuses that (Windows: `PermissionDenied`) is not supported.
-fn sync_dir(dir: &Path) -> Result<(), ServiceError> {
-    match File::open(dir).and_then(|d| d.sync_all()) {
-        Err(e) if !matches!(e.kind(), ErrorKind::InvalidInput | ErrorKind::Unsupported) => {
-            Err(ServiceError::io(format!("fsync {}", dir.display()), e))
-        }
-        _ => Ok(()),
-    }
-}
-
 /// One chain's append handle.
 struct ChainFile {
     file: File,
@@ -234,6 +219,13 @@ impl DurableBackend {
     /// Whether a write is fsynced as it is made, not at `flush()`.
     fn fsync_each_write(&self) -> bool {
         !matches!(self.sync, SyncPolicy::OnFlush)
+    }
+
+    /// Fsyncs the backing directory, under
+    /// [`yprov4ml::journal::sync_dir`]'s rule.
+    fn sync_dir(&self) -> Result<(), ServiceError> {
+        yprov4ml::journal::sync_dir(&self.dir)
+            .map_err(|e| ServiceError::io(format!("fsync {}", self.dir.display()), e))
     }
 
     fn fsync(&self, file: &File, path: &Path) -> Result<(), ServiceError> {
@@ -301,7 +293,7 @@ impl StorageBackend for DurableBackend {
         std::fs::rename(&tmp, &path)
             .map_err(|e| ServiceError::io(format!("rename into {}", path.display()), e))?;
         if self.fsync_each_write() {
-            sync_dir(&self.dir)?;
+            self.sync_dir()?;
         }
         Ok(())
     }
@@ -372,7 +364,7 @@ impl StorageBackend for DurableBackend {
                 .map_err(|e| ServiceError::io(format!("open {}", path.display()), e))?;
             if created {
                 // The chain's name must survive a power loss its lines do.
-                sync_dir(&self.dir)?;
+                self.sync_dir()?;
             }
             let dirty = false;
             chains.insert(chain.clone(), ChainFile { file, path, dirty });
@@ -450,7 +442,7 @@ impl StorageBackend for DurableBackend {
             self.fsync(&chain.file, &chain.path)?;
             chain.dirty = false;
         }
-        sync_dir(&self.dir)
+        self.sync_dir()
     }
 
     fn ledger_truncations(&self) -> u64 {

@@ -46,6 +46,22 @@ use std::time::Duration;
 /// hostile) server cannot park a client indefinitely.
 pub const MAX_RETRY_AFTER: Duration = Duration::from_secs(30);
 
+/// Percent-encodes a document id for use in a path segment (or a query
+/// value): every byte but the RFC 3986 unreserved set is escaped, so an
+/// id holding `/`, `?`, `%`, `#` or a space reaches its own route.
+pub(crate) fn encode_id(id: &str) -> String {
+    let mut out = String::with_capacity(id.len());
+    for b in id.bytes() {
+        match b {
+            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
+                out.push(b as char)
+            }
+            _ => out.push_str(&format!("%{b:02X}")),
+        }
+    }
+    out
+}
+
 /// splitmix64: the same tiny deterministic generator the simulator's
 /// fault planner uses.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -337,6 +353,7 @@ impl Client {
     /// the body carries `{"id", "version"}` with the post-merge watch
     /// cursor.
     pub fn upload_delta(&self, id: &str, delta_json: &str) -> Result<Response, ClientError> {
+        let id = encode_id(id);
         self.send(
             "POST",
             &format!("/api/v0/documents/{id}/deltas"),
@@ -350,6 +367,7 @@ impl Client {
     /// "fairness" | "join", ...}`, optionally with `"docs"` (joined
     /// documents) and `"render": "dot"`.
     pub fn query(&self, id: &str, body_json: &str) -> Result<Response, ClientError> {
+        let id = encode_id(id);
         self.send(
             "POST",
             &format!("/api/v0/documents/{id}/query"),
@@ -363,6 +381,7 @@ impl Client {
     /// read as a transport failure.
     pub fn watch(&self, id: &str, after: u64, timeout: Duration) -> Result<Response, ClientError> {
         let timeout_ms = timeout.as_millis().min(30_000) as u64;
+        let id = encode_id(id);
         self.send_with_read_timeout(
             "GET",
             &format!("/api/v0/documents/{id}/watch?after={after}&timeout_ms={timeout_ms}"),
@@ -711,6 +730,41 @@ mod tests {
             "woken watch carries the merged document: {}",
             woke.body
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_id_that_needs_escaping_takes_a_delta_a_watch_and_a_query() {
+        let server =
+            Server::bind("127.0.0.1:0", DocumentStore::new(), ServerConfig::default()).unwrap();
+        let client = Client::new(server.addr(), fast_policy());
+        let id = "a b/c?d";
+        let put = client
+            .send(
+                "PUT",
+                "/api/v0/documents/a%20b%2Fc%3Fd",
+                Some(&sample_doc_json()),
+            )
+            .unwrap();
+        assert_eq!(put.status, 201, "{}", put.body);
+
+        let mut delta = prov_model::ProvDocument::new();
+        delta.namespaces_mut().register("ex", "http://ex/").unwrap();
+        delta.entity(prov_model::QName::new("ex", "extra"));
+        let merged = client
+            .upload_delta(id, &delta.to_json_string().unwrap())
+            .unwrap();
+        assert_eq!(merged.status, 200, "{}", merged.body);
+        assert!(merged.body.contains("\"version\":2"), "{}", merged.body);
+
+        let woke = client.watch(id, 1, Duration::from_secs(1)).unwrap();
+        assert_eq!(woke.status, 200, "{}", woke.body);
+        assert!(woke.body.contains("\"changed\":true"), "{}", woke.body);
+        assert!(woke.body.contains("extra"), "{}", woke.body);
+
+        let audit = client.query(id, r#"{"audit": "leakage"}"#).unwrap();
+        assert_eq!(audit.status, 200, "{}", audit.body);
+        assert!(audit.body.contains("\"clean\":true"), "{}", audit.body);
         server.shutdown();
     }
 

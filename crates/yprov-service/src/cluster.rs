@@ -39,7 +39,7 @@
 //! the cluster chaos harness; the handles are shared atomics so a test
 //! can flip them mid-run.
 
-use crate::client::{Client, ClientError, Response, RetryPolicy};
+use crate::client::{encode_id, Client, ClientError, Response, RetryPolicy};
 use crate::error::ServiceError;
 use crate::http::{error_body, error_response};
 use crate::ledger::LedgerEntry;
@@ -817,20 +817,6 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// Percent-encodes a document id for use in a path segment.
-fn encode_id(id: &str) -> String {
-    let mut out = String::with_capacity(id.len());
-    for b in id.bytes() {
-        match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
 /// Single-attempt, short-timeout variant of `policy` for probes and
 /// verification gates, so a dead node costs milliseconds, not a full
 /// retry schedule.
@@ -1020,11 +1006,10 @@ impl ClusterClient {
     /// next replica is always safe. A 400 (the query itself is bad) is
     /// the answer, wherever it comes from.
     pub fn query(&self, id: &str, body_json: &str) -> Result<Response, ClusterError> {
-        let encoded = encode_id(id);
         self.read_any(
             id,
             |status| status == 200 || status == 400,
-            |client| client.query(&encoded, body_json),
+            |client| client.query(id, body_json),
         )
     }
 

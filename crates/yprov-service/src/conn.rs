@@ -2,32 +2,36 @@
 //!
 //! The reactor owns the sockets; this module owns the bytes. Each
 //! connection carries an [`HttpParser`] (an incremental request
-//! decoder: bytes are pushed as they arrive, complete requests come
-//! out, pipelined requests queue up behind each other) and a
+//! decoder: bytes are pushed as they arrive, and each call to
+//! [`HttpParser::next`] takes one complete request out, leaving the
+//! bytes of any request a peer pipelined behind it in the buffer) and a
 //! [`WriteQueue`] (response bytes buffered until the socket will take
 //! them). Neither side ever blocks: the parser works on whatever has
 //! arrived, the queue writes whatever the kernel will accept.
 //!
 //! [`HttpParser`] is the server's only request parser. Its error
-//! taxonomy — 431 for a header section over the byte budget or field
-//! cap (detected *incrementally*, so a flood is rejected before any
-//! terminator arrives), 501 for `Transfer-Encoding: chunked`, 400 for
-//! everything else malformed — is what the robustness tests assert on,
-//! byte for byte.
+//! taxonomy — 431 for a header section over [`MAX_HEADER_BYTES`] or
+//! [`MAX_HEADERS`] (detected *incrementally*, so a flood is rejected
+//! before any terminator arrives), 501 for `Transfer-Encoding: chunked`,
+//! 400 for everything else malformed — is what the robustness tests
+//! assert on, byte for byte.
 
 use crate::http::Request;
 use std::collections::VecDeque;
 use std::io::{self, Write};
+
+/// Maximum total bytes in the request line + header section; a peer
+/// streaming endless headers gets 431 once the budget is spent instead
+/// of growing a connection's buffer without bound.
+pub(crate) const MAX_HEADER_BYTES: usize = 32 * 1024;
+/// Maximum number of header fields (431 beyond it).
+pub(crate) const MAX_HEADERS: usize = 128;
 
 /// Parser limits, lifted from the server config.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Limits {
     /// Maximum accepted request-body size in bytes.
     pub max_body: usize,
-    /// Maximum total bytes in the request line + header section.
-    pub max_header_bytes: usize,
-    /// Maximum number of header fields.
-    pub max_headers: usize,
 }
 
 /// A fully parsed header section, waiting for its body.
@@ -111,12 +115,12 @@ impl HttpParser {
                     }
                     match find_head_end(&self.buf, self.scan) {
                         Some(end) => {
-                            if end > limits.max_header_bytes {
-                                return Err(over_budget(limits));
+                            if end > MAX_HEADER_BYTES {
+                                return Err(over_budget());
                             }
                             let head_bytes: Vec<u8> = self.buf.drain(..end).collect();
                             self.scan = 0;
-                            let head = parse_head(&head_bytes, limits)?;
+                            let head = parse_head(&head_bytes)?;
                             if head.chunked {
                                 return Err((
                                     501,
@@ -141,14 +145,11 @@ impl HttpParser {
                             // line is still rejected (431) instead of
                             // buffered without bound.
                             let lines = self.buf.iter().filter(|&&b| b == b'\n').count();
-                            if lines.saturating_sub(1) > limits.max_headers {
-                                return Err((
-                                    431,
-                                    format!("more than {} header fields", limits.max_headers),
-                                ));
+                            if lines.saturating_sub(1) > MAX_HEADERS {
+                                return Err(too_many_headers());
                             }
-                            if self.buf.len() >= limits.max_header_bytes {
-                                return Err(over_budget(limits));
+                            if self.buf.len() >= MAX_HEADER_BYTES {
+                                return Err(over_budget());
                             }
                             // Back off two bytes so a terminator split
                             // across reads is still found.
@@ -175,7 +176,7 @@ impl HttpParser {
     /// The peer closed its write side. `None` means the connection
     /// ended cleanly between requests; `Some((status, message))` is the
     /// rejection for a request cut off mid-flight.
-    pub fn finish_eof(&mut self, limits: &Limits) -> Option<(u16, String)> {
+    pub fn finish_eof(&self) -> Option<(u16, String)> {
         match &self.state {
             State::Body(_) => Some((400, "short body: failed to fill whole buffer".to_string())),
             State::Head => {
@@ -191,7 +192,7 @@ impl HttpParser {
                 // A head that ended before its blank line: whatever is
                 // wrong with the lines that did arrive (request line
                 // first, then each header), else the missing blank line.
-                Some(parse_head(&trimmed, limits).err().unwrap_or_else(|| {
+                Some(parse_head(&trimmed).err().unwrap_or_else(|| {
                     (400, "header section ended without a blank line".to_string())
                 }))
             }
@@ -199,11 +200,15 @@ impl HttpParser {
     }
 }
 
-fn over_budget(limits: &Limits) -> (u16, String) {
+fn over_budget() -> (u16, String) {
     (
         431,
-        format!("header section exceeds {} bytes", limits.max_header_bytes),
+        format!("header section exceeds {MAX_HEADER_BYTES} bytes"),
     )
+}
+
+fn too_many_headers() -> (u16, String) {
+    (431, format!("more than {MAX_HEADERS} header fields"))
 }
 
 /// Finds the end of the header section (the byte *after* the blank
@@ -227,7 +232,7 @@ fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
 
 /// Parses a header section (request line through blank line, or as far
 /// as it got when the peer closed early).
-fn parse_head(head: &[u8], limits: &Limits) -> Result<Head, (u16, String)> {
+fn parse_head(head: &[u8]) -> Result<Head, (u16, String)> {
     fn utf8(line: &[u8]) -> Result<&str, (u16, String)> {
         std::str::from_utf8(line).map_err(|_| {
             (
@@ -264,11 +269,8 @@ fn parse_head(head: &[u8], limits: &Limits) -> Result<Head, (u16, String)> {
             continue;
         }
         header_count += 1;
-        if header_count > limits.max_headers {
-            return Err((
-                431,
-                format!("more than {} header fields", limits.max_headers),
-            ));
+        if header_count > MAX_HEADERS {
+            return Err(too_many_headers());
         }
         if let Some((name, value)) = text.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -377,11 +379,7 @@ mod tests {
     use super::*;
 
     fn limits() -> Limits {
-        Limits {
-            max_body: 1024,
-            max_header_bytes: 512,
-            max_headers: 8,
-        }
+        Limits { max_body: 1024 }
     }
 
     #[test]
@@ -429,7 +427,7 @@ mod tests {
     fn header_field_cap_fires_without_a_terminator() {
         let mut p = HttpParser::new();
         p.push(b"GET / HTTP/1.1\r\n");
-        for i in 0..=limits().max_headers {
+        for i in 0..=MAX_HEADERS {
             p.push(format!("X-{i}: v\r\n").as_bytes());
         }
         let err = p.next(&limits()).unwrap_err();
@@ -441,7 +439,7 @@ mod tests {
     fn header_byte_budget_fires_without_a_terminator() {
         let mut p = HttpParser::new();
         p.push(b"GET / HTTP/1.1\r\nX-Flood: ");
-        p.push(&vec![b'a'; limits().max_header_bytes]);
+        p.push(&vec![b'a'; MAX_HEADER_BYTES]);
         let err = p.next(&limits()).unwrap_err();
         assert_eq!(err.0, 431);
         assert!(err.1.contains("exceeds"), "{}", err.1);
@@ -469,7 +467,7 @@ mod tests {
         let mut p = HttpParser::new();
         p.push(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nhal");
         assert!(p.next(&limits()).unwrap().is_none());
-        let (status, msg) = p.finish_eof(&limits()).unwrap();
+        let (status, msg) = p.finish_eof().unwrap();
         assert_eq!(status, 400);
         assert!(msg.starts_with("short body"), "{msg}");
     }
@@ -479,11 +477,11 @@ mod tests {
         let mut p = HttpParser::new();
         p.push(b"GET / HTTP/1.1\r\n\r\n");
         assert!(p.next(&limits()).unwrap().is_some());
-        assert!(p.finish_eof(&limits()).is_none());
+        assert!(p.finish_eof().is_none());
         let mut empty = HttpParser::new();
         empty.push(b"\r\n");
         assert!(empty.next(&limits()).unwrap().is_none());
-        assert!(empty.finish_eof(&limits()).is_none());
+        assert!(empty.finish_eof().is_none());
     }
 
     #[test]
@@ -500,7 +498,7 @@ mod tests {
             let mut p = HttpParser::new();
             p.push(raw);
             assert!(p.next(&limits()).unwrap().is_none(), "{want}");
-            let (status, msg) = p.finish_eof(&limits()).unwrap();
+            let (status, msg) = p.finish_eof().unwrap();
             assert_eq!(status, 400, "{msg}");
             assert!(msg.contains(want), "{msg} vs {want}");
         }

@@ -2,12 +2,14 @@
 //!
 //! No frameworks. [`Server`] runs one core: a non-blocking epoll
 //! reactor (see [`crate::reactor`]). One thread multiplexes every
-//! connection, complete requests are dispatched to a worker pool, and
-//! keep-alive/pipelined connections are first-class. Slow peers cost a
-//! buffer instead of a thread.
+//! connection, complete requests are dispatched to a worker pool, and a
+//! keep-alive connection serves one request at a time: its next request
+//! is parsed once the previous response is written, so a pipelining
+//! client is answered in order. Slow peers cost a buffer instead of a
+//! thread.
 //!
 //! The parser (`conn::HttpParser`) is defensive: the header section is
-//! capped in total bytes and field count (431 beyond either limit), and
+//! capped at 32 KiB and 128 fields (431 beyond either limit), and
 //! `Transfer-Encoding: chunked` — which this server does not
 //! implement — is rejected with 501 instead of being silently misread
 //! as an empty body. Path segments are percent-decoded (without the
@@ -73,12 +75,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Maximum accepted request-body size in bytes.
     pub max_body: usize,
-    /// Maximum total bytes in the request line + header section; a peer
-    /// streaming endless headers gets 431 once the budget is spent
-    /// instead of growing a connection's buffer without bound.
-    pub max_header_bytes: usize,
-    /// Maximum number of header fields (431 beyond it).
-    pub max_headers: usize,
     /// Read timeout: a peer that stops sending mid-request gets a 400
     /// after this long instead of holding its connection forever.
     pub read_timeout: Duration,
@@ -99,8 +95,7 @@ pub struct ServerConfig {
     /// Multi-node mode: this node's identity, peers and replication
     /// tunables. `None` (the default) runs a plain single node.
     pub cluster: Option<crate::cluster::ClusterConfig>,
-    /// Ops plane: self-scrape cadence, tsdb tiers, slowlog depth and
-    /// alert rules.
+    /// Ops plane: alert rules and whether the server scrapes itself.
     pub ops: crate::ops::OpsConfig,
 }
 
@@ -109,8 +104,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             max_body: 256 * 1024 * 1024,
-            max_header_bytes: 32 * 1024,
-            max_headers: 128,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             queue_depth: 64,
@@ -224,7 +217,6 @@ impl Server {
         // ticks; tests that need determinism turn `self_scrape` off and
         // call `Ops::tick` with a virtual clock instead.
         let (scraper_stop, scraper_thread) = if config.ops.self_scrape {
-            let interval = config.ops.scrape_interval.max(Duration::from_millis(10));
             let (tx, rx) = channel::<()>();
             let state = Arc::clone(&state);
             let thread = std::thread::Builder::new()
@@ -237,7 +229,7 @@ impl Server {
                     state
                         .ops
                         .tick(now_s, &[&state.registry, state.store.registry()]);
-                    match rx.recv_timeout(interval) {
+                    match rx.recv_timeout(crate::ops::SCRAPE_INTERVAL) {
                         Err(RecvTimeoutError::Timeout) => continue,
                         _ => break, // stop signal or sender dropped
                     }
@@ -1030,7 +1022,7 @@ mod tests {
         // line: the server consumes every byte sent before rejecting,
         // so the close is clean and the 431 always arrives.
         let mut flood = String::from("GET /healthz HTTP/1.1\r\n");
-        for i in 0..=ServerConfig::default().max_headers {
+        for i in 0..=crate::conn::MAX_HEADERS {
             flood.push_str(&format!("X-{i}: v\r\n"));
         }
         let resp = raw_request(server.addr(), flood.as_bytes());

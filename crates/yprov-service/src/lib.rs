@@ -19,8 +19,8 @@
 //! * [`http`] — a from-scratch HTTP/1.1 server serving the yProv-style
 //!   endpoints (`/api/v0/documents`, `/api/v0/documents/{id}`,
 //!   `.../subgraph`, `.../ancestors`, `.../stats`) from one route
-//!   table, on an epoll event loop (keep-alive, pipelining, watermark
-//!   load shedding, graceful drain);
+//!   table, on an epoll event loop (keep-alive with one request per
+//!   connection at a time, watermark load shedding, graceful drain);
 //! * [`client`] — a blocking client with deterministic exponential
 //!   backoff for transient failures (connection refused, 502/503/504),
 //!   honoring server-supplied `Retry-After` schedules;

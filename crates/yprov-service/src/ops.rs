@@ -3,7 +3,7 @@
 //!
 //! A server owns one [`Ops`] handle. A scraper thread (spawned by
 //! `Server::bind` unless [`OpsConfig::self_scrape`] is off) snapshots
-//! the server's and the store's registries on each cadence tick, feeds
+//! the server's and the store's registries once a second, feeds
 //! the merged snapshot to the tsdb, and evaluates the alert rules
 //! against the freshly recorded series. The HTTP surface
 //! (`/api/v0/obs/*`) renders what this module exposes:
@@ -31,15 +31,18 @@ use obs::{Registry, Snapshot};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Self-scrape cadence. The tsdb keeps its default tiers
+/// ([`TsdbConfig::default`]).
+pub(crate) const SCRAPE_INTERVAL: Duration = Duration::from_secs(1);
+/// Slowlog entries kept per route (slowest + erroring each).
+const SLOWLOG_PER_ROUTE: usize = 8;
+/// How stale a series may be and still satisfy an alert lookup: two
+/// scrape intervals, so one missed tick does not flap rules.
+const ALERT_STALENESS_S: f64 = 2.0 * SCRAPE_INTERVAL.as_secs_f64();
+
 /// Ops-plane tunables, carried inside `ServerConfig`.
 #[derive(Debug, Clone)]
 pub struct OpsConfig {
-    /// Self-scrape cadence.
-    pub scrape_interval: Duration,
-    /// Tsdb downsampling tiers.
-    pub tsdb: TsdbConfig,
-    /// Slowlog entries kept per route (slowest + erroring each).
-    pub slowlog_per_route: usize,
     /// Declarative alert rules evaluated on every scrape tick.
     pub alert_rules: Vec<AlertRule>,
     /// Spawn the scraper thread. Turn off to drive ticks manually
@@ -50,9 +53,6 @@ pub struct OpsConfig {
 impl Default for OpsConfig {
     fn default() -> Self {
         OpsConfig {
-            scrape_interval: Duration::from_secs(1),
-            tsdb: TsdbConfig::default(),
-            slowlog_per_route: 8,
             alert_rules: Vec::new(),
             self_scrape: true,
         }
@@ -64,9 +64,6 @@ pub struct Ops {
     tsdb: Tsdb,
     alerts: Arc<AlertSet>,
     slowlog: SlowLog,
-    /// How stale a series may be and still satisfy an alert lookup:
-    /// two scrape intervals, so one missed tick does not flap rules.
-    alert_staleness_s: f64,
 }
 
 impl Ops {
@@ -78,10 +75,9 @@ impl Ops {
         alerts.export_to(registry);
         obs::alerts::set_global(Arc::clone(&alerts));
         Arc::new(Ops {
-            tsdb: Tsdb::new(cfg.tsdb.clone()),
+            tsdb: Tsdb::new(TsdbConfig::default()),
             alerts,
-            slowlog: SlowLog::new(cfg.slowlog_per_route),
-            alert_staleness_s: cfg.scrape_interval.as_secs_f64().max(0.001) * 2.0,
+            slowlog: SlowLog::new(SLOWLOG_PER_ROUTE),
         })
     }
 
@@ -110,9 +106,9 @@ impl Ops {
             merged.histograms.extend(snap.histograms);
         }
         self.tsdb.tick(now_s, &merged);
-        let staleness = self.alert_staleness_s;
-        self.alerts
-            .evaluate(now_s, |metric| self.tsdb.latest(metric, now_s, staleness));
+        self.alerts.evaluate(now_s, |metric| {
+            self.tsdb.latest(metric, now_s, ALERT_STALENESS_S)
+        });
     }
 
     /// The `/api/v0/obs/alerts` body.
@@ -354,7 +350,6 @@ mod tests {
                 0.0,
             )],
             self_scrape: false,
-            ..OpsConfig::default()
         };
         let ops = Ops::new(&cfg, &server_reg);
         let c = server_reg.counter("requests_total");

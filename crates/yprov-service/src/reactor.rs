@@ -11,8 +11,13 @@
 //!
 //! What the event loop buys over a thread per connection:
 //!
-//! * **Keep-alive + pipelining** — a connection outlives its request;
-//!   queued requests on one socket are answered in order.
+//! * **Keep-alive, one request at a time** — a connection outlives its
+//!   request, and its next request is parsed only when it owes nothing:
+//!   no request with a worker, no response bytes queued. A pipelining
+//!   peer's later requests wait in the parser buffer or the kernel's
+//!   socket buffer (`EPOLLIN` is armed only while the connection is
+//!   idle), so responses leave in request order by construction and a
+//!   connection holds at most one request and one response.
 //! * **Slow peers cost a buffer, not a thread** — a slowloris trickling
 //!   header bytes holds one [`Conn`] until the read timeout, while
 //!   every worker keeps serving.
@@ -33,7 +38,6 @@ use crate::http::{self, error_body, Request, ServerConfig, ServerState};
 use crate::routes;
 use crate::slowlog::SlowEntry;
 use crate::sync::lock;
-use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -199,13 +203,6 @@ impl Waker {
 const TOK_LISTENER: u64 = u64::MAX;
 const TOK_WAKER: u64 = u64::MAX - 1;
 
-/// Per-connection pipelining cap: beyond this many queued requests the
-/// reactor stops reading the socket until responses drain.
-const MAX_PIPELINED: usize = 64;
-/// Per-connection write-buffer high watermark: beyond this the reactor
-/// stops reading new requests from that socket (backpressure, not a
-/// shed — the peer is answered as fast as it reads).
-const PAUSE_WRITE_BYTES: usize = 256 * 1024;
 /// Fairness: bytes read from one socket per readiness event before
 /// yielding to the rest (level-triggered epoll re-arms).
 const READ_SLICE_BYTES: usize = 256 * 1024;
@@ -215,6 +212,10 @@ const MAX_QUEUED_BYTES: usize = 64 * 1024 * 1024;
 /// A stop drains in-flight connections for at most this long before
 /// force-closing the stragglers.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+/// The body of every 503 a watermark sheds.
+const SHED_MESSAGE: &str = "server overloaded, retry later";
+/// The 400 for a request not completed within `read_timeout`.
+const TIMED_OUT: &str = "read error: request timed out";
 
 /// One parsed request on its way to a worker.
 struct Job {
@@ -229,7 +230,6 @@ struct Completion {
     status: u16,
     content_type: &'static str,
     body: String,
-    keep_alive: bool,
 }
 
 /// A running core, held by the `Server`.
@@ -277,8 +277,6 @@ pub(crate) fn spawn(
     let slots = cfg.workers.max(1) + cfg.queue_depth;
     let limits = Limits {
         max_body: cfg.max_body,
-        max_header_bytes: cfg.max_header_bytes,
-        max_headers: cfg.max_headers,
     };
     let registry = &state.registry;
     let open_gauge = registry.gauge("server_connections_open");
@@ -385,7 +383,6 @@ fn worker(rx: &Mutex<Receiver<Job>>, tx: Sender<Completion>, waker: Waker, state
                 status,
                 content_type,
                 body,
-                keep_alive: request.keep_alive,
             })
             .is_err()
         {
@@ -399,20 +396,14 @@ fn worker(rx: &Mutex<Receiver<Job>>, tx: Sender<Completion>, waker: Waker, state
 struct Conn {
     stream: TcpStream,
     gen: u32,
+    /// Bytes read and not yet parsed: at most the rest of the request
+    /// being read, or requests a pipelining peer sent ahead.
     parser: HttpParser,
     write_q: WriteQueue,
-    /// Parsed requests awaiting dispatch (pipelining), with arrival
-    /// times for the latency histogram.
-    pending: VecDeque<(Request, Instant)>,
-    /// A request of this connection is with a worker.
+    /// This connection's one request is with a worker.
     in_flight: bool,
     /// Registered epoll interest bits.
     interest: u32,
-    /// Reading paused for backpressure; resumes when buffers drain.
-    paused: bool,
-    /// No further reads, ever (final request seen, error pending, or
-    /// draining).
-    stop_reading: bool,
     /// Close as soon as the write queue drains, regardless of state.
     error_close: bool,
     /// Shed at accept: what the peer sends is read and thrown away,
@@ -422,12 +413,8 @@ struct Conn {
     /// this instant; it stays open, discarding input, until the peer
     /// closes or `write_timeout` passes.
     lingering: Option<Instant>,
-    /// A parse rejection waiting for earlier pipelined responses to
-    /// finish: queueing it immediately would let the error jump ahead
-    /// of responses still owed, and pipelining clients correlate
-    /// responses strictly by order.
-    deferred_reject: Option<(u16, String)>,
-    /// Close once no request is pending or in flight.
+    /// Close once the connection owes nothing (final request seen, or
+    /// draining).
     close_when_idle: bool,
     eof: bool,
     /// At least one response has completed (keep-alive idle rules).
@@ -445,8 +432,16 @@ impl Conn {
         (u64::from(self.gen) << 32) | idx as u64
     }
 
+    /// Owes the peer nothing: no request with a worker, no response
+    /// bytes queued. Only then is a next request parsed.
     fn idle(&self) -> bool {
-        !self.in_flight && self.pending.is_empty() && self.write_q.is_empty()
+        !self.in_flight && self.write_q.is_empty()
+    }
+
+    /// Idle and expecting another request: the one state in which the
+    /// socket is read.
+    fn may_read(&self) -> bool {
+        self.idle() && !(self.close_when_idle || self.error_close || self.eof)
     }
 }
 
@@ -476,6 +471,8 @@ struct Reactor {
     slots: usize,
     open_gauge: Arc<obs::Gauge>,
     accepted: Arc<obs::Counter>,
+    /// Requests parsed from bytes already buffered when the previous
+    /// response on their connection was queued.
     pipelined: Arc<obs::Counter>,
     /// Busy time of one loop iteration (everything between two epoll
     /// waits) — the event-loop saturation signal.
@@ -578,15 +575,11 @@ impl Reactor {
             gen,
             parser: HttpParser::new(),
             write_q: WriteQueue::new(),
-            pending: VecDeque::new(),
             in_flight: false,
             interest,
-            paused: false,
-            stop_reading: shed,
             error_close: false,
             shed,
             lingering: None,
-            deferred_reject: None,
             close_when_idle: false,
             eof: false,
             served: false,
@@ -627,7 +620,7 @@ impl Reactor {
     fn shed_accept(&mut self, stream: TcpStream) {
         self.count_shed("connections");
         if let Some(idx) = self.register(stream, true) {
-            self.queue_shed_response(idx);
+            self.reject(idx, 503, SHED_MESSAGE);
         }
     }
 
@@ -638,15 +631,14 @@ impl Reactor {
             .inc();
     }
 
-    fn queue_shed_response(&mut self, idx: usize) {
-        let body = error_body("server overloaded, retry later");
-        self.queue_response(idx, 503, routes::JSON, body, false);
+    /// Queues the connection's last response, an error: nothing is read
+    /// after it, and the connection closes once it is written.
+    fn reject(&mut self, idx: usize, status: u16, msg: &str) {
+        self.queue_response(idx, status, routes::JSON, error_body(msg), false);
         if let Some(conn) = self.conn_mut(idx) {
             conn.error_close = true;
-            conn.stop_reading = true;
         }
         self.flush(idx);
-        self.update_interest(idx);
     }
 
     // -- event dispatch -----------------------------------------------------
@@ -674,7 +666,7 @@ impl Reactor {
             self.readable(idx);
         }
         if self.is_open(idx) && bits & sys::EPOLLOUT != 0 {
-            self.writable(idx);
+            self.flush(idx);
         }
     }
 
@@ -689,7 +681,7 @@ impl Reactor {
             let Some(conn) = self.conn_mut(idx) else {
                 return;
             };
-            if conn.stop_reading || conn.paused || conn.error_close || conn.eof {
+            if !conn.may_read() {
                 break;
             }
             match conn.stream.read(&mut buf) {
@@ -713,7 +705,7 @@ impl Reactor {
                 }
             }
         }
-        self.parse_and_dispatch(idx);
+        self.next_request(idx, false);
     }
 
     /// Reads and throws away what a shed connection's peer sends. EOF
@@ -742,196 +734,104 @@ impl Reactor {
         self.close_conn(idx);
     }
 
-    fn parse_and_dispatch(&mut self, idx: usize) {
+    /// The step a connection takes whenever it owes nothing: its next
+    /// buffered request goes to the workers; with none whole, EOF is
+    /// judged or reading re-armed. `buffered` says the bytes were read
+    /// before the previous response was queued (a pipelined request).
+    fn next_request(&mut self, idx: usize, buffered: bool) {
         let limits = self.limits;
-        let pipelined = Arc::clone(&self.pipelined);
-        loop {
-            let Some(conn) = self.conn_mut(idx) else {
-                return;
-            };
-            if conn.error_close || conn.deferred_reject.is_some() {
-                break;
-            }
-            if conn.pending.len() >= MAX_PIPELINED {
-                conn.paused = true;
-                break;
-            }
-            match conn.parser.next(&limits) {
-                Ok(Some(request)) => {
-                    if conn.in_flight || !conn.pending.is_empty() {
-                        pipelined.inc();
-                    }
-                    if !request.keep_alive {
-                        // Final request of this connection: one-shot
-                        // clients read to EOF, so the response closes.
-                        conn.stop_reading = true;
-                        conn.close_when_idle = true;
-                    }
-                    conn.pending.push_back((request, Instant::now()));
-                }
-                Ok(None) => break,
-                Err((status, msg)) => {
-                    self.parse_reject(idx, status, msg);
-                    return;
-                }
-            }
-        }
         let Some(conn) = self.conn_mut(idx) else {
             return;
         };
-        // A paused connection is waiting on *us* (buffers draining), not
-        // on the peer: the read timeout must not blame it, and EOF
-        // judgement waits until resume re-parses whatever complete
-        // requests are still buffered.
-        conn.partial_since = if conn.paused {
-            None
-        } else if conn.parser.has_partial() {
-            conn.partial_since.or(Some(Instant::now()))
-        } else {
-            None
-        };
-        let mut eof_error = None;
-        let mut eof_idle = false;
-        if conn.eof && !conn.paused {
-            conn.stop_reading = true;
-            eof_error = conn.parser.finish_eof(&limits);
-            if eof_error.is_none() {
-                conn.close_when_idle = true;
-                eof_idle = conn.idle();
+        if !conn.idle() || conn.error_close {
+            return;
+        }
+        match conn.parser.next(&limits) {
+            Ok(Some(request)) => {
+                conn.partial_since = None;
+                // The final request of this connection: one-shot clients
+                // read to EOF, and a peer that has closed its side sends
+                // nothing more, so the response closes.
+                if !request.keep_alive || (conn.eof && !conn.parser.has_partial()) {
+                    conn.close_when_idle = true;
+                }
+                if buffered {
+                    self.pipelined.inc();
+                }
+                self.dispatch(idx, request);
             }
+            Ok(None) if conn.eof => match conn.parser.finish_eof() {
+                Some((status, msg)) => self.parse_reject(idx, status, &msg),
+                None => self.close_conn(idx),
+            },
+            Ok(None) => {
+                conn.partial_since = if conn.parser.has_partial() {
+                    conn.partial_since.or(Some(Instant::now()))
+                } else {
+                    None
+                };
+            }
+            Err((status, msg)) => self.parse_reject(idx, status, &msg),
         }
-        if let Some((status, msg)) = eof_error {
-            self.parse_reject(idx, status, msg);
-            return;
-        }
-        if eof_idle {
-            self.close_conn(idx);
-            return;
-        }
-        self.try_dispatch(idx);
         self.update_interest(idx);
     }
 
     /// Answers a protocol violation: counted as a parse error, one
-    /// response, connection closed. If the connection still owes
-    /// responses for earlier pipelined requests, the rejection is parked
-    /// until they complete so the error cannot jump the response order.
-    fn parse_reject(&mut self, idx: usize, status: u16, msg: String) {
-        {
-            let Some(conn) = self.conn_mut(idx) else {
-                return;
-            };
-            if conn.error_close || conn.deferred_reject.is_some() {
-                return; // already answering an earlier violation
-            }
-        }
+    /// response, connection closed. A violation is only found while the
+    /// connection owes nothing, so its answer is next in order.
+    fn parse_reject(&mut self, idx: usize, status: u16, msg: &str) {
         self.state.registry.counter("http_parse_errors_total").inc();
         http::count_request(&self.state.registry, "-", "unparsed", status);
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        conn.stop_reading = true;
-        conn.partial_since = None;
-        if conn.in_flight || !conn.pending.is_empty() {
-            conn.deferred_reject = Some((status, msg));
-            // The requests parsed before the violation are still good;
-            // keep them flowing so the parked rejection can fire.
-            self.try_dispatch(idx);
-            self.update_interest(idx);
-            return;
-        }
-        self.queue_response(idx, status, routes::JSON, error_body(&msg), false);
-        if let Some(conn) = self.conn_mut(idx) {
-            conn.error_close = true;
-        }
-        self.flush(idx);
-        self.update_interest(idx);
+        self.reject(idx, status, msg);
     }
 
-    /// Emits a parked parse rejection once the connection owes nothing
-    /// for earlier requests.
-    fn fire_deferred_reject(&mut self, idx: usize) {
+    /// Hands a just-parsed request to the workers, unless a watermark
+    /// says shed: 503 + `Retry-After`, connection closed. A shed request
+    /// lands in the slowlog with its reason — the histogram only sees
+    /// requests that reached a worker, so the slowlog is where shed
+    /// victims stay findable.
+    fn dispatch(&mut self, idx: usize, request: Request) {
+        let shed = if self.in_flight_jobs >= self.slots {
+            Some("queue")
+        } else if self.queued_bytes > MAX_QUEUED_BYTES {
+            Some("queued_bytes")
+        } else {
+            None
+        };
+        if let Some(reason) = shed {
+            self.count_shed(reason);
+            self.state.ops.slowlog().record(SlowEntry {
+                route: routes::lookup(&request.method, &request.path).0.label,
+                method: request.method,
+                path: request.path,
+                status: 503,
+                shed: Some(reason),
+                ..Default::default()
+            });
+            self.reject(idx, 503, SHED_MESSAGE);
+            return;
+        }
         let Some(conn) = self.conn_mut(idx) else {
             return;
         };
-        if conn.error_close || conn.in_flight || !conn.pending.is_empty() {
-            return;
-        }
-        let Some((status, msg)) = conn.deferred_reject.take() else {
-            return;
-        };
-        self.queue_response(idx, status, routes::JSON, error_body(&msg), false);
-        if let Some(conn) = self.conn_mut(idx) {
-            conn.error_close = true;
-        }
-        self.flush(idx);
-        self.update_interest(idx);
-    }
-
-    /// Hands the connection's next pending request to the workers,
-    /// unless a watermark says shed.
-    fn try_dispatch(&mut self, idx: usize) {
-        let over_queue = self.in_flight_jobs >= self.slots;
-        let over_bytes = self.queued_bytes > MAX_QUEUED_BYTES;
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        if conn.in_flight || conn.pending.is_empty() || conn.error_close {
-            return;
-        }
-        if over_queue {
-            self.shed_dispatch(idx, "queue");
-            return;
-        }
-        if over_bytes {
-            self.shed_dispatch(idx, "queued_bytes");
-            return;
-        }
-        let conn = self.conn_mut(idx).expect("checked above");
-        let (request, started) = conn.pending.pop_front().expect("checked above");
         conn.in_flight = true;
         let token = conn.token(idx);
         self.in_flight_jobs += 1;
         let _ = self.jobs_tx.send(Job {
             token,
             request,
-            started,
+            started: Instant::now(),
         });
-    }
-
-    /// Sheds a parsed-but-undispatched request: 503 + `Retry-After`,
-    /// connection closed (pipelined successors are shed with it). The
-    /// refused request lands in the slowlog with its shed reason — the
-    /// histogram only sees requests that reached a worker, so the
-    /// slowlog is where shed victims stay findable.
-    fn shed_dispatch(&mut self, idx: usize, reason: &'static str) {
-        self.count_shed(reason);
-        let victim = self.conn_mut(idx).and_then(|conn| {
-            conn.pending.front().map(|(request, started)| SlowEntry {
-                method: request.method.clone(),
-                path: request.path.clone(),
-                route: routes::lookup(&request.method, &request.path).0.label,
-                status: 503,
-                latency_ns: started.elapsed().as_nanos() as u64,
-                shed: Some(reason),
-                ..Default::default()
-            })
-        });
-        if let Some(entry) = victim {
-            self.state.ops.slowlog().record(entry);
-        }
-        self.queue_shed_response(idx);
     }
 
     // -- completion / write path -------------------------------------------
 
     fn drain_completions(&mut self) {
-        let draining = self.draining.is_some();
         while let Ok(done) = self.done_rx.try_recv() {
             self.in_flight_jobs = self.in_flight_jobs.saturating_sub(1);
             let idx = (done.token & 0xffff_ffff) as usize;
             let gen = (done.token >> 32) as u32;
-            let (close, drop_body) = match self.conn_mut(idx) {
+            let keep_alive = match self.conn_mut(idx) {
                 Some(conn) if conn.gen == gen => {
                     conn.in_flight = false;
                     conn.served = true;
@@ -943,31 +843,12 @@ impl Reactor {
                     // its answer flushed, racing the client's next poll
                     // on the keep-alive socket.
                     conn.last_activity = Instant::now();
-                    // An error response (503 shed, parse reject) already
-                    // sits in the write queue: appending this body after
-                    // it would hand the client bytes for a request it
-                    // saw fail.
-                    let drop_body = conn.error_close;
-                    let close =
-                        !done.keep_alive || conn.close_when_idle || conn.error_close || draining;
-                    if close {
-                        conn.close_when_idle = true;
-                        conn.stop_reading = true;
-                    }
-                    (close, drop_body)
+                    !conn.close_when_idle
                 }
                 _ => continue, // connection died while the handler ran
             };
-            if !drop_body {
-                self.queue_response(idx, done.status, done.content_type, done.body, !close);
-            }
+            self.queue_response(idx, done.status, done.content_type, done.body, keep_alive);
             self.flush(idx);
-            if self.is_open(idx) {
-                self.try_dispatch(idx);
-                self.maybe_resume(idx);
-                self.fire_deferred_reject(idx);
-                self.update_interest(idx);
-            }
         }
     }
 
@@ -992,8 +873,8 @@ impl Reactor {
         self.queued_bytes += added;
     }
 
-    /// Writes what the socket will take; closes on hard error or when
-    /// the drained queue says the connection is done.
+    /// Writes what the socket will take, then applies
+    /// [`Reactor::maybe_finish`]; closes on a hard error.
     fn flush(&mut self, idx: usize) {
         let result = {
             let Some(conn) = self.conn_mut(idx) else {
@@ -1029,48 +910,24 @@ impl Reactor {
         self.maybe_finish(idx);
     }
 
-    fn writable(&mut self, idx: usize) {
-        self.flush(idx);
-        if self.is_open(idx) {
-            self.try_dispatch(idx);
-            self.maybe_resume(idx);
-            self.fire_deferred_reject(idx);
+    /// Applies the close rules once the write queue drains. A connection
+    /// that owes nothing and stays open moves on to its next buffered
+    /// request, then reads again.
+    fn maybe_finish(&mut self, idx: usize) {
+        let Some(conn) = self.conn_mut(idx) else {
+            return;
+        };
+        let (idle, error_close, shed) = (conn.idle(), conn.error_close, conn.shed);
+        if idle && (conn.close_when_idle || error_close && !shed) {
+            self.close_conn(idx);
+        } else if idle && error_close {
+            self.begin_linger(idx);
+            self.update_interest(idx);
+        } else if idle {
+            self.next_request(idx, true);
+        } else {
             self.update_interest(idx);
         }
-    }
-
-    /// Applies the close rules once buffers drain; resumes reading when
-    /// backpressure clears.
-    fn maybe_finish(&mut self, idx: usize) {
-        let draining = self.draining.is_some();
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        if conn.write_q.is_empty() {
-            if conn.error_close {
-                if conn.shed {
-                    self.begin_linger(idx);
-                } else {
-                    self.close_conn(idx);
-                }
-                return;
-            }
-            let conn = self.conn_mut(idx).expect("checked above");
-            if conn.deferred_reject.is_none()
-                && conn.idle()
-                && (conn.close_when_idle || conn.eof || draining)
-            {
-                self.close_conn(idx);
-                return;
-            }
-        }
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        if !conn.paused && conn.write_q.len() >= PAUSE_WRITE_BYTES {
-            conn.paused = true;
-        }
-        self.maybe_resume(idx);
     }
 
     /// A shed connection's 503 is out. Closing now would, whenever the
@@ -1092,34 +949,12 @@ impl Reactor {
         conn.lingering = Some(Instant::now());
     }
 
-    /// Clears a backpressure pause once its cause has drained — and
-    /// crucially re-parses: complete requests may already sit whole in
-    /// the parser buffer, and if the kernel socket buffer is empty the
-    /// socket never turns readable again, so re-arming `EPOLLIN` alone
-    /// would strand them until the read timeout 400s the connection.
-    fn maybe_resume(&mut self, idx: usize) {
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        if !conn.paused
-            || conn.error_close
-            || conn.pending.len() >= MAX_PIPELINED
-            || conn.write_q.len() >= PAUSE_WRITE_BYTES
-        {
-            return;
-        }
-        conn.paused = false;
-        self.parse_and_dispatch(idx);
-    }
-
     fn update_interest(&mut self, idx: usize) {
         let Some(conn) = self.conn_mut(idx) else {
             return;
         };
         let mut want = 0u32;
-        if !(conn.paused || conn.stop_reading || conn.error_close || conn.eof)
-            || conn.lingering.is_some()
-        {
+        if conn.may_read() || conn.lingering.is_some() {
             want |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if !conn.write_q.is_empty() {
@@ -1177,7 +1012,7 @@ impl Reactor {
                 // on total time, so a byte-per-second trickle cannot
                 // hold the connection open past it.
                 if now.duration_since(since) > self.cfg.read_timeout && !error_close {
-                    self.parse_reject(idx, 400, "read error: request timed out".to_string());
+                    self.parse_reject(idx, 400, TIMED_OUT);
                 }
             } else if idle && !error_close {
                 // `idle()` is false while a request is with a worker, so
@@ -1193,7 +1028,7 @@ impl Reactor {
                 } else if quiet > self.cfg.read_timeout {
                     // Never sent a complete request: answered 400, as
                     // a request cut off half-way is.
-                    self.parse_reject(idx, 400, "read error: request timed out".to_string());
+                    self.parse_reject(idx, 400, TIMED_OUT);
                 }
             }
         }
@@ -1206,7 +1041,6 @@ impl Reactor {
             let Some(conn) = self.conns[idx].as_mut() else {
                 continue;
             };
-            conn.stop_reading = true;
             conn.close_when_idle = true;
             if conn.idle() {
                 self.close_conn(idx);

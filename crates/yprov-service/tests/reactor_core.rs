@@ -124,8 +124,9 @@ fn pipelined_burst_is_answered_in_order() {
         header(&head, "content-type").is_some_and(|ct| ct.starts_with("text/plain")),
         "metrics third: {head}"
     );
-    // The second and third request arrived while earlier ones were
-    // still queued, so the pipelining counter must have moved.
+    // The second and third requests were parsed from bytes already
+    // buffered when the first response was queued, so the pipelining
+    // counter must have moved.
     let pipelined = body
         .lines()
         .find_map(|l| l.strip_prefix("server_requests_pipelined_total "))
@@ -137,11 +138,10 @@ fn pipelined_burst_is_answered_in_order() {
 
 #[test]
 fn pipelined_burst_beyond_the_pipeline_cap_fully_drains() {
-    // 100 requests in one write — more than the 64-request pipelining
-    // cap. The whole burst lands in the reactor's first read, so the
-    // socket never turns readable again: the requests parked behind the
-    // cap must be parsed when backpressure clears, not stranded until
-    // the read timeout rejects them.
+    // 100 requests in one write. The whole burst lands in the reactor's
+    // first read, so the socket never turns readable again: each request
+    // left in the buffer must be parsed once the response before it is
+    // written, not stranded until the read timeout rejects it.
     let server = start(ServerConfig::default());
     let stream = connect(&server);
     let mut reader = BufReader::new(stream);
@@ -183,6 +183,123 @@ fn parse_error_waits_its_turn_behind_pipelined_responses() {
     assert!(
         rest.is_empty(),
         "nothing may follow the rejection: {rest:?}"
+    );
+    server.shutdown();
+}
+
+/// The value of an unlabelled series in a `/metrics` exposition.
+fn series_value(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in:\n{metrics}"))
+}
+
+#[test]
+fn a_pipelining_peer_that_reads_nothing_holds_one_response() {
+    // Client A sends 64 keep-alive GETs of a ~1.5 MB document in one
+    // write and never reads. Were every response queued, A alone would
+    // hold more than the 64 MiB queued-bytes watermark and every other
+    // client would be shed with 503 until A's write timeout. A's next
+    // request is parsed only once its previous response is written, so
+    // A holds one response and client B is served.
+    let store = DocumentStore::new();
+    let mut doc = prov_model::ProvDocument::new();
+    doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+    let blob = "x".repeat(16 * 1024);
+    for i in 0..96 {
+        doc.entity(prov_model::QName::new("ex", format!("e{i}")))
+            .attr(
+                prov_model::QName::new("ex", "blob"),
+                prov_model::AttrValue::from(blob.as_str()),
+            );
+    }
+    let id = store.upload(doc).unwrap();
+    let response = store.document_json(&id).unwrap().len() as u64;
+    assert!(64 * response > 64 << 20, "{response} bytes is too small");
+    let server = Server::bind("127.0.0.1:0", store, ServerConfig::default()).unwrap();
+
+    let mut a = connect(&server);
+    let burst: String = (0..64)
+        .map(|_| format!("GET /api/v0/documents/{id} HTTP/1.1\r\nConnection: keep-alive\r\n\r\n"))
+        .collect();
+    a.write_all(burst.as_bytes()).unwrap();
+
+    // Settled once two scrapes in a row see the same bytes queued.
+    let deadline = std::time::Instant::now() + Duration::from_secs(8);
+    let mut last = None;
+    let (queued, metrics) = loop {
+        std::thread::sleep(Duration::from_millis(200));
+        let (status, metrics) = request(server.addr(), "GET", "/metrics", None).unwrap();
+        assert_eq!(status, 200, "B shed because A does not read: {metrics}");
+        let queued = series_value(&metrics, "reactor_queued_bytes");
+        if queued > 0 && last == Some(queued) {
+            break (queued, metrics);
+        }
+        last = Some(queued);
+        assert!(
+            std::time::Instant::now() < deadline,
+            "queued bytes never settled:\n{metrics}"
+        );
+    };
+    assert!(
+        queued < response + 64 * 1024,
+        "{queued} bytes queued for a peer that reads nothing; one response is {response}"
+    );
+    assert!(
+        !metrics.contains("server_shed_total{reason=\"queued_bytes\"}"),
+        "{metrics}"
+    );
+    drop(a);
+    server.shutdown();
+}
+
+#[test]
+fn a_request_sent_while_another_is_with_a_worker_waits_its_turn() {
+    // The second request arrives while the first, a long-poll watch, is
+    // parked with a worker: its bytes wait unread in the socket, and it
+    // is answered after the watch. Reading is off meanwhile, so bytes
+    // waiting there do not spin the event loop (level-triggered epoll
+    // would report them on every wait).
+    let store = DocumentStore::new();
+    let mut doc = prov_model::ProvDocument::new();
+    doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+    doc.entity(prov_model::QName::new("ex", "data"));
+    let id = store.upload(doc).unwrap();
+    let server = Server::bind("127.0.0.1:0", store, ServerConfig::default()).unwrap();
+
+    let mut reader = BufReader::new(connect(&server));
+    reader
+        .get_mut()
+        .write_all(
+            format!(
+                "GET /api/v0/documents/{id}/watch?after=1&timeout_ms=500 HTTP/1.1\r\n\
+                 Connection: keep-alive\r\n\r\n"
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(100)); // let the watch park
+    reader
+        .get_mut()
+        .write_all(b"GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+        .unwrap();
+    let (status, _, body) = read_response(&mut reader);
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        body.contains("\"changed\":false"),
+        "the watch first: {body}"
+    );
+    let (status, _, body) = read_response(&mut reader);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("ok"), "then the health check: {body}");
+
+    let (_, metrics) = request(server.addr(), "GET", "/metrics", None).unwrap();
+    let iterations = series_value(&metrics, "reactor_loop_lag_seconds_count");
+    assert!(
+        iterations < 1_000,
+        "{iterations} event-loop iterations in about 0.6 s"
     );
     server.shutdown();
 }

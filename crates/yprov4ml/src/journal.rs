@@ -40,7 +40,7 @@ use crate::prov_emit::{build_document, RunIdentity};
 use crate::spill::{spill_metrics, SpillPolicy};
 use frame::{Frame, FRAME_RECORDS};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead as _, BufReader, Write as _};
+use std::io::{BufRead as _, BufReader, ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -211,12 +211,16 @@ pub struct JournalWriter {
     errors: std::sync::Arc<obs::Counter>,
 }
 
-/// Best-effort directory fsync so a freshly created file's name entry
-/// survives power loss (a no-op where directories cannot be opened).
-fn sync_dir(dir: &Path) -> std::io::Result<()> {
-    match File::open(dir) {
-        Ok(d) => d.sync_all(),
-        Err(_) => Ok(()),
+/// Directory fsync, so renames and fresh file names survive power
+/// loss. A filesystem that cannot fsync a directory (the call fails with
+/// `InvalidInput` or `Unsupported`) makes this a no-op; any other
+/// failure, the directory being gone included, is the caller's error.
+/// It opens the directory as a file, as Unix allows; a platform that
+/// refuses that (Windows: `PermissionDenied`) is not supported.
+pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    match File::open(dir).and_then(|d| d.sync_all()) {
+        Err(e) if matches!(e.kind(), ErrorKind::InvalidInput | ErrorKind::Unsupported) => Ok(()),
+        result => result,
     }
 }
 
@@ -1199,6 +1203,21 @@ mod tests {
         // What was written before the failure is still whole.
         assert_eq!(read_journal(&dir).unwrap().records, 4);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn close_reports_a_run_directory_that_is_gone() {
+        let dir = tmp("dir_gone");
+        let writer = JournalWriter::create(&dir, &header()).unwrap();
+        writer.append(&metric(0)).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        // The frame write and the file fsync reach the unlinked file;
+        // the directory fsync cannot, and says so.
+        let err = writer.close().unwrap_err();
+        assert!(
+            matches!(&err, ProvMLError::Io(e) if e.kind() == std::io::ErrorKind::NotFound),
+            "{err}"
+        );
     }
 
     #[test]
