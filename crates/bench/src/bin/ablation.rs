@@ -13,7 +13,7 @@ use bench::workload::table1_series;
 use energy_monitor::energy::EnergyAccumulator;
 use metric_store::codec::{self, CodecId};
 use metric_store::store::MetricStore;
-use metric_store::zarr::{FloatEncoding, ZarrOptions, ZarrStore};
+use metric_store::zarr::{ZarrOptions, ZarrStore};
 use metric_store::WorkerPool;
 use train_sim::comm::{step_comm_cost, DdpCommConfig};
 use train_sim::MachineConfig;
@@ -114,8 +114,6 @@ fn chunk_size_ablation() {
             &dir,
             ZarrOptions {
                 chunk_points: chunk,
-                float_encoding: FloatEncoding::Xor,
-                ..Default::default()
             },
         )
         .expect("create store");

@@ -93,7 +93,7 @@ fn zarr_write_many_is_byte_identical_across_pool_sizes() {
         );
     }
 
-    // One series at a time, on the store's own per-core pool.
+    // One series at a time, each on the caller's thread.
     let dir = base.join("one_by_one");
     let store = ZarrStore::create(&dir, ZarrOptions::default()).unwrap();
     for s in &series {

@@ -19,7 +19,6 @@ pub mod bits;
 pub mod delta;
 pub mod huffman;
 pub mod lz77;
-pub mod quantize;
 pub mod rle;
 pub mod shuffle;
 pub mod varint;
@@ -114,20 +113,6 @@ pub fn encode_f64_raw(values: &[f64]) -> Vec<u8> {
         out.extend_from_slice(&v.to_le_bytes());
     }
     out
-}
-
-/// Decodes a raw little-endian `f64` column.
-pub fn decode_f64_raw(data: &[u8]) -> Result<Vec<f64>, StoreError> {
-    if !data.len().is_multiple_of(8) {
-        return Err(StoreError::Truncated(format!(
-            "f64 column of {} bytes",
-            data.len()
-        )));
-    }
-    Ok(data
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-        .collect())
 }
 
 /// The count, then every delta as a zigzag varint, straight from the
@@ -289,12 +274,10 @@ mod tests {
     fn f64_raw_roundtrip_with_specials() {
         let values = vec![0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE];
         let enc = encode_f64_raw(&values);
-        let dec = decode_f64_raw(&enc).unwrap();
-        assert_eq!(dec.len(), values.len());
-        for (a, b) in values.iter().zip(&dec) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(enc.len(), 8 * values.len());
+        for (a, b) in values.iter().zip(enc.chunks_exact(8)) {
+            assert_eq!(a.to_bits(), u64::from_le_bytes(b.try_into().unwrap()));
         }
-        assert!(decode_f64_raw(&enc[..7]).is_err());
     }
 
     #[test]
@@ -307,10 +290,7 @@ mod tests {
             decode_i64_column(&encode_i64_column(&[])).unwrap(),
             Vec::<i64>::new()
         );
-        assert_eq!(
-            decode_f64_raw(&encode_f64_raw(&[])).unwrap(),
-            Vec::<f64>::new()
-        );
+        assert!(encode_f64_raw(&[]).is_empty());
         let empty = deflate_like(&[]);
         assert_eq!(inflate_like(&empty).unwrap(), Vec::<u8>::new());
     }

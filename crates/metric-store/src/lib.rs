@@ -5,20 +5,19 @@
 //! kept inline in PROV-JSON (the *normal* representation), or spilled to
 //! one of two from-scratch array formats —
 //!
-//! * [`zarr`] — a chunked, codec-pipelined column store in the spirit of
-//!   Zarr: each column (steps, timestamps, values) is cut into chunks,
-//!   each chunk runs through a configurable codec pipeline
-//!   (delta/zigzag/varint for integers, Gorilla-style XOR for floats,
-//!   byte-shuffle, RLE, LZ77 and Huffman for bytes), and chunks compress
-//!   in parallel on the [`WorkerPool`];
+//! * [`zarr`] — a chunked column store in the spirit of Zarr: each
+//!   column (steps, epochs, timestamps, values) is cut into chunks, each
+//!   chunk is encoded (delta/zigzag/varint for integers, Gorilla-style
+//!   XOR for floats) and then compressed with LZ77 and Huffman, and
+//!   chunks compress in parallel on the [`WorkerPool`];
 //! * [`netcdf`] — a single-file header+variables binary layout in the
 //!   spirit of classic NetCDF (CDF-1), with an optional whole-file
 //!   compressed variant.
 //!
-//! The JSON baseline lives in [`json_store`]. All backends implement the
-//! [`store::MetricStore`] trait so the provenance layer can switch
-//! formats with a configuration flag, exactly as the paper's library
-//! does.
+//! Both implement the [`store::MetricStore`] trait, so the provenance
+//! layer can switch formats with a configuration flag, exactly as the
+//! paper's library does. The inline JSON form is written by
+//! [`json_store::series_to_json`].
 //!
 //! ```
 //! use metric_store::series::{MetricPoint, MetricSeries};
@@ -57,14 +56,3 @@ pub use error::StoreError;
 pub use pool::WorkerPool;
 pub use series::{MetricPoint, MetricSeries, SeriesStats};
 pub use store::{MetricStore, StorageFormat};
-
-/// Parses the string spellings of non-finite floats used in JSON output
-/// (`"NaN"`, `"INF"`, `"-INF"`), plus ordinary numbers in string form.
-pub fn series_special_float(s: &str) -> Option<f64> {
-    match s {
-        "NaN" => Some(f64::NAN),
-        "INF" | "+INF" | "Infinity" => Some(f64::INFINITY),
-        "-INF" | "-Infinity" => Some(f64::NEG_INFINITY),
-        _ => s.parse().ok(),
-    }
-}

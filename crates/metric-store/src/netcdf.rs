@@ -17,9 +17,8 @@
 //! barely shrinks under external compression.
 //!
 //! Unlike [`crate::zarr::ZarrStore`], the file is rewritten wholesale on
-//! every `write_series` — the trade-off the paper describes between the
-//! two formats (single self-contained file vs. incremental chunked
-//! directory).
+//! every write — the trade-off the paper describes between the two
+//! formats (single self-contained file vs. chunked directory).
 
 use crate::checksum::crc32;
 use crate::codec::{self, deflate_like, inflate_like};
@@ -164,7 +163,8 @@ fn encode_histogram() -> std::sync::Arc<obs::Histogram> {
 }
 
 impl NcStore {
-    /// Creates a store backed by `path` (created on first write).
+    /// Creates an empty store backed by `path`. Whatever file is there
+    /// is not read: the first write replaces it.
     pub fn create(path: impl AsRef<Path>, opts: NcOptions) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         if let Some(parent) = path.parent() {
@@ -172,17 +172,12 @@ impl NcStore {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let store = NcStore {
+        Ok(NcStore {
             path,
             opts,
             cache: Mutex::new(BTreeMap::new()),
             encode_hist: encode_histogram(),
-        };
-        if store.path.is_file() {
-            let loaded = store.load()?;
-            *store.cache.lock().expect("series cache poisoned") = loaded;
-        }
-        Ok(store)
+        })
     }
 
     /// Opens an existing file.
@@ -253,11 +248,6 @@ impl NcStore {
             )));
         }
         Ok(series)
-    }
-
-    /// Writes the whole file from the in-memory cache.
-    fn flush(&self) -> Result<(), StoreError> {
-        self.flush_with(&WorkerPool::serial())
     }
 
     /// Writes the whole file, encoding the per-series column blobs on
@@ -366,14 +356,6 @@ impl NcStore {
 }
 
 impl MetricStore for NcStore {
-    fn write_series(&self, series: &MetricSeries) -> Result<(), StoreError> {
-        self.cache.lock().expect("series cache poisoned").insert(
-            (series.name.clone(), series.context.clone()),
-            series.clone(),
-        );
-        self.flush()
-    }
-
     fn write_many(&self, series: &[&MetricSeries], pool: &WorkerPool) -> Result<(), StoreError> {
         // Insert everything, then rewrite the file once: a batch of N
         // series costs one flush instead of N wholesale rewrites.
@@ -394,10 +376,6 @@ impl MetricStore for NcStore {
             .get(&(name.to_string(), context.to_string()))
             .cloned()
             .ok_or_else(|| StoreError::NotFound(format!("{name}@{context}")))
-    }
-
-    fn list_series(&self) -> Result<Vec<(String, String)>, StoreError> {
-        Ok(self.load()?.into_keys().collect())
     }
 
     fn size_bytes(&self) -> Result<u64, StoreError> {
@@ -441,7 +419,6 @@ mod tests {
         store.write_series(&b).unwrap();
         assert_eq!(store.read_series("loss", "training").unwrap(), a);
         assert_eq!(store.read_series("accuracy", "validation").unwrap(), b);
-        assert_eq!(store.list_series().unwrap().len(), 2);
         std::fs::remove_file(&path).ok();
     }
 
@@ -593,7 +570,6 @@ mod tests {
         let short = series("loss", "training", 7);
         store.write_series(&short).unwrap();
         assert_eq!(store.read_series("loss", "training").unwrap(), short);
-        assert_eq!(store.list_series().unwrap().len(), 1);
         std::fs::remove_file(&path).ok();
     }
 }

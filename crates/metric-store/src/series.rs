@@ -129,34 +129,6 @@ impl MetricSeries {
         stats.last = self.points.last().map(|p| p.value);
         stats
     }
-
-    /// Keeps only points in the given epoch range (inclusive).
-    pub fn slice_epochs(&self, from: u32, to: u32) -> MetricSeries {
-        MetricSeries {
-            name: self.name.clone(),
-            context: self.context.clone(),
-            points: self
-                .points
-                .iter()
-                .copied()
-                .filter(|p| p.epoch >= from && p.epoch <= to)
-                .collect(),
-        }
-    }
-
-    /// Downsamples to at most `max_points` by uniform striding; useful
-    /// for explorer previews of very long series.
-    pub fn downsample(&self, max_points: usize) -> MetricSeries {
-        if max_points == 0 || self.points.len() <= max_points {
-            return self.clone();
-        }
-        let stride = self.points.len().div_ceil(max_points);
-        MetricSeries {
-            name: self.name.clone(),
-            context: self.context.clone(),
-            points: self.points.iter().copied().step_by(stride).collect(),
-        }
-    }
 }
 
 /// Summary statistics for a series.
@@ -261,25 +233,5 @@ mod tests {
         let st = s.stats();
         assert!(st.min.is_nan() && st.max.is_nan() && st.mean.is_nan());
         assert_eq!(st.count, 2);
-    }
-
-    #[test]
-    fn slice_epochs_filters() {
-        let s = series(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]); // epochs 0,0,1,1,2,2
-        let sliced = s.slice_epochs(1, 1);
-        assert_eq!(sliced.len(), 2);
-        assert!(sliced.points.iter().all(|p| p.epoch == 1));
-    }
-
-    #[test]
-    fn downsample_bounds_length() {
-        let s = series(&(0..1000).map(|i| i as f64).collect::<Vec<_>>());
-        let d = s.downsample(100);
-        assert!(d.len() <= 100);
-        assert_eq!(d.points[0].value, 0.0);
-        // Downsampling an already-short series is identity.
-        let s2 = series(&[1.0, 2.0]);
-        assert_eq!(s2.downsample(100), s2);
-        assert_eq!(s2.downsample(0), s2);
     }
 }

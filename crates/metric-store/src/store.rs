@@ -40,30 +40,21 @@ impl std::fmt::Display for StorageFormat {
 
 /// Common interface of metric storage backends.
 pub trait MetricStore {
-    /// Persists one series (replacing any previous series with the same
-    /// name and context).
-    fn write_series(&self, series: &MetricSeries) -> Result<(), StoreError>;
-
-    /// Persists a batch of series, encoding through `pool` where the
-    /// backend supports it.
+    /// Persists a batch of series (replacing any previous series with
+    /// the same name and context), encoding through `pool`.
     ///
-    /// The default implementation is the plain serial loop; backends
-    /// with parallel-safe layouts override it. Every override must keep
-    /// the on-disk bytes identical to the serial loop for any pool size
-    /// — the finalize pipeline's determinism guarantee rests on it.
-    fn write_many(&self, series: &[&MetricSeries], pool: &WorkerPool) -> Result<(), StoreError> {
-        let _ = pool;
-        for s in series {
-            self.write_series(s)?;
-        }
-        Ok(())
+    /// The on-disk bytes are the same for every pool size: the finalize
+    /// pipeline's determinism guarantee rests on it.
+    fn write_many(&self, series: &[&MetricSeries], pool: &WorkerPool) -> Result<(), StoreError>;
+
+    /// Persists one series: [`MetricStore::write_many`] of one, on the
+    /// caller's thread.
+    fn write_series(&self, series: &MetricSeries) -> Result<(), StoreError> {
+        self.write_many(&[series], &WorkerPool::serial())
     }
 
     /// Reads one series back.
     fn read_series(&self, name: &str, context: &str) -> Result<MetricSeries, StoreError>;
-
-    /// Lists stored `(name, context)` pairs.
-    fn list_series(&self) -> Result<Vec<(String, String)>, StoreError>;
 
     /// Total bytes used on disk by this store.
     fn size_bytes(&self) -> Result<u64, StoreError>;

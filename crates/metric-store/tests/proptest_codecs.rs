@@ -177,7 +177,6 @@ fn zarr_store_roundtrips_arbitrary_series() {
             &dir,
             metric_store::zarr::ZarrOptions {
                 chunk_points: chunk,
-                ..Default::default()
             },
         )
         .unwrap();

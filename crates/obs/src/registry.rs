@@ -305,8 +305,7 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Total nanoseconds observed.
     pub sum_ns: u64,
-    /// Per-bucket counts (log2 boundaries, see
-    /// [`BUCKET_COUNT`](crate::BUCKET_COUNT)).
+    /// Per-bucket counts (log2 boundaries, see [`BUCKET_COUNT`]).
     pub buckets: [u64; BUCKET_COUNT],
 }
 

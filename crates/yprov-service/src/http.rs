@@ -1,7 +1,7 @@
 //! A from-scratch HTTP/1.1 server exposing the store.
 //!
 //! No frameworks. [`Server`] runs one core: a non-blocking epoll
-//! reactor (see [`crate::reactor`]). One thread multiplexes every
+//! reactor (the private `reactor` module). One thread multiplexes every
 //! connection, complete requests are dispatched to a worker pool, and a
 //! keep-alive connection serves one request at a time: its next request
 //! is parsed once the previous response is written, so a pipelining

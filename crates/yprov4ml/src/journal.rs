@@ -1473,6 +1473,22 @@ mod tests {
     }
 
     #[test]
+    fn recover_replaces_a_torn_netcdf_spill() {
+        // `metrics.nc` is renamed into place without an fsync, after the
+        // journal's: power loss can leave it torn beside a whole journal.
+        let dir = tmp("recover_torn_nc");
+        write_records(&dir, 300);
+        std::fs::write(dir.join("metrics.nc"), b"YNC1\x01\xff\xff").unwrap();
+        let report = recover(&dir, &SpillPolicy::NetCdf(Default::default())).unwrap();
+        assert_eq!(report.metric_samples, 300);
+        let series = crate::spill::read_spilled(&dir, "loss", "training").unwrap();
+        let values: Vec<f64> = series.points.iter().map(|p| p.value).collect();
+        let logged: Vec<f64> = (0..300).map(|i| 1.0 / (i + 1) as f64).collect();
+        assert_eq!(values, logged);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn missing_journal_errors() {
         let dir = tmp("missing");
         assert!(read_journal(&dir).is_err());

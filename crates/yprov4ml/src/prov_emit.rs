@@ -12,7 +12,7 @@
 use crate::collector::RunState;
 use crate::model::{Context, Direction};
 use crate::spill::SpillOutcome;
-use metric_store::json_store::JsonStore;
+use metric_store::json_store::series_to_json;
 use prov_model::qname::{YPROV_NS, YPROV_PREFIX};
 use prov_model::{AttrValue, ProvDocument, QName, XsdDateTime};
 
@@ -163,7 +163,7 @@ pub fn build_document(
             if inline_metrics {
                 // The Table 1 "normal" representation: the entire series
                 // as JSON text inside the provenance file.
-                let inline = json::to_string(|w| JsonStore::series_to_json(w, series));
+                let inline = json::to_string(|w| series_to_json(w, series));
                 b.attr(QName::yprov("values"), AttrValue::String(inline));
             } else if let Some((_, _, link)) = spill
                 .links

@@ -6,7 +6,6 @@
 //! the top-level provenance file small (Table 1 measures the gain).
 
 use crate::error::ProvMLError;
-use metric_store::json_store::JsonStore;
 use metric_store::netcdf::{NcOptions, NcStore};
 use metric_store::series::MetricSeries;
 use metric_store::store::MetricStore;
@@ -14,28 +13,28 @@ use metric_store::zarr::{ZarrOptions, ZarrStore};
 use metric_store::{StorageFormat, WorkerPool};
 use std::path::{Path, PathBuf};
 
-/// Where metric series are persisted at run finish.
+/// Where metric series are persisted at run finish: one of the paper's
+/// three Table 1 rows. A spill writes every series once, in one
+/// `write_many`; a NetCDF spill replaces any `metrics.nc` already there.
 #[derive(Debug, Clone, Default)]
 pub enum SpillPolicy {
     /// Keep every sample inline in the PROV-JSON document (the paper's
     /// `Original_file.json` baseline).
     #[default]
     Inline,
-    /// Spill to a Zarr-like chunked store next to the provenance file.
+    /// Spill to a Zarr-like chunked store, `metrics.zarr`, next to the
+    /// provenance file.
     Zarr(ZarrOptions),
-    /// Spill to a NetCDF-like single file next to the provenance file.
+    /// Spill to a NetCDF-like single file, `metrics.nc`, next to the
+    /// provenance file.
     NetCdf(NcOptions),
-    /// Spill to plain JSON side files (one per series). Mostly useful
-    /// to isolate "out of the PROV file" from "binary format" effects
-    /// in the ablation benchmarks.
-    JsonFiles,
 }
 
 impl SpillPolicy {
     /// The storage format this policy corresponds to in reports.
     pub fn format(&self) -> StorageFormat {
         match self {
-            SpillPolicy::Inline | SpillPolicy::JsonFiles => StorageFormat::InlineJson,
+            SpillPolicy::Inline => StorageFormat::InlineJson,
             SpillPolicy::Zarr(_) => StorageFormat::ZarrLike,
             SpillPolicy::NetCdf(_) => StorageFormat::NetCdfLike,
         }
@@ -99,12 +98,6 @@ pub fn spill_metrics_pooled(
             store.write_many(series, pool)?;
             finish_outcome(path, series, &store)
         }
-        SpillPolicy::JsonFiles => {
-            let path = run_dir.join("metrics.json.d");
-            let store = JsonStore::create(&path)?;
-            store.write_many(series, pool)?;
-            finish_outcome(path, series, &store)
-        }
     }
 }
 
@@ -148,10 +141,6 @@ pub fn read_spilled(
     let nc = run_dir.join("metrics.nc");
     if nc.is_file() {
         return Ok(NcStore::open(&nc)?.read_series(name, context)?);
-    }
-    let json = run_dir.join("metrics.json.d");
-    if json.is_dir() {
-        return Ok(JsonStore::create(&json)?.read_series(name, context)?);
     }
     Err(ProvMLError::Store(metric_store::StoreError::NotFound(
         format!("{name}@{context} under {}", run_dir.display()),
@@ -220,15 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn json_files_spill_roundtrips() {
-        let dir = tmpdir("jsonfiles");
-        let s = series("loss", 200);
-        spill_metrics(&dir, &SpillPolicy::JsonFiles, &[&s]).unwrap();
-        assert_eq!(read_spilled(&dir, "loss", "training").unwrap(), s);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn read_from_empty_dir_fails() {
         let dir = tmpdir("empty");
         assert!(read_spilled(&dir, "loss", "training").is_err());
@@ -247,6 +227,6 @@ mod tests {
             StorageFormat::NetCdfLike
         );
         assert!(SpillPolicy::Inline.is_inline());
-        assert!(!SpillPolicy::JsonFiles.is_inline());
+        assert!(!SpillPolicy::NetCdf(NcOptions::default()).is_inline());
     }
 }
