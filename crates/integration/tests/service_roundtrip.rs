@@ -42,6 +42,7 @@ fn http_roundtrip_with_generated_documents() {
         let addr = server.addr();
 
         // Upload all three via HTTP; fetch each back and compare to disk.
+        let mut ids = Vec::new();
         for name in experiment.list_runs().unwrap() {
             let disk_json =
                 std::fs::read_to_string(experiment.dir().join(&name).join("prov.json")).unwrap();
@@ -49,7 +50,7 @@ fn http_roundtrip_with_generated_documents() {
                 request(addr, "POST", "/api/v0/documents", Some(&disk_json)).unwrap();
             assert_eq!(status, 201);
             let id: json::Value = json::parse(&body).unwrap();
-            let id = id["id"].as_str().unwrap();
+            let id = id["id"].as_str().unwrap().to_string();
 
             let (status, served) =
                 request(addr, "GET", &format!("/api/v0/documents/{id}"), None).unwrap();
@@ -59,13 +60,17 @@ fn http_roundtrip_with_generated_documents() {
             on_disk.canonicalize();
             from_server.canonicalize();
             assert_eq!(on_disk, from_server, "server must round-trip {name}");
+            ids.push(id);
         }
 
         // Lineage over HTTP for the second run's model.
         let (status, body) = request(
             addr,
             "GET",
-            "/api/v0/documents/doc-2/ancestors?focus=exp%3Arun-1%2Fartifact%2Fmodel.ckpt",
+            &format!(
+                "/api/v0/documents/{}/ancestors?focus=exp%3Arun-1%2Fartifact%2Fmodel.ckpt",
+                ids[1]
+            ),
             None,
         )
         .unwrap();

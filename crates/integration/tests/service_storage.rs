@@ -3,7 +3,8 @@
 //! backend must survive a kill at any point of an upload.
 
 use prov_model::{ProvDocument, QName};
-use yprov_service::{DocumentStore, ServiceError};
+use yprov_service::http::request;
+use yprov_service::{DocumentStore, Server, ServerConfig, ServiceError};
 
 fn q(local: &str) -> QName {
     QName::new("ex", local)
@@ -27,10 +28,12 @@ fn pipeline_doc() -> ProvDocument {
 
 /// The workload both backends must serve identically: upload, lineage
 /// queries through the index cache, replacement, deletion, ledger
-/// history, typed not-found errors.
-fn exercise(store: &DocumentStore) {
+/// history, typed not-found errors. Returns the first upload's id.
+fn exercise(store: &DocumentStore) -> String {
     let id = store.upload(pipeline_doc()).unwrap();
-    assert_eq!(id, "doc-1");
+    // POST names a document by the digest its ledger entry records.
+    let digest = &store.ledger_entries()[0].document_digest;
+    assert_eq!(id, format!("doc-{}", &digest[..32]));
 
     let anc = store.ancestors(&id, &q("report")).unwrap();
     for origin in ["eval", "model", "train", "data"] {
@@ -46,9 +49,10 @@ fn exercise(store: &DocumentStore) {
     assert_eq!(store.ledger_entries().len(), 2);
     assert_eq!(store.len(), 1);
 
-    // The claimed doc-N advanced the counter: no silent overwrite.
+    // A different document gets a different id: no silent overwrite.
     let second = store.upload(ProvDocument::new()).unwrap();
-    assert_eq!(second, "doc-2");
+    assert_ne!(second, id);
+    assert_eq!(store.len(), 2);
 
     assert!(store.delete(&second).unwrap());
     assert!(matches!(
@@ -57,6 +61,7 @@ fn exercise(store: &DocumentStore) {
     ));
     // Deletion keeps the chain: 3 uploads happened.
     assert_eq!(store.ledger_entries().len(), 3);
+    id
 }
 
 #[test]
@@ -72,14 +77,14 @@ fn workload_over_durable_backend() {
     std::fs::remove_dir_all(&dir).ok();
     let store = DocumentStore::persistent(&dir).unwrap();
     assert_eq!(store.backend_name(), "durable");
-    exercise(&store);
+    let id = exercise(&store);
     drop(store);
     // Everything above survives a close-and-reopen, including the
     // replaced document and the post-delete ledger history.
     let reopened = DocumentStore::persistent(&dir).unwrap();
     assert_eq!(reopened.len(), 1);
     assert_eq!(reopened.ledger_entries().len(), 3);
-    reopened.ancestors("doc-1", &q("report")).unwrap();
+    reopened.ancestors(&id, &q("report")).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -90,11 +95,20 @@ fn durable_backend_survives_kill_during_upload() {
     {
         let store = DocumentStore::persistent(&dir).unwrap();
         store.upload(pipeline_doc()).unwrap();
-        store.upload(pipeline_doc()).unwrap();
+        store.upload(ProvDocument::new()).unwrap();
     }
 
-    // Kill point 1 — before the rename: only tmp debris exists.
-    std::fs::write(dir.join("doc-3.json.tmp"), b"{\"torn\":").unwrap();
+    // Kill point 1 — before the rename: only tmp debris exists, under
+    // the content id the interrupted document would have had.
+    let mut torn_doc = ProvDocument::new();
+    torn_doc
+        .namespaces_mut()
+        .register("ex", "http://ex/")
+        .unwrap();
+    torn_doc.entity(q("torn"));
+    let torn = DocumentStore::new().upload(torn_doc.clone()).unwrap();
+    let tmp = dir.join(format!("{torn}.json.tmp"));
+    std::fs::write(&tmp, b"{\"torn\":").unwrap();
 
     // Kill point 2 — after the rename, before the ledger append: a
     // fully written document with no ledger entry.
@@ -116,11 +130,38 @@ fn durable_backend_survives_kill_during_upload() {
     // (its bytes are intact, only the commitment was lost).
     assert_eq!(store.len(), 3);
     assert!(store.get("doc-4").is_some());
-    assert!(!dir.join("doc-3.json.tmp").exists(), "debris swept");
-    // The surviving two-entry chain verifies, and new uploads continue
-    // past every claimed id.
+    assert!(!tmp.exists(), "debris swept");
+    // The surviving two-entry chain verifies, and the interrupted
+    // document uploads again under its id.
     assert_eq!(store.ledger_entries().len(), 2);
-    let next = store.upload(ProvDocument::new()).unwrap();
-    assert_eq!(next, "doc-5");
+    assert_eq!(store.upload(torn_doc).unwrap(), torn);
+    assert_eq!(store.len(), 4);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_name_the_rule_refuses_is_400_on_both_backends() {
+    let base = std::env::temp_dir().join(format!("yint_names_{}", std::process::id()));
+    std::fs::remove_dir_all(&base).ok();
+    let body = pipeline_doc().to_json_string().unwrap();
+    integration::for_each_store(&base, |store, _| {
+        let server = Server::bind("127.0.0.1:0", store.clone(), ServerConfig::default()).unwrap();
+        let (status, reply) = request(
+            server.addr(),
+            "PUT",
+            "/api/v0/documents/my%20run",
+            Some(&body),
+        )
+        .unwrap();
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("not a valid document id"), "{reply}");
+        server.shutdown();
+        assert!(store.is_empty());
+        assert!(store.ledger_entries().is_empty());
+    });
+    // Nothing reached the durable directory, so it reopens.
+    let reopened = DocumentStore::persistent(base.join("durable").join("store")).unwrap();
+    assert!(reopened.is_empty());
+    reopened.verify_all().unwrap();
+    std::fs::remove_dir_all(&base).ok();
 }

@@ -25,6 +25,7 @@ pub mod varint;
 pub mod xor;
 
 use crate::error::StoreError;
+use crate::series::{MetricPoint, MetricSeries};
 
 /// Stable identifier of a byte codec, stored in chunk headers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -176,6 +177,35 @@ pub fn decode_u32_column(data: &[u8]) -> Result<Vec<u32>, StoreError> {
                 .map_err(|_| StoreError::Corrupt(format!("epoch value {v} exceeds u32")))
         })
         .collect()
+}
+
+/// The four column blobs of a run of metric points, the scheme both
+/// spill stores write inside their own framing: steps
+/// ([`encode_u64_column`]), epochs ([`encode_u32_column`]), times
+/// ([`encode_i64_column`]) and values ([`xor::encode`]).
+pub fn encode_points(points: &[MetricPoint]) -> [Vec<u8>; 4] {
+    let steps: Vec<u64> = points.iter().map(|p| p.step).collect();
+    let epochs: Vec<u32> = points.iter().map(|p| p.epoch).collect();
+    let times: Vec<i64> = points.iter().map(|p| p.time_us).collect();
+    let values: Vec<f64> = points.iter().map(|p| p.value).collect();
+    [
+        encode_u64_column(&steps),
+        encode_u32_column(&epochs),
+        encode_i64_column(&times),
+        xor::encode(&values),
+    ]
+}
+
+/// Inverse of [`encode_points`]; columns of different lengths are
+/// [`StoreError::Corrupt`].
+pub fn decode_points(blobs: &[Vec<u8>; 4]) -> Result<Vec<MetricPoint>, StoreError> {
+    let steps = decode_u64_column(&blobs[0])?;
+    let epochs = decode_u32_column(&blobs[1])?;
+    let times = decode_i64_column(&blobs[2])?;
+    let values = xor::decode(&blobs[3])?;
+    MetricSeries::from_columns("", "", steps, epochs, times, values)
+        .map(|series| series.points)
+        .ok_or_else(|| StoreError::Corrupt("column length mismatch".into()))
 }
 
 #[cfg(test)]

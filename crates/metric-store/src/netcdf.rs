@@ -25,7 +25,7 @@ use crate::codec::{self, deflate_like, inflate_like};
 use crate::error::StoreError;
 use crate::pool::WorkerPool;
 use crate::series::MetricSeries;
-use crate::store::{path_size_bytes, MetricStore};
+use crate::store::{encode_histogram, path_size_bytes, MetricStore};
 use json::Value;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -157,11 +157,6 @@ pub struct NcStore {
     encode_hist: std::sync::Arc<obs::Histogram>,
 }
 
-/// Chunk-encode timing, shared with the Zarr store under one name.
-fn encode_histogram() -> std::sync::Arc<obs::Histogram> {
-    obs::global().histogram("metric_store_chunk_encode_seconds")
-}
-
 impl NcStore {
     /// Creates an empty store backed by `path`. Whatever file is there
     /// is not read: the first write replaces it.
@@ -203,17 +198,9 @@ impl NcStore {
     }
 
     fn encode_columns(&self, series: &MetricSeries) -> [Vec<u8>; 4] {
-        let (steps, epochs, times, values) = series.columns();
-        let mut blobs = [
-            codec::encode_u64_column(&steps),
-            codec::encode_u32_column(&epochs),
-            codec::encode_i64_column(&times),
-            codec::xor::encode(&values),
-        ];
+        let blobs = codec::encode_points(&series.points);
         if self.opts.compress_columns {
-            for b in &mut blobs {
-                *b = deflate_like(b);
-            }
+            return blobs.map(|b| deflate_like(&b));
         }
         blobs
     }
@@ -232,13 +219,11 @@ impl NcStore {
                 blob.to_vec()
             };
         }
-        let steps = codec::decode_u64_column(&raw[0])?;
-        let epochs = codec::decode_u32_column(&raw[1])?;
-        let times = codec::decode_i64_column(&raw[2])?;
-        let values = codec::xor::decode(&raw[3])?;
-        let series =
-            MetricSeries::from_columns(&var.name, &var.context, steps, epochs, times, values)
-                .ok_or_else(|| StoreError::Corrupt("column length mismatch".into()))?;
+        let series = MetricSeries {
+            name: var.name.clone(),
+            context: var.context.clone(),
+            points: codec::decode_points(&raw)?,
+        };
         if series.len() != var.points {
             return Err(StoreError::Corrupt(format!(
                 "variable {} declared {} points, decoded {}",

@@ -1,13 +1,12 @@
-//! A small work-stealing worker pool for the finalize pipeline.
+//! A small worker pool for the finalize pipeline.
 //!
 //! Chunk encoding is embarrassingly parallel (every Zarr chunk and every
 //! NetCDF column blob is an independent function of its input and the
 //! store options), but chunk *sizes* are not uniform — the tail chunk is
 //! short, constant series compress in microseconds while noisy ones cost
 //! milliseconds. A fixed block split would leave workers idle behind the
-//! slowest block, so each worker starts from a contiguous block of task
-//! indices and steals from the back of the longest remaining queue once
-//! its own runs dry.
+//! slowest block, so workers take task indices one at a time from one
+//! shared counter: a worker that finishes early takes the next index.
 //!
 //! Determinism: the pool only schedules *which thread* runs a task, never
 //! what the task computes, and [`WorkerPool::map`] returns results in
@@ -16,10 +15,9 @@
 //! degenerates to an inline serial loop on the caller's thread, exactly
 //! the pre-pool behavior.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A scoped work-stealing pool with a fixed thread budget.
+/// A scoped worker pool with a fixed thread budget.
 ///
 /// The pool is a value, not a resource: threads are spawned per
 /// [`WorkerPool::map`] call (via `std::thread::scope`) and joined before
@@ -50,10 +48,10 @@ impl WorkerPool {
     }
 
     /// Runs `f(0), f(1), ..., f(tasks - 1)` across the pool and returns
-    /// the results in index order.
+    /// the results in index order. A task's panic reaches the caller.
     ///
     /// With one thread (or at most one task) this is an inline `for`
-    /// loop — no threads are spawned and no locks are taken.
+    /// loop — no threads are spawned.
     pub fn map<R, F>(&self, tasks: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -62,44 +60,26 @@ impl WorkerPool {
         if self.threads <= 1 || tasks <= 1 {
             return (0..tasks).map(f).collect();
         }
-        let workers = self.threads.min(tasks);
-
-        // Each worker's deque is preloaded with a contiguous block of
-        // indices so the common (balanced) case never steals.
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for t in 0..tasks {
-            queues[t * workers / tasks]
-                .lock()
-                .expect("pool poisoned")
-                .push_back(t);
-        }
-
-        let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(tasks));
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let queues = &queues;
-                let results = &results;
-                let f = &f;
-                s.spawn(move || loop {
-                    // Popped in a statement of its own: as a `match`
-                    // scrutinee the guard would live through the arms,
-                    // and two thieves that each hold their own queue
-                    // while locking the other's deadlock.
-                    let own = queues[w].lock().expect("pool poisoned").pop_front();
-                    // Tasks are never re-queued, so observing every
-                    // queue empty means the remaining work is already
-                    // running on other workers.
-                    let Some(task) = own.or_else(|| steal(queues, w)) else {
-                        break;
-                    };
-                    let r = f(task);
-                    results.lock().expect("pool poisoned").push((task, r));
-                });
+        // Relaxed: the counter only hands out indices; each result comes
+        // back to the caller through its worker's join.
+        let next = AtomicUsize::new(0);
+        let run = || {
+            let mut done = Vec::new();
+            loop {
+                let task = next.fetch_add(1, Ordering::Relaxed);
+                if task >= tasks {
+                    return done;
+                }
+                done.push((task, f(task)));
             }
+        };
+        let mut pairs: Vec<(usize, R)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..self.threads.min(tasks)).map(|_| s.spawn(run)).collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
         });
-
-        let mut pairs = results.into_inner().expect("pool poisoned");
         pairs.sort_unstable_by_key(|(i, _)| *i);
         pairs.into_iter().map(|(_, r)| r).collect()
     }
@@ -120,29 +100,6 @@ impl Default for WorkerPool {
     fn default() -> Self {
         WorkerPool::serial()
     }
-}
-
-/// Steals from the back of the longest sibling queue, retrying across
-/// victims until a task is found or every queue is empty.
-fn steal(queues: &[Mutex<VecDeque<usize>>], thief: usize) -> Option<usize> {
-    let mut victims: Vec<(usize, usize)> = queues
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != thief)
-        .map(|(i, q)| (q.lock().expect("pool poisoned").len(), i))
-        .collect();
-    victims.sort_unstable_by_key(|&(len, _)| std::cmp::Reverse(len));
-    for (len, i) in victims {
-        if len == 0 {
-            break;
-        }
-        // Bound first: the guard is gone before the task is looked at.
-        let stolen = queues[i].lock().expect("pool poisoned").pop_back();
-        if stolen.is_some() {
-            return stolen;
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -187,8 +144,8 @@ mod tests {
 
     #[test]
     fn imbalanced_tasks_still_complete() {
-        // One slow task at index 0: the other workers must steal the
-        // rest of worker 0's block instead of idling.
+        // One slow task at index 0: while its worker is busy, the other
+        // workers take every later index from the shared counter.
         let pool = WorkerPool::new(4);
         let out = pool.map(64, |i| {
             if i == 0 {
@@ -212,6 +169,17 @@ mod tests {
         assert_eq!(res.unwrap_err(), "task 3 failed");
         let ok: Result<Vec<usize>, String> = pool.try_map(10, Ok);
         assert_eq!(ok.unwrap(), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "task 5 failed")]
+    fn a_task_panic_reaches_the_caller() {
+        WorkerPool::new(4).map(16, |i| {
+            if i == 5 {
+                panic!("task {i} failed");
+            }
+            i
+        });
     }
 
     #[test]

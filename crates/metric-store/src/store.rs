@@ -60,6 +60,11 @@ pub trait MetricStore {
     fn size_bytes(&self) -> Result<u64, StoreError>;
 }
 
+/// Chunk-encode timing, one histogram for both spill stores.
+pub(crate) fn encode_histogram() -> std::sync::Arc<obs::Histogram> {
+    obs::global().histogram("metric_store_chunk_encode_seconds")
+}
+
 // ---------------------------------------------------------------------------
 // Chunk framing
 // ---------------------------------------------------------------------------

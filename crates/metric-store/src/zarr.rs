@@ -25,7 +25,7 @@ use crate::codec::{self, CodecId};
 use crate::error::StoreError;
 use crate::pool::WorkerPool;
 use crate::series::{MetricPoint, MetricSeries};
-use crate::store::{frame_chunk, path_size_bytes, unframe_chunk, MetricStore};
+use crate::store::{encode_histogram, frame_chunk, path_size_bytes, unframe_chunk, MetricStore};
 use json::{JsonWriter, Value};
 use std::path::{Path, PathBuf};
 
@@ -116,11 +116,6 @@ pub struct ZarrStore {
     encode_hist: std::sync::Arc<obs::Histogram>,
 }
 
-/// Chunk-encode timing, shared with the NetCDF store under one name.
-fn encode_histogram() -> std::sync::Arc<obs::Histogram> {
-    obs::global().histogram("metric_store_chunk_encode_seconds")
-}
-
 impl ZarrStore {
     /// Creates (or opens) a store at `root`.
     pub fn create(root: impl AsRef<Path>, opts: ZarrOptions) -> Result<Self, StoreError> {
@@ -179,13 +174,7 @@ impl ZarrStore {
             }
             cols[k] = payload;
         }
-        let steps = codec::decode_u64_column(&cols[0])?;
-        let epochs = codec::decode_u32_column(&cols[1])?;
-        let times = codec::decode_i64_column(&cols[2])?;
-        let values = codec::xor::decode(&cols[3])?;
-        let series = MetricSeries::from_columns("chunk", "chunk", steps, epochs, times, values)
-            .ok_or_else(|| StoreError::Corrupt("chunk column mismatch".into()))?;
-        Ok(series.points)
+        codec::decode_points(&cols)
     }
 
     /// Removes any previous data for the series and writes its
@@ -212,7 +201,7 @@ impl ZarrStore {
             trace.annotate("chunk", ci.to_string());
             trace.annotate("points", chunk.len().to_string());
         }
-        let encoded = self.encode_hist.time(|| encode_columns(chunk));
+        let encoded = self.encode_hist.time(|| codec::encode_points(chunk));
         drop(trace);
         for (col, payload) in COLUMNS.iter().zip(encoded) {
             let framed = frame_chunk(&payload, &BYTE_CODECS);
@@ -220,26 +209,6 @@ impl ZarrStore {
         }
         Ok(())
     }
-}
-
-/// The four column blobs of one chunk, in [`COLUMNS`] order.
-fn encode_columns(chunk: &[MetricPoint]) -> [Vec<u8>; 4] {
-    let mut steps = Vec::with_capacity(chunk.len());
-    let mut epochs = Vec::with_capacity(chunk.len());
-    let mut times = Vec::with_capacity(chunk.len());
-    let mut values = Vec::with_capacity(chunk.len());
-    for p in chunk {
-        steps.push(p.step);
-        epochs.push(p.epoch);
-        times.push(p.time_us);
-        values.push(p.value);
-    }
-    [
-        codec::encode_u64_column(&steps),
-        codec::encode_u32_column(&epochs),
-        codec::encode_i64_column(&times),
-        codec::xor::encode(&values),
-    ]
 }
 
 impl MetricStore for ZarrStore {

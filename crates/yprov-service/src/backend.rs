@@ -27,6 +27,31 @@ use std::sync::Mutex;
 
 pub use yprov4ml::journal::SyncPolicy;
 
+/// The one name rule: what a document id or a replication source
+/// must be before the store hands it to any backend. A name is a file
+/// name on the durable backend (`<id>.json`, `repl-<source>.chain`) and
+/// one space-separated field of a chain line, so it is non-empty, does
+/// not start with `.`, and holds no `/` or `\` and no ASCII whitespace
+/// or control character.
+pub(crate) fn valid_name(name: &str) -> bool {
+    !name.is_empty()
+        && !name.starts_with('.')
+        && !name
+            .chars()
+            .any(|c| matches!(c, '/' | '\\') || c.is_ascii_whitespace() || c.is_ascii_control())
+}
+
+/// [`valid_name`] for a document id, which also may not be `ledger`
+/// (reserved beside the backend's own files).
+pub(crate) fn check_document_id(id: &str) -> Result<(), ServiceError> {
+    if valid_name(id) && id != "ledger" {
+        return Ok(());
+    }
+    Err(ServiceError::InvalidDocument {
+        reason: format!("id {id:?} is not a valid document id"),
+    })
+}
+
 /// What [`StorageBackend::scan`] calls once per stored document.
 pub type Visitor<'a> = dyn FnMut(&str, &[u8]) -> Result<(), ServiceError> + 'a;
 
@@ -236,18 +261,7 @@ impl DurableBackend {
     }
 
     fn doc_path(&self, id: &str) -> Result<PathBuf, ServiceError> {
-        // Handle ids become file names: reject anything that could
-        // escape the directory or collide with the backend's own files.
-        if id.is_empty()
-            || id.starts_with('.')
-            || id.contains(['/', '\\'])
-            || id == "ledger"
-            || id.contains('\0')
-        {
-            return Err(ServiceError::InvalidDocument {
-                reason: format!("id {id:?} is not a valid durable handle"),
-            });
-        }
+        check_document_id(id)?;
         Ok(self.dir.join(format!("{id}.json")))
     }
 
@@ -256,15 +270,9 @@ impl DurableBackend {
             ChainName::Own => return Ok(self.dir.join("ledger.txt")),
             ChainName::Source(source) => source,
         };
-        // Source node ids become file names too; same escape rules as
-        // document handles.
-        if source.is_empty()
-            || source.starts_with('.')
-            || source.contains(['/', '\\'])
-            || source.contains('\0')
-        {
+        if !valid_name(source) {
             return Err(ServiceError::InvalidDocument {
-                reason: format!("source {source:?} is not a valid replication log name"),
+                reason: format!("source {source:?} is not a valid replication source name"),
             });
         }
         Ok(self.dir.join(format!("repl-{source}.chain")))
@@ -535,13 +543,43 @@ mod tests {
     fn durable_rejects_escaping_ids() {
         let dir = tmp("esc");
         let b = DurableBackend::open(&dir).unwrap();
-        for bad in ["../evil", "a/b", "", ".hidden", "ledger"] {
+        for bad in ["../evil", "a/b", "", ".hidden", "ledger", "my run"] {
             assert!(
                 matches!(b.put(bad, b"{}"), Err(ServiceError::InvalidDocument { .. })),
                 "{bad:?} must be rejected"
             );
         }
+        let chain = ChainName::Source("bad/source".into());
+        assert!(matches!(
+            b.chain_append(&chain, "0 run-1 d p h\n"),
+            Err(ServiceError::InvalidDocument { .. })
+        ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_name_rule_for_ids_and_sources() {
+        for good in [
+            "run-1",
+            "a?b#c%d+e",
+            "x.json",
+            "é😀",
+            "no\u{a0}break",
+            "ledger",
+        ] {
+            assert!(valid_name(good), "{good:?}");
+        }
+        let bad = [
+            "", ".hidden", "a/b", "a\\b", "my run", "tab\t", "nl\n", "nul\0", "\x7f",
+        ];
+        for name in bad {
+            assert!(!valid_name(name), "{name:?}");
+        }
+        assert!(check_document_id("run-1").is_ok());
+        assert!(matches!(
+            check_document_id("ledger"),
+            Err(ServiceError::InvalidDocument { .. })
+        ));
     }
 
     #[test]

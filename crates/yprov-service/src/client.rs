@@ -738,11 +738,11 @@ mod tests {
         let server =
             Server::bind("127.0.0.1:0", DocumentStore::new(), ServerConfig::default()).unwrap();
         let client = Client::new(server.addr(), fast_policy());
-        let id = "a b/c?d";
+        let id = "a?b#c%d+e";
         let put = client
             .send(
                 "PUT",
-                "/api/v0/documents/a%20b%2Fc%3Fd",
+                "/api/v0/documents/a%3Fb%23c%25d%2Be",
                 Some(&sample_doc_json()),
             )
             .unwrap();

@@ -1371,9 +1371,12 @@ mod tests {
         b.shutdown();
     }
 
-    #[test]
-    fn thirty_puts_replicate_each_document_once() {
-        let ids = ["node-a", "node-b", "node-c"];
+    const THREE: [&str; 3] = ["node-a", "node-b", "node-c"];
+
+    /// Starts a 3-node in-memory cluster named [`THREE`], every node
+    /// peered with the other two.
+    fn three_nodes() -> (Vec<NodeSpec>, Vec<DocumentStore>, Vec<Server>) {
+        let ids = THREE;
         // Every member must know its peers' addresses before any of
         // them binds: reserve three ports, release them, bind for real.
         let addrs: Vec<SocketAddr> = {
@@ -1402,6 +1405,51 @@ mod tests {
                 Server::bind(&addrs[i].to_string(), stores[i].clone(), config).unwrap()
             })
             .collect();
+        (specs, stores, servers)
+    }
+
+    #[test]
+    fn posts_to_two_nodes_get_their_own_ids_on_every_copy() {
+        let (_, stores, servers) = three_nodes();
+        let mut posted = Vec::new();
+        for (at, tag) in [(0, "alpha"), (1, "beta")] {
+            let body = doc_json(tag);
+            let (status, reply) =
+                crate::http::request(servers[at].addr(), "POST", "/api/v0/documents", Some(&body))
+                    .unwrap();
+            assert_eq!(status, 201, "{reply}");
+            let reply: json::Value = json::parse(&reply).unwrap();
+            posted.push((reply["id"].as_str().unwrap().to_string(), tag));
+        }
+        assert_ne!(posted[0].0, posted[1].0);
+        for (id, tag) in &posted {
+            let mut copies = 0;
+            for store in &stores {
+                let Ok(json) = store.document_json(id) else {
+                    continue;
+                };
+                copies += 1;
+                // The bytes hash to their own id: that POST's document.
+                assert_eq!(
+                    &format!("doc-{}", &yprov4ml::hash::sha256_hex(json.as_bytes())[..32]),
+                    id
+                );
+                assert!(json.contains(tag), "{id}: {json}");
+            }
+            assert!(copies >= 2, "{id} has {copies} copies");
+        }
+        for server in servers {
+            let (status, body) =
+                crate::http::request(server.addr(), "GET", "/api/v0/ledger/verify", None).unwrap();
+            assert_eq!(status, 200, "{body}");
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn thirty_puts_replicate_each_document_once() {
+        let ids = THREE;
+        let (specs, stores, servers) = three_nodes();
 
         const PUTS: u64 = 30;
         const LIVE_IDS: u64 = 8;
@@ -1543,6 +1591,45 @@ mod tests {
         .unwrap();
         assert_eq!(status, 503, "{body}");
         assert!(body.contains("under-replicated"), "{body}");
+        a.shutdown();
+    }
+
+    #[test]
+    fn a_retried_post_lands_on_one_id() {
+        // The only peer is down: every attempt commits locally and is
+        // answered 503, and the client retries the same POST.
+        let dead = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap()
+        };
+        let store = DocumentStore::new();
+        let a = Server::bind(
+            "127.0.0.1:0",
+            store.clone(),
+            ServerConfig {
+                cluster: Some(ClusterConfig {
+                    push_policy: RetryPolicy {
+                        max_attempts: 1,
+                        ..fast_policy()
+                    },
+                    ..ClusterConfig::new("node-a", vec![NodeSpec::new("node-b", dead)])
+                }),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let client = Client::new(
+            a.addr(),
+            RetryPolicy {
+                max_attempts: 4,
+                ..fast_policy()
+            },
+        );
+        let err = client.upload_document(&doc_json("model")).unwrap_err();
+        let retried = matches!(err, ClientError::Exhausted { attempts: 4, .. });
+        assert!(retried, "{err}");
+        assert_eq!(store.len(), 1, "{:?}", store.list());
+        assert_eq!(store.ledger_entries().len(), 4);
         a.shutdown();
     }
 

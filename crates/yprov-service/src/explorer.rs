@@ -4,6 +4,7 @@
 //! file, what kind of process it describes and how big it is. This
 //! module computes those summaries over a [`DocumentStore`].
 
+use crate::client::encode_id;
 use crate::store::DocumentStore;
 use prov_model::{AttrValue, ElementKind, QName};
 
@@ -101,18 +102,20 @@ pub fn find_by_artifact_digest(store: &DocumentStore, sha256: &str) -> Vec<Strin
 
 /// A self-contained HTML page listing the stored documents, in the
 /// spirit of the yProv Explorer's landing view. Served by the HTTP
-/// layer at `GET /explorer`.
+/// layer at `GET /explorer`. Links carry the id percent-encoded (an id
+/// may hold `?`, `#` or `%`); the cell shows it HTML-escaped.
 pub fn render_html(summaries: &[DocumentSummary]) -> String {
     let mut rows = String::new();
     for s in summaries {
         rows.push_str(&format!(
-            "<tr><td><a href=\"/api/v0/documents/{id}\">{id}</a></td><td>{run}</td>\
+            "<tr><td><a href=\"/api/v0/documents/{path}\">{id}</a></td><td>{run}</td>\
              <td>{entities}</td><td>{activities}</td><td>{agents}</td><td>{relations}</td>\
              <td>{metrics}</td><td>{artifacts}</td><td>{nodes}</td><td>{edges}</td>\
              <td>{bytes}</td>\
-             <td><a href=\"/api/v0/documents/{id}/provn\">provn</a> \
-                 <a href=\"/api/v0/documents/{id}/turtle\">ttl</a> \
-                 <a href=\"/api/v0/documents/{id}/dot\">dot</a></td></tr>\n",
+             <td><a href=\"/api/v0/documents/{path}/provn\">provn</a> \
+                 <a href=\"/api/v0/documents/{path}/turtle\">ttl</a> \
+                 <a href=\"/api/v0/documents/{path}/dot\">dot</a></td></tr>\n",
+            path = encode_id(&s.id),
             id = html_escape(&s.id),
             run = html_escape(s.run_label.as_deref().unwrap_or("-")),
             entities = s.entities,
@@ -155,7 +158,7 @@ Try <code>{"audit": "leakage"}</code>,
 path pattern under <code>"query"</code>; add <code>"render": "dot"</code>
 for the matched subgraph.</p>
 <form id="qform">
-  <label>document <input id="qdoc" size="12" placeholder="doc-1"></label><br>
+  <label>document <input id="qdoc" size="24" placeholder="an id from the table"></label><br>
   <textarea id="qbody" rows="6" cols="70">{"audit": "leakage", "render": "dot"}</textarea><br>
   <button type="submit">Run query</button>
 </form>
@@ -268,12 +271,13 @@ fn html_escape(s: &str) -> String {
 
 /// A plain-text table of the summaries, explorer style.
 pub fn render_table(summaries: &[DocumentSummary]) -> String {
+    // The id column fits a content id (`doc-` + 32 hex digits).
     let mut out = String::from(
-        "id          run                entities  activities  relations  metrics  artifacts  nodes  edges  bytes\n",
+        "id                                   run                entities  activities  relations  metrics  artifacts  nodes  edges  bytes\n",
     );
     for s in summaries {
         out.push_str(&format!(
-            "{:<11} {:<18} {:>8}  {:>10}  {:>9}  {:>7}  {:>9}  {:>5}  {:>5}  {:>5}\n",
+            "{:<36} {:<18} {:>8}  {:>10}  {:>9}  {:>7}  {:>9}  {:>5}  {:>5}  {:>5}\n",
             s.id,
             s.run_label.as_deref().unwrap_or("-"),
             s.entities,
@@ -315,11 +319,11 @@ mod tests {
     #[test]
     fn summaries_capture_shape() {
         let store = DocumentStore::new();
-        store.upload(yprov_style_doc("run-1", "aa")).unwrap();
+        let first = store.upload(yprov_style_doc("run-1", "aa")).unwrap();
         store.upload(yprov_style_doc("run-2", "bb")).unwrap();
         let summaries = summarize(&store);
         assert_eq!(summaries.len(), 2);
-        let s = &summaries[0];
+        let s = summaries.iter().find(|s| s.id == first).unwrap();
         assert_eq!(s.run_label.as_deref(), Some("run-1"));
         assert_eq!(s.metrics, 1);
         assert_eq!(s.artifacts, 1);
@@ -357,13 +361,28 @@ mod tests {
         doc.activity(QName::new("ex", "run"))
             .prov_type(QName::yprov("RunExecution"))
             .label("<script>alert(1)</script>");
-        store.upload(doc).unwrap();
+        let id = store.upload(doc).unwrap();
         let html = render_html(&summarize(&store));
         assert!(html.contains("<table>"));
-        assert!(html.contains("doc-1"));
+        assert!(html.contains(&id));
         assert!(!html.contains("<script>alert"), "labels must be escaped");
         assert!(html.contains("&lt;script&gt;"));
-        assert!(html.contains("/api/v0/documents/doc-1/provn"));
+        assert!(html.contains(&format!("/api/v0/documents/{id}/provn")));
+    }
+
+    #[test]
+    fn html_links_percent_encode_the_id() {
+        let store = DocumentStore::new();
+        store
+            .upload_as("a?b#c", yprov_style_doc("run-1", "aa"))
+            .unwrap();
+        let html = render_html(&summarize(&store));
+        for path in ["", "/provn", "/turtle", "/dot"] {
+            let href = format!("href=\"/api/v0/documents/a%3Fb%23c{path}\"");
+            assert!(html.contains(&href), "{href}");
+        }
+        assert!(!html.contains("/api/v0/documents/a?b"));
+        assert!(html.contains(">a?b#c</a>"), "the cell shows the id");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! | GET | `/` | the HTML explorer page |
 //! | GET | `/explorer` | the HTML explorer page |
 //! | GET | `/api/v0/documents` | list handle ids |
-//! | POST | `/api/v0/documents` | upload PROV-JSON under a fresh id |
+//! | POST | `/api/v0/documents` | upload PROV-JSON under its content id (`doc-` + 32 hex digits of its SHA-256) |
 //! | PUT | `/api/v0/documents/{id}` | upload/replace under a chosen id |
 //! | GET | `/api/v0/documents/{id}` | the PROV-JSON document |
 //! | DELETE | `/api/v0/documents/{id}` | remove |
@@ -51,6 +51,13 @@
 //! | GET | `/api/v0/obs/slowlog` | slowest and erroring requests per route |
 //! | GET | `/api/v0/obs/alerts` | every alert rule's lifecycle state |
 //! | GET | `/api/v0/obs/cluster` | federated metrics + health of every member |
+//!
+//! A `POST`ed document is named by its content, so a retried or re-sent
+//! upload lands on the same id on any node. That id names the bytes
+//! first stored under it; a later `PUT` or delta may change them. A
+//! `PUT` id must pass the store's one name rule — non-empty, no leading
+//! `.`, no `/` or `\`, no ASCII whitespace or control character, not
+//! `ledger` — or the request is answered 400 and nothing is written.
 //!
 //! When [`ServerConfig::cluster`] is set, uploads are streamed to the
 //! document's replica set before being acknowledged (see
@@ -685,19 +692,12 @@ mod tests {
     #[test]
     fn explorer_page_served_at_root() {
         let server = start();
-        let (_, body) = request(
-            server.addr(),
-            "POST",
-            "/api/v0/documents",
-            Some(&sample_doc_json()),
-        )
-        .unwrap();
-        let _ = body;
+        let id = upload(server.addr(), &sample_doc_json());
         for path in ["/", "/explorer"] {
             let (status, html) = request(server.addr(), "GET", path, None).unwrap();
             assert_eq!(status, 200, "{path}");
             assert!(html.contains("yProv Explorer"), "{path}");
-            assert!(html.contains("doc-1"));
+            assert!(html.contains(&id));
         }
         server.shutdown();
     }
@@ -803,23 +803,32 @@ mod tests {
     fn concurrent_clients() {
         let server = start();
         let addr = server.addr();
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let doc = sample_doc_json();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..10 {
-                    let (status, _) =
-                        request(addr, "POST", "/api/v0/documents", Some(&doc)).unwrap();
-                    assert_eq!(status, 201);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        // Each client sends 10 documents of its own and the one they all
+        // share: 80 ids, plus one.
+        let handles: Vec<_> = (0..8)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    let mut ids = Vec::new();
+                    for i in 0..10 {
+                        let mut doc = ProvDocument::new();
+                        doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+                        doc.entity(QName::new("ex", format!("t{t}-{i}")));
+                        ids.push(upload(addr, &doc.to_json_string().unwrap()));
+                    }
+                    (ids, upload(addr, &sample_doc_json()))
+                })
+            })
+            .collect();
+        let (own, shared): (Vec<Vec<String>>, Vec<String>) =
+            handles.into_iter().map(|h| h.join().unwrap()).unzip();
+        let mut own: Vec<String> = own.concat();
+        own.sort();
+        own.dedup();
+        assert_eq!(own.len(), 80);
+        assert!(shared.iter().all(|id| *id == shared[0]), "{shared:?}");
         let (_, listing) = request(addr, "GET", "/api/v0/documents", None).unwrap();
         let listing: json::Value = json::parse(&listing).unwrap();
-        assert_eq!(listing["documents"].as_array().unwrap().len(), 80);
+        assert_eq!(listing["documents"].as_array().unwrap().len(), 81);
         server.shutdown();
     }
 
@@ -956,18 +965,12 @@ mod tests {
     #[test]
     fn percent_encoded_document_ids_round_trip() {
         let server = start();
-        let (status, body) = request(
-            server.addr(),
-            "POST",
-            "/api/v0/documents",
-            Some(&sample_doc_json()),
-        )
-        .unwrap();
-        assert_eq!(status, 201, "{body}");
-        // The store names it "doc-1"; fetch, stat, and delete it through
-        // its percent-encoded spelling.
-        let (status, fetched) =
-            request(server.addr(), "GET", "/api/v0/documents/doc%2D1", None).unwrap();
+        let id = upload(server.addr(), &sample_doc_json());
+        // Fetch, stat, and delete it through its percent-encoded
+        // spelling ("doc%2D...").
+        let encoded = id.replace('-', "%2D");
+        let path = format!("/api/v0/documents/{encoded}");
+        let (status, fetched) = request(server.addr(), "GET", &path, None).unwrap();
         assert_eq!(status, 200, "{fetched}");
         assert_eq!(
             ProvDocument::from_json_str(&fetched)
@@ -975,18 +978,13 @@ mod tests {
                 .element_count(),
             3
         );
-        let (status, _) = request(
-            server.addr(),
-            "GET",
-            "/api/v0/documents/doc%2D1/stats",
-            None,
-        )
-        .unwrap();
+        let stats = format!("{path}/stats");
+        let (status, _) = request(server.addr(), "GET", &stats, None).unwrap();
         assert_eq!(status, 200);
-        let (status, _) =
-            request(server.addr(), "DELETE", "/api/v0/documents/doc%2D1", None).unwrap();
+        let (status, _) = request(server.addr(), "DELETE", &path, None).unwrap();
         assert_eq!(status, 200);
-        let (status, _) = request(server.addr(), "GET", "/api/v0/documents/doc-1", None).unwrap();
+        let plain = format!("/api/v0/documents/{id}");
+        let (status, _) = request(server.addr(), "GET", &plain, None).unwrap();
         assert_eq!(status, 404);
         server.shutdown();
     }
@@ -1197,39 +1195,25 @@ mod tests {
     fn delta_upload_merges_and_watch_observes_versions() {
         let server = start();
         let addr = server.addr();
-        let (status, body) =
-            request(addr, "POST", "/api/v0/documents", Some(&sample_doc_json())).unwrap();
-        assert_eq!(status, 201, "{body}");
+        let id = upload(addr, &sample_doc_json());
+        let doc = format!("/api/v0/documents/{id}");
 
         // A watch cursor behind the current version answers immediately
         // with the document inline.
-        let (status, w) =
-            request(addr, "GET", "/api/v0/documents/doc-1/watch?after=0", None).unwrap();
+        let (status, w) = request(addr, "GET", &format!("{doc}/watch?after=0"), None).unwrap();
         assert_eq!(status, 200, "{w}");
         let w: json::Value = json::parse(&w).unwrap();
         assert_eq!(w["changed"], true);
         assert_eq!(w["version"], 1);
-        assert_eq!(w["id"], "doc-1");
+        assert_eq!(w["id"], id.as_str());
 
         // Park a watcher past the head, then merge a delta: it wakes
         // with the merged document, well before its timeout.
-        let watcher = std::thread::spawn(move || {
-            request(
-                addr,
-                "GET",
-                "/api/v0/documents/doc-1/watch?after=1&timeout_ms=10000",
-                None,
-            )
-            .unwrap()
-        });
+        let watch = format!("{doc}/watch?after=1&timeout_ms=10000");
+        let watcher = std::thread::spawn(move || request(addr, "GET", &watch, None).unwrap());
         std::thread::sleep(Duration::from_millis(100));
-        let (status, body) = request(
-            addr,
-            "POST",
-            "/api/v0/documents/doc-1/deltas",
-            Some(&delta_json()),
-        )
-        .unwrap();
+        let deltas = format!("{doc}/deltas");
+        let (status, body) = request(addr, "POST", &deltas, Some(&delta_json())).unwrap();
         assert_eq!(status, 200, "{body}");
         let v: json::Value = json::parse(&body).unwrap();
         assert_eq!(v["version"], 2);
@@ -1242,13 +1226,8 @@ mod tests {
         assert_eq!(merged.element_count(), 5);
 
         // At the head, the watch times out unchanged.
-        let (status, w) = request(
-            addr,
-            "GET",
-            "/api/v0/documents/doc-1/watch?after=2&timeout_ms=100",
-            None,
-        )
-        .unwrap();
+        let watch = format!("{doc}/watch?after=2&timeout_ms=100");
+        let (status, w) = request(addr, "GET", &watch, None).unwrap();
         assert_eq!(status, 200);
         let w: json::Value = json::parse(&w).unwrap();
         assert_eq!(w["changed"], false);
@@ -1258,13 +1237,8 @@ mod tests {
         // merge is visible as an incremental index extension.
         let (status, _) = request(addr, "GET", "/api/v0/documents/ghost/watch", None).unwrap();
         assert_eq!(status, 404);
-        let (status, anc) = request(
-            addr,
-            "GET",
-            "/api/v0/documents/doc-1/ancestors?focus=ex:report",
-            None,
-        )
-        .unwrap();
+        let ancestors = format!("{doc}/ancestors?focus=ex:report");
+        let (status, anc) = request(addr, "GET", &ancestors, None).unwrap();
         assert_eq!(status, 200);
         assert!(anc.contains("ex:data"), "{anc}");
         let (_, scrape) = request(addr, "GET", "/metrics", None).unwrap();
@@ -1403,6 +1377,28 @@ mod tests {
             .unwrap();
             assert_eq!(status, 400, "{bad} -> {resp}");
             assert!(resp.contains("error"), "{resp}");
+        }
+
+        // A key the scenario does not read is a 400 that names it, not
+        // a default silently applied.
+        for (bad, key) in [
+            (
+                r#"{"audit": "fairness", "model": "ex:model", "groupKey": "ex:gender"}"#,
+                "groupKey",
+            ),
+            (
+                r#"{"query": {"start": {"id": "ex:model"}, "steps": []}, "limt": 3}"#,
+                "limt",
+            ),
+            (r#"{"audit": "leakage", "sample": "ex:s"}"#, "sample"),
+        ] {
+            let path = format!("/api/v0/documents/{id}/query");
+            let (status, resp) = request(server.addr(), "POST", &path, Some(bad)).unwrap();
+            assert_eq!(status, 400, "{bad} -> {resp}");
+            assert!(
+                resp.contains(&format!("unknown key \\\"{key}\\\"")),
+                "{resp}"
+            );
         }
 
         // Unknown documents are 404s.

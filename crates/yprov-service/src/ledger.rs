@@ -223,7 +223,9 @@ impl Ledger {
             if line.trim().is_empty() {
                 continue;
             }
-            let parts: Vec<&str> = line.split_whitespace().collect();
+            // Split on the one space `to_line` writes: a name may hold
+            // whitespace outside ASCII (the name rule refuses only ASCII).
+            let parts: Vec<&str> = line.split(' ').collect();
             if parts.len() != 5 {
                 return Err(ServiceError::LedgerFormat {
                     line: lineno + 1,

@@ -279,8 +279,9 @@ fn not_found(id: &str) -> (u16, String) {
 /// Acknowledges a committed upload. On a cluster-configured server the
 /// upload is first streamed to its replica set; an under-replicated
 /// write is answered 503 (the document *is* committed locally — the
-/// client's retry replays idempotently under `PUT`, and duplicate
-/// frame delivery is idempotent on the replicas).
+/// client's retry lands on the same id, under `PUT` by name and under
+/// `POST` by content, and duplicate frame delivery is idempotent on the
+/// replicas).
 fn acked_response(state: &ServerState, up: &Upload) -> (u16, String) {
     if let Some(r) = &state.replicator {
         let outcome = r.replicate(&state.store, up);

@@ -25,7 +25,8 @@ use std::time::{Duration, Instant};
 /// Two cross-cutting keys: `"docs": [id, ...]` joins the named
 /// documents into the queried view (canonical merge), and
 /// `"render": "dot"` additionally returns the matched subgraph as
-/// Graphviz DOT under `"dot"`.
+/// Graphviz DOT under `"dot"`. Any other top-level key is a 400 that
+/// names it.
 ///
 /// Responses are written straight to bytes, keys in ascending order.
 pub(super) fn handle_query(state: &ServerState, req: &Request, id: &str) -> (u16, String) {
@@ -42,6 +43,19 @@ pub(super) fn handle_query(state: &ServerState, req: &Request, id: &str) -> (u16
     let Some(obj) = v.as_object() else {
         return (400, error_body("body must be a JSON object"));
     };
+    let scenario = obj.get("audit").and_then(|a| a.as_str());
+    if obj.contains_key("query") == scenario.is_some() {
+        return (
+            400,
+            error_body("body must contain exactly one of \"query\" or \"audit\""),
+        );
+    }
+    if let Some(key) = unknown_key(obj, scenario) {
+        return (
+            400,
+            error_body(&format!("unknown key {key:?} in the query body")),
+        );
+    }
 
     let extra: Option<Vec<String>> = match obj.get("docs") {
         None => Some(Vec::new()),
@@ -57,9 +71,9 @@ pub(super) fn handle_query(state: &ServerState, req: &Request, id: &str) -> (u16
     let render_dot = matches!(obj.get("render").and_then(|r| r.as_str()), Some("dot"));
     let documents = Documents { id, extra: &extra };
 
-    match (obj.get("query"), obj.get("audit").and_then(|a| a.as_str())) {
-        (Some(q), None) => {
-            let query = match PathQuery::from_json(q) {
+    match scenario {
+        None => {
+            let query = match PathQuery::from_json(&obj["query"]) {
                 Ok(q) => q,
                 Err(e) => return (400, error_body(&e.to_string())),
             };
@@ -74,13 +88,27 @@ pub(super) fn handle_query(state: &ServerState, req: &Request, id: &str) -> (u16
             (200, path_body(&documents, &set, dot.as_deref()))
         }
 
-        (None, Some(scenario)) => handle_audit(store, &documents, scenario, obj, render_dot),
-
-        _ => (
-            400,
-            error_body("body must contain exactly one of \"query\" or \"audit\""),
-        ),
+        Some(scenario) => handle_audit(store, &documents, scenario, obj, render_dot),
     }
+}
+
+/// The first top-level key of `obj` that `scenario` (`None`: a path
+/// query) does not read. An unknown audit is refused by name later, so
+/// its keys are not checked.
+fn unknown_key<'a>(
+    obj: &'a json::Map, // reads JSON
+    scenario: Option<&str>,
+) -> Option<&'a str> {
+    let own: &[&str] = match scenario {
+        None => &["query"],
+        Some("leakage") => &["test", "training"],
+        Some("gdpr") => &["sample", "model"],
+        Some("fairness") => &["model", "group_key"],
+        Some("join") => &["digest_key"],
+        Some(_) => return None,
+    };
+    let known = |key: &str| ["audit", "docs", "render"].contains(&key) || own.contains(&key);
+    obj.keys().map(String::as_str).find(|key| !known(key))
 }
 
 /// The documents a request queries: its own, then the `"docs"` it

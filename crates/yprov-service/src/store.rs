@@ -23,7 +23,10 @@
 //! store's [`obs::Registry`], exposed through the HTTP `/metrics`
 //! endpoint.
 
-use crate::backend::{ChainName, DurableBackend, MemoryBackend, StorageBackend, SyncPolicy};
+use crate::backend::{
+    check_document_id, valid_name, ChainName, DurableBackend, MemoryBackend, StorageBackend,
+    SyncPolicy,
+};
 use crate::error::ServiceError;
 use crate::ledger::{Ledger, LedgerEntry};
 use crate::sync::{lock, read, write};
@@ -32,7 +35,6 @@ use prov_model::query::PathQuery;
 use prov_model::{ProvDocument, QName};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use yprov4ml::hash::sha256_hex;
@@ -246,8 +248,10 @@ fn parse_frame(entry: &LedgerEntry, json: &str) -> Result<(ProvDocument, GraphIn
     Ok((doc, index))
 }
 
-/// A thread-safe store of provenance documents keyed by handle ids
-/// (`doc-1`, `doc-2`, ...). Cheap to clone (shared state).
+/// A thread-safe store of provenance documents keyed by handle ids: a
+/// caller's name under `PUT`, a content id (`doc-` and 32 hex digits
+/// of the document's digest) under `POST`. Cheap to clone (shared
+/// state).
 #[derive(Clone)]
 pub struct DocumentStore {
     inner: Arc<Inner>,
@@ -270,18 +274,18 @@ impl Stored {
     }
 }
 
-/// `N` of a `doc-N` handle id, which the auto-id counter must stay
-/// past; 0, which claims nothing, for any other id.
-fn doc_number(id: &str) -> u64 {
-    id.strip_prefix("doc-")
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(0)
+/// The id a `POST` gives a document: `doc-` and the first 32 hex
+/// digits of the SHA-256 of its canonical bytes, the digest its ledger
+/// entry records. The same document gets the same id on every node and
+/// on every retry. The id names the bytes first stored under it; a
+/// later `PUT` or delta merge may change them.
+fn content_id(canonical_json: &str) -> String {
+    format!("doc-{}", &sha256_hex(canonical_json.as_bytes())[..32])
 }
 
 struct Inner {
     backend: Box<dyn StorageBackend>,
     docs: RwLock<BTreeMap<String, Arc<Stored>>>,
-    next_id: AtomicU64,
     /// Every chain, under the lock that every write of a document —
     /// local commit, delete, replicated apply — holds throughout, so
     /// chain order always matches visible state.
@@ -324,9 +328,8 @@ impl DocumentStore {
     }
 
     /// Opens a store over any [`StorageBackend`]: replays the backend's
-    /// chains, loads and parses every stored document, restores the id
-    /// counter past the highest `doc-N`, and verifies every chain and
-    /// the surviving documents against them.
+    /// chains, loads and parses every stored document, and verifies
+    /// every chain and the surviving documents against them.
     pub fn with_backend(backend: impl StorageBackend) -> Result<Self, ServiceError> {
         Self::open(Box::new(backend))
     }
@@ -341,7 +344,6 @@ impl DocumentStore {
         }
 
         let mut docs = BTreeMap::new();
-        let mut max_id = 0u64;
         backend.scan(&mut |id, bytes| {
             let text = std::str::from_utf8(bytes).map_err(|e| ServiceError::InvalidDocument {
                 reason: format!("{id}: stored bytes are not UTF-8: {e}"),
@@ -350,7 +352,6 @@ impl DocumentStore {
                 ProvDocument::from_json_str(text).map_err(|e| ServiceError::InvalidDocument {
                     reason: format!("{id}: {e}"),
                 })?;
-            max_id = max_id.max(doc_number(id));
             docs.insert(id.to_string(), Stored::unindexed(Arc::new(doc)));
             Ok(())
         })?;
@@ -372,7 +373,6 @@ impl DocumentStore {
             inner: Arc::new(Inner {
                 backend,
                 docs: RwLock::new(docs),
-                next_id: AtomicU64::new(max_id),
                 chains: Mutex::new(chains),
                 registry,
                 metrics,
@@ -429,15 +429,17 @@ impl DocumentStore {
         }
     }
 
-    /// Serializes, persists and indexes one document under `id`.
+    /// Serializes, persists and indexes one document under `id`, or
+    /// under its [`content_id`] when `id` is `None`.
     ///
     /// The document is canonicalized first, so the stored bytes (and the
     /// digest the ledger commits to) are identical however the relations
     /// were ordered at upload — which is what lets a stream of deltas
     /// converge byte-for-byte with a finalize-only upload.
-    fn insert(&self, id: String, mut doc: ProvDocument) -> Result<Upload, ServiceError> {
+    fn insert(&self, id: Option<String>, mut doc: ProvDocument) -> Result<Upload, ServiceError> {
         doc.canonicalize();
         let json = doc.to_json_string()?;
+        let id = id.unwrap_or_else(|| content_id(&json));
         let index = GraphIndex::build(&doc);
         let chains = &mut *lock(&self.inner.chains);
         self.commit(chains, id, doc, json, index).map(|(up, _)| up)
@@ -489,7 +491,10 @@ impl DocumentStore {
         self.inner.watch.bump(id)
     }
 
-    /// Stores a document, returning its handle id.
+    /// Stores a document under its content id — `doc-` and the first 32
+    /// hex digits of the SHA-256 of its canonical bytes — and returns
+    /// that id. Uploading the same document again, here or on another
+    /// node, lands on the same id.
     pub fn upload(&self, doc: ProvDocument) -> Result<String, ServiceError> {
         self.upload_full(doc).map(|u| u.id)
     }
@@ -497,18 +502,14 @@ impl DocumentStore {
     /// [`Self::upload`] returning the full [`Upload`] (ledger entry +
     /// canonical bytes) — what a replicating primary streams downstream.
     pub fn upload_full(&self, doc: ProvDocument) -> Result<Upload, ServiceError> {
-        let id = format!(
-            "doc-{}",
-            self.inner.next_id.fetch_add(1, Ordering::Relaxed) + 1
-        );
-        self.insert(id, doc)
+        self.insert(None, doc)
     }
 
     /// Stores a document under a caller-chosen id (replacing any
-    /// previous document with that id, index included).
-    ///
-    /// Claiming a `doc-N` id advances the auto-id counter past `N`, so
-    /// a later [`Self::upload`] can never silently overwrite it.
+    /// previous document with that id, index included). An id the name
+    /// rule refuses — empty, a leading `.`, a `/` or `\`, an ASCII
+    /// whitespace or control character, or `ledger` — is
+    /// [`ServiceError::InvalidDocument`] before anything is written.
     pub fn upload_as(
         &self,
         id: impl Into<String>,
@@ -524,10 +525,8 @@ impl DocumentStore {
         doc: ProvDocument,
     ) -> Result<Upload, ServiceError> {
         let id = id.into();
-        self.inner
-            .next_id
-            .fetch_max(doc_number(&id), Ordering::Relaxed);
-        self.insert(id, doc)
+        check_document_id(&id)?;
+        self.insert(Some(id), doc)
     }
 
     /// Fetches a document.
@@ -792,7 +791,9 @@ impl DocumentStore {
     ///
     /// The frame is verified *before* anything is stored:
     ///
-    /// 1. the entry's recorded hash must recompute from its fields;
+    /// 1. `source` and the entry's document id must pass the name rule
+    ///    [`Self::upload_as`] applies, and the entry's recorded hash must
+    ///    recompute from its fields;
     /// 2. it must extend this replica's verified chain for `source`
     ///    (right index, `prev_hash` == chain head) — duplicates of
     ///    already-applied entries are acknowledged idempotently, gaps
@@ -844,11 +845,21 @@ impl DocumentStore {
         doc_json: Option<&str>,
         drop_uncommitted: bool,
     ) -> Result<ReplicationApply, ServiceError> {
-        if !entry.is_self_consistent() {
-            return Err(ServiceError::Replication {
-                reason: format!("entry {} hash does not recompute", entry.index),
+        // Refusals no resend can fix: nothing is stored, no resume point.
+        let refuse = |reason: String| {
+            Err(ServiceError::Replication {
+                reason,
                 expect_index: None,
-            });
+            })
+        };
+        if !valid_name(source) {
+            return refuse(format!("source {source:?} is not a valid name"));
+        }
+        if let Err(e) = check_document_id(&entry.document_id) {
+            return refuse(format!("entry {}: {e}", entry.index));
+        }
+        if !entry.is_self_consistent() {
+            return refuse(format!("entry {} hash does not recompute", entry.index));
         }
         // The document is checked against its own entry, not the chain:
         // hash, parse and index it before the lock is taken.
@@ -865,10 +876,10 @@ impl DocumentStore {
             return if chain.entries()[entry.index as usize] == entry {
                 Ok(ReplicationApply::Duplicate)
             } else {
-                Err(ServiceError::Replication {
-                    reason: format!("entry {} conflicts with applied history", entry.index),
-                    expect_index: None,
-                })
+                refuse(format!(
+                    "entry {} conflicts with applied history",
+                    entry.index
+                ))
             };
         }
         if entry.index > next {
@@ -891,9 +902,6 @@ impl DocumentStore {
                 expect_index: Some(next),
             })?;
             self.inner.backend.put(&id, json.as_bytes())?;
-            self.inner
-                .next_id
-                .fetch_max(doc_number(&id), Ordering::Relaxed);
             self.swap_in(&id, doc, index);
         }
         chain
@@ -997,6 +1005,7 @@ impl DocumentStore {
 mod tests {
     use super::*;
     use crate::ledger::LedgerIssue;
+    use std::sync::atomic::Ordering;
 
     fn q(local: &str) -> QName {
         QName::new("ex", local)
@@ -1017,9 +1026,11 @@ mod tests {
     fn upload_get_delete() {
         let store = DocumentStore::new();
         let id = store.upload(pipeline_doc()).unwrap();
-        assert_eq!(id, "doc-1");
+        // The id is the digest the ledger entry records, cut to 32 hex.
+        let digest = &store.ledger_entries()[0].document_digest;
+        assert_eq!(id, format!("doc-{}", &digest[..32]));
         assert!(store.get(&id).is_some());
-        assert_eq!(store.list(), vec!["doc-1"]);
+        assert_eq!(store.list(), vec![id.clone()]);
         assert!(store.delete(&id).unwrap());
         assert!(!store.delete(&id).unwrap());
         assert!(store.is_empty());
@@ -1028,23 +1039,37 @@ mod tests {
     #[test]
     fn ids_are_unique_under_concurrency() {
         let store = DocumentStore::new();
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let store = store.clone();
-            handles.push(std::thread::spawn(move || {
-                (0..100)
-                    .map(|_| store.upload(ProvDocument::new()).unwrap())
-                    .collect::<Vec<_>>()
-            }));
-        }
-        let mut all: Vec<String> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort();
-        all.dedup();
-        assert_eq!(all.len(), 800);
+        let upload_from_8_threads = |doc: fn(usize, usize) -> ProvDocument| {
+            let handles: Vec<_> = (0..8)
+                .map(|t| {
+                    let store = store.clone();
+                    std::thread::spawn(move || {
+                        (0..100)
+                            .map(|i| store.upload(doc(t, i)).unwrap())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let mut all: Vec<String> = handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect();
+            all.sort();
+            all.dedup();
+            all
+        };
+        // 800 different documents: 800 ids.
+        let distinct = upload_from_8_threads(|t, i| {
+            let mut doc = ProvDocument::new();
+            doc.entity(q(&format!("t{t}-{i}")));
+            doc
+        });
+        assert_eq!(distinct.len(), 800);
         assert_eq!(store.len(), 800);
+        // One document 800 times: one id.
+        let same = upload_from_8_threads(|_, _| pipeline_doc());
+        assert_eq!(same.len(), 1);
+        assert_eq!(store.len(), 801);
     }
 
     #[test]
@@ -1108,18 +1133,77 @@ mod tests {
     }
 
     #[test]
-    fn upload_as_advances_the_id_counter() {
-        // Regression: claiming "doc-5" must bump next_id past 5, or a
-        // later upload() would silently overwrite it.
-        let store = DocumentStore::new();
-        store.upload_as("doc-5", pipeline_doc()).unwrap();
-        let next = store.upload(ProvDocument::new()).unwrap();
-        assert_eq!(next, "doc-6");
-        assert_eq!(store.get("doc-5").unwrap().element_count(), 3);
-        assert_eq!(store.len(), 2);
-        // Non-doc-N ids leave the counter alone.
-        store.upload_as("run-7", ProvDocument::new()).unwrap();
-        assert_eq!(store.upload(ProvDocument::new()).unwrap(), "doc-7");
+    fn a_name_the_rule_refuses_writes_nothing_on_either_backend() {
+        let dir = std::env::temp_dir().join(format!("ysvc_names_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        for store in [
+            DocumentStore::new(),
+            DocumentStore::persistent(&dir).unwrap(),
+        ] {
+            for bad in ["my run", "a/b", "a\\b", ".hidden", "", "ledger", "nl\n"] {
+                let refused = store.upload_as(bad, pipeline_doc());
+                assert!(
+                    matches!(refused, Err(ServiceError::InvalidDocument { .. })),
+                    "{bad:?} on {}",
+                    store.backend_name()
+                );
+            }
+            assert!(store.is_empty());
+            assert!(store.ledger_entries().is_empty());
+            // Whitespace outside ASCII passes, and its chain line reads back.
+            store.upload_as("no\u{a0}break", pipeline_doc()).unwrap();
+        }
+        let reopened = DocumentStore::persistent(&dir).unwrap();
+        assert_eq!(reopened.list(), vec!["no\u{a0}break"]);
+        reopened.verify_all().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_frame_the_name_rule_refuses_stores_nothing() {
+        let dir = std::env::temp_dir().join(format!("ysvc_bad_frame_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let ours = DocumentStore::new()
+            .upload_as_full("run-1", pipeline_doc())
+            .unwrap();
+        let theirs = DocumentStore::new()
+            .upload_as_full("run-1", ProvDocument::new())
+            .unwrap();
+        // A self-consistent entry for an id the rule refuses.
+        let json = &theirs.canonical_json;
+        let bad_id = Ledger::new().append("my run", json.as_bytes()).clone();
+        for replica in [
+            DocumentStore::new(),
+            DocumentStore::persistent(&dir).unwrap(),
+        ] {
+            replica
+                .apply_replicated("node-a", ours.entry.clone(), Some(&ours.canonical_json))
+                .unwrap();
+            for (source, entry) in [("bad/source", &theirs.entry), ("node-b", &bad_id)] {
+                let refused = replica.apply_replicated(source, entry.clone(), Some(json));
+                assert!(
+                    matches!(
+                        refused,
+                        Err(ServiceError::Replication {
+                            expect_index: None,
+                            ..
+                        })
+                    ),
+                    "{source}: {refused:?}"
+                );
+            }
+            assert_eq!(replica.document_json("run-1").unwrap(), ours.canonical_json);
+            assert_eq!(replica.list(), vec!["run-1"]);
+            assert_eq!(replica.replication_sources(), vec![("node-a".into(), 1)]);
+            replica.verify_all().unwrap();
+        }
+        let reopened = DocumentStore::persistent(&dir).unwrap();
+        assert_eq!(
+            reopened.document_json("run-1").unwrap(),
+            ours.canonical_json
+        );
+        reopened.verify_all().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1137,9 +1221,9 @@ mod tests {
         assert_eq!(reopened.len(), 2);
         let doc = reopened.get(&id).unwrap();
         assert_eq!(doc.element_count(), 3);
-        // Ids keep counting past the reloaded maximum.
-        let new_id = reopened.upload(ProvDocument::new()).unwrap();
-        assert_eq!(new_id, "doc-3");
+        // The same document uploaded again lands on its reloaded id.
+        assert_eq!(reopened.upload(pipeline_doc()).unwrap(), id);
+        assert_eq!(reopened.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1201,12 +1285,12 @@ mod tests {
     fn persistent_store_detects_tampering() {
         let dir = std::env::temp_dir().join(format!("ysvc_tamper_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        {
-            let store = DocumentStore::persistent(&dir).unwrap();
-            store.upload(pipeline_doc()).unwrap();
-        }
+        let id = DocumentStore::persistent(&dir)
+            .unwrap()
+            .upload(pipeline_doc())
+            .unwrap();
         // Edit the stored provenance behind the service's back.
-        let path = dir.join("doc-1.json");
+        let path = dir.join(format!("{id}.json"));
         let mut text = std::fs::read_to_string(&path).unwrap();
         text = text.replace("ex:model", "ex:fudged");
         std::fs::write(&path, text).unwrap();
@@ -1236,13 +1320,16 @@ mod tests {
             let store = DocumentStore::persistent(&dir).unwrap();
             store.upload(pipeline_doc()).unwrap();
         }
-        std::fs::write(dir.join("doc-2.json.tmp"), b"{\"torn").unwrap();
+        // The upload that was cut short: eval_delta under its content id.
+        let torn = DocumentStore::new().upload(eval_delta()).unwrap();
+        let tmp = dir.join(format!("{torn}.json.tmp"));
+        std::fs::write(&tmp, b"{\"torn").unwrap();
         let reopened = DocumentStore::persistent(&dir).unwrap();
         assert_eq!(reopened.len(), 1, "the torn upload never became visible");
-        assert!(!dir.join("doc-2.json.tmp").exists(), "debris swept");
+        assert!(!tmp.exists(), "debris swept");
         // The interrupted id is still usable.
-        let id = reopened.upload(pipeline_doc()).unwrap();
-        assert_eq!(id, "doc-2");
+        assert_eq!(reopened.upload(eval_delta()).unwrap(), torn);
+        assert_eq!(reopened.get(&torn).unwrap().element_count(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
