@@ -249,6 +249,107 @@ pub fn for_each_store(
     test(store, &dir);
 }
 
+/// A full-mesh cluster for the service tests. Node `i` is named
+/// `ids[i]`, serves `stores[i]` and reaches every other node through a
+/// [`testkit::FaultProxy`] of its own, so a test can fault one directed
+/// peer link. The proxies bind first and stay bound, the servers bind
+/// port 0, and each proxy then learns its server's address: no port is
+/// released and bound again.
+pub struct Mesh {
+    ids: Vec<String>,
+    /// The servers, in `ids` order; `None` once [`Mesh::kill`]ed.
+    pub servers: Vec<Option<yprov_service::Server>>,
+    /// Each server's own address, in `ids` order: where clients reach
+    /// it.
+    pub addrs: Vec<std::net::SocketAddr>,
+    /// `links[from][to]`: the proxy `from` reaches `to` through, `None`
+    /// on the diagonal.
+    links: Vec<Vec<Option<testkit::FaultProxy>>>,
+}
+
+impl Mesh {
+    /// Binds the mesh, every node pushing under `push_policy`.
+    pub fn bind(
+        ids: &[&str],
+        stores: &[yprov_service::DocumentStore],
+        push_policy: yprov_service::RetryPolicy,
+    ) -> Mesh {
+        use yprov_service::{ClusterConfig, NodeSpec, Server, ServerConfig};
+        let links: Vec<Vec<Option<testkit::FaultProxy>>> = (0..ids.len())
+            .map(|from| {
+                let to = 0..ids.len();
+                to.map(|to| (from != to).then(testkit::FaultProxy::bind))
+                    .collect()
+            })
+            .collect();
+        let servers: Vec<Server> = ids
+            .iter()
+            .zip(stores)
+            .zip(&links)
+            .map(|((id, store), links)| {
+                let peers = ids.iter().zip(links);
+                let peers = peers.filter_map(|(to, link)| {
+                    link.as_ref().map(|link| NodeSpec::new(*to, link.addr()))
+                });
+                let cluster = ClusterConfig {
+                    push_policy,
+                    ..ClusterConfig::new(*id, peers.collect())
+                };
+                let config = ServerConfig {
+                    cluster: Some(cluster),
+                    ..Default::default()
+                };
+                Server::bind("127.0.0.1:0", store.clone(), config).expect("bind a node")
+            })
+            .collect();
+        let addrs: Vec<std::net::SocketAddr> = servers.iter().map(Server::addr).collect();
+        for link in &links {
+            for (to, link) in link.iter().enumerate() {
+                if let Some(link) = link {
+                    link.forward_to(addrs[to]);
+                }
+            }
+        }
+        Mesh {
+            ids: ids.iter().map(|id| id.to_string()).collect(),
+            servers: servers.into_iter().map(Some).collect(),
+            addrs,
+            links,
+        }
+    }
+
+    /// The proxy node `from` reaches node `to` through.
+    pub fn link(&self, from: usize, to: usize) -> &testkit::FaultProxy {
+        self.links[from][to]
+            .as_ref()
+            .expect("a node has no link to itself")
+    }
+
+    /// Every member at its server's own address, for a
+    /// [`yprov_service::ClusterClient`].
+    pub fn members(&self) -> Vec<yprov_service::NodeSpec> {
+        let members = self.ids.iter().zip(&self.addrs);
+        members
+            .map(|(id, addr)| yprov_service::NodeSpec::new(id.clone(), *addr))
+            .collect()
+    }
+
+    /// Shuts node `i` down. The links to it stay bound, and a peer that
+    /// pushes through one finds nothing behind it.
+    pub fn kill(&mut self, i: usize) {
+        if let Some(server) = self.servers[i].take() {
+            server.shutdown();
+        }
+    }
+
+    /// Shuts every node still up down.
+    pub fn shutdown(self) {
+        for server in self.servers.into_iter().flatten() {
+            server.shutdown();
+        }
+    }
+}
+
 /// Reconstructs a runnable [`SimConfig`] from a run's provenance
 /// document — the paper's reproducibility goal ("reproducing an
 /// experiment by simply sharing a provJSON file would become trivial").

@@ -5,6 +5,7 @@
 //! that fails the first attempts — all fully deterministic.
 
 use integration::{simulate_with_provenance, ProvenanceObserver};
+use testkit::{Fault, FaultProxy};
 use train_sim::model::{Architecture, ModelConfig};
 use train_sim::sim::{
     run_with_recovery, EpochEvent, NullObserver, RunResult, SimConfig, StepEvent, TrainObserver,
@@ -106,21 +107,17 @@ fn crashed_run_recovers_and_uploads_through_flaky_server() {
     assert!(recovery.records > 0);
 
     // The recovered document is valid PROV and survives a flaky upload
-    // path: the server 503s the first two attempts, the client's
-    // backoff rides them out.
+    // path: a proxy in front of the server 503s the first two attempts,
+    // the client's backoff rides them out.
     let doc = prov_model::ProvDocument::from_json_str(&prov_json).unwrap();
     assert!(prov_model::validate::is_valid(&doc));
 
-    let server = Server::bind(
-        "127.0.0.1:0",
-        DocumentStore::new(),
-        ServerConfig {
-            chaos_fail_uploads: 2,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let client = Client::new(server.addr(), fast_retries(7));
+    let server =
+        Server::bind("127.0.0.1:0", DocumentStore::new(), ServerConfig::default()).unwrap();
+    let flaky = FaultProxy::bind();
+    flaky.forward_to(server.addr());
+    flaky.fault("POST", "/api/v0/documents", Fault::Status(503), 2);
+    let client = Client::new(flaky.addr(), fast_retries(7));
     let resp = client.upload_document(&prov_json).unwrap();
     assert_eq!(resp.status, 201, "{}", resp.body);
     assert_eq!(resp.attempts, 3, "two injected failures, then success");

@@ -1,9 +1,11 @@
 //! Cluster-scale chaos for the replicated provenance service: a
 //! seeded [`FaultPlan`] decides when the write primary dies mid-upload,
 //! the surviving replicas are promoted and keep answering with their
-//! hash chains intact, and injected push faults (drop, tear,
-//! duplicate, delay, partition) all converge back to byte-identical
-//! state.
+//! hash chains intact, and push faults injected on the wire (drop,
+//! tear, duplicate, delay, partition) all converge back to
+//! byte-identical state. Every node reaches each peer through a
+//! `testkit::FaultProxy` of its own ([`Mesh`]); a test arms a fault on
+//! `POST /api/v0/replication/frames` of the link it breaks.
 //!
 //! On failure, every surviving node's ledger files are copied into
 //! `$YPROV_CLUSTER_ARTIFACTS` (when set) so CI can upload them. The
@@ -12,15 +14,16 @@
 //! and dumps each survivor's slowlog and alert state into
 //! `$YPROV_OBS_ARTIFACTS` (when set) for the same upload path.
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use integration::Mesh;
+use testkit::Fault;
 use train_sim::{FaultKind, FaultPlan};
-use yprov_service::{
-    Client, ClusterClient, ClusterConfig, DocumentStore, NodeSpec, RetryPolicy, Ring, Server,
-    ServerConfig,
-};
+use yprov_service::{Client, ClusterClient, DocumentStore, RetryPolicy, Ring};
+
+const FRAMES: &str = "/api/v0/replication/frames";
 
 fn fast_policy(seed: u64) -> RetryPolicy {
     RetryPolicy {
@@ -65,44 +68,6 @@ fn doc_json(tag: &str) -> String {
         prov_model::QName::new("ex", "train"),
     );
     doc.to_json_string().unwrap()
-}
-
-/// Reserves `n` distinct loopback addresses by binding ephemeral
-/// listeners, recording their ports, and releasing them. Every cluster
-/// member must know its peers' addresses *before* any server binds, so
-/// the full mesh is wired through reserved ports.
-fn reserve_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-        .collect();
-    listeners.iter().map(|l| l.local_addr().unwrap()).collect()
-}
-
-/// Binds a full-mesh cluster: node `i` gets every other node as a peer.
-fn bind_cluster(ids: &[&str], addrs: &[SocketAddr], stores: &[DocumentStore]) -> Vec<Server> {
-    ids.iter()
-        .enumerate()
-        .map(|(i, id)| {
-            let peers = ids
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(j, pid)| NodeSpec::new(*pid, addrs[j]))
-                .collect();
-            Server::bind(
-                &addrs[i].to_string(),
-                stores[i].clone(),
-                ServerConfig {
-                    cluster: Some(ClusterConfig {
-                        push_policy: push_policy(),
-                        ..ClusterConfig::new(*id, peers)
-                    }),
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        })
-        .collect()
 }
 
 /// Copies each node's chain files (`ledger.txt`, `repl-*.chain`) into
@@ -173,11 +138,8 @@ fn primary_killed_mid_upload_cluster_promotes_and_serves() {
         .iter()
         .map(|d| DocumentStore::persistent(d).unwrap())
         .collect();
-    let addrs = reserve_addrs(ids.len());
-    let mut servers: Vec<Option<Server>> = bind_cluster(&ids, &addrs, &stores)
-        .into_iter()
-        .map(Some)
-        .collect();
+    let mut mesh = Mesh::bind(&ids, &stores, push_policy());
+    let addrs = mesh.addrs.clone();
     let _artifacts = LedgerArtifacts {
         nodes: ids
             .iter()
@@ -186,14 +148,7 @@ fn primary_killed_mid_upload_cluster_promotes_and_serves() {
             .collect(),
     };
 
-    let cluster = ClusterClient::new(
-        ids.iter()
-            .zip(&addrs)
-            .map(|(id, addr)| NodeSpec::new(*id, *addr))
-            .collect(),
-        2,
-        fast_policy(11),
-    );
+    let cluster = ClusterClient::new(mesh.members(), 2, fast_policy(11));
 
     // Phase 1: acked uploads before the fault fires.
     let mut acked = Vec::new();
@@ -211,14 +166,13 @@ fn primary_killed_mid_upload_cluster_promotes_and_serves() {
     let inflight = format!("run-{kill_at}");
     let victim_id = cluster.placement(&inflight)[0].clone();
     let victim_idx = ids.iter().position(|id| *id == victim_id).unwrap();
-    let victim = servers[victim_idx].take().unwrap();
-    victim
-        .replication_chaos()
-        .expect("cluster-configured server has chaos knobs")
-        .drop_next_frames(u32::MAX);
+    for peer in (0..ids.len()).filter(|peer| *peer != victim_idx) {
+        let link = mesh.link(victim_idx, peer);
+        link.fault("POST", FRAMES, Fault::Drop, usize::MAX);
+    }
     let (status, body) = put_once(addrs[victim_idx], &inflight, &doc_json("inflight"));
     assert_eq!(status, 503, "unreplicated write must not ack: {body}");
-    victim.shutdown();
+    mesh.kill(victim_idx);
 
     // Phase 3: probes notice the death; the survivors keep serving.
     let live = cluster.probe();
@@ -273,7 +227,7 @@ fn primary_killed_mid_upload_cluster_promotes_and_serves() {
     assert_eq!(corpse["ok"], json::json!(false));
     if let Some(out) = std::env::var_os("YPROV_OBS_ARTIFACTS") {
         let out = PathBuf::from(out);
-        for (i, server) in servers.iter().enumerate() {
+        for (i, server) in mesh.servers.iter().enumerate() {
             let Some(server) = server else { continue };
             let dest = out.join(ids[i]);
             std::fs::create_dir_all(&dest).unwrap();
@@ -300,7 +254,7 @@ fn primary_killed_mid_upload_cluster_promotes_and_serves() {
     // Every surviving node's chains verify end-to-end, and both
     // survivors hold byte-identical copies of the re-routed document.
     let mut copies = Vec::new();
-    for (i, server) in servers.iter().enumerate() {
+    for (i, server) in mesh.servers.iter().enumerate() {
         let Some(server) = server else { continue };
         let probe = Client::new(server.addr(), fast_policy(17));
         let resp = probe.get("/api/v0/ledger/verify").unwrap();
@@ -316,9 +270,7 @@ fn primary_killed_mid_upload_cluster_promotes_and_serves() {
         "replicated copies must be byte-identical"
     );
 
-    for server in servers.into_iter().flatten() {
-        server.shutdown();
-    }
+    mesh.shutdown();
     std::fs::remove_dir_all(&base).ok();
 }
 
@@ -328,18 +280,17 @@ fn primary_killed_mid_upload_cluster_promotes_and_serves() {
 /// are absorbed idempotently — and the replica ends byte-identical.
 #[test]
 fn torn_duplicated_and_delayed_frames_converge() {
-    let store_a = DocumentStore::new();
-    let store_b = DocumentStore::new();
-    let addrs = reserve_addrs(2);
-    let servers = bind_cluster(&["node-a", "node-b"], &addrs, &[store_a, store_b]);
+    let stores = [DocumentStore::new(), DocumentStore::new()];
+    let mesh = Mesh::bind(&["node-a", "node-b"], &stores, push_policy());
 
-    let chaos = servers[0].replication_chaos().unwrap();
-    chaos.tear_next_frames(1);
-    chaos.duplicate_frames(true);
-    chaos.delay_frames(Duration::from_millis(5));
+    let link = mesh.link(0, 1);
+    link.fault("POST", FRAMES, Fault::Tear, 1);
+    link.fault("POST", FRAMES, Fault::Duplicate, usize::MAX);
+    let delay = Fault::Delay(Duration::from_millis(5));
+    link.fault("POST", FRAMES, delay, usize::MAX);
 
-    let a = Client::new(addrs[0], fast_policy(23));
-    let b = Client::new(addrs[1], fast_policy(29));
+    let a = Client::new(mesh.addrs[0], fast_policy(23));
+    let b = Client::new(mesh.addrs[1], fast_policy(29));
     for i in 0..3 {
         let resp = a
             .send(
@@ -376,9 +327,7 @@ fn torn_duplicated_and_delayed_frames_converge() {
         .unwrap_or(0);
     assert!(rejects >= 1, "torn request must be counted: {metrics}");
 
-    for server in servers {
-        server.shutdown();
-    }
+    mesh.shutdown();
 }
 
 /// A partition leaves the replica stale; writes during it are refused
@@ -393,12 +342,12 @@ fn partition_heals_through_resync_byte_identically() {
     let dir_b = base.join("node-b");
     let store_a = DocumentStore::persistent(&dir_a).unwrap();
     let store_b = DocumentStore::persistent(&dir_b).unwrap();
-    let addrs = reserve_addrs(2);
-    let servers = bind_cluster(
+    let mesh = Mesh::bind(
         &["node-a", "node-b"],
-        &addrs,
         &[store_a.clone(), store_b.clone()],
+        push_policy(),
     );
+    let addrs = mesh.addrs.clone();
     let _artifacts = LedgerArtifacts {
         nodes: vec![
             ("node-a".to_string(), dir_a.clone()),
@@ -418,8 +367,7 @@ fn partition_heals_through_resync_byte_identically() {
 
     // Healthy write, then a partition: pushes stop reaching B.
     assert_eq!(put(0).0, 201);
-    let chaos = servers[0].replication_chaos().unwrap();
-    chaos.drop_next_frames(2);
+    mesh.link(0, 1).fault("POST", FRAMES, Fault::Drop, 2);
     for i in [1u64, 2] {
         let (status, body) = put(i);
         assert_eq!(status, 503, "partitioned write must not ack: {body}");
@@ -460,9 +408,7 @@ fn partition_heals_through_resync_byte_identically() {
 
     // And recovery re-converges: a restarted replica restores the same
     // cursor and still verifies.
-    for server in servers {
-        server.shutdown();
-    }
+    mesh.shutdown();
     drop(store_b);
     let reopened = DocumentStore::persistent(&dir_b).unwrap();
     assert_eq!(reopened.replication_head("node-a").0, 4);
@@ -484,8 +430,7 @@ fn successor_drops_its_copy_once_the_placement_nodes_move_on() {
         .iter()
         .map(|d| DocumentStore::persistent(d).unwrap())
         .collect();
-    let addrs = reserve_addrs(ids.len());
-    let servers = bind_cluster(&ids, &addrs, &stores);
+    let mesh = Mesh::bind(&ids, &stores, push_policy());
     let _artifacts = LedgerArtifacts {
         nodes: ids
             .iter()
@@ -493,16 +438,10 @@ fn successor_drops_its_copy_once_the_placement_nodes_move_on() {
             .map(|(id, d)| (id.to_string(), d.clone()))
             .collect(),
     };
-    let cluster = ClusterClient::new(
-        ids.iter()
-            .zip(&addrs)
-            .map(|(id, addr)| NodeSpec::new(*id, *addr))
-            .collect(),
-        2,
-        fast_policy(41),
-    );
+    let cluster = ClusterClient::new(mesh.members(), 2, fast_policy(41));
     let at = |node: &str| ids.iter().position(|id| *id == node).unwrap();
-    let direct: Vec<Client> = addrs
+    let direct: Vec<Client> = mesh
+        .addrs
         .iter()
         .map(|addr| Client::new(*addr, fast_policy(43)))
         .collect();
@@ -525,10 +464,8 @@ fn successor_drops_its_copy_once_the_placement_nodes_move_on() {
         .unwrap();
 
     // The primary's push to the replica is lost; the successor confirms.
-    servers[primary]
-        .replication_chaos()
-        .unwrap()
-        .drop_next_frames(1);
+    mesh.link(primary, replica)
+        .fault("POST", FRAMES, Fault::Drop, 1);
     let resp = cluster.put(&x, &doc_json("first")).unwrap();
     assert_eq!(resp.status, 201, "{}", resp.body);
     assert_eq!(get(replica, &x).status, 404);
@@ -558,9 +495,7 @@ fn successor_drops_its_copy_once_the_placement_nodes_move_on() {
 
     // The drop reached the disk: the successor's directory reopens,
     // verifies, and holds Y only.
-    for server in servers {
-        server.shutdown();
-    }
+    mesh.shutdown();
     drop(stores);
     let reopened = DocumentStore::persistent(&dirs[successor]).unwrap();
     assert_eq!(reopened.list(), vec![y]);

@@ -3,16 +3,14 @@
 //! Chrome trace export, and alert rules walking their full
 //! pending → firing → resolved lifecycle under a virtual clock.
 
-use std::net::{SocketAddr, TcpListener};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use energy_monitor::VirtualClock;
+use integration::Mesh;
 use obs::alerts::{AlertRule, Cmp, Phase};
 use yprov_service::http::request;
-use yprov_service::{
-    ClusterConfig, DocumentStore, NodeSpec, OpsConfig, RetryPolicy, Server, ServerConfig,
-};
+use yprov_service::{DocumentStore, OpsConfig, RetryPolicy, Server, ServerConfig};
 
 // The tracer is process-global; tests that toggle it serialize here and
 // leave it disabled and drained behind them.
@@ -20,16 +18,6 @@ static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> std::sync::MutexGuard<'static, ()> {
     TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Reserves `n` distinct loopback addresses by binding ephemeral
-/// listeners, recording their ports, and releasing them, so a full
-/// mesh can be wired before any server binds.
-fn reserve_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-        .collect();
-    listeners.iter().map(|l| l.local_addr().unwrap()).collect()
 }
 
 /// One push attempt with a short timeout: federation over a ring with a
@@ -44,37 +32,12 @@ fn fast_push() -> RetryPolicy {
     }
 }
 
-fn bind_ring(ids: &[&str], addrs: &[SocketAddr]) -> Vec<Server> {
-    ids.iter()
-        .enumerate()
-        .map(|(i, id)| {
-            let peers = ids
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(j, pid)| NodeSpec::new(*pid, addrs[j]))
-                .collect();
-            Server::bind(
-                &addrs[i].to_string(),
-                DocumentStore::new(),
-                ServerConfig {
-                    cluster: Some(ClusterConfig {
-                        push_policy: fast_push(),
-                        ..ClusterConfig::new(*id, peers)
-                    }),
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        })
-        .collect()
-}
-
 #[test]
 fn federated_cluster_view_degrades_but_answers_with_a_dead_member() {
-    let addrs = reserve_addrs(3);
     let ids = ["node-a", "node-b", "node-c"];
-    let mut servers = bind_ring(&ids, &addrs);
+    let stores = ids.map(|_| DocumentStore::new());
+    let mut mesh = Mesh::bind(&ids, &stores, fast_push());
+    let addrs = mesh.addrs.clone();
 
     // Warm every member's request counters so the federated snapshot
     // has per-member series to merge.
@@ -98,7 +61,7 @@ fn federated_cluster_view_degrades_but_answers_with_a_dead_member() {
     }
 
     // Kill node-c and ask node-a again: degraded, not erroring.
-    servers.pop().unwrap().shutdown();
+    mesh.kill(2);
     let (status, body) = request(addrs[0], "GET", "/api/v0/obs/cluster", None).unwrap();
     assert_eq!(status, 200, "a dead peer must not fail the endpoint");
     let v: json::Value = json::parse(&body).unwrap();
@@ -122,9 +85,7 @@ fn federated_cluster_view_degrades_but_answers_with_a_dead_member() {
         assert_eq!(m["health"]["ready"], json::json!(true), "{body}");
     }
 
-    for server in servers {
-        server.shutdown();
-    }
+    mesh.shutdown();
 }
 
 #[test]

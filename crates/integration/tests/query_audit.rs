@@ -6,8 +6,8 @@
 //! the in-memory and the durable store; the cluster's nodes are
 //! durable.
 
-use integration::simulate_with_provenance;
-use std::net::{SocketAddr, TcpListener};
+use integration::{simulate_with_provenance, Mesh};
+use std::net::SocketAddr;
 use std::time::Duration;
 use train_sim::model::{Architecture, ModelConfig};
 use train_sim::sim::{SimConfig, WalltimeCutoff};
@@ -16,7 +16,7 @@ use yprov4ml::model::Direction;
 use yprov4ml::Experiment;
 use yprov_service::client::{Client, RetryPolicy};
 use yprov_service::http::request;
-use yprov_service::{ClusterClient, ClusterConfig, DocumentStore, NodeSpec, Server, ServerConfig};
+use yprov_service::{ClusterClient, DocumentStore, Server, ServerConfig};
 
 fn policy() -> RetryPolicy {
     RetryPolicy {
@@ -207,47 +207,12 @@ fn cluster_client_queries_survive_primary_failover() {
     let (leaky_json, _) = produce_runs(&base);
 
     let ids = ["node-a", "node-b", "node-c"];
-    let listeners: Vec<TcpListener> = (0..3)
-        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-        .collect();
-    let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
-    drop(listeners);
     let stores: Vec<DocumentStore> = ids
         .iter()
         .map(|id| DocumentStore::persistent(base.join(id)).unwrap())
         .collect();
-    let mut servers: Vec<Option<Server>> = ids
-        .iter()
-        .enumerate()
-        .map(|(i, id)| {
-            let peers = ids
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(j, pid)| NodeSpec::new(*pid, addrs[j]))
-                .collect();
-            Some(
-                Server::bind(
-                    &addrs[i].to_string(),
-                    stores[i].clone(),
-                    ServerConfig {
-                        cluster: Some(ClusterConfig::new(*id, peers)),
-                        ..Default::default()
-                    },
-                )
-                .unwrap(),
-            )
-        })
-        .collect();
-
-    let cluster = ClusterClient::new(
-        ids.iter()
-            .zip(&addrs)
-            .map(|(id, addr)| NodeSpec::new(*id, *addr))
-            .collect(),
-        2,
-        policy(),
-    );
+    let mut mesh = Mesh::bind(&ids, &stores, RetryPolicy::default());
+    let cluster = ClusterClient::new(mesh.members(), 2, policy());
 
     let resp = cluster.put("run-leaky", &leaky_json).unwrap();
     assert_eq!(resp.status, 201, "{}", resp.body);
@@ -263,7 +228,7 @@ fn cluster_client_queries_survive_primary_failover() {
     // Kill the primary: the query fails over to a replica.
     let primary = cluster.placement("run-leaky")[0].clone();
     let idx = ids.iter().position(|id| *id == primary).unwrap();
-    servers[idx].take().unwrap().shutdown();
+    mesh.kill(idx);
     let resp = cluster
         .query("run-leaky", r#"{"audit": "leakage"}"#)
         .unwrap();
@@ -275,8 +240,6 @@ fn cluster_client_queries_survive_primary_failover() {
     let resp = cluster.query("run-leaky", r#"{"audit": "nope"}"#).unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body);
 
-    for server in servers.into_iter().flatten() {
-        server.shutdown();
-    }
+    mesh.shutdown();
     std::fs::remove_dir_all(&base).ok();
 }

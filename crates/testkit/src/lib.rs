@@ -9,6 +9,15 @@
 //! through [`Rng::len`] so the halving has something to shrink.
 //! Everything is a function of the seed: a failure names the seed and
 //! size, and `check` at that seed replays it.
+//!
+//! Tests that need a faulty network put a [`FaultProxy`] between a
+//! client and a server: it forwards HTTP/1.1 verbatim and drops, tears,
+//! duplicates, delays or answers with a status the requests a test arms
+//! a [`Fault`] for. The servers under test carry no fault knobs.
+
+mod proxy;
+
+pub use proxy::{Fault, FaultProxy};
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};

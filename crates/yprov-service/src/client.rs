@@ -482,6 +482,7 @@ mod tests {
     use super::*;
     use crate::http::{Server, ServerConfig};
     use crate::store::DocumentStore;
+    use testkit::{Fault, FaultProxy};
 
     fn fast_policy() -> RetryPolicy {
         RetryPolicy {
@@ -525,18 +526,21 @@ mod tests {
         assert_ne!(p.backoff_delay(0), other.backoff_delay(0));
     }
 
+    /// A server behind a proxy that answers its next `failures`
+    /// uploads with 503.
+    fn flaky_server(failures: usize) -> (Server, FaultProxy) {
+        let server =
+            Server::bind("127.0.0.1:0", DocumentStore::new(), ServerConfig::default()).unwrap();
+        let proxy = FaultProxy::bind();
+        proxy.forward_to(server.addr());
+        proxy.fault("POST", "/api/v0/documents", Fault::Status(503), failures);
+        (server, proxy)
+    }
+
     #[test]
     fn retries_through_injected_upload_faults() {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            DocumentStore::new(),
-            ServerConfig {
-                chaos_fail_uploads: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let client = Client::new(server.addr(), fast_policy());
+        let (server, proxy) = flaky_server(2);
+        let client = Client::new(proxy.addr(), fast_policy());
         let resp = client.upload_document(&sample_doc_json()).unwrap();
         assert_eq!(resp.status, 201);
         assert_eq!(resp.attempts, 3, "two 503s, then success");
@@ -545,17 +549,9 @@ mod tests {
 
     #[test]
     fn gives_up_after_max_attempts() {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            DocumentStore::new(),
-            ServerConfig {
-                chaos_fail_uploads: 100,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (server, proxy) = flaky_server(100);
         let client = Client::new(
-            server.addr(),
+            proxy.addr(),
             RetryPolicy {
                 max_attempts: 2,
                 ..fast_policy()

@@ -34,10 +34,10 @@
 //!   the candidate must pass `GET /api/v0/ledger/verify` — a replica
 //!   with a broken or tampered chain is never promoted.
 //!
-//! [`ReplicationChaos`] exposes the push path's fault-injection knobs
-//! (drop, tear, duplicate, delay — each acts on one push request) to
-//! the cluster chaos harness; the handles are shared atomics so a test
-//! can flip them mid-run.
+//! Nothing here injects faults. The cluster tests put a
+//! `testkit::FaultProxy` on each peer link and drop, tear, duplicate or
+//! delay the pushes on the wire, where a replica sees them exactly as it
+//! would see a real network's.
 
 use crate::client::{encode_id, Client, ClientError, Response, RetryPolicy};
 use crate::error::ServiceError;
@@ -49,7 +49,6 @@ use json::json;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -339,78 +338,6 @@ pub(crate) fn apply_batch(
 }
 
 // ---------------------------------------------------------------------------
-// Chaos knobs
-// ---------------------------------------------------------------------------
-
-/// Fault injection on the outgoing push path; every knob acts on one
-/// push request (one `POST /api/v0/replication/frames`, whatever the
-/// size of its batch). Cloning shares the underlying knobs, so a chaos
-/// harness keeps one handle and flips faults while the server runs;
-/// all knobs default to off.
-#[derive(Debug, Clone, Default)]
-pub struct ReplicationChaos {
-    inner: Arc<ChaosInner>,
-}
-
-#[derive(Debug, Default)]
-struct ChaosInner {
-    drop_frames: AtomicU32,
-    tear_frames: AtomicU32,
-    duplicate_frames: AtomicBool,
-    delay_ms: AtomicU64,
-}
-
-impl ReplicationChaos {
-    /// No injected faults.
-    pub fn new() -> ReplicationChaos {
-        ReplicationChaos::default()
-    }
-
-    /// Drops the next `n` push requests on the floor — a partition
-    /// between the primary and its replicas.
-    pub fn drop_next_frames(&self, n: u32) {
-        self.inner.drop_frames.store(n, Ordering::Release);
-    }
-
-    /// Corrupts the next `n` push requests by cutting the document
-    /// bytes short mid-flight; the replica must refuse the torn request
-    /// (the bytes no longer match the header) and the primary resumes
-    /// from the index the refusal names.
-    pub fn tear_next_frames(&self, n: u32) {
-        self.inner.tear_frames.store(n, Ordering::Release);
-    }
-
-    /// Delivers every push request twice; the replica must absorb the
-    /// second copy idempotently.
-    pub fn duplicate_frames(&self, on: bool) {
-        self.inner.duplicate_frames.store(on, Ordering::Release);
-    }
-
-    /// Sleeps this long before each push request (delayed frames).
-    pub fn delay_frames(&self, delay: Duration) {
-        self.inner
-            .delay_ms
-            .store(delay.as_millis() as u64, Ordering::Release);
-    }
-
-    /// Decrement-if-positive, shared with the server's upload chaos.
-    fn take(counter: &AtomicU32) -> bool {
-        counter
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1))
-            .is_ok()
-    }
-}
-
-/// Truncates `s` to roughly half its bytes, respecting char boundaries.
-fn tear(s: &str) -> &str {
-    let mut cut = s.len() / 2;
-    while cut > 0 && !s.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    &s[..cut]
-}
-
-// ---------------------------------------------------------------------------
 // Server-side: cluster config + the primary's replicator
 // ---------------------------------------------------------------------------
 
@@ -432,13 +359,11 @@ pub struct ClusterConfig {
     /// Retry policy for frame pushes. Keep attempts low — a dead peer
     /// is paid for on every upload until the client's ring drops it.
     pub push_policy: RetryPolicy,
-    /// Fault injection on the outgoing frame path (off by default).
-    pub chaos: ReplicationChaos,
 }
 
 impl ClusterConfig {
     /// A config for `node_id` with the given peers: replication factor
-    /// 2, one required ack, default push policy, no chaos.
+    /// 2, one required ack, default push policy.
     pub fn new(node_id: impl Into<String>, peers: Vec<NodeSpec>) -> ClusterConfig {
         ClusterConfig {
             node_id: node_id.into(),
@@ -446,7 +371,6 @@ impl ClusterConfig {
             replication: 2,
             required_acks: 1,
             push_policy: RetryPolicy::default(),
-            chaos: ReplicationChaos::default(),
         }
     }
 }
@@ -553,11 +477,6 @@ impl Replicator {
     /// The full-membership placement ring.
     pub fn ring(&self) -> &Ring {
         &self.ring
-    }
-
-    /// A shared handle to the chaos knobs.
-    pub fn chaos(&self) -> ReplicationChaos {
-        self.cfg.chaos.clone()
     }
 
     /// Whether `peer` is one of the nodes document `id` is placed on.
@@ -751,42 +670,20 @@ impl Replicator {
         Ok(frames)
     }
 
-    /// One push request, with any injected faults applied to it.
+    /// One push request.
     fn post(&self, client: &Client, frames: &[Frame]) -> Result<Reply, String> {
-        let chaos = &self.cfg.chaos.inner;
-        let delay = chaos.delay_ms.load(Ordering::Acquire);
-        if delay > 0 {
-            std::thread::sleep(Duration::from_millis(delay));
-        }
-        if ReplicationChaos::take(&chaos.drop_frames) {
-            return Err("push dropped in flight (injected)".to_string());
-        }
-        let mut body = encode_batch(&self.cfg.node_id, frames);
-        if ReplicationChaos::take(&chaos.tear_frames) {
-            let header = body.find('\n').map_or(body.len(), |at| at + 1);
-            let keep = header + tear(&body[header..]).len();
-            body.truncate(keep);
-        }
-        let send = |body: &str| {
-            self.pushes.inc();
-            client
-                .send("POST", "/api/v0/replication/frames", Some(body))
-                .map_err(|e| e.to_string())
-        };
-        let resp = send(&body)?;
+        let body = encode_batch(&self.cfg.node_id, frames);
+        self.pushes.inc();
+        let resp = client
+            .send("POST", "/api/v0/replication/frames", Some(&body))
+            .map_err(|e| e.to_string())?;
         let v: json::Value = json::parse(&resp.body).unwrap_or_default();
         let field = |name: &str| v.get(name).and_then(|n| n.as_u64());
-        let reply = match (resp.status, field("next_index"), field("expect_index")) {
-            (200, Some(head), _) => Reply::Head(head),
-            (409, _, Some(from)) => Reply::Resume(from),
-            (status, ..) => return Err(format!("HTTP {status}: {}", resp.body.trim())),
-        };
-        if matches!(reply, Reply::Head(_)) && chaos.duplicate_frames.load(Ordering::Acquire) {
-            // Second delivery of the same (clean) request: the replica
-            // answers idempotently, so the outcome stands either way.
-            let _ = send(&encode_batch(&self.cfg.node_id, frames));
+        match (resp.status, field("next_index"), field("expect_index")) {
+            (200, Some(head), _) => Ok(Reply::Head(head)),
+            (409, _, Some(from)) => Ok(Reply::Resume(from)),
+            (status, ..) => Err(format!("HTTP {status}: {}", resp.body.trim())),
         }
-        Ok(reply)
     }
 }
 
@@ -836,6 +733,9 @@ pub struct ClusterClient {
     nodes: Vec<NodeSpec>,
     replication: usize,
     policy: RetryPolicy,
+    /// The ring over every member, live or not: a key's primary on it
+    /// is the one node a write reaches without a verification gate.
+    members: Ring,
     /// Health-probe-driven liveness per node id, and the ring over the
     /// live ones.
     view: Mutex<LiveView>,
@@ -867,14 +767,16 @@ impl ClusterClient {
     /// nodes start presumed alive; [`Self::probe`] and per-request
     /// transport failures update the view.
     pub fn new(nodes: Vec<NodeSpec>, replication: usize, policy: RetryPolicy) -> ClusterClient {
+        let members = Ring::new(nodes.iter().map(|n| n.id.clone()));
         let view = LiveView {
             alive: nodes.iter().map(|n| (n.id.clone(), true)).collect(),
-            ring: Ring::new(nodes.iter().map(|n| n.id.clone())),
+            ring: members.clone(),
         };
         ClusterClient {
             nodes,
             replication,
             policy,
+            members,
             view: Mutex::new(view),
             clients: Mutex::new(BTreeMap::new()),
             probe_clients: Mutex::new(BTreeMap::new()),
@@ -962,14 +864,17 @@ impl ClusterClient {
     /// Routed write: `PUT` to the key's primary; on its death the next
     /// ring node that passes [`Self::verified`] is promoted and takes
     /// the write (the promoted node then owns the entry on *its* own
-    /// chain and replicates it onward).
+    /// chain and replicates it onward). The primary is the key's first
+    /// node on the full-membership ring, so a node a probe moved to the
+    /// front of the live ring is still gated.
     pub fn put(&self, id: &str, prov_json: &str) -> Result<Response, ClusterError> {
+        let primary = self.members.primary_for(id);
         let mut detail = Vec::new();
-        for (i, node_id) in self.route_order(id).iter().enumerate() {
+        for node_id in &self.route_order(id) {
             let Some(node) = self.spec(node_id) else {
                 continue;
             };
-            if i > 0 && !self.verified(node_id) {
+            if primary != Some(node_id.as_str()) && !self.verified(node_id) {
                 detail.push(format!("{node_id}: not promoted (chain did not verify)"));
                 continue;
             }
@@ -1051,6 +956,9 @@ mod tests {
     use crate::http::{Server, ServerConfig};
     use crate::store::DocumentStore;
     use prov_model::{ProvDocument, QName};
+    use testkit::{Fault, FaultProxy};
+
+    const FRAMES: &str = "/api/v0/replication/frames";
 
     #[test]
     fn ring_placement_is_deterministic_and_distinct() {
@@ -1240,15 +1148,6 @@ mod tests {
     }
 
     #[test]
-    fn tear_respects_char_boundaries() {
-        assert_eq!(tear("abcdef"), "abc");
-        assert_eq!(tear(""), "");
-        let s = "aé€b"; // multi-byte chars around the midpoint
-        let cut = tear(s);
-        assert!(s.starts_with(cut));
-    }
-
-    #[test]
     fn id_encoding() {
         assert_eq!(encode_id("run-1"), "run-1");
         assert_eq!(encode_id("a b/c"), "a%20b%2Fc");
@@ -1271,14 +1170,19 @@ mod tests {
         }
     }
 
+    /// Every attempt of one push under [`fast_policy`]: what a test arms
+    /// to lose one push on the wire.
+    const ONE_PUSH: usize = 2;
+
     /// Starts a 2-node in-memory cluster: B first (peerless, to learn
-    /// its ephemeral port), then A configured to replicate to B.
-    fn two_nodes() -> (Server, Server) {
+    /// its ephemeral port), then A configured to replicate to B through
+    /// the returned proxy.
+    fn two_nodes() -> (Server, Server, FaultProxy) {
         two_nodes_on(DocumentStore::new())
     }
 
     /// [`two_nodes`] with B serving `store_b`.
-    fn two_nodes_on(store_b: DocumentStore) -> (Server, Server) {
+    fn two_nodes_on(store_b: DocumentStore) -> (Server, Server, FaultProxy) {
         let store_a = DocumentStore::new();
         let b = Server::bind(
             "127.0.0.1:0",
@@ -1292,25 +1196,27 @@ mod tests {
             },
         )
         .unwrap();
-        // Phase 2: A knows B's address.
+        // Phase 2: A reaches B through the link's proxy.
+        let link = FaultProxy::bind();
+        link.forward_to(b.addr());
         let a = Server::bind(
             "127.0.0.1:0",
             store_a,
             ServerConfig {
                 cluster: Some(ClusterConfig {
                     push_policy: fast_policy(),
-                    ..ClusterConfig::new("node-a", vec![NodeSpec::new("node-b", b.addr())])
+                    ..ClusterConfig::new("node-a", vec![NodeSpec::new("node-b", link.addr())])
                 }),
                 ..Default::default()
             },
         )
         .unwrap();
-        (a, b)
+        (a, b, link)
     }
 
     #[test]
     fn upload_streams_to_replica_and_replica_serves_reads() {
-        let (a, b) = two_nodes();
+        let (a, b, _link) = two_nodes();
         let (status, body) = crate::http::request(
             a.addr(),
             "PUT",
@@ -1348,7 +1254,7 @@ mod tests {
     #[test]
     fn a_missed_push_of_a_streamed_id_heals_in_place() {
         let store_b = DocumentStore::new();
-        let (a, b) = two_nodes_on(store_b.clone());
+        let (a, b, link) = two_nodes_on(store_b.clone());
         let put = |tag: &str| {
             let body = doc_json(tag);
             crate::http::request(a.addr(), "PUT", "/api/v0/documents/run-1", Some(&body))
@@ -1356,7 +1262,7 @@ mod tests {
                 .0
         };
         assert_eq!(put("v1"), 201);
-        a.replication_chaos().unwrap().drop_next_frames(1);
+        link.fault("POST", FRAMES, Fault::Drop, ONE_PUSH);
         assert_eq!(put("v2"), 503);
         // The next version's push carries entry 1 chain-only, marked
         // superseded: B goes from v1 to v3 without an interval in which
@@ -1374,26 +1280,32 @@ mod tests {
     const THREE: [&str; 3] = ["node-a", "node-b", "node-c"];
 
     /// Starts a 3-node in-memory cluster named [`THREE`], every node
-    /// peered with the other two.
-    fn three_nodes() -> (Vec<NodeSpec>, Vec<DocumentStore>, Vec<Server>) {
+    /// peered with the other two. Returns the members at their servers'
+    /// addresses, and the peer links' proxies, which must outlive the
+    /// servers' use of them.
+    fn three_nodes() -> (
+        Vec<NodeSpec>,
+        Vec<DocumentStore>,
+        Vec<Server>,
+        Vec<FaultProxy>,
+    ) {
         let ids = THREE;
-        // Every member must know its peers' addresses before any of
-        // them binds: reserve three ports, release them, bind for real.
-        let addrs: Vec<SocketAddr> = {
-            let held: Vec<std::net::TcpListener> = (0..ids.len())
-                .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
-                .collect();
-            held.iter().map(|l| l.local_addr().unwrap()).collect()
-        };
-        let specs: Vec<NodeSpec> = ids
-            .iter()
-            .zip(&addrs)
-            .map(|(id, addr)| NodeSpec::new(*id, *addr))
+        // Every member must know its peers' addresses before it binds:
+        // each directed link `(from, to)` is a proxy, bound first and
+        // held, that learns its server's address once the server is up.
+        let links: Vec<(usize, usize, FaultProxy)> = (0..ids.len())
+            .flat_map(|from| (0..ids.len()).map(move |to| (from, to)))
+            .filter(|(from, to)| from != to)
+            .map(|(from, to)| (from, to, FaultProxy::bind()))
             .collect();
         let stores: Vec<DocumentStore> = ids.iter().map(|_| DocumentStore::new()).collect();
         let servers: Vec<Server> = (0..ids.len())
             .map(|i| {
-                let peers = specs.iter().filter(|p| p.id != ids[i]).cloned().collect();
+                let peers = links
+                    .iter()
+                    .filter(|(from, ..)| *from == i)
+                    .map(|(_, to, proxy)| NodeSpec::new(ids[*to], proxy.addr()))
+                    .collect();
                 let cluster = ClusterConfig {
                     push_policy: fast_policy(),
                     ..ClusterConfig::new(ids[i], peers)
@@ -1402,15 +1314,24 @@ mod tests {
                     cluster: Some(cluster),
                     ..Default::default()
                 };
-                Server::bind(&addrs[i].to_string(), stores[i].clone(), config).unwrap()
+                Server::bind("127.0.0.1:0", stores[i].clone(), config).unwrap()
             })
             .collect();
-        (specs, stores, servers)
+        for (_, to, proxy) in &links {
+            proxy.forward_to(servers[*to].addr());
+        }
+        let specs = ids
+            .iter()
+            .zip(&servers)
+            .map(|(id, server)| NodeSpec::new(*id, server.addr()))
+            .collect();
+        let proxies = links.into_iter().map(|(.., proxy)| proxy).collect();
+        (specs, stores, servers, proxies)
     }
 
     #[test]
     fn posts_to_two_nodes_get_their_own_ids_on_every_copy() {
-        let (_, stores, servers) = three_nodes();
+        let (_, stores, servers, _links) = three_nodes();
         let mut posted = Vec::new();
         for (at, tag) in [(0, "alpha"), (1, "beta")] {
             let body = doc_json(tag);
@@ -1449,7 +1370,7 @@ mod tests {
     #[test]
     fn thirty_puts_replicate_each_document_once() {
         let ids = THREE;
-        let (specs, stores, servers) = three_nodes();
+        let (specs, stores, servers, _links) = three_nodes();
 
         const PUTS: u64 = 30;
         const LIVE_IDS: u64 = 8;
@@ -1524,27 +1445,33 @@ mod tests {
                 .label("x".repeat(3 * 1024 * 1024));
             doc.to_json_string().unwrap()
         };
-        let (a, b) = two_nodes();
+        let (a, b, link) = two_nodes();
         let put = |id: &str, body: &str| {
             let path = format!("/api/v0/documents/{id}");
             crate::http::request(a.addr(), "PUT", &path, Some(body)).unwrap()
         };
         let pushes = || a.registry().counter("replication_pushes_total").get();
         // Three uploads B never hears of, then the partition heals.
-        a.replication_chaos().unwrap().drop_next_frames(3);
+        link.fault("POST", FRAMES, Fault::Drop, 3 * ONE_PUSH);
         for i in 0..3 {
             assert_eq!(put(&format!("big-{i}"), &big("m")).0, 503);
         }
-        assert_eq!(pushes(), 0);
+        // A dropped push left the sender: it is counted.
+        let dropped = pushes();
+        assert_eq!(dropped, 3);
         assert_eq!(put("small", &doc_json("model")).0, 201);
-        assert_eq!(pushes(), 2, "entries 0-1, then entry 2 with the new one");
+        assert_eq!(
+            pushes() - dropped,
+            2,
+            "entries 0-1, then entry 2 with the new one"
+        );
         // Larger than a batch on its own: still one request.
         let huge = "y".repeat(BATCH_BYTES);
         let mut doc = ProvDocument::new();
         doc.namespaces_mut().register("ex", "http://ex/").unwrap();
         doc.entity(QName::new("ex", "huge")).label(huge);
         assert_eq!(put("huge", &doc.to_json_string().unwrap()).0, 201);
-        assert_eq!(pushes(), 3);
+        assert_eq!(pushes() - dropped, 3);
         for id in ["big-0", "big-1", "big-2", "small", "huge"] {
             let path = format!("/api/v0/documents/{id}");
             let at_a = crate::http::request(a.addr(), "GET", &path, None).unwrap();
@@ -1635,7 +1562,7 @@ mod tests {
 
     #[test]
     fn cluster_client_promotes_past_a_dead_primary() {
-        let (a, b) = two_nodes();
+        let (a, b, _link) = two_nodes();
         let nodes = vec![
             NodeSpec::new("node-a", a.addr()),
             NodeSpec::new("node-b", b.addr()),
@@ -1669,5 +1596,39 @@ mod tests {
         let resp = cluster.get("run-0").unwrap();
         assert!(resp.body.contains("model2"));
         b.shutdown();
+    }
+
+    #[test]
+    fn promotion_is_gated_even_when_a_probe_put_the_survivor_first() {
+        let dir = std::env::temp_dir().join(format!("ycluster_gate_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (a, b, _link) = two_nodes_on(DocumentStore::persistent(&dir).unwrap());
+        let nodes = vec![
+            NodeSpec::new("node-a", a.addr()),
+            NodeSpec::new("node-b", b.addr()),
+        ];
+        let cluster = ClusterClient::new(nodes, 2, fast_policy());
+        let ring = Ring::new(["node-a", "node-b"]);
+        let id = (0..)
+            .map(|i| format!("run-{i}"))
+            .find(|id| ring.primary_for(id) == Some("node-a"))
+            .unwrap();
+        let resp = cluster.put(&id, &doc_json("model")).unwrap();
+        assert_eq!(resp.status, 201, "{}", resp.body);
+        // B's copy is edited behind its back: its chains stop verifying.
+        let path = dir.join(format!("{id}.json"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("ex:model", "ex:fudged")).unwrap();
+        let (status, body) =
+            crate::http::request(b.addr(), "GET", "/api/v0/ledger/verify", None).unwrap();
+        assert_eq!(status, 500, "{body}");
+        // The primary dies and a probe leaves B first on the live ring:
+        // B is still not the key's primary, so it is not promoted.
+        a.shutdown();
+        assert_eq!(cluster.probe(), ["node-b"]);
+        let err = cluster.put(&id, &doc_json("model2")).unwrap_err();
+        assert!(err.to_string().contains("not promoted"), "{err}");
+        b.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

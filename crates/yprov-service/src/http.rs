@@ -62,15 +62,19 @@
 //! When [`ServerConfig::cluster`] is set, uploads are streamed to the
 //! document's replica set before being acknowledged (see
 //! [`crate::cluster`]); under-replicated writes are answered 503. Every
-//! 503 — shed, injected, or under-replicated — carries a `Retry-After`
-//! header so well-behaved clients back off on the server's schedule.
+//! 503 — shed or under-replicated — carries a `Retry-After` header so
+//! well-behaved clients back off on the server's schedule.
+//!
+//! The server injects no faults of its own: tests put
+//! `testkit::FaultProxy` on the wire between a client and a server, or
+//! between two peers, to drop, tear, duplicate, delay or refuse
+//! requests.
 
 use crate::cluster::Replicator;
 use crate::error::ServiceError;
 use crate::store::DocumentStore;
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::AtomicU32;
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
@@ -96,9 +100,6 @@ pub struct ServerConfig {
     /// A keep-alive connection that has served at least one response
     /// and then goes quiet is closed (silently) after this long.
     pub idle_timeout: Duration,
-    /// Fault injection: fail this many document uploads with 503 before
-    /// serving normally (exercises client retry; 0 in production).
-    pub chaos_fail_uploads: u32,
     /// Multi-node mode: this node's identity, peers and replication
     /// tunables. `None` (the default) runs a plain single node.
     pub cluster: Option<crate::cluster::ClusterConfig>,
@@ -115,7 +116,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(10),
             queue_depth: 64,
             idle_timeout: Duration::from_secs(10),
-            chaos_fail_uploads: 0,
             cluster: None,
             ops: crate::ops::OpsConfig::default(),
         }
@@ -125,9 +125,6 @@ impl Default for ServerConfig {
 /// What every handler of one server shares.
 pub(crate) struct ServerState {
     pub(crate) store: DocumentStore,
-    /// Uploads still to fail with an injected 503
-    /// ([`ServerConfig::chaos_fail_uploads`], counted down).
-    pub(crate) chaos: AtomicU32,
     /// Per-server registry (always on): request metrics are the
     /// server's own concern and stay out of the process-global tracker
     /// registry.
@@ -190,7 +187,7 @@ impl Server {
         );
         registry.set_help(
             "server_requests_pipelined_total",
-            "Requests that arrived on a connection with earlier requests still in flight.",
+            "Requests parsed from bytes already buffered when the previous response was queued.",
         );
         registry.set_help(
             "server_shed_total",
@@ -209,7 +206,6 @@ impl Server {
             "Response bytes buffered across all connections.",
         );
         let state = Arc::new(ServerState {
-            chaos: AtomicU32::new(config.chaos_fail_uploads),
             ops: crate::ops::Ops::new(&config.ops, &registry),
             replicator: config
                 .cluster
@@ -269,13 +265,6 @@ impl Server {
     /// The server's ops plane: tsdb history, alert rules, slowlog.
     pub fn ops(&self) -> &Arc<crate::ops::Ops> {
         &self.state.ops
-    }
-
-    /// A shared handle to the replication chaos knobs, when this server
-    /// is cluster-configured — how the chaos harness injects dropped,
-    /// torn, duplicated or delayed frames mid-run.
-    pub fn replication_chaos(&self) -> Option<crate::cluster::ReplicationChaos> {
-        self.state.replicator.as_ref().map(|r| r.chaos())
     }
 
     /// Stops accepting connections and joins the reactor.
@@ -833,31 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_config_fails_first_uploads_then_recovers() {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            DocumentStore::new(),
-            ServerConfig {
-                chaos_fail_uploads: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let doc = sample_doc_json();
-        let mut statuses = Vec::new();
-        for _ in 0..4 {
-            let (status, _) =
-                request(server.addr(), "POST", "/api/v0/documents", Some(&doc)).unwrap();
-            statuses.push(status);
-        }
-        assert_eq!(statuses, vec![503, 503, 201, 201]);
-        // Reads were never affected.
-        let (status, _) = request(server.addr(), "GET", "/healthz", None).unwrap();
-        assert_eq!(status, 200);
-        server.shutdown();
-    }
-
-    #[test]
     fn slow_peer_times_out_and_overload_sheds_503() {
         // One worker, queue depth 1: a peer that stalls mid-request pins
         // the worker until the read timeout, and further connections
@@ -923,20 +887,38 @@ mod tests {
 
     #[test]
     fn shed_and_injected_503s_carry_retry_after() {
+        // The server's own 503: an under-replicated write to a node
+        // whose only peer refuses connections.
+        let dead = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap()
+        };
+        let peers = vec![crate::cluster::NodeSpec::new("node-b", dead)];
+        let cluster = crate::cluster::ClusterConfig {
+            push_policy: crate::client::RetryPolicy {
+                max_attempts: 1,
+                request_timeout: Duration::from_millis(500),
+                ..Default::default()
+            },
+            ..crate::cluster::ClusterConfig::new("node-a", peers)
+        };
         let server = Server::bind(
             "127.0.0.1:0",
             DocumentStore::new(),
             ServerConfig {
-                chaos_fail_uploads: 1,
+                cluster: Some(cluster),
                 ..Default::default()
             },
         )
         .unwrap();
-        let resp = raw_request(
-            server.addr(),
-            b"POST /api/v0/documents HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+        let doc = sample_doc_json();
+        let put = format!(
+            "PUT /api/v0/documents/run-1 HTTP/1.1\r\nContent-Length: {}\r\n\r\n{doc}",
+            doc.len()
         );
+        let resp = raw_request(server.addr(), put.as_bytes());
         assert!(resp.starts_with("HTTP/1.1 503"), "{resp}");
+        assert!(resp.contains("under-replicated"), "{resp}");
         assert!(resp.contains("Retry-After: 1"), "{resp}");
         // Non-503 responses never carry the header.
         let ok = raw_request(server.addr(), b"GET /healthz HTTP/1.1\r\n\r\n");

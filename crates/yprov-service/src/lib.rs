@@ -66,9 +66,7 @@ mod sync;
 
 pub use backend::{ChainName, DurableBackend, MemoryBackend, StorageBackend, SyncPolicy};
 pub use client::{Client, ClientError, Response, RetryPolicy};
-pub use cluster::{
-    ClusterClient, ClusterConfig, ClusterError, NodeSpec, ReplicationChaos, Replicator, Ring,
-};
+pub use cluster::{ClusterClient, ClusterConfig, ClusterError, NodeSpec, Replicator, Ring};
 pub use error::ServiceError;
 pub use http::{Server, ServerConfig};
 pub use ops::{Ops, OpsConfig};

@@ -7,7 +7,6 @@ use crate::store::{Upload, WatchOutcome};
 use prov_graph::GraphIndexStats;
 use prov_model::document::DocumentStats;
 use prov_model::{ProvDocument, QName};
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 pub(super) fn list(state: &ServerState, _: &Request, _: &str) -> (u16, String) {
@@ -24,15 +23,6 @@ fn list_body(ids: &[String]) -> String {
 }
 
 pub(super) fn upload(state: &ServerState, req: &Request, _: &str) -> (u16, String) {
-    // Injected fault: pretend to be overloaded for the first
-    // `chaos_fail_uploads` uploads (decrement-if-positive).
-    if state
-        .chaos
-        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1))
-        .is_ok()
-    {
-        return (503, error_body("injected fault: upload unavailable"));
-    }
     match document_body(req) {
         Ok(doc) => match state.store.upload_full(doc) {
             Ok(up) => acked_response(state, &up),
