@@ -685,3 +685,93 @@ fn two_workers_serve_two_slow_requests_at_once() {
     }
     server.shutdown();
 }
+
+#[test]
+fn a_peer_that_stops_reading_is_closed_after_the_write_timeout() {
+    // One admission slot, held by a peer that asks for a ~32 MB
+    // document and never reads it. Once the response fills both socket
+    // buffers the server's write makes no progress; after
+    // `write_timeout` the connection is closed and the slot is free.
+    let store = DocumentStore::new();
+    let mut doc = prov_model::ProvDocument::new();
+    doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+    let blob = "x".repeat(16 * 1024);
+    for i in 0..2_048 {
+        doc.entity(prov_model::QName::new("ex", format!("e{i}")))
+            .attr(
+                prov_model::QName::new("ex", "blob"),
+                prov_model::AttrValue::from(blob.as_str()),
+            );
+    }
+    let id = store.upload(doc).unwrap();
+    let response = store.document_json(&id).unwrap().len();
+    assert!(response > 32 << 20, "{response} bytes is too small");
+    let server = Server::bind(
+        "127.0.0.1:0",
+        store,
+        ServerConfig {
+            workers: 1,
+            queue_depth: 0,
+            write_timeout: Duration::from_millis(300),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+
+    let mut stalled = connect(&server);
+    stalled
+        .write_all(
+            format!("GET /api/v0/documents/{id} HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+                .as_bytes(),
+        )
+        .unwrap();
+
+    // The slot frees once the write times out; until then a new client
+    // is shed at accept.
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let (status, body) = request(server.addr(), "GET", "/healthz", None).unwrap();
+        if status == 200 {
+            break;
+        }
+        assert_eq!(status, 503, "{body}");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the stalled peer still holds the only slot"
+        );
+    }
+
+    // The stalled peer gets what the socket buffers held, never the
+    // whole response.
+    let mut got = 0usize;
+    let mut buf = vec![0u8; 1 << 20];
+    loop {
+        match stalled.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => got += n,
+        }
+    }
+    assert!(got < response, "read {got} of {response} bytes");
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_closes_an_idle_keep_alive_connection_with_a_fin() {
+    let server = start(ServerConfig::default());
+    let mut reader = BufReader::new(connect(&server));
+    reader
+        .get_mut()
+        .write_all(b"GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+        .unwrap();
+    let (status, _, _) = read_response(&mut reader);
+    assert_eq!(status, 200);
+
+    let started = std::time::Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    // End of stream, not a reset.
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "{rest:?}");
+}
