@@ -70,7 +70,7 @@ pub enum ChainName {
 /// Byte-level storage under the document store: documents keyed by
 /// handle id, plus the append-only chains that commit to them.
 ///
-/// Implementations must be safe to call from the HTTP worker pool
+/// Implementations must be safe to call from the HTTP connection threads
 /// concurrently; the store serializes `put`/`chain_append` pairs
 /// itself so every chain's order matches the visible document state.
 pub trait StorageBackend: Send + Sync + 'static {

@@ -46,6 +46,9 @@ use std::time::Duration;
 /// hostile) server cannot park a client indefinitely.
 pub const MAX_RETRY_AFTER: Duration = Duration::from_secs(30);
 
+/// The most a response body reserves before its bytes arrive.
+const MAX_BODY_RESERVE: usize = 64 * 1024 * 1024;
+
 /// Percent-encodes a document id for use in a path segment (or a query
 /// value): every byte but the RFC 3986 unreserved set is escaped, so an
 /// id holding `/`, `?`, `%`, `#` or a space reaches its own route.
@@ -462,7 +465,12 @@ fn exchange(
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse().unwrap_or(0);
+            content_length = value.parse().map_err(|_| {
+                ExchangeError::Io(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("bad content-length {value:?}"),
+                ))
+            })?;
         } else if name.eq_ignore_ascii_case("retry-after") {
             // Integer-seconds Retry-After only; the HTTP-date form is
             // not something this server emits.
@@ -471,8 +479,19 @@ fn exchange(
             reusable = value.eq_ignore_ascii_case("keep-alive");
         }
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(ExchangeError::Io)?;
+    // The announced length is the peer's word: reserve at most
+    // `MAX_BODY_RESERVE` and let the rest grow as bytes arrive.
+    let mut body = Vec::with_capacity(content_length.min(MAX_BODY_RESERVE));
+    reader
+        .take(content_length as u64)
+        .read_to_end(&mut body)
+        .map_err(ExchangeError::Io)?;
+    if body.len() < content_length {
+        return Err(ExchangeError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "failed to fill whole buffer",
+        )));
+    }
     let payload = String::from_utf8_lossy(&body).into_owned();
     Ok((status, retry_after, payload, reusable && status != 0))
 }
@@ -762,6 +781,37 @@ mod tests {
         assert_eq!(audit.status, 200, "{}", audit.body);
         assert!(audit.body.contains("\"clean\":true"), "{}", audit.body);
         server.shutdown();
+    }
+
+    #[test]
+    fn an_announced_length_is_not_trusted_before_its_bytes_arrive() {
+        // A peer announces a body no machine could hold, then one that
+        // is not a number; each is an error for the caller, neither a
+        // panic nor an empty 200.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            for length in ["18446744073709551615", "abc"] {
+                let (mut s, _) = listener.accept().unwrap();
+                let _ = s.read(&mut [0u8; 4096]);
+                let _ = s.write_all(
+                    format!("HTTP/1.1 200 OK\r\nContent-Length: {length}\r\nConnection: close\r\n\r\n{{}}")
+                        .as_bytes(),
+                );
+            }
+        });
+        let client = Client::new(
+            addr,
+            RetryPolicy {
+                max_attempts: 1,
+                ..fast_policy()
+            },
+        );
+        for _ in 0..2 {
+            let ClientError::Exhausted { last, .. } = client.get("/a").unwrap_err();
+            assert!(matches!(last, Failure::Transport(_)), "{last:?}");
+        }
+        peer.join().unwrap();
     }
 
     #[test]

@@ -1,24 +1,19 @@
-//! Per-connection HTTP/1.1 state machines for the reactor.
+//! The server's only request parser.
 //!
-//! The reactor owns the sockets; this module owns the bytes. Each
-//! connection carries an [`HttpParser`] (an incremental request
-//! decoder: bytes are pushed as they arrive, and each call to
-//! [`HttpParser::next`] takes one complete request out, leaving the
-//! bytes of any request a peer pipelined behind it in the buffer) and a
-//! [`WriteQueue`] (response bytes buffered until the socket will take
-//! them). Neither side ever blocks: the parser works on whatever has
-//! arrived, the queue writes whatever the kernel will accept.
+//! A connection thread owns the socket; this module owns the bytes.
+//! [`HttpParser`] is an incremental request decoder: bytes are pushed
+//! as they arrive, and each call to [`HttpParser::next`] takes one
+//! complete request out, leaving the bytes of any request a peer
+//! pipelined behind it in the buffer.
 //!
-//! [`HttpParser`] is the server's only request parser. Its error
-//! taxonomy — 431 for a header section over [`MAX_HEADER_BYTES`] or
-//! [`MAX_HEADERS`] (detected *incrementally*, so a flood is rejected
-//! before any terminator arrives), 501 for `Transfer-Encoding: chunked`,
-//! 400 for everything else malformed — is what the robustness tests
-//! assert on, byte for byte.
+//! Its error taxonomy — 431 for a header section over
+//! [`MAX_HEADER_BYTES`] or [`MAX_HEADERS`] (detected *incrementally*,
+//! so a flood is rejected before any terminator arrives), 501 for
+//! `Transfer-Encoding: chunked`, 400 for everything else malformed,
+//! framing a body ambiguously included (RFC 9112 §5.1, §6.3) — is what
+//! the robustness tests assert on, byte for byte.
 
 use crate::http::Request;
-use std::collections::VecDeque;
-use std::io::{self, Write};
 
 /// Maximum total bytes in the request line + header section; a peer
 /// streaming endless headers gets 431 once the budget is spent instead
@@ -258,7 +253,7 @@ fn parse_head(head: &[u8]) -> Result<Head, (u16, String)> {
         return Err((400, format!("unsupported version {version}")));
     }
 
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut chunked = false;
     let mut traceparent = None;
     let mut keep_alive = false;
@@ -273,11 +268,28 @@ fn parse_head(head: &[u8]) -> Result<Head, (u16, String)> {
             return Err(too_many_headers());
         }
         if let Some((name, value)) = text.split_once(':') {
+            // RFC 9112 §5.1: a name followed by whitespace is refused,
+            // or `Content-Length : 5` would frame nothing and its body
+            // would be read as the next request.
+            if name.ends_with([' ', '\t']) {
+                return Err((
+                    400,
+                    "whitespace between a header field name and its colon".to_string(),
+                ));
+            }
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
+                // `1*DIGIT` (RFC 9110 §8.6): `usize::from_str` alone
+                // would take a leading `+`.
+                let value = value.trim();
+                let length = value
                     .parse()
-                    .map_err(|_| (400, "bad content-length".to_string()))?;
+                    .ok()
+                    .filter(|_| value.bytes().all(|b| b.is_ascii_digit()))
+                    .ok_or((400, "bad content-length".to_string()))?;
+                if content_length.is_some_and(|earlier| earlier != length) {
+                    return Err((400, "conflicting content-length values".to_string()));
+                }
+                content_length = Some(length);
             } else if name.eq_ignore_ascii_case("transfer-encoding")
                 && value.to_ascii_lowercase().contains("chunked")
             {
@@ -297,7 +309,7 @@ fn parse_head(head: &[u8]) -> Result<Head, (u16, String)> {
         target,
         traceparent,
         keep_alive,
-        content_length,
+        content_length: content_length.unwrap_or(0),
         chunked,
     })
 }
@@ -310,68 +322,6 @@ fn build_request(head: Head, body: Vec<u8>) -> Request {
         head.traceparent,
         head.keep_alive,
     )
-}
-
-// ---------------------------------------------------------------------------
-// Buffered writes
-// ---------------------------------------------------------------------------
-
-/// Response bytes queued toward one socket. Chunks go in whole (a
-/// response head, then its body — no copy of large bodies), bytes come
-/// out as fast as the kernel accepts them.
-#[derive(Debug, Default)]
-pub(crate) struct WriteQueue {
-    chunks: VecDeque<Vec<u8>>,
-    /// Bytes of the front chunk already written.
-    front: usize,
-    len: usize,
-}
-
-impl WriteQueue {
-    pub fn new() -> WriteQueue {
-        WriteQueue::default()
-    }
-
-    pub fn push(&mut self, bytes: Vec<u8>) {
-        if !bytes.is_empty() {
-            self.len += bytes.len();
-            self.chunks.push_back(bytes);
-        }
-    }
-
-    /// Unwritten bytes queued.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Writes as much as the socket will take. Returns the bytes
-    /// written; a non-empty queue afterwards means the socket is full
-    /// (wait for writability). Hard I/O errors propagate.
-    pub fn write_to<W: Write>(&mut self, w: &mut W) -> io::Result<usize> {
-        let mut written = 0usize;
-        while let Some(chunk) = self.chunks.front() {
-            match w.write(&chunk[self.front..]) {
-                Ok(0) => break,
-                Ok(n) => {
-                    written += n;
-                    self.len -= n;
-                    self.front += n;
-                    if self.front == chunk.len() {
-                        self.chunks.pop_front();
-                        self.front = 0;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(written)
-    }
 }
 
 #[cfg(test)]
@@ -505,28 +455,37 @@ mod tests {
     }
 
     #[test]
-    fn write_queue_drains_across_partial_writes() {
-        struct Dribble(Vec<u8>);
-        impl Write for Dribble {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                let n = buf.len().min(3);
-                self.0.extend_from_slice(&buf[..n]);
-                Ok(n)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
+    fn whitespace_before_a_header_colon_is_refused() {
+        // Read as no Content-Length at all, the body would be parsed
+        // as a second request.
+        let mut p = HttpParser::new();
+        p.push(b"POST / HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello");
+        let (status, msg) = p.next(&limits()).unwrap_err();
+        assert_eq!(status, 400);
+        assert!(msg.contains("colon"), "{msg}");
+    }
+
+    #[test]
+    fn two_different_content_lengths_are_refused() {
+        let mut p = HttpParser::new();
+        p.push(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!");
+        let (status, msg) = p.next(&limits()).unwrap_err();
+        assert_eq!(status, 400);
+        assert!(msg.contains("conflicting"), "{msg}");
+        // The same value twice is one length.
+        let mut p = HttpParser::new();
+        p.push(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello");
+        assert_eq!(p.next(&limits()).unwrap().unwrap().body, b"hello");
+    }
+
+    #[test]
+    fn a_content_length_that_is_not_all_digits_is_refused() {
+        for value in ["+5", "-5", " ", "5 5", "0x5"] {
+            let mut p = HttpParser::new();
+            p.push(format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello").as_bytes());
+            let (status, msg) = p.next(&limits()).unwrap_err();
+            assert_eq!(status, 400, "{value:?}");
+            assert_eq!(msg, "bad content-length", "{value:?}");
         }
-        let mut q = WriteQueue::new();
-        q.push(b"HTTP/1.1 200 OK\r\n\r\n".to_vec());
-        q.push(b"hello world".to_vec());
-        let mut sink = Dribble(Vec::new());
-        let mut total = 0;
-        while !q.is_empty() {
-            total += q.write_to(&mut sink).unwrap();
-        }
-        assert_eq!(total, sink.0.len());
-        assert!(sink.0.ends_with(b"hello world"));
-        assert_eq!(q.len(), 0);
     }
 }

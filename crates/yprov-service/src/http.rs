@@ -1,12 +1,11 @@
 //! A from-scratch HTTP/1.1 server exposing the store.
 //!
-//! No frameworks. [`Server`] runs one core: a non-blocking epoll
-//! reactor (the private `reactor` module). One thread multiplexes every
-//! connection, complete requests are dispatched to a worker pool, and a
-//! keep-alive connection serves one request at a time: its next request
-//! is parsed once the previous response is written, so a pipelining
-//! client is answered in order. Slow peers cost a buffer instead of a
-//! thread.
+//! No frameworks. [`Server`] runs one core on `std::net` (the private
+//! `serve` module): an acceptor thread admits connections, and each
+//! admitted connection is served by a reusable thread, one request at a
+//! time: its next request is parsed once the previous response is
+//! written, so a pipelining client is answered in order. At most
+//! [`ServerConfig::workers`] handlers run at once.
 //!
 //! The parser (`conn::HttpParser`) is defensive: the header section is
 //! capped at 32 KiB and 128 fields (431 beyond either limit), and
@@ -82,7 +81,7 @@ use std::time::Duration;
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads handling requests.
+    /// How many request handlers run at once.
     pub workers: usize,
     /// Maximum accepted request-body size in bytes.
     pub max_body: usize,
@@ -92,10 +91,10 @@ pub struct ServerConfig {
     /// Write timeout: a peer that stops reading its response is closed
     /// after this long.
     pub write_timeout: Duration,
-    /// Requests queued for the workers beyond the ones being handled;
-    /// past `workers + queue_depth` in-flight requests or open
-    /// connections the server sheds load with 503 instead of letting
-    /// the backlog (and client latency) grow without bound.
+    /// How many connections are admitted beyond `workers`; past
+    /// `workers + queue_depth` open connections the server sheds new
+    /// ones with 503 instead of letting the backlog (and client
+    /// latency) grow without bound.
     pub queue_depth: usize,
     /// A keep-alive connection that has served at least one response
     /// and then goes quiet is closed (silently) after this long.
@@ -134,13 +133,12 @@ pub(crate) struct ServerState {
 }
 
 /// A running server; dropping it (or calling [`Server::shutdown`] /
-/// [`Server::stop`]) stops the reactor and its workers gracefully:
-/// in-flight connections drain (for at most five seconds) before the
-/// reactor exits.
+/// [`Server::stop`]) stops it gracefully: busy connections finish their
+/// response (for at most five seconds) and idle ones close at once.
 pub struct Server {
     addr: std::net::SocketAddr,
     state: Arc<ServerState>,
-    core: Option<crate::reactor::EventCore>,
+    core: Option<crate::serve::Core>,
     /// Dropping the sender wakes the scraper out of its cadence sleep.
     scraper_stop: Option<Sender<()>>,
     scraper_thread: Option<std::thread::JoinHandle<()>>,
@@ -179,7 +177,7 @@ impl Server {
         );
         registry.set_help(
             "server_connections_open",
-            "Connections currently held by the event-loop core.",
+            "Connections currently open: admitted, or lingering after a shed.",
         );
         registry.set_help(
             "server_connections_accepted_total",
@@ -187,23 +185,19 @@ impl Server {
         );
         registry.set_help(
             "server_requests_pipelined_total",
-            "Requests parsed from bytes already buffered when the previous response was queued.",
+            "Requests parsed from bytes already buffered when the previous response was written.",
         );
         registry.set_help(
             "server_shed_total",
             "Connections/requests shed with 503, by watermark reason.",
         );
         registry.set_help(
-            "reactor_loop_lag_seconds",
-            "Time one reactor iteration spent processing between epoll waits.",
-        );
-        registry.set_help(
             "reactor_queued_jobs",
-            "Requests dispatched to workers and not yet completed.",
+            "Requests running a handler or waiting for a handler turn.",
         );
         registry.set_help(
             "reactor_queued_bytes",
-            "Response bytes buffered across all connections.",
+            "Response bytes not yet written, across all connections.",
         );
         let state = Arc::new(ServerState {
             ops: crate::ops::Ops::new(&config.ops, &registry),
@@ -242,7 +236,7 @@ impl Server {
             (None, None)
         };
 
-        let core = crate::reactor::spawn(listener, config, Arc::clone(&state))?;
+        let core = crate::serve::spawn(listener, config, Arc::clone(&state))?;
         Ok(Server {
             addr: local,
             state,
@@ -267,15 +261,15 @@ impl Server {
         &self.state.ops
     }
 
-    /// Stops accepting connections and joins the reactor.
+    /// Stops accepting connections and drains ([`Server::stop`]).
     pub fn shutdown(mut self) {
         self.stop();
     }
 
-    /// Stops the server with a graceful drain: the listener is
-    /// deregistered, in-flight connections finish (for at most five
-    /// seconds), and the call returns once the reactor has exited.
-    /// Idempotent.
+    /// Stops the server with a graceful drain: the listener closes,
+    /// idle connections close at once, busy ones finish their response
+    /// and close, and whatever is left after five seconds is closed.
+    /// A handler still running then is not waited for. Idempotent.
     pub fn stop(&mut self) {
         // Stop the scraper first: dropping the sender wakes it out of
         // its cadence sleep immediately.

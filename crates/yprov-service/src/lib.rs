@@ -19,8 +19,8 @@
 //! * [`http`] — a from-scratch HTTP/1.1 server serving the yProv-style
 //!   endpoints (`/api/v0/documents`, `/api/v0/documents/{id}`,
 //!   `.../subgraph`, `.../ancestors`, `.../stats`) from one route
-//!   table, on an epoll event loop (keep-alive with one request per
-//!   connection at a time, watermark load shedding, graceful drain);
+//!   table, one thread per admitted connection (keep-alive with one
+//!   request at a time, watermark load shedding, graceful drain);
 //! * [`client`] — a blocking client with deterministic exponential
 //!   backoff for transient failures (connection refused, 502/503/504),
 //!   honoring server-supplied `Retry-After` schedules;
@@ -47,7 +47,7 @@
 //! assert!(store.get(&id).is_some());
 //! ```
 
-#![warn(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod client;
@@ -58,8 +58,8 @@ pub mod explorer;
 pub mod http;
 pub mod ledger;
 pub mod ops;
-mod reactor;
 mod routes;
+mod serve;
 pub mod slowlog;
 pub mod store;
 mod sync;

@@ -9,7 +9,7 @@
 //! (`/api/v0/obs/*`) renders what this module exposes:
 //!
 //! * `health` — liveness plus readiness checks (backend writable,
-//!   ledger verified, replication sources, reactor watermarks);
+//!   ledger verified, replication sources, server watermarks);
 //! * `timeseries` — windowed tsdb queries;
 //! * `slowlog` — the per-route slowest/erroring requests;
 //! * `alerts` — every rule's lifecycle state;
@@ -204,7 +204,7 @@ pub fn health_json(store: &DocumentStore, registry: &Registry) -> (bool, String)
         .into_iter()
         .map(|(source, entries)| json!({"source": source, "entries": entries}))
         .collect();
-    // The reactor publishes its watermarks as gauges; a health probe
+    // The server core publishes its watermarks as gauges; a health probe
     // reads them from the registry rather than reaching into the core.
     let snap = registry.snapshot();
     let gauge = |name: &str| snap.gauges.get(name).copied().unwrap_or(0);

@@ -186,9 +186,9 @@ pub(super) fn watch(state: &ServerState, req: &Request, id: &str) -> (u16, Strin
     let num = |key: &str| req.param(key).and_then(|v| v.parse::<u64>().ok());
     let after = num("after").unwrap_or(0);
     let timeout_ms = num("timeout_ms").unwrap_or(10_000).min(30_000);
-    // Long-poll: this blocks the worker thread, not the reactor. The
-    // connection counts as in-flight the whole time, so the idle-reap
-    // sweep leaves it alone while it is parked here.
+    // Long-poll: this blocks the connection's thread and holds a
+    // handler turn. The idle timeout only runs while the connection
+    // waits for a request, so it cannot reap a parked watch.
     let timeout = Duration::from_millis(timeout_ms);
     match state.store.wait_for_newer(id, after, timeout) {
         WatchOutcome::Gone => not_found(id),

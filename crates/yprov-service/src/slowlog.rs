@@ -2,7 +2,7 @@
 //! requests per route, kept in bounded in-memory rings so an operator
 //! chasing a p99 spike can go from "which route" (the histogram)
 //! straight to "which request" — method, path, status, latency, the
-//! shed reason if the reactor refused it, and the request's trace id,
+//! shed reason if the server refused it, and the request's trace id,
 //! which links the entry to its span in the Chrome trace export.
 //!
 //! Recording mirrors the span-ring idiom in `obs::trace`: entries are
@@ -27,8 +27,8 @@ pub struct SlowEntry {
     pub route: &'static str,
     pub status: u16,
     pub latency_ns: u64,
-    /// The reactor's shed reason (`queue`, `queued_bytes`,
-    /// `connections`) when the request never reached a worker.
+    /// The shed reason (`queued_bytes`) when the request never reached
+    /// a handler.
     pub shed: Option<&'static str>,
     /// The handler span's 32-hex trace id, matching the `trace_id`
     /// argument of the span's event in the Chrome trace export.
@@ -47,7 +47,7 @@ struct RouteLog {
     errors: Vec<SlowEntry>,
 }
 
-/// The log itself; shared by every worker of one server.
+/// The log itself; shared by every connection thread of one server.
 pub struct SlowLog {
     enabled: AtomicBool,
     per_route: usize,

@@ -1,10 +1,10 @@
 //! How this crate takes its locks: whether or not a holder panicked.
 //!
-//! A handler that panics takes its worker thread with it and nothing
-//! else; the store, ledger and connection pools it may have been
-//! holding go on serving the other workers. Each of them is whole
-//! between statements, so the guard a poisoned lock hands back is as
-//! good as any other.
+//! A handler that panics takes its connection thread with it and
+//! nothing else; the store, ledger and connection pools it may have
+//! been holding go on serving the other connections. Each of them is
+//! whole between statements, so the guard a poisoned lock hands back
+//! is as good as any other.
 
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

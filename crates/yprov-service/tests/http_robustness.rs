@@ -114,3 +114,47 @@ fn many_sequential_clients_do_not_exhaust_the_pool() {
     }
     server.shutdown();
 }
+
+#[test]
+fn ambiguous_framing_is_answered_400_and_closed() {
+    // Each request frames its body in a way RFC 9112 requires a server
+    // to refuse. The body is itself a request: a server that misreads
+    // the framing answers it as a second one.
+    let server = start();
+    let smuggled = "GET /api/v0/documents HTTP/1.1\r\n\r\n";
+    for (framing, error) in [
+        (
+            format!("Content-Length : {}", smuggled.len()),
+            "whitespace between a header field name and its colon",
+        ),
+        (
+            format!("Content-Length: {}\r\nContent-Length: 0", smuggled.len()),
+            "conflicting content-length values",
+        ),
+        (
+            format!("Content-Length: +{}", smuggled.len()),
+            "bad content-length",
+        ),
+    ] {
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        s.write_all(
+            format!(
+                "GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n{framing}\r\n\r\n{smuggled}"
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+        let mut answer = Vec::new();
+        std::io::Read::read_to_end(&mut s, &mut answer).unwrap();
+        let body = format!("{{\"error\":\"{error}\"}}");
+        let want = format!(
+            "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        );
+        assert_eq!(String::from_utf8_lossy(&answer), want, "{framing}");
+    }
+    assert_alive(&server);
+    server.shutdown();
+}

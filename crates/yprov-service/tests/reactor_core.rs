@@ -259,9 +259,7 @@ fn a_pipelining_peer_that_reads_nothing_holds_one_response() {
 fn a_request_sent_while_another_is_with_a_worker_waits_its_turn() {
     // The second request arrives while the first, a long-poll watch, is
     // parked with a worker: its bytes wait unread in the socket, and it
-    // is answered after the watch. Reading is off meanwhile, so bytes
-    // waiting there do not spin the event loop (level-triggered epoll
-    // would report them on every wait).
+    // is answered after the watch.
     let store = DocumentStore::new();
     let mut doc = prov_model::ProvDocument::new();
     doc.namespaces_mut().register("ex", "http://ex/").unwrap();
@@ -294,13 +292,6 @@ fn a_request_sent_while_another_is_with_a_worker_waits_its_turn() {
     let (status, _, body) = read_response(&mut reader);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("ok"), "then the health check: {body}");
-
-    let (_, metrics) = request(server.addr(), "GET", "/metrics", None).unwrap();
-    let iterations = series_value(&metrics, "reactor_loop_lag_seconds_count");
-    assert!(
-        iterations < 1_000,
-        "{iterations} event-loop iterations in about 0.6 s"
-    );
     server.shutdown();
 }
 
@@ -493,8 +484,7 @@ fn shed_at_accept_answers_503_to_a_client_that_wrote_first() {
 #[test]
 fn reactor_loop_metrics_surface_in_the_scrape() {
     let server = start(ServerConfig::default());
-    // A few served requests guarantee the reactor loop has spun and
-    // recorded at least one lag sample and a queue-depth level.
+    // A few served requests guarantee a queue-depth level was recorded.
     for _ in 0..3 {
         let (status, _) = request(server.addr(), "GET", "/healthz", None).unwrap();
         assert_eq!(status, 200);
@@ -502,8 +492,6 @@ fn reactor_loop_metrics_surface_in_the_scrape() {
     let (status, metrics) = request(server.addr(), "GET", "/metrics", None).unwrap();
     assert_eq!(status, 200);
     for needle in [
-        "# HELP reactor_loop_lag_seconds ",
-        "# TYPE reactor_loop_lag_seconds histogram",
         "# HELP reactor_queued_jobs ",
         "# TYPE reactor_queued_jobs gauge",
         "# HELP reactor_queued_bytes ",
@@ -514,12 +502,6 @@ fn reactor_loop_metrics_surface_in_the_scrape() {
             "missing {needle:?} in:\n{metrics}"
         );
     }
-    let lag_count = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("reactor_loop_lag_seconds_count "))
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(0);
-    assert!(lag_count >= 1, "loop lag never recorded:\n{metrics}");
     // Nothing is in flight at scrape time, so the gauge reads a level
     // (zero), not garbage.
     assert!(
