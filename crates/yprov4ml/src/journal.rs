@@ -622,14 +622,16 @@ pub fn recover_detailed(
     let series: Vec<&metric_store::series::MetricSeries> = state.metrics.values().collect();
     let outcome = spill_metrics(run_dir, spill, &series)?;
 
-    // End time: the latest timestamp the journal saw, and never before
-    // the start (metric times are the caller's, and a simulated clock
-    // starts at zero).
+    // End time: the latest timestamp the journal saw, a context's end
+    // included (the run holds its contexts), and never before the start
+    // (metric times are the caller's, and a simulated clock starts at
+    // zero).
     let ended_us = state
         .metrics
         .values()
         .filter_map(|s| s.points.last().map(|p| p.time_us))
         .chain(state.artifacts.iter().map(|a| a.logged_at_us))
+        .chain(state.context_spans.values().filter_map(|&(_, end)| end))
         .fold(replay.header.started_us, i64::max);
 
     let identity = RunIdentity {
@@ -1411,6 +1413,38 @@ mod tests {
             .get(&prov_model::QName::new("exp", "crashed-run/recovery"))
             .is_some());
         assert!(prov_model::validate::is_valid(&doc));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_recovered_run_ends_no_earlier_than_its_contexts() {
+        // The run holds its contexts (Run ⊇ Context ⊇ Epoch): a context
+        // that ends after the last metric moves the run's end, and the
+        // crash cannot start before training did end.
+        let dir = tmp("context_end");
+        let writer = JournalWriter::create(&dir, &header()).unwrap();
+        for i in 0..3 {
+            writer.append(&metric(i)).unwrap();
+        }
+        writer
+            .append(&LogRecord::ContextEnd {
+                context: Context::Training,
+                time_us: 5_000,
+            })
+            .unwrap();
+        writer.close().unwrap();
+
+        let (report, _) = recover_detailed(&dir, &SpillPolicy::Inline).unwrap();
+        let doc = prov_model::ProvDocument::from_json_str(
+            &std::fs::read_to_string(&report.prov_json_path).unwrap(),
+        )
+        .unwrap();
+        let activity = |id: &str| doc.get(&prov_model::QName::new("exp", id)).unwrap();
+        let micros = |t: Option<prov_model::XsdDateTime>| t.map(|t| t.epoch_micros());
+        let context_end = micros(activity("crashed-run/training").end_time());
+        assert_eq!(context_end, Some(5_000));
+        assert!(micros(activity("crashed-run").end_time()) >= context_end);
+        assert!(micros(activity("crashed-run/crash").start_time()) >= context_end);
         std::fs::remove_dir_all(&dir).ok();
     }
 
