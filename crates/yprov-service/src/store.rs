@@ -984,21 +984,6 @@ impl DocumentStore {
         let chains = lock(&self.inner.chains);
         verify_chains(&chains, |id| self.inner.backend.get(id).ok().flatten())
     }
-
-    /// Merges every stored document into one (cross-run lineage);
-    /// namespace clashes surface as [`ServiceError::Conflict`].
-    pub fn merged(&self) -> Result<ProvDocument, ServiceError> {
-        let docs = read(&self.inner.docs);
-        let mut merged = ProvDocument::new();
-        for (id, stored) in docs.iter() {
-            merged
-                .merge(&stored.doc)
-                .map_err(|e| ServiceError::Conflict {
-                    reason: format!("merging {id}: {e}"),
-                })?;
-        }
-        Ok(merged)
-    }
 }
 
 #[cfg(test)]
@@ -1347,32 +1332,6 @@ mod tests {
         assert_eq!(reopened.len(), 0);
         assert_eq!(reopened.ledger_entries().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn merged_combines_documents() {
-        let store = DocumentStore::new();
-        store.upload(pipeline_doc()).unwrap();
-        let mut other = ProvDocument::new();
-        other.namespaces_mut().register("ex", "http://ex/").unwrap();
-        other.entity(q("report"));
-        store.upload(other).unwrap();
-        let merged = store.merged().unwrap();
-        assert_eq!(merged.element_count(), 4);
-    }
-
-    #[test]
-    fn merged_fails_on_conflicting_namespaces() {
-        let store = DocumentStore::new();
-        store.upload(pipeline_doc()).unwrap();
-        let mut other = ProvDocument::new();
-        other
-            .namespaces_mut()
-            .register("ex", "http://other/")
-            .unwrap();
-        other.entity(q("x"));
-        store.upload(other).unwrap();
-        assert!(matches!(store.merged(), Err(ServiceError::Conflict { .. })));
     }
 
     #[test]
@@ -2190,6 +2149,19 @@ mod tests {
         assert!(matches!(
             store.query_view(&a, &["ghost".to_string()]),
             Err(ServiceError::NotFound { .. })
+        ));
+
+        // A document binding `ex` to another IRI cannot join the view.
+        let mut clash = ProvDocument::new();
+        clash
+            .namespaces_mut()
+            .register("ex", "http://other/")
+            .unwrap();
+        clash.entity(q("x"));
+        let c = store.upload(clash).unwrap();
+        assert!(matches!(
+            store.query_view(&a, &[c]),
+            Err(ServiceError::Conflict { .. })
         ));
     }
 }
