@@ -1,19 +1,26 @@
 //! A retrying HTTP client for the provenance service.
 //!
-//! The one-shot [`crate::http::request`] helper is fine for tests; real
-//! upload paths (a training job shipping its provenance at the end of a
-//! run) must survive transient server trouble — connection refused
-//! during a restart, 503 while overloaded. [`Client`] wraps the same
-//! wire format in bounded, deterministic exponential backoff: delays
+//! The one-shot [`crate::http::request`] helper sends one request on a
+//! connection of its own and retries nothing; upload paths (a training
+//! job shipping its provenance at the end of a run, replication pushes,
+//! cluster routing) must survive transient server trouble — connection
+//! refused during a restart, 503 while overloaded. [`Client`] wraps the
+//! same wire format in bounded, deterministic exponential backoff: delays
 //! double from [`RetryPolicy::base_delay`] up to
 //! [`RetryPolicy::max_delay`], each scaled by a jitter factor in
 //! [0.5, 1.0) derived from [`RetryPolicy::jitter_seed`] — so tests and
 //! replayed runs see identical schedules, while distinct seeds decorrelate
 //! real clients.
 //!
-//! Only transport errors and 502/503/504 (and unparseable responses)
-//! are retried; any other status is a definitive answer and is returned
-//! as-is.
+//! Both read responses with the server's own parser (`conn::HttpParser`):
+//! what it refuses in a request — a head over 32 KiB or 128 fields, a
+//! field name followed by whitespace, a `Content-Length` not all digits
+//! or given two values, `Transfer-Encoding: chunked` — it refuses in a
+//! response too, as does a status that is not three digits or a byte
+//! after a keep-alive response. Each is a transport error
+//! ([`io::ErrorKind::InvalidData`]), and that connection is dropped.
+//! Only transport errors and 502/503/504 are retried; any other status
+//! is a definitive answer and is returned as-is.
 //!
 //! When a retryable response names its own schedule — the server's
 //! watermark shedding path answers 503 with a `Retry-After` header —
@@ -22,8 +29,8 @@
 //! better than a blind exponential guess does.
 //!
 //! Requests are sent with `Connection: keep-alive`, and a connection
-//! whose response agrees is parked and reused by the next request (a
-//! clone of the client shares the same parked connection). Replication
+//! whose response agrees is parked, socket and parser, and reused by
+//! the next request (a clone of the client shares it). Replication
 //! streams — many small frames to the same peer — stop paying a TCP
 //! connect per frame. A parked connection the server has since closed
 //! is detected on first use (the failure happens before any response
@@ -36,8 +43,9 @@
 //! whether such a request is attempted again. Servers that answer
 //! `Connection: close` simply never get pooled.
 
+use crate::conn::{read_message, HttpParser, Message, StatusLine};
 use crate::sync::lock;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -45,9 +53,6 @@ use std::time::Duration;
 /// Ceiling on a server-supplied `Retry-After` wait, so a confused (or
 /// hostile) server cannot park a client indefinitely.
 pub const MAX_RETRY_AFTER: Duration = Duration::from_secs(30);
-
-/// The most a response body reserves before its bytes arrive.
-const MAX_BODY_RESERVE: usize = 64 * 1024 * 1024;
 
 /// Percent-encodes a document id for use in a path segment (or a query
 /// value): every byte but the RFC 3986 unreserved set is escaped, so an
@@ -132,8 +137,7 @@ pub struct Response {
 pub enum Failure {
     /// Connect/read/write failed before a response arrived.
     Transport(String),
-    /// A retryable HTTP status (502/503/504; 0 marks an unparseable
-    /// response).
+    /// A retryable HTTP status (502/503/504).
     Status(u16),
 }
 
@@ -182,7 +186,14 @@ pub struct Client {
     /// The parked keep-alive connection, if the last response allowed
     /// reuse. One slot is enough: each exchange is serialized under the
     /// lock, and concurrent callers simply open fresh connections.
-    pool: Arc<Mutex<Option<BufReader<TcpStream>>>>,
+    pool: Arc<Mutex<Option<Conn>>>,
+}
+
+/// A keep-alive connection: its socket and the parser of its responses.
+#[derive(Debug)]
+struct Conn {
+    stream: TcpStream,
+    parser: HttpParser<StatusLine>,
 }
 
 impl Client {
@@ -244,18 +255,18 @@ impl Client {
                 std::thread::sleep(wait);
             }
             match self.once(method, path, body, traceparent.as_deref(), read_timeout) {
-                // Status 0 = unparseable response; treat like a
-                // transport failure.
-                Ok((status, _, resp_body)) if !matches!(status, 0 | 502 | 503 | 504) => {
+                Ok(response) if !matches!(response.start.status, 502..=504) => {
                     return Ok(Response {
-                        status,
-                        body: resp_body,
+                        status: response.start.status,
+                        body: utf8_body(response.body),
                         attempts: attempt + 1,
                     });
                 }
-                Ok((status, retry_after, _)) => {
-                    last = Failure::Status(status);
-                    server_wait = retry_after.map(|s| Duration::from_secs(s).min(MAX_RETRY_AFTER));
+                Ok(response) => {
+                    last = Failure::Status(response.start.status);
+                    server_wait = response
+                        .retry_after
+                        .map(|s| Duration::from_secs(s).min(MAX_RETRY_AFTER));
                 }
                 Err(e) => last = Failure::Transport(e.to_string()),
             }
@@ -266,8 +277,7 @@ impl Client {
         })
     }
 
-    /// One wire exchange, under the per-request timeouts. Returns
-    /// `(status, retry_after_seconds, body)`.
+    /// One wire exchange, under the per-request timeouts.
     ///
     /// A parked keep-alive connection is tried first. If it fails
     /// before a single response byte arrives — usually the server
@@ -284,7 +294,7 @@ impl Client {
         body: Option<&str>,
         traceparent: Option<&str>,
         read_timeout: Duration,
-    ) -> std::io::Result<(u16, Option<u64>, String)> {
+    ) -> io::Result<Message<StatusLine>> {
         let body = body.unwrap_or("");
         let trace_header = traceparent
             .map(|tp| format!("traceparent: {tp}\r\n"))
@@ -299,17 +309,12 @@ impl Client {
         // the MutexGuard alive for the whole if-let body (2021-edition
         // temporary scope), and re-parking below would self-deadlock.
         let parked = lock(&self.pool).take();
-        if let Some(mut reader) = parked {
+        if let Some(mut conn) = parked {
             // The parked socket keeps whatever read timeout its last
             // request used; re-arm it for this one.
-            reader.get_ref().set_read_timeout(Some(read_timeout))?;
-            match exchange(&mut reader, req.as_bytes()) {
-                Ok((status, retry_after, payload, reuse)) => {
-                    if reuse {
-                        *lock(&self.pool) = Some(reader);
-                    }
-                    return Ok((status, retry_after, payload));
-                }
+            conn.stream.set_read_timeout(Some(read_timeout))?;
+            match exchange(&mut conn, req.as_bytes()) {
+                Ok(response) => return Ok(self.park(conn, response)),
                 Err(ExchangeError::Stale) if replayable => {} // fall through to a fresh connect
                 Err(ExchangeError::Stale) => {
                     return Err(io::Error::new(
@@ -323,18 +328,25 @@ impl Client {
         let stream = TcpStream::connect_timeout(&self.addr, self.policy.request_timeout)?;
         stream.set_read_timeout(Some(read_timeout))?;
         stream.set_write_timeout(Some(self.policy.request_timeout))?;
-        let mut reader = BufReader::new(stream);
-        let (status, retry_after, payload, reuse) =
-            exchange(&mut reader, req.as_bytes()).map_err(|e| match e {
-                ExchangeError::Stale => {
-                    io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed unanswered")
-                }
-                ExchangeError::Io(e) => e,
-            })?;
-        if reuse {
-            *lock(&self.pool) = Some(reader);
+        let mut conn = Conn {
+            stream,
+            parser: HttpParser::new(),
+        };
+        let response = exchange(&mut conn, req.as_bytes()).map_err(|e| match e {
+            ExchangeError::Stale => {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed unanswered")
+            }
+            ExchangeError::Io(e) => e,
+        })?;
+        Ok(self.park(conn, response))
+    }
+
+    /// Parks `conn` for the next request when `response` kept it alive.
+    fn park(&self, conn: Conn, response: Message<StatusLine>) -> Message<StatusLine> {
+        if response.keep_alive {
+            *lock(&self.pool) = Some(conn);
         }
-        Ok((status, retry_after, payload))
+        response
     }
 
     /// GET convenience.
@@ -396,104 +408,40 @@ impl Client {
 
 /// How one wire exchange failed.
 enum ExchangeError {
-    /// The connection died before a single response byte arrived — for
-    /// a parked keep-alive connection this means the server closed it
-    /// while idle, and the request is safe to replay on a fresh socket.
+    /// The connection died before a response byte arrived: a parked one
+    /// the server idle-closed, safe to replay on a fresh socket.
     Stale,
-    /// An I/O failure after response bytes were seen (or any other
-    /// hard error); not silently replayable.
+    /// Any other failure; not silently replayable.
     Io(io::Error),
 }
 
-/// Writes `req` and reads one `Content-Length`-framed response.
-/// Returns `(status, retry_after_seconds, body, reusable)` where
-/// `reusable` says the server agreed to keep the connection alive.
-fn exchange(
-    reader: &mut BufReader<TcpStream>,
-    req: &[u8],
-) -> Result<(u16, Option<u64>, String, bool), ExchangeError> {
+/// Writes `req` and reads one response through the connection's
+/// parser. A keep-alive response must end the bytes read, or what
+/// follows it would be read as the next request's answer.
+fn exchange(conn: &mut Conn, req: &[u8]) -> Result<Message<StatusLine>, ExchangeError> {
     // A write onto a dead socket fails before any response byte is
     // read, so the request was not observed to be acted on: stale.
-    if reader.get_mut().write_all(req).is_err() || reader.get_mut().flush().is_err() {
+    if conn.stream.write_all(req).is_err() || conn.stream.flush().is_err() {
         return Err(ExchangeError::Stale);
     }
-    let mut head = String::new();
-    let mut got_any = false;
-    loop {
-        let start = head.len();
-        match reader.read_line(&mut head) {
-            Ok(0) => {
-                return Err(if got_any {
-                    ExchangeError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-response",
-                    ))
-                } else {
-                    ExchangeError::Stale
-                });
-            }
-            Ok(_) => got_any = true,
-            Err(e) => {
-                return Err(if got_any {
-                    ExchangeError::Io(e)
-                } else {
-                    ExchangeError::Stale
-                });
-            }
-        }
-        if head[start..].trim_end().is_empty() {
-            break; // blank line: end of the header section
-        }
-        if head.len() > 64 * 1024 {
-            return Err(ExchangeError::Io(io::Error::new(
+    match read_message(&mut conn.parser, &mut conn.stream, usize::MAX) {
+        Ok(Some(response)) if response.keep_alive && conn.parser.has_partial() => {
+            Err(ExchangeError::Io(io::Error::new(
                 io::ErrorKind::InvalidData,
-                "response header section too large",
-            )));
+                "bytes after a keep-alive response",
+            )))
         }
+        Ok(Some(response)) => Ok(response),
+        // Closed, or failed, before a response byte arrived.
+        Ok(None) => Err(ExchangeError::Stale),
+        Err(_) if !conn.parser.has_partial() => Err(ExchangeError::Stale),
+        Err(e) => Err(ExchangeError::Io(e)),
     }
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let mut content_length = 0usize;
-    let mut retry_after = None;
-    let mut reusable = false;
-    for line in head.lines().skip(1) {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse().map_err(|_| {
-                ExchangeError::Io(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad content-length {value:?}"),
-                ))
-            })?;
-        } else if name.eq_ignore_ascii_case("retry-after") {
-            // Integer-seconds Retry-After only; the HTTP-date form is
-            // not something this server emits.
-            retry_after = value.parse::<u64>().ok();
-        } else if name.eq_ignore_ascii_case("connection") {
-            reusable = value.eq_ignore_ascii_case("keep-alive");
-        }
-    }
-    // The announced length is the peer's word: reserve at most
-    // `MAX_BODY_RESERVE` and let the rest grow as bytes arrive.
-    let mut body = Vec::with_capacity(content_length.min(MAX_BODY_RESERVE));
-    reader
-        .take(content_length as u64)
-        .read_to_end(&mut body)
-        .map_err(ExchangeError::Io)?;
-    if body.len() < content_length {
-        return Err(ExchangeError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "failed to fill whole buffer",
-        )));
-    }
-    let payload = String::from_utf8_lossy(&body).into_owned();
-    Ok((status, retry_after, payload, reusable && status != 0))
+}
+
+/// A response body as text; invalid UTF-8 is replaced, not refused.
+pub(crate) fn utf8_body(body: Vec<u8>) -> String {
+    String::from_utf8(body).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 #[cfg(test)]
@@ -501,6 +449,7 @@ mod tests {
     use super::*;
     use crate::http::{Server, ServerConfig};
     use crate::store::DocumentStore;
+    use std::io::Read;
     use testkit::{Fault, FaultProxy};
 
     fn fast_policy() -> RetryPolicy {
@@ -812,6 +761,68 @@ mod tests {
             assert!(matches!(last, Failure::Transport(_)), "{last:?}");
         }
         peer.join().unwrap();
+    }
+
+    #[test]
+    fn a_misframed_response_is_a_transport_error_and_its_connection_is_dropped() {
+        // Each case follows `HTTP/1.1 200 OK` and `Connection:
+        // keep-alive`; the server refuses each of these framings in a
+        // request, and its client refuses them in a response.
+        let flood = format!("X-Flood: {}\r\n", "a".repeat(32 * 1024));
+        let fields: String = (0..=128).map(|i| format!("X-{i}: v\r\n")).collect();
+        let cases = [
+            "Content-Length: +2\r\n\r\n{}".to_string(),
+            "Content-Length: 2\r\nContent-Length: 3\r\n\r\n{}!".to_string(),
+            "Content-Length : 2\r\n\r\n{}".to_string(),
+            "Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n".to_string(),
+            format!("{flood}Content-Length: 2\r\n\r\n{{}}"),
+            format!("{fields}Content-Length: 2\r\n\r\n{{}}"),
+            "Content-Length: 2\r\n\r\n{}HTTP/1.1 200 OK\r\n".to_string(),
+        ];
+        for case in cases {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let bad = format!("HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n{case}");
+            let peer = std::thread::spawn(move || {
+                let mut buf = [0u8; 4096];
+                // The misframed answer's connection stays open: a client
+                // that parked it would send its next request here.
+                let (mut first, _) = listener.accept().unwrap();
+                let _ = first.read(&mut buf);
+                let _ = first.write_all(bad.as_bytes());
+                let (mut second, _) = listener.accept().unwrap();
+                let _ = second.read(&mut buf);
+                second
+                    .write_all(
+                        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok",
+                    )
+                    .unwrap();
+                first
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .unwrap();
+                let reused = matches!(first.read(&mut buf), Ok(n) if n > 0);
+                // The one-shot helper reads by the same rules.
+                let (mut third, _) = listener.accept().unwrap();
+                let _ = third.read(&mut buf);
+                let _ = third.write_all(bad.as_bytes());
+                reused
+            });
+            let client = Client::new(
+                addr,
+                RetryPolicy {
+                    max_attempts: 1,
+                    request_timeout: Duration::from_secs(1),
+                    ..fast_policy()
+                },
+            );
+            let ClientError::Exhausted { last, .. } = client.get("/a").unwrap_err();
+            assert!(matches!(last, Failure::Transport(_)), "{case:?}: {last:?}");
+            let next = client.get("/b").unwrap();
+            assert_eq!((next.status, next.body.as_str()), (200, "ok"), "{case:?}");
+            let one_shot = crate::http::request(addr, "GET", "/c", None).unwrap_err();
+            assert_eq!(one_shot.kind(), io::ErrorKind::InvalidData, "{case:?}");
+            assert!(!peer.join().unwrap(), "{case:?}: the connection was parked");
+        }
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! written, so a pipelining client is answered in order. At most
 //! [`ServerConfig::workers`] handlers run at once.
 //!
-//! The parser (`conn::HttpParser`) is defensive: the header section is
-//! capped at 32 KiB and 128 fields (431 beyond either limit), and
-//! `Transfer-Encoding: chunked` — which this server does not
-//! implement — is rejected with 501 instead of being silently misread
-//! as an empty body. Path segments are percent-decoded (without the
-//! `+`-to-space query rule), so percent-encoded document ids
-//! round-trip.
+//! The parser (`conn::HttpParser`, which also reads the responses
+//! [`request`] and `Client` receive) is defensive: the header section
+//! is capped at 32 KiB and 128 fields (431 beyond either limit), and
+//! `Transfer-Encoding: chunked` — which this server does not implement
+//! — is rejected with 501 instead of being misread as an empty body.
+//! Path segments are percent-decoded (without the `+`-to-space query
+//! rule), so percent-encoded document ids round-trip.
 //!
 //! ## Routes (yProv-style)
 //!
@@ -69,10 +69,12 @@
 //! between two peers, to drop, tear, duplicate, delay or refuse
 //! requests.
 
+use crate::client::utf8_body;
 use crate::cluster::Replicator;
+use crate::conn::{read_message, HttpParser, Message, RequestLine, StatusLine};
 use crate::error::ServiceError;
 use crate::store::DocumentStore;
-use std::io::{BufReader, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -304,21 +306,12 @@ pub(crate) struct Request {
     pub(crate) keep_alive: bool,
 }
 
-impl Request {
-    /// Assembles a request from parsed parts, splitting the target
-    /// into a path and decoded query pairs.
-    pub(crate) fn from_parts(
-        method: String,
-        target: &str,
-        body: Vec<u8>,
-        traceparent: Option<String>,
-        keep_alive: bool,
-    ) -> Request {
-        let (path, query_str) = match target.split_once('?') {
-            Some((p, q)) => (p.to_string(), q.to_string()),
-            None => (target.to_string(), String::new()),
-        };
-        let query = query_str
+impl From<Message<RequestLine>> for Request {
+    /// Splits the target into a path and decoded query pairs.
+    fn from(message: Message<RequestLine>) -> Request {
+        let RequestLine { method, target } = message.start;
+        let (path, query) = target.split_once('?').unwrap_or((&target, ""));
+        let query = query
             .split('&')
             .filter(|kv| !kv.is_empty())
             .filter_map(|kv| kv.split_once('='))
@@ -326,14 +319,16 @@ impl Request {
             .collect();
         Request {
             method,
-            path,
+            path: path.to_string(),
             query,
-            body,
-            traceparent,
-            keep_alive,
+            body: message.body,
+            traceparent: message.traceparent,
+            keep_alive: message.keep_alive,
         }
     }
+}
 
+impl Request {
     /// The first query-string value given for `key`.
     pub(crate) fn param(&self, key: &str) -> Option<&str> {
         self.query
@@ -462,13 +457,16 @@ pub(crate) fn encode_response_head(
 // A tiny blocking client, used by tests and examples.
 // ---------------------------------------------------------------------------
 
-/// Sends one HTTP request and returns `(status, body)`.
+/// Sends one HTTP request on a connection of its own, reads the
+/// response through the server's parser and returns `(status, body)`.
+/// A response the parser refuses, or bytes after it, is
+/// [`io::ErrorKind::InvalidData`].
 pub fn request(
     addr: std::net::SocketAddr,
     method: &str,
     path: &str,
     body: Option<&str>,
-) -> std::io::Result<(u16, String)> {
+) -> io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
     let body = body.unwrap_or("");
     let req = format!(
@@ -476,24 +474,25 @@ pub fn request(
         body.len()
     );
     stream.write_all(req.as_bytes())?;
-    let mut response = String::new();
-    BufReader::new(stream).read_to_string(&mut response)?;
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let payload = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, payload))
+    let mut parser = HttpParser::<StatusLine>::new();
+    let response =
+        read_message(&mut parser, &mut stream, usize::MAX)?.ok_or(io::ErrorKind::UnexpectedEof)?;
+    // One shot: read on to the close the request asked for.
+    while parser.read_from(&mut stream)? > 0 {}
+    if parser.has_partial() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "bytes after the response",
+        ));
+    }
+    Ok((response.start.status, utf8_body(response.body)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use prov_model::{ProvDocument, QName};
+    use std::io::{BufReader, Read};
 
     #[test]
     fn error_body_matches_its_tree() {

@@ -18,7 +18,7 @@
 //!   gate.
 //! * **Timeouts** are socket timeouts, re-armed before each read.
 
-use crate::conn::{HttpParser, Limits};
+use crate::conn::{HttpParser, RequestLine};
 use crate::http::{self, error_body, Request, ServerConfig, ServerState};
 use crate::routes;
 use crate::slowlog::SlowEntry;
@@ -271,7 +271,7 @@ impl Shared {
         if answered && stream.shutdown(Shutdown::Write).is_ok() {
             let deadline = Instant::now() + limit;
             let mut buf = [0u8; 16 * 1024];
-            while matches!(read_until(&mut stream, &mut buf, deadline), Ok(n) if n > 0) {}
+            while let Ok(1..) = arm(&stream, deadline).and_then(|()| stream.read(&mut buf)) {}
         }
         drop(stream);
         let mut pool = lock(&self.pool);
@@ -321,11 +321,7 @@ impl Shared {
     fn serve(&self, mut stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(Some(self.cfg.write_timeout));
-        let limits = Limits {
-            max_body: self.cfg.max_body,
-        };
-        let mut parser = HttpParser::new();
-        let mut buf = vec![0u8; 16 * 1024];
+        let mut parser = HttpParser::<RequestLine>::new();
         // Accept, the last read, or the last response written.
         let mut quiet_since = Instant::now();
         // A request has been incomplete since then.
@@ -334,13 +330,13 @@ impl Shared {
         // Nothing was read since the last response was written.
         let mut buffered = false;
         loop {
-            match parser.next(&limits) {
-                Ok(Some(request)) => {
+            match parser.next(self.cfg.max_body) {
+                Ok(Some(message)) => {
                     partial_since = None;
                     if buffered {
                         self.pipelined.inc();
                     }
-                    if !self.respond(&mut stream, request) {
+                    if !self.respond(&mut stream, Request::from(message)) {
                         return;
                     }
                     (served, buffered, quiet_since) = (true, true, Instant::now());
@@ -358,7 +354,7 @@ impl Shared {
                         None if served => quiet_since + self.cfg.idle_timeout,
                         None => quiet_since + self.cfg.read_timeout,
                     };
-                    match read_until(&mut stream, &mut buf, deadline) {
+                    match arm(&stream, deadline).and_then(|()| parser.read_from(&mut stream)) {
                         Ok(0) => {
                             if let (false, Some((status, msg))) =
                                 (self.stopping(), parser.finish_eof())
@@ -367,10 +363,7 @@ impl Shared {
                             }
                             return;
                         }
-                        Ok(n) => {
-                            parser.push(&buf[..n]);
-                            (quiet_since, buffered) = (Instant::now(), false);
-                        }
+                        Ok(_) => (quiet_since, buffered) = (Instant::now(), false),
                         Err(e) if e.kind() == Interrupted => {}
                         // A served connection gone quiet closes silently;
                         // a request never completed gets a 400, as one
@@ -505,15 +498,14 @@ fn handle(state: &ServerState, request: Request, started: Instant) -> (u16, &'st
     (status, content_type, body)
 }
 
-/// Reads with what is left of the time until `deadline`; a deadline
-/// already passed is a timeout.
-fn read_until(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> io::Result<usize> {
+/// Arms the read timeout with what is left of the time until
+/// `deadline`; a deadline already passed is a timeout.
+fn arm(stream: &TcpStream, deadline: Instant) -> io::Result<()> {
     let left = deadline.saturating_duration_since(Instant::now());
     if left.is_zero() {
         return Err(TimedOut.into());
     }
-    stream.set_read_timeout(Some(left))?;
-    stream.read(buf)
+    stream.set_read_timeout(Some(left))
 }
 
 /// Writes `head` then `body`, in one system call when the socket takes
