@@ -477,9 +477,8 @@ pub fn request(
     let mut parser = HttpParser::<StatusLine>::new();
     let response =
         read_message(&mut parser, &mut stream, usize::MAX)?.ok_or(io::ErrorKind::UnexpectedEof)?;
-    // One shot: read on to the close the request asked for.
-    while parser.read_from(&mut stream)? > 0 {}
-    if parser.has_partial() {
+    // One shot: the close the request asked for must follow the response.
+    if parser.has_partial() || parser.read_from(&mut stream)? > 0 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "bytes after the response",
