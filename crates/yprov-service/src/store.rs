@@ -2150,7 +2150,12 @@ mod tests {
             store.query_view(&a, &["ghost".to_string()]),
             Err(ServiceError::NotFound { .. })
         ));
+    }
 
+    #[test]
+    fn merged_fails_on_conflicting_namespaces() {
+        let store = DocumentStore::new();
+        let a = store.upload(pipeline_doc()).unwrap();
         // A document binding `ex` to another IRI cannot join the view.
         let mut clash = ProvDocument::new();
         clash
