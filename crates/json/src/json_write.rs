@@ -119,6 +119,12 @@ impl JsonWriter<io::Sink> {
         Self::with_buffer(io::sink(), pretty, Vec::new(), usize::MAX)
     }
 
+    /// The text written so far, containers still open included: what a
+    /// caller copies to close elsewhere while it keeps writing here.
+    pub fn text(&self) -> &str {
+        std::str::from_utf8(&self.buf).expect("the writer emits only UTF-8")
+    }
+
     /// The text written.
     pub fn into_string(self) -> String {
         debug_assert!(self.open.is_empty(), "an object or array is still open");
@@ -271,11 +277,19 @@ impl<W: Write> JsonWriter<W> {
         self.end_object();
     }
 
+    pub fn begin_array(&mut self) {
+        self.begin(true, b'[');
+    }
+
+    pub fn end_array(&mut self) {
+        self.end(true, b']');
+    }
+
     /// An array whose elements `body` writes.
     pub fn array(&mut self, body: impl FnOnce(&mut Self)) {
-        self.begin(true, b'[');
+        self.begin_array();
         body(self);
-        self.end(true, b']');
+        self.end_array();
     }
 
     fn quoted(&mut self, parts: &[&str]) {

@@ -5,51 +5,70 @@
 //! provenance file looks like when time-series are kept inline — large,
 //! but greppable and self-describing.
 
-use crate::series::MetricSeries;
+use crate::series::{MetricPoint, MetricSeries};
 use json::JsonWriter;
 use std::io::Write;
 
 /// A series as the inline-JSON representation the provenance layer
 /// writes when metrics stay in the PROV file: `context`, `name` and
-/// `points[{epoch, step, time_us, value}]`, keys ascending, non-finite
-/// values as the strings `"NaN"`, `"INF"` and `"-INF"`. Nothing is built
-/// per sample.
+/// `points[{epoch, step, time_us, value}]`, keys ascending (see
+/// [`points_to_json`] for a point's rules). Nothing is built per
+/// sample.
 pub fn series_to_json<W: Write>(w: &mut JsonWriter<W>, series: &MetricSeries) {
-    w.object(|w| {
-        w.key("context");
-        w.str(&series.context);
-        w.key("name");
-        w.str(&series.name);
-        w.key("points");
-        w.array(|w| {
-            for p in &series.points {
-                w.object(|w| {
-                    w.key("epoch");
-                    w.u64(p.epoch.into());
-                    w.key("step");
-                    w.u64(p.step);
-                    w.key("time_us");
-                    w.i64(p.time_us);
-                    w.key("value");
-                    if p.value.is_finite() {
-                        w.f64(p.value);
-                    } else if p.value.is_nan() {
-                        w.str("NaN");
-                    } else if p.value > 0.0 {
-                        w.str("INF");
-                    } else {
-                        w.str("-INF");
-                    }
-                })
+    begin_series(w, series);
+    points_to_json(w, &series.points);
+    end_series(w);
+}
+
+/// Opens `series`' object up to its points: `{"context":…,"name":…,
+/// "points":[`. Points go in with [`points_to_json`], as many times as
+/// needed; [`end_series`] closes both.
+pub fn begin_series<W: Write>(w: &mut JsonWriter<W>, series: &MetricSeries) {
+    w.begin_object();
+    w.key("context");
+    w.str(&series.context);
+    w.key("name");
+    w.str(&series.name);
+    w.key("points");
+    w.begin_array();
+}
+
+/// Closes what [`begin_series`] opened: `]}`.
+pub fn end_series<W: Write>(w: &mut JsonWriter<W>) {
+    w.end_array();
+    w.end_object();
+}
+
+/// `points` as elements of the array open in `w`, comma-joined by the
+/// writer: one `{"epoch","step","time_us","value"}` object each, a
+/// non-finite value as the string `"NaN"`, `"INF"` or `"-INF"`. The one
+/// place a sample's inline text is decided.
+pub fn points_to_json<W: Write>(w: &mut JsonWriter<W>, points: &[MetricPoint]) {
+    for p in points {
+        w.object(|w| {
+            w.key("epoch");
+            w.u64(p.epoch.into());
+            w.key("step");
+            w.u64(p.step);
+            w.key("time_us");
+            w.i64(p.time_us);
+            w.key("value");
+            if p.value.is_finite() {
+                w.f64(p.value);
+            } else if p.value.is_nan() {
+                w.str("NaN");
+            } else if p.value > 0.0 {
+                w.str("INF");
+            } else {
+                w.str("-INF");
             }
-        });
-    })
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::MetricPoint;
 
     fn printed(s: &MetricSeries, pretty: bool) -> String {
         let mut w = JsonWriter::in_memory(pretty);
@@ -143,6 +162,30 @@ mod tests {
             printed(&empty, true),
             "{\n  \"context\": \"testing\",\n  \"name\": \"empty\",\n  \"points\": []\n}"
         );
+    }
+
+    #[test]
+    fn points_written_in_pieces_print_as_the_whole_series() {
+        let mut s = MetricSeries::new("loss", "training");
+        let values = [0.5, f64::NAN, f64::INFINITY, -0.0, f64::NEG_INFINITY, 1e300];
+        for (i, value) in values.into_iter().enumerate() {
+            s.push(MetricPoint {
+                step: i as u64,
+                epoch: i as u32 / 2,
+                time_us: 10 * i as i64,
+                value,
+            });
+        }
+        for pretty in [false, true] {
+            for split in 0..=s.len() {
+                let mut w = JsonWriter::in_memory(pretty);
+                begin_series(&mut w, &s);
+                points_to_json(&mut w, &s.points[..split]);
+                points_to_json(&mut w, &s.points[split..]);
+                end_series(&mut w);
+                assert_eq!(w.into_string(), printed(&s, pretty), "split at {split}");
+            }
+        }
     }
 
     #[test]

@@ -8,13 +8,22 @@
 //! activity; inline mode embeds the full sample array (which is what
 //! makes the paper's `Original_file.json` 39.8 MB), spilled mode records
 //! a link into the side store instead.
+//!
+//! A live run builds a document at every cut ([`crate::run::Run::snapshot_document`])
+//! and once more at the finish. Its inline series text lives in an
+//! [`InlineCache`] across those builds, so each sample is formatted once
+//! per run, not once per cut.
 
 use crate::collector::RunState;
 use crate::model::{Context, Direction};
 use crate::spill::SpillOutcome;
-use metric_store::json_store::series_to_json;
+use json::JsonWriter;
+use metric_store::json_store::{begin_series, end_series, points_to_json};
+use metric_store::series::MetricSeries;
 use prov_model::qname::{YPROV_NS, YPROV_PREFIX};
 use prov_model::{AttrValue, ProvDocument, QName, XsdDateTime};
+use std::collections::BTreeMap;
+use std::io;
 
 /// Identity of the run being serialized.
 #[derive(Debug, Clone)]
@@ -35,12 +44,123 @@ fn run_ns_local(identity: &RunIdentity, suffix: &str) -> QName {
     QName::new("exp", format!("{}/{}", identity.run, suffix))
 }
 
-/// Builds the provenance document for a finished run.
+/// A run's inline series text, kept open from one build to the next
+/// so that each build formats only the samples logged since the last.
+///
+/// Per series (keyed as [`RunState::metrics`]) it holds the open text
+/// `{"context":…,"name":…,"points":[…` and how many points that text
+/// holds. A cut appends the new points and copies the text out closed
+/// with `]}`; the last build appends the tail and moves the text out.
+/// The text is [`metric_store::json_store::series_to_json`]'s, byte
+/// for byte: the same writer and functions print it.
+#[derive(Default)]
+pub struct InlineCache {
+    series: BTreeMap<(String, String), SeriesText>,
+}
+
+/// One series' text so far: the open object and the points in it.
+struct SeriesText {
+    rendered: usize,
+    w: JsonWriter<io::Sink>,
+}
+
+impl SeriesText {
+    fn open(series: &MetricSeries) -> SeriesText {
+        let mut w = JsonWriter::in_memory(false);
+        begin_series(&mut w, series);
+        SeriesText { rendered: 0, w }
+    }
+
+    /// Appends the points `series` gained since the last call. A series
+    /// only grows, so one with fewer points than were rendered is not
+    /// the series this text was made from: it is rendered afresh.
+    fn catch_up(&mut self, series: &MetricSeries) {
+        if series.len() < self.rendered {
+            debug_assert!(
+                false,
+                "series {}@{} has {} points, {} were rendered",
+                series.name,
+                series.context,
+                series.len(),
+                self.rendered
+            );
+            *self = SeriesText::open(series);
+        }
+        points_to_json(&mut self.w, &series.points[self.rendered..]);
+        self.rendered = series.len();
+    }
+
+    /// A closed copy of the text; this one stays open.
+    fn closed_copy(&self) -> String {
+        let open = self.w.text();
+        let mut text = String::with_capacity(open.len() + 2);
+        text.push_str(open);
+        text.push_str("]}");
+        text
+    }
+
+    fn close(mut self) -> String {
+        end_series(&mut self.w);
+        self.w.into_string()
+    }
+}
+
+impl InlineCache {
+    /// `series`' text as of now, closed; the cache keeps it open.
+    fn cut(&mut self, key: &(String, String), series: &MetricSeries) -> String {
+        if !self.series.contains_key(key) {
+            self.series.insert(key.clone(), SeriesText::open(series));
+        }
+        let text = self.series.get_mut(key).expect("inserted above");
+        text.catch_up(series);
+        text.closed_copy()
+    }
+
+    /// `series`' text, closed and moved out of the cache.
+    fn take(&mut self, key: &(String, String), series: &MetricSeries) -> String {
+        let mut text = self
+            .series
+            .remove(key)
+            .unwrap_or_else(|| SeriesText::open(series));
+        text.catch_up(series);
+        text.close()
+    }
+}
+
+/// How a build records each metric series.
+pub enum Samples<'a> {
+    /// No samples: the series carries its spill link, when it has one.
+    Linked,
+    /// Every sample inline, for a cut of a live run: the text comes
+    /// from `cache`, which keeps it for the next cut.
+    Cut(&'a mut InlineCache),
+    /// Every sample inline, for the run's last build: the text comes
+    /// from the cache and leaves it, not copied.
+    Last(InlineCache),
+}
+
+/// Builds the provenance document for a finished run, inline samples
+/// formatted from scratch: [`build_document_with`] and a fresh cache.
 pub fn build_document(
     identity: &RunIdentity,
     state: &RunState,
     spill: &SpillOutcome,
     inline_metrics: bool,
+) -> ProvDocument {
+    let samples = if inline_metrics {
+        Samples::Last(InlineCache::default())
+    } else {
+        Samples::Linked
+    };
+    build_document_with(identity, state, spill, samples)
+}
+
+/// Builds the provenance document for a run, as it stands in `state`.
+pub fn build_document_with(
+    identity: &RunIdentity,
+    state: &RunState,
+    spill: &SpillOutcome,
+    mut samples: Samples<'_>,
 ) -> ProvDocument {
     let mut doc = ProvDocument::new();
     doc.namespaces_mut()
@@ -143,7 +263,8 @@ pub fn build_document(
     }
 
     // Metric entities.
-    for ((metric, ctx_name), series) in &state.metrics {
+    for (key, series) in &state.metrics {
+        let (metric, ctx_name) = key;
         let entity = run_ns_local(identity, &format!("metric/{ctx_name}/{metric}"));
         let generator = run_ns_local(identity, ctx_name);
         let stats = series.stats();
@@ -160,10 +281,14 @@ pub fn build_document(
             if let Some(last) = stats.last {
                 b = b.attr(QName::yprov("last"), AttrValue::Double(last));
             }
-            if inline_metrics {
-                // The Table 1 "normal" representation: the entire series
-                // as JSON text inside the provenance file.
-                let inline = json::to_string(|w| series_to_json(w, series));
+            // Inline is the Table 1 "normal" representation: the
+            // entire series as JSON text inside the provenance file.
+            let inline = match &mut samples {
+                Samples::Linked => None,
+                Samples::Cut(cache) => Some(cache.cut(key, series)),
+                Samples::Last(cache) => Some(cache.take(key, series)),
+            };
+            if let Some(inline) = inline {
                 b.attr(QName::yprov("values"), AttrValue::String(inline));
             } else if let Some((_, _, link)) = spill
                 .links
@@ -651,6 +776,96 @@ mod tests {
                 && r.object == QName::new("exp", "run-0001")));
         // The document stays valid PROV.
         assert!(is_valid(&doc), "{:?}", prov_model::validate(&doc));
+    }
+
+    /// `n` seeded metric records over two contexts: four series, the
+    /// first logged from the start and each other one from a random
+    /// point of the stream on, values any `f64`.
+    fn seeded_metrics(seed: u64, n: usize) -> Vec<LogRecord> {
+        let mut rng = testkit::Rng::new(seed);
+        let series = [
+            ("loss", Context::Training),
+            ("lr", Context::Training),
+            ("accuracy", Context::Validation),
+            ("loss", Context::Validation),
+        ];
+        let mut starts: Vec<usize> = series.iter().map(|_| rng.below(n)).collect();
+        starts[0] = 0;
+        (0..n)
+            .map(|step| {
+                let live: Vec<usize> = (0..series.len()).filter(|&i| starts[i] <= step).collect();
+                let (name, context) = &series[*rng.pick(&live)];
+                LogRecord::Metric {
+                    name: name.to_string(),
+                    context: context.clone(),
+                    step: step as u64,
+                    epoch: (step / 80) as u32,
+                    time_us: step as i64,
+                    value: rng.any_f64(),
+                }
+            })
+            .collect()
+    }
+
+    fn json_text(doc: &ProvDocument) -> String {
+        doc.to_json_string().unwrap()
+    }
+
+    #[test]
+    fn a_cache_carried_across_cuts_builds_what_a_fresh_cache_builds() {
+        let n = 320;
+        type CutsAfter = fn(usize) -> bool;
+        let schedules: [(&str, CutsAfter); 4] = [
+            ("every step", |_| true),
+            ("every 80 steps", |i| i % 80 == 79),
+            ("a single cut", |i| i == 150),
+            ("no cut", |_| false),
+        ];
+        for seed in 1..=4 {
+            let records = seeded_metrics(seed, n);
+            for (name, cuts_after) in schedules {
+                let mut state = RunState::default();
+                let mut cache = InlineCache::default();
+                for (i, record) in records.iter().enumerate() {
+                    state.apply(record.clone());
+                    if cuts_after(i) {
+                        let cut = build_document_with(
+                            &identity(),
+                            &state,
+                            &empty_spill(),
+                            Samples::Cut(&mut cache),
+                        );
+                        let fresh = build_document(&identity(), &state, &empty_spill(), true);
+                        assert_eq!(
+                            json_text(&cut),
+                            json_text(&fresh),
+                            "seed {seed}, {name}, record {i}"
+                        );
+                    }
+                }
+                let last =
+                    build_document_with(&identity(), &state, &empty_spill(), Samples::Last(cache));
+                let fresh = build_document(&identity(), &state, &empty_spill(), true);
+                assert_eq!(json_text(&last), json_text(&fresh), "seed {seed}, {name}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "were rendered"))]
+    fn a_series_shorter_than_its_text_is_rendered_afresh() {
+        let mut cache = InlineCache::default();
+        let long = sample_state(20);
+        let short = sample_state(5);
+        build_document_with(&identity(), &long, &empty_spill(), Samples::Cut(&mut cache));
+        let cut = build_document_with(
+            &identity(),
+            &short,
+            &empty_spill(),
+            Samples::Cut(&mut cache),
+        );
+        let fresh = build_document(&identity(), &short, &empty_spill(), true);
+        assert_eq!(json_text(&cut), json_text(&fresh));
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! The run handle: the MLflow-style logging surface.
 
 use crate::collector::Collector;
+use crate::collector::RunState;
 use crate::error::ProvMLError;
 use crate::hash::sha256_hex;
 use crate::journal::{JournalConfig, JournalHeader, JournalWriter};
 use crate::lock;
 use crate::model::{ArtifactMeta, Context, Direction, LogRecord, ParamValue, RunReport, RunStatus};
 use crate::plugins::{PluginSink, ProvPlugin};
-use crate::prov_emit::{build_document, emit_alerts, emit_overhead, write_prov_files, RunIdentity};
+use crate::prov_emit::{
+    build_document_with, emit_alerts, emit_overhead, write_prov_files, InlineCache, RunIdentity,
+    Samples,
+};
 use crate::spill::{spill_metrics_pooled, SpillOutcome, SpillPolicy};
 use metric_store::WorkerPool;
 use std::path::{Path, PathBuf};
@@ -151,6 +155,9 @@ pub struct Run {
     started_us: i64,
     plugins: Mutex<Vec<Box<dyn ProvPlugin>>>,
     journal: Option<JournalWriter>,
+    /// The inline series text of the cuts so far (inline runs only);
+    /// held across a whole cut, so cuts render one after another.
+    inline: Mutex<InlineCache>,
     /// Global observability registry at run start; subtracted at finish
     /// to isolate this run's tracker overhead (approximate when several
     /// runs share the process, since the registry is process-wide).
@@ -193,6 +200,7 @@ impl Run {
             started_us,
             plugins: Mutex::new(options.plugins),
             journal,
+            inline: Mutex::default(),
             obs_start: obs::global().snapshot(),
         };
         // Give plugins a chance to record environment parameters.
@@ -447,7 +455,23 @@ impl Run {
     /// embeds the samples seen so far, otherwise only the series stats.
     /// The run activity's end time reflects the snapshot instant and is
     /// superseded by the next delta.
+    ///
+    /// Cost: the collector's state is cloned, and the document is built
+    /// from it, but an inline series formats only the samples logged
+    /// since the last snapshot. The text of the earlier ones is kept
+    /// open in the run (an [`InlineCache`], about one copy of the
+    /// series text) and copied into the document; [`Run::finish`]
+    /// formats the last tail and moves that text into the final
+    /// document. Concurrent snapshots take turns: the cache's lock is
+    /// held from the collector's snapshot to the end of the build, so
+    /// each snapshot holds at least what the one before it held.
     pub fn snapshot_document(&self) -> Result<prov_model::ProvDocument, ProvMLError> {
+        self.cut().map(|(_, _, doc)| doc)
+    }
+
+    /// A snapshot, with the identity and state it was built from.
+    fn cut(&self) -> Result<(RunIdentity, RunState, prov_model::ProvDocument), ProvMLError> {
+        let mut inline = lock(&self.inline);
         // The snapshot request queues behind every record this thread
         // has logged, on every shard: it is its own barrier.
         let state = self.collector.snapshot()?;
@@ -463,12 +487,13 @@ impl Run {
             links: Vec::new(),
             external_bytes: 0,
         };
-        Ok(build_document(
-            &identity,
-            &state,
-            &spill,
-            self.spill.is_inline(),
-        ))
+        let samples = if self.spill.is_inline() {
+            Samples::Cut(&mut inline)
+        } else {
+            Samples::Linked
+        };
+        let doc = build_document_with(&identity, &state, &spill, samples);
+        Ok((identity, state, doc))
     }
 
     // ----- finish -------------------------------------------------------------
@@ -549,10 +574,15 @@ impl Run {
             started_us: self.started_us,
             ended_us,
         };
+        let samples = if self.spill.is_inline() {
+            Samples::Last(std::mem::take(&mut *lock(&self.inline)))
+        } else {
+            Samples::Linked
+        };
         let mut doc = {
             let _trace = obs::trace::span("finalize_emit");
             reg.histogram("yprov4ml_finalize_emit_seconds")
-                .time(|| build_document(&identity, &state, &spill, self.spill.is_inline()))
+                .time(|| build_document_with(&identity, &state, &spill, samples))
         };
         if status == RunStatus::Failed {
             doc.activity(prov_model::QName::new("exp", self.name.clone()))
@@ -861,6 +891,87 @@ mod tests {
             expected.to_json_string().unwrap(),
             "streamed snapshots + finalize delta must converge"
         );
+        std::fs::remove_dir_all(&b).ok();
+    }
+
+    /// Each metric entity's `yprov4ml:values` in a run's `prov.json`,
+    /// by the entity's name within the run.
+    fn inline_values(exp: &Experiment, run: &str) -> Vec<(String, prov_model::AttrValue)> {
+        let doc = exp.load_run_document(run).unwrap();
+        let values = prov_model::QName::yprov("values");
+        doc.iter_elements()
+            .filter_map(|e| {
+                let (_, name) = e.id.local().split_once('/')?;
+                Some((name.to_string(), e.attr(&values)?.clone()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_run_finished_after_snapshots_writes_what_one_without_them_writes() {
+        let b = base("cut_then_finish");
+        let exp = Experiment::new("e", &b).unwrap();
+        for (name, every) in [("cut", Some(7u64)), ("uncut", None)] {
+            let run = exp.start_run(name).unwrap();
+            for step in 0..100u64 {
+                let value = if step % 13 == 0 {
+                    f64::NAN
+                } else {
+                    step as f64
+                };
+                run.log_metric_at("loss", Context::Training, step, 0, step as i64, value);
+                if step >= 40 {
+                    run.log_metric_at("acc", Context::Validation, step, 0, step as i64, -0.0);
+                }
+                if every.is_some_and(|k| step % k == 0) {
+                    run.snapshot_document().unwrap();
+                }
+            }
+            run.finish().unwrap();
+        }
+        let cut = inline_values(&exp, "cut");
+        assert_eq!(cut.len(), 2);
+        assert_eq!(cut, inline_values(&exp, "uncut"));
+        std::fs::remove_dir_all(&b).ok();
+    }
+
+    #[test]
+    fn concurrent_snapshots_each_build_their_own_state() {
+        let b = base("concurrent_cuts");
+        let exp = Experiment::new("e", &b).unwrap();
+        let run = exp.start_run("r").unwrap();
+        let no_spill = SpillOutcome {
+            store_path: None,
+            links: Vec::new(),
+            external_bytes: 0,
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for step in 0..3000u64 {
+                    run.log_metric_at("loss", Context::Training, step, 0, step as i64, 0.5);
+                    if step % 3 == 0 {
+                        run.log_metric_at("acc", Context::Validation, step, 0, step as i64, 1.0);
+                    }
+                }
+            });
+            let cutters: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| (0..15).map(|_| run.cut().unwrap()).collect::<Vec<_>>()))
+                .collect();
+            for cutter in cutters {
+                let mut samples = 0;
+                for (identity, state, doc) in cutter.join().unwrap() {
+                    let fresh =
+                        crate::prov_emit::build_document(&identity, &state, &no_spill, true);
+                    assert_eq!(
+                        doc.to_json_string().unwrap(),
+                        fresh.to_json_string().unwrap()
+                    );
+                    assert!(state.metric_samples >= samples);
+                    samples = state.metric_samples;
+                }
+            }
+        });
+        run.finish().unwrap();
         std::fs::remove_dir_all(&b).ok();
     }
 

@@ -2,8 +2,9 @@
 # Fails when a response or document writer builds a `json::Value` tree
 # instead of writing bytes through `json::JsonWriter`. Checked: the
 # non-test code (every line before the first `#[cfg(test)]`) of the
-# PROV-JSON writer and of the service's document, query and ops routes
-# and error bodies. A hit is a line naming `json::Value` or `json::Map`,
+# PROV-JSON writer, of the inline metric series text a run embeds in
+# it, and of the service's document, query and ops routes and error
+# bodies. A hit is a line naming `json::Value` or `json::Map`,
 # importing either (`use json::{..., Value}`), or building a `json!`
 # tree, comments stripped.
 #
@@ -15,6 +16,8 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 files=(
   crates/prov-model/src/json_stream.rs
+  crates/metric-store/src/json_store.rs
+  crates/yprov4ml/src/prov_emit.rs
   crates/yprov-service/src/routes/documents.rs
   crates/yprov-service/src/routes/query.rs
   crates/yprov-service/src/routes/obs.rs
