@@ -39,7 +39,6 @@ pub mod json;
 mod json_read;
 pub mod json_stream;
 pub mod provn;
-pub mod provn_parse;
 pub mod qname;
 pub mod query;
 pub mod record;
@@ -47,6 +46,15 @@ pub mod relation;
 pub mod turtle;
 pub mod validate;
 pub mod value;
+
+// The PROV-N reader is test code (the writer's oracle): it lives under
+// `tests/`, and this test build includes it by the crate's public name
+// so that its unit tests run here.
+#[cfg(test)]
+extern crate self as prov_model;
+#[cfg(test)]
+#[path = "../tests/provn_parse/mod.rs"]
+mod provn_parse;
 
 pub use datetime::XsdDateTime;
 pub use document::{DeltaApply, ProvDocument, RecordBuilder};

@@ -1,6 +1,8 @@
 //! Property-based tests: PROV-JSON round-trips are lossless for
 //! arbitrarily generated documents.
 
+mod provn_parse;
+
 use prov_model::{AttrValue, ProvDocument, QName, RelationKind, XsdDateTime};
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -161,7 +163,7 @@ fn provn_roundtrips_documents() {
             ));
         }
         let text = prov_model::provn::to_provn(&doc);
-        let mut parsed = prov_model::provn_parse::from_provn(&text).unwrap();
+        let mut parsed = provn_parse::from_provn(&text).unwrap();
         let mut orig = doc.clone();
         orig.canonicalize();
         parsed.canonicalize();
@@ -206,7 +208,7 @@ fn provn_parser_never_panics_on_garbage() {
         alphabet.push(b'\n');
         let len = rng.len(0..301, size);
         let text = rng.string(&alphabet, len);
-        let _ = prov_model::provn_parse::from_provn(&text); // must not panic
+        let _ = provn_parse::from_provn(&text); // must not panic
     });
 }
 

@@ -1,8 +1,10 @@
-//! PROV-N parser.
+//! PROV-N parser: the oracle the PROV-N writer's tests read its output
+//! back with. It is test code, not library: `proptest_roundtrip.rs`
+//! includes it, and so does the crate's own test build (`src/lib.rs`),
+//! where the unit tests below run.
 //!
-//! Parses the subset of PROV-N that [`crate::provn::to_provn`] emits —
-//! plus tolerant whitespace/comments — turning PROV-N into a full
-//! serialization (read *and* write) alongside PROV-JSON and PROV-O.
+//! Parses the subset of PROV-N that `prov_model::provn::to_provn` emits,
+//! plus tolerant whitespace/comments.
 //!
 //! Grammar handled:
 //!
@@ -17,13 +19,10 @@
 //! bundle   := 'bundle' id statement* 'endBundle'
 //! ```
 
-use crate::datetime::XsdDateTime;
-use crate::document::ProvDocument;
-use crate::error::ProvError;
-use crate::qname::QName;
-use crate::record::ElementKind;
-use crate::relation::{Relation, RelationKind};
-use crate::value::AttrValue;
+use prov_model::value::parse_double;
+use prov_model::{
+    AttrValue, ElementKind, ProvDocument, ProvError, QName, Relation, RelationKind, XsdDateTime,
+};
 
 /// Parses a PROV-N document.
 pub fn from_provn(input: &str) -> Result<ProvDocument, ProvError> {
@@ -216,7 +215,7 @@ impl<'a> Parser<'a> {
                 let tok = self.token()?;
                 if let Ok(i) = tok.parse::<i64>() {
                     Ok(AttrValue::Int(i))
-                } else if let Some(d) = crate::value::parse_double(&tok) {
+                } else if let Some(d) = parse_double(&tok) {
                     Ok(AttrValue::Double(d))
                 } else {
                     QName::parse(&tok).map(AttrValue::QualifiedName)
@@ -405,7 +404,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provn::to_provn;
+    use prov_model::provn::to_provn;
 
     fn q(local: &str) -> QName {
         QName::new("ex", local)
@@ -540,7 +539,7 @@ endDocument"#;
         // The exact shape the provenance library emits.
         let mut doc = ProvDocument::new();
         doc.namespaces_mut()
-            .register("yprov4ml", crate::qname::YPROV_NS)
+            .register("yprov4ml", prov_model::qname::YPROV_NS)
             .unwrap();
         doc.namespaces_mut()
             .register("exp", "https://yprov.example.org/experiments/t#")
