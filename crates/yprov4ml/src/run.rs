@@ -15,7 +15,7 @@ use crate::prov_emit::{
 use crate::spill::{spill_metrics_pooled, SpillOutcome, SpillPolicy};
 use metric_store::WorkerPool;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Knobs for the finalize pipeline (collector drain, metric spill,
 /// provenance emission).
@@ -471,7 +471,7 @@ impl Run {
 
     /// A snapshot, with the identity and state it was built from.
     fn cut(&self) -> Result<(RunIdentity, RunState, prov_model::ProvDocument), ProvMLError> {
-        let mut inline = lock(&self.inline);
+        let mut inline = self.inline_cache();
         // The snapshot request queues behind every record this thread
         // has logged, on every shard: it is its own barrier.
         let state = self.collector.snapshot()?;
@@ -494,6 +494,18 @@ impl Run {
         };
         let doc = build_document_with(&identity, &state, &spill, samples);
         Ok((identity, state, doc))
+    }
+
+    /// The run's inline cache. A cut that panicked while it held the
+    /// cache may have left a series' text ahead of its count, so then
+    /// the cache starts over, empty.
+    fn inline_cache(&self) -> MutexGuard<'_, InlineCache> {
+        self.inline.lock().unwrap_or_else(|torn| {
+            self.inline.clear_poison();
+            let mut inline = torn.into_inner();
+            *inline = InlineCache::default();
+            inline
+        })
     }
 
     // ----- finish -------------------------------------------------------------
@@ -575,7 +587,7 @@ impl Run {
             ended_us,
         };
         let samples = if self.spill.is_inline() {
-            Samples::Last(std::mem::take(&mut *lock(&self.inline)))
+            Samples::Last(std::mem::take(&mut *self.inline_cache()))
         } else {
             Samples::Linked
         };
@@ -894,6 +906,14 @@ mod tests {
         std::fs::remove_dir_all(&b).ok();
     }
 
+    fn no_spill() -> SpillOutcome {
+        SpillOutcome {
+            store_path: None,
+            links: Vec::new(),
+            external_bytes: 0,
+        }
+    }
+
     /// Each metric entity's `yprov4ml:values` in a run's `prov.json`,
     /// by the entity's name within the run.
     fn inline_values(exp: &Experiment, run: &str) -> Vec<(String, prov_model::AttrValue)> {
@@ -940,11 +960,6 @@ mod tests {
         let b = base("concurrent_cuts");
         let exp = Experiment::new("e", &b).unwrap();
         let run = exp.start_run("r").unwrap();
-        let no_spill = SpillOutcome {
-            store_path: None,
-            links: Vec::new(),
-            external_bytes: 0,
-        };
         std::thread::scope(|s| {
             s.spawn(|| {
                 for step in 0..3000u64 {
@@ -961,7 +976,7 @@ mod tests {
                 let mut samples = 0;
                 for (identity, state, doc) in cutter.join().unwrap() {
                     let fresh =
-                        crate::prov_emit::build_document(&identity, &state, &no_spill, true);
+                        crate::prov_emit::build_document(&identity, &state, &no_spill(), true);
                     assert_eq!(
                         doc.to_json_string().unwrap(),
                         fresh.to_json_string().unwrap()
@@ -971,6 +986,35 @@ mod tests {
                 }
             }
         });
+        run.finish().unwrap();
+        std::fs::remove_dir_all(&b).ok();
+    }
+
+    #[test]
+    fn a_cut_after_a_panicked_one_builds_from_an_empty_cache() {
+        let b = base("torn_cut");
+        let exp = Experiment::new("e", &b).unwrap();
+        let run = exp.start_run("r").unwrap();
+        for step in 0..10u64 {
+            run.log_metric_at("loss", Context::Training, step, 0, step as i64, 0.5);
+        }
+        run.snapshot_document().unwrap();
+        std::thread::scope(|s| {
+            let torn = s.spawn(|| {
+                let _cache = run.inline.lock();
+                panic!("a cut panics while it holds the cache");
+            });
+            assert!(torn.join().is_err());
+        });
+        assert!(run.inline.is_poisoned());
+        run.log_metric_at("loss", Context::Training, 10, 0, 10, 0.25);
+        let (identity, state, doc) = run.cut().unwrap();
+        let fresh = crate::prov_emit::build_document(&identity, &state, &no_spill(), true);
+        assert_eq!(
+            doc.to_json_string().unwrap(),
+            fresh.to_json_string().unwrap()
+        );
+        assert!(!run.inline.is_poisoned());
         run.finish().unwrap();
         std::fs::remove_dir_all(&b).ok();
     }
