@@ -9,10 +9,10 @@
 //! makes the paper's `Original_file.json` 39.8 MB), spilled mode records
 //! a link into the side store instead.
 //!
-//! A live run builds a document at every cut ([`crate::run::Run::snapshot_document`])
-//! and once more at the finish. Its inline series text lives in an
-//! [`InlineCache`] across those builds, so each sample is formatted once
-//! per run, not once per cut.
+//! A live run builds a document at every cut
+//! ([`crate::run::Run::snapshot_document`]) and once more at the finish.
+//! Its inline series text lives in an `InlineCache` across those builds,
+//! so each sample is formatted once per run, not once per cut.
 
 use crate::collector::RunState;
 use crate::model::{Context, Direction};
@@ -54,7 +54,7 @@ fn run_ns_local(identity: &RunIdentity, suffix: &str) -> QName {
 /// The text is [`metric_store::json_store::series_to_json`]'s, byte
 /// for byte: the same writer and functions print it.
 #[derive(Default)]
-pub struct InlineCache {
+pub(crate) struct InlineCache {
     series: BTreeMap<(String, String), SeriesText>,
 }
 
@@ -128,7 +128,7 @@ impl InlineCache {
 }
 
 /// How a build records each metric series.
-pub enum Samples<'a> {
+pub(crate) enum Samples<'a> {
     /// No samples: the series carries its spill link, when it has one.
     Linked,
     /// Every sample inline, for a cut of a live run: the text comes
@@ -140,7 +140,7 @@ pub enum Samples<'a> {
 }
 
 /// Builds the provenance document for a finished run, inline samples
-/// formatted from scratch: [`build_document_with`] and a fresh cache.
+/// formatted from scratch (the one build path, with a fresh cache).
 pub fn build_document(
     identity: &RunIdentity,
     state: &RunState,
@@ -156,7 +156,7 @@ pub fn build_document(
 }
 
 /// Builds the provenance document for a run, as it stands in `state`.
-pub fn build_document_with(
+pub(crate) fn build_document_with(
     identity: &RunIdentity,
     state: &RunState,
     spill: &SpillOutcome,

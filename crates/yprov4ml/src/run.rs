@@ -1,7 +1,6 @@
 //! The run handle: the MLflow-style logging surface.
 
-use crate::collector::Collector;
-use crate::collector::RunState;
+use crate::collector::{Collector, RunState};
 use crate::error::ProvMLError;
 use crate::hash::sha256_hex;
 use crate::journal::{JournalConfig, JournalHeader, JournalWriter};
@@ -458,13 +457,13 @@ impl Run {
     ///
     /// Cost: the collector's state is cloned, and the document is built
     /// from it, but an inline series formats only the samples logged
-    /// since the last snapshot. The text of the earlier ones is kept
-    /// open in the run (an [`InlineCache`], about one copy of the
-    /// series text) and copied into the document; [`Run::finish`]
-    /// formats the last tail and moves that text into the final
-    /// document. Concurrent snapshots take turns: the cache's lock is
-    /// held from the collector's snapshot to the end of the build, so
-    /// each snapshot holds at least what the one before it held.
+    /// since the last snapshot. The run keeps the text of the earlier
+    /// ones open (a cache of about one copy of the series text) and
+    /// copies it into the document; [`Run::finish`] formats the last
+    /// tail and moves that text into the final document. Concurrent
+    /// snapshots take turns: the cache's lock is held from the
+    /// collector's snapshot to the end of the build, so each snapshot
+    /// holds at least what the one before it held.
     pub fn snapshot_document(&self) -> Result<prov_model::ProvDocument, ProvMLError> {
         self.cut().map(|(_, _, doc)| doc)
     }
