@@ -1,8 +1,9 @@
 //! The E7 "minimal overhead" table.
 //!
 //! Measures the logging hot path with `std::time::Instant` and prints
-//! ns/record for every collection mode, plus the fraction of a
-//! realistic training step each represents.
+//! ns/record with one producer, eight producers and a journal at each
+//! sync policy, plus the fraction of a realistic training step logging
+//! represents.
 //!
 //! ```text
 //! cargo run -p bench --bin overhead --release
@@ -37,28 +38,19 @@ fn main() {
     println!("E7: logging hot-path overhead ({N} records per mode)\n");
     println!("{:<34} {:>12}", "mode", "ns/record");
 
-    let buffered = Collector::buffered().unwrap();
+    let collector = Collector::new();
     let ns = time_per_record(|| {
         for i in 0..N {
-            buffered.log(record(i)).unwrap();
-        }
-        buffered.flush().unwrap();
-    });
-    buffered.close().unwrap();
-    println!("{:<34} {:>12.0}", "buffered (default)", ns);
-    let buffered_ns = ns;
-
-    let sync = Collector::synchronous();
-    let ns = time_per_record(|| {
-        for i in 0..N {
-            sync.log(record(i)).unwrap();
+            collector.log(record(i)).unwrap();
         }
     });
-    sync.close().unwrap();
-    println!("{:<34} {:>12.0}", "synchronous", ns);
+    collector.close().unwrap();
+    println!("{:<34} {:>12.0}", "one producer", ns);
+    let one_producer_ns = ns;
 
-    // 8 concurrent producers into one buffered collector.
-    let collector = Collector::buffered().unwrap();
+    // 8 concurrent producers into one collector, taking turns on its
+    // lock.
+    let collector = Collector::new();
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..8 {
@@ -70,26 +62,17 @@ fn main() {
             });
         }
     });
-    collector.flush().unwrap();
     let ns = t0.elapsed().as_nanos() as f64 / N as f64;
     collector.close().unwrap();
-    println!("{:<34} {:>12.0}", "buffered, 8 producers (per rec)", ns);
+    println!("{:<34} {:>12.0}", "8 producers (per rec)", ns);
 
-    // Journaled (write-ahead log + buffered): the durability price at
+    // Journaled (write-ahead log, then the fold): the durability price at
     // each sync policy. `Always` fsyncs per record, so it runs a
     // smaller sample to keep the table quick.
     for (label, sync, n) in [
-        ("journaled (no fsync) + buffered", SyncPolicy::OnFlush, N),
-        (
-            "journaled (fsync/100) + buffered",
-            SyncPolicy::EveryN(100),
-            N,
-        ),
-        (
-            "journaled (fsync always) + buffered",
-            SyncPolicy::Always,
-            N / 100,
-        ),
+        ("journaled (no fsync)", SyncPolicy::OnFlush, N),
+        ("journaled (fsync/100)", SyncPolicy::EveryN(100), N),
+        ("journaled (fsync always)", SyncPolicy::Always, N / 100),
     ] {
         let dir =
             std::env::temp_dir().join(format!("yoverhead_{}_{}", label.len(), std::process::id()));
@@ -104,7 +87,7 @@ fn main() {
             },
         )
         .unwrap();
-        let journaled = Collector::buffered().unwrap();
+        let journaled = Collector::new();
         let t0 = Instant::now();
         for i in 0..n {
             writer.append(&record(i)).unwrap();
@@ -120,9 +103,9 @@ fn main() {
     // Context: what fraction of a real step does logging cost?
     // The fastest Figure-3 step (100M MAE, io-bound) is ~20 ms; a run
     // logs ~4 metrics per step.
-    let per_step = 4.0 * buffered_ns;
+    let per_step = 4.0 * one_producer_ns;
     println!(
-        "\nat 4 metrics/step, buffered logging costs {:.1} µs per ~20 ms training step \
+        "\nat 4 metrics/step, logging costs {:.1} µs per ~20 ms training step \
          ({:.4} % overhead)",
         per_step / 1_000.0,
         100.0 * per_step / 20e6

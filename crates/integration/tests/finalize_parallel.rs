@@ -1,8 +1,8 @@
 //! Determinism guarantees of the parallel finalize pipeline.
 //!
 //! The pipeline's contract is that parallelism is invisible in the
-//! output: any worker-pool width and any collector shard count must
-//! produce byte-identical artifacts. These tests pin that contract at
+//! output: any worker-pool width must produce byte-identical
+//! artifacts. These tests pin that contract at
 //! the store level (`write_many` across pool sizes) and end-to-end
 //! (whole runs finalized at 1 vs 8 threads).
 

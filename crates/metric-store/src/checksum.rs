@@ -1,7 +1,6 @@
 //! CRC-32 (IEEE 802.3 polynomial), implemented from scratch with
-//! compile-time lookup tables. Used to verify chunk and file integrity,
-//! to frame journal records and to route metrics to collector shards
-//! (`yprov4ml::crc32` is this module).
+//! compile-time lookup tables. Used to verify chunk and file integrity
+//! and to frame journal records (`yprov4ml::journal` imports it).
 //!
 //! The variant is the ubiquitous reflected CRC-32 with polynomial
 //! `0x04C11DB7` (reflected `0xEDB88320`), init and final XOR

@@ -352,10 +352,6 @@ pub struct ClusterConfig {
     /// Total copies of each document, the local one included; clamped
     /// to the cluster size.
     pub replication: usize,
-    /// Replica confirmations (beyond the local commit) an upload needs
-    /// before it is acknowledged. 1 keeps the cluster writable with a
-    /// peer down; raise it to trade availability for durability.
-    pub required_acks: usize,
     /// Retry policy for frame pushes. Keep attempts low — a dead peer
     /// is paid for on every upload until the client's ring drops it.
     pub push_policy: RetryPolicy,
@@ -363,17 +359,19 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A config for `node_id` with the given peers: replication factor
-    /// 2, one required ack, default push policy.
+    /// 2, default push policy.
     pub fn new(node_id: impl Into<String>, peers: Vec<NodeSpec>) -> ClusterConfig {
         ClusterConfig {
             node_id: node_id.into(),
             peers,
             replication: 2,
-            required_acks: 1,
             push_policy: RetryPolicy::default(),
         }
     }
 }
+
+/// Replica confirmations an upload needs; one keeps the cluster writable with a peer down.
+const REQUIRED_ACKS: usize = 1;
 
 /// How one upload's replication went.
 #[derive(Debug, Clone)]
@@ -489,7 +487,7 @@ impl Replicator {
     /// Streams one committed upload to the key's replica set. Walks the
     /// key's full ring order (not just the first `replication` nodes):
     /// when a replica-set member is down, the next surviving successor
-    /// takes the copy, so the write can still reach `required_acks`.
+    /// takes the copy, so the write can still reach `REQUIRED_ACKS`.
     pub fn replicate(&self, store: &DocumentStore, up: &Upload) -> ReplicationOutcome {
         let candidates: Vec<usize> = self
             .ring
@@ -498,7 +496,7 @@ impl Replicator {
             .filter_map(|id| self.cfg.peers.iter().position(|p| p.id == id))
             .collect();
         let desired = self.cfg.replication.saturating_sub(1).min(candidates.len());
-        let required = self.cfg.required_acks.min(desired);
+        let required = REQUIRED_ACKS.min(desired);
 
         let mut confirmed = 0usize;
         let mut errors = Vec::new();
@@ -1486,7 +1484,7 @@ mod tests {
 
     #[test]
     fn unreplicated_upload_is_rejected_with_503() {
-        // Node A's only peer refuses connections: required_acks cannot
+        // Node A's only peer refuses connections: REQUIRED_ACKS cannot
         // be met, the write is answered 503 (with Retry-After) and the
         // client may retry elsewhere.
         let dead = {

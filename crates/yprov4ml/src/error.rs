@@ -15,7 +15,8 @@ pub enum ProvMLError {
     RunClosed(String),
     /// An experiment or run name was invalid.
     BadName(String),
-    /// The background collector thread died.
+    /// The collector was closed (the run finished); it accepts and
+    /// returns nothing more.
     CollectorGone,
     /// A journal already exists where one would be created; pick
     /// [`crate::journal::JournalMode::Overwrite`] or
@@ -35,7 +36,7 @@ impl fmt::Display for ProvMLError {
             ProvMLError::Prov(e) => write!(f, "provenance error: {e}"),
             ProvMLError::RunClosed(name) => write!(f, "run {name:?} is already finished"),
             ProvMLError::BadName(n) => write!(f, "invalid name: {n:?}"),
-            ProvMLError::CollectorGone => write!(f, "collector thread terminated unexpectedly"),
+            ProvMLError::CollectorGone => write!(f, "the collector is closed"),
             ProvMLError::JournalExists(p) => write!(
                 f,
                 "journal {} already exists; choose JournalMode::Overwrite or JournalMode::Resume",
@@ -86,6 +87,10 @@ mod tests {
             .to_string()
             .contains("r1"));
         assert!(std::error::Error::source(&ProvMLError::CollectorGone).is_none());
+        assert_eq!(
+            ProvMLError::CollectorGone.to_string(),
+            "the collector is closed"
+        );
         assert!(ProvMLError::JournalExists("/tmp/j.jsonl".into())
             .to_string()
             .contains("Overwrite"));

@@ -37,8 +37,8 @@ impl Experiment {
         &self.dir
     }
 
-    /// Starts a run with default options (buffered collector, inline
-    /// metrics).
+    /// Starts a run with default options (inline metrics, no
+    /// journal).
     pub fn start_run(&self, run_name: impl Into<String>) -> Result<Run, ProvMLError> {
         self.start_run_with(run_name, RunOptions::default())
     }

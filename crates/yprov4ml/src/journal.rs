@@ -32,13 +32,13 @@
 mod frame;
 
 use crate::collector::RunState;
-use crate::crc32::crc32;
 use crate::error::ProvMLError;
 use crate::lock;
 use crate::model::{LogRecord, RunReport, RunStatus};
 use crate::prov_emit::{build_document, RunIdentity};
 use crate::spill::{spill_metrics, SpillPolicy};
 use frame::{Frame, FRAME_RECORDS};
+use metric_store::checksum::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead as _, BufReader, ErrorKind, Write as _};
 use std::path::{Path, PathBuf};

@@ -17,9 +17,9 @@
 //! A `section` is a varint length and that many bytes. The kernels are
 //! the spill's ([`metric_store::codec`]); nothing here is a new codec.
 
-use crate::crc32::crc32;
 use crate::error::ProvMLError;
 use crate::model::{Context, LogRecord};
+use metric_store::checksum::crc32;
 use metric_store::codec::{delta, rle, varint, xor};
 use metric_store::StoreError;
 

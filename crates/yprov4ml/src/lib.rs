@@ -50,7 +50,6 @@
 
 pub mod collector;
 pub mod compare;
-pub mod crc32;
 pub mod error;
 pub mod experiment;
 pub mod forecast;

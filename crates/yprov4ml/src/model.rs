@@ -162,7 +162,7 @@ pub struct ArtifactMeta {
     pub logged_at_us: i64,
 }
 
-/// One record flowing from the user API to the collector thread.
+/// One record flowing from the user API into the collector.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
     /// A parameter.

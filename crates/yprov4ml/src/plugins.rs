@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn energy_plugin_logs_power_and_totals() {
-        let collector = Collector::synchronous();
+        let collector = Collector::new();
         let clock = VirtualClock::manual();
         let source: Arc<dyn PowerSource> = Arc::new(|| 300.0);
         let mut plugin = EnergyPlugin::new(source, Arc::clone(&clock));
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn system_stats_plugin_emits_series() {
-        let collector = Collector::synchronous();
+        let collector = Collector::new();
         let mut n = 0u64;
         let mut plugin = SystemStatsPlugin::new(move || {
             n += 1;
@@ -300,7 +300,7 @@ mod tests {
 
     #[test]
     fn self_process_stats_do_not_crash() {
-        let collector = Collector::synchronous();
+        let collector = Collector::new();
         let mut plugin = SystemStatsPlugin::self_process();
         let mut sink = PluginSink::new(&collector);
         plugin.on_tick(&mut sink);
@@ -315,7 +315,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("train.py"), "print('v1')").unwrap();
 
-        let collector = Collector::synchronous();
+        let collector = Collector::new();
         let mut plugin = SourceSnapshotPlugin::new(&dir);
         let mut sink = PluginSink::new(&collector);
         plugin.on_run_start(&mut sink);

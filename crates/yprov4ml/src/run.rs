@@ -16,18 +16,15 @@ use metric_store::WorkerPool;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Knobs for the finalize pipeline (collector drain, metric spill,
-/// provenance emission).
+/// Knobs for the finalize pipeline (metric spill, provenance
+/// emission).
 ///
-/// `threads == 1` (the default) reproduces the serial pipeline exactly:
-/// single-threaded collector fold, serial chunk encoding, streaming
-/// emission. Higher values shard the buffered collector across that
-/// many folding threads and encode spill chunks on a work-stealing
-/// pool of the same width. Output artifacts are byte-identical at any
-/// thread count.
+/// `threads == 1` (the default) encodes spill chunks serially. Higher
+/// values encode them on a work-stealing pool of that width. Output
+/// artifacts are byte-identical at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FinalizeOptions {
-    /// Folding/encoding threads used by the collector and spill pool.
+    /// Encoding threads of the spill pool.
     pub threads: usize,
 }
 
@@ -115,15 +112,14 @@ pub struct RunOptions {
     /// Plugins activated for this run.
     pub plugins: Vec<Box<dyn ProvPlugin>>,
     /// Write every record to a crash-recovery journal
-    /// (`journal.jsonl`) before buffering it. See [`crate::journal`].
+    /// (`journal.jsonl`) before folding it. See [`crate::journal`].
     /// Plugin-emitted records bypass the journal (they are
     /// reconstructible from their sources).
     pub journal: bool,
     /// Durability and rotation knobs for the journal (ignored unless
     /// `journal` is set).
     pub journal_config: JournalConfig,
-    /// Finalize-pipeline parallelism (collector sharding + spill
-    /// encoding).
+    /// Finalize-pipeline parallelism (spill encoding).
     pub finalize: FinalizeOptions,
 }
 
@@ -176,7 +172,7 @@ impl Run {
     ) -> Result<Run, ProvMLError> {
         let dir = experiment_dir.join(&name);
         std::fs::create_dir_all(dir.join("artifacts"))?;
-        let collector = Collector::sharded(options.finalize.threads)?;
+        let collector = Collector::new();
         let user = options.user.unwrap_or_else(|| "unknown".to_string());
         let started_us = now_us();
         let journal = if options.journal {
@@ -306,12 +302,9 @@ impl Run {
         });
     }
 
-    /// Journals (when enabled) and submits a batch of records in one
-    /// collector round-trip.
-    ///
-    /// With the buffered or sharded collector this pays one channel
-    /// send per shard instead of one per record — the fast path for
-    /// tight logging loops and replay tools.
+    /// Journals (when enabled) and submits a batch of records, folded
+    /// under one collector lock: the fast path for tight logging loops
+    /// and replay tools.
     pub fn log_many(&self, records: Vec<LogRecord>) -> Result<(), ProvMLError> {
         let journaled = match &self.journal {
             Some(journal) => records.iter().try_for_each(|r| journal.append(r)),
@@ -427,12 +420,12 @@ impl Run {
         self.collector.accepted()
     }
 
-    /// Blocks until all submitted records are folded into the state
-    /// and, when journaled, written and fsynced: the call that closes
-    /// the journal's loss windows ([`crate::journal::SyncPolicy`]) and
-    /// reports a journal write that failed since the last one.
+    /// Blocks until every journaled record is written and fsynced: the
+    /// call that closes the journal's loss windows
+    /// ([`crate::journal::SyncPolicy`]) and reports a journal write that
+    /// failed since the last one. Records are folded when they are
+    /// logged, so a run without a journal has nothing to flush.
     pub fn flush(&self) -> Result<(), ProvMLError> {
-        self.collector.flush()?;
         match &self.journal {
             Some(journal) => journal.flush(),
             None => Ok(()),
@@ -471,8 +464,6 @@ impl Run {
     /// A snapshot, with the identity and state it was built from.
     fn cut(&self) -> Result<(RunIdentity, RunState, prov_model::ProvDocument), ProvMLError> {
         let mut inline = self.inline_cache();
-        // The snapshot request queues behind every record this thread
-        // has logged, on every shard: it is its own barrier.
         let state = self.collector.snapshot()?;
         let identity = RunIdentity {
             experiment: self.experiment.clone(),
@@ -509,7 +500,7 @@ impl Run {
 
     // ----- finish -------------------------------------------------------------
 
-    /// Finishes the run: drains the collector, spills metrics, writes
+    /// Finishes the run: closes the collector, spills metrics, writes
     /// `prov.json` + `prov.provn`, and returns a report. Fails, with
     /// the provenance files written all the same, when a journal write
     /// failed at any point of the run.
@@ -545,7 +536,7 @@ impl Run {
             reg.histogram("yprov4ml_finalize_drain_seconds")
                 .time(|| self.collector.close())?
         };
-        // The journal is complete once the collector has drained; fsync
+        // The journal is complete once the collector is closed; fsync
         // it (and its directory entry) so the WAL is durable even if
         // writing the provenance files below fails. A journal that lost
         // a write fails the finish, but only after the provenance it

@@ -1,6 +1,7 @@
 //! Property tests over the provenance pipeline: arbitrary record
-//! streams must fold identically through the sync and buffered
-//! collectors, survive the journal, and always produce valid PROV.
+//! streams must fold through the collector as through a plain
+//! `RunState::apply` loop, survive the journal, and always produce
+//! valid PROV.
 
 use testkit::{check, printable, Rng};
 use yprov4ml::collector::{Collector, RunState};
@@ -102,19 +103,82 @@ fn states_equal_modulo_nan(a: &RunState, b: &RunState) -> bool {
         })
 }
 
+/// The plain fold: what a collector fed `records` in order must hold.
+fn fold<'a>(records: impl IntoIterator<Item = &'a LogRecord>) -> RunState {
+    let mut state = RunState::default();
+    for r in records {
+        state.apply(r.clone());
+    }
+    state
+}
+
+/// The collector against the plain fold of the same records (the name
+/// is older than the one collector). One thread submits through a
+/// seeded mix of `log`, `log_many` and `snapshot`, each snapshot held to
+/// the fold so far; then 2-4 producers log disjoint metrics
+/// concurrently, and `close` must hold the fold of everything.
 #[test]
 fn sync_and_buffered_collectors_agree() {
     check(48, |rng, size| {
         let records = records(rng, 0..200, size);
-        let sync = Collector::synchronous();
-        let buffered = Collector::buffered().unwrap();
-        for r in &records {
-            sync.log(r.clone()).unwrap();
-            buffered.log(r.clone()).unwrap();
+        let collector = Collector::new();
+        let mut logged = 0;
+        while logged < records.len() {
+            match rng.below(8) {
+                0 => {
+                    let state = collector.snapshot().unwrap();
+                    assert!(states_equal_modulo_nan(&state, &fold(&records[..logged])));
+                }
+                1 | 2 => {
+                    let end = rng.range(logged..records.len() + 1);
+                    collector.log_many(records[logged..end].to_vec()).unwrap();
+                    logged = end;
+                }
+                _ => {
+                    collector.log(records[logged].clone()).unwrap();
+                    logged += 1;
+                }
+            }
         }
-        let a = sync.close().unwrap();
-        let b = buffered.close().unwrap();
-        assert!(states_equal_modulo_nan(&a, &b));
+
+        // Each producer's metric names carry its rank, so no two share
+        // a series and their interleaving cannot change the fold.
+        let producers: Vec<Vec<LogRecord>> = (0..rng.range(2usize..5))
+            .map(|rank| {
+                (0..rng.len(0..100, size))
+                    .map(|_| LogRecord::Metric {
+                        name: format!("rank{rank}-{}", name(rng, 4)),
+                        context: context(rng),
+                        step: rng.next_u64(),
+                        epoch: rng.next_u64() as u32,
+                        time_us: rng.next_u64() as i64,
+                        value: rng.any_f64(),
+                    })
+                    .collect()
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for (rank, own) in producers.iter().enumerate() {
+                let collector = &collector;
+                scope.spawn(move || {
+                    // Even ranks log one at a time, odd ones in halves.
+                    if rank % 2 == 0 {
+                        own.iter().for_each(|r| collector.log(r.clone()).unwrap());
+                    } else {
+                        let (a, b) = own.split_at(own.len() / 2);
+                        collector.log_many(a.to_vec()).unwrap();
+                        collector.log_many(b.to_vec()).unwrap();
+                    }
+                });
+            }
+        });
+        let all = records.iter().chain(producers.iter().flatten());
+        let total = records.len() + producers.iter().map(Vec::len).sum::<usize>();
+        assert_eq!(collector.accepted(), total);
+        assert!(states_equal_modulo_nan(
+            &collector.close().unwrap(),
+            &fold(all)
+        ));
     });
 }
 
