@@ -297,8 +297,7 @@ pub(crate) fn apply_batch(
     };
     let refuse = |reason: String, expect_index: Option<u64>| {
         registry.counter("replication_rejects_total").inc();
-        let body = json!({"error": reason, "expect_index": expect_index});
-        (409, body.to_string())
+        (409, refusal_body(&reason, expect_index))
     };
     let (source, frames) = match decode_batch(text) {
         Ok(batch) => batch,
@@ -331,10 +330,19 @@ pub(crate) fn apply_batch(
         }
     }
     let (next, head) = store.replication_head(&source);
-    (
-        200,
-        json!({"source": source, "next_index": next, "head_hash": head}).to_string(),
-    )
+    (200, head_body(&source, next, &head))
+}
+
+/// A `409` from [`apply_batch`]: why, and the index to resume from.
+fn refusal_body(reason: &str, expect_index: Option<u64>) -> String {
+    json!({"error": reason, "expect_index": expect_index}).to_string()
+}
+
+/// A replica's head for `source`: the next index it expects and the
+/// hash of its last entry. [`apply_batch`] answers with it, and so does
+/// `GET /api/v0/replication/head`.
+pub(crate) fn head_body(source: &str, next_index: u64, head_hash: &str) -> String {
+    json!({"source": source, "next_index": next_index, "head_hash": head_hash}).to_string()
 }
 
 // ---------------------------------------------------------------------------
@@ -1025,6 +1033,91 @@ mod tests {
             frame(second, None, true),
             frame(third, Some(compact), false),
         ]
+    }
+
+    /// The `json!` trees these bodies were printed from: the reference
+    /// each body is held to.
+    mod reference {
+        use super::*;
+        use json::json;
+
+        pub(super) fn encode_batch(source: &str, frames: &[Frame]) -> String {
+            let header: Vec<json::Value> = frames
+                .iter()
+                .map(|f| {
+                    json!({
+                        "entry": crate::ledger::tests::entry_tree(&f.entry),
+                        "document_bytes": f.document.as_ref().map(|d| d.len()),
+                        "superseded": f.superseded,
+                    })
+                })
+                .collect();
+            let mut body = json!({"source": source, "frames": header}).to_string();
+            body.push('\n');
+            for f in frames {
+                body.push_str(f.document.as_deref().unwrap_or(""));
+            }
+            body
+        }
+
+        pub(super) fn refusal(reason: &str, expect_index: Option<u64>) -> String {
+            json!({"error": reason, "expect_index": expect_index}).to_string()
+        }
+
+        pub(super) fn head(source: &str, next: u64, head: &str) -> String {
+            json!({"source": source, "next_index": next, "head_hash": head}).to_string()
+        }
+    }
+
+    /// Strings as a body may carry them: empty, quoted, escaped,
+    /// control bytes, non-ASCII.
+    fn texts() -> Vec<String> {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        [
+            "",
+            "node-a",
+            "a\"b",
+            "back\\slash",
+            &controls,
+            "nœud\u{2028}😀",
+        ]
+        .map(String::from)
+        .to_vec()
+    }
+
+    #[test]
+    fn batch_header_and_replies_match_their_trees() {
+        let frames = sample_frames();
+        let mut ledger = crate::ledger::Ledger::new();
+        let odd: Vec<Frame> = texts()
+            .iter()
+            .enumerate()
+            .map(|(i, text)| Frame {
+                entry: ledger.append(text, text.as_bytes()).clone(),
+                document: (i % 2 == 0).then(|| Cow::Owned(text.clone())),
+                superseded: i % 3 == 0,
+            })
+            .collect();
+        for source in texts() {
+            for batch in [&frames[..], &frames[..0], &frames[1..2], &odd[..]] {
+                assert_eq!(
+                    encode_batch(&source, batch),
+                    reference::encode_batch(&source, batch)
+                );
+            }
+            for index in [None, Some(0), Some(u64::MAX)] {
+                assert_eq!(
+                    refusal_body(&source, index),
+                    reference::refusal(&source, index)
+                );
+            }
+            for (next, hash) in [(0, crate::ledger::GENESIS), (u64::MAX, source.as_str())] {
+                assert_eq!(
+                    head_body(&source, next, hash),
+                    reference::head(&source, next, hash)
+                );
+            }
+        }
     }
 
     #[test]

@@ -248,7 +248,7 @@ impl Ledger {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn chain(n: usize) -> Ledger {
@@ -335,6 +335,38 @@ mod tests {
         back.verify_chain().unwrap();
         assert!(Ledger::from_text("1 two three\n").is_err());
         assert!(Ledger::from_text("").unwrap().is_empty());
+    }
+
+    /// The `json!` tree an entry was printed from: the reference its
+    /// writer is held to.
+    pub(crate) fn entry_tree(e: &LedgerEntry) -> json::Value {
+        json::json!({
+            "index": e.index,
+            "document_id": &e.document_id,
+            "document_digest": &e.document_digest,
+            "prev_hash": &e.prev_hash,
+            "entry_hash": &e.entry_hash,
+        })
+    }
+
+    #[test]
+    fn entry_json_matches_its_tree() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let mut ledger = Ledger::new();
+        for id in ["", "doc-1", "a\"b", "back\\slash", &controls, "é\u{2028}😀"] {
+            ledger.append(id, id.as_bytes());
+        }
+        let mut entries = ledger.entries().to_vec();
+        entries.push(LedgerEntry {
+            index: u64::MAX,
+            document_id: controls.clone(),
+            document_digest: String::new(),
+            prev_hash: "\"".into(),
+            entry_hash: "\u{7f}".into(),
+        });
+        for e in &entries {
+            assert_eq!(e.to_json().to_string(), entry_tree(e).to_string());
+        }
     }
 
     #[test]

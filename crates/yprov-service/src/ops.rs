@@ -22,12 +22,14 @@
 //! downsampling, alert transitions — from a virtual clock.
 
 use crate::cluster::Replicator;
-use crate::slowlog::SlowLog;
+use crate::error::ServiceError;
+use crate::slowlog::{SlowEntry, SlowLog};
 use crate::store::DocumentStore;
 use json::json;
-use obs::alerts::{AlertRule, AlertSet};
-use obs::tsdb::{Tsdb, TsdbConfig};
+use obs::alerts::{AlertRule, AlertSet, AlertState};
+use obs::tsdb::{Series, Tsdb, TsdbConfig};
 use obs::{Registry, Snapshot};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -113,79 +115,86 @@ impl Ops {
 
     /// The `/api/v0/obs/alerts` body.
     pub fn alerts_json(&self) -> String {
-        let states: Vec<json::Value> = self
-            .alerts
-            .states()
-            .into_iter()
-            .map(|s| {
-                json!({
-                    "rule": s.rule.name,
-                    "metric": s.rule.metric,
-                    "cmp": s.rule.cmp.symbol(),
-                    "threshold": s.rule.threshold,
-                    "for_s": s.rule.for_s,
-                    "phase": s.phase.as_str(),
-                    "pending_since_s": s.pending_since_s,
-                    "fired_at_s": s.fired_at_s,
-                    "resolved_at_s": s.resolved_at_s,
-                    "last_value": s.last_value,
-                })
-            })
-            .collect();
-        json!({"alerts": states}).to_string()
+        alerts_body(&self.alerts.states())
     }
 
     /// The `/api/v0/obs/slowlog` body.
     pub fn slowlog_json(&self) -> String {
-        let entry_json = |e: &crate::slowlog::SlowEntry| {
-            json!({
-                "method": &e.method,
-                "path": &e.path,
-                "status": e.status,
-                "latency_ns": e.latency_ns,
-                "shed": e.shed,
-                "trace_id": e.trace_id.as_ref(),
-                "seq": e.seq,
-            })
-        };
-        let routes: Vec<json::Value> = self
-            .slowlog
-            .snapshot()
-            .into_iter()
-            .map(|(route, slowest, errors)| {
-                json!({
-                    "route": route,
-                    "slowest": slowest.iter().map(entry_json).collect::<Vec<_>>(),
-                    "errors": errors.iter().map(entry_json).collect::<Vec<_>>(),
-                })
-            })
-            .collect();
-        json!({"routes": routes}).to_string()
+        slowlog_body(&self.slowlog.snapshot())
     }
 
     /// The `/api/v0/obs/timeseries` body for one query.
     pub fn timeseries_json(&self, metric: &str, since_s: f64, step_s: f64, now_s: f64) -> String {
-        let series = self.tsdb.query(metric, since_s, step_s, now_s);
-        let points: Vec<json::Value> = series
-            .points
-            .iter()
-            .map(|p| {
-                json!({
-                    "t_s": p.t_s,
-                    "avg": p.avg,
-                    "min": p.min,
-                    "max": p.max,
-                    "count": p.count,
-                })
-            })
-            .collect();
-        json!({
-            "metric": series.metric,
-            "step_s": series.step_s,
-            "points": points,
-        })
-        .to_string()
+        timeseries_body(&self.tsdb.query(metric, since_s, step_s, now_s))
     }
+}
+
+fn alerts_body(states: &[AlertState]) -> String {
+    let states: Vec<json::Value> = states
+        .iter()
+        .map(|s| {
+            json!({
+                "rule": &s.rule.name,
+                "metric": &s.rule.metric,
+                "cmp": s.rule.cmp.symbol(),
+                "threshold": s.rule.threshold,
+                "for_s": s.rule.for_s,
+                "phase": s.phase.as_str(),
+                "pending_since_s": s.pending_since_s,
+                "fired_at_s": s.fired_at_s,
+                "resolved_at_s": s.resolved_at_s,
+                "last_value": s.last_value,
+            })
+        })
+        .collect();
+    json!({"alerts": states}).to_string()
+}
+
+fn slowlog_body(routes: &[(&str, Vec<SlowEntry>, Vec<SlowEntry>)]) -> String {
+    let entry_json = |e: &SlowEntry| {
+        json!({
+            "method": &e.method,
+            "path": &e.path,
+            "status": e.status,
+            "latency_ns": e.latency_ns,
+            "shed": e.shed,
+            "trace_id": e.trace_id.as_ref(),
+            "seq": e.seq,
+        })
+    };
+    let routes: Vec<json::Value> = routes
+        .iter()
+        .map(|(route, slowest, errors)| {
+            json!({
+                "route": *route,
+                "slowest": slowest.iter().map(entry_json).collect::<Vec<_>>(),
+                "errors": errors.iter().map(entry_json).collect::<Vec<_>>(),
+            })
+        })
+        .collect();
+    json!({"routes": routes}).to_string()
+}
+
+fn timeseries_body(series: &Series) -> String {
+    let points: Vec<json::Value> = series
+        .points
+        .iter()
+        .map(|p| {
+            json!({
+                "t_s": p.t_s,
+                "avg": p.avg,
+                "min": p.min,
+                "max": p.max,
+                "count": p.count,
+            })
+        })
+        .collect();
+    json!({
+        "metric": &series.metric,
+        "step_s": series.step_s,
+        "points": points,
+    })
+    .to_string()
 }
 
 /// Builds the `/api/v0/obs/health` body. Returns `(ready, body)`; the
@@ -195,28 +204,49 @@ pub fn health_json(store: &DocumentStore, registry: &Registry) -> (bool, String)
     let backend = store.flush();
     let ledger = store.verify_all();
     let ready = backend.is_ok() && ledger.is_ok();
-    let check = |r: &Result<(), crate::error::ServiceError>| match r {
+    // The server core publishes its watermarks as gauges; a health probe
+    // reads them from the registry rather than reaching into the core.
+    let body = health_body(
+        &backend,
+        &ledger,
+        store.backend_name(),
+        store.ledger_entries().len(),
+        &store.replication_sources(),
+        &registry.snapshot().gauges,
+    );
+    (ready, body)
+}
+
+/// A health body from its parts: the backend and ledger checks, the
+/// backend's name, the ledger's length, the replication sources and the
+/// registry's gauges.
+fn health_body(
+    backend: &Result<(), ServiceError>,
+    ledger: &Result<(), ServiceError>,
+    backend_name: &str,
+    ledger_entries: usize,
+    sources: &[(String, u64)],
+    gauges: &BTreeMap<String, i64>,
+) -> String {
+    let ready = backend.is_ok() && ledger.is_ok();
+    let check = |r: &Result<(), ServiceError>| match r {
         Ok(()) => json!({"ok": true}),
         Err(e) => json!({"ok": false, "error": e.to_string()}),
     };
-    let sources: Vec<json::Value> = store
-        .replication_sources()
-        .into_iter()
-        .map(|(source, entries)| json!({"source": source, "entries": entries}))
+    let sources: Vec<json::Value> = sources
+        .iter()
+        .map(|(source, entries)| json!({"source": source, "entries": *entries}))
         .collect();
-    // The server core publishes its watermarks as gauges; a health probe
-    // reads them from the registry rather than reaching into the core.
-    let snap = registry.snapshot();
-    let gauge = |name: &str| snap.gauges.get(name).copied().unwrap_or(0);
-    let body = json!({
+    let gauge = |name: &str| gauges.get(name).copied().unwrap_or(0);
+    json!({
         "live": true,
         "ready": ready,
         "checks": {
-            "backend_writable": check(&backend),
-            "ledger_verified": check(&ledger),
+            "backend_writable": check(backend),
+            "ledger_verified": check(ledger),
         },
-        "backend": store.backend_name(),
-        "ledger_entries": store.ledger_entries().len(),
+        "backend": backend_name,
+        "ledger_entries": ledger_entries,
         "replication_sources": sources,
         "reactor": {
             "connections_open": gauge("server_connections_open"),
@@ -224,8 +254,7 @@ pub fn health_json(store: &DocumentStore, registry: &Registry) -> (bool, String)
             "queued_bytes": gauge("reactor_queued_bytes"),
         },
     })
-    .to_string();
-    (ready, body)
+    .to_string()
 }
 
 /// Injects `member="<id>"` as the first label of every sample line of a
@@ -265,6 +294,19 @@ pub(crate) fn label_member(exposition: &str, member: &str) -> String {
     out
 }
 
+/// One member of the federated view.
+enum Member {
+    /// It answered `/metrics`; `health` is the body its health route
+    /// sent, `ok` whether that route said ready.
+    Up {
+        id: String,
+        ok: bool,
+        health: String,
+    },
+    /// It did not answer, or its `/metrics` failed.
+    Down { id: String, error: String },
+}
+
 /// Builds the `/api/v0/obs/cluster` body: this node's own metrics and
 /// health plus every peer's, fetched over the replicator's pooled
 /// keep-alive clients. A dead peer degrades its member entry
@@ -278,57 +320,67 @@ pub fn cluster_json(
 ) -> String {
     let mut members = Vec::new();
     let mut merged = String::new();
-    let mut degraded = false;
 
     let self_id = replicator.map_or("self", |r| r.node_id()).to_string();
     let (_, own_health) = health_json(store, registry);
     merged.push_str(&label_member(self_exposition, &self_id));
-    members.push(json!({
-        "id": &self_id,
-        "ok": true,
-        "health": json::parse(&own_health)
-            .unwrap_or(json::Value::Null),
-    }));
+    members.push(Member::Up {
+        id: self_id.clone(),
+        ok: true,
+        health: own_health,
+    });
 
     if let Some(replicator) = replicator {
         for (peer, client) in replicator.peers() {
             let metrics = client.get("/metrics");
             let health = client.get("/api/v0/obs/health");
+            let id = peer.id.clone();
             match (metrics, health) {
                 (Ok(m), Ok(h)) if m.status == 200 => {
                     merged.push_str(&label_member(&m.body, &peer.id));
-                    members.push(json!({
-                        "id": &peer.id,
-                        "ok": h.status == 200,
-                        "health": json::parse(&h.body)
-                            .unwrap_or(json::Value::Null),
-                    }));
-                    if h.status != 200 {
-                        degraded = true;
-                    }
+                    let ok = h.status == 200;
+                    let health = h.body;
+                    members.push(Member::Up { id, ok, health });
                 }
                 (m, h) => {
-                    degraded = true;
                     let error = match (&m, &h) {
                         (Err(e), _) => e.to_string(),
                         (_, Err(e)) => e.to_string(),
                         (Ok(m), _) => format!("metrics returned {}", m.status),
                     };
-                    members.push(json!({
-                        "id": &peer.id,
-                        "ok": false,
-                        "error": error,
-                    }));
+                    members.push(Member::Down { id, error });
                 }
             }
         }
     }
+    cluster_body(&self_id, &members, &merged)
+}
 
+/// The cluster body: `ok` unless a member is down or not ready.
+fn cluster_body(self_id: &str, members: &[Member], metrics: &str) -> String {
+    let degraded = members
+        .iter()
+        .any(|m| matches!(m, Member::Up { ok: false, .. } | Member::Down { .. }));
+    let members: Vec<json::Value> = members
+        .iter()
+        .map(|m| match m {
+            Member::Up { id, ok, health } => json!({
+                "id": id,
+                "ok": *ok,
+                "health": json::parse(health).unwrap_or(json::Value::Null),
+            }),
+            Member::Down { id, error } => json!({
+                "id": id,
+                "ok": false,
+                "error": error,
+            }),
+        })
+        .collect();
     json!({
-        "self": members[0]["id"].clone(),
+        "self": self_id,
         "ok": !degraded,
         "members": members,
-        "metrics": merged,
+        "metrics": metrics,
     })
     .to_string()
 }
@@ -336,6 +388,337 @@ pub fn cluster_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use json::json;
+    use obs::alerts::{Cmp, Phase};
+    use obs::tsdb::Point;
+
+    /// The `json!` trees these bodies were printed from: the reference
+    /// each body is held to.
+    mod reference {
+        use super::*;
+
+        pub(super) fn alerts(states: &[AlertState]) -> String {
+            let states: Vec<json::Value> = states
+                .iter()
+                .map(|s| {
+                    json!({
+                        "rule": &s.rule.name,
+                        "metric": &s.rule.metric,
+                        "cmp": s.rule.cmp.symbol(),
+                        "threshold": s.rule.threshold,
+                        "for_s": s.rule.for_s,
+                        "phase": s.phase.as_str(),
+                        "pending_since_s": s.pending_since_s,
+                        "fired_at_s": s.fired_at_s,
+                        "resolved_at_s": s.resolved_at_s,
+                        "last_value": s.last_value,
+                    })
+                })
+                .collect();
+            json!({"alerts": states}).to_string()
+        }
+
+        pub(super) fn slowlog(routes: &[(&str, Vec<SlowEntry>, Vec<SlowEntry>)]) -> String {
+            let entry_json = |e: &SlowEntry| {
+                json!({
+                    "method": &e.method,
+                    "path": &e.path,
+                    "status": e.status,
+                    "latency_ns": e.latency_ns,
+                    "shed": e.shed,
+                    "trace_id": e.trace_id.as_ref(),
+                    "seq": e.seq,
+                })
+            };
+            let routes: Vec<json::Value> = routes
+                .iter()
+                .map(|(route, slowest, errors)| {
+                    json!({
+                        "route": *route,
+                        "slowest": slowest.iter().map(entry_json).collect::<Vec<_>>(),
+                        "errors": errors.iter().map(entry_json).collect::<Vec<_>>(),
+                    })
+                })
+                .collect();
+            json!({"routes": routes}).to_string()
+        }
+
+        pub(super) fn timeseries(series: &Series) -> String {
+            let points: Vec<json::Value> = series
+                .points
+                .iter()
+                .map(|p| {
+                    json!({
+                        "t_s": p.t_s,
+                        "avg": p.avg,
+                        "min": p.min,
+                        "max": p.max,
+                        "count": p.count,
+                    })
+                })
+                .collect();
+            json!({
+                "metric": &series.metric,
+                "step_s": series.step_s,
+                "points": points,
+            })
+            .to_string()
+        }
+
+        pub(super) fn health(
+            backend: &Result<(), ServiceError>,
+            ledger: &Result<(), ServiceError>,
+            backend_name: &str,
+            ledger_entries: usize,
+            sources: &[(String, u64)],
+            gauges: &BTreeMap<String, i64>,
+        ) -> String {
+            let ready = backend.is_ok() && ledger.is_ok();
+            let check = |r: &Result<(), ServiceError>| match r {
+                Ok(()) => json!({"ok": true}),
+                Err(e) => json!({"ok": false, "error": e.to_string()}),
+            };
+            let sources: Vec<json::Value> = sources
+                .iter()
+                .map(|(source, entries)| json!({"source": source, "entries": *entries}))
+                .collect();
+            let gauge = |name: &str| gauges.get(name).copied().unwrap_or(0);
+            json!({
+                "live": true,
+                "ready": ready,
+                "checks": {
+                    "backend_writable": check(backend),
+                    "ledger_verified": check(ledger),
+                },
+                "backend": backend_name,
+                "ledger_entries": ledger_entries,
+                "replication_sources": sources,
+                "reactor": {
+                    "connections_open": gauge("server_connections_open"),
+                    "queued_jobs": gauge("reactor_queued_jobs"),
+                    "queued_bytes": gauge("reactor_queued_bytes"),
+                },
+            })
+            .to_string()
+        }
+
+        pub(super) fn cluster(self_id: &str, members: &[Member], metrics: &str) -> String {
+            let mut degraded = false;
+            let members: Vec<json::Value> = members
+                .iter()
+                .map(|m| match m {
+                    Member::Up { id, ok, health } => {
+                        degraded |= !ok;
+                        json!({
+                            "id": id,
+                            "ok": *ok,
+                            "health": json::parse(health).unwrap_or(json::Value::Null),
+                        })
+                    }
+                    Member::Down { id, error } => {
+                        degraded = true;
+                        json!({"id": id, "ok": false, "error": error})
+                    }
+                })
+                .collect();
+            json!({
+                "self": self_id,
+                "ok": !degraded,
+                "members": members,
+                "metrics": metrics,
+            })
+            .to_string()
+        }
+    }
+
+    /// Strings as a body may carry them: empty, quoted, escaped,
+    /// control bytes, non-ASCII.
+    fn texts() -> Vec<String> {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        ["", "plain", "a\"b", "back\\slash", &controls, "é\u{2028}😀"]
+            .map(String::from)
+            .to_vec()
+    }
+
+    /// Floats a body may carry, the ones JSON cannot among them.
+    const FLOATS: [f64; 9] = [
+        0.0,
+        -0.0,
+        3.0,
+        0.1,
+        -2.5e-300,
+        1e300,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    fn maybe(i: usize) -> Option<f64> {
+        (i % 3 != 0).then(|| FLOATS[i % FLOATS.len()])
+    }
+
+    #[test]
+    fn alerts_body_matches_its_tree() {
+        let cmps = [Cmp::Gt, Cmp::Ge, Cmp::Lt, Cmp::Le];
+        let phases = [
+            Phase::Inactive,
+            Phase::Pending,
+            Phase::Firing,
+            Phase::Resolved,
+        ];
+        let mut states = Vec::new();
+        for (i, text) in texts().into_iter().enumerate() {
+            for (j, &threshold) in FLOATS.iter().enumerate() {
+                let k = i + j;
+                states.push(AlertState {
+                    rule: AlertRule::new(
+                        text.clone(),
+                        texts()[k % 6].clone(),
+                        cmps[k % 4],
+                        threshold,
+                        FLOATS[(k + 1) % FLOATS.len()],
+                    ),
+                    phase: phases[k % 4],
+                    pending_since_s: maybe(k),
+                    fired_at_s: maybe(k + 1),
+                    resolved_at_s: maybe(k + 2),
+                    last_value: maybe(k + 4),
+                });
+            }
+        }
+        for n in [0, 1, 2, states.len()] {
+            assert_eq!(alerts_body(&states[..n]), reference::alerts(&states[..n]));
+        }
+    }
+
+    #[test]
+    fn slowlog_body_matches_its_tree() {
+        let entry = |i: usize, text: &str| SlowEntry {
+            method: text.to_string(),
+            path: texts()[(i + 1) % 6].clone(),
+            route: "/x",
+            status: [200, 404, 503, u16::MAX][i % 4],
+            latency_ns: [0, 1, u64::MAX][i % 3],
+            shed: [None, Some("queued_bytes"), Some("\u{1}\"")][i % 3],
+            trace_id: (i % 2 == 0).then(|| texts()[i % 6].clone()),
+            seq: i as u64,
+        };
+        let entries: Vec<SlowEntry> = texts()
+            .iter()
+            .enumerate()
+            .map(|(i, t)| entry(i, t))
+            .collect();
+        let routes = vec![
+            ("/api/v0/documents", entries.clone(), Vec::new()),
+            ("", Vec::new(), entries[..2].to_vec()),
+            ("\u{0}\"\\é", entries[3..].to_vec(), entries.clone()),
+            ("/empty", Vec::new(), Vec::new()),
+        ];
+        for n in 0..=routes.len() {
+            assert_eq!(slowlog_body(&routes[..n]), reference::slowlog(&routes[..n]));
+        }
+    }
+
+    #[test]
+    fn timeseries_body_matches_its_tree() {
+        for (i, metric) in texts().into_iter().enumerate() {
+            let points = (0..i * 3)
+                .map(|j| Point {
+                    t_s: FLOATS[j % FLOATS.len()],
+                    avg: FLOATS[(j + 1) % FLOATS.len()],
+                    min: FLOATS[(j + 2) % FLOATS.len()],
+                    max: FLOATS[(j + 5) % FLOATS.len()],
+                    count: [0, 1, u32::MAX][j % 3],
+                })
+                .collect();
+            let series = Series {
+                metric,
+                step_s: FLOATS[i],
+                points,
+            };
+            assert_eq!(timeseries_body(&series), reference::timeseries(&series));
+        }
+    }
+
+    #[test]
+    fn health_body_matches_its_tree() {
+        let failed = |reason: &str| {
+            Err(ServiceError::Conflict {
+                reason: reason.to_string(),
+            })
+        };
+        let texts = texts();
+        let sources: Vec<(String, u64)> = texts
+            .iter()
+            .zip([0, 1, 7, u64::MAX, 2, 3])
+            .map(|(t, n)| (t.clone(), n))
+            .collect();
+        let gauges: BTreeMap<String, i64> = [
+            ("server_connections_open", 3),
+            ("reactor_queued_jobs", -1),
+            ("reactor_queued_bytes", i64::MAX),
+            ("other", 9),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+        for (i, text) in texts.iter().enumerate() {
+            let backend = if i % 2 == 0 { Ok(()) } else { failed(text) };
+            let ledger = if i % 3 == 0 {
+                Ok(())
+            } else {
+                failed(&texts[5 - i])
+            };
+            let gauges = if i % 2 == 0 {
+                gauges.clone()
+            } else {
+                BTreeMap::new()
+            };
+            for entries in [0, 5, usize::MAX] {
+                let sources = &sources[..i];
+                assert_eq!(
+                    health_body(&backend, &ledger, text, entries, sources, &gauges),
+                    reference::health(&backend, &ledger, text, entries, sources, &gauges)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cluster_body_matches_its_tree() {
+        let texts = texts();
+        let healths = [
+            r#"{"live":true,"ready":true}"#,
+            // Keys out of order, spaces, a float and an escape.
+            "{\"ready\": false, \"live\": true, \"x\": [1.50, -0, \"\\u0001\"]}",
+            // Does not parse.
+            r#"{"live":"#,
+            "",
+            "503 Service Unavailable",
+        ];
+        let mut members = Vec::new();
+        for (i, text) in texts.iter().enumerate() {
+            members.push(Member::Up {
+                id: text.clone(),
+                ok: i % 3 != 1,
+                health: healths[i % healths.len()].to_string(),
+            });
+            members.push(Member::Down {
+                id: texts[(i + 1) % 6].clone(),
+                error: text.clone(),
+            });
+        }
+        for (i, text) in texts.iter().enumerate() {
+            for n in [1, 2, i + 2, members.len()] {
+                for m in [&members[..n], &members[..1], &members[1..n]] {
+                    assert_eq!(
+                        cluster_body(text, m, &texts[5 - i]),
+                        reference::cluster(text, m, &texts[5 - i])
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn tick_merges_registries_and_drives_alerts() {

@@ -1,26 +1,29 @@
 //! The ledger and the replica side of replication.
 
+use crate::error::ServiceError;
 use crate::http::{error_body, Request, ServerState};
 use crate::ledger::LedgerEntry;
 use json::json;
 
 pub(super) fn ledger(state: &ServerState, _: &Request, _: &str) -> (u16, String) {
-    let entries: Vec<json::Value> = state
-        .store
-        .ledger_entries()
-        .iter()
-        .map(LedgerEntry::to_json)
-        .collect();
-    (200, json!({"entries": entries}).to_string())
+    (200, ledger_body(&state.store.ledger_entries()))
+}
+
+fn ledger_body(entries: &[LedgerEntry]) -> String {
+    let entries: Vec<json::Value> = entries.iter().map(LedgerEntry::to_json).collect();
+    json!({"entries": entries}).to_string()
 }
 
 pub(super) fn verify(state: &ServerState, _: &Request, _: &str) -> (u16, String) {
-    match state.store.verify_all() {
-        Ok(()) => (200, json!({"ok": true}).to_string()),
-        Err(e) => (
-            500,
-            json!({"ok": false, "error": e.to_string()}).to_string(),
-        ),
+    let verified = state.store.verify_all();
+    let status = if verified.is_ok() { 200 } else { 500 };
+    (status, verify_body(&verified))
+}
+
+fn verify_body(verified: &Result<(), ServiceError>) -> String {
+    match verified {
+        Ok(()) => json!({"ok": true}).to_string(),
+        Err(e) => json!({"ok": false, "error": e.to_string()}).to_string(),
     }
 }
 
@@ -35,18 +38,96 @@ pub(super) fn head(state: &ServerState, req: &Request, _: &str) -> (u16, String)
         return (400, error_body("missing ?source=<node-id>"));
     };
     let (next, head) = state.store.replication_head(source);
-    (
-        200,
-        json!({"source": source, "next_index": next, "head_hash": head}).to_string(),
-    )
+    (200, crate::cluster::head_body(source, next, &head))
 }
 
 pub(super) fn sources(state: &ServerState, _: &Request, _: &str) -> (u16, String) {
-    let sources: Vec<json::Value> = state
-        .store
-        .replication_sources()
-        .into_iter()
-        .map(|(source, entries)| json!({"source": source, "entries": entries}))
+    (200, sources_body(&state.store.replication_sources()))
+}
+
+fn sources_body(sources: &[(String, u64)]) -> String {
+    let sources: Vec<json::Value> = sources
+        .iter()
+        .map(|(source, entries)| json!({"source": source, "entries": *entries}))
         .collect();
-    (200, json!({"sources": sources}).to_string())
+    json!({"sources": sources}).to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ledger::Ledger;
+    use json::json;
+
+    /// The `json!` trees these bodies were printed from: the reference
+    /// each body is held to.
+    mod reference {
+        use super::*;
+
+        pub(super) fn ledger(entries: &[LedgerEntry]) -> String {
+            let entries: Vec<json::Value> = entries
+                .iter()
+                .map(crate::ledger::tests::entry_tree)
+                .collect();
+            json!({"entries": entries}).to_string()
+        }
+
+        pub(super) fn verify(verified: &Result<(), ServiceError>) -> String {
+            match verified {
+                Ok(()) => json!({"ok": true}).to_string(),
+                Err(e) => json!({"ok": false, "error": e.to_string()}).to_string(),
+            }
+        }
+
+        pub(super) fn sources(sources: &[(String, u64)]) -> String {
+            let sources: Vec<json::Value> = sources
+                .iter()
+                .map(|(source, entries)| json!({"source": source, "entries": *entries}))
+                .collect();
+            json!({"sources": sources}).to_string()
+        }
+    }
+
+    /// Strings as a body may carry them: empty, quoted, escaped,
+    /// control bytes, non-ASCII.
+    fn texts() -> Vec<String> {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        [
+            "",
+            "node-a",
+            "a\"b",
+            "back\\slash",
+            &controls,
+            "é\u{2028}😀",
+        ]
+        .map(String::from)
+        .to_vec()
+    }
+
+    #[test]
+    fn ledger_verify_and_sources_bodies_match_their_trees() {
+        let mut ledger = Ledger::new();
+        for text in texts() {
+            ledger.append(&text, text.as_bytes());
+        }
+        let entries = ledger.entries();
+        for n in 0..=entries.len() {
+            assert_eq!(ledger_body(&entries[..n]), reference::ledger(&entries[..n]));
+        }
+        let sources: Vec<(String, u64)> =
+            texts().into_iter().zip([0, 1, 2, u64::MAX, 7, 3]).collect();
+        for n in 0..=sources.len() {
+            assert_eq!(
+                sources_body(&sources[..n]),
+                reference::sources(&sources[..n])
+            );
+        }
+        let mut verdicts = vec![Ok(())];
+        for reason in texts() {
+            verdicts.push(Err(ServiceError::Conflict { reason }));
+        }
+        for verified in &verdicts {
+            assert_eq!(verify_body(verified), reference::verify(verified));
+        }
+    }
 }
