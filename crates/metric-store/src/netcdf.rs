@@ -26,7 +26,7 @@ use crate::error::StoreError;
 use crate::pool::WorkerPool;
 use crate::series::MetricSeries;
 use crate::store::{encode_histogram, path_size_bytes, MetricStore};
-use json::Value;
+use json::Value; // reads JSON
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;

@@ -26,7 +26,8 @@ use crate::error::StoreError;
 use crate::pool::WorkerPool;
 use crate::series::{MetricPoint, MetricSeries};
 use crate::store::{encode_histogram, frame_chunk, path_size_bytes, unframe_chunk, MetricStore};
-use json::{JsonWriter, Value};
+use json::JsonWriter;
+use json::Value; // reads JSON
 use std::path::{Path, PathBuf};
 
 /// The byte codecs every encoded column chunk runs through.

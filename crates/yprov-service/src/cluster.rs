@@ -45,7 +45,6 @@ use crate::http::{error_body, error_response};
 use crate::ledger::LedgerEntry;
 use crate::store::{DocumentStore, Upload};
 use crate::sync::lock;
-use json::json;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -191,17 +190,28 @@ fn frame_bytes(frame: &Frame) -> usize {
 /// supersedes it — followed by the documents' bytes, unescaped, in
 /// frame order.
 pub fn encode_batch(source: &str, frames: &[Frame]) -> String {
-    let header: Vec<json::Value> = frames
-        .iter()
-        .map(|f| {
-            json!({
-                "entry": f.entry.to_json(),
-                "document_bytes": f.document.as_ref().map(|d| d.len()),
-                "superseded": f.superseded,
-            })
+    let mut body = json::to_string(|w| {
+        w.object(|w| {
+            w.key("frames");
+            w.array(|w| {
+                for f in frames {
+                    w.object(|w| {
+                        w.key("document_bytes");
+                        match &f.document {
+                            Some(d) => w.u64(d.len() as u64),
+                            None => w.null(),
+                        }
+                        w.key("entry");
+                        f.entry.write_json(w);
+                        w.key("superseded");
+                        w.bool(f.superseded);
+                    })
+                }
+            });
+            w.key("source");
+            w.str(source);
         })
-        .collect();
-    let mut body = json!({"source": source, "frames": header}).to_string();
+    });
     body.push('\n');
     for f in frames {
         body.push_str(f.document.as_deref().unwrap_or(""));
@@ -233,7 +243,7 @@ pub(crate) fn decode_batch(body: &str) -> Result<(String, Vec<Frame<'_>>), Batch
     let (line, mut rest) = body
         .split_once('\n')
         .ok_or_else(|| header("no header line"))?;
-    let v: json::Value = json::parse(line).map_err(|e| BatchError::Header(e.to_string()))?;
+    let v: json::Value = json::parse(line).map_err(|e| BatchError::Header(e.to_string()))?; // reads JSON
     let source = v.get("source").and_then(|s| s.as_str());
     let source = source.ok_or_else(|| header("missing \"source\""))?;
     let announced = v.get("frames").and_then(|f| f.as_array());
@@ -249,7 +259,7 @@ pub(crate) fn decode_batch(body: &str) -> Result<(String, Vec<Frame<'_>>), Batch
         let superseded = f.get("superseded").and_then(|s| s.as_bool());
         let superseded = superseded.ok_or_else(|| header("a frame is missing \"superseded\""))?;
         let document = match f.get("document_bytes") {
-            Some(json::Value::Null) => None,
+            Some(json::Value::Null) => None, // reads JSON
             Some(n) => {
                 let len = n.as_u64().and_then(|n| usize::try_from(n).ok());
                 let len = len.ok_or_else(|| header("a \"document_bytes\" is not a length"))?;
@@ -335,14 +345,33 @@ pub(crate) fn apply_batch(
 
 /// A `409` from [`apply_batch`]: why, and the index to resume from.
 fn refusal_body(reason: &str, expect_index: Option<u64>) -> String {
-    json!({"error": reason, "expect_index": expect_index}).to_string()
+    json::to_string(|w| {
+        w.object(|w| {
+            w.key("error");
+            w.str(reason);
+            w.key("expect_index");
+            match expect_index {
+                Some(index) => w.u64(index),
+                None => w.null(),
+            }
+        })
+    })
 }
 
 /// A replica's head for `source`: the next index it expects and the
 /// hash of its last entry. [`apply_batch`] answers with it, and so does
 /// `GET /api/v0/replication/head`.
 pub(crate) fn head_body(source: &str, next_index: u64, head_hash: &str) -> String {
-    json!({"source": source, "next_index": next_index, "head_hash": head_hash}).to_string()
+    json::to_string(|w| {
+        w.object(|w| {
+            w.key("head_hash");
+            w.str(head_hash);
+            w.key("next_index");
+            w.u64(next_index);
+            w.key("source");
+            w.str(source);
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -606,7 +635,7 @@ impl Replicator {
             encode_id(&self.cfg.node_id)
         );
         let resp = client.get(&path).map_err(|e| e.to_string())?;
-        let v: json::Value = json::parse(&resp.body).unwrap_or_default();
+        let v: json::Value = json::parse(&resp.body).unwrap_or_default(); // reads JSON
         let next = v.get("next_index").and_then(|n| n.as_u64());
         let (200, Some(next)) = (resp.status, next) else {
             return Err(format!("head: HTTP {}: {}", resp.status, resp.body.trim()));
@@ -683,7 +712,7 @@ impl Replicator {
         let resp = client
             .send("POST", "/api/v0/replication/frames", Some(&body))
             .map_err(|e| e.to_string())?;
-        let v: json::Value = json::parse(&resp.body).unwrap_or_default();
+        let v: json::Value = json::parse(&resp.body).unwrap_or_default(); // reads JSON
         let field = |name: &str| v.get(name).and_then(|n| n.as_u64());
         match (resp.status, field("next_index"), field("expect_index")) {
             (200, Some(head), _) => Ok(Reply::Head(head)),

@@ -11,7 +11,9 @@
 //! point on.
 
 use crate::error::ServiceError;
-use json::json;
+use json::JsonWriter;
+use json::Value; // reads JSON
+use std::io::Write;
 use yprov4ml::hash::{sha256_hex, Sha256};
 
 /// One link of the chain.
@@ -40,21 +42,26 @@ impl LedgerEntry {
         )
     }
 
-    /// The entry as a JSON object — its form in replication frames and
-    /// in `GET /api/v0/ledger`.
-    pub fn to_json(&self) -> json::Value {
-        json!({
-            "index": self.index,
-            "document_id": &self.document_id,
-            "document_digest": &self.document_digest,
-            "prev_hash": &self.prev_hash,
-            "entry_hash": &self.entry_hash,
+    /// Writes the entry as a JSON object — its form in replication
+    /// frames and in `GET /api/v0/ledger`.
+    pub fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        w.object(|w| {
+            w.key("document_digest");
+            w.str(&self.document_digest);
+            w.key("document_id");
+            w.str(&self.document_id);
+            w.key("entry_hash");
+            w.str(&self.entry_hash);
+            w.key("index");
+            w.u64(self.index);
+            w.key("prev_hash");
+            w.str(&self.prev_hash);
         })
     }
 
-    /// Reads [`Self::to_json`]'s object back; `None` when a field is
+    /// Reads [`Self::write_json`]'s object back; `None` when a field is
     /// missing or of the wrong type.
-    pub fn from_json(v: &json::Value) -> Option<LedgerEntry> {
+    pub fn from_json(v: &Value) -> Option<LedgerEntry> {
         Some(LedgerEntry {
             index: v.get("index")?.as_u64()?,
             document_id: v.get("document_id")?.as_str()?.to_string(),
@@ -365,7 +372,8 @@ pub(crate) mod tests {
             entry_hash: "\u{7f}".into(),
         });
         for e in &entries {
-            assert_eq!(e.to_json().to_string(), entry_tree(e).to_string());
+            let written = json::to_string(|w| e.write_json(w));
+            assert_eq!(written, entry_tree(e).to_string());
         }
     }
 
@@ -373,11 +381,8 @@ pub(crate) mod tests {
     fn entry_json_round_trips() {
         let ledger = chain(2);
         let entry = &ledger.entries()[1];
-        assert_eq!(
-            LedgerEntry::from_json(&entry.to_json()).as_ref(),
-            Some(entry)
-        );
-        let mut v = entry.to_json();
+        let mut v = json::parse(&json::to_string(|w| entry.write_json(w))).unwrap();
+        assert_eq!(LedgerEntry::from_json(&v).as_ref(), Some(entry));
         if let json::Value::Object(fields) = &mut v {
             fields.insert("index".into(), "1".into());
         }

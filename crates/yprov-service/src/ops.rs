@@ -25,11 +25,12 @@ use crate::cluster::Replicator;
 use crate::error::ServiceError;
 use crate::slowlog::{SlowEntry, SlowLog};
 use crate::store::DocumentStore;
-use json::json;
+use json::JsonWriter;
 use obs::alerts::{AlertRule, AlertSet, AlertState};
 use obs::tsdb::{Series, Tsdb, TsdbConfig};
 use obs::{Registry, Snapshot};
 use std::collections::BTreeMap;
+use std::io::Sink;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -130,71 +131,121 @@ impl Ops {
 }
 
 fn alerts_body(states: &[AlertState]) -> String {
-    let states: Vec<json::Value> = states
-        .iter()
-        .map(|s| {
-            json!({
-                "rule": &s.rule.name,
-                "metric": &s.rule.metric,
-                "cmp": s.rule.cmp.symbol(),
-                "threshold": s.rule.threshold,
-                "for_s": s.rule.for_s,
-                "phase": s.phase.as_str(),
-                "pending_since_s": s.pending_since_s,
-                "fired_at_s": s.fired_at_s,
-                "resolved_at_s": s.resolved_at_s,
-                "last_value": s.last_value,
+    json::to_string(|w| {
+        w.object(|w| {
+            w.key("alerts");
+            w.array(|w| {
+                for s in states {
+                    w.object(|w| {
+                        w.key("cmp");
+                        w.str(s.rule.cmp.symbol());
+                        w.key("fired_at_s");
+                        f64_or_null(w, s.fired_at_s);
+                        w.key("for_s");
+                        w.f64(s.rule.for_s);
+                        w.key("last_value");
+                        f64_or_null(w, s.last_value);
+                        w.key("metric");
+                        w.str(&s.rule.metric);
+                        w.key("pending_since_s");
+                        f64_or_null(w, s.pending_since_s);
+                        w.key("phase");
+                        w.str(s.phase.as_str());
+                        w.key("resolved_at_s");
+                        f64_or_null(w, s.resolved_at_s);
+                        w.key("rule");
+                        w.str(&s.rule.name);
+                        w.key("threshold");
+                        w.f64(s.rule.threshold);
+                    })
+                }
             })
         })
-        .collect();
-    json!({"alerts": states}).to_string()
+    })
+}
+
+fn f64_or_null(w: &mut JsonWriter<Sink>, v: Option<f64>) {
+    match v {
+        Some(v) => w.f64(v),
+        None => w.null(),
+    }
+}
+
+fn str_or_null(w: &mut JsonWriter<Sink>, s: Option<&str>) {
+    match s {
+        Some(s) => w.str(s),
+        None => w.null(),
+    }
 }
 
 fn slowlog_body(routes: &[(&str, Vec<SlowEntry>, Vec<SlowEntry>)]) -> String {
-    let entry_json = |e: &SlowEntry| {
-        json!({
-            "method": &e.method,
-            "path": &e.path,
-            "status": e.status,
-            "latency_ns": e.latency_ns,
-            "shed": e.shed,
-            "trace_id": e.trace_id.as_ref(),
-            "seq": e.seq,
+    let entries = |w: &mut JsonWriter<Sink>, entries: &[SlowEntry]| {
+        w.array(|w| {
+            for e in entries {
+                w.object(|w| {
+                    w.key("latency_ns");
+                    w.u64(e.latency_ns);
+                    w.key("method");
+                    w.str(&e.method);
+                    w.key("path");
+                    w.str(&e.path);
+                    w.key("seq");
+                    w.u64(e.seq);
+                    w.key("shed");
+                    str_or_null(w, e.shed);
+                    w.key("status");
+                    w.u64(e.status.into());
+                    w.key("trace_id");
+                    str_or_null(w, e.trace_id.as_deref());
+                })
+            }
         })
     };
-    let routes: Vec<json::Value> = routes
-        .iter()
-        .map(|(route, slowest, errors)| {
-            json!({
-                "route": *route,
-                "slowest": slowest.iter().map(entry_json).collect::<Vec<_>>(),
-                "errors": errors.iter().map(entry_json).collect::<Vec<_>>(),
+    json::to_string(|w| {
+        w.object(|w| {
+            w.key("routes");
+            w.array(|w| {
+                for (route, slowest, errors) in routes {
+                    w.object(|w| {
+                        w.key("errors");
+                        entries(w, errors);
+                        w.key("route");
+                        w.str(route);
+                        w.key("slowest");
+                        entries(w, slowest);
+                    })
+                }
             })
         })
-        .collect();
-    json!({"routes": routes}).to_string()
+    })
 }
 
 fn timeseries_body(series: &Series) -> String {
-    let points: Vec<json::Value> = series
-        .points
-        .iter()
-        .map(|p| {
-            json!({
-                "t_s": p.t_s,
-                "avg": p.avg,
-                "min": p.min,
-                "max": p.max,
-                "count": p.count,
-            })
+    json::to_string(|w| {
+        w.object(|w| {
+            w.key("metric");
+            w.str(&series.metric);
+            w.key("points");
+            w.array(|w| {
+                for p in &series.points {
+                    w.object(|w| {
+                        w.key("avg");
+                        w.f64(p.avg);
+                        w.key("count");
+                        w.u64(p.count.into());
+                        w.key("max");
+                        w.f64(p.max);
+                        w.key("min");
+                        w.f64(p.min);
+                        w.key("t_s");
+                        w.f64(p.t_s);
+                    })
+                }
+            });
+            w.key("step_s");
+            w.f64(series.step_s);
         })
-        .collect();
-    json!({
-        "metric": &series.metric,
-        "step_s": series.step_s,
-        "points": points,
     })
-    .to_string()
 }
 
 /// Builds the `/api/v0/obs/health` body. Returns `(ready, body)`; the
@@ -228,33 +279,65 @@ fn health_body(
     sources: &[(String, u64)],
     gauges: &BTreeMap<String, i64>,
 ) -> String {
-    let ready = backend.is_ok() && ledger.is_ok();
-    let check = |r: &Result<(), ServiceError>| match r {
-        Ok(()) => json!({"ok": true}),
-        Err(e) => json!({"ok": false, "error": e.to_string()}),
-    };
-    let sources: Vec<json::Value> = sources
-        .iter()
-        .map(|(source, entries)| json!({"source": source, "entries": *entries}))
-        .collect();
-    let gauge = |name: &str| gauges.get(name).copied().unwrap_or(0);
-    json!({
-        "live": true,
-        "ready": ready,
-        "checks": {
-            "backend_writable": check(backend),
-            "ledger_verified": check(ledger),
-        },
-        "backend": backend_name,
-        "ledger_entries": ledger_entries,
-        "replication_sources": sources,
-        "reactor": {
-            "connections_open": gauge("server_connections_open"),
-            "queued_jobs": gauge("reactor_queued_jobs"),
-            "queued_bytes": gauge("reactor_queued_bytes"),
-        },
+    json::to_string(|w| {
+        w.object(|w| {
+            w.key("backend");
+            w.str(backend_name);
+            w.key("checks");
+            w.object(|w| {
+                w.key("backend_writable");
+                write_check(w, backend);
+                w.key("ledger_verified");
+                write_check(w, ledger);
+            });
+            w.key("ledger_entries");
+            w.u64(ledger_entries as u64);
+            w.key("live");
+            w.bool(true);
+            w.key("reactor");
+            w.object(|w| {
+                for (key, gauge) in [
+                    ("connections_open", "server_connections_open"),
+                    ("queued_bytes", "reactor_queued_bytes"),
+                    ("queued_jobs", "reactor_queued_jobs"),
+                ] {
+                    w.key(key);
+                    w.i64(gauges.get(gauge).copied().unwrap_or(0));
+                }
+            });
+            w.key("ready");
+            w.bool(backend.is_ok() && ledger.is_ok());
+            w.key("replication_sources");
+            write_sources(w, sources);
+        })
     })
-    .to_string()
+}
+
+/// `{"ok": true}`, or `{"error": <why>, "ok": false}`: a health check's
+/// verdict, and the ledger verification route's body.
+pub(crate) fn write_check(w: &mut JsonWriter<Sink>, verdict: &Result<(), ServiceError>) {
+    w.object(|w| {
+        if let Err(e) = verdict {
+            w.key("error");
+            w.display(e);
+        }
+        w.key("ok");
+        w.bool(verdict.is_ok());
+    })
+}
+
+/// Each replication source and the entries its chain holds here.
+pub(crate) fn write_sources(w: &mut JsonWriter<Sink>, sources: &[(String, u64)]) {
+    w.array(|w| {
+        for (source, entries) in sources {
+            w.object(|w| {
+                w.key("entries");
+                w.u64(*entries);
+                w.key("source");
+                w.str(source);
+            })
+        }
+    })
 }
 
 /// Injects `member="<id>"` as the first label of every sample line of a
@@ -356,33 +439,49 @@ pub fn cluster_json(
     cluster_body(&self_id, &members, &merged)
 }
 
-/// The cluster body: `ok` unless a member is down or not ready.
+/// The cluster body: `ok` unless a member is down or not ready. A
+/// member's health body is parsed and printed again, keys in order, or
+/// `null` when it does not parse.
 fn cluster_body(self_id: &str, members: &[Member], metrics: &str) -> String {
     let degraded = members
         .iter()
         .any(|m| matches!(m, Member::Up { ok: false, .. } | Member::Down { .. }));
-    let members: Vec<json::Value> = members
-        .iter()
-        .map(|m| match m {
-            Member::Up { id, ok, health } => json!({
-                "id": id,
-                "ok": *ok,
-                "health": json::parse(health).unwrap_or(json::Value::Null),
-            }),
-            Member::Down { id, error } => json!({
-                "id": id,
-                "ok": false,
-                "error": error,
-            }),
+    json::to_string(|w| {
+        w.object(|w| {
+            w.key("members");
+            w.array(|w| {
+                for member in members {
+                    w.object(|w| match member {
+                        Member::Up { id, ok, health } => {
+                            w.key("health");
+                            match json::parse(health) {
+                                Ok(health) => w.value(&health),
+                                Err(_) => w.null(),
+                            }
+                            w.key("id");
+                            w.str(id);
+                            w.key("ok");
+                            w.bool(*ok);
+                        }
+                        Member::Down { id, error } => {
+                            w.key("error");
+                            w.str(error);
+                            w.key("id");
+                            w.str(id);
+                            w.key("ok");
+                            w.bool(false);
+                        }
+                    })
+                }
+            });
+            w.key("metrics");
+            w.str(metrics);
+            w.key("ok");
+            w.bool(!degraded);
+            w.key("self");
+            w.str(self_id);
         })
-        .collect();
-    json!({
-        "self": self_id,
-        "ok": !degraded,
-        "members": members,
-        "metrics": metrics,
     })
-    .to_string()
 }
 
 #[cfg(test)]

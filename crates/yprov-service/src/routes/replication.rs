@@ -3,15 +3,18 @@
 use crate::error::ServiceError;
 use crate::http::{error_body, Request, ServerState};
 use crate::ledger::LedgerEntry;
-use json::json;
 
 pub(super) fn ledger(state: &ServerState, _: &Request, _: &str) -> (u16, String) {
     (200, ledger_body(&state.store.ledger_entries()))
 }
 
 fn ledger_body(entries: &[LedgerEntry]) -> String {
-    let entries: Vec<json::Value> = entries.iter().map(LedgerEntry::to_json).collect();
-    json!({"entries": entries}).to_string()
+    json::to_string(|w| {
+        w.object(|w| {
+            w.key("entries");
+            w.array(|w| entries.iter().for_each(|e| e.write_json(w)));
+        })
+    })
 }
 
 pub(super) fn verify(state: &ServerState, _: &Request, _: &str) -> (u16, String) {
@@ -21,10 +24,7 @@ pub(super) fn verify(state: &ServerState, _: &Request, _: &str) -> (u16, String)
 }
 
 fn verify_body(verified: &Result<(), ServiceError>) -> String {
-    match verified {
-        Ok(()) => json!({"ok": true}).to_string(),
-        Err(e) => json!({"ok": false, "error": e.to_string()}).to_string(),
-    }
+    json::to_string(|w| crate::ops::write_check(w, verified))
 }
 
 /// 200 with the new head, 409 + `expect_index` at the first refusal
@@ -46,11 +46,12 @@ pub(super) fn sources(state: &ServerState, _: &Request, _: &str) -> (u16, String
 }
 
 fn sources_body(sources: &[(String, u64)]) -> String {
-    let sources: Vec<json::Value> = sources
-        .iter()
-        .map(|(source, entries)| json!({"source": source, "entries": *entries}))
-        .collect();
-    json!({"sources": sources}).to_string()
+    json::to_string(|w| {
+        w.object(|w| {
+            w.key("sources");
+            crate::ops::write_sources(w, sources);
+        })
+    })
 }
 
 #[cfg(test)]

@@ -38,6 +38,7 @@ use crate::model::{LogRecord, RunReport, RunStatus};
 use crate::prov_emit::{build_document, RunIdentity};
 use crate::spill::{spill_metrics, SpillPolicy};
 use frame::{Frame, FRAME_RECORDS};
+use json::Value; // reads JSON
 use metric_store::checksum::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead as _, BufReader, ErrorKind, Write as _};
@@ -100,7 +101,7 @@ impl JournalHeader {
     }
 
     /// `None` unless every field is there with its type and range.
-    fn from_json(v: &json::Value) -> Option<JournalHeader> {
+    fn from_json(v: &Value) -> Option<JournalHeader> {
         Some(JournalHeader {
             version: u32::try_from(v.get("version")?.as_u64()?).ok()?,
             experiment: v.get("experiment")?.as_str()?.to_string(),

@@ -1,7 +1,8 @@
 //! The run-level data model (paper Figure 2).
 
 use crate::error::ProvMLError;
-use json::{JsonWriter, Value};
+use json::JsonWriter;
+use json::Value; // reads JSON
 use std::fmt;
 use std::io::Write;
 use std::path::PathBuf;
