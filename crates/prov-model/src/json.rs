@@ -1,6 +1,8 @@
-//! PROV-JSON serialization and deserialization.
+//! PROV-JSON entry points and the canonical relation order.
 //!
-//! Implements the W3C PROV-JSON member-submission layout: a top-level
+//! The text is written by [`crate::json_stream`] and read by
+//! `json_read`, each in one pass with no `json::Value` tree in between.
+//! Both follow the W3C PROV-JSON member-submission layout: a top-level
 //! object with a `prefix` block, one block per element kind keyed by
 //! qualified identifier, one block per relation kind keyed by relation
 //! identifier (blank-node style `_:idN` keys for anonymous relations),
@@ -9,22 +11,10 @@
 use crate::document::ProvDocument;
 use crate::error::ProvError;
 use crate::qname::QName;
-use crate::record::{Element, ElementKind};
-use crate::relation::{Relation, RelationKind};
-use crate::value::{format_double, AttrValue};
-use crate::XsdDateTime;
-use json::{json, Map, Value};
+use crate::relation::Relation;
 use std::cmp::Ordering;
 
 impl ProvDocument {
-    /// Serializes to a PROV-JSON [`json::Value`], for callers that want
-    /// the tree. Text is printed by the streaming writer
-    /// ([`ProvDocument::write_json`]), whose parity tests compare it
-    /// against this tree printed.
-    pub fn to_json(&self) -> Value {
-        doc_to_json(self)
-    }
-
     /// Serializes to a compact PROV-JSON string.
     pub fn to_json_string(&self) -> Result<String, ProvError> {
         crate::json_stream::to_string(self, false)
@@ -35,16 +25,8 @@ impl ProvDocument {
         crate::json_stream::to_string(self, true)
     }
 
-    /// Builds a document from a parsed PROV-JSON value: the reference
-    /// [`ProvDocument::from_json_str`] is tested against.
-    pub fn from_json(value: &Value) -> Result<Self, ProvError> {
-        doc_from_json(value)
-    }
-
     /// Parses a PROV-JSON string into a document, without a `Value`
-    /// tree in between. Equal to [`ProvDocument::from_json`] on the
-    /// `Value` [`json::parse`] reads from `s`; malformed JSON is a
-    /// [`ProvError::Json`].
+    /// tree in between; malformed JSON is a [`ProvError::Json`].
     pub fn from_json_str(s: &str) -> Result<Self, ProvError> {
         crate::json_read::read_document(s)
     }
@@ -75,7 +57,7 @@ pub(crate) fn sort_relations(relations: &mut [Relation]) {
 }
 
 /// The canonical order of relations: position of the kind in
-/// [`RelationKind::all`], then subject and object as their rendered
+/// [`crate::RelationKind::all`], then subject and object as their rendered
 /// `prefix:local` strings compare, then (only when those three tie) the
 /// `{:?}` rendering of id, time and extras. No allocation before the
 /// tie-break.
@@ -108,324 +90,14 @@ pub(crate) fn rendered_bytes(q: &QName) -> impl Iterator<Item = u8> + '_ {
     prefix.chain(std::iter::once(b':')).chain(q.local().bytes())
 }
 
-/// The reference [`relation_order`] is pinned to: the key the sort used
-/// to build for every relation, four strings each.
-#[cfg(test)]
-pub(crate) fn relation_sort_key(r: &Relation) -> (usize, String, String, String) {
-    let kind_pos = RelationKind::all()
-        .iter()
-        .position(|k| *k == r.kind)
-        .unwrap_or(usize::MAX);
-    (
-        kind_pos,
-        r.subject.to_string(),
-        r.object.to_string(),
-        format!("{:?}{:?}{:?}", r.id, r.time, r.extras),
-    )
-}
-
-// --------------------------------------------------------------------------
-// Serialization
-// --------------------------------------------------------------------------
-
-fn doc_to_json(doc: &ProvDocument) -> Value {
-    let mut root = Map::new();
-
-    // prefix block
-    let mut prefix = Map::new();
-    for ns in doc.namespaces().iter() {
-        prefix.insert(ns.prefix, Value::String(ns.iri));
-    }
-    if let Some(d) = doc.namespaces().default_ns() {
-        prefix.insert("default".to_string(), Value::String(d.to_string()));
-    }
-    if !prefix.is_empty() {
-        root.insert("prefix".to_string(), Value::Object(prefix));
-    }
-
-    // element blocks
-    for kind in ElementKind::all() {
-        let mut block = Map::new();
-        for el in doc.iter_kind(kind) {
-            block.insert(el.id.to_string(), attrs_to_json(&el.attributes));
-        }
-        if !block.is_empty() {
-            root.insert(kind.json_key().to_string(), Value::Object(block));
-        }
-    }
-
-    // relation blocks — anonymous ids are zero-padded so that the sorted
-    // JSON map preserves insertion order.
-    let mut anon = 0u64;
-    for kind in RelationKind::all() {
-        let mut block = Map::new();
-        for rel in doc.relations_of(*kind) {
-            let key = match &rel.id {
-                Some(q) => q.to_string(),
-                None => {
-                    anon += 1;
-                    format!("_:id{anon:06}")
-                }
-            };
-            block.insert(key, relation_to_json(rel));
-        }
-        if !block.is_empty() {
-            root.insert(kind.json_key().to_string(), Value::Object(block));
-        }
-    }
-
-    // bundles
-    let mut bundles = Map::new();
-    for (name, bundle) in doc.iter_bundles() {
-        bundles.insert(name.to_string(), doc_to_json(bundle));
-    }
-    if !bundles.is_empty() {
-        root.insert("bundle".to_string(), Value::Object(bundles));
-    }
-
-    Value::Object(root)
-}
-
-fn attrs_to_json(attrs: &std::collections::BTreeMap<QName, Vec<AttrValue>>) -> Value {
-    let mut obj = Map::new();
-    for (key, values) in attrs {
-        let rendered: Vec<Value> = values.iter().map(value_to_json).collect();
-        let v = if rendered.len() == 1 {
-            rendered.into_iter().next().expect("len checked")
-        } else {
-            Value::Array(rendered)
-        };
-        obj.insert(key.to_string(), v);
-    }
-    Value::Object(obj)
-}
-
-/// Renders one attribute value per the PROV-JSON value rules.
-pub fn value_to_json(v: &AttrValue) -> Value {
-    match v {
-        AttrValue::String(s) => Value::String(s.clone()),
-        AttrValue::LangString(s, lang) => json!({ "$": s, "lang": lang }),
-        AttrValue::Int(i) => json!(*i),
-        AttrValue::Bool(b) => json!(*b),
-        // Doubles always use the typed-literal form, which carries NaN
-        // and the infinities that a JSON number cannot.
-        AttrValue::Double(d) => json!({ "$": format_double(*d), "type": "xsd:double" }),
-        AttrValue::QualifiedName(q) => json!({ "$": q.to_string(), "type": "prov:QUALIFIED_NAME" }),
-        AttrValue::DateTime(t) => json!({ "$": t.to_string(), "type": "xsd:dateTime" }),
-        AttrValue::Typed(s, t) => json!({ "$": s, "type": t.to_string() }),
-    }
-}
-
-fn relation_to_json(rel: &Relation) -> Value {
-    let mut obj = Map::new();
-    obj.insert(
-        rel.kind.subject_key().to_string(),
-        Value::String(rel.subject.to_string()),
-    );
-    obj.insert(
-        rel.kind.object_key().to_string(),
-        Value::String(rel.object.to_string()),
-    );
-    if let Some(t) = rel.time {
-        obj.insert("prov:time".to_string(), Value::String(t.to_string()));
-    }
-    for (k, v) in &rel.extras {
-        obj.insert(k.clone(), Value::String(v.to_string()));
-    }
-    if let Value::Object(attrs) = attrs_to_json(&rel.attributes) {
-        for (k, v) in attrs {
-            obj.insert(k, v);
-        }
-    }
-    Value::Object(obj)
-}
-
-// --------------------------------------------------------------------------
-// Deserialization
-// --------------------------------------------------------------------------
-
-fn doc_from_json(value: &Value) -> Result<ProvDocument, ProvError> {
-    let root = value
-        .as_object()
-        .ok_or_else(|| ProvError::Structure("document must be a JSON object".into()))?;
-    let mut doc = ProvDocument::new();
-
-    if let Some(prefix) = root.get("prefix") {
-        let prefix = prefix
-            .as_object()
-            .ok_or_else(|| ProvError::Structure("'prefix' must be an object".into()))?;
-        for (p, iri) in prefix {
-            let iri = iri.as_str().ok_or_else(|| {
-                ProvError::Structure(format!("prefix {p:?} must map to a string"))
-            })?;
-            if p == "default" {
-                doc.namespaces_mut().set_default(iri);
-            } else {
-                doc.namespaces_mut().register(p.clone(), iri)?;
-            }
-        }
-    }
-
-    for kind in ElementKind::all() {
-        if let Some(block) = root.get(kind.json_key()) {
-            let block = block.as_object().ok_or_else(|| {
-                ProvError::Structure(format!("'{}' must be an object", kind.json_key()))
-            })?;
-            for (id, attrs) in block {
-                let id = QName::parse(id)?;
-                let mut el = Element::new(kind, id);
-                parse_attrs_into(attrs, &mut el.attributes, kind.json_key())?;
-                doc.insert_element(el);
-            }
-        }
-    }
-
-    for kind in RelationKind::all() {
-        if let Some(block) = root.get(kind.json_key()) {
-            let block = block.as_object().ok_or_else(|| {
-                ProvError::Structure(format!("'{}' must be an object", kind.json_key()))
-            })?;
-            for (rel_id, body) in block {
-                let rel = relation_from_json(*kind, rel_id, body)?;
-                doc.add_relation(rel);
-            }
-        }
-    }
-
-    if let Some(bundles) = root.get("bundle") {
-        let bundles = bundles
-            .as_object()
-            .ok_or_else(|| ProvError::Structure("'bundle' must be an object".into()))?;
-        for (name, inner) in bundles {
-            let name = QName::parse(name)?;
-            let parsed = doc_from_json(inner)?;
-            *doc.bundle(name) = parsed;
-        }
-    }
-
-    Ok(doc)
-}
-
-fn parse_attrs_into(
-    attrs: &Value,
-    out: &mut std::collections::BTreeMap<QName, Vec<AttrValue>>,
-    ctx: &str,
-) -> Result<(), ProvError> {
-    let obj = attrs
-        .as_object()
-        .ok_or_else(|| ProvError::Structure(format!("attributes of {ctx} must be an object")))?;
-    for (key, raw) in obj {
-        let key = QName::parse(key)?;
-        let values = match raw {
-            Value::Array(items) => items
-                .iter()
-                .map(value_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            single => vec![value_from_json(single)?],
-        };
-        out.entry(key).or_default().extend(values);
-    }
-    Ok(())
-}
-
-/// Parses one PROV-JSON attribute value.
-pub fn value_from_json(v: &Value) -> Result<AttrValue, ProvError> {
-    match v {
-        Value::String(s) => Ok(AttrValue::String(s.clone())),
-        Value::Bool(b) => Ok(AttrValue::Bool(*b)),
-        Value::Number(n) => Ok(match n.as_i64() {
-            Some(i) => AttrValue::Int(i),
-            None => AttrValue::Double(n.as_f64()),
-        }),
-        Value::Object(obj) => {
-            let lexical = obj
-                .get("$")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ProvError::BadValue("typed value needs a '$' string".into()))?;
-            if let Some(lang) = obj.get("lang").and_then(Value::as_str) {
-                return Ok(AttrValue::LangString(lexical.to_string(), lang.to_string()));
-            }
-            match obj.get("type").and_then(Value::as_str) {
-                Some(ty) => {
-                    let ty = QName::parse(ty)?;
-                    AttrValue::from_lexical(lexical, &ty)
-                }
-                None => Ok(AttrValue::String(lexical.to_string())),
-            }
-        }
-        other => Err(ProvError::BadValue(format!(
-            "unsupported attribute value: {other}"
-        ))),
-    }
-}
-
-fn relation_from_json(
-    kind: RelationKind,
-    rel_id: &str,
-    body: &Value,
-) -> Result<Relation, ProvError> {
-    let obj = body.as_object().ok_or_else(|| {
-        ProvError::Structure(format!("relation {rel_id:?} must map to an object"))
-    })?;
-    let get_q = |key: &str| -> Result<QName, ProvError> {
-        let raw = obj.get(key).and_then(Value::as_str).ok_or_else(|| {
-            ProvError::Structure(format!(
-                "relation {rel_id:?} ({}) missing argument {key:?}",
-                kind.json_key()
-            ))
-        })?;
-        QName::parse(raw)
-    };
-
-    let subject = get_q(kind.subject_key())?;
-    let object = get_q(kind.object_key())?;
-    let mut rel = Relation::new(kind, subject, object);
-
-    if !rel_id.starts_with("_:") {
-        rel.id = Some(QName::parse(rel_id)?);
-    }
-    if kind.supports_time() {
-        if let Some(t) = obj.get("prov:time").and_then(Value::as_str) {
-            rel.time = Some(XsdDateTime::parse(t)?);
-        }
-    }
-    for extra in kind.extra_keys() {
-        if let Some(v) = obj.get(*extra).and_then(Value::as_str) {
-            rel.extras.insert(extra.to_string(), QName::parse(v)?);
-        }
-    }
-
-    // Everything that isn't a formal argument is an application attribute.
-    let formal: Vec<&str> = {
-        let mut f = vec![kind.subject_key(), kind.object_key(), "prov:time"];
-        f.extend_from_slice(kind.extra_keys());
-        f
-    };
-    for (key, raw) in obj {
-        if formal.contains(&key.as_str()) {
-            continue;
-        }
-        let key = QName::parse(key)?;
-        match raw {
-            Value::Array(items) => {
-                for item in items {
-                    let v = value_from_json(item)?;
-                    rel.add_attr(key.clone(), v);
-                }
-            }
-            single => {
-                let v = value_from_json(single)?;
-                rel.add_attr(key, v);
-            }
-        }
-    }
-    Ok(rel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::qname::YPROV_NS;
+    use crate::relation::RelationKind;
+    use crate::tree_codec;
+    use crate::value::AttrValue;
+    use crate::XsdDateTime;
 
     fn q(local: &str) -> QName {
         QName::new("ex", local)
@@ -451,6 +123,21 @@ mod tests {
         doc.was_associated_with(q("train"), q("researcher"));
         doc.was_derived_from(q("model"), q("dataset"));
         doc
+    }
+
+    /// The reference [`relation_order`] is pinned to: the key the sort used
+    /// to build for every relation, four strings each.
+    fn relation_sort_key(r: &Relation) -> (usize, String, String, String) {
+        let kind_pos = RelationKind::all()
+            .iter()
+            .position(|k| *k == r.kind)
+            .unwrap_or(usize::MAX);
+        (
+            kind_pos,
+            r.subject.to_string(),
+            r.object.to_string(),
+            format!("{:?}{:?}{:?}", r.id, r.time, r.extras),
+        )
     }
 
     /// Relations that tie and nearly tie in every component of the
@@ -534,16 +221,16 @@ mod tests {
     #[test]
     fn json_level_idempotence() {
         let doc = sample_doc();
-        let j1 = doc.to_json();
-        let back = ProvDocument::from_json(&j1).unwrap();
-        let j2 = back.to_json();
+        let j1 = tree_codec::to_json(&doc);
+        let back = tree_codec::from_json(&j1).unwrap();
+        let j2 = tree_codec::to_json(&back);
         assert_eq!(j1, j2);
     }
 
     #[test]
     fn serializes_expected_blocks() {
         let doc = sample_doc();
-        let v = doc.to_json();
+        let v = tree_codec::to_json(&doc);
         assert!(v.get("prefix").is_some());
         assert!(v.get("entity").unwrap().get("ex:dataset").is_some());
         assert!(v.get("activity").unwrap().get("ex:train").is_some());
@@ -560,10 +247,10 @@ mod tests {
         doc.entity(q("e"))
             .prov_type(q("TypeA"))
             .prov_type(q("TypeB"));
-        let json = doc.to_json();
+        let json = tree_codec::to_json(&doc);
         let tv = &json["entity"]["ex:e"]["prov:type"];
         assert!(tv.is_array(), "multi-valued attr must serialize as array");
-        let back = ProvDocument::from_json(&json).unwrap();
+        let back = tree_codec::from_json(&json).unwrap();
         let e = back.get(&q("e")).unwrap();
         assert!(e.has_type(&q("TypeA")));
         assert!(e.has_type(&q("TypeB")));
@@ -616,9 +303,9 @@ mod tests {
         doc.activity(q("a"));
         let rel = Relation::new(RelationKind::Used, q("a"), q("e")).with_id(q("use1"));
         doc.add_relation(rel);
-        let json = doc.to_json();
+        let json = tree_codec::to_json(&doc);
         assert!(json["used"].get("ex:use1").is_some());
-        let back = ProvDocument::from_json(&json).unwrap();
+        let back = tree_codec::from_json(&json).unwrap();
         assert_eq!(back.relations()[0].id, Some(q("use1")));
     }
 

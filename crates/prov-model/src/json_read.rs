@@ -9,10 +9,10 @@
 //! `prov:type`, on every element) costs two reference-count bumps
 //! instead of two allocations.
 //!
-//! The result is the one [`ProvDocument::from_json`] gives for
-//! `json::parse(text)`, which stays as the reference the
-//! differential tests compare against. That path parses the whole text
-//! first and then visits it block by block, each object in ascending
+//! The result is the one the tests' tree codec (`tests/tree_codec/`)
+//! gives for `json::parse(text)`, the reference the differential tests
+//! compare against. That path parses the whole text first and then
+//! visits it block by block, each object in ascending
 //! key order with a repeated key keeping its last value, so this reader
 //! keeps three rules:
 //!
@@ -109,7 +109,7 @@ impl<'a> Reader<'a> {
             Ok(())
         })?;
 
-        // Blocks apply in the order `doc_from_json` visits them.
+        // Blocks apply in the order the tree codec visits them.
         let mut doc = ProvDocument::new();
         if let Some(block) = prefix {
             for (prefix, iri) in block? {
@@ -267,7 +267,7 @@ impl<'a> Reader<'a> {
         Ok(values)
     }
 
-    /// One value, by the rules of [`crate::json::value_from_json`].
+    /// One value, by the rules of the tree codec's `value_from_json`.
     fn attr_value(&mut self) -> Result<AttrValue, ProvError> {
         let lex = &mut self.lex;
         match lex.peek() {
@@ -446,11 +446,13 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     //! The reader against the path it replaced on the hot path:
-    //! `json::parse` into a `Value`, then `from_json`.
+    //! `json::parse` into a `Value`, then the tree codec's `from_json`.
 
     use super::*;
+    use crate::tree_codec;
+
     fn reference(text: &str) -> Result<ProvDocument, ProvError> {
-        ProvDocument::from_json(&json::parse(text)?)
+        tree_codec::from_json(&json::parse(text)?)
     }
 
     /// Which kind of error: malformed JSON is one kind whichever path

@@ -3,11 +3,10 @@
 //! Every PROV-JSON text this crate prints comes from here, stored
 //! documents and [`ProvDocument::to_json_string`] included: the
 //! document is written straight to bytes through [`json::JsonWriter`],
-//! cloning and rendering nothing. [`ProvDocument::to_json`] still
-//! materializes a [`json::Value`] tree for callers that want one.
+//! cloning and rendering nothing.
 //!
-//! The output is **byte-identical** to that tree printed, whose `Map`
-//! sorts keys by string:
+//! The output is **byte-identical** to the tests' tree codec
+//! (`tests/tree_codec/`) printed, whose `Map` sorts keys by string:
 //! - blocks, element ids, attribute keys, relation ids, relation-body
 //!   keys and bundle names are ordered by their rendered bytes
 //!   (`prefix:local`), compared without building the strings; `QName`'s
@@ -341,7 +340,7 @@ fn write_values<W: Write>(w: &mut JsonWriter<W>, values: &[AttrValue]) {
     }
 }
 
-/// One attribute value, following `value_to_json`'s rendering rules.
+/// One attribute value, following the tree codec's `value_to_json`.
 fn write_value<W: Write>(w: &mut JsonWriter<W>, value: &AttrValue) {
     match value {
         AttrValue::String(s) => w.str(s),
@@ -380,6 +379,7 @@ fn typed_literal<W: Write>(
 mod tests {
     use super::*;
     use crate::qname::YPROV_NS;
+    use crate::tree_codec;
     use crate::XsdDateTime;
 
     fn q(local: &str) -> QName {
@@ -463,11 +463,11 @@ mod tests {
 
     /// The reference the writer is held to: the `Value` tree, printed.
     fn tree_compact(doc: &ProvDocument) -> String {
-        doc.to_json().to_string()
+        tree_codec::to_json(doc).to_string()
     }
 
     fn tree_pretty(doc: &ProvDocument) -> String {
-        format!("{:#}", doc.to_json())
+        format!("{:#}", tree_codec::to_json(doc))
     }
 
     #[test]

@@ -47,14 +47,18 @@ pub mod turtle;
 pub mod validate;
 pub mod value;
 
-// The PROV-N reader is test code (the writer's oracle): it lives under
-// `tests/`, and this test build includes it by the crate's public name
-// so that its unit tests run here.
+// The PROV-N reader and the PROV-JSON tree codec are test code (the
+// writers' and the reader's oracles): they live under `tests/`, and this
+// test build includes them by the crate's public name so that the unit
+// tests here can use them.
 #[cfg(test)]
 extern crate self as prov_model;
 #[cfg(test)]
 #[path = "../tests/provn_parse/mod.rs"]
 mod provn_parse;
+#[cfg(test)]
+#[path = "../tests/tree_codec/mod.rs"]
+mod tree_codec;
 
 pub use datetime::XsdDateTime;
 pub use document::{DeltaApply, ProvDocument, RecordBuilder};

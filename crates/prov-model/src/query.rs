@@ -1,5 +1,5 @@
 //! Typed intermediate representation (IR) for lineage queries, with its
-//! JSON wire form.
+//! JSON wire form and its reader.
 //!
 //! A [`PathQuery`] is a path pattern over the provenance graph: a
 //! *start* [`ElementFilter`] selecting the anchor nodes, followed by a
@@ -38,7 +38,7 @@ use crate::error::ProvError;
 use crate::qname::QName;
 use crate::record::{Element, ElementKind};
 use crate::relation::RelationKind;
-use json::{json, Map, Value};
+use json::Value; // reads JSON
 
 /// A predicate over graph nodes (declared elements or dangling
 /// references). All clauses of a filter must hold.
@@ -168,54 +168,6 @@ impl ElementFilter {
             }
         }
         true
-    }
-
-    /// The JSON wire form (object with one key per set clause).
-    pub fn to_json(&self) -> Value {
-        let mut obj = Map::new();
-        if let Some(kind) = self.kind {
-            obj.insert("kind".into(), json!(kind_str(kind)));
-        }
-        if let Some(id) = &self.id {
-            obj.insert("id".into(), json!(id.to_string()));
-        }
-        if let Some(s) = &self.id_contains {
-            obj.insert("idContains".into(), json!(s));
-        }
-        if let Some(ty) = &self.type_is {
-            obj.insert("typeIs".into(), json!(ty.to_string()));
-        }
-        if let Some(key) = &self.has_attr {
-            obj.insert("hasAttr".into(), json!(key.to_string()));
-        }
-        if let Some((key, value)) = &self.attr_equals {
-            obj.insert(
-                "attrEquals".into(),
-                json!({"key": key.to_string(), "value": value}),
-            );
-        }
-        if let Some((key, bound)) = &self.attr_lt {
-            obj.insert(
-                "attrLt".into(),
-                json!({"key": key.to_string(), "value": *bound}),
-            );
-        }
-        if let Some((key, bound)) = &self.attr_gt {
-            obj.insert(
-                "attrGt".into(),
-                json!({"key": key.to_string(), "value": *bound}),
-            );
-        }
-        if !self.any_of.is_empty() {
-            obj.insert(
-                "anyOf".into(),
-                Value::Array(self.any_of.iter().map(|f| f.to_json()).collect()),
-            );
-        }
-        if let Some(inner) = &self.not {
-            obj.insert("not".into(), inner.to_json());
-        }
-        Value::Object(obj)
     }
 
     /// Parses the wire form, rejecting unknown clauses so typos fail
@@ -353,27 +305,6 @@ pub struct Step {
 }
 
 impl Step {
-    /// The JSON wire form.
-    pub fn to_json(&self) -> Value {
-        let mut obj = Map::new();
-        if !self.kinds.is_empty() {
-            obj.insert(
-                "rels".into(),
-                Value::Array(self.kinds.iter().map(|k| json!(k.json_key())).collect()),
-            );
-        }
-        obj.insert(
-            "dir".into(),
-            json!(match self.direction {
-                StepDirection::Forward => "forward",
-                StepDirection::Backward => "backward",
-            }),
-        );
-        obj.insert("repeat".into(), repeat_to_json(self.repeat));
-        obj.insert("target".into(), self.target.to_json());
-        Value::Object(obj)
-    }
-
     /// Parses the wire form.
     pub fn from_json(v: &Value) -> Result<Self, ProvError> {
         let obj = v
@@ -432,20 +363,6 @@ pub struct PathQuery {
 }
 
 impl PathQuery {
-    /// The JSON wire form.
-    pub fn to_json(&self) -> Value {
-        let mut obj = Map::new();
-        obj.insert("start".into(), self.start.to_json());
-        obj.insert(
-            "steps".into(),
-            Value::Array(self.steps.iter().map(|s| s.to_json()).collect()),
-        );
-        if let Some(limit) = self.limit {
-            obj.insert("limit".into(), json!(limit));
-        }
-        Value::Object(obj)
-    }
-
     /// Parses the wire form.
     pub fn from_json(v: &Value) -> Result<Self, ProvError> {
         let obj = v
@@ -484,14 +401,6 @@ impl PathQuery {
     }
 }
 
-fn kind_str(kind: ElementKind) -> &'static str {
-    match kind {
-        ElementKind::Entity => "entity",
-        ElementKind::Activity => "activity",
-        ElementKind::Agent => "agent",
-    }
-}
-
 fn parse_kind(s: &str) -> Result<ElementKind, ProvError> {
     match s {
         "entity" => Ok(ElementKind::Entity),
@@ -526,17 +435,6 @@ fn attr_pair(v: &Value) -> Result<(QName, Value), ProvError> {
         .cloned()
         .ok_or_else(|| ProvError::Structure("attribute clause is missing \"value\"".into()))?;
     Ok((QName::parse(key)?, value))
-}
-
-fn repeat_to_json(r: Repeat) -> Value {
-    match (r.min, r.max) {
-        (1, Some(1)) => json!("1"),
-        (0, None) => json!("*"),
-        (1, None) => json!("+"),
-        (0, Some(1)) => json!("?"),
-        (min, Some(max)) => json!({"min": min, "max": max}),
-        (min, None) => json!({"min": min}),
-    }
 }
 
 fn repeat_from_json(v: &Value) -> Result<Repeat, ProvError> {
@@ -595,6 +493,118 @@ mod tests {
     use super::*;
     use crate::document::ProvDocument;
     use crate::value::AttrValue;
+    use json::{json, Map};
+
+    // The wire form's writer. Only the round-trip tests print a query,
+    // so it lives here.
+
+    fn kind_str(kind: ElementKind) -> &'static str {
+        match kind {
+            ElementKind::Entity => "entity",
+            ElementKind::Activity => "activity",
+            ElementKind::Agent => "agent",
+        }
+    }
+
+    impl ElementFilter {
+        /// The JSON wire form (object with one key per set clause).
+        fn to_json(&self) -> Value {
+            let mut obj = Map::new();
+            if let Some(kind) = self.kind {
+                obj.insert("kind".into(), json!(kind_str(kind)));
+            }
+            if let Some(id) = &self.id {
+                obj.insert("id".into(), json!(id.to_string()));
+            }
+            if let Some(s) = &self.id_contains {
+                obj.insert("idContains".into(), json!(s));
+            }
+            if let Some(ty) = &self.type_is {
+                obj.insert("typeIs".into(), json!(ty.to_string()));
+            }
+            if let Some(key) = &self.has_attr {
+                obj.insert("hasAttr".into(), json!(key.to_string()));
+            }
+            if let Some((key, value)) = &self.attr_equals {
+                obj.insert(
+                    "attrEquals".into(),
+                    json!({"key": key.to_string(), "value": value}),
+                );
+            }
+            if let Some((key, bound)) = &self.attr_lt {
+                obj.insert(
+                    "attrLt".into(),
+                    json!({"key": key.to_string(), "value": *bound}),
+                );
+            }
+            if let Some((key, bound)) = &self.attr_gt {
+                obj.insert(
+                    "attrGt".into(),
+                    json!({"key": key.to_string(), "value": *bound}),
+                );
+            }
+            if !self.any_of.is_empty() {
+                obj.insert(
+                    "anyOf".into(),
+                    Value::Array(self.any_of.iter().map(|f| f.to_json()).collect()),
+                );
+            }
+            if let Some(inner) = &self.not {
+                obj.insert("not".into(), inner.to_json());
+            }
+            Value::Object(obj)
+        }
+    }
+
+    impl Step {
+        /// The JSON wire form.
+        fn to_json(&self) -> Value {
+            let mut obj = Map::new();
+            if !self.kinds.is_empty() {
+                obj.insert(
+                    "rels".into(),
+                    Value::Array(self.kinds.iter().map(|k| json!(k.json_key())).collect()),
+                );
+            }
+            obj.insert(
+                "dir".into(),
+                json!(match self.direction {
+                    StepDirection::Forward => "forward",
+                    StepDirection::Backward => "backward",
+                }),
+            );
+            obj.insert("repeat".into(), repeat_to_json(self.repeat));
+            obj.insert("target".into(), self.target.to_json());
+            Value::Object(obj)
+        }
+    }
+
+    impl PathQuery {
+        /// The JSON wire form.
+        fn to_json(&self) -> Value {
+            let mut obj = Map::new();
+            obj.insert("start".into(), self.start.to_json());
+            obj.insert(
+                "steps".into(),
+                Value::Array(self.steps.iter().map(|s| s.to_json()).collect()),
+            );
+            if let Some(limit) = self.limit {
+                obj.insert("limit".into(), json!(limit));
+            }
+            Value::Object(obj)
+        }
+    }
+
+    fn repeat_to_json(r: Repeat) -> Value {
+        match (r.min, r.max) {
+            (1, Some(1)) => json!("1"),
+            (0, None) => json!("*"),
+            (1, None) => json!("+"),
+            (0, Some(1)) => json!("?"),
+            (min, Some(max)) => json!({"min": min, "max": max}),
+            (min, None) => json!({"min": min}),
+        }
+    }
 
     fn q(local: &str) -> QName {
         QName::new("ex", local)

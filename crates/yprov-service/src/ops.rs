@@ -653,7 +653,7 @@ mod tests {
     ];
 
     fn maybe(i: usize) -> Option<f64> {
-        (i % 3 != 0).then(|| FLOATS[i % FLOATS.len()])
+        (!i.is_multiple_of(3)).then(|| FLOATS[i % FLOATS.len()])
     }
 
     #[test]
@@ -699,7 +699,7 @@ mod tests {
             status: [200, 404, 503, u16::MAX][i % 4],
             latency_ns: [0, 1, u64::MAX][i % 3],
             shed: [None, Some("queued_bytes"), Some("\u{1}\"")][i % 3],
-            trace_id: (i % 2 == 0).then(|| texts()[i % 6].clone()),
+            trace_id: i.is_multiple_of(2).then(|| texts()[i % 6].clone()),
             seq: i as u64,
         };
         let entries: Vec<SlowEntry> = texts()
@@ -707,7 +707,7 @@ mod tests {
             .enumerate()
             .map(|(i, t)| entry(i, t))
             .collect();
-        let routes = vec![
+        let routes = [
             ("/api/v0/documents", entries.clone(), Vec::new()),
             ("", Vec::new(), entries[..2].to_vec()),
             ("\u{0}\"\\é", entries[3..].to_vec(), entries.clone()),
