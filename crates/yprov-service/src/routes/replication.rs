@@ -1,8 +1,8 @@
 //! The ledger and the replica side of replication.
 
-use crate::error::ServiceError;
 use crate::http::{error_body, Request, ServerState};
 use crate::ledger::LedgerEntry;
+use crate::ops::{write_check, write_sources};
 
 pub(super) fn ledger(state: &ServerState, _: &Request, _: &str) -> (u16, String) {
     (200, ledger_body(&state.store.ledger_entries()))
@@ -20,11 +20,7 @@ fn ledger_body(entries: &[LedgerEntry]) -> String {
 pub(super) fn verify(state: &ServerState, _: &Request, _: &str) -> (u16, String) {
     let verified = state.store.verify_all();
     let status = if verified.is_ok() { 200 } else { 500 };
-    (status, verify_body(&verified))
-}
-
-fn verify_body(verified: &Result<(), ServiceError>) -> String {
-    json::to_string(|w| crate::ops::write_check(w, verified))
+    (status, json::to_string(|w| write_check(w, &verified)))
 }
 
 /// 200 with the new head, 409 + `expect_index` at the first refusal
@@ -49,7 +45,7 @@ fn sources_body(sources: &[(String, u64)]) -> String {
     json::to_string(|w| {
         w.object(|w| {
             w.key("sources");
-            crate::ops::write_sources(w, sources);
+            write_sources(w, sources);
         })
     })
 }
@@ -57,6 +53,7 @@ fn sources_body(sources: &[(String, u64)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ServiceError;
     use crate::ledger::Ledger;
     use json::json;
 
@@ -128,7 +125,8 @@ mod tests {
             verdicts.push(Err(ServiceError::Conflict { reason }));
         }
         for verified in &verdicts {
-            assert_eq!(verify_body(verified), reference::verify(verified));
+            let body = json::to_string(|w| write_check(w, verified));
+            assert_eq!(body, reference::verify(verified));
         }
     }
 }
