@@ -12,9 +12,9 @@
 //! The result is the one the tests' tree codec (`tests/tree_codec/`)
 //! gives for `json::parse(text)`, the reference the differential tests
 //! compare against. That path parses the whole text first and then
-//! visits it block by block, each object in ascending
-//! key order with a repeated key keeping its last value, so this reader
-//! keeps three rules:
+//! visits it block by block, each object in ascending key order with a
+//! repeated key keeping its last value, so this reader keeps three
+//! rules:
 //!
 //! - a syntax error anywhere wins over every other error;
 //! - any other error belongs to the member it was met in and is only
