@@ -39,11 +39,6 @@ impl PowerModel {
         let u = utilization.clamp(0.0, 1.0);
         self.idle_w + (self.peak_w - self.idle_w) * u.powf(self.gamma)
     }
-
-    /// Energy in joules for holding `utilization` for `seconds`.
-    pub fn energy_j(&self, utilization: f64, seconds: f64) -> f64 {
-        self.power_at(utilization) * seconds.max(0.0)
-    }
 }
 
 /// One Graphics Compute Die of an AMD Instinct MI250X.
@@ -107,15 +102,6 @@ mod tests {
         // With gamma > 1, half utilization draws less than the midpoint.
         let mid = (m.idle_w + m.peak_w) / 2.0;
         assert!(m.power_at(0.5) < mid);
-    }
-
-    #[test]
-    fn energy_scales_with_time() {
-        let m = mi250x_gcd();
-        let e1 = m.energy_j(0.8, 10.0);
-        let e2 = m.energy_j(0.8, 20.0);
-        assert!((e2 - 2.0 * e1).abs() < 1e-9);
-        assert_eq!(m.energy_j(0.8, -5.0), 0.0);
     }
 
     #[test]

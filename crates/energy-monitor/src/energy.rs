@@ -1,13 +1,8 @@
 //! Energy integration over power samples.
 
 /// Converts joules to kilowatt-hours.
-pub fn joules_to_kwh(j: f64) -> f64 {
+fn joules_to_kwh(j: f64) -> f64 {
     j / 3_600_000.0
-}
-
-/// Converts kilowatt-hours to joules.
-pub fn kwh_to_joules(kwh: f64) -> f64 {
-    kwh * 3_600_000.0
 }
 
 /// Online trapezoidal integrator over `(t_seconds, watts)` samples.
@@ -162,7 +157,6 @@ mod tests {
     #[test]
     fn unit_conversions() {
         assert!((joules_to_kwh(3_600_000.0) - 1.0).abs() < 1e-12);
-        assert!((kwh_to_joules(2.0) - 7_200_000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -26,13 +26,10 @@
 //! assert!((joules - gcd.power_at(1.0)).abs() < 1e-9);
 //! ```
 
-pub mod carbon;
-pub mod counters;
 pub mod device;
 pub mod energy;
 pub mod sampler;
 
-pub use counters::{FlopsCounter, UtilizationGauge};
 pub use device::{epyc_7a53, mi250x_gcd, PowerModel};
-pub use energy::{joules_to_kwh, EnergyAccumulator};
+pub use energy::EnergyAccumulator;
 pub use sampler::{PowerSample, PowerSampler, PowerSource, VirtualClock};

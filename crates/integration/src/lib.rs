@@ -166,7 +166,7 @@ impl<'a, F: FnMut(prov_model::ProvDocument)> StreamingObserver<'a, F> {
     }
 
     /// Number of deltas cut so far.
-    pub fn deltas_emitted(&self) -> u64 {
+    fn deltas_emitted(&self) -> u64 {
         self.emitter.emitted()
     }
 }
@@ -356,7 +356,7 @@ impl Mesh {
 ///
 /// Only configurations produced through [`ProvenanceObserver`] carry
 /// enough parameters; anything else returns a descriptive error.
-pub fn config_from_provenance(doc: &prov_model::ProvDocument) -> Result<SimConfig, String> {
+fn config_from_provenance(doc: &prov_model::ProvDocument) -> Result<SimConfig, String> {
     use train_sim::model::{Architecture, ModelConfig};
     use train_sim::sim::WalltimeCutoff;
     use train_sim::{DatasetSpec, MachineConfig};

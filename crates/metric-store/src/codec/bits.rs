@@ -129,7 +129,8 @@ impl<'a> BitReader<'a> {
     }
 
     /// Number of bits remaining.
-    pub fn remaining(&self) -> usize {
+    #[cfg(test)]
+    fn remaining(&self) -> usize {
         self.data.len() * 8 - self.pos
     }
 }

@@ -16,12 +16,7 @@ pub fn deltas_u64(values: impl IntoIterator<Item = u64>) -> impl Iterator<Item =
     })
 }
 
-/// [`deltas_u64`] of a whole column.
-pub fn delta_encode_u64(values: &[u64]) -> Vec<i64> {
-    deltas_u64(values.iter().copied()).collect()
-}
-
-/// Inverse of [`delta_encode_u64`].
+/// Inverse of [`deltas_u64`], over a whole column.
 pub fn delta_decode_u64(deltas: &[i64]) -> Vec<u64> {
     let mut out = Vec::with_capacity(deltas.len());
     let mut prev = 0u64;
@@ -42,12 +37,7 @@ pub fn deltas_i64(values: impl IntoIterator<Item = i64>) -> impl Iterator<Item =
     })
 }
 
-/// [`deltas_i64`] of a whole column.
-pub fn delta_encode_i64(values: &[i64]) -> Vec<i64> {
-    deltas_i64(values.iter().copied()).collect()
-}
-
-/// Inverse of [`delta_encode_i64`].
+/// Inverse of [`deltas_i64`], over a whole column.
 pub fn delta_decode_i64(deltas: &[i64]) -> Vec<i64> {
     let mut out = Vec::with_capacity(deltas.len());
     let mut prev = 0i64;
@@ -58,13 +48,9 @@ pub fn delta_decode_i64(deltas: &[i64]) -> Vec<i64> {
     out
 }
 
-/// Second-order (delta-of-delta) encoding, as used by Gorilla for
-/// timestamps: regular sampling intervals produce long runs of zeros.
-pub fn dod_encode_i64(values: &[i64]) -> Vec<i64> {
-    delta_encode_i64(&delta_encode_i64(values))
-}
-
-/// Inverse of [`dod_encode_i64`].
+/// Inverse of delta-of-delta encoding ([`deltas_i64`] applied twice),
+/// which Gorilla uses for timestamps: regular sampling intervals give
+/// long runs of zeros.
 pub fn dod_decode_i64(dods: &[i64]) -> Vec<i64> {
     delta_decode_i64(&delta_decode_i64(dods))
 }
@@ -72,6 +58,18 @@ pub fn dod_decode_i64(dods: &[i64]) -> Vec<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn delta_encode_u64(values: &[u64]) -> Vec<i64> {
+        deltas_u64(values.iter().copied()).collect()
+    }
+
+    fn delta_encode_i64(values: &[i64]) -> Vec<i64> {
+        deltas_i64(values.iter().copied()).collect()
+    }
+
+    fn dod_encode_i64(values: &[i64]) -> Vec<i64> {
+        delta_encode_i64(&delta_encode_i64(values))
+    }
 
     #[test]
     fn u64_roundtrip() {

@@ -169,7 +169,7 @@ pub fn encode_u32_column(values: &[u32]) -> Vec<u8> {
 }
 
 /// Decodes a `u32` column written by [`encode_u32_column`].
-pub fn decode_u32_column(data: &[u8]) -> Result<Vec<u32>, StoreError> {
+fn decode_u32_column(data: &[u8]) -> Result<Vec<u32>, StoreError> {
     decode_u64_column(data)?
         .into_iter()
         .map(|v| {

@@ -40,12 +40,12 @@ pub fn read_u64(data: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
 
 /// Maps a signed integer to unsigned so small magnitudes stay small
 /// (`0 → 0, -1 → 1, 1 → 2, -2 → 3, ...`).
-pub fn zigzag(v: i64) -> u64 {
+fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 

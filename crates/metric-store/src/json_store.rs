@@ -9,20 +9,13 @@ use crate::series::{MetricPoint, MetricSeries};
 use json::JsonWriter;
 use std::io::Write;
 
-/// A series as the inline-JSON representation the provenance layer
-/// writes when metrics stay in the PROV file: `context`, `name` and
-/// `points[{epoch, step, time_us, value}]`, keys ascending (see
-/// [`points_to_json`] for a point's rules). Nothing is built per
-/// sample.
-pub fn series_to_json<W: Write>(w: &mut JsonWriter<W>, series: &MetricSeries) {
-    begin_series(w, series);
-    points_to_json(w, &series.points);
-    end_series(w);
-}
-
 /// Opens `series`' object up to its points: `{"context":…,"name":…,
 /// "points":[`. Points go in with [`points_to_json`], as many times as
-/// needed; [`end_series`] closes both.
+/// needed; [`end_series`] closes both. The three print a series as the
+/// inline-JSON representation the provenance layer writes when metrics
+/// stay in the PROV file: `context`, `name` and
+/// `points[{epoch, step, time_us, value}]`, keys ascending. Nothing is
+/// built per sample.
 pub fn begin_series<W: Write>(w: &mut JsonWriter<W>, series: &MetricSeries) {
     w.begin_object();
     w.key("context");
@@ -72,7 +65,9 @@ mod tests {
 
     fn printed(s: &MetricSeries, pretty: bool) -> String {
         let mut w = JsonWriter::in_memory(pretty);
-        series_to_json(&mut w, s);
+        begin_series(&mut w, s);
+        points_to_json(&mut w, &s.points);
+        end_series(&mut w);
         w.into_string()
     }
 

@@ -17,7 +17,8 @@
 //! Both implement the [`store::MetricStore`] trait, so the provenance
 //! layer can switch formats with a configuration flag, exactly as the
 //! paper's library does. The inline JSON form is written by
-//! [`json_store::series_to_json`].
+//! [`json_store::begin_series`], [`json_store::points_to_json`] and
+//! [`json_store::end_series`].
 //!
 //! ```
 //! use metric_store::series::{MetricPoint, MetricSeries};

@@ -43,7 +43,7 @@ pub enum Cmp {
 }
 
 impl Cmp {
-    pub fn holds(self, value: f64, threshold: f64) -> bool {
+    fn holds(self, value: f64, threshold: f64) -> bool {
         match self {
             Cmp::Gt => value > threshold,
             Cmp::Ge => value >= threshold,
@@ -249,14 +249,6 @@ impl AlertSet {
             .expect("alerts poisoned")
             .iter()
             .map(|s| s.state.clone())
-            .collect()
-    }
-
-    /// Rules currently in [`Phase::Firing`].
-    pub fn firing(&self) -> Vec<AlertState> {
-        self.states()
-            .into_iter()
-            .filter(|s| s.phase == Phase::Firing)
             .collect()
     }
 }

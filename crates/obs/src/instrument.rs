@@ -30,8 +30,9 @@ impl Counter {
         }
     }
 
-    /// A registry-less, always-enabled counter (tests, ad-hoc use).
-    pub fn standalone() -> Arc<Self> {
+    /// A registry-less, always-enabled counter (tests).
+    #[cfg(test)]
+    fn standalone() -> Arc<Self> {
         Arc::new(Counter::new(Arc::new(AtomicBool::new(true))))
     }
 
@@ -70,7 +71,8 @@ impl Gauge {
     }
 
     /// A registry-less, always-enabled gauge.
-    pub fn standalone() -> Arc<Self> {
+    #[cfg(test)]
+    fn standalone() -> Arc<Self> {
         Arc::new(Gauge::new(Arc::new(AtomicBool::new(true))))
     }
 
@@ -131,7 +133,8 @@ impl Histogram {
     }
 
     /// A registry-less, always-enabled histogram.
-    pub fn standalone() -> Arc<Self> {
+    #[cfg(test)]
+    fn standalone() -> Arc<Self> {
         Arc::new(Histogram::new(Arc::new(AtomicBool::new(true))))
     }
 

@@ -20,7 +20,7 @@
 //!   syscall).
 //! * **Flight recorder** — rings overwrite their oldest spans once
 //!   full and survive thread exit, so after a fault the last
-//!   [`ring capacity`](set_ring_capacity) spans per thread are still
+//!   [`DEFAULT_RING_CAPACITY`] spans per thread are still
 //!   there to be dumped ([`dump_flight_recorder`]) — the journal
 //!   recovery path writes them to `trace_crash.json` and links the file
 //!   into the recovered PROV document.
@@ -131,7 +131,7 @@ impl Ring {
 /// spans survive into the flight-recorder dump.
 #[derive(Debug)]
 struct ThreadBuffer {
-    label: Mutex<String>,
+    label: String,
     ring: Mutex<Ring>,
 }
 
@@ -184,7 +184,7 @@ fn local_buffer(ctx: &mut LocalCtx) -> Arc<ThreadBuffer> {
         .map(str::to_string)
         .unwrap_or_else(|| format!("thread-{:?}", std::thread::current().id()));
     let buf = Arc::new(ThreadBuffer {
-        label: Mutex::new(label),
+        label,
         ring: Mutex::new(Ring::new(tracer().ring_capacity.load(Ordering::Relaxed))),
     });
     tracer()
@@ -211,21 +211,9 @@ pub fn is_enabled() -> bool {
 /// (existing buffers keep their size). The ring bounds both memory and
 /// the flight-recorder window: the last `cap` spans per thread survive
 /// until a fault.
-pub fn set_ring_capacity(cap: usize) {
+#[cfg(test)]
+fn set_ring_capacity(cap: usize) {
     tracer().ring_capacity.store(cap.max(1), Ordering::Relaxed);
-}
-
-/// Overrides the current thread's track label (defaults to the thread
-/// name). Applies to spans recorded after the call.
-pub fn set_thread_track(label: &str) {
-    if !is_enabled() {
-        return;
-    }
-    LOCAL.with(|l| {
-        let mut ctx = l.borrow_mut();
-        let buf = local_buffer(&mut ctx);
-        *buf.label.lock().expect("trace label poisoned") = label.to_string();
-    });
 }
 
 fn alloc_id() -> u64 {
@@ -276,7 +264,7 @@ fn current_trace_id(ctx: &LocalCtx) -> u128 {
 }
 
 /// The innermost open span on this thread (0 when none).
-pub fn current_span_id() -> u64 {
+fn current_span_id() -> u64 {
     LOCAL.with(|l| l.borrow().stack.last().copied().unwrap_or(0))
 }
 
@@ -324,7 +312,7 @@ impl Drop for Span {
                 ctx.stack.remove(pos);
             }
             let buf = local_buffer(&mut ctx);
-            let track = buf.label.lock().expect("trace label poisoned").clone();
+            let track = buf.label.clone();
             buf.ring
                 .lock()
                 .expect("trace ring poisoned")
@@ -438,7 +426,7 @@ pub fn traceparent() -> Option<String> {
 
 /// Parses a `traceparent` value into `(trace id, parent span id)`.
 /// Only version 00 is accepted; all-zero ids are invalid per the spec.
-pub fn parse_traceparent(value: &str) -> Option<(u128, u64)> {
+fn parse_traceparent(value: &str) -> Option<(u128, u64)> {
     let mut parts = value.trim().split('-');
     let version = parts.next()?;
     let trace = parts.next()?;

@@ -39,13 +39,6 @@ pub struct TierSpec {
     pub slots: usize,
 }
 
-impl TierSpec {
-    /// Seconds of history this tier retains.
-    pub fn span_s(&self) -> f64 {
-        self.step_s * self.slots as f64
-    }
-}
-
 /// Tsdb configuration: the downsampling tiers, finest first.
 #[derive(Debug, Clone)]
 pub struct TsdbConfig {
@@ -214,11 +207,6 @@ impl Tsdb {
                 dropped_series: 0,
             }),
         }
-    }
-
-    /// The configured tiers.
-    pub fn tiers(&self) -> &[TierSpec] {
-        &self.cfg.tiers
     }
 
     /// Scrape ticks absorbed so far.

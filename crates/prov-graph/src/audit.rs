@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// activity's working set: direct use, derivation chains, generation
 /// (an activity's output leaking into another's input) and collection
 /// membership.
-pub fn dataflow_kinds() -> Vec<RelationKind> {
+fn dataflow_kinds() -> Vec<RelationKind> {
     vec![
         RelationKind::Used,
         RelationKind::WasDerivedFrom,

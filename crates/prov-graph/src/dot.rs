@@ -7,7 +7,7 @@
 //! relations.
 
 use crate::graph::ProvGraph;
-use prov_model::{ElementKind, ProvDocument, QName};
+use prov_model::{ElementKind, ProvDocument};
 use std::fmt::Write as _;
 
 /// Rendering options for [`to_dot`].
@@ -142,17 +142,10 @@ fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Convenience: render only the lineage neighbourhood of one identifier
-/// (its ancestors and descendants), producing a focused graph like the
-/// per-run pictures in the yProv Explorer.
-pub fn to_dot_focused(doc: &ProvDocument, focus: &QName, opts: &DotOptions) -> String {
-    let keep = ProvGraph::new(doc).neighbourhood(focus);
-    to_dot(&crate::graph::subgraph(doc, &keep), opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prov_model::QName;
 
     fn q(local: &str) -> QName {
         QName::new("ex", local)
@@ -233,15 +226,6 @@ mod tests {
         );
         let dot = to_dot(&doc, &DotOptions::default());
         assert!(dot.contains("[training-input]"));
-    }
-
-    #[test]
-    fn focused_graph_limits_nodes() {
-        let mut doc = sample();
-        doc.entity(q("unrelated"));
-        let dot = to_dot_focused(&doc, &q("train"), &DotOptions::default());
-        assert!(!dot.contains("unrelated"));
-        assert!(dot.contains("ex:train"));
     }
 
     #[test]

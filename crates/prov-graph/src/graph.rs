@@ -311,12 +311,12 @@ impl<'a> ProvGraph<'a> {
     }
 
     /// Out-degree of node `i`.
-    pub fn out_degree(&self, i: usize) -> usize {
+    fn out_degree(&self, i: usize) -> usize {
         self.index.out[i].len()
     }
 
     /// In-degree of node `i`.
-    pub fn in_degree(&self, i: usize) -> usize {
+    fn in_degree(&self, i: usize) -> usize {
         self.index.inn[i].len()
     }
 
@@ -440,14 +440,6 @@ impl<'a> ProvGraph<'a> {
     pub fn roots(&self) -> Vec<QName> {
         (0..self.node_count())
             .filter(|&i| self.out_degree(i) == 0)
-            .map(|i| self.index.ids[i].clone())
-            .collect()
-    }
-
-    /// Nodes with no incoming edges — final products nothing else used.
-    pub fn leaves(&self) -> Vec<QName> {
-        (0..self.node_count())
-            .filter(|&i| self.in_degree(i) == 0)
             .map(|i| self.index.ids[i].clone())
             .collect()
     }
@@ -689,7 +681,6 @@ mod tests {
         let doc = pipeline_doc();
         let g = ProvGraph::new(&doc);
         assert_eq!(g.roots(), vec![q("data")]);
-        assert_eq!(g.leaves(), vec![q("report")]);
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl XsdDateTime {
     }
 
     /// Decomposes into `(year, month, day, hour, minute, second)` in UTC.
-    pub fn civil(&self) -> (i64, u32, u32, u32, u32, u32) {
+    fn civil(&self) -> (i64, u32, u32, u32, u32, u32) {
         let days = self.epoch_secs.div_euclid(86_400);
         let secs_of_day = self.epoch_secs.rem_euclid(86_400);
         let (y, m, d) = civil_from_days(days);

@@ -274,14 +274,6 @@ impl Repeat {
     pub fn plus() -> Self {
         Repeat { min: 1, max: None }
     }
-
-    /// At most `n` hops, including zero (`{0,n}`).
-    pub fn at_most(n: usize) -> Self {
-        Repeat {
-            min: 0,
-            max: Some(n),
-        }
-    }
 }
 
 impl Default for Repeat {

@@ -106,7 +106,7 @@ impl Element {
     }
 
     /// All `prov:type` values.
-    pub fn prov_types(&self) -> &[AttrValue] {
+    fn prov_types(&self) -> &[AttrValue] {
         self.attrs(&QName::prov("type"))
     }
 

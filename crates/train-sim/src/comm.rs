@@ -30,7 +30,7 @@ impl Default for DdpCommConfig {
 /// Ring all-reduce time for `bytes` over `p` participants on a link of
 /// `bw` bytes/s with per-step latency `lat`:
 /// `2·(p−1)/p · bytes / bw + 2·(p−1)·lat`.
-pub fn ring_allreduce_time(bytes: u64, p: u32, bw: f64, lat: f64) -> f64 {
+fn ring_allreduce_time(bytes: u64, p: u32, bw: f64, lat: f64) -> f64 {
     if p <= 1 || bytes == 0 {
         return 0.0;
     }
@@ -44,7 +44,7 @@ pub fn ring_allreduce_time(bytes: u64, p: u32, bw: f64, lat: f64) -> f64 {
 /// 3. the intra-node stage's all-gather half completes the broadcast.
 ///
 /// For single-node jobs this degenerates to one intra-node ring.
-pub fn hierarchical_allreduce_time(bytes: u64, gpus: u32, machine: &MachineConfig) -> f64 {
+fn hierarchical_allreduce_time(bytes: u64, gpus: u32, machine: &MachineConfig) -> f64 {
     if gpus <= 1 || bytes == 0 {
         return 0.0;
     }

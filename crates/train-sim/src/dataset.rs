@@ -67,15 +67,6 @@ impl DatasetSpec {
         self.samples * self.bytes_per_sample()
     }
 
-    /// Samples assigned to one of `ranks` data-parallel ranks (the
-    /// first `total % ranks` ranks get one extra).
-    pub fn shard_size(&self, rank: u32, ranks: u32) -> u64 {
-        assert!(ranks > 0 && rank < ranks, "rank {rank} of {ranks}");
-        let base = self.samples / ranks as u64;
-        let extra = self.samples % ranks as u64;
-        base + if (rank as u64) < extra { 1 } else { 0 }
-    }
-
     /// Steps per epoch at a global batch size.
     pub fn steps_per_epoch(&self, global_batch: u32) -> u64 {
         assert!(global_batch > 0, "batch must be positive");
@@ -98,25 +89,6 @@ mod tests {
         // ~300 GB total.
         let gb = d.total_bytes() as f64 / 1e9;
         assert!(gb > 250.0 && gb < 350.0, "total {gb} GB");
-    }
-
-    #[test]
-    fn shards_partition_exactly() {
-        let d = DatasetSpec::modis();
-        for ranks in [1u32, 3, 8, 128] {
-            let total: u64 = (0..ranks).map(|r| d.shard_size(r, ranks)).sum();
-            assert_eq!(total, d.samples, "ranks={ranks}");
-            // Shards differ by at most one sample.
-            let sizes: Vec<u64> = (0..ranks).map(|r| d.shard_size(r, ranks)).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "rank")]
-    fn out_of_range_rank_panics() {
-        DatasetSpec::modis().shard_size(8, 8);
     }
 
     #[test]

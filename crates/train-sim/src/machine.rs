@@ -69,11 +69,6 @@ impl MachineConfig {
         gpus.div_ceil(self.gpus_per_node)
     }
 
-    /// True when a job of `gpus` GPUs spans more than one node.
-    pub fn is_multi_node(&self, gpus: u32) -> bool {
-        gpus > self.gpus_per_node
-    }
-
     /// Validates internal consistency.
     pub fn validate(&self) -> Result<(), String> {
         if self.gpus_per_node == 0 {
@@ -113,8 +108,6 @@ mod tests {
         assert_eq!(m.nodes_for(8), 1);
         assert_eq!(m.nodes_for(9), 2);
         assert_eq!(m.nodes_for(128), 16);
-        assert!(!m.is_multi_node(8));
-        assert!(m.is_multi_node(16));
     }
 
     #[test]

@@ -27,7 +27,7 @@ impl Architecture {
 
     /// Fraction of input tokens processed by the expensive encoder path
     /// (MAE masks 75 % of patches during pre-training).
-    pub fn encoder_token_fraction(&self) -> f64 {
+    fn encoder_token_fraction(&self) -> f64 {
         match self {
             Architecture::MaeVit => 0.25,
             Architecture::SwinV2 => 1.0,

@@ -91,25 +91,6 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A config with paper-style defaults for the given corner.
-    pub fn paper(model: ModelConfig, gpus: u32) -> Self {
-        SimConfig {
-            model,
-            machine: MachineConfig::frontier_like(),
-            dataset: DatasetSpec::modis(),
-            gpus,
-            per_gpu_batch: 32,
-            epochs: 10,
-            comm: DdpCommConfig::default(),
-            cutoff: WalltimeCutoff::paper_two_hours(),
-            exercise_collective: false,
-            phase: Phase::PreTraining,
-            grad_accumulation: 1,
-            resume_from: None,
-            faults: FaultPlan::default(),
-        }
-    }
-
     /// A fine-tuning variant of this configuration: frozen backbone,
     /// labeled subset of the dataset.
     pub fn into_finetune(mut self, frozen_fraction: f64, labeled_samples: u64) -> Self {
@@ -275,7 +256,7 @@ impl TrainingSimulation {
 
     /// Duration of one optimization step in seconds, decomposed as
     /// `(total, compute, exposed_comm, io)`.
-    pub fn step_time(&self) -> (f64, f64, f64, f64) {
+    fn step_time(&self) -> (f64, f64, f64, f64) {
         let m = &self.cfg.model;
         let machine = &self.cfg.machine;
         let (flops_per_sample, grad_bytes) = match self.cfg.phase {

@@ -111,7 +111,7 @@ impl RetryPolicy {
     /// The delay before retry number `attempt` (0 = first retry):
     /// `min(max_delay, base_delay · 2^attempt)` scaled by a
     /// deterministic jitter factor in [0.5, 1.0).
-    pub fn backoff_delay(&self, attempt: u32) -> Duration {
+    fn backoff_delay(&self, attempt: u32) -> Duration {
         let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
         let exp = self.base_delay.saturating_mul(factor).min(self.max_delay);
         let mut s = self.jitter_seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);

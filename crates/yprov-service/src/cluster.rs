@@ -147,7 +147,7 @@ impl Ring {
     }
 
     /// The key's write primary (`None` on an empty ring).
-    pub fn primary_for(&self, key: &str) -> Option<&str> {
+    fn primary_for(&self, key: &str) -> Option<&str> {
         self.replicas_for(key, 1).into_iter().next()
     }
 }
@@ -189,7 +189,7 @@ fn frame_bytes(frame: &Frame) -> usize {
 /// of its document (`null` for chain-only) and whether a later entry
 /// supersedes it — followed by the documents' bytes, unescaped, in
 /// frame order.
-pub fn encode_batch(source: &str, frames: &[Frame]) -> String {
+fn encode_batch(source: &str, frames: &[Frame]) -> String {
     let mut body = json::to_string(|w| {
         w.object(|w| {
             w.key("frames");

@@ -258,8 +258,9 @@ pub struct DocumentStore {
 }
 
 /// One stored document and the index that describes it. A write swaps
-/// the record in with `index` already set; a record loaded at open (or
-/// after `clear_index_cache`) leaves it empty until the first query.
+/// the record in with `index` already set; a record loaded at open (or,
+/// in tests, after `clear_index_cache`) leaves it empty until the first
+/// query.
 struct Stored {
     doc: Arc<ProvDocument>,
     index: OnceLock<Arc<GraphIndex>>,
@@ -421,9 +422,9 @@ impl DocumentStore {
     }
 
     /// Drops every cached graph index (they rebuild lazily on the next
-    /// query). Exists for benchmarks and tests that need a cold cache.
-    #[doc(hidden)]
-    pub fn clear_index_cache(&self) {
+    /// query), for tests that need a cold cache.
+    #[cfg(test)]
+    fn clear_index_cache(&self) {
         for stored in write(&self.inner.docs).values_mut() {
             *stored = Stored::unindexed(Arc::clone(&stored.doc));
         }

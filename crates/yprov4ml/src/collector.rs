@@ -127,8 +127,14 @@ pub struct Collector {
 impl Collector {
     /// An open collector with an empty state.
     pub fn new() -> Arc<Self> {
+        Collector::from_state(RunState::default())
+    }
+
+    /// An open collector that folds on from `state` (a resumed run's
+    /// journal replay).
+    pub(crate) fn from_state(state: RunState) -> Arc<Self> {
         Arc::new(Collector {
-            state: Mutex::new(Some(RunState::default())),
+            state: Mutex::new(Some(state)),
             accepted: AtomicUsize::new(0),
             enqueue: obs::global().histogram("yprov4ml_collector_enqueue_seconds"),
         })

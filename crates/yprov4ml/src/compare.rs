@@ -172,7 +172,7 @@ pub fn best_run<'a>(summaries: &'a [RunSummary], metric: &str) -> Option<&'a Run
 /// Similarity between two runs' parameter sets in `[0, 1]`: the
 /// fraction of shared keys with equal values (Jaccard-style). Supports
 /// the §3.3 "find similar previous experiments" workflow.
-pub fn param_similarity(a: &RunSummary, b: &RunSummary) -> f64 {
+fn param_similarity(a: &RunSummary, b: &RunSummary) -> f64 {
     let keys: std::collections::BTreeSet<&String> =
         a.params.keys().chain(b.params.keys()).collect();
     if keys.is_empty() {

@@ -33,7 +33,7 @@ impl RunFeatures {
     /// Extracts features from a run summary (the parameters the
     /// `ProvenanceObserver` records). Returns `None` when any is
     /// missing or non-positive.
-    pub fn from_summary(s: &RunSummary) -> Option<RunFeatures> {
+    fn from_summary(s: &RunSummary) -> Option<RunFeatures> {
         let get =
             |key: &str| -> Option<f64> { s.params.get(key).and_then(|v| v.parse::<f64>().ok()) };
         let f = RunFeatures {
@@ -93,7 +93,7 @@ impl std::error::Error for FitError {}
 
 impl LogLinearModel {
     /// Fits the model on `(features, target)` pairs.
-    pub fn fit(data: &[(RunFeatures, f64)]) -> Result<LogLinearModel, FitError> {
+    fn fit(data: &[(RunFeatures, f64)]) -> Result<LogLinearModel, FitError> {
         const D: usize = 4;
         if data.len() < D {
             return Err(FitError::NotEnoughRuns {

@@ -184,22 +184,6 @@ pub fn to_hex(digest: &[u8]) -> String {
     s
 }
 
-/// SHA-256 of a file's contents, streaming in 64 KiB blocks.
-pub fn sha256_file(path: &std::path::Path) -> std::io::Result<String> {
-    use std::io::Read as _;
-    let mut file = std::fs::File::open(path)?;
-    let mut hasher = Sha256::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        let n = file.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        hasher.update(&buf[..n]);
-    }
-    Ok(to_hex(&hasher.finish()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,15 +311,6 @@ mod tests {
             }
             assert_eq!(to_hex(&h.finish()), digest, "len {n}");
         }
-    }
-
-    #[test]
-    fn file_hash_matches_buffer_hash() {
-        let path = std::env::temp_dir().join(format!("sha_test_{}", std::process::id()));
-        let data = b"provenance is a hash chain".repeat(5000);
-        std::fs::write(&path, &data).unwrap();
-        assert_eq!(sha256_file(&path).unwrap(), sha256_hex(&data));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub const JOURNAL_FILE: &str = "journal.jsonl";
 pub const JOURNAL_VERSION: u32 = 3;
 
 /// File name of rotation segment `segment` (0 is [`JOURNAL_FILE`]).
-pub fn segment_file_name(segment: u32) -> String {
+fn segment_file_name(segment: u32) -> String {
     if segment == 0 {
         JOURNAL_FILE.to_string()
     } else {

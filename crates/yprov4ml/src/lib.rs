@@ -32,7 +32,7 @@
 //! let mut run = experiment.start_run("baseline").unwrap();
 //!
 //! run.log_param("learning_rate", 1e-3);
-//! run.log_input_param("dataset", "MNIST");
+//! run.log_param("dataset", "MNIST");
 //! for step in 0..10u64 {
 //!     run.log_metric("loss", Context::Training, step, 0, 1.0 / (step + 1) as f64);
 //! }

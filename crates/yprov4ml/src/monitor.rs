@@ -95,11 +95,6 @@ impl TrainingMonitor {
         }
     }
 
-    /// Number of observations consumed.
-    pub fn observations(&self) -> usize {
-        self.observations
-    }
-
     /// Best loss seen so far.
     pub fn best_loss(&self) -> f64 {
         self.best_loss
@@ -281,6 +276,6 @@ mod tests {
         for i in 0..1_000 {
             assert_eq!(m.observe(1.0, 1e9, 1e9), Advice::Continue, "obs {i}");
         }
-        assert_eq!(m.observations(), 1_000);
+        assert_eq!(m.observations, 1_000);
     }
 }

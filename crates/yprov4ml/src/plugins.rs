@@ -5,12 +5,11 @@
 //! [`ProvPlugin`] hooks three moments of a run — start, periodic tick,
 //! end — and emits extra parameters/metrics through a [`PluginSink`].
 //!
-//! Three plugins ship with the library, mirroring the paper's
+//! Two plugins ship with the library, mirroring the paper's
 //! collection categories:
 //!
 //! * [`EnergyPlugin`] — power/energy telemetry from an
 //!   `energy-monitor` power source;
-//! * [`SystemStatsPlugin`] — host statistics (memory, CPU share);
 //! * [`SourceSnapshotPlugin`] — content-addressed source-tree snapshots
 //!   for the development-tracking use case (§3.1).
 
@@ -128,76 +127,6 @@ impl ProvPlugin for EnergyPlugin {
 }
 
 // ---------------------------------------------------------------------------
-// System stats plugin
-// ---------------------------------------------------------------------------
-
-/// Logs host statistics per tick. Real deployments read `/proc`; here
-/// the values come from a caller-provided sampler closure so tests and
-/// simulations stay deterministic.
-pub struct SystemStatsPlugin {
-    sampler: Box<dyn FnMut() -> SystemStats + Send>,
-    ticks: u64,
-}
-
-/// One host-statistics reading.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SystemStats {
-    /// Resident memory, bytes.
-    pub memory_bytes: u64,
-    /// CPU utilization, 0..=1.
-    pub cpu_util: f64,
-}
-
-impl SystemStatsPlugin {
-    /// Builds from a stats closure.
-    pub fn new(sampler: impl FnMut() -> SystemStats + Send + 'static) -> Self {
-        SystemStatsPlugin {
-            sampler: Box::new(sampler),
-            ticks: 0,
-        }
-    }
-
-    /// A sampler reading the current process's own stats where
-    /// available, falling back to zeros on unsupported platforms.
-    pub fn self_process() -> Self {
-        SystemStatsPlugin::new(|| {
-            let memory_bytes = std::fs::read_to_string("/proc/self/statm")
-                .ok()
-                .and_then(|s| {
-                    s.split_whitespace()
-                        .nth(1)
-                        .and_then(|p| p.parse::<u64>().ok())
-                })
-                .map(|pages| pages * 4096)
-                .unwrap_or(0);
-            SystemStats {
-                memory_bytes,
-                cpu_util: 0.0,
-            }
-        })
-    }
-}
-
-impl ProvPlugin for SystemStatsPlugin {
-    fn name(&self) -> &str {
-        "system-stats"
-    }
-
-    fn on_tick(&mut self, sink: &mut PluginSink) {
-        let stats = (self.sampler)();
-        let time_us = self.ticks as i64;
-        sink.metric(
-            "memory_bytes",
-            self.ticks,
-            time_us,
-            stats.memory_bytes as f64,
-        );
-        sink.metric("cpu_util", self.ticks, time_us, stats.cpu_util);
-        self.ticks += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Source snapshot plugin
 // ---------------------------------------------------------------------------
 
@@ -275,37 +204,6 @@ mod tests {
         let power = &state.metrics[&("power_w".to_string(), "telemetry".to_string())];
         assert_eq!(power.len(), 5);
         assert!(power.points.iter().all(|p| p.value == 300.0));
-    }
-
-    #[test]
-    fn system_stats_plugin_emits_series() {
-        let collector = Collector::new();
-        let mut n = 0u64;
-        let mut plugin = SystemStatsPlugin::new(move || {
-            n += 1;
-            SystemStats {
-                memory_bytes: n * 1024,
-                cpu_util: 0.5,
-            }
-        });
-        let mut sink = PluginSink::new(&collector);
-        for _ in 0..3 {
-            plugin.on_tick(&mut sink);
-        }
-        let state = drain(&collector);
-        let mem = &state.metrics[&("memory_bytes".to_string(), "telemetry".to_string())];
-        assert_eq!(mem.len(), 3);
-        assert_eq!(mem.points[2].value, 3.0 * 1024.0);
-    }
-
-    #[test]
-    fn self_process_stats_do_not_crash() {
-        let collector = Collector::new();
-        let mut plugin = SystemStatsPlugin::self_process();
-        let mut sink = PluginSink::new(&collector);
-        plugin.on_tick(&mut sink);
-        let state = drain(&collector);
-        assert_eq!(state.metric_samples, 2);
     }
 
     #[test]

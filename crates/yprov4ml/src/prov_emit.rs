@@ -51,7 +51,8 @@ fn run_ns_local(identity: &RunIdentity, suffix: &str) -> QName {
 /// `{"context":…,"name":…,"points":[…` and how many points that text
 /// holds. A cut appends the new points and copies the text out closed
 /// with `]}`; the last build appends the tail and moves the text out.
-/// The text is [`metric_store::json_store::series_to_json`]'s, byte
+/// The text is what [`metric_store::json_store::begin_series`],
+/// `points_to_json` and `end_series` print for the whole series, byte
 /// for byte: the same writer and functions print it.
 #[derive(Default)]
 pub(crate) struct InlineCache {

@@ -3,7 +3,9 @@
 use crate::collector::{Collector, RunState};
 use crate::error::ProvMLError;
 use crate::hash::sha256_hex;
-use crate::journal::{JournalConfig, JournalHeader, JournalWriter};
+use crate::journal::{
+    read_journal, JournalConfig, JournalHeader, JournalMode, JournalWriter, JOURNAL_FILE,
+};
 use crate::lock;
 use crate::model::{ArtifactMeta, Context, Direction, LogRecord, ParamValue, RunReport, RunStatus};
 use crate::plugins::{PluginSink, ProvPlugin};
@@ -172,10 +174,19 @@ impl Run {
     ) -> Result<Run, ProvMLError> {
         let dir = experiment_dir.join(&name);
         std::fs::create_dir_all(dir.join("artifacts"))?;
-        let collector = Collector::new();
-        let user = options.user.unwrap_or_else(|| "unknown".to_string());
-        let started_us = now_us();
+        let mut collector = Collector::new();
+        let mut user = options.user.unwrap_or_else(|| "unknown".to_string());
+        let mut started_us = now_us();
         let journal = if options.journal {
+            // A resumed run goes on from what its journal already holds,
+            // under the identity the journal's header recorded.
+            if options.journal_config.mode == JournalMode::Resume && dir.join(JOURNAL_FILE).exists()
+            {
+                let replay = read_journal(&dir)?;
+                user = replay.header.user;
+                started_us = replay.header.started_us;
+                collector = Collector::from_state(replay.state);
+            }
             Some(JournalWriter::create_with(
                 &dir,
                 &JournalHeader::new(&experiment, &name, &user, started_us),
@@ -241,11 +252,6 @@ impl Run {
 
     /// Logs a parameter (input by default, like hyperparameters).
     pub fn log_param(&self, name: impl Into<String>, value: impl Into<ParamValue>) {
-        self.log_param_dir(name, value, Direction::Input);
-    }
-
-    /// Logs an explicitly-input parameter.
-    pub fn log_input_param(&self, name: impl Into<String>, value: impl Into<ParamValue>) {
         self.log_param_dir(name, value, Direction::Input);
     }
 

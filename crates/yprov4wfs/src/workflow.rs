@@ -44,14 +44,6 @@ impl TaskCtx<'_> {
             .and_then(|o| o.outputs.get(output))
             .map(Vec::as_slice)
     }
-
-    /// All `(task, output-name)` pairs visible to this task.
-    pub fn available_inputs(&self) -> Vec<(String, String)> {
-        self.upstream
-            .iter()
-            .flat_map(|(t, o)| o.outputs.keys().map(move |k| (t.clone(), k.clone())))
-            .collect()
-    }
 }
 
 type TaskFn = Box<dyn FnOnce(&TaskCtx) -> Result<TaskOutcome, String> + Send>;
@@ -216,9 +208,5 @@ mod tests {
         assert_eq!(ctx.input("prep", "data"), Some(b"abc".as_slice()));
         assert_eq!(ctx.input("prep", "missing"), None);
         assert_eq!(ctx.input("ghost", "data"), None);
-        assert_eq!(
-            ctx.available_inputs(),
-            vec![("prep".to_string(), "data".to_string())]
-        );
     }
 }
