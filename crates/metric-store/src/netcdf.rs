@@ -25,7 +25,7 @@ use crate::codec::{self, deflate_like, inflate_like};
 use crate::error::StoreError;
 use crate::pool::WorkerPool;
 use crate::series::MetricSeries;
-use crate::store::{encode_histogram, path_size_bytes, MetricStore};
+use crate::store::{decode_histogram, encode_histogram, path_size_bytes, MetricStore};
 use json::Value; // reads JSON
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -155,6 +155,8 @@ pub struct NcStore {
     /// Per-series column-encode timing; fetched once at construction so
     /// pool workers never touch the registry mutex.
     encode_hist: std::sync::Arc<obs::Histogram>,
+    /// Per-series column-decode timing.
+    decode_hist: std::sync::Arc<obs::Histogram>,
 }
 
 impl NcStore {
@@ -172,6 +174,7 @@ impl NcStore {
             opts,
             cache: Mutex::new(BTreeMap::new()),
             encode_hist: encode_histogram(),
+            decode_hist: decode_histogram(),
         })
     }
 
@@ -186,8 +189,9 @@ impl NcStore {
             opts: NcOptions::default(),
             cache: Mutex::new(BTreeMap::new()),
             encode_hist: encode_histogram(),
+            decode_hist: decode_histogram(),
         };
-        let loaded = store.load()?;
+        let loaded = store.load(|_| true)?;
         *store.cache.lock().expect("series cache poisoned") = loaded;
         Ok(store)
     }
@@ -297,8 +301,13 @@ impl NcStore {
         Ok(())
     }
 
-    /// Reads and decodes the entire file.
-    fn load(&self) -> Result<BTreeMap<(String, String), MetricSeries>, StoreError> {
+    /// Reads the file and checks its magic, its header and every
+    /// column's range and CRC, then decodes the variables `wanted`
+    /// accepts.
+    fn load(
+        &self,
+        wanted: impl Fn(&VarDesc) -> bool,
+    ) -> Result<BTreeMap<(String, String), MetricSeries>, StoreError> {
         let data = std::fs::read(&self.path)?;
         if data.len() < 9 || data[..4] != MAGIC {
             return Err(StoreError::UnknownFormat(format!(
@@ -333,7 +342,17 @@ impl NcStore {
                 }
                 blobs[i] = blob;
             }
-            let series = self.decode_columns(var, blobs, compressed)?;
+            if !wanted(var) {
+                continue;
+            }
+            let mut trace = obs::trace::span("chunk_decode");
+            if obs::trace::is_enabled() {
+                trace.annotate("series", var.name.clone());
+            }
+            let series = self
+                .decode_hist
+                .time(|| self.decode_columns(var, blobs, compressed))?;
+            drop(trace);
             out.insert((series.name.clone(), series.context.clone()), series);
         }
         Ok(out)
@@ -354,12 +373,12 @@ impl MetricStore for NcStore {
     }
 
     fn read_series(&self, name: &str, context: &str) -> Result<MetricSeries, StoreError> {
-        // Serve from the file (not the cache) so the on-disk format is
-        // exercised on every read.
-        let loaded = self.load()?;
+        // Served from the file, not the cache: every column's range and
+        // CRC is checked as `open` checks them, but only this variable
+        // is inflated and decoded.
+        let mut loaded = self.load(|var| var.name == name && var.context == context)?;
         loaded
-            .get(&(name.to_string(), context.to_string()))
-            .cloned()
+            .remove(&(name.to_string(), context.to_string()))
             .ok_or_else(|| StoreError::NotFound(format!("{name}@{context}")))
     }
 
@@ -493,13 +512,19 @@ mod tests {
     }
 
     /// Rewrites the first column's offset, `0`, in the header of the
-    /// file at `path` as `offset`; the header length in front of it
-    /// follows.
+    /// file at `path` as `offset`.
     fn forge_first_offset(path: &Path, offset: &str) {
+        forge_header(path, "\"offset\":0,", &format!("\"offset\":{offset},"));
+    }
+
+    /// Rewrites the first `from` in the header of the file at `path` as
+    /// `to`; the header length in front of it follows, and the body and
+    /// its CRCs stay as they are.
+    fn forge_header(path: &Path, from: &str, to: &str) {
         let bytes = std::fs::read(path).unwrap();
         let header_len = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
         let header = std::str::from_utf8(&bytes[9..9 + header_len]).unwrap();
-        let forged = header.replacen("\"offset\":0,", &format!("\"offset\":{offset},"), 1);
+        let forged = header.replacen(from, to, 1);
         assert_ne!(forged, header);
         let mut file = bytes[..5].to_vec();
         file.extend_from_slice(&(forged.len() as u32).to_le_bytes());
@@ -534,6 +559,104 @@ mod tests {
         forge_first_offset(&path, "-1");
         assert!(store.read_series("loss", "training").is_err());
         assert!(NcStore::open(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `count` series of different lengths over three contexts.
+    fn series_set(count: usize) -> Vec<MetricSeries> {
+        let contexts = ["training", "validation", "testing"];
+        (0..count)
+            .map(|i| series(&format!("m{i}"), contexts[i % 3], 1 + i * 37 % 500))
+            .collect()
+    }
+
+    #[test]
+    fn every_variable_reads_back_as_written_and_as_open_decoded_it() {
+        for count in [1, 12, 40] {
+            for compress_columns in [true, false] {
+                let path = tmpfile(&format!("read_path_{count}_{compress_columns}"));
+                let written = series_set(count);
+                let store = NcStore::create(&path, NcOptions { compress_columns }).unwrap();
+                store
+                    .write_many(&written.iter().collect::<Vec<_>>(), &WorkerPool::serial())
+                    .unwrap();
+                let opened = NcStore::open(&path).unwrap();
+                let decoded = opened.cache.lock().unwrap().clone();
+                assert_eq!(decoded.len(), count);
+                for s in &written {
+                    let read = opened.read_series(&s.name, &s.context).unwrap();
+                    assert_eq!(&read, s, "{count} series, compressed {compress_columns}");
+                    assert_eq!(decoded[&(s.name.clone(), s.context.clone())], read);
+                }
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipped_byte_in_another_variable_still_fails_the_read() {
+        let path = tmpfile("other_flipped");
+        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        let a = series("a", "training", 300);
+        let b = series("b", "training", 300);
+        store.write_many(&[&a, &b], &WorkerPool::serial()).unwrap();
+        // The body ends with `b`'s values column.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let n = bytes.len();
+        bytes[n - 1] ^= 0x01;
+        std::fs::write(&path, bytes).unwrap();
+        assert!(matches!(
+            store.read_series("a", "training"),
+            Err(StoreError::Corrupt(_))
+        ));
+        assert!(NcStore::open(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_forged_point_count_fails_open_but_not_the_read_of_another_variable() {
+        let path = tmpfile("forged_points");
+        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        let a = series("a", "training", 300);
+        let b = series("b", "training", 300);
+        store.write_many(&[&a, &b], &WorkerPool::serial()).unwrap();
+        forge_header(
+            &path,
+            "\"name\":\"b\",\"context\":\"training\",\"points\":300,",
+            "\"name\":\"b\",\"context\":\"training\",\"points\":299,",
+        );
+        // Every CRC still holds; only `b` no longer decodes to what the
+        // header declares.
+        assert!(matches!(NcStore::open(&path), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            store.read_series("b", "training"),
+            Err(StoreError::Corrupt(_))
+        ));
+        assert_eq!(store.read_series("a", "training").unwrap(), a);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_unlisted_name_or_context_is_not_found_after_the_checks() {
+        let path = tmpfile("unlisted");
+        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        store
+            .write_series(&series("loss", "training", 300))
+            .unwrap();
+        for (name, context) in [("ghost", "training"), ("loss", "validation")] {
+            assert!(matches!(
+                store.read_series(name, context),
+                Err(StoreError::NotFound(_))
+            ));
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        let n = bytes.len();
+        bytes[n - 1] ^= 0x01;
+        std::fs::write(&path, bytes).unwrap();
+        assert!(matches!(
+            store.read_series("ghost", "training"),
+            Err(StoreError::Corrupt(_))
+        ));
         std::fs::remove_file(&path).ok();
     }
 

@@ -65,6 +65,11 @@ pub(crate) fn encode_histogram() -> std::sync::Arc<obs::Histogram> {
     obs::global().histogram("metric_store_chunk_encode_seconds")
 }
 
+/// Chunk-decode timing, one histogram for both spill stores.
+pub(crate) fn decode_histogram() -> std::sync::Arc<obs::Histogram> {
+    obs::global().histogram("metric_store_chunk_decode_seconds")
+}
+
 // ---------------------------------------------------------------------------
 // Chunk framing
 // ---------------------------------------------------------------------------

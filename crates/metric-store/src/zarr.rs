@@ -25,7 +25,9 @@ use crate::codec::{self, CodecId};
 use crate::error::StoreError;
 use crate::pool::WorkerPool;
 use crate::series::{MetricPoint, MetricSeries};
-use crate::store::{encode_histogram, frame_chunk, path_size_bytes, unframe_chunk, MetricStore};
+use crate::store::{
+    decode_histogram, encode_histogram, frame_chunk, path_size_bytes, unframe_chunk, MetricStore,
+};
 use json::JsonWriter;
 use json::Value; // reads JSON
 use std::path::{Path, PathBuf};
@@ -115,6 +117,8 @@ pub struct ZarrStore {
     /// Per-chunk column-encode timing; fetched once at construction so
     /// pool workers never touch the registry mutex.
     encode_hist: std::sync::Arc<obs::Histogram>,
+    /// Per-chunk column-decode timing.
+    decode_hist: std::sync::Arc<obs::Histogram>,
 }
 
 impl ZarrStore {
@@ -133,6 +137,7 @@ impl ZarrStore {
             root,
             opts,
             encode_hist: encode_histogram(),
+            decode_hist: decode_histogram(),
         })
     }
 
@@ -150,6 +155,7 @@ impl ZarrStore {
             root,
             opts: ZarrOptions::default(),
             encode_hist: encode_histogram(),
+            decode_hist: decode_histogram(),
         })
     }
 
@@ -175,7 +181,11 @@ impl ZarrStore {
             }
             cols[k] = payload;
         }
-        codec::decode_points(&cols)
+        let mut trace = obs::trace::span("chunk_decode");
+        if obs::trace::is_enabled() {
+            trace.annotate("chunk", ci.to_string());
+        }
+        self.decode_hist.time(|| codec::decode_points(&cols))
     }
 
     /// Removes any previous data for the series and writes its
