@@ -47,13 +47,17 @@ pub mod turtle;
 pub mod validate;
 pub mod value;
 
-// The PROV-N reader and the PROV-JSON tree codec are test code, the
-// oracles of the writers and the reader: they live under `tests/`, and
-// this test build includes them by the crate's public name, so that the
-// PROV-N reader's unit tests run here and the unit tests of `json`,
-// `json_read` and `json_stream` can compare against the codec.
+// The PROV-N reader, the PROV-N writer's byte oracle and the PROV-JSON
+// tree codec are test code, the oracles of the writers and the reader:
+// they live under `tests/`, and this test build includes them by the
+// crate's public name, so that the PROV-N reader's unit tests run here,
+// `provn`'s tests can compare against the oracle, and the unit tests of
+// `json`, `json_read` and `json_stream` can compare against the codec.
 #[cfg(test)]
 extern crate self as prov_model;
+#[cfg(test)]
+#[path = "../tests/provn_oracle/mod.rs"]
+mod provn_oracle;
 #[cfg(test)]
 #[path = "../tests/provn_parse/mod.rs"]
 mod provn_parse;

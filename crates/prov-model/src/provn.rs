@@ -5,6 +5,7 @@
 //! interchange format of the yProv ecosystem is PROV-JSON, and PROV-N is
 //! emitted for human inspection and debugging.
 
+use crate::datetime::XsdDateTime;
 use crate::document::ProvDocument;
 use crate::qname::QName;
 use crate::record::ElementKind;
@@ -44,28 +45,24 @@ fn write_body(doc: &ProvDocument, out: &mut String, level: usize) {
             match kind {
                 ElementKind::Activity => {
                     // activity(id, start, end, [attrs])
-                    let start = el
-                        .start_time()
-                        .map(|t| t.to_string())
-                        .unwrap_or_else(|| "-".into());
-                    let end = el
-                        .end_time()
-                        .map(|t| t.to_string())
-                        .unwrap_or_else(|| "-".into());
-                    let attrs = format_attrs(&el.attributes, &["prov:startTime", "prov:endTime"]);
-                    let _ = writeln!(out, "activity({}, {start}, {end}{attrs})", el.id);
+                    let _ = write!(out, "activity({}, ", el.id);
+                    write_time(out, el.start_time());
+                    out.push_str(", ");
+                    write_time(out, el.end_time());
+                    write_attrs(out, &el.attributes, &["prov:startTime", "prov:endTime"]);
                 }
                 _ => {
-                    let attrs = format_attrs(&el.attributes, &[]);
-                    let _ = writeln!(out, "{}({}{attrs})", kind.provn_keyword(), el.id);
+                    let _ = write!(out, "{}({}", kind.provn_keyword(), el.id);
+                    write_attrs(out, &el.attributes, &[]);
                 }
             }
+            out.push_str(")\n");
         }
     }
 
     for rel in doc.relations() {
         indent(out, level);
-        out.push_str(&format_relation(rel));
+        write_relation(out, rel);
         out.push('\n');
     }
 
@@ -78,77 +75,123 @@ fn write_body(doc: &ProvDocument, out: &mut String, level: usize) {
     }
 }
 
-fn format_relation(rel: &Relation) -> String {
-    // kind(id; subject, object, time?, extras..., [attrs])
-    let mut args = Vec::new();
-    if let Some(id) = &rel.id {
-        args.push(format!("{id};"));
+fn write_time(out: &mut String, t: Option<XsdDateTime>) {
+    match t {
+        Some(t) => {
+            let _ = write!(out, "{t}");
+        }
+        None => out.push('-'),
     }
-    args.push(rel.subject.to_string());
-    args.push(rel.object.to_string());
+}
+
+fn write_relation(out: &mut String, rel: &Relation) {
+    // kind(id; subject, object, time?, extras..., [attrs])
+    out.push_str(rel.kind.json_key());
+    out.push('(');
+    if let Some(id) = &rel.id {
+        let _ = write!(out, "{id};");
+        next_arg(out);
+    }
+    let _ = write!(out, "{}", rel.subject);
+    next_arg(out);
+    let _ = write!(out, "{}", rel.object);
     if rel.kind.supports_time() {
         match rel.time {
-            Some(t) => args.push(t.to_string()),
-            None if !rel.extras.is_empty() => args.push("-".into()),
+            Some(t) => {
+                next_arg(out);
+                let _ = write!(out, "{t}");
+            }
+            None if !rel.extras.is_empty() => {
+                next_arg(out);
+                out.push('-');
+            }
             None => {}
         }
     }
     for key in rel.kind.extra_keys() {
         if let Some(v) = rel.extras.get(*key) {
-            args.push(v.to_string());
+            next_arg(out);
+            let _ = write!(out, "{v}");
         }
     }
-    let attrs = format_attrs(&rel.attributes, &[]);
-    // The id separator `;` binds to the first argument, so join carefully.
-    let mut joined = String::new();
-    for (i, a) in args.iter().enumerate() {
-        if i > 0 && !joined.ends_with(';') {
-            joined.push_str(", ");
-        } else if joined.ends_with(';') {
-            joined.push(' ');
-        }
-        joined.push_str(a);
-    }
-    format!("{}({joined}{attrs})", rel.kind.json_key())
+    write_attrs(out, &rel.attributes, &[]);
+    out.push(')');
 }
 
-fn format_attrs(attrs: &BTreeMap<QName, Vec<AttrValue>>, skip: &[&str]) -> String {
-    let mut parts = Vec::new();
+/// Separates the next argument from the one `out` ends with: the id's
+/// `;` (or any argument ending in one) takes a space, the rest a comma.
+fn next_arg(out: &mut String) {
+    out.push_str(if out.ends_with(';') { " " } else { ", " });
+}
+
+/// Appends `, [key=value, ...]` for every value of every attribute not
+/// named in `skip`, or nothing when there is none.
+fn write_attrs(out: &mut String, attrs: &BTreeMap<QName, Vec<AttrValue>>, skip: &[&str]) {
+    let mut open = false;
     for (key, values) in attrs {
-        if skip.contains(&key.to_string().as_str()) {
+        if skip.iter().any(|name| is_named(key, name)) {
             continue;
         }
         for v in values {
-            parts.push(format!("{key}={}", format_value(v)));
+            out.push_str(if open { ", " } else { ", [" });
+            open = true;
+            let _ = write!(out, "{key}=");
+            write_value(out, v);
         }
     }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!(", [{}]", parts.join(", "))
+    if open {
+        out.push(']');
     }
 }
 
-fn format_value(v: &AttrValue) -> String {
+/// True when `q` prints as `name`, without printing it.
+fn is_named(q: &QName, name: &str) -> bool {
+    name.strip_prefix(q.prefix())
+        .and_then(|rest| rest.strip_prefix(':'))
+        == Some(q.local())
+}
+
+fn write_value(out: &mut String, v: &AttrValue) {
     match v {
-        AttrValue::String(s) => format!("\"{}\"", escape(s)),
-        AttrValue::LangString(s, lang) => format!("\"{}\"@{lang}", escape(s)),
-        AttrValue::QualifiedName(q) => format!("'{q}'"),
-        other => match other.type_name() {
-            Some(t) => format!("\"{}\" %% {t}", escape(&other.lexical())),
-            None => format!("\"{}\"", escape(&other.lexical())),
-        },
+        AttrValue::String(s) => write_quoted(out, s),
+        AttrValue::LangString(s, lang) => {
+            write_quoted(out, s);
+            out.push('@');
+            out.push_str(lang);
+        }
+        AttrValue::QualifiedName(q) => {
+            let _ = write!(out, "'{q}'");
+        }
+        other => {
+            write_quoted(out, &other.lexical());
+            if let Some(t) = other.type_name() {
+                let _ = write!(out, " %% {t}");
+            }
+        }
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Appends `s` as a string literal, escaping `\` and `"`.
+fn write_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'\\' => "\\\\",
+            b'"' => "\\\"",
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        out.push_str(escaped);
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+    out.push('"');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::XsdDateTime;
 
     fn q(local: &str) -> QName {
         QName::new("ex", local)

@@ -1,10 +1,11 @@
 //! Property-based tests: PROV-JSON round-trips are lossless for
 //! arbitrarily generated documents.
 
+mod provn_oracle;
 mod provn_parse;
 mod tree_codec;
 
-use prov_model::{AttrValue, ProvDocument, QName, RelationKind, XsdDateTime};
+use prov_model::{AttrValue, ProvDocument, QName, Relation, RelationKind, XsdDateTime};
 use std::collections::BTreeSet;
 use std::ops::Range;
 use testkit::{check, printable, Rng};
@@ -174,6 +175,115 @@ fn provn_roundtrips_documents() {
         orig.canonicalize();
         parsed.canonicalize();
         assert_eq!(orig, parsed, "PROV-N text:\n{}", text);
+    });
+}
+
+fn datetime(rng: &mut Rng) -> XsdDateTime {
+    XsdDateTime::new(
+        rng.range(-4_000_000_000i64..4_000_000_000),
+        rng.range(0u32..1_000_000),
+    )
+}
+
+/// A document using every part of the PROV-N writer: a default
+/// namespace, elements of each kind with attributes of every value kind
+/// (strings holding quotes and backslashes among them), activities with
+/// and without times, relations of every kind with and without an id,
+/// a time and each optional argument, and a bundle.
+fn provn_document(rng: &mut Rng, size: usize, depth: usize) -> ProvDocument {
+    const EXTRA_KEYS: &[&str] = &[
+        "prov:starter",
+        "prov:ender",
+        "prov:activity",
+        "prov:generation",
+        "prov:usage",
+        "prov:plan",
+        "ex:other",
+    ];
+    let ascii = printable(b"");
+    let mut doc = ProvDocument::new();
+    doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+    if rng.bool() {
+        doc.namespaces_mut().set_default("http://default/");
+    }
+    let attributes = |rng: &mut Rng| {
+        let mut out: Vec<(QName, AttrValue)> = attrs(rng, 0..4, size)
+            .into_iter()
+            .map(|(k, v)| match rng.below(4) {
+                0 => (
+                    QName::new("ex", k),
+                    AttrValue::LangString(text(rng, &ascii, 0..9), "en".into()),
+                ),
+                _ => (QName::new("ex", k), v),
+            })
+            .collect();
+        if rng.below(4) == 0 {
+            out.push((
+                QName::prov("label"),
+                AttrValue::from(text(rng, &ascii, 0..9)),
+            ));
+        }
+        out
+    };
+    for e in locals(rng, 0..6, size) {
+        let el = doc.entity(QName::new("ex", format!("e_{e}"))).finish();
+        for (k, v) in attributes(rng) {
+            el.add_attr(k, v);
+        }
+    }
+    for a in locals(rng, 0..6, size) {
+        let mut b = doc.activity(QName::new("ex", format!("a_{a}")));
+        if rng.bool() {
+            b = b.start_time(datetime(rng));
+        }
+        if rng.bool() {
+            b = b.end_time(datetime(rng));
+        }
+        let el = b.finish();
+        for (k, v) in attributes(rng) {
+            el.add_attr(k, v);
+        }
+    }
+    for g in locals(rng, 0..4, size) {
+        doc.agent(QName::new("ex", format!("g_{g}")));
+    }
+    for (kind, s, o) in relations(rng, 0..12, size) {
+        let mut rel = Relation::new(
+            kind,
+            QName::new("ex", format!("s_{s}")),
+            QName::new("ex", format!("o_{o}")),
+        );
+        if rng.bool() {
+            rel = rel.with_id(QName::new("ex", format!("r_{}", local(rng))));
+        }
+        if rng.bool() {
+            rel = rel.with_time(datetime(rng));
+        }
+        for key in EXTRA_KEYS {
+            if rng.below(3) == 0 {
+                rel = rel.with_extra(*key, QName::new("ex", format!("x_{}", local(rng))));
+            }
+        }
+        for (k, v) in attributes(rng) {
+            rel.add_attr(k, v);
+        }
+        doc.add_relation(rel);
+    }
+    if depth > 0 && rng.below(4) == 0 {
+        let inner = provn_document(rng, size / 2, depth - 1);
+        *doc.bundle(QName::new("ex", format!("b_{}", local(rng)))) = inner;
+    }
+    doc
+}
+
+#[test]
+fn provn_writer_matches_its_oracle() {
+    check(128, |rng, size| {
+        let doc = provn_document(rng, size, 1);
+        assert_eq!(
+            prov_model::provn::to_provn(&doc),
+            provn_oracle::to_provn(&doc)
+        );
     });
 }
 
