@@ -85,7 +85,10 @@ fn write_time(out: &mut String, t: Option<XsdDateTime>) {
 }
 
 fn write_relation(out: &mut String, rel: &Relation) {
-    // kind(id; subject, object, time?, extras..., [attrs])
+    // kind(id; subject, object, extras..., time?, [attrs]): PROV-N's
+    // optional arguments are positional, the kind's extras in order and
+    // then the time (`wasStartedBy(id; a2, e, a1, t)`). An absent one
+    // before a present one is the marker `-`; trailing ones are left out.
     out.push_str(rel.kind.json_key());
     out.push('(');
     if let Some(id) = &rel.id {
@@ -95,27 +98,32 @@ fn write_relation(out: &mut String, rel: &Relation) {
     let _ = write!(out, "{}", rel.subject);
     next_arg(out);
     let _ = write!(out, "{}", rel.object);
-    if rel.kind.supports_time() {
-        match rel.time {
-            Some(t) => {
-                next_arg(out);
-                let _ = write!(out, "{t}");
+    let mut absent = 0;
+    for key in rel.kind.extra_keys() {
+        match rel.extras.get(*key) {
+            Some(v) => {
+                write_markers(out, &mut absent);
+                let _ = write!(out, "{v}");
             }
-            None if !rel.extras.is_empty() => {
-                next_arg(out);
-                out.push('-');
-            }
-            None => {}
+            None => absent += 1,
         }
     }
-    for key in rel.kind.extra_keys() {
-        if let Some(v) = rel.extras.get(*key) {
-            next_arg(out);
-            let _ = write!(out, "{v}");
-        }
+    if let Some(t) = rel.time.filter(|_| rel.kind.supports_time()) {
+        write_markers(out, &mut absent);
+        let _ = write!(out, "{t}");
     }
     write_attrs(out, &rel.attributes, &[]);
     out.push(')');
+}
+
+/// Writes a `-` for each of the `absent` arguments before a present
+/// one, then the separator in front of that one.
+fn write_markers(out: &mut String, absent: &mut usize) {
+    for _ in 0..std::mem::take(absent) {
+        next_arg(out);
+        out.push('-');
+    }
+    next_arg(out);
 }
 
 /// Separates the next argument from the one `out` ends with: the id's
@@ -171,7 +179,8 @@ fn write_value(out: &mut String, v: &AttrValue) {
     }
 }
 
-/// Appends `s` as a string literal, escaping `\` and `"`.
+/// Appends `s` as a string literal, escaping `\`, `"` and the line
+/// breaks a PROV-N string literal cannot hold.
 fn write_quoted(out: &mut String, s: &str) {
     out.push('"');
     let mut plain = 0;
@@ -179,6 +188,8 @@ fn write_quoted(out: &mut String, s: &str) {
         let escaped = match b {
             b'\\' => "\\\\",
             b'"' => "\\\"",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
             _ => continue,
         };
         out.push_str(&s[plain..i]);
@@ -247,6 +258,79 @@ mod tests {
             .attr(QName::prov("label"), AttrValue::from(r#"say "hi""#));
         let s = to_provn(&doc);
         assert!(s.contains(r#"prov:label="say \"hi\"""#));
+    }
+
+    #[test]
+    fn escapes_line_breaks_in_strings() {
+        let mut doc = ProvDocument::new();
+        doc.entity(q("e")).label("two\nlines\r\n");
+        let s = to_provn(&doc);
+        assert!(
+            s.contains(r#"entity(ex:e, [prov:label="two\nlines\r\n"])"#),
+            "got: {s}"
+        );
+    }
+
+    #[test]
+    fn a_time_without_a_starter_keeps_the_starter_slot() {
+        let mut doc = ProvDocument::new();
+        doc.was_started_by(q("run"), q("exp"), Some(XsdDateTime::new(0, 1_000)));
+        doc.add_relation(
+            Relation::new(crate::RelationKind::WasEndedBy, q("run"), q("exp"))
+                .with_time(XsdDateTime::new(60, 0)),
+        );
+        doc.add_relation(
+            Relation::new(crate::RelationKind::WasStartedBy, q("run"), q("exp"))
+                .with_extra("prov:starter", q("parent")),
+        );
+        let s = to_provn(&doc);
+        for line in [
+            "wasStartedBy(ex:run, ex:exp, -, 1970-01-01T00:00:00.001000Z)",
+            "wasEndedBy(ex:run, ex:exp, -, 1970-01-01T00:01:00Z)",
+            "wasStartedBy(ex:run, ex:exp, ex:parent)\n",
+        ] {
+            assert!(s.contains(line), "{line} not in: {s}");
+        }
+    }
+
+    #[test]
+    fn a_generation_without_an_activity_keeps_the_activity_slot() {
+        let mut doc = ProvDocument::new();
+        doc.add_relation(
+            Relation::new(crate::RelationKind::WasDerivedFrom, q("model"), q("data"))
+                .with_id(q("d1"))
+                .with_extra("prov:generation", q("gen")),
+        );
+        doc.add_relation(
+            Relation::new(crate::RelationKind::WasDerivedFrom, q("model"), q("data"))
+                .with_extra("prov:usage", q("use")),
+        );
+        let s = to_provn(&doc);
+        for line in [
+            "wasDerivedFrom(ex:d1; ex:model, ex:data, -, ex:gen)",
+            "wasDerivedFrom(ex:model, ex:data, -, -, ex:use)",
+        ] {
+            assert!(s.contains(line), "{line} not in: {s}");
+        }
+    }
+
+    #[test]
+    fn optional_arguments_and_line_breaks_read_back() {
+        let mut doc = ProvDocument::new();
+        doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+        doc.entity(q("e")).label("two\nlines\r\n");
+        doc.was_started_by(q("run"), q("exp"), Some(XsdDateTime::new(0, 1_000)));
+        doc.add_relation(
+            Relation::new(crate::RelationKind::WasDerivedFrom, q("model"), q("data"))
+                .with_extra("prov:generation", q("gen")),
+        );
+        let text = to_provn(&doc);
+        let mut parsed = crate::provn_parse::from_provn(&text).unwrap();
+        let mut original = doc.clone();
+        original.canonicalize();
+        parsed.canonicalize();
+        assert_eq!(original, parsed, "{text}");
+        assert_eq!(text, crate::provn_oracle::to_provn(&doc));
     }
 
     #[test]

@@ -146,7 +146,8 @@ fn provn_roundtrips_documents() {
     check(128, |rng, size| {
         let entities = locals(rng, 0..8, size);
         let rels = relations(rng, 0..8, size);
-        let plain = printable(b"\\\"");
+        let mut plain = printable(b"");
+        plain.extend_from_slice(b"\n\r");
         let labels: Vec<String> = (0..rng.len(0..4, size))
             .map(|_| text(rng, &plain, 0..17))
             .collect();
@@ -163,11 +164,21 @@ fn provn_roundtrips_documents() {
             }
         }
         for (kind, s, o) in &rels {
-            doc.add_relation(prov_model::Relation::new(
+            let mut rel = Relation::new(
                 *kind,
                 QName::new("ex", format!("s_{s}")),
                 QName::new("ex", format!("o_{o}")),
-            ));
+            );
+            // Each optional argument, present or absent.
+            for key in kind.extra_keys() {
+                if rng.bool() {
+                    rel = rel.with_extra(*key, QName::new("ex", format!("x_{}", local(rng))));
+                }
+            }
+            if kind.supports_time() && rng.bool() {
+                rel = rel.with_time(datetime(rng));
+            }
+            doc.add_relation(rel);
         }
         let text = prov_model::provn::to_provn(&doc);
         let mut parsed = provn_parse::from_provn(&text).unwrap();

@@ -1,9 +1,10 @@
-//! The PROV-N writer as it was before it appended to one buffer: the
-//! oracle `prov_model::provn::to_provn` is held to, byte for byte. It
-//! builds each relation's arguments and each attribute list as strings
-//! and joins them. It is test code, not library: `proptest_roundtrip.rs`
-//! includes it, and so does the crate's own test build (`src/lib.rs`).
-//! It uses only the crate's public API.
+//! The PROV-N writer as it was before it appended to one buffer, with
+//! PROV-N's positional optional arguments and line-break escapes since:
+//! the oracle `prov_model::provn::to_provn` is held to, byte for byte.
+//! It builds each relation's arguments and each attribute list as
+//! strings and joins them. It is test code, not library:
+//! `proptest_roundtrip.rs` includes it, and so does the crate's own test
+//! build (`src/lib.rs`). It uses only the crate's public API.
 
 // Each test crate that includes the module calls a part of it.
 #![allow(dead_code)]
@@ -77,25 +78,31 @@ fn write_body(doc: &ProvDocument, out: &mut String, level: usize) {
 }
 
 fn format_relation(rel: &Relation) -> String {
-    // kind(id; subject, object, time?, extras..., [attrs])
+    // kind(id; subject, object, extras..., time?, [attrs]), with `-`
+    // for an absent optional argument before a present one
     let mut args = Vec::new();
     if let Some(id) = &rel.id {
         args.push(format!("{id};"));
     }
     args.push(rel.subject.to_string());
     args.push(rel.object.to_string());
+    let mut optional: Vec<Option<String>> = rel
+        .kind
+        .extra_keys()
+        .iter()
+        .map(|key| rel.extras.get(*key).map(|v| v.to_string()))
+        .collect();
     if rel.kind.supports_time() {
-        match rel.time {
-            Some(t) => args.push(t.to_string()),
-            None if !rel.extras.is_empty() => args.push("-".into()),
-            None => {}
-        }
+        optional.push(rel.time.map(|t| t.to_string()));
     }
-    for key in rel.kind.extra_keys() {
-        if let Some(v) = rel.extras.get(*key) {
-            args.push(v.to_string());
-        }
+    while optional.last() == Some(&None) {
+        optional.pop();
     }
+    args.extend(
+        optional
+            .into_iter()
+            .map(|a| a.unwrap_or_else(|| "-".into())),
+    );
     let attrs = format_attrs(&rel.attributes, &[]);
     // The id separator `;` binds to the first argument, so join carefully.
     let mut joined = String::new();
@@ -140,5 +147,8 @@ fn format_value(v: &AttrValue) -> String {
 }
 
 fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
+        .replace('\r', "\\r")
 }

@@ -13,7 +13,8 @@
 //! decl     := 'default' '<' IRI '>' | 'prefix' PREFIX '<' IRI '>'
 //! statement:= element | relation | bundle
 //! element  := KIND '(' id (',' time | ',' '-')* (',' attrs)? ')'
-//! relation := KIND '(' (id ';')? arg (',' arg)* (',' attrs)? ')'
+//! relation := KIND '(' (id ';')? arg ',' arg (',' (arg | '-'))* (',' attrs)? ')'
+//!             -- optional args are positional: the kind's extras, then time
 //! attrs    := '[' (key '=' value (',' key '=' value)*)? ']'
 //! value    := STRING ('%%' QNAME | '@' LANG)? | 'QNAME' | NUMBER
 //! bundle   := 'bundle' id statement* 'endBundle'
@@ -368,9 +369,11 @@ impl<'a> Parser<'a> {
         let mut rel = Relation::new(kind, subject, object);
         rel.id = id;
 
-        // Remaining positional args: time, extras, then [attrs].
+        // Remaining positional args: the kind's extras in order, then
+        // the time where the kind takes one, then [attrs]. A `-` holds
+        // its slot empty.
         let extra_keys = kind.extra_keys();
-        let mut extras_seen = 0usize;
+        let mut slot = 0usize;
         while self.try_eat(b',') {
             if self.peek() == Some(b'[') {
                 for (k, v) in self.attributes()? {
@@ -379,21 +382,18 @@ impl<'a> Parser<'a> {
                 break;
             }
             if self.try_eat(b'-') {
-                continue; // omitted optional argument
-            }
-            let tok = self.token()?;
-            // A datetime in a time-supporting position, else an extra.
-            if kind.supports_time() && rel.time.is_none() && tok.contains('T') {
-                rel.time = Some(XsdDateTime::parse(&tok)?);
+                slot += 1;
                 continue;
             }
-            if extras_seen < extra_keys.len() {
-                rel.extras
-                    .insert(extra_keys[extras_seen].to_string(), QName::parse(&tok)?);
-                extras_seen += 1;
+            let tok = self.token()?;
+            if let Some(key) = extra_keys.get(slot) {
+                rel.extras.insert(key.to_string(), QName::parse(&tok)?);
+            } else if slot == extra_keys.len() && kind.supports_time() {
+                rel.time = Some(XsdDateTime::parse(&tok)?);
             } else {
                 return Err(self.err(format!("unexpected argument {tok:?}")));
             }
+            slot += 1;
         }
         self.eat(b')')?;
         doc.add_relation(rel);
