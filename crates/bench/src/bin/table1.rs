@@ -1,6 +1,8 @@
 //! Regenerates **Table 1**: provenance file size in normal and
 //! compressed formats, for the same run stored three ways (E1), plus
-//! the §4 ">90 % gains" claim check (E6).
+//! the §4 ">90 % gains" claim check (E6). Under the table it times
+//! reading one metric back from each of the three outputs, the
+//! consumer-side case for array formats.
 //!
 //! ```text
 //! cargo run -p bench --bin table1 --release [-- <steps-per-metric>]
@@ -12,8 +14,12 @@
 use bench::workload::table1_run_state;
 use metric_store::codec::deflate_like;
 use metric_store::store::path_size_bytes;
+use metric_store::{MetricPoint, MetricSeries};
+use prov_model::{AttrValue, ElementKind, ProvDocument, QName};
+use std::path::Path;
+use std::time::{Duration, Instant};
 use yprov4ml::prov_emit::{build_document, RunIdentity};
-use yprov4ml::spill::{spill_metrics, SpillPolicy};
+use yprov4ml::spill::{read_spilled, spill_metrics, SpillPolicy};
 
 fn mb(bytes: u64) -> f64 {
     bytes as f64 / 1_000_000.0
@@ -30,6 +36,54 @@ fn compressed_size(path: &std::path::Path) -> u64 {
         total += compressed_size(&entry.expect("dir entry").path());
     }
     total
+}
+
+/// Reads `name@context` back from an inline PROV-JSON file: the whole
+/// document is parsed, then the metric entity's `yprov4ml:values` text.
+fn read_inline(path: &Path, name: &str, context: &str) -> MetricSeries {
+    let text = std::fs::read_to_string(path).expect("read json");
+    let doc = ProvDocument::from_json_str(&text).expect("parse PROV-JSON");
+    let context_attr = AttrValue::String(context.into());
+    let metric = doc
+        .iter_kind(ElementKind::Entity)
+        .find(|e| {
+            e.label() == Some(name) && e.attr(&QName::yprov("context")) == Some(&context_attr)
+        })
+        .expect("metric entity");
+    let Some(AttrValue::String(values)) = metric.attr(&QName::yprov("values")) else {
+        panic!("{name}@{context} has no inline values");
+    };
+    let tree = json::parse(values).expect("parse values"); // reads JSON
+    let mut series = MetricSeries::new(name, context);
+    for p in tree
+        .get("points")
+        .and_then(|p| p.as_array())
+        .expect("points")
+    {
+        let field = |key: &str| p.get(key).expect("point field");
+        series.push(MetricPoint {
+            step: field("step").as_u64().expect("step"),
+            epoch: field("epoch").as_u64().expect("epoch") as u32,
+            time_us: field("time_us").as_i64().expect("time_us"),
+            value: field("value").as_f64().expect("finite value"),
+        });
+    }
+    series
+}
+
+/// The median of five timed reads, each checked against `expected`.
+fn time_read(expected: &MetricSeries, read: impl Fn() -> MetricSeries) -> Duration {
+    let mut times: Vec<Duration> = (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            let series = read();
+            let took = start.elapsed();
+            assert_eq!(&series, expected, "read back a different series");
+            took
+        })
+        .collect();
+    times.sort();
+    times[2]
 }
 
 fn main() {
@@ -119,5 +173,35 @@ fn main() {
     let nc_gain = 100.0 * (1.0 - nc_normal as f64 / inline_normal as f64);
     println!("\nsize reduction vs inline JSON: zarr {zarr_gain:.1} %, nc {nc_gain:.1} %");
     println!("paper reference: 39.82 -> 2.74 MB (93.1 %) and 39.82 -> 2.35 MB (94.1 %)");
+
+    // Reading one metric back: what a consumer pays per format.
+    let one = series[0];
+    let (name, context) = (one.name.as_str(), one.context.as_str());
+    eprintln!("reading {name}@{context} back from each output...");
+    let spilled = |dir: &Path| read_spilled(dir, name, context).expect("read spilled series");
+    let reads = [
+        (
+            "Original_file.json",
+            "PROV-JSON parsed whole",
+            time_read(one, || read_inline(&json_path, name, context)),
+        ),
+        (
+            "Converted_to.zarr",
+            "read_spilled",
+            time_read(one, || spilled(&zarr_dir)),
+        ),
+        (
+            "Converted_to.nc",
+            "read_spilled (open decodes every series)",
+            time_read(one, || spilled(&nc_dir)),
+        ),
+    ];
+    println!(
+        "\nreading one series back ({name}@{context}, {} points; median of 5):",
+        one.len()
+    );
+    for (file, how, took) in reads {
+        println!("  {file:<20} {:>10.2} ms  {how}", took.as_secs_f64() * 1e3);
+    }
     println!("\n(outputs kept under {})", out_dir.display());
 }
