@@ -1,10 +1,13 @@
 //! Property tests on graph invariants over randomly generated PROV
 //! documents.
 
-use prov_graph::{execute, subgraph, ProvGraph};
+use prov_graph::audit;
+use prov_graph::engine::filter_nodes;
+use prov_graph::{execute, execute_with_plan, plan, subgraph, ProvGraph};
 use prov_model::query::{Repeat, Step};
 use prov_model::{
-    ElementFilter, PathQuery, ProvDocument, QName, Relation, RelationKind, StepDirection,
+    AttrValue, ElementFilter, ElementKind, PathQuery, ProvDocument, QName, Relation, RelationKind,
+    StepDirection,
 };
 use std::collections::{BTreeSet, VecDeque};
 use testkit::{check, Rng};
@@ -279,6 +282,180 @@ fn path_endpoints_and_adjacency() {
                     }
                 }
             }
+        }
+    });
+}
+
+/// An ML-run-like document over `n` nodes: entities and activities
+/// whose names, splits, groups and types the audits' filters read,
+/// joined by dataflow relations, some to the two undeclared
+/// references `n` and `n + 1`.
+fn ml_doc(rng: &mut Rng, size: usize) -> ProvDocument {
+    let n = rng.range(2usize..14);
+    let mut doc = ProvDocument::new();
+    doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+    doc.namespaces_mut()
+        .register("yprov4ml", prov_model::qname::YPROV_NS)
+        .unwrap();
+    let ids: Vec<QName> = (0..n)
+        .map(|i| QName::new("ex", format!("{}{i}", rng.pick(&["test", "train", "n"]))))
+        .collect();
+    for id in &ids {
+        declare(&mut doc, id.clone(), rng);
+    }
+    let node = |rng: &mut Rng| match rng.below(ids.len() + 2) {
+        i if i < ids.len() => ids[i].clone(),
+        i => QName::new("ex", format!("ghost{}", i - ids.len())),
+    };
+    let kinds = [
+        RelationKind::Used,
+        RelationKind::WasDerivedFrom,
+        RelationKind::WasGeneratedBy,
+        RelationKind::HadMember,
+        RelationKind::WasInfluencedBy,
+    ];
+    for _ in 0..rng.len(0..30, size) {
+        let kind = *rng.pick(&kinds);
+        let (a, b) = (node(rng), node(rng));
+        doc.add_relation(Relation::new(kind, a, b));
+    }
+    doc
+}
+
+/// Declares `name` as an entity or an activity with random audit
+/// attributes.
+fn declare(doc: &mut ProvDocument, name: QName, rng: &mut Rng) {
+    if rng.bool() {
+        let mut e = doc.entity(name);
+        if rng.bool() {
+            e = e.attr(
+                QName::yprov("split"),
+                AttrValue::from(*rng.pick(&["test", "train"])),
+            );
+        }
+        if rng.bool() {
+            e = e.attr(
+                QName::yprov("group"),
+                AttrValue::from(*rng.pick(&["a", "b", "c"])),
+            );
+        }
+        if rng.bool() {
+            e.prov_type(QName::yprov("TestSet"));
+        }
+    } else {
+        let a = doc.activity(name);
+        if rng.bool() {
+            a.prov_type(QName::yprov("Training"));
+        }
+    }
+}
+
+/// A filter from the shapes the audits and the route build: single
+/// ids (declared, dangling or absent), kinds, name and attribute
+/// clauses, the audits' defaults, and their disjunctions and negations.
+fn any_filter(rng: &mut Rng, graph: &ProvGraph<'_>, depth: usize) -> ElementFilter {
+    let pick_id = |rng: &mut Rng| match rng.below(graph.node_count() + 1) {
+        i if i < graph.node_count() => graph.id(i).clone(),
+        _ => QName::new("ex", "absent"),
+    };
+    match rng.below(if depth == 0 { 8 } else { 10 }) {
+        0 => ElementFilter::any(),
+        1 => ElementFilter::by_id(pick_id(rng)),
+        2 => ElementFilter::by_kind(*rng.pick(&[ElementKind::Entity, ElementKind::Activity])),
+        3 => ElementFilter {
+            id_contains: Some(rng.pick(&["test", "train", "1"]).to_string()),
+            ..Default::default()
+        },
+        4 => ElementFilter {
+            attr_equals: Some((QName::yprov("split"), "test".into())),
+            ..Default::default()
+        },
+        5 => ElementFilter {
+            kind: Some(ElementKind::Entity),
+            has_attr: Some(QName::yprov("group")),
+            ..Default::default()
+        },
+        6 => audit::default_test_filter(),
+        7 => audit::default_training_filter(),
+        8 => ElementFilter {
+            any_of: vec![
+                any_filter(rng, graph, depth - 1),
+                any_filter(rng, graph, depth - 1),
+            ],
+            ..Default::default()
+        },
+        _ => ElementFilter {
+            not: Some(Box::new(any_filter(rng, graph, depth - 1))),
+            ..Default::default()
+        },
+    }
+}
+
+/// A query of zero to two steps over `graph`'s filters.
+fn any_query(rng: &mut Rng, graph: &ProvGraph<'_>) -> PathQuery {
+    let repeats = [
+        Repeat::once(),
+        Repeat::star(),
+        Repeat::plus(),
+        Repeat {
+            min: 0,
+            max: Some(1),
+        },
+        Repeat {
+            min: 2,
+            max: Some(3),
+        },
+        Repeat { min: 2, max: None },
+    ];
+    let steps = (0..rng.below(3))
+        .map(|_| Step {
+            kinds: match rng.below(3) {
+                0 => Vec::new(),
+                1 => vec![RelationKind::Used],
+                _ => vec![RelationKind::WasDerivedFrom, RelationKind::WasGeneratedBy],
+            },
+            direction: *rng.pick(&[StepDirection::Forward, StepDirection::Backward]),
+            repeat: *rng.pick(&repeats),
+            target: any_filter(rng, graph, 2),
+        })
+        .collect();
+    PathQuery {
+        start: any_filter(rng, graph, 2),
+        steps,
+        limit: rng.bool().then(|| rng.below(4)),
+    }
+}
+
+/// The planner's anchor counts are the sizes of the anchor sets the
+/// executor walks from.
+#[test]
+fn plan_counts_the_anchor_sets_filter_nodes_returns() {
+    check(64, |rng, size| {
+        let doc = ml_doc(rng, size);
+        let graph = ProvGraph::new(&doc);
+        for _ in 0..8 {
+            let query = any_query(rng, &graph);
+            let p = plan(&graph, &query);
+            let end = query.steps.last().map_or(&query.start, |s| &s.target);
+            assert_eq!(p.start_candidates, filter_nodes(&graph, &query.start).len());
+            assert_eq!(p.end_candidates, filter_nodes(&graph, end).len());
+        }
+    });
+}
+
+/// `execute` is `execute_with_plan` under the plan `plan` makes.
+#[test]
+fn execute_is_execute_with_plan_of_plan() {
+    check(64, |rng, size| {
+        let doc = ml_doc(rng, size);
+        let graph = ProvGraph::new(&doc);
+        for _ in 0..8 {
+            let query = any_query(rng, &graph);
+            assert_eq!(
+                execute(&graph, &query),
+                execute_with_plan(&graph, &query, plan(&graph, &query)),
+                "{query:?}"
+            );
         }
     });
 }
