@@ -17,14 +17,15 @@
 //!   across runs/workflows, with their producing and consuming
 //!   activities.
 //!
-//! All functions execute against prebuilt [`ProvGraph`] views — no
-//! document re-walks — and the filters are plain IR, so every scenario
-//! is also expressible verbatim through the service's query endpoint.
+//! Each planned audit is an IR builder plus a fold (`from_set`) of the
+//! [`MatchSet`] its query returns, and its wrapper above is
+//! `fold(execute(builder))`; the service executes the builder once and
+//! folds the set it holds. All run against prebuilt [`ProvGraph`] views.
 
-use crate::engine::{self, MatchRow};
+use crate::engine::{self, MatchRow, MatchSet};
 use crate::graph::ProvGraph;
 use prov_model::query::{ElementFilter, PathQuery, Repeat, Step, StepDirection};
-use prov_model::{ElementKind, ProvDocument, ProvError, QName, RelationKind};
+use prov_model::{ElementKind, QName, RelationKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Relation kinds along which data can flow from an artifact into an
@@ -93,6 +94,16 @@ pub struct LeakageReport {
 }
 
 impl LeakageReport {
+    /// Folds the set [`leakage_query`] returned: the coverage counts
+    /// are the plan's anchor counts.
+    pub fn from_set(set: MatchSet) -> Self {
+        LeakageReport {
+            test_artifacts: set.plan.start_candidates,
+            training_activities: set.plan.end_candidates,
+            leaks: set.rows,
+        }
+    }
+
     /// True when no test artifact reaches any training activity.
     pub fn is_clean(&self) -> bool {
         self.leaks.is_empty()
@@ -124,14 +135,7 @@ pub fn data_leakage(
 ) -> LeakageReport {
     let test = test.unwrap_or_else(default_test_filter);
     let training = training.unwrap_or_else(default_training_filter);
-    let test_artifacts = engine::filter_nodes(graph, &test).len();
-    let training_activities = engine::filter_nodes(graph, &training).len();
-    let result = engine::execute(graph, &leakage_query(test, training));
-    LeakageReport {
-        leaks: result.rows,
-        test_artifacts,
-        training_activities,
-    }
+    LeakageReport::from_set(engine::execute(graph, &leakage_query(test, training)))
 }
 
 /// The GDPR audit's result.
@@ -145,6 +149,25 @@ pub struct GdprReport {
     pub trained_on: bool,
     /// A witness path `sample -> ... -> model` when `trained_on`.
     pub path: Vec<QName>,
+}
+
+impl GdprReport {
+    /// Folds the set [`gdpr_query`] returned. The witness path is
+    /// reported sample-first — the direction a data subject reads it.
+    pub fn from_set(set: MatchSet, sample: &QName, model: &QName) -> Self {
+        let path: Vec<QName> = set
+            .rows
+            .into_iter()
+            .next()
+            .map(|row| row.path.into_iter().rev().collect())
+            .unwrap_or_default();
+        GdprReport {
+            sample: sample.clone(),
+            model: model.clone(),
+            trained_on: !path.is_empty(),
+            path,
+        }
+    }
 }
 
 /// The path pattern behind [`gdpr_trained_on`].
@@ -162,21 +185,13 @@ pub fn gdpr_query(sample: &QName, model: &QName) -> PathQuery {
 }
 
 /// **GDPR "have I been trained on?"**: is `sample` reachable walking
-/// the model's provenance towards its origins? The witness path is
-/// reported sample-first — the direction a data subject reads it.
+/// the model's provenance towards its origins?
 pub fn gdpr_trained_on(graph: &ProvGraph<'_>, sample: &QName, model: &QName) -> GdprReport {
-    let result = engine::execute(graph, &gdpr_query(sample, model));
-    let path: Vec<QName> = result
-        .rows
-        .first()
-        .map(|row| row.path.iter().rev().cloned().collect())
-        .unwrap_or_default();
-    GdprReport {
-        sample: sample.clone(),
-        model: model.clone(),
-        trained_on: !path.is_empty(),
-        path,
-    }
+    GdprReport::from_set(
+        engine::execute(graph, &gdpr_query(sample, model)),
+        sample,
+        model,
+    )
 }
 
 /// The group-fairness audit's result.
@@ -193,6 +208,33 @@ pub struct FairnessReport {
 }
 
 impl FairnessReport {
+    /// Folds the set [`fairness_query`] returned over `graph`: each
+    /// landing's values under `group_key`, counted.
+    pub fn from_set(
+        graph: &ProvGraph<'_>,
+        set: MatchSet,
+        model: &QName,
+        group_key: &QName,
+    ) -> Self {
+        let mut groups: BTreeMap<String, usize> = BTreeMap::new();
+        let mut total = 0;
+        for row in &set.rows {
+            let Some(el) = graph.node(&row.end).and_then(|node| graph.element(node)) else {
+                continue;
+            };
+            total += 1;
+            for value in el.attrs(group_key) {
+                *groups.entry(value.lexical()).or_insert(0) += 1;
+            }
+        }
+        FairnessReport {
+            model: model.clone(),
+            group_key: group_key.clone(),
+            groups,
+            total,
+        }
+    }
+
     /// Smallest over largest group share; 1.0 when perfectly balanced
     /// or when at most one group exists.
     pub fn balance(&self) -> f64 {
@@ -228,26 +270,8 @@ pub fn fairness_query(model: &QName, group_key: &QName) -> PathQuery {
 /// values they carry under `group_key` (e.g. `yprov4ml:group`), so a
 /// skewed training distribution is visible from provenance alone.
 pub fn group_fairness(graph: &ProvGraph<'_>, model: &QName, group_key: &QName) -> FairnessReport {
-    let result = engine::execute(graph, &fairness_query(model, group_key));
-    let mut groups: BTreeMap<String, usize> = BTreeMap::new();
-    let mut total = 0;
-    for row in &result.rows {
-        let Some(node) = graph.node(&row.end) else {
-            continue;
-        };
-        if let Some(el) = graph.element(node) {
-            total += 1;
-            for value in el.attrs(group_key) {
-                *groups.entry(value.lexical()).or_insert(0) += 1;
-            }
-        }
-    }
-    FairnessReport {
-        model: model.clone(),
-        group_key: group_key.clone(),
-        groups,
-        total,
-    }
+    let set = engine::execute(graph, &fairness_query(model, group_key));
+    FairnessReport::from_set(graph, set, model, group_key)
 }
 
 /// One digest's join group: every artifact across the merged documents
@@ -280,7 +304,7 @@ pub struct CrossRunJoin {
     pub digest_key: QName,
     /// All digest groups, sorted by digest.
     pub joined: Vec<JoinedArtifact>,
-    /// Node/edge counts of the merged view the join ran over.
+    /// Node/edge counts of the view the join ran over.
     pub merged_nodes: usize,
     pub merged_edges: usize,
 }
@@ -292,21 +316,14 @@ impl CrossRunJoin {
     }
 }
 
-/// **Cross-run lineage join**: merges `docs` (e.g. yprov4ml run
-/// documents × yprov4wfs workflow documents) into one canonical view
-/// and joins artifacts on their content digest (`yprov4ml:sha256` when
-/// `digest_key` is `None`) — the Tribuo-style answer to "which runs and
-/// workflow tasks touched the same bytes?".
-///
-/// Returns the join and the merged document it was computed over, so
-/// callers can render or further query the joined view.
-pub fn cross_run_join(
-    docs: &[&ProvDocument],
-    digest_key: Option<QName>,
-) -> Result<(CrossRunJoin, ProvDocument), ProvError> {
+/// **Cross-run lineage join**: joins the artifacts of `graph` — in the
+/// service, the canonical merge of several documents, e.g. yprov4ml
+/// runs × yprov4wfs workflows ([`engine::merged_document`]) — on their
+/// content digest (`yprov4ml:sha256` when `digest_key` is `None`): the
+/// Tribuo-style answer to "which runs and workflow tasks touched the
+/// same bytes?".
+pub fn cross_run_join(graph: &ProvGraph<'_>, digest_key: Option<QName>) -> CrossRunJoin {
     let digest_key = digest_key.unwrap_or_else(|| QName::yprov("sha256"));
-    let merged = engine::merged_document(docs)?;
-    let graph = ProvGraph::new(&merged);
 
     let carrier = ElementFilter {
         kind: Some(ElementKind::Entity),
@@ -314,7 +331,7 @@ pub fn cross_run_join(
         ..Default::default()
     };
     let mut by_digest: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for node in engine::filter_nodes(&graph, &carrier) {
+    for node in engine::filter_nodes(graph, &carrier) {
         let el = graph.element(node).expect("carrier filter requires attrs");
         for value in el.attrs(&digest_key) {
             by_digest.entry(value.lexical()).or_default().push(node);
@@ -351,19 +368,18 @@ pub fn cross_run_join(
         })
         .collect();
 
-    let join = CrossRunJoin {
+    CrossRunJoin {
         digest_key,
         joined,
         merged_nodes: graph.node_count(),
         merged_edges: graph.edge_count(),
-    };
-    Ok((join, merged))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prov_model::AttrValue;
+    use prov_model::{AttrValue, ProvDocument};
 
     fn q(local: &str) -> QName {
         QName::new("ex", local)
@@ -476,7 +492,8 @@ mod tests {
             .attr(QName::yprov("sha256"), AttrValue::String("d2".into()));
         wf.used(q("wf_task"), q("wf_artifact"));
 
-        let (join, merged) = cross_run_join(&[&run, &wf], None).unwrap();
+        let merged = engine::merged_document(&[&run, &wf]).unwrap();
+        let join = cross_run_join(&ProvGraph::new(&merged), None);
         assert_eq!(join.joined.len(), 2);
         let shared = join.shared();
         assert_eq!(shared.len(), 1);

@@ -110,13 +110,13 @@ pub struct QueryPlan {
 /// of size `A` over steps `s₁..sₙ` visits at most
 /// `A × Σᵢ edges(sᵢ.kinds)` edges, where `edges(kinds)` comes from the
 /// per-relation-kind counters the index maintains
-/// ([`crate::GraphIndex::kind_count`]). Anchor counts are exact: O(1)
-/// for single-id filters, one node scan otherwise — never an edge walk.
+/// ([`crate::GraphIndex::kind_count`]). Anchor counts are the lengths
+/// of the [`filter_nodes`] sets the executor anchors at: O(1) for
+/// single-id filters, one node scan otherwise — never an edge walk.
 pub fn plan(graph: &ProvGraph<'_>, query: &PathQuery) -> QueryPlan {
-    let start_candidates = count_candidates(graph, &query.start);
-    let end_filter = query.steps.last().map(|s| &s.target);
-    let end_candidates = match end_filter {
-        Some(f) => count_candidates(graph, f),
+    let start_candidates = filter_nodes(graph, &query.start).len();
+    let end_candidates = match query.steps.last() {
+        Some(step) => filter_nodes(graph, &step.target).len(),
         None => start_candidates,
     };
 
@@ -153,17 +153,6 @@ pub fn plan(graph: &ProvGraph<'_>, query: &PathQuery) -> QueryPlan {
         cost_from_end,
         reason,
     }
-}
-
-/// Anchor-set size for a filter: 1/0 for single-id filters (index
-/// lookup), otherwise an exact node scan.
-fn count_candidates(graph: &ProvGraph<'_>, filter: &ElementFilter) -> usize {
-    if filter.is_single_id() {
-        return filter_nodes(graph, filter).len();
-    }
-    (0..graph.node_count())
-        .filter(|&i| filter.matches(graph.id(i), graph.element(i)))
-        .count()
 }
 
 /// Edges a step can possibly traverse, from the per-kind counters.

@@ -1,7 +1,7 @@
 //! Property tests on graph invariants over randomly generated PROV
 //! documents.
 
-use prov_graph::audit;
+use prov_graph::audit::{self, FairnessReport, GdprReport, LeakageReport};
 use prov_graph::engine::filter_nodes;
 use prov_graph::{execute, execute_with_plan, plan, subgraph, ProvGraph};
 use prov_model::query::{Repeat, Step};
@@ -455,6 +455,49 @@ fn execute_is_execute_with_plan_of_plan() {
                 execute(&graph, &query),
                 execute_with_plan(&graph, &query, plan(&graph, &query)),
                 "{query:?}"
+            );
+        }
+    });
+}
+
+/// Each audit's fold of its builder's set is the audit: the wrappers
+/// and the service's one planned execution agree.
+#[test]
+fn audit_folds_equal_their_wrappers() {
+    check(64, |rng, size| {
+        let doc = ml_doc(rng, size);
+        let graph = ProvGraph::new(&doc);
+        let id = |rng: &mut Rng| graph.id(rng.below(graph.node_count())).clone();
+        for _ in 0..4 {
+            let (test, training) = (any_filter(rng, &graph, 1), any_filter(rng, &graph, 1));
+            let set = execute(
+                &graph,
+                &audit::leakage_query(test.clone(), training.clone()),
+            );
+            assert_eq!(
+                LeakageReport::from_set(set),
+                audit::data_leakage(&graph, Some(test.clone()), Some(training.clone())),
+            );
+            // The coverage counts are the filters' own node counts.
+            let report = audit::data_leakage(&graph, Some(test.clone()), Some(training.clone()));
+            assert_eq!(report.test_artifacts, filter_nodes(&graph, &test).len());
+            assert_eq!(
+                report.training_activities,
+                filter_nodes(&graph, &training).len()
+            );
+
+            let (sample, model) = (id(rng), id(rng));
+            let set = execute(&graph, &audit::gdpr_query(&sample, &model));
+            assert_eq!(
+                GdprReport::from_set(set, &sample, &model),
+                audit::gdpr_trained_on(&graph, &sample, &model),
+            );
+
+            let key = QName::yprov(rng.pick(&["group", "split"]));
+            let set = execute(&graph, &audit::fairness_query(&model, &key));
+            assert_eq!(
+                FairnessReport::from_set(&graph, set, &model, &key),
+                audit::group_fairness(&graph, &model, &key),
             );
         }
     });

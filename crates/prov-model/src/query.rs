@@ -98,12 +98,6 @@ impl ElementFilter {
         }
     }
 
-    /// True when this filter can only ever match the single identifier
-    /// it names — the planner's strongest selectivity signal.
-    pub fn is_single_id(&self) -> bool {
-        self.id.is_some()
-    }
-
     /// Evaluates the filter against a node. `element` is `None` for
     /// dangling references, which match only the unconstrained clauses
     /// (`id` / `id_contains` / `not` / `any_of` that themselves pass).
@@ -429,7 +423,26 @@ fn attr_pair(v: &Value) -> Result<(QName, Value), ProvError> {
     Ok((QName::parse(key)?, value))
 }
 
+/// The largest hop count a wire-form `repeat` may name, as `n`, `min`
+/// or `max`. The executor walks a bounded window one level per hop,
+/// each level cloning its witness paths one hop longer, so on a cycle
+/// its cost grows with the square of the bound; `"+"` and `"*"` reach
+/// any depth in one linear closure walk.
+const MAX_REPEAT_HOPS: usize = 64;
+
 fn repeat_from_json(v: &Value) -> Result<Repeat, ProvError> {
+    let repeat = repeat_form(v)?;
+    let bound = repeat.max.unwrap_or(repeat.min);
+    if bound > MAX_REPEAT_HOPS {
+        return Err(ProvError::Structure(format!(
+            "repeat bound {bound} exceeds MAX_REPEAT_HOPS ({MAX_REPEAT_HOPS}); \
+             use \"+\" or \"*\" for deeper closures"
+        )));
+    }
+    Ok(repeat)
+}
+
+fn repeat_form(v: &Value) -> Result<Repeat, ProvError> {
     match v {
         Value::String(s) => match s.as_str() {
             "1" => Ok(Repeat::once()),
@@ -732,6 +745,30 @@ mod tests {
         }
         let bad: Value = json::parse("{\"min\": 5, \"max\": 2}").unwrap();
         assert!(repeat_from_json(&bad).is_err());
+    }
+
+    #[test]
+    fn repeat_bounds_above_the_cap_are_refused() {
+        let cap = MAX_REPEAT_HOPS;
+        for text in [
+            format!("{cap}"),
+            format!("{{\"min\": {cap}}}"),
+            format!("{{\"min\": 0, \"max\": {cap}}}"),
+        ] {
+            let v: Value = json::parse(&text).unwrap();
+            assert!(repeat_from_json(&v).is_ok(), "{text}");
+        }
+        for text in [
+            format!("{}", cap + 1),
+            "1000000".to_string(),
+            format!("{{\"min\": {}}}", cap + 1),
+            format!("{{\"max\": {}}}", cap + 1),
+            format!("{{\"min\": 1, \"max\": {}}}", cap + 1),
+        ] {
+            let query = format!(r#"{{"start": {{}}, "steps": [{{"repeat": {text}}}]}}"#);
+            let err = PathQuery::from_json_str(&query).unwrap_err().to_string();
+            assert!(err.contains("MAX_REPEAT_HOPS (64)"), "{text}: {err}");
+        }
     }
 
     #[test]

@@ -1388,6 +1388,43 @@ mod tests {
     }
 
     #[test]
+    fn query_endpoint_refuses_other_renders_and_deep_repeats() {
+        let server = start();
+        let id = upload(server.addr(), &leaky_doc_json());
+        let path = format!("/api/v0/documents/{id}/query");
+        for (body, named) in [
+            (r#"{"audit": "leakage", "render": "svg"}"#, r#"\"svg\""#),
+            (r#"{"audit": "join", "render": 1}"#, "render 1"),
+        ] {
+            let (status, resp) = request(server.addr(), "POST", &path, Some(body)).unwrap();
+            assert_eq!(status, 400, "{body} -> {resp}");
+            assert!(resp.contains(named), "{resp}");
+        }
+
+        // A two-node cycle keeps every level of an exact repeat full: a
+        // million-hop bound is refused before it is walked.
+        let mut doc = ProvDocument::new();
+        doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+        doc.entity(QName::new("ex", "a"));
+        doc.entity(QName::new("ex", "b"));
+        doc.was_derived_from(QName::new("ex", "a"), QName::new("ex", "b"));
+        doc.was_derived_from(QName::new("ex", "b"), QName::new("ex", "a"));
+        let cyclic = upload(server.addr(), &doc.to_json_string().unwrap());
+        let path = format!("/api/v0/documents/{cyclic}/query");
+        for repeat in ["1000000", r#"{"min": 1000000, "max": 1000000}"#] {
+            let body = format!(
+                r#"{{"query": {{"start": {{"id": "ex:a"}}, "steps": [{{"repeat": {repeat}}}]}}}}"#
+            );
+            let t0 = std::time::Instant::now();
+            let (status, resp) = request(server.addr(), "POST", &path, Some(&body)).unwrap();
+            assert_eq!(status, 400, "{resp}");
+            assert!(resp.contains("MAX_REPEAT_HOPS (64)"), "{resp}");
+            assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+        }
+        server.shutdown();
+    }
+
+    #[test]
     fn query_endpoint_runs_ml_audits() {
         let server = start();
         let id = upload(server.addr(), &leaky_doc_json());

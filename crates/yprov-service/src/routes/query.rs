@@ -1,14 +1,13 @@
 //! `POST /api/v0/documents/{id}/query`: planned path-pattern queries
 //! and the ML audits built on them.
 
-use crate::error::ServiceError;
 use crate::http::{error_body, error_response, Request, ServerState};
 use crate::store::DocumentStore;
 use json::JsonWriter;
 use prov_graph::audit::{CrossRunJoin, FairnessReport, GdprReport, LeakageReport};
 use prov_graph::{audit, MatchRow, MatchSet, ProvGraph, QueryPlan};
 use prov_model::query::{ElementFilter, PathQuery};
-use prov_model::{ProvDocument, QName};
+use prov_model::QName;
 use std::io::Sink;
 use std::time::{Duration, Instant};
 
@@ -25,10 +24,15 @@ use std::time::{Duration, Instant};
 /// Two cross-cutting keys: `"docs": [id, ...]` joins the named
 /// documents into the queried view (canonical merge), and
 /// `"render": "dot"` additionally returns the matched subgraph as
-/// Graphviz DOT under `"dot"`. Any other top-level key is a 400 that
-/// names it.
+/// Graphviz DOT under `"dot"` (the join renders none). Any other
+/// top-level key, or any other `"render"` value, is a 400 that names it.
 ///
-/// Responses are written straight to bytes, keys in ascending order.
+/// Every scenario but the join is one planned execution
+/// ([`DocumentStore::run_query`]): a path query answers with the set,
+/// an audit folds the set its IR builder's query returned, and DOT
+/// renders the same set. Each answered request counts once under its
+/// scenario label. Responses are written straight to bytes, keys in
+/// ascending order.
 pub(super) fn handle_query(state: &ServerState, req: &Request, id: &str) -> (u16, String) {
     let store = &state.store;
     let text = match std::str::from_utf8(&req.body) {
@@ -68,28 +72,46 @@ pub(super) fn handle_query(state: &ServerState, req: &Request, id: &str) -> (u16
     let Some(extra) = extra else {
         return (400, error_body("\"docs\" must be an array of document ids"));
     };
-    let render_dot = matches!(obj.get("render").and_then(|r| r.as_str()), Some("dot"));
+    let render_dot = match obj.get("render") {
+        None => false,
+        Some(r) if r.as_str() == Some("dot") => true,
+        Some(other) => {
+            return (
+                400,
+                error_body(&format!("unknown render {other}: expected \"dot\"")),
+            )
+        }
+    };
     let documents = Documents { id, extra: &extra };
 
-    match scenario {
-        None => {
-            let query = match PathQuery::from_json(&obj["query"]) {
-                Ok(q) => q,
-                Err(e) => return (400, error_body(&e.to_string())),
-            };
-            let (set, shared) = match store.run_query(id, &extra, &query) {
-                Ok(r) => r,
-                Err(e) => return error_response(&e),
-            };
-            let dot = render_dot.then(|| {
-                let sub = prov_graph::subgraph(shared.document(), &set.node_set());
-                prov_graph::to_dot(&sub, &prov_graph::DotOptions::default())
-            });
-            (200, path_body(&documents, &set, dot.as_deref()))
+    let planned = match scenario {
+        Some("join") => {
+            return match qname_arg(obj, "digest_key") {
+                Ok(digest_key) => handle_join(store, &documents, digest_key),
+                Err(msg) => (400, error_body(&msg)),
+            }
         }
-
-        Some(scenario) => handle_audit(store, &documents, scenario, obj, render_dot),
-    }
+        _ => planned_query(obj, scenario),
+    };
+    let (query, fold) = match planned {
+        Ok(p) => p,
+        Err(msg) => return (400, error_body(&msg)),
+    };
+    let (set, shared) = match store.run_query(id, &extra, &query) {
+        Ok(r) => r,
+        Err(e) => return error_response(&e),
+    };
+    store.note_query(scenario.unwrap_or("path"));
+    let dot = render_dot.then(|| {
+        let sub = prov_graph::subgraph(shared.document(), &set.node_set());
+        prov_graph::to_dot(&sub, &prov_graph::DotOptions::default())
+    });
+    let Some(fold) = fold else {
+        return (200, path_body(&documents, &set, dot.as_deref()));
+    };
+    let plan = set.plan.clone();
+    let report = fold(&shared.view(), set);
+    (200, audit_body(&documents, &plan, &report, dot.as_deref()))
 }
 
 /// The first top-level key of `obj` that `scenario` (`None`: a path
@@ -295,161 +317,93 @@ fn join_body(documents: &Documents<'_>, join: &CrossRunJoin) -> String {
     })
 }
 
-/// Plans `query`, runs the audit built on it, and files the two
-/// durations in the store's plan/execute histograms. Each audit exposes
-/// the IR behind it, so the plan the service reports is exactly the
-/// plan the audit executes under.
-fn plan_then_run<R>(
-    store: &DocumentStore,
-    graph: &ProvGraph<'_>,
-    query: &PathQuery,
-    run: impl FnOnce() -> R,
-) -> (QueryPlan, R) {
-    let t0 = Instant::now();
-    let plan = prov_graph::plan(graph, query);
-    let planned = t0.elapsed();
-    let t1 = Instant::now();
-    let report = run();
-    store.note_query_timing(planned, t1.elapsed());
-    (plan, report)
+/// How a planned audit folds the [`MatchSet`] of its query, over the
+/// view the query ran on.
+type Fold = Box<dyn FnOnce(&ProvGraph<'_>, MatchSet) -> Report>;
+
+/// The IR a planned scenario runs (`None`: the body's own path query)
+/// and the fold its audit applies to the set, or the 400 message for a
+/// malformed argument or an unknown audit.
+fn planned_query(
+    obj: &json::Map, // reads JSON
+    scenario: Option<&str>,
+) -> Result<(PathQuery, Option<Fold>), String> {
+    let filter_arg = |key: &str| -> Result<Option<ElementFilter>, String> {
+        obj.get(key)
+            .map(|v| ElementFilter::from_json(v).map_err(|e| format!("\"{key}\": {e}")))
+            .transpose()
+    };
+    Ok(match scenario {
+        None => (
+            PathQuery::from_json(&obj["query"]).map_err(|e| e.to_string())?,
+            None,
+        ),
+        Some("leakage") => {
+            let test = filter_arg("test")?.unwrap_or_else(audit::default_test_filter);
+            let training = filter_arg("training")?.unwrap_or_else(audit::default_training_filter);
+            let fold: Fold = Box::new(|_, set| Report::Leakage(LeakageReport::from_set(set)));
+            (audit::leakage_query(test, training), Some(fold))
+        }
+        Some("gdpr") => {
+            let incomplete = || "\"gdpr\" requires \"sample\" and \"model\" qnames".to_string();
+            let sample = qname_arg(obj, "sample")?.ok_or_else(incomplete)?;
+            let model = qname_arg(obj, "model")?.ok_or_else(incomplete)?;
+            let query = audit::gdpr_query(&sample, &model);
+            let fold: Fold =
+                Box::new(move |_, set| Report::Gdpr(GdprReport::from_set(set, &sample, &model)));
+            (query, Some(fold))
+        }
+        Some("fairness") => {
+            let model = qname_arg(obj, "model")?
+                .ok_or_else(|| "\"fairness\" requires a \"model\" qname".to_string())?;
+            let group_key = qname_arg(obj, "group_key")?.unwrap_or_else(|| QName::yprov("group"));
+            let query = audit::fairness_query(&model, &group_key);
+            let fold: Fold = Box::new(move |graph, set| {
+                Report::Fairness(FairnessReport::from_set(graph, set, &model, &group_key))
+            });
+            (query, Some(fold))
+        }
+        Some(other) => {
+            return Err(format!(
+                "unknown audit {other:?}: expected \"leakage\", \"gdpr\", \
+                 \"fairness\" or \"join\""
+            ))
+        }
+    })
 }
 
-/// Dispatches the `"audit"` scenarios of [`handle_query`].
-fn handle_audit(
+/// The optional `"prefix:local"` argument under `key`.
+fn qname_arg(
+    obj: &json::Map, // reads JSON
+    key: &str,
+) -> Result<Option<QName>, String> {
+    match obj.get(key) {
+        None => Ok(None),
+        Some(v) => match v.as_str().map(QName::parse) {
+            Some(Ok(q)) => Ok(Some(q)),
+            _ => Err(format!("\"{key}\" must be a \"prefix:local\" string")),
+        },
+    }
+}
+
+/// The join audit: digests over the query view, which is the cached
+/// index when no `"docs"` join in and their canonical merge otherwise.
+fn handle_join(
     store: &DocumentStore,
     documents: &Documents<'_>,
-    scenario: &str,
-    obj: &json::Map, // reads JSON
-    render_dot: bool,
+    digest_key: Option<QName>,
 ) -> (u16, String) {
-    let (id, extra) = (documents.id, documents.extra);
-    let qname_arg = |key: &str| -> Result<Option<QName>, String> {
-        match obj.get(key) {
-            None => Ok(None),
-            Some(v) => match v.as_str().map(QName::parse) {
-                Some(Ok(q)) => Ok(Some(q)),
-                _ => Err(format!("\"{key}\" must be a \"prefix:local\" string")),
-            },
-        }
-    };
-    let filter_arg = |key: &str| -> Result<Option<ElementFilter>, String> {
-        match obj.get(key) {
-            None => Ok(None),
-            Some(v) => ElementFilter::from_json(v)
-                .map(Some)
-                .map_err(|e| format!("\"{key}\": {e}")),
-        }
-    };
-    macro_rules! arg {
-        ($e:expr) => {
-            match $e {
-                Ok(v) => v,
-                Err(msg) => return (400, error_body(&msg)),
-            }
-        };
-    }
-
-    // The join audit builds its own merged view; every other scenario
-    // runs over the (possibly joined) query view.
-    if scenario == "join" {
-        let digest_key = arg!(qname_arg("digest_key"));
-        let mut docs = Vec::with_capacity(1 + extra.len());
-        for one in std::iter::once(id).chain(extra.iter().map(String::as_str)) {
-            match store.get(one) {
-                Some(d) => docs.push(d),
-                None => {
-                    return error_response(&ServiceError::NotFound {
-                        id: one.to_string(),
-                    })
-                }
-            }
-        }
-        store.note_query("join");
-        let refs: Vec<&ProvDocument> = docs.iter().map(|d| &**d).collect();
-        let t0 = Instant::now();
-        let (join, _merged) = match audit::cross_run_join(&refs, digest_key) {
-            Ok(r) => r,
-            Err(e) => {
-                return error_response(&ServiceError::Conflict {
-                    reason: format!("joining {id} + {extra:?}: {e}"),
-                })
-            }
-        };
-        // The merge + digest scan is the whole cost; there is no
-        // separate planning phase to split out.
-        store.note_query_timing(Duration::ZERO, t0.elapsed());
-        return (200, join_body(documents, &join));
-    }
-
-    let shared = match store.query_view(id, extra) {
+    let t0 = Instant::now();
+    let shared = match store.query_view(documents.id, documents.extra) {
         Ok(s) => s,
         Err(e) => return error_response(&e),
     };
-    let graph = shared.view();
-
-    let (audit_query, plan, report) = match scenario {
-        "leakage" => {
-            let test = arg!(filter_arg("test")).unwrap_or_else(audit::default_test_filter);
-            let training =
-                arg!(filter_arg("training")).unwrap_or_else(audit::default_training_filter);
-            store.note_query("leakage");
-            let query = audit::leakage_query(test.clone(), training.clone());
-            let (plan, report) = plan_then_run(store, &graph, &query, || {
-                audit::data_leakage(&graph, Some(test), Some(training))
-            });
-            (query, plan, Report::Leakage(report))
-        }
-        "gdpr" => {
-            let incomplete = || {
-                (
-                    400,
-                    error_body("\"gdpr\" requires \"sample\" and \"model\" qnames"),
-                )
-            };
-            let Some(sample) = arg!(qname_arg("sample")) else {
-                return incomplete();
-            };
-            let Some(model) = arg!(qname_arg("model")) else {
-                return incomplete();
-            };
-            store.note_query("gdpr");
-            let query = audit::gdpr_query(&sample, &model);
-            let (plan, report) = plan_then_run(store, &graph, &query, || {
-                audit::gdpr_trained_on(&graph, &sample, &model)
-            });
-            (query, plan, Report::Gdpr(report))
-        }
-        "fairness" => {
-            let Some(model) = arg!(qname_arg("model")) else {
-                return (400, error_body("\"fairness\" requires a \"model\" qname"));
-            };
-            let group_key = arg!(qname_arg("group_key")).unwrap_or_else(|| QName::yprov("group"));
-            store.note_query("fairness");
-            let query = audit::fairness_query(&model, &group_key);
-            let (plan, report) = plan_then_run(store, &graph, &query, || {
-                audit::group_fairness(&graph, &model, &group_key)
-            });
-            (query, plan, Report::Fairness(report))
-        }
-        other => {
-            return (
-                400,
-                error_body(&format!(
-                    "unknown audit {other:?}: expected \"leakage\", \"gdpr\", \
-                     \"fairness\" or \"join\""
-                )),
-            )
-        }
-    };
-
-    // Re-run the audit's own query for its witness nodes — the matched
-    // subgraph is what the explorer renders.
-    let dot = render_dot.then(|| {
-        let set = prov_graph::execute(&graph, &audit_query);
-        let sub = prov_graph::subgraph(shared.document(), &set.node_set());
-        prov_graph::to_dot(&sub, &prov_graph::DotOptions::default())
-    });
-    (200, audit_body(documents, &plan, &report, dot.as_deref()))
+    store.note_query("join");
+    let join = audit::cross_run_join(&shared.view(), digest_key);
+    // The view and the digest scan are the whole cost; there is no
+    // separate planning phase to split out.
+    store.note_query_timing(Duration::ZERO, t0.elapsed());
+    (200, join_body(documents, &join))
 }
 
 #[cfg(test)]

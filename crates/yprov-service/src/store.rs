@@ -633,8 +633,8 @@ impl DocumentStore {
     // -----------------------------------------------------------------
 
     /// Counts one served query under its scenario label
-    /// (`query_requests_total{scenario="..."}`). Audit handlers that do
-    /// not route through [`Self::run_query`] call this directly.
+    /// (`query_requests_total{scenario="..."}`); the query route calls
+    /// it once per answered request.
     pub fn note_query(&self, scenario: &str) {
         self.inner
             .registry
@@ -672,10 +672,11 @@ impl DocumentStore {
     }
 
     /// Plans and executes one IR path query over document `id` (merged
-    /// with `extra` when non-empty), recording the scenario counter and
-    /// the plan/execute latency split. Returns the result set together
-    /// with the view it ran over, so callers can render the matched
-    /// subgraph without re-resolving documents.
+    /// with `extra` when non-empty), recording the plan/execute latency
+    /// split: the one planned execution behind every path query and
+    /// planned audit. Returns the result set together with the view it
+    /// ran over, so callers can fold or render the matched subgraph
+    /// without re-resolving documents.
     pub fn run_query(
         &self,
         id: &str,
@@ -683,7 +684,6 @@ impl DocumentStore {
         query: &PathQuery,
     ) -> Result<(prov_graph::MatchSet, SharedGraph), ServiceError> {
         let shared = self.query_view(id, extra)?;
-        self.note_query("path");
         let graph = shared.view();
         let t0 = Instant::now();
         let plan = prov_graph::plan(&graph, query);
@@ -2115,10 +2115,6 @@ mod tests {
         assert_eq!(set.rows[0].start, q("model"));
         assert_eq!(set.rows[0].end, q("data"));
         let scrape = store.registry().render_prometheus();
-        assert!(
-            scrape.contains("query_requests_total{scenario=\"path\"} 1"),
-            "{scrape}"
-        );
         assert!(scrape.contains("query_plan_seconds_count 1"), "{scrape}");
         assert!(scrape.contains("query_exec_seconds_count 1"), "{scrape}");
 
