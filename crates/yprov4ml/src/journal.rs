@@ -17,9 +17,7 @@
 //! their JSON bytes (layout in `journal/frame.rs`). Every frame
 //! decodes on its own; a torn or bit-flipped stretch — the usual crash
 //! artifact — fails its CRC and is stepped over with a count, never an
-//! error. Version-2 segments (`crc32_hex<space>json` lines) and
-//! version-1 segments (plain JSON lines) are still read: the reader is
-//! picked from each segment's own header.
+//! error. A segment whose header names another version is refused.
 //!
 //! [`JournalWriter::append`] stages a record into the open frame; the
 //! frame leaves in one `write` when it fills or when [`SyncPolicy`]
@@ -39,7 +37,6 @@ use crate::prov_emit::{build_document, RunIdentity};
 use crate::spill::{spill_metrics, SpillPolicy};
 use frame::{Frame, FRAME_RECORDS};
 use json::Value; // reads JSON
-use metric_store::checksum::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead as _, BufReader, ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
@@ -121,19 +118,17 @@ impl JournalHeader {
 /// the last `fsync`, since a completed `write` alone sits in the OS
 /// page cache. A panic that unwinds, `drop(run)`, `flush` and `close`
 /// all write the staged frame first and lose nothing. Worst case, in
-/// acknowledged records, before format v3 (one `write` per record) →
-/// since:
+/// acknowledged records:
 ///
-/// | policy      | process crash      | power loss                         |
-/// |-------------|--------------------|------------------------------------|
-/// | `Always`    | 0 → 0              | 0 → 0                              |
-/// | `EveryN(n)` | 0 → min(n, 256) − 1 | n − 1 → n − 1                      |
-/// | `OnFlush`   | 0 → 255            | all since the last flush → the same |
+/// | policy      | process crash   | power loss               |
+/// |-------------|-----------------|--------------------------|
+/// | `Always`    | 0               | 0                        |
+/// | `EveryN(n)` | min(n, 256) − 1 | n − 1                    |
+/// | `OnFlush`   | 255             | all since the last flush |
 ///
 /// `Always` is the durability of a classic database WAL (a frame of
 /// one, fsynced), `EveryN` bounds both windows at a fraction of the
 /// cost, `OnFlush` trusts the OS and the caller's own `flush` calls.
-/// The fsync cadence is what it was before v3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Write and fsync every record.
@@ -163,9 +158,9 @@ pub enum JournalMode {
     /// segments) and start over.
     Overwrite,
     /// Keep what is there and add to it: frames go onto the highest
-    /// segment when it is version 3 (behind any torn tail, which the
-    /// reader steps over), into a new segment when it holds version 1
-    /// or 2 lines. The run identity stays the on-disk header's.
+    /// segment, behind any torn tail (the reader steps over it). A
+    /// journal [`read_journal`] refuses is refused here too, untouched.
+    /// The run identity stays the on-disk header's.
     Resume,
 }
 
@@ -232,23 +227,67 @@ fn init_segment(mut file: File, header_line: &str) -> std::io::Result<(File, u64
     Ok((file, header_line.len() as u64 + 1))
 }
 
+/// The highest segment number present (0 when the journal never rotated).
+fn last_segment(run_dir: &Path) -> u32 {
+    let mut segment = 0;
+    while run_dir.join(segment_file_name(segment + 1)).exists() {
+        segment += 1;
+    }
+    segment
+}
+
 /// Splits a segment into its parsed header line and the bytes after it.
+/// The one place a header's version is read: a segment that is not
+/// [`JOURNAL_VERSION`] is refused, never read as something it is not.
 fn split_segment<'a>(
     path: &Path,
     data: &'a [u8],
 ) -> Result<(JournalHeader, &'a [u8]), ProvMLError> {
+    let refuse = |what: String| ProvMLError::Journal(format!("{}: {what}", path.display()));
     if data.is_empty() {
-        return Err(ProvMLError::Journal(format!(
-            "{}: empty journal",
-            path.display()
-        )));
+        return Err(refuse("empty journal".into()));
     }
     let line_end = data.iter().position(|&b| b == b'\n');
     let line = json::parse_bytes(&data[..line_end.unwrap_or(data.len())])
         .map_err(metric_store::StoreError::Json)?;
-    let header = JournalHeader::from_json(&line)
-        .ok_or_else(|| ProvMLError::Journal(format!("{}: unreadable header", path.display())))?;
+    let header =
+        JournalHeader::from_json(&line).ok_or_else(|| refuse("unreadable header".into()))?;
+    if header.version != JOURNAL_VERSION {
+        return Err(refuse(format!(
+            "journal version {} is refused, only {JOURNAL_VERSION} is read",
+            header.version
+        )));
+    }
     Ok((header, line_end.map_or(&[][..], |end| &data[end + 1..])))
+}
+
+/// [`split_segment`], then checked against segment 0's header `first`.
+/// `None` when `rotated_last` (the segment is the last and not 0) and
+/// `data` holds no whole header line: what a crash inside `rotate`
+/// leaves between creating the file and writing that line. Any other
+/// segment without one is a structural error.
+fn check_segment<'a>(
+    path: &Path,
+    data: &'a [u8],
+    rotated_last: bool,
+    first: Option<&JournalHeader>,
+) -> Result<Option<(JournalHeader, &'a [u8])>, ProvMLError> {
+    if rotated_last && !data.contains(&b'\n') {
+        return Ok(None);
+    }
+    let (header, body) = split_segment(path, data)?;
+    if let Some(h) = first.filter(|h| (&h.experiment, &h.run) != (&header.experiment, &header.run))
+    {
+        return Err(ProvMLError::Journal(format!(
+            "{}: segment header names run {:?}/{:?}, expected {:?}/{:?}",
+            path.display(),
+            header.experiment,
+            header.run,
+            h.experiment,
+            h.run
+        )));
+    }
+    Ok(Some((header, body)))
 }
 
 impl JournalWriter {
@@ -261,20 +300,19 @@ impl JournalWriter {
     /// Creates (or resumes) the journal under an explicit config.
     ///
     /// The header written to disk is stamped with [`JOURNAL_VERSION`]
-    /// regardless of `header.version`; in `Resume` mode the existing
-    /// on-disk header supplies everything but the version.
+    /// regardless of `header.version`; in `Resume` mode the on-disk
+    /// header is kept instead.
     pub fn create_with(
         run_dir: &Path,
         header: &JournalHeader,
         config: JournalConfig,
     ) -> Result<Self, ProvMLError> {
         let path0 = run_dir.join(JOURNAL_FILE);
-        let stamp = |header: &JournalHeader| {
-            let mut stamped = header.clone();
-            stamped.version = JOURNAL_VERSION;
-            stamped.to_json()
-        };
-        let mut header_line = stamp(header);
+        let mut header_line = JournalHeader {
+            version: JOURNAL_VERSION,
+            ..header.clone()
+        }
+        .to_json();
 
         let (file, segment, segment_bytes) = match config.mode {
             JournalMode::FailIfExists => {
@@ -293,44 +331,43 @@ impl JournalWriter {
                 (file, 0, bytes)
             }
             JournalMode::Resume if path0.exists() => {
-                let disk_header = |path: &Path| {
-                    let mut line = Vec::new();
-                    BufReader::new(File::open(path)?).read_until(b'\n', &mut line)?;
-                    match split_segment(path, &line) {
-                        Ok((header, _)) => Ok(header),
-                        Err(e) => Err(ProvMLError::Journal(format!(
-                            "unreadable header, cannot resume: {e}"
-                        ))),
-                    }
-                };
-                header_line = stamp(&disk_header(&path0)?);
-                let mut segment = 0u32;
-                while run_dir.join(segment_file_name(segment + 1)).exists() {
-                    segment += 1;
-                }
-                let last = run_dir.join(segment_file_name(segment));
-                if disk_header(&last)?.version >= 3 {
-                    let file = OpenOptions::new().append(true).open(&last)?;
-                    let bytes = file.metadata()?.len();
-                    (file, segment, bytes)
-                } else {
-                    // Lines and frames never share a file: the reader
-                    // is picked per segment.
-                    segment += 1;
+                // Every header line is checked as the reader checks it
+                // before a byte is written.
+                let last = last_segment(run_dir);
+                let mut disk: Option<JournalHeader> = None;
+                let mut torn = false;
+                for segment in 0..=last {
                     let path = run_dir.join(segment_file_name(segment));
-                    let (file, bytes) = init_segment(File::create(&path)?, &header_line)?;
-                    (file, segment, bytes)
+                    let mut line = Vec::new();
+                    BufReader::new(File::open(&path)?).read_until(b'\n', &mut line)?;
+                    let rotated_last = segment > 0 && segment == last;
+                    if let Some((header, _)) =
+                        check_segment(&path, &line, rotated_last, disk.as_ref())?
+                    {
+                        disk.get_or_insert(header);
+                    }
+                    // A header line the crash cut short, however much of
+                    // it parses, is written whole before frames follow.
+                    torn = !line.ends_with(b"\n");
                 }
+                header_line = disk.expect("segment 0 was read").to_json();
+                let path = run_dir.join(segment_file_name(last));
+                let (file, bytes) = if torn {
+                    init_segment(File::create(&path)?, &header_line)?
+                } else {
+                    let file = OpenOptions::new().append(true).open(&path)?;
+                    let bytes = file.metadata()?.len();
+                    (file, bytes)
+                };
+                (file, last, bytes)
             }
             mode => {
                 // Remove stale rotation segments so a later recovery
                 // cannot mix records from two different runs.
-                let mut seg = 1u32;
-                while mode == JournalMode::Overwrite
-                    && run_dir.join(segment_file_name(seg)).exists()
-                {
-                    std::fs::remove_file(run_dir.join(segment_file_name(seg)))?;
-                    seg += 1;
+                if mode == JournalMode::Overwrite {
+                    for seg in 1..=last_segment(run_dir) {
+                        std::fs::remove_file(run_dir.join(segment_file_name(seg)))?;
+                    }
                 }
                 let (file, bytes) = init_segment(File::create(&path0)?, &header_line)?;
                 (file, 0, bytes)
@@ -486,102 +523,53 @@ pub struct JournalReplay {
     pub state: RunState,
     /// Number of complete records recovered.
     pub records: usize,
-    /// Number of torn/corrupt lines (v1, v2) or stretches between whole
-    /// frames (v3) skipped — normally 0 or 1.
+    /// Number of torn or corrupt stretches between whole frames, and of
+    /// last segments without a whole header line, skipped — normally 0
+    /// or 1.
     pub skipped: usize,
     /// Number of segment files read.
     pub segments: usize,
-}
-
-/// Parses a CRC-framed record line; `None` on any framing or checksum
-/// failure (the caller counts it as skipped).
-fn parse_framed(chunk: &[u8]) -> Option<LogRecord> {
-    if chunk.len() < 10 {
-        return None;
-    }
-    let (crc_hex, rest) = chunk.split_at(8);
-    if rest[0] != b' ' {
-        return None;
-    }
-    let stored = u32::from_str_radix(std::str::from_utf8(crc_hex).ok()?, 16).ok()?;
-    let json = &rest[1..];
-    if crc32(json) != stored {
-        return None;
-    }
-    LogRecord::from_json_bytes(json)
 }
 
 /// Reads a journal (all rotation segments, in order) into a
 /// [`JournalReplay`].
 ///
 /// Only *structural* problems error (segment 0 missing, an unparseable
-/// header, a continuation segment from a different run); torn or
-/// corrupt lines and frames are skipped with a count. Each segment is
-/// read by the reader its own header's version names, so a journal
-/// resumed across format versions replays in order.
+/// header or one of another version, a continuation segment from a
+/// different run); torn or corrupt stretches between frames, and a
+/// last segment whose header line a crash cut short, are skipped with a
+/// count.
 pub fn read_journal(run_dir: &Path) -> Result<JournalReplay, ProvMLError> {
+    let last = last_segment(run_dir);
     let mut state = RunState::default();
     let mut records = 0usize;
     let mut skipped = 0usize;
     let mut header: Option<JournalHeader> = None;
-    let mut segments = 0usize;
-
-    loop {
-        let path = run_dir.join(segment_file_name(segments as u32));
-        if segments > 0 && !path.exists() {
-            break;
-        }
+    for segment in 0..=last {
+        let path = run_dir.join(segment_file_name(segment));
         let data = std::fs::read(&path)?;
-        let (seg_header, body) = split_segment(&path, &data)?;
-        let version = seg_header.version;
-        match &header {
-            None => header = Some(seg_header),
-            Some(h) => {
-                if h.experiment != seg_header.experiment || h.run != seg_header.run {
-                    return Err(ProvMLError::Journal(format!(
-                        "{}: segment header names run {:?}/{:?}, expected {:?}/{:?}",
-                        path.display(),
-                        seg_header.experiment,
-                        seg_header.run,
-                        h.experiment,
-                        h.run
-                    )));
-                }
+        match check_segment(
+            &path,
+            &data,
+            segment > 0 && segment == last,
+            header.as_ref(),
+        )? {
+            Some((seg_header, body)) => {
+                header.get_or_insert(seg_header);
+                skipped += frame::read_frames(body, |record| {
+                    state.apply(record);
+                    records += 1;
+                });
             }
+            None => skipped += 1,
         }
-
-        let mut apply = |record| {
-            state.apply(record);
-            records += 1;
-        };
-        if version >= 3 {
-            skipped += frame::read_frames(body, apply);
-        } else {
-            // Bytes, not `str::lines`: a flipped byte may not be UTF-8.
-            for chunk in body.split(|&b| b == b'\n') {
-                if chunk.iter().all(|b| b.is_ascii_whitespace()) {
-                    continue;
-                }
-                let parsed = if version == 2 {
-                    parse_framed(chunk)
-                } else {
-                    LogRecord::from_json_bytes(chunk)
-                };
-                match parsed {
-                    Some(record) => apply(record),
-                    None => skipped += 1, // torn or corrupt — count, never fail
-                }
-            }
-        }
-        segments += 1;
     }
-
     Ok(JournalReplay {
         header: header.expect("segment 0 was read"),
         state,
         records,
         skipped,
-        segments,
+        segments: last as usize + 1,
     })
 }
 
@@ -590,7 +578,7 @@ pub fn read_journal(run_dir: &Path) -> Result<JournalReplay, ProvMLError> {
 pub struct RecoveryReport {
     /// Complete records replayed.
     pub records: usize,
-    /// Torn/corrupt lines or stretches between frames skipped.
+    /// As [`JournalReplay::skipped`].
     pub skipped: usize,
     /// Segment files read.
     pub segments: usize,
@@ -813,9 +801,9 @@ mod tests {
 
     /// The records behind `tests/fixtures/fixed_run/`: every record
     /// kind, every parameter type, text that needs escaping, a custom
-    /// context and doubles at both ends of the range. `journal.jsonl`,
-    /// `prov.json` and `prov.provn` there were written by the v2 line
-    /// writer's commit; `journal.v3` pins the frame bytes.
+    /// context and doubles at both ends of the range. `journal.v3`
+    /// there pins the frame bytes, `prov.json` and `prov.provn` what
+    /// they recover to.
     fn fixed_records() -> Vec<LogRecord> {
         let metric = |name: &str, context: Context, step: u64, value: f64| LogRecord::Metric {
             name: name.into(),
@@ -865,7 +853,6 @@ mod tests {
         ]
     }
 
-    const FIXED_V2: &str = include_str!("../tests/fixtures/fixed_run/journal.jsonl");
     const FIXED_V3: &[u8] = include_bytes!("../tests/fixtures/fixed_run/journal.v3");
     const FIXED_PROV_JSON: &str = include_str!("../tests/fixtures/fixed_run/prov.json");
     const FIXED_PROVN: &str = include_str!("../tests/fixtures/fixed_run/prov.provn");
@@ -893,43 +880,23 @@ mod tests {
     }
 
     /// The journal in `dir` replays to `fixed_records()` and recovers
-    /// to the fixture's provenance files, byte for byte.
+    /// to the fixture's provenance files, byte for byte. The fixture's
+    /// journal is one segment; a rotated one differs in that count only.
     fn assert_recovers_to_the_fixture(dir: &Path) {
-        assert_replays_to_the_fixture(dir);
+        let segments = assert_replays_to_the_fixture(dir).segments;
         let (report, _) = recover_detailed(dir, &SpillPolicy::Inline).unwrap();
+        let expect = |fixture: &str, one: &str| {
+            assert_eq!(fixture.matches(one).count(), 1, "{one}");
+            fixture.replace(one, &one.replace('1', &segments.to_string()))
+        };
         assert_eq!(
             std::fs::read_to_string(&report.prov_json_path).unwrap(),
-            FIXED_PROV_JSON
+            expect(FIXED_PROV_JSON, "\"yprov4ml:journal_segments\": 1")
         );
         assert_eq!(
             std::fs::read_to_string(&report.provn_path).unwrap(),
-            FIXED_PROVN
+            expect(FIXED_PROVN, "yprov4ml:journal_segments=\"1\"")
         );
-    }
-
-    #[test]
-    fn v2_and_v1_journals_still_recover_to_the_recorded_files() {
-        // journal.jsonl is what the v2 line writer wrote, before v3.
-        let dir = tmp("fixed_v2");
-        std::fs::write(dir.join(JOURNAL_FILE), FIXED_V2).unwrap();
-        assert_recovers_to_the_fixture(&dir);
-        std::fs::remove_dir_all(&dir).ok();
-
-        // Version 1: the same JSON lines without the nine-byte CRC prefix.
-        let dir = tmp("fixed_v1");
-        let mut lines = FIXED_V2.lines();
-        let mut v1 = lines
-            .next()
-            .unwrap()
-            .replace("\"version\":2", "\"version\":1");
-        for line in lines {
-            v1.push('\n');
-            v1.push_str(&line[9..]);
-        }
-        assert!(v1.contains("\"version\":1"));
-        std::fs::write(dir.join(JOURNAL_FILE), v1).unwrap();
-        assert_recovers_to_the_fixture(&dir);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -954,13 +921,17 @@ mod tests {
     }
 
     #[test]
-    fn resume_onto_v2_lines_opens_a_v3_segment_and_replays_in_order() {
-        let dir = tmp("resume_v2");
-        // The first half of the fixture as the v2 writer left it ...
-        let old: Vec<&str> = FIXED_V2.lines().take(1 + 7).collect();
-        std::fs::write(dir.join(JOURNAL_FILE), old.join("\n") + "\n").unwrap();
-        // ... the second half through a resumed writer, one record per
-        // frame and a rotation limit the first frame already exceeds.
+    fn resume_with_rotation_keeps_the_on_disk_run_and_replays_in_order() {
+        let dir = tmp("resume_rotate");
+        // The first 7 records as a crashed run left them ...
+        let header = JournalHeader::new("exp", "fixed-run", "tester", 1_000);
+        let writer = JournalWriter::create(&dir, &header).unwrap();
+        let records = fixed_records();
+        records[..7].iter().for_each(|r| writer.append(r).unwrap());
+        writer.close().unwrap();
+        let old = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        // ... the rest through a resumed writer under another header, one
+        // record per frame and a rotation limit the first frame exceeds.
         let writer = JournalWriter::create_with(
             &dir,
             &JournalHeader::new("other", "names", "ignored", 5),
@@ -971,27 +942,131 @@ mod tests {
             },
         )
         .unwrap();
-        for record in &fixed_records()[7..] {
-            writer.append(record).unwrap();
-        }
+        records[7..].iter().for_each(|r| writer.append(r).unwrap());
         writer.close().unwrap();
 
-        // The old lines are untouched; every later segment is v3, names
-        // the on-disk run and is whole frames.
-        assert_eq!(
-            std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap(),
-            old.join("\n") + "\n"
-        );
+        // The old bytes are untouched; every segment names the on-disk
+        // run in a v3 header and is whole frames.
+        assert!(std::fs::read(dir.join(JOURNAL_FILE))
+            .unwrap()
+            .starts_with(&old));
         let replay = assert_replays_to_the_fixture(&dir);
         assert!(replay.segments > 2, "{} segments", replay.segments);
-        for segment in 1..replay.segments {
+        for segment in 0..replay.segments {
             let bytes = std::fs::read(dir.join(segment_file_name(segment as u32))).unwrap();
             let (header, body) = split_segment(&dir, &bytes).unwrap();
             assert_eq!((header.version, header.run.as_str()), (3, "fixed-run"));
             assert_eq!(frame_ends(body).last(), Some(&body.len()));
         }
-        assert_eq!(replay.header.version, 2);
+        assert_recovers_to_the_fixture(&dir);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every file in `dir` with its bytes, sorted by path.
+    fn dir_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn a_header_of_another_version_is_refused_in_any_segment() {
+        for version in [1, 2, 4] {
+            for segment in [0, 1] {
+                let dir = tmp(&format!("refuse_v{version}_{segment}"));
+                write_records(&dir, 20);
+                // Segment 0's frames behind a header naming `version`.
+                let bytes = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+                let body = &bytes[bytes.iter().position(|&b| b == b'\n').unwrap()..];
+                let line = JournalHeader {
+                    version,
+                    ..header()
+                }
+                .to_json();
+                let path = dir.join(segment_file_name(segment));
+                std::fs::write(&path, [line.as_bytes(), body].concat()).unwrap();
+                let before = dir_bytes(&dir);
+
+                let names_it = |err: ProvMLError| {
+                    let ProvMLError::Journal(msg) = &err else {
+                        panic!("{err}")
+                    };
+                    assert!(msg.contains(&format!("version {version} ")), "{msg}");
+                    assert!(msg.contains(&path.display().to_string()), "{msg}");
+                };
+                names_it(read_journal(&dir).unwrap_err());
+                names_it(recover(&dir, &SpillPolicy::Inline).unwrap_err());
+                let resume = JournalConfig {
+                    mode: JournalMode::Resume,
+                    ..Default::default()
+                };
+                names_it(
+                    JournalWriter::create_with(&dir, &header(), resume)
+                        .err()
+                        .expect("Resume refuses it too"),
+                );
+                // Nothing was written: no provenance, no appended byte.
+                assert_eq!(dir_bytes(&dir), before, "v{version} in segment {segment}");
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn a_crash_inside_rotate_costs_no_record() {
+        // The header line alone is under the limit: one frame a segment.
+        let rotating = JournalConfig {
+            sync: SyncPolicy::Always,
+            rotate_bytes: Some(100),
+            ..Default::default()
+        };
+        for (tag, tail) in [
+            ("rotate_empty", ""),
+            ("rotate_torn", "{\"version\":3,\"exp"),
+        ] {
+            let dir = tmp(tag);
+            let writer = JournalWriter::create_with(&dir, &header(), rotating).unwrap();
+            (0..21).for_each(|i| writer.append(&metric(i)).unwrap());
+            writer.close().unwrap();
+            // `rotate` created the next segment and died before its
+            // header line was whole.
+            let next = dir.join(segment_file_name(21));
+            assert!(dir.join(segment_file_name(20)).exists() && !next.exists());
+            std::fs::write(&next, tail).unwrap();
+
+            let replay = read_journal(&dir).unwrap();
+            assert_eq!((replay.records, replay.skipped), (21, 1), "{tag}");
+            assert_eq!(replayed_steps(&replay), (0..21).collect::<Vec<_>>());
+            let (report, recovery) = recover_detailed(&dir, &SpillPolicy::Inline).unwrap();
+            assert_eq!((report.metric_samples, recovery.skipped), (21, 1), "{tag}");
+
+            // Resume writes that header and appends behind it.
+            let resume = JournalConfig {
+                mode: JournalMode::Resume,
+                ..rotating
+            };
+            let writer = JournalWriter::create_with(&dir, &header(), resume).unwrap();
+            (100..103).for_each(|i| writer.append(&metric(i)).unwrap());
+            writer.close().unwrap();
+            let replay = read_journal(&dir).unwrap();
+            assert_eq!((replay.records, replay.skipped), (24, 0), "{tag}");
+            assert_eq!(
+                replayed_steps(&replay),
+                (0..21).chain(100..103).collect::<Vec<_>>()
+            );
+
+            // Headerless anywhere but the last segment is structural.
+            std::fs::write(&next, tail).unwrap();
+            assert!(read_journal(&dir).is_err(), "{tag}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// End offsets of the frames of a v3 segment's body, walked by
@@ -1155,24 +1230,26 @@ mod tests {
 
     #[test]
     fn resume_after_a_torn_tail_loses_no_acknowledged_record() {
-        let (dir, bytes, _, ends) = framed_journal("resume_torn", 10, 4);
-        // The crash tore the last frame in half.
-        let cut = (ends[1] + ends[2]) / 2;
-        std::fs::write(dir.join(JOURNAL_FILE), &bytes[..cut]).unwrap();
-        let config = JournalConfig {
-            mode: JournalMode::Resume,
-            ..Default::default()
-        };
-        let writer = JournalWriter::create_with(&dir, &header(), config).unwrap();
-        (100..115).for_each(|i| writer.append(&metric(i)).unwrap());
-        writer.close().unwrap();
+        let (dir, bytes, body_at, ends) = framed_journal("resume_torn", 10, 4);
+        // The crash tore the last frame in half, or cut the header line
+        // one byte short: its JSON whole, its newline gone.
+        for (cut, kept, skipped) in [((ends[1] + ends[2]) / 2, 8, 1), (body_at - 1, 0, 0)] {
+            std::fs::write(dir.join(JOURNAL_FILE), &bytes[..cut]).unwrap();
+            let config = JournalConfig {
+                mode: JournalMode::Resume,
+                ..Default::default()
+            };
+            let writer = JournalWriter::create_with(&dir, &header(), config).unwrap();
+            (100..115).for_each(|i| writer.append(&metric(i)).unwrap());
+            writer.close().unwrap();
 
-        let replay = read_journal(&dir).unwrap();
-        assert_eq!((replay.records, replay.skipped), (8 + 15, 1));
-        assert_eq!(
-            replayed_steps(&replay),
-            (0..8).chain(100..115).collect::<Vec<_>>()
-        );
+            let replay = read_journal(&dir).unwrap();
+            assert_eq!((replay.records, replay.skipped), (kept + 15, skipped));
+            assert_eq!(
+                replayed_steps(&replay),
+                (0..kept as u64).chain(100..115).collect::<Vec<_>>()
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1240,25 +1317,6 @@ mod tests {
         let replay = read_journal(&dir).unwrap();
         assert_eq!(replay.records, 51);
         assert_eq!(replay.skipped, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_v1_journal_reads_plain_lines() {
-        let dir = tmp("legacy");
-        let mut h = header();
-        h.version = 1;
-        let mut content = h.to_json();
-        content.push('\n');
-        for i in 0..5u64 {
-            content.push_str(&metric(i).to_json().unwrap());
-            content.push('\n');
-        }
-        std::fs::write(dir.join(JOURNAL_FILE), content).unwrap();
-        let replay = read_journal(&dir).unwrap();
-        assert_eq!(replay.header.version, 1);
-        assert_eq!(replay.records, 5);
-        assert_eq!(replay.skipped, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

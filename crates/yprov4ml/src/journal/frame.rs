@@ -11,7 +11,7 @@
 //!         (0 = a JSON record, k + 1 = series k), then every metric's
 //!         step, epoch and time (delta of delta), series by series)
 //! section per series: xor(values)
-//! rest    the non-metric records, one v2 JSON line each
+//! rest    the non-metric records, one JSON line each
 //! ```
 //!
 //! A `section` is a varint length and that many bytes. The kernels are

@@ -195,13 +195,7 @@ fn journal_replay_reproduces_state() {
                 .as_nanos()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let header = JournalHeader {
-            version: 1,
-            experiment: "prop".into(),
-            run: "r".into(),
-            user: "u".into(),
-            started_us: 0,
-        };
+        let header = JournalHeader::new("prop", "r", "u", 0);
         let writer = JournalWriter::create(&dir, &header).unwrap();
         let mut direct = RunState::default();
         for r in &records {
