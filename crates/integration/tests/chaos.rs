@@ -12,7 +12,7 @@ use train_sim::sim::{
     WalltimeCutoff,
 };
 use train_sim::{DatasetSpec, FaultKind, FaultPlan, MachineConfig, TrainingSimulation};
-use yprov4ml::journal::{recover_detailed, RecoveryReport, JOURNAL_FILE};
+use yprov4ml::journal::{recover, RecoveryReport, JOURNAL_FILE};
 use yprov4ml::run::RunOptions;
 use yprov4ml::spill::SpillPolicy;
 use yprov4ml::{Experiment, RunStatus};
@@ -79,7 +79,7 @@ fn crash_and_recover(base: &std::path::Path, faults: FaultPlan) -> (usize, Recov
         .unwrap();
     drop(f);
 
-    let (report, recovery) = recover_detailed(&run_dir, &SpillPolicy::Inline).unwrap();
+    let (report, recovery) = recover(&run_dir, &SpillPolicy::Inline).unwrap();
     assert_eq!(report.status, RunStatus::Recovered);
     // Zero accepted-record loss: every record the API accepted is in
     // the recovered state; the torn tail is counted, not lost silently.
@@ -199,7 +199,7 @@ fn seeded_chaos_is_fully_deterministic() {
         run.flush().unwrap();
         let run_dir = run.dir().to_path_buf();
         drop(run);
-        let (_, recovery) = recover_detailed(&run_dir, &SpillPolicy::Inline).unwrap();
+        let (_, recovery) = recover(&run_dir, &SpillPolicy::Inline).unwrap();
         std::fs::remove_dir_all(&base).ok();
         (result, events, recovery)
     };

@@ -54,7 +54,7 @@ fn journaled_run_survives_a_crash() {
     );
 
     // Recover from the journal alone.
-    let report = recover(&run_dir, &SpillPolicy::Inline).unwrap();
+    let (report, _) = recover(&run_dir, &SpillPolicy::Inline).unwrap();
     assert_eq!(report.metric_samples, 500);
     assert_eq!(report.params, 1);
     assert_eq!(report.artifacts, 1);
@@ -118,7 +118,7 @@ fn recovery_after_torn_write() {
     f.write_all(b"{\"Metric\":{\"name\":\"lo").unwrap();
     drop(f);
 
-    let report = recover(&run_dir, &SpillPolicy::Inline).unwrap();
+    let (report, _) = recover(&run_dir, &SpillPolicy::Inline).unwrap();
     assert_eq!(report.metric_samples, 100, "all complete records recovered");
     std::fs::remove_dir_all(&base).ok();
 }

@@ -11,7 +11,7 @@ use integration::simulate_with_provenance;
 use train_sim::model::{Architecture, ModelConfig};
 use train_sim::sim::{SimConfig, WalltimeCutoff};
 use train_sim::{DatasetSpec, FaultPlan, MachineConfig};
-use yprov4ml::journal::recover_detailed;
+use yprov4ml::journal::recover;
 use yprov4ml::run::RunOptions;
 use yprov4ml::spill::SpillPolicy;
 use yprov4ml::Experiment;
@@ -142,9 +142,9 @@ fn disabled_tracing_leaves_recovered_prov_byte_identical() {
     let run_dir = run.dir().to_path_buf();
     drop(run); // crash: no finish()
 
-    let (report_a, _) = recover_detailed(&run_dir, &SpillPolicy::Inline).unwrap();
+    let (report_a, _) = recover(&run_dir, &SpillPolicy::Inline).unwrap();
     let bytes_a = std::fs::read(&report_a.prov_json_path).unwrap();
-    let (report_b, _) = recover_detailed(&run_dir, &SpillPolicy::Inline).unwrap();
+    let (report_b, _) = recover(&run_dir, &SpillPolicy::Inline).unwrap();
     let bytes_b = std::fs::read(&report_b.prov_json_path).unwrap();
     assert_eq!(bytes_a, bytes_b, "disabled tracing must not perturb bytes");
     let text = String::from_utf8(bytes_a).unwrap();
@@ -158,7 +158,7 @@ fn disabled_tracing_leaves_recovered_prov_byte_identical() {
     {
         let _s = obs::trace::span("doomed_work");
     }
-    let (report_c, _) = recover_detailed(&run_dir, &SpillPolicy::Inline).unwrap();
+    let (report_c, _) = recover(&run_dir, &SpillPolicy::Inline).unwrap();
     obs::trace::drain();
     obs::trace::set_enabled(false);
     let text_c = std::fs::read_to_string(&report_c.prov_json_path).unwrap();

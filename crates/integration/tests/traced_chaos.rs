@@ -11,7 +11,7 @@ use integration::simulate_with_provenance;
 use train_sim::model::{Architecture, ModelConfig};
 use train_sim::sim::{SimConfig, WalltimeCutoff};
 use train_sim::{DatasetSpec, FaultPlan, MachineConfig};
-use yprov4ml::journal::recover_detailed;
+use yprov4ml::journal::recover;
 use yprov4ml::run::RunOptions;
 use yprov4ml::spill::SpillPolicy;
 use yprov4ml::{Experiment, RunStatus};
@@ -61,7 +61,7 @@ fn traced_chaos_run_dumps_flight_recorder_on_recovery() {
     let run_dir = run.dir().to_path_buf();
     drop(run); // crash: no finish()
 
-    let (report, _recovery) = recover_detailed(&run_dir, &SpillPolicy::Inline).unwrap();
+    let (report, _recovery) = recover(&run_dir, &SpillPolicy::Inline).unwrap();
     obs::trace::drain();
     obs::trace::set_enabled(false);
     assert_eq!(report.status, RunStatus::Recovered);

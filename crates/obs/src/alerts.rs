@@ -18,9 +18,8 @@
 //! ```
 //!
 //! `Resolved` is a sticky tombstone — it records that the rule *did*
-//! fire and has since cleared, which is exactly what a post-hoc
-//! provenance document wants to capture — and only a fresh breach
-//! moves it back to `Pending`.
+//! fire and has since cleared — and only a fresh breach moves it back
+//! to `Pending`.
 //!
 //! Each rule exports an `alerts_firing{rule="<name>"}` gauge (1 while
 //! firing, else 0) into whatever registry the owner passes to
@@ -31,7 +30,7 @@
 
 use crate::instrument::Gauge;
 use crate::registry::Registry;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Threshold comparator: the rule breaches when `value cmp threshold`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +51,7 @@ impl Cmp {
         }
     }
 
-    /// The PromQL-style spelling, used in JSON listings and PROV attrs.
+    /// The PromQL-style spelling, used in JSON listings.
     pub fn symbol(self) -> &'static str {
         match self {
             Cmp::Gt => ">",
@@ -253,29 +252,6 @@ impl AlertSet {
     }
 }
 
-/// The process-global alert set, so run-finalisation code (which has no
-/// handle on the service) can fold alert state into PROV documents.
-/// Replaceable, unlike [`crate::global`]: a service restart within one
-/// process (tests) installs its own set.
-static GLOBAL_ALERTS: OnceLock<Mutex<Option<Arc<AlertSet>>>> = OnceLock::new();
-
-fn global_slot() -> &'static Mutex<Option<Arc<AlertSet>>> {
-    GLOBAL_ALERTS.get_or_init(|| Mutex::new(None))
-}
-
-/// Installs `set` as the process-global alert set.
-pub fn set_global(set: Arc<AlertSet>) {
-    *global_slot().lock().expect("alerts global poisoned") = Some(set);
-}
-
-/// The process-global alert set, if one was installed.
-pub fn global() -> Option<Arc<AlertSet>> {
-    global_slot()
-        .lock()
-        .expect("alerts global poisoned")
-        .clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,15 +340,5 @@ mod tests {
             assert_eq!(Cmp::parse(c.symbol()), Some(c));
         }
         assert_eq!(Cmp::parse("=="), None);
-    }
-
-    #[test]
-    fn global_slot_is_replaceable() {
-        let a = Arc::new(AlertSet::new(vec![rule(0.0)]));
-        set_global(a.clone());
-        assert!(Arc::ptr_eq(&global().unwrap(), &a));
-        let b = Arc::new(AlertSet::new(vec![]));
-        set_global(b.clone());
-        assert!(Arc::ptr_eq(&global().unwrap(), &b));
     }
 }

@@ -65,18 +65,16 @@ impl Default for OpsConfig {
 /// The assembled ops plane for one server.
 pub struct Ops {
     tsdb: Tsdb,
-    alerts: Arc<AlertSet>,
+    alerts: AlertSet,
     slowlog: SlowLog,
 }
 
 impl Ops {
     /// Builds the plane, exporting `alerts_firing{rule}` gauges into
-    /// `registry` and installing the alert set as the process-global
-    /// one (so run finalization can fold alert state into PROV).
+    /// `registry`.
     pub fn new(cfg: &OpsConfig, registry: &Registry) -> Arc<Ops> {
-        let alerts = Arc::new(AlertSet::new(cfg.alert_rules.clone()));
+        let alerts = AlertSet::new(cfg.alert_rules.clone());
         alerts.export_to(registry);
-        obs::alerts::set_global(Arc::clone(&alerts));
         Arc::new(Ops {
             tsdb: Tsdb::new(TsdbConfig::default()),
             alerts,

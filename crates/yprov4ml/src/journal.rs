@@ -33,10 +33,11 @@ use crate::collector::RunState;
 use crate::error::ProvMLError;
 use crate::lock;
 use crate::model::{LogRecord, RunReport, RunStatus};
-use crate::prov_emit::{build_document, RunIdentity};
+use crate::prov_emit::{write_record, RunIdentity, Samples};
 use crate::spill::{spill_metrics, SpillPolicy};
 use frame::{Frame, FRAME_RECORDS};
 use json::Value; // reads JSON
+use prov_model::{AttrValue, QName, Relation, RelationKind, XsdDateTime};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead as _, BufReader, ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
@@ -227,13 +228,22 @@ fn init_segment(mut file: File, header_line: &str) -> std::io::Result<(File, u64
     Ok((file, header_line.len() as u64 + 1))
 }
 
-/// The highest segment number present (0 when the journal never rotated).
-fn last_segment(run_dir: &Path) -> u32 {
-    let mut segment = 0;
-    while run_dir.join(segment_file_name(segment + 1)).exists() {
-        segment += 1;
+/// Segment 0, then every rotation segment in `run_dir`, ascending, from
+/// one directory listing. A number missing below the highest is a
+/// segment lost after it was written.
+fn segment_numbers(run_dir: &Path) -> std::io::Result<Vec<u32>> {
+    let mut numbers = vec![0];
+    for entry in std::fs::read_dir(run_dir)? {
+        let name = entry?.file_name();
+        let name = name.to_string_lossy();
+        let number = name
+            .strip_prefix("journal.")
+            .and_then(|n| n.strip_suffix(".jsonl"))
+            .and_then(|n| n.parse().ok());
+        numbers.extend(number.filter(|&n| n > 0 && segment_file_name(n) == name));
     }
-    segment
+    numbers.sort_unstable();
+    Ok(numbers)
 }
 
 /// Splits a segment into its parsed header line and the bytes after it.
@@ -333,10 +343,11 @@ impl JournalWriter {
             JournalMode::Resume if path0.exists() => {
                 // Every header line is checked as the reader checks it
                 // before a byte is written.
-                let last = last_segment(run_dir);
+                let segments = segment_numbers(run_dir)?;
+                let last = *segments.last().expect("segment 0 is listed");
                 let mut disk: Option<JournalHeader> = None;
                 let mut torn = false;
-                for segment in 0..=last {
+                for segment in segments {
                     let path = run_dir.join(segment_file_name(segment));
                     let mut line = Vec::new();
                     BufReader::new(File::open(&path)?).read_until(b'\n', &mut line)?;
@@ -365,8 +376,8 @@ impl JournalWriter {
                 // Remove stale rotation segments so a later recovery
                 // cannot mix records from two different runs.
                 if mode == JournalMode::Overwrite {
-                    for seg in 1..=last_segment(run_dir) {
-                        std::fs::remove_file(run_dir.join(segment_file_name(seg)))?;
+                    for seg in &segment_numbers(run_dir)?[1..] {
+                        std::fs::remove_file(run_dir.join(segment_file_name(*seg)))?;
                     }
                 }
                 let (file, bytes) = init_segment(File::create(&path0)?, &header_line)?;
@@ -523,9 +534,9 @@ pub struct JournalReplay {
     pub state: RunState,
     /// Number of complete records recovered.
     pub records: usize,
-    /// Number of torn or corrupt stretches between whole frames, and of
-    /// last segments without a whole header line, skipped — normally 0
-    /// or 1.
+    /// Number of torn or corrupt stretches between whole frames, of
+    /// last segments without a whole header line and of rotation
+    /// segments missing below the highest, skipped — normally 0 or 1.
     pub skipped: usize,
     /// Number of segment files read.
     pub segments: usize,
@@ -536,16 +547,17 @@ pub struct JournalReplay {
 ///
 /// Only *structural* problems error (segment 0 missing, an unparseable
 /// header or one of another version, a continuation segment from a
-/// different run); torn or corrupt stretches between frames, and a
-/// last segment whose header line a crash cut short, are skipped with a
-/// count.
+/// different run); torn or corrupt stretches between frames, a last
+/// segment whose header line a crash cut short and a missing rotation
+/// segment are skipped with a count.
 pub fn read_journal(run_dir: &Path) -> Result<JournalReplay, ProvMLError> {
-    let last = last_segment(run_dir);
+    let segments = segment_numbers(run_dir)?;
+    let last = *segments.last().expect("segment 0 is listed");
     let mut state = RunState::default();
     let mut records = 0usize;
-    let mut skipped = 0usize;
+    let mut skipped = (last as usize + 1) - segments.len();
     let mut header: Option<JournalHeader> = None;
-    for segment in 0..=last {
+    for &segment in &segments {
         let path = run_dir.join(segment_file_name(segment));
         let data = std::fs::read(&path)?;
         match check_segment(
@@ -569,11 +581,11 @@ pub fn read_journal(run_dir: &Path) -> Result<JournalReplay, ProvMLError> {
         state,
         records,
         skipped,
-        segments: last as usize + 1,
+        segments: segments.len(),
     })
 }
 
-/// What [`recover_detailed`] found in the journal.
+/// What [`recover`] found in the journal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryReport {
     /// Complete records replayed.
@@ -582,12 +594,6 @@ pub struct RecoveryReport {
     pub skipped: usize,
     /// Segment files read.
     pub segments: usize,
-    /// Parameters reconstructed.
-    pub params: usize,
-    /// Metric samples reconstructed.
-    pub metric_samples: usize,
-    /// Artifacts reconstructed.
-    pub artifacts: usize,
     /// Artifacts whose stored file no longer exists — invalidated by the
     /// crash in the emitted provenance.
     pub orphaned_artifacts: Vec<String>,
@@ -595,18 +601,20 @@ pub struct RecoveryReport {
 
 /// Recovers a crashed run: rebuilds its state from the journal, spills
 /// metrics per `spill`, and writes `prov.json` / `prov.provn` marked
-/// with `yprov4ml:status = "recovered"`.
+/// with `yprov4ml:status = "recovered"`, through the writer
+/// [`crate::run::Run::finish`] ends in.
 ///
 /// The emitted document records the failure itself: a `yprov4ml:Crash`
 /// activity informed by the run, a `yprov4ml:Recovery` activity informed
 /// by the crash, and a `wasInvalidatedBy` edge from every artifact whose
 /// stored file did not survive.
-pub fn recover_detailed(
+pub fn recover(
     run_dir: &Path,
     spill: &SpillPolicy,
 ) -> Result<(RunReport, RecoveryReport), ProvMLError> {
     let replay = read_journal(run_dir)?;
     let state = replay.state;
+    let header = replay.header;
 
     let series: Vec<&metric_store::series::MetricSeries> = state.metrics.values().collect();
     let outcome = spill_metrics(run_dir, spill, &series)?;
@@ -621,120 +629,101 @@ pub fn recover_detailed(
         .filter_map(|s| s.points.last().map(|p| p.time_us))
         .chain(state.artifacts.iter().map(|a| a.logged_at_us))
         .chain(state.context_spans.values().filter_map(|&(_, end)| end))
-        .fold(replay.header.started_us, i64::max);
-
-    let identity = RunIdentity {
-        experiment: replay.header.experiment.clone(),
-        run: replay.header.run.clone(),
-        user: replay.header.user.clone(),
-        started_us: replay.header.started_us,
-        ended_us,
-    };
-    let mut doc = build_document(&identity, &state, &outcome, spill.is_inline());
-    let run_q = prov_model::QName::new("exp", replay.header.run.clone());
-    let crash_q = prov_model::QName::new("exp", format!("{}/crash", replay.header.run));
-    let recovery_q = prov_model::QName::new("exp", format!("{}/recovery", replay.header.run));
-
-    doc.activity(run_q.clone())
-        .attr(
-            prov_model::QName::yprov("status"),
-            prov_model::AttrValue::from("recovered"),
-        )
-        .attr(
-            prov_model::QName::yprov("journal_records"),
-            prov_model::AttrValue::Int(replay.records as i64),
-        )
-        .attr(
-            prov_model::QName::yprov("journal_skipped"),
-            prov_model::AttrValue::Int(replay.skipped as i64),
-        );
-
-    doc.activity(crash_q.clone())
-        .prov_type(prov_model::QName::yprov("Crash"))
-        .label(format!("crash of {}", replay.header.run))
-        .start_time(prov_model::XsdDateTime::from_epoch_micros(ended_us));
-    doc.was_informed_by(crash_q.clone(), run_q);
-
-    doc.activity(recovery_q.clone())
-        .prov_type(prov_model::QName::yprov("Recovery"))
-        .label(format!("journal recovery of {}", replay.header.run))
-        .attr(
-            prov_model::QName::yprov("journal_segments"),
-            prov_model::AttrValue::Int(replay.segments as i64),
-        );
-    doc.was_informed_by(recovery_q, crash_q.clone());
-
-    let mut orphaned_artifacts = Vec::new();
-    for artifact in &state.artifacts {
-        if !artifact.stored_path.is_file() {
-            let entity = prov_model::QName::new(
-                "exp",
-                format!("{}/artifact/{}", replay.header.run, artifact.name),
-            );
-            doc.add_relation(prov_model::Relation::new(
-                prov_model::RelationKind::WasInvalidatedBy,
-                entity,
-                crash_q.clone(),
-            ));
-            orphaned_artifacts.push(artifact.name.clone());
-        }
-    }
+        .fold(header.started_us, i64::max);
 
     // Flight recorder: when tracing is live, dump the surviving span
-    // rings next to the recovered provenance and link the dump into
-    // the document as evidence generated by the crash. Gated on the
-    // tracing flag so a disabled run's output stays byte-identical.
-    if obs::trace::is_enabled() {
-        let trace_path = run_dir.join("trace_crash.json");
-        let spans = obs::trace::dump_flight_recorder(&trace_path)?;
-        let trace_q = prov_model::QName::new("exp", format!("{}/trace_crash", replay.header.run));
-        doc.entity(trace_q.clone())
-            .prov_type(prov_model::QName::yprov("trace"))
-            .label(format!("crash flight recorder of {}", replay.header.run))
-            .attr(
-                prov_model::QName::yprov("file_path"),
-                prov_model::AttrValue::from(trace_path.display().to_string()),
-            )
-            .attr(
-                prov_model::QName::yprov("spans"),
-                prov_model::AttrValue::Int(spans as i64),
-            );
-        doc.was_generated_by(trace_q, crash_q.clone());
-    }
-
-    let prov_json_path = run_dir.join("prov.json");
-    let provn_path = run_dir.join("prov.provn");
-    // Same streaming writer the normal finalize path uses; the bytes
-    // are identical to the old to_json_string_pretty route.
-    crate::prov_emit::write_prov_files(&doc, &prov_json_path, &provn_path)?;
-
-    let report = RunReport {
-        experiment: replay.header.experiment,
-        run: replay.header.run,
-        status: RunStatus::Recovered,
-        prov_json_bytes: std::fs::metadata(&prov_json_path)?.len(),
-        prov_json_path,
-        provn_path,
-        metric_store_path: outcome.store_path,
-        params: state.params.len(),
-        metric_samples: state.metric_samples,
-        artifacts: state.artifacts.len(),
+    // rings next to the recovered provenance before the record is
+    // written, so the dump holds the crashed run's spans and none of
+    // the writer's. Gated on the tracing flag so a disabled run's
+    // output stays byte-identical.
+    let trace_crash = if obs::trace::is_enabled() {
+        let path = run_dir.join("trace_crash.json");
+        let spans = obs::trace::dump_flight_recorder(&path)?;
+        Some((path, spans))
+    } else {
+        None
     };
+    let orphaned_artifacts: Vec<String> = state
+        .artifacts
+        .iter()
+        .filter(|artifact| !artifact.stored_path.is_file())
+        .map(|artifact| artifact.name.clone())
+        .collect();
+
+    let identity = RunIdentity {
+        experiment: header.experiment,
+        run: header.run,
+        user: header.user,
+        started_us: header.started_us,
+        ended_us,
+    };
+    let report = write_record(
+        run_dir,
+        &identity,
+        &state,
+        &outcome,
+        Samples::fresh(spill.is_inline()),
+        RunStatus::Recovered,
+        |doc| {
+            let run = &identity.run;
+            let exp = |local: String| QName::new("exp", local);
+            let run_q = exp(run.clone());
+            let crash_q = exp(format!("{run}/crash"));
+            let recovery_q = exp(format!("{run}/recovery"));
+            doc.activity(run_q.clone())
+                .attr(
+                    QName::yprov("journal_records"),
+                    AttrValue::Int(replay.records as i64),
+                )
+                .attr(
+                    QName::yprov("journal_skipped"),
+                    AttrValue::Int(replay.skipped as i64),
+                );
+
+            doc.activity(crash_q.clone())
+                .prov_type(QName::yprov("Crash"))
+                .label(format!("crash of {run}"))
+                .start_time(XsdDateTime::from_epoch_micros(ended_us));
+            doc.was_informed_by(crash_q.clone(), run_q);
+
+            doc.activity(recovery_q.clone())
+                .prov_type(QName::yprov("Recovery"))
+                .label(format!("journal recovery of {run}"))
+                .attr(
+                    QName::yprov("journal_segments"),
+                    AttrValue::Int(replay.segments as i64),
+                );
+            doc.was_informed_by(recovery_q, crash_q.clone());
+
+            for name in &orphaned_artifacts {
+                doc.add_relation(Relation::new(
+                    RelationKind::WasInvalidatedBy,
+                    exp(format!("{run}/artifact/{name}")),
+                    crash_q.clone(),
+                ));
+            }
+
+            if let Some((path, spans)) = &trace_crash {
+                let trace_q = exp(format!("{run}/trace_crash"));
+                doc.entity(trace_q.clone())
+                    .prov_type(QName::yprov("trace"))
+                    .label(format!("crash flight recorder of {run}"))
+                    .attr(
+                        QName::yprov("file_path"),
+                        AttrValue::from(path.display().to_string()),
+                    )
+                    .attr(QName::yprov("spans"), AttrValue::Int(*spans as i64));
+                doc.was_generated_by(trace_q, crash_q);
+            }
+        },
+    )?;
     let recovery = RecoveryReport {
         records: replay.records,
         skipped: replay.skipped,
         segments: replay.segments,
-        params: report.params,
-        metric_samples: report.metric_samples,
-        artifacts: report.artifacts,
         orphaned_artifacts,
     };
     Ok((report, recovery))
-}
-
-/// [`recover_detailed`] without the [`RecoveryReport`].
-pub fn recover(run_dir: &Path, spill: &SpillPolicy) -> Result<RunReport, ProvMLError> {
-    recover_detailed(run_dir, spill).map(|(report, _)| report)
 }
 
 #[cfg(test)]
@@ -884,7 +873,7 @@ mod tests {
     /// journal is one segment; a rotated one differs in that count only.
     fn assert_recovers_to_the_fixture(dir: &Path) {
         let segments = assert_replays_to_the_fixture(dir).segments;
-        let (report, _) = recover_detailed(dir, &SpillPolicy::Inline).unwrap();
+        let (report, _) = recover(dir, &SpillPolicy::Inline).unwrap();
         let expect = |fixture: &str, one: &str| {
             assert_eq!(fixture.matches(one).count(), 1, "{one}");
             fixture.replace(one, &one.replace('1', &segments.to_string()))
@@ -1044,7 +1033,7 @@ mod tests {
             let replay = read_journal(&dir).unwrap();
             assert_eq!((replay.records, replay.skipped), (21, 1), "{tag}");
             assert_eq!(replayed_steps(&replay), (0..21).collect::<Vec<_>>());
-            let (report, recovery) = recover_detailed(&dir, &SpillPolicy::Inline).unwrap();
+            let (report, recovery) = recover(&dir, &SpillPolicy::Inline).unwrap();
             assert_eq!((report.metric_samples, recovery.skipped), (21, 1), "{tag}");
 
             // Resume writes that header and appends behind it.
@@ -1362,6 +1351,54 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Writes metric records for `steps` under `mode`, one per segment:
+    /// segment 0 holds the header alone, segment k the k-th record.
+    fn one_record_per_segment(dir: &Path, mode: JournalMode, steps: impl IntoIterator<Item = u64>) {
+        let config = JournalConfig {
+            sync: SyncPolicy::Always,
+            mode,
+            rotate_bytes: Some(1),
+        };
+        let writer = JournalWriter::create_with(dir, &header(), config).unwrap();
+        for step in steps {
+            writer.append(&metric(step)).unwrap();
+        }
+        writer.close().unwrap();
+    }
+
+    #[test]
+    fn a_lost_segment_is_counted_and_the_later_ones_still_replay() {
+        let dir = tmp("lost_segment");
+        one_record_per_segment(&dir, JournalMode::FailIfExists, 0..6);
+        std::fs::remove_file(dir.join(segment_file_name(2))).unwrap();
+        let replay = read_journal(&dir).unwrap();
+        assert_eq!(replayed_steps(&replay), [0, 2, 3, 4, 5]);
+        assert_eq!((replay.records, replay.skipped, replay.segments), (5, 1, 6));
+
+        let (report, recovery) = recover(&dir, &SpillPolicy::Inline).unwrap();
+        assert_eq!((report.metric_samples, recovery.skipped), (5, 1));
+        let prov = std::fs::read_to_string(&report.prov_json_path).unwrap();
+        assert!(prov.contains("\"yprov4ml:journal_skipped\": 1,"), "{prov}");
+
+        // A resumed writer goes on after the highest segment.
+        one_record_per_segment(&dir, JournalMode::Resume, [100, 101]);
+        let replay = read_journal(&dir).unwrap();
+        assert_eq!(replayed_steps(&replay), [0, 2, 3, 4, 5, 100, 101]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn overwrite_after_a_lost_segment_removes_every_segment() {
+        let dir = tmp("overwrite_gap");
+        one_record_per_segment(&dir, JournalMode::FailIfExists, 0..6);
+        std::fs::remove_file(dir.join(segment_file_name(2))).unwrap();
+        one_record_per_segment(&dir, JournalMode::Overwrite, [100, 101]);
+        let replay = read_journal(&dir).unwrap();
+        assert_eq!(replayed_steps(&replay), [100, 101]);
+        assert_eq!((replay.skipped, replay.segments), (0, 3));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn resume_mode_appends() {
         let dir = tmp("resume");
@@ -1444,7 +1481,7 @@ mod tests {
         // No prov.json exists — the "process" died before finish().
         assert!(!dir.join("prov.json").exists());
 
-        let (report, recovery) = recover_detailed(&dir, &SpillPolicy::Inline).unwrap();
+        let (report, recovery) = recover(&dir, &SpillPolicy::Inline).unwrap();
         assert_eq!(report.status, RunStatus::Recovered);
         assert_eq!(report.metric_samples, 200);
         assert_eq!(recovery.records, 201);
@@ -1493,7 +1530,7 @@ mod tests {
             .unwrap();
         writer.close().unwrap();
 
-        let (report, _) = recover_detailed(&dir, &SpillPolicy::Inline).unwrap();
+        let (report, _) = recover(&dir, &SpillPolicy::Inline).unwrap();
         let doc = prov_model::ProvDocument::from_json_str(
             &std::fs::read_to_string(&report.prov_json_path).unwrap(),
         )
@@ -1513,7 +1550,7 @@ mod tests {
         // stay byte-identical to the to_json_string_pretty path.
         let dir = tmp("parity");
         write_records(&dir, 25);
-        let (report, _) = recover_detailed(&dir, &SpillPolicy::Inline).unwrap();
+        let (report, _) = recover(&dir, &SpillPolicy::Inline).unwrap();
         let emitted = std::fs::read_to_string(&report.prov_json_path).unwrap();
         let doc = prov_model::ProvDocument::from_json_str(&emitted).unwrap();
         assert_eq!(doc.to_json_string_pretty().unwrap(), emitted);
@@ -1538,7 +1575,7 @@ mod tests {
             .unwrap();
         writer.close().unwrap();
 
-        let (report, recovery) = recover_detailed(&dir, &SpillPolicy::Inline).unwrap();
+        let (report, recovery) = recover(&dir, &SpillPolicy::Inline).unwrap();
         assert_eq!(report.artifacts, 1);
         assert_eq!(recovery.orphaned_artifacts, vec!["model.ckpt".to_string()]);
 
@@ -1558,7 +1595,7 @@ mod tests {
     fn recover_with_spill() {
         let dir = tmp("recover_spill");
         write_records(&dir, 300);
-        let report = recover(&dir, &SpillPolicy::Zarr(Default::default())).unwrap();
+        let (report, _) = recover(&dir, &SpillPolicy::Zarr(Default::default())).unwrap();
         assert!(report.metric_store_path.is_some());
         let series = crate::spill::read_spilled(&dir, "loss", "training").unwrap();
         assert_eq!(series.len(), 300);
@@ -1572,7 +1609,7 @@ mod tests {
         let dir = tmp("recover_torn_nc");
         write_records(&dir, 300);
         std::fs::write(dir.join("metrics.nc"), b"YNC1\x01\xff\xff").unwrap();
-        let report = recover(&dir, &SpillPolicy::NetCdf(Default::default())).unwrap();
+        let (report, _) = recover(&dir, &SpillPolicy::NetCdf(Default::default())).unwrap();
         assert_eq!(report.metric_samples, 300);
         let series = crate::spill::read_spilled(&dir, "loss", "training").unwrap();
         let values: Vec<f64> = series.points.iter().map(|p| p.value).collect();

@@ -66,9 +66,7 @@ pub mod vcs;
 
 pub use error::ProvMLError;
 pub use experiment::Experiment;
-pub use journal::{
-    recover, recover_detailed, JournalConfig, JournalMode, RecoveryReport, SyncPolicy,
-};
+pub use journal::{recover, JournalConfig, JournalMode, RecoveryReport, SyncPolicy};
 pub use model::{Context, Direction, LogRecord, ParamValue, RunReport, RunStatus};
 pub use run::{DeltaCadence, DeltaEmitter, FinalizeOptions, Run, RunOptions};
 pub use spill::SpillPolicy;

@@ -15,7 +15,8 @@
 //! so each sample is formatted once per run, not once per cut.
 
 use crate::collector::RunState;
-use crate::model::{Context, Direction};
+use crate::error::ProvMLError;
+use crate::model::{Context, Direction, RunReport, RunStatus};
 use crate::spill::SpillOutcome;
 use json::JsonWriter;
 use metric_store::json_store::{begin_series, end_series, points_to_json};
@@ -24,6 +25,7 @@ use prov_model::qname::{YPROV_NS, YPROV_PREFIX};
 use prov_model::{AttrValue, ProvDocument, QName, XsdDateTime};
 use std::collections::BTreeMap;
 use std::io;
+use std::path::Path;
 
 /// Identity of the run being serialized.
 #[derive(Debug, Clone)]
@@ -140,6 +142,18 @@ pub(crate) enum Samples<'a> {
     Last(InlineCache),
 }
 
+impl Samples<'_> {
+    /// A run's only build: every sample inline from a fresh cache, or
+    /// none.
+    pub(crate) fn fresh(inline_metrics: bool) -> Self {
+        if inline_metrics {
+            Samples::Last(InlineCache::default())
+        } else {
+            Samples::Linked
+        }
+    }
+}
+
 /// Builds the provenance document for a finished run, inline samples
 /// formatted from scratch (the one build path, with a fresh cache).
 pub fn build_document(
@@ -148,12 +162,7 @@ pub fn build_document(
     spill: &SpillOutcome,
     inline_metrics: bool,
 ) -> ProvDocument {
-    let samples = if inline_metrics {
-        Samples::Last(InlineCache::default())
-    } else {
-        Samples::Linked
-    };
-    build_document_with(identity, state, spill, samples)
+    build_document_with(identity, state, spill, Samples::fresh(inline_metrics))
 }
 
 /// Builds the provenance document for a run, as it stands in `state`.
@@ -347,9 +356,9 @@ pub(crate) fn build_document_with(
 /// [`BufWriter`]: std::io::BufWriter
 pub fn write_prov_files(
     doc: &ProvDocument,
-    json_path: &std::path::Path,
-    provn_path: &std::path::Path,
-) -> Result<(), crate::error::ProvMLError> {
+    json_path: &Path,
+    provn_path: &Path,
+) -> Result<(), ProvMLError> {
     use std::io::Write;
     let file = std::fs::File::create(json_path)?;
     let mut writer = std::io::BufWriter::new(file);
@@ -357,6 +366,57 @@ pub fn write_prov_files(
     writer.flush()?;
     std::fs::write(provn_path, prov_model::provn::to_provn(doc))?;
     Ok(())
+}
+
+/// Writes a run's record into `dir`, the one way a finish, a failure
+/// and a recovery all end: builds the document, stamps the run
+/// activity's `yprov4ml:status` (`failed` or `recovered`; a finished
+/// run carries none), lets the caller `mark` what only it knows, writes
+/// `prov.json` and `prov.provn`, and reports what it wrote.
+pub(crate) fn write_record(
+    dir: &Path,
+    identity: &RunIdentity,
+    state: &RunState,
+    spill: &SpillOutcome,
+    samples: Samples<'_>,
+    status: RunStatus,
+    mark: impl FnOnce(&mut ProvDocument),
+) -> Result<RunReport, ProvMLError> {
+    let reg = obs::global();
+    let mut doc = {
+        let _trace = obs::trace::span("finalize_emit");
+        reg.histogram("yprov4ml_finalize_emit_seconds")
+            .time(|| build_document_with(identity, state, spill, samples))
+    };
+    let stamp = match status {
+        RunStatus::Failed => Some("failed"),
+        RunStatus::Recovered => Some("recovered"),
+        _ => None,
+    };
+    if let Some(stamp) = stamp {
+        doc.activity(QName::new("exp", identity.run.clone()))
+            .attr(QName::yprov("status"), AttrValue::from(stamp));
+    }
+    mark(&mut doc);
+    let prov_json_path = dir.join("prov.json");
+    let provn_path = dir.join("prov.provn");
+    {
+        let _trace = obs::trace::span("finalize_write");
+        reg.histogram("yprov4ml_finalize_write_seconds")
+            .time(|| write_prov_files(&doc, &prov_json_path, &provn_path))?;
+    }
+    Ok(RunReport {
+        experiment: identity.experiment.clone(),
+        run: identity.run.clone(),
+        status,
+        prov_json_bytes: std::fs::metadata(&prov_json_path)?.len(),
+        prov_json_path,
+        provn_path,
+        metric_store_path: spill.store_path.clone(),
+        params: state.params.len(),
+        metric_samples: state.metric_samples,
+        artifacts: state.artifacts.len(),
+    })
 }
 
 fn context_name(ctx: &Context) -> String {
@@ -405,59 +465,6 @@ pub fn emit_overhead(doc: &mut ProvDocument, identity: &RunIdentity, delta: &obs
                 QName::yprov("count"),
                 AttrValue::Int((*value).min(i64::MAX as u64) as i64),
             );
-        doc.was_generated_by(entity, run_activity.clone());
-    }
-}
-
-/// Attaches the ops plane's alert state to the run as PROV entities:
-/// one `yprov4ml:alert/<rule>` entity per rule that left `Inactive`
-/// during the run, generated by the run activity — so an audit of a
-/// finished run sees not just the tracker's overhead (see
-/// [`emit_overhead`]) but which operational thresholds were breached
-/// while it trained.
-///
-/// `states` usually comes from [`obs::alerts::global`], the alert set
-/// a co-located service's scraper evaluates; rules still `Inactive`
-/// are skipped so a quiet run adds nothing.
-pub fn emit_alerts(
-    doc: &mut ProvDocument,
-    identity: &RunIdentity,
-    states: &[obs::alerts::AlertState],
-) {
-    let run_activity = QName::new("exp", identity.run.clone());
-    let alert_ty = QName::yprov("Alert");
-    for state in states {
-        if state.phase == obs::alerts::Phase::Inactive {
-            continue;
-        }
-        let entity = QName::yprov(format!("alert/{}", state.rule.name));
-        let mut builder = doc
-            .entity(entity.clone())
-            .prov_type(alert_ty.clone())
-            .label(state.rule.name.clone())
-            .attr(
-                QName::yprov("metric"),
-                AttrValue::from(state.rule.metric.as_str()),
-            )
-            .attr(
-                QName::yprov("comparator"),
-                AttrValue::from(state.rule.cmp.symbol()),
-            )
-            .attr(
-                QName::yprov("threshold"),
-                AttrValue::Double(state.rule.threshold),
-            )
-            .attr(QName::yprov("for_s"), AttrValue::Double(state.rule.for_s))
-            .attr(QName::yprov("phase"), AttrValue::from(state.phase.as_str()));
-        if let Some(v) = state.last_value {
-            builder = builder.attr(QName::yprov("last_value"), AttrValue::Double(v));
-        }
-        if let Some(t) = state.fired_at_s {
-            builder = builder.attr(QName::yprov("fired_at_s"), AttrValue::Double(t));
-        }
-        if let Some(t) = state.resolved_at_s {
-            builder.attr(QName::yprov("resolved_at_s"), AttrValue::Double(t));
-        }
         doc.was_generated_by(entity, run_activity.clone());
     }
 }
@@ -727,56 +734,6 @@ mod tests {
         assert!(graph
             .ancestors(&QName::new("exp", "job-1"))
             .contains(&QName::new("exp", "job-0")));
-    }
-
-    #[test]
-    fn alerts_emit_as_entities_skipping_inactive_rules() {
-        use obs::alerts::{AlertRule, AlertState, Cmp, Phase};
-        let mut doc = build_document(&identity(), &sample_state(5), &empty_spill(), true);
-        let state = |name: &str, phase: Phase| AlertState {
-            rule: AlertRule::new(name, "http_requests_total", Cmp::Gt, 10.0, 5.0),
-            phase,
-            pending_since_s: Some(100.0),
-            fired_at_s: (phase == Phase::Firing || phase == Phase::Resolved).then_some(105.0),
-            resolved_at_s: (phase == Phase::Resolved).then_some(120.0),
-            last_value: Some(42.0),
-        };
-        emit_alerts(
-            &mut doc,
-            &identity(),
-            &[
-                state("hot-route", Phase::Firing),
-                state("quiet", Phase::Inactive),
-                state("was-hot", Phase::Resolved),
-            ],
-        );
-        assert!(doc.get(&QName::yprov("alert/quiet")).is_none());
-        let fired = doc.get(&QName::yprov("alert/hot-route")).unwrap();
-        assert!(fired.has_type(&QName::yprov("Alert")));
-        assert_eq!(
-            fired.attr(&QName::yprov("phase")),
-            Some(&AttrValue::from("firing"))
-        );
-        assert_eq!(
-            fired.attr(&QName::yprov("comparator")),
-            Some(&AttrValue::from(">"))
-        );
-        assert_eq!(
-            fired.attr(&QName::yprov("last_value")),
-            Some(&AttrValue::Double(42.0))
-        );
-        let resolved = doc.get(&QName::yprov("alert/was-hot")).unwrap();
-        assert_eq!(
-            resolved.attr(&QName::yprov("resolved_at_s")),
-            Some(&AttrValue::Double(120.0))
-        );
-        // Alert entities hang off the run activity, like overhead ones.
-        assert!(doc
-            .relations_of(prov_model::RelationKind::WasGeneratedBy)
-            .any(|r| r.subject == QName::yprov("alert/hot-route")
-                && r.object == QName::new("exp", "run-0001")));
-        // The document stays valid PROV.
-        assert!(is_valid(&doc), "{:?}", prov_model::validate(&doc));
     }
 
     /// `n` seeded metric records over two contexts: four series, the

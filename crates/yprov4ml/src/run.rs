@@ -10,8 +10,7 @@ use crate::lock;
 use crate::model::{ArtifactMeta, Context, Direction, LogRecord, ParamValue, RunReport, RunStatus};
 use crate::plugins::{PluginSink, ProvPlugin};
 use crate::prov_emit::{
-    build_document_with, emit_alerts, emit_overhead, write_prov_files, InlineCache, RunIdentity,
-    Samples,
+    build_document_with, emit_overhead, write_record, InlineCache, RunIdentity, Samples,
 };
 use crate::spill::{spill_metrics_pooled, SpillOutcome, SpillPolicy};
 use metric_store::WorkerPool;
@@ -471,13 +470,7 @@ impl Run {
     fn cut(&self) -> Result<(RunIdentity, RunState, prov_model::ProvDocument), ProvMLError> {
         let mut inline = self.inline_cache();
         let state = self.collector.snapshot()?;
-        let identity = RunIdentity {
-            experiment: self.experiment.clone(),
-            run: self.name.clone(),
-            user: self.user.clone(),
-            started_us: self.started_us,
-            ended_us: now_us(),
-        };
+        let identity = self.identity(now_us());
         let spill = SpillOutcome {
             store_path: None,
             links: Vec::new(),
@@ -490,6 +483,17 @@ impl Run {
         };
         let doc = build_document_with(&identity, &state, &spill, samples);
         Ok((identity, state, doc))
+    }
+
+    /// Who and what this run is, as of `ended_us`.
+    fn identity(&self, ended_us: i64) -> RunIdentity {
+        RunIdentity {
+            experiment: self.experiment.clone(),
+            run: self.name.clone(),
+            user: self.user.clone(),
+            started_us: self.started_us,
+            ended_us,
+        }
     }
 
     /// The run's inline cache. A cut that panicked while it held the
@@ -575,62 +579,28 @@ impl Run {
             None
         };
 
-        let identity = RunIdentity {
-            experiment: self.experiment.clone(),
-            run: self.name.clone(),
-            user: self.user.clone(),
-            started_us: self.started_us,
-            ended_us,
-        };
+        let identity = self.identity(ended_us);
         let samples = if self.spill.is_inline() {
             Samples::Last(std::mem::take(&mut *self.inline_cache()))
         } else {
             Samples::Linked
         };
-        let mut doc = {
-            let _trace = obs::trace::span("finalize_emit");
-            reg.histogram("yprov4ml_finalize_emit_seconds")
-                .time(|| build_document_with(&identity, &state, &spill, samples))
-        };
-        if status == RunStatus::Failed {
-            doc.activity(prov_model::QName::new("exp", self.name.clone()))
-                .attr(
-                    prov_model::QName::yprov("status"),
-                    prov_model::AttrValue::from("failed"),
-                );
-        }
-        if let Some(delta) = overhead.filter(|d| !d.is_empty()) {
-            emit_overhead(&mut doc, &identity, &delta);
-        }
-        // Fold in the ops plane's alert state, when a co-located
-        // service installed one: breached thresholds become part of
-        // the run's provenance, next to the overhead entities.
-        if let Some(alerts) = obs::alerts::global() {
-            emit_alerts(&mut doc, &identity, &alerts.states());
-        }
-
-        let prov_json_path = self.dir.join("prov.json");
-        let provn_path = self.dir.join("prov.provn");
-        {
-            let _trace = obs::trace::span("finalize_write");
-            reg.histogram("yprov4ml_finalize_write_seconds")
-                .time(|| write_prov_files(&doc, &prov_json_path, &provn_path))?;
-        }
+        let report = write_record(
+            &self.dir,
+            &identity,
+            &state,
+            &spill,
+            samples,
+            status,
+            |doc| {
+                if let Some(delta) = overhead.filter(|d| !d.is_empty()) {
+                    emit_overhead(doc, &identity, &delta);
+                }
+            },
+        )?;
         drop(finalize_trace);
         journal_closed?;
-
-        Ok(RunReport {
-            experiment: self.experiment,
-            run: self.name,
-            status,
-            prov_json_bytes: std::fs::metadata(&prov_json_path)?.len(),
-            prov_json_path,
-            provn_path,
-            metric_store_path: spill.store_path,
-            params: state.params.len(),
-            metric_samples: state.metric_samples,
-            artifacts: state.artifacts.len(),
-        })
+        Ok(report)
     }
 }
 

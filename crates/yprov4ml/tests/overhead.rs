@@ -69,7 +69,7 @@ fn overhead_entities_follow_the_registry_switch() {
     assert!(prov_model::validate::is_valid(&doc));
     let locals = overhead_entities(&doc);
     for expected in [
-        "overhead/yprov4ml_collector_enqueue_seconds",
+        "overhead/yprov4ml_collector_log_seconds",
         "overhead/yprov4ml_journal_append_seconds",
         "overhead/yprov4ml_finalize_drain_seconds",
         "overhead/yprov4ml_finalize_spill_seconds",
