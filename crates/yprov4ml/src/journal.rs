@@ -23,9 +23,10 @@
 //! frame leaves in one `write` when it fills or when [`SyncPolicy`]
 //! says so, and `flush`, `close` and `Drop` write a partial one. Long
 //! runs can rotate into bounded segments (`journal.0001.jsonl`, ...)
-//! via [`JournalConfig::rotate_bytes`]. [`JournalMode`] governs what
-//! happens when a journal already exists: the default refuses rather
-//! than silently truncating a previous run's crash evidence.
+//! via [`JournalConfig::rotate_bytes`]. A journal is the segments one
+//! directory listing finds, and [`JournalMode`] governs what happens
+//! when there are any: the default refuses rather than silently
+//! truncating a previous run's crash evidence.
 
 mod frame;
 
@@ -148,20 +149,24 @@ impl Default for SyncPolicy {
     }
 }
 
-/// What to do when a journal already exists in the run directory.
+/// What to do when a journal already exists in the run directory, that
+/// is when any of its segments does: `journal.jsonl` or a rotation
+/// segment, even one whose `journal.jsonl` is gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JournalMode {
     /// Refuse with [`ProvMLError::JournalExists`] — never silently
-    /// destroy the crash evidence of a previous run.
+    /// destroy the crash evidence of a previous run, nor replay what is
+    /// left of it as this run's.
     #[default]
     FailIfExists,
-    /// Truncate the existing journal (and remove stale rotation
-    /// segments) and start over.
+    /// Remove every segment and start over in a new `journal.jsonl`.
     Overwrite,
-    /// Keep what is there and add to it: frames go onto the highest
-    /// segment, behind any torn tail (the reader steps over it). A
-    /// journal [`read_journal`] refuses is refused here too, untouched.
-    /// The run identity stays the on-disk header's.
+    /// Keep what is there and add to it. The journal is first read by
+    /// [`read_journal`], the reader recovery uses: one it refuses (no
+    /// `journal.jsonl` included) is refused here too, untouched. Frames
+    /// then go onto the highest segment, behind any torn tail, and a
+    /// header line only where that segment has no whole one. The run
+    /// identity stays the on-disk header's.
     Resume,
 }
 
@@ -228,19 +233,23 @@ fn init_segment(mut file: File, header_line: &str) -> std::io::Result<(File, u64
     Ok((file, header_line.len() as u64 + 1))
 }
 
-/// Segment 0, then every rotation segment in `run_dir`, ascending, from
-/// one directory listing. A number missing below the highest is a
-/// segment lost after it was written.
+/// The journal's segments in `run_dir`, ascending, from one directory
+/// listing: segment 0 ([`JOURNAL_FILE`]) and every rotation segment,
+/// those on disk only. A journal exists exactly when this is non-empty;
+/// a number missing below the highest is a segment lost after it was
+/// written.
 fn segment_numbers(run_dir: &Path) -> std::io::Result<Vec<u32>> {
-    let mut numbers = vec![0];
+    let mut numbers = Vec::new();
     for entry in std::fs::read_dir(run_dir)? {
         let name = entry?.file_name();
         let name = name.to_string_lossy();
-        let number = name
-            .strip_prefix("journal.")
-            .and_then(|n| n.strip_suffix(".jsonl"))
-            .and_then(|n| n.parse().ok());
-        numbers.extend(number.filter(|&n| n > 0 && segment_file_name(n) == name));
+        let number = match name.strip_prefix("journal.") {
+            Some("jsonl") => Some(0),
+            rest => rest
+                .and_then(|n| n.strip_suffix(".jsonl"))
+                .and_then(|n| n.parse().ok()),
+        };
+        numbers.extend(number.filter(|&n| segment_file_name(n) == name));
     }
     numbers.sort_unstable();
     Ok(numbers)
@@ -271,35 +280,6 @@ fn split_segment<'a>(
     Ok((header, line_end.map_or(&[][..], |end| &data[end + 1..])))
 }
 
-/// [`split_segment`], then checked against segment 0's header `first`.
-/// `None` when `rotated_last` (the segment is the last and not 0) and
-/// `data` holds no whole header line: what a crash inside `rotate`
-/// leaves between creating the file and writing that line. Any other
-/// segment without one is a structural error.
-fn check_segment<'a>(
-    path: &Path,
-    data: &'a [u8],
-    rotated_last: bool,
-    first: Option<&JournalHeader>,
-) -> Result<Option<(JournalHeader, &'a [u8])>, ProvMLError> {
-    if rotated_last && !data.contains(&b'\n') {
-        return Ok(None);
-    }
-    let (header, body) = split_segment(path, data)?;
-    if let Some(h) = first.filter(|h| (&h.experiment, &h.run) != (&header.experiment, &header.run))
-    {
-        return Err(ProvMLError::Journal(format!(
-            "{}: segment header names run {:?}/{:?}, expected {:?}/{:?}",
-            path.display(),
-            header.experiment,
-            header.run,
-            h.experiment,
-            h.run
-        )));
-    }
-    Ok(Some((header, body)))
-}
-
 impl JournalWriter {
     /// Creates the journal with the default [`JournalConfig`] (refuse if
     /// one exists, fsync every 64 records, no rotation).
@@ -317,76 +297,72 @@ impl JournalWriter {
         header: &JournalHeader,
         config: JournalConfig,
     ) -> Result<Self, ProvMLError> {
+        Self::open(run_dir, header, config).map(|(writer, _)| writer)
+    }
+
+    /// [`Self::create_with`], and under `Resume` the replay of what the
+    /// journal held, read before a byte was written (`None` when there
+    /// was no journal to resume).
+    pub(crate) fn open(
+        run_dir: &Path,
+        header: &JournalHeader,
+        config: JournalConfig,
+    ) -> Result<(Self, Option<JournalReplay>), ProvMLError> {
         let path0 = run_dir.join(JOURNAL_FILE);
         let mut header_line = JournalHeader {
             version: JOURNAL_VERSION,
             ..header.clone()
         }
         .to_json();
-
-        let (file, segment, segment_bytes) = match config.mode {
-            JournalMode::FailIfExists => {
+        let segments = segment_numbers(run_dir)?;
+        let mut replay = None;
+        let (file, segment, segment_bytes) = match (config.mode, segments.last()) {
+            (JournalMode::FailIfExists, Some(_)) => {
+                let first = run_dir.join(segment_file_name(segments[0]));
+                return Err(ProvMLError::JournalExists(first));
+            }
+            (JournalMode::Resume, Some(&last)) => {
+                // The journal is read as recovery reads it, and refused
+                // as recovery refuses it, before a byte is written.
+                header_line = replay.insert(read_journal(run_dir)?).header.to_json();
+                let path = run_dir.join(segment_file_name(last));
+                let file = OpenOptions::new().read(true).append(true).open(&path)?;
+                let mut line = Vec::new();
+                BufReader::new(&file).read_until(b'\n', &mut line)?;
+                // A header line a crash cut short, however much of it
+                // parses, or never wrote (inside `rotate`), is written
+                // whole before frames follow.
+                let (file, bytes) = if line.ends_with(b"\n") {
+                    let bytes = file.metadata()?.len();
+                    (file, bytes)
+                } else {
+                    init_segment(File::create(&path)?, &header_line)?
+                };
+                (file, last, bytes)
+            }
+            (mode, _) => {
+                // Whatever an earlier run left goes first, so a later
+                // recovery cannot mix records from two runs.
+                if mode == JournalMode::Overwrite {
+                    for &segment in &segments {
+                        std::fs::remove_file(run_dir.join(segment_file_name(segment)))?;
+                    }
+                }
                 let file = OpenOptions::new()
                     .write(true)
                     .create_new(true)
                     .open(&path0)
-                    .map_err(|e| {
-                        if e.kind() == std::io::ErrorKind::AlreadyExists {
-                            ProvMLError::JournalExists(path0.clone())
-                        } else {
-                            ProvMLError::Io(e)
-                        }
+                    .map_err(|e| match e.kind() {
+                        ErrorKind::AlreadyExists => ProvMLError::JournalExists(path0.clone()),
+                        _ => ProvMLError::Io(e),
                     })?;
                 let (file, bytes) = init_segment(file, &header_line)?;
-                (file, 0, bytes)
-            }
-            JournalMode::Resume if path0.exists() => {
-                // Every header line is checked as the reader checks it
-                // before a byte is written.
-                let segments = segment_numbers(run_dir)?;
-                let last = *segments.last().expect("segment 0 is listed");
-                let mut disk: Option<JournalHeader> = None;
-                let mut torn = false;
-                for segment in segments {
-                    let path = run_dir.join(segment_file_name(segment));
-                    let mut line = Vec::new();
-                    BufReader::new(File::open(&path)?).read_until(b'\n', &mut line)?;
-                    let rotated_last = segment > 0 && segment == last;
-                    if let Some((header, _)) =
-                        check_segment(&path, &line, rotated_last, disk.as_ref())?
-                    {
-                        disk.get_or_insert(header);
-                    }
-                    // A header line the crash cut short, however much of
-                    // it parses, is written whole before frames follow.
-                    torn = !line.ends_with(b"\n");
-                }
-                header_line = disk.expect("segment 0 was read").to_json();
-                let path = run_dir.join(segment_file_name(last));
-                let (file, bytes) = if torn {
-                    init_segment(File::create(&path)?, &header_line)?
-                } else {
-                    let file = OpenOptions::new().append(true).open(&path)?;
-                    let bytes = file.metadata()?.len();
-                    (file, bytes)
-                };
-                (file, last, bytes)
-            }
-            mode => {
-                // Remove stale rotation segments so a later recovery
-                // cannot mix records from two different runs.
-                if mode == JournalMode::Overwrite {
-                    for seg in &segment_numbers(run_dir)?[1..] {
-                        std::fs::remove_file(run_dir.join(segment_file_name(*seg)))?;
-                    }
-                }
-                let (file, bytes) = init_segment(File::create(&path0)?, &header_line)?;
                 (file, 0, bytes)
             }
         };
 
         sync_dir(run_dir)?;
-        Ok(JournalWriter {
+        let writer = JournalWriter {
             inner: Mutex::new(WriterState {
                 file,
                 frame: Frame::default(),
@@ -403,7 +379,8 @@ impl JournalWriter {
             append_hist: obs::global().histogram("yprov4ml_journal_append_seconds"),
             fsync_hist: obs::global().histogram("yprov4ml_journal_fsync_seconds"),
             errors: obs::global().counter("yprov4ml_journal_errors_total"),
-        })
+        };
+        Ok((writer, replay))
     }
 
     fn rotate(&self, st: &mut WriterState) -> std::io::Result<()> {
@@ -552,7 +529,13 @@ pub struct JournalReplay {
 /// segment are skipped with a count.
 pub fn read_journal(run_dir: &Path) -> Result<JournalReplay, ProvMLError> {
     let segments = segment_numbers(run_dir)?;
-    let last = *segments.last().expect("segment 0 is listed");
+    let (Some(0), Some(&last)) = (segments.first().copied(), segments.last()) else {
+        let what = format!(
+            "{}: no journal segment 0",
+            run_dir.join(JOURNAL_FILE).display()
+        );
+        return Err(std::io::Error::new(ErrorKind::NotFound, what).into());
+    };
     let mut state = RunState::default();
     let mut records = 0usize;
     let mut skipped = (last as usize + 1) - segments.len();
@@ -560,21 +543,32 @@ pub fn read_journal(run_dir: &Path) -> Result<JournalReplay, ProvMLError> {
     for &segment in &segments {
         let path = run_dir.join(segment_file_name(segment));
         let data = std::fs::read(&path)?;
-        match check_segment(
-            &path,
-            &data,
-            segment > 0 && segment == last,
-            header.as_ref(),
-        )? {
-            Some((seg_header, body)) => {
-                header.get_or_insert(seg_header);
-                skipped += frame::read_frames(body, |record| {
-                    state.apply(record);
-                    records += 1;
-                });
-            }
-            None => skipped += 1,
+        // What a crash inside `rotate` leaves between creating the last
+        // segment and writing its header line. Any other segment
+        // without one is a structural error.
+        if segment > 0 && segment == last && !data.contains(&b'\n') {
+            skipped += 1;
+            continue;
         }
+        let (seg_header, body) = split_segment(&path, &data)?;
+        if let Some(h) = header
+            .as_ref()
+            .filter(|h| (&h.experiment, &h.run) != (&seg_header.experiment, &seg_header.run))
+        {
+            return Err(ProvMLError::Journal(format!(
+                "{}: segment header names run {:?}/{:?}, expected {:?}/{:?}",
+                path.display(),
+                seg_header.experiment,
+                seg_header.run,
+                h.experiment,
+                h.run
+            )));
+        }
+        header.get_or_insert(seg_header);
+        skipped += frame::read_frames(body, |record| {
+            state.apply(record);
+            records += 1;
+        });
     }
     Ok(JournalReplay {
         header: header.expect("segment 0 was read"),
@@ -1396,6 +1390,40 @@ mod tests {
         let replay = read_journal(&dir).unwrap();
         assert_eq!(replayed_steps(&replay), [100, 101]);
         assert_eq!((replay.skipped, replay.segments), (0, 3));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A rotated journal is its listing, whichever file is gone: with
+    /// segment 0 lost, the rotation segments left still make a journal.
+    #[test]
+    fn a_journal_whose_segment_0_is_gone_still_exists_to_every_mode() {
+        let dir = tmp("no_segment_0");
+        one_record_per_segment(&dir, JournalMode::FailIfExists, 1..4);
+        std::fs::remove_file(dir.join(JOURNAL_FILE)).unwrap();
+        let before = dir_bytes(&dir);
+        assert_eq!(before.len(), 3);
+        let mode = |mode| JournalConfig {
+            mode,
+            ..Default::default()
+        };
+
+        let err = JournalWriter::create_with(&dir, &header(), mode(JournalMode::FailIfExists))
+            .err()
+            .expect("FailIfExists refuses the segments left");
+        assert!(matches!(err, ProvMLError::JournalExists(_)), "{err}");
+        // Resume reads as recovery reads, and neither finds a run.
+        assert!(read_journal(&dir).is_err());
+        assert!(
+            JournalWriter::create_with(&dir, &header(), mode(JournalMode::Resume)).is_err(),
+            "Resume refuses a journal without segment 0"
+        );
+        assert_eq!(dir_bytes(&dir), before, "a refusal writes nothing");
+
+        write_records_with(&dir, 2, mode(JournalMode::Overwrite));
+        let replay = read_journal(&dir).unwrap();
+        assert_eq!(replayed_steps(&replay), [0, 1]);
+        assert_eq!((replay.records, replay.segments), (3, 1));
+        assert_eq!(dir_bytes(&dir).len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

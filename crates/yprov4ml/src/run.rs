@@ -3,9 +3,7 @@
 use crate::collector::{Collector, RunState};
 use crate::error::ProvMLError;
 use crate::hash::sha256_hex;
-use crate::journal::{
-    read_journal, JournalConfig, JournalHeader, JournalMode, JournalWriter, JOURNAL_FILE,
-};
+use crate::journal::{JournalConfig, JournalHeader, JournalWriter};
 use crate::lock;
 use crate::model::{ArtifactMeta, Context, Direction, LogRecord, ParamValue, RunReport, RunStatus};
 use crate::plugins::{PluginSink, ProvPlugin};
@@ -177,20 +175,19 @@ impl Run {
         let mut user = options.user.unwrap_or_else(|| "unknown".to_string());
         let mut started_us = now_us();
         let journal = if options.journal {
+            let (journal, replay) = JournalWriter::open(
+                &dir,
+                &JournalHeader::new(&experiment, &name, &user, started_us),
+                options.journal_config,
+            )?;
             // A resumed run goes on from what its journal already holds,
             // under the identity the journal's header recorded.
-            if options.journal_config.mode == JournalMode::Resume && dir.join(JOURNAL_FILE).exists()
-            {
-                let replay = read_journal(&dir)?;
+            if let Some(replay) = replay {
                 user = replay.header.user;
                 started_us = replay.header.started_us;
                 collector = Collector::from_state(replay.state);
             }
-            Some(JournalWriter::create_with(
-                &dir,
-                &JournalHeader::new(&experiment, &name, &user, started_us),
-                options.journal_config,
-            )?)
+            Some(journal)
         } else {
             None
         };

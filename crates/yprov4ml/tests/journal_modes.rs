@@ -8,7 +8,7 @@ use std::ops::Range;
 use std::path::PathBuf;
 
 use prov_model::{ProvDocument, QName};
-use yprov4ml::journal::{read_journal, JournalConfig, JournalMode};
+use yprov4ml::journal::{read_journal, JournalConfig, JournalMode, SyncPolicy};
 use yprov4ml::model::Context;
 use yprov4ml::run::{Run, RunOptions};
 use yprov4ml::Experiment;
@@ -117,5 +117,42 @@ fn an_overwrite_run_keeps_only_its_own_records() {
     assert_eq!(replay.state.metric_samples, 5);
     assert!(replay.state.params.is_empty());
     assert_eq!(replay.header.user, "bob");
+    std::fs::remove_dir_all(dir.parent().unwrap()).ok();
+}
+
+#[test]
+fn a_resumed_run_over_rotation_segments_without_segment_0_is_refused() {
+    let experiment = experiment("no_segment_0");
+    let rotating = |mode| RunOptions {
+        user: Some("alice".to_string()),
+        journal: true,
+        journal_config: JournalConfig {
+            sync: SyncPolicy::Always,
+            mode,
+            rotate_bytes: Some(1),
+        },
+        ..Default::default()
+    };
+    let run = experiment
+        .start_run_with("run", rotating(JournalMode::FailIfExists))
+        .unwrap();
+    let dir = crash(run, 0..3);
+    std::fs::remove_file(dir.join("journal.jsonl")).unwrap();
+    let files = || {
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.is_file())
+            .map(|path| (std::fs::read(&path).unwrap(), path))
+            .collect();
+        files.sort();
+        files
+    };
+    let before = files();
+    assert!(before.len() >= 3, "{} files", before.len());
+
+    let resumed = experiment.start_run_with("run", rotating(JournalMode::Resume));
+    assert!(resumed.is_err(), "a journal without segment 0 is no run");
+    assert_eq!(files(), before, "the refusal wrote nothing");
     std::fs::remove_dir_all(dir.parent().unwrap()).ok();
 }
