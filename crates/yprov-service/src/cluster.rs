@@ -126,17 +126,24 @@ impl Ring {
     /// ring position: the primary first, then the replicas. At most
     /// `n` (clamped to the member count).
     pub fn replicas_for(&self, key: &str, n: usize) -> Vec<&str> {
-        if self.points.is_empty() || n == 0 {
+        self.live_replicas_for(key, n, |_| true)
+    }
+
+    /// [`Self::replicas_for`] over the members `live` admits: the order
+    /// a ring of those members alone gives, since a member's points
+    /// depend on its id only and equal points break ties by sorted id.
+    fn live_replicas_for(&self, key: &str, n: usize, live: impl Fn(&str) -> bool) -> Vec<&str> {
+        let want = n.min(self.nodes.iter().filter(|node| live(node)).count());
+        if want == 0 {
             return Vec::new();
         }
         let target = ring_point(key.as_bytes());
         let start = self.points.partition_point(|(p, _)| *p < target);
-        let want = n.min(self.nodes.len());
         let mut out: Vec<&str> = Vec::with_capacity(want);
         for i in 0..self.points.len() {
             let (_, node) = self.points[(start + i) % self.points.len()];
             let name = self.nodes[node].as_str();
-            if !out.contains(&name) {
+            if live(name) && !out.contains(&name) {
                 out.push(name);
                 if out.len() == want {
                     break;
@@ -768,33 +775,16 @@ pub struct ClusterClient {
     nodes: Vec<NodeSpec>,
     replication: usize,
     policy: RetryPolicy,
-    /// The ring over every member, live or not: a key's primary on it
-    /// is the one node a write reaches without a verification gate.
+    /// The ring over every member, live or not. Requests walk it past
+    /// the dead; a key's first node on it is the one primary a write
+    /// reaches without a verification gate.
     members: Ring,
-    /// Health-probe-driven liveness per node id, and the ring over the
-    /// live ones.
-    view: Mutex<LiveView>,
+    /// Health-probe-driven liveness per node id.
+    alive: Mutex<BTreeMap<String, bool>>,
     /// Cached keep-alive clients per node, one set for routed requests
     /// and one (single-attempt, short-timeout) for probes/verification.
     clients: Mutex<BTreeMap<String, Client>>,
     probe_clients: Mutex<BTreeMap<String, Client>>,
-}
-
-/// Which members answer, and the ring built from them. The ring costs
-/// members × [`VNODES`] hashes to build and every routed request reads
-/// it, so it is rebuilt only when a member's liveness flips.
-struct LiveView {
-    alive: BTreeMap<String, bool>,
-    ring: Ring,
-}
-
-impl LiveView {
-    fn set(&mut self, id: &str, alive: bool) {
-        if self.alive.insert(id.to_string(), alive) != Some(alive) {
-            let live = self.alive.iter().filter(|(_, alive)| **alive);
-            self.ring = Ring::new(live.map(|(id, _)| id.clone()));
-        }
-    }
 }
 
 impl ClusterClient {
@@ -803,16 +793,13 @@ impl ClusterClient {
     /// transport failures update the view.
     pub fn new(nodes: Vec<NodeSpec>, replication: usize, policy: RetryPolicy) -> ClusterClient {
         let members = Ring::new(nodes.iter().map(|n| n.id.clone()));
-        let view = LiveView {
-            alive: nodes.iter().map(|n| (n.id.clone(), true)).collect(),
-            ring: members.clone(),
-        };
+        let alive = nodes.iter().map(|n| (n.id.clone(), true)).collect();
         ClusterClient {
             nodes,
             replication,
             policy,
             members,
-            view: Mutex::new(view),
+            alive: Mutex::new(alive),
             clients: Mutex::new(BTreeMap::new()),
             probe_clients: Mutex::new(BTreeMap::new()),
         }
@@ -844,7 +831,7 @@ impl ClusterClient {
                 .health()
                 .map(|r| r.status == 200)
                 .unwrap_or(false);
-            lock(&self.view).set(&node.id, ok);
+            lock(&self.alive).insert(node.id.clone(), ok);
             if ok {
                 live.push(node.id.clone());
             }
@@ -852,15 +839,20 @@ impl ClusterClient {
         live
     }
 
-    /// The ring over currently-live members.
+    /// The ring over currently-live members, built on each call.
     pub fn ring(&self) -> Ring {
-        lock(&self.view).ring.clone()
+        let alive = lock(&self.alive);
+        Ring::new(alive.iter().filter(|(_, up)| **up).map(|(id, _)| id))
     }
 
-    /// The first `n` nodes for `id` on the live ring, primary first.
+    /// The first `n` live nodes for `id`, primary first: the
+    /// full-membership ring walked past its dead members, the same
+    /// order the ring of the live ones gives.
     fn replicas(&self, id: &str, n: usize) -> Vec<String> {
-        let view = lock(&self.view);
-        let nodes = view.ring.replicas_for(id, n);
+        let alive = lock(&self.alive);
+        let nodes = self
+            .members
+            .live_replicas_for(id, n, |node| alive.get(node) == Some(&true));
         nodes.into_iter().map(String::from).collect()
     }
 
@@ -870,7 +862,7 @@ impl ClusterClient {
     }
 
     fn mark_dead(&self, id: &str) {
-        lock(&self.view).set(id, false);
+        lock(&self.alive).insert(id.to_string(), false);
     }
 
     fn spec(&self, id: &str) -> Option<&NodeSpec> {
@@ -1036,6 +1028,31 @@ mod tests {
                 assert_eq!(reduced.primary_for(&key), Some(before), "{key}");
             }
         }
+    }
+
+    #[test]
+    fn routing_past_dead_members_is_the_live_rings_order() {
+        testkit::check(64, |rng, size| {
+            let members = 1 + rng.len(0..8, size);
+            let ids: Vec<String> = (0..members).map(|_| rng.string(b"abc-", 3)).collect();
+            let addr: std::net::SocketAddr = "127.0.0.1:9".parse().unwrap();
+            let nodes = ids.iter().map(|id| NodeSpec::new(id, addr)).collect();
+            let cluster = ClusterClient::new(nodes, 1 + rng.below(3), fast_policy());
+            for id in &ids {
+                if rng.below(3) == 0 {
+                    cluster.mark_dead(id);
+                }
+            }
+            let live = cluster.ring();
+            for _ in 0..16 {
+                let len = 1 + rng.below(8);
+                let key = rng.string(b"run-0123456789", len);
+                let all = live.replicas_for(&key, members);
+                assert_eq!(cluster.route_order(&key), all, "{ids:?} {key}");
+                let placed = live.replicas_for(&key, cluster.replication);
+                assert_eq!(cluster.placement(&key), placed, "{ids:?} {key}");
+            }
+        });
     }
 
     /// Three frames off one chain: a pretty-printed document (raw
