@@ -194,11 +194,11 @@ impl Server {
             "Connections/requests shed with 503, by watermark reason.",
         );
         registry.set_help(
-            "reactor_queued_jobs",
+            "server_queued_jobs",
             "Requests running a handler or waiting for a handler turn.",
         );
         registry.set_help(
-            "reactor_queued_bytes",
+            "server_queued_bytes",
             "Response bytes not yet written, across all connections.",
         );
         let state = Arc::new(ServerState {

@@ -296,8 +296,8 @@ fn health_body(
             w.object(|w| {
                 for (key, gauge) in [
                     ("connections_open", "server_connections_open"),
-                    ("queued_bytes", "reactor_queued_bytes"),
-                    ("queued_jobs", "reactor_queued_jobs"),
+                    ("queued_bytes", "server_queued_bytes"),
+                    ("queued_jobs", "server_queued_jobs"),
                 ] {
                     w.key(key);
                     w.i64(gauges.get(gauge).copied().unwrap_or(0));
@@ -592,8 +592,8 @@ mod tests {
                 "replication_sources": sources,
                 "reactor": {
                     "connections_open": gauge("server_connections_open"),
-                    "queued_jobs": gauge("reactor_queued_jobs"),
-                    "queued_bytes": gauge("reactor_queued_bytes"),
+                    "queued_jobs": gauge("server_queued_jobs"),
+                    "queued_bytes": gauge("server_queued_bytes"),
                 },
             })
             .to_string()
@@ -752,8 +752,8 @@ mod tests {
             .collect();
         let gauges: BTreeMap<String, i64> = [
             ("server_connections_open", 3),
-            ("reactor_queued_jobs", -1),
-            ("reactor_queued_bytes", i64::MAX),
+            ("server_queued_jobs", -1),
+            ("server_queued_bytes", i64::MAX),
             ("other", 9),
         ]
         .into_iter()

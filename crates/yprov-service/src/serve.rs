@@ -117,12 +117,12 @@ pub(crate) fn spawn(
             running: Mutex::new(0),
             free: Condvar::new(),
             limit: cfg.workers.max(1),
-            queued_jobs: registry.gauge("reactor_queued_jobs"),
+            queued_jobs: registry.gauge("server_queued_jobs"),
         },
         accepted: registry.counter("server_connections_accepted_total"),
         pipelined: registry.counter("server_requests_pipelined_total"),
         open_gauge: registry.gauge("server_connections_open"),
-        queued_bytes_gauge: registry.gauge("reactor_queued_bytes"),
+        queued_bytes_gauge: registry.gauge("server_queued_bytes"),
         queued_bytes: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
         pool: Mutex::new(Pool::default()),

@@ -233,7 +233,7 @@ fn a_pipelining_peer_that_reads_nothing_holds_one_response() {
         std::thread::sleep(Duration::from_millis(200));
         let (status, metrics) = request(server.addr(), "GET", "/metrics", None).unwrap();
         assert_eq!(status, 200, "B shed because A does not read: {metrics}");
-        let queued = series_value(&metrics, "reactor_queued_bytes");
+        let queued = series_value(&metrics, "server_queued_bytes");
         if queued > 0 && last == Some(queued) {
             break (queued, metrics);
         }
@@ -492,10 +492,10 @@ fn reactor_loop_metrics_surface_in_the_scrape() {
     let (status, metrics) = request(server.addr(), "GET", "/metrics", None).unwrap();
     assert_eq!(status, 200);
     for needle in [
-        "# HELP reactor_queued_jobs ",
-        "# TYPE reactor_queued_jobs gauge",
-        "# HELP reactor_queued_bytes ",
-        "# TYPE reactor_queued_bytes gauge",
+        "# HELP server_queued_jobs ",
+        "# TYPE server_queued_jobs gauge",
+        "# HELP server_queued_bytes ",
+        "# TYPE server_queued_bytes gauge",
     ] {
         assert!(
             metrics.contains(needle),
@@ -505,7 +505,7 @@ fn reactor_loop_metrics_surface_in_the_scrape() {
     // Nothing is in flight at scrape time, so the gauge reads a level
     // (zero), not garbage.
     assert!(
-        metrics.contains("reactor_queued_jobs 0") || metrics.contains("reactor_queued_jobs 1"),
+        metrics.contains("server_queued_jobs 0") || metrics.contains("server_queued_jobs 1"),
         "queued-jobs gauge missing or implausible:\n{metrics}"
     );
     server.shutdown();
