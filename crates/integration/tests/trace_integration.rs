@@ -58,6 +58,22 @@ fn traced_run_exports_perfetto_compatible_json() {
     assert!(result.completed);
     run.finish().unwrap();
 
+    // Each producer stage is timed by its span: every logged record by a
+    // `collector_log`, and each finalize stage by a child of `finalize`.
+    let spans = obs::trace::snapshot();
+    assert!(spans.iter().any(|s| s.name == "collector_log"));
+    let finalize: Vec<_> = spans.iter().filter(|s| s.name == "finalize").collect();
+    assert_eq!(finalize.len(), 1, "one finish, one finalize span");
+    for stage in [
+        "finalize_drain",
+        "finalize_spill",
+        "finalize_emit",
+        "finalize_write",
+    ] {
+        let span = spans.iter().find(|s| s.name == stage);
+        assert_eq!(span.map(|s| s.parent), Some(finalize[0].id), "{stage}");
+    }
+
     let trace_path = run_dir.join("trace.json");
     let written = obs::trace::write_trace_json(&trace_path).unwrap();
     obs::trace::set_enabled(false);

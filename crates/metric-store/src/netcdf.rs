@@ -25,7 +25,7 @@ use crate::codec::{self, deflate_like, inflate_like};
 use crate::error::StoreError;
 use crate::pool::WorkerPool;
 use crate::series::MetricSeries;
-use crate::store::{decode_histogram, encode_histogram, path_size_bytes, MetricStore};
+use crate::store::{path_size_bytes, MetricStore};
 use json::Value; // reads JSON
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -152,11 +152,6 @@ pub struct NcStore {
     /// All series live in memory and the file is rewritten on change,
     /// mirroring how classic NetCDF writers rewrite the header section.
     cache: Mutex<BTreeMap<(String, String), MetricSeries>>,
-    /// Per-series column-encode timing; fetched once at construction so
-    /// pool workers never touch the registry mutex.
-    encode_hist: std::sync::Arc<obs::Histogram>,
-    /// Per-series column-decode timing.
-    decode_hist: std::sync::Arc<obs::Histogram>,
 }
 
 impl NcStore {
@@ -173,8 +168,6 @@ impl NcStore {
             path,
             opts,
             cache: Mutex::new(BTreeMap::new()),
-            encode_hist: encode_histogram(),
-            decode_hist: decode_histogram(),
         })
     }
 
@@ -188,8 +181,6 @@ impl NcStore {
             path,
             opts: NcOptions::default(),
             cache: Mutex::new(BTreeMap::new()),
-            encode_hist: encode_histogram(),
-            decode_hist: decode_histogram(),
         };
         let loaded = store.load(|_| true)?;
         *store.cache.lock().expect("series cache poisoned") = loaded;
@@ -251,7 +242,7 @@ impl NcStore {
             if obs::trace::is_enabled() {
                 trace.annotate("series", ordered[i].name.clone());
             }
-            self.encode_hist.time(|| self.encode_columns(ordered[i]))
+            self.encode_columns(ordered[i])
         });
 
         // The header first (it only needs each blob's length and CRC),
@@ -349,9 +340,7 @@ impl NcStore {
             if obs::trace::is_enabled() {
                 trace.annotate("series", var.name.clone());
             }
-            let series = self
-                .decode_hist
-                .time(|| self.decode_columns(var, blobs, compressed))?;
+            let series = self.decode_columns(var, blobs, compressed)?;
             drop(trace);
             out.insert((series.name.clone(), series.context.clone()), series);
         }

@@ -60,16 +60,6 @@ pub trait MetricStore {
     fn size_bytes(&self) -> Result<u64, StoreError>;
 }
 
-/// Chunk-encode timing, one histogram for both spill stores.
-pub(crate) fn encode_histogram() -> std::sync::Arc<obs::Histogram> {
-    obs::global().histogram("metric_store_chunk_encode_seconds")
-}
-
-/// Chunk-decode timing, one histogram for both spill stores.
-pub(crate) fn decode_histogram() -> std::sync::Arc<obs::Histogram> {
-    obs::global().histogram("metric_store_chunk_decode_seconds")
-}
-
 // ---------------------------------------------------------------------------
 // Chunk framing
 // ---------------------------------------------------------------------------

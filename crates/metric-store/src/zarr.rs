@@ -25,9 +25,7 @@ use crate::codec::{self, CodecId};
 use crate::error::StoreError;
 use crate::pool::WorkerPool;
 use crate::series::{MetricPoint, MetricSeries};
-use crate::store::{
-    decode_histogram, encode_histogram, frame_chunk, path_size_bytes, unframe_chunk, MetricStore,
-};
+use crate::store::{frame_chunk, path_size_bytes, unframe_chunk, MetricStore};
 use json::JsonWriter;
 use json::Value; // reads JSON
 use std::path::{Path, PathBuf};
@@ -114,11 +112,6 @@ const COLUMNS: [&str; 4] = ["steps", "epochs", "times", "values"];
 pub struct ZarrStore {
     root: PathBuf,
     opts: ZarrOptions,
-    /// Per-chunk column-encode timing; fetched once at construction so
-    /// pool workers never touch the registry mutex.
-    encode_hist: std::sync::Arc<obs::Histogram>,
-    /// Per-chunk column-decode timing.
-    decode_hist: std::sync::Arc<obs::Histogram>,
 }
 
 impl ZarrStore {
@@ -133,12 +126,7 @@ impl ZarrStore {
         if !group.exists() {
             std::fs::write(&group, r#"{"format":"yzarr-1"}"#)?;
         }
-        Ok(ZarrStore {
-            root,
-            opts,
-            encode_hist: encode_histogram(),
-            decode_hist: decode_histogram(),
-        })
+        Ok(ZarrStore { root, opts })
     }
 
     /// Opens an existing store with default options (reads are driven by
@@ -154,8 +142,6 @@ impl ZarrStore {
         Ok(ZarrStore {
             root,
             opts: ZarrOptions::default(),
-            encode_hist: encode_histogram(),
-            decode_hist: decode_histogram(),
         })
     }
 
@@ -185,7 +171,7 @@ impl ZarrStore {
         if obs::trace::is_enabled() {
             trace.annotate("chunk", ci.to_string());
         }
-        self.decode_hist.time(|| codec::decode_points(&cols))
+        codec::decode_points(&cols)
     }
 
     /// Removes any previous data for the series and writes its
@@ -212,7 +198,7 @@ impl ZarrStore {
             trace.annotate("chunk", ci.to_string());
             trace.annotate("points", chunk.len().to_string());
         }
-        let encoded = self.encode_hist.time(|| codec::encode_points(chunk));
+        let encoded = codec::encode_points(chunk);
         drop(trace);
         for (col, payload) in COLUMNS.iter().zip(encoded) {
             let framed = frame_chunk(&payload, &BYTE_CODECS);

@@ -1,6 +1,6 @@
-//! `metric_store_chunk_decode_seconds` counts one observation per
-//! decoded NetCDF variable and per decoded Zarr chunk. It is the only
-//! test in its binary, so nothing else decodes while it counts.
+//! The `chunk_encode` and `chunk_decode` spans: one per NetCDF variable
+//! and one per Zarr chunk, each way. It is the only test in its binary,
+//! so nothing else records spans while it counts.
 
 use metric_store::netcdf::{NcOptions, NcStore};
 use metric_store::zarr::{ZarrOptions, ZarrStore};
@@ -19,10 +19,19 @@ fn series(name: &str, n: usize) -> MetricSeries {
     s
 }
 
+/// Drains the recorded spans and counts `(chunk_encode, chunk_decode)`.
+fn drain_chunk_spans() -> (usize, usize) {
+    let spans = obs::trace::drain();
+    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    (count("chunk_encode"), count("chunk_decode"))
+}
+
 #[test]
 fn decodes_are_counted_per_variable_and_per_chunk() {
     let dir = std::env::temp_dir().join(format!("chunk_decode_metrics_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
+    obs::trace::set_enabled(true);
+    drain_chunk_spans();
     let written: Vec<MetricSeries> = (0..12).map(|i| series(&format!("m{i}"), 200)).collect();
     let refs: Vec<&MetricSeries> = written.iter().collect();
     let nc_path = dir.join("metrics.nc");
@@ -30,22 +39,22 @@ fn decodes_are_counted_per_variable_and_per_chunk() {
         .unwrap()
         .write_many(&refs, &WorkerPool::serial())
         .unwrap();
+    assert_eq!(
+        drain_chunk_spans(),
+        (12, 0),
+        "a write encodes every variable"
+    );
     let zarr =
         ZarrStore::create(dir.join("metrics.zarr"), ZarrOptions { chunk_points: 64 }).unwrap();
     zarr.write_series(&written[0]).unwrap();
+    assert_eq!(drain_chunk_spans(), (4, 0), "200 points are 4 chunks of 64");
 
-    let decodes = obs::global().histogram("metric_store_chunk_decode_seconds");
-    let count = decodes.count();
-    NcStore::open(&nc_path).unwrap();
-    assert_eq!(decodes.count(), count, "the registry is off by default");
-
-    obs::set_global_enabled(true);
     let store = NcStore::open(&nc_path).unwrap();
-    assert_eq!(decodes.count(), count + 12, "open decodes every variable");
+    assert_eq!(drain_chunk_spans(), (0, 12), "open decodes every variable");
     assert_eq!(store.read_series("m5", "training").unwrap(), written[5]);
-    assert_eq!(decodes.count(), count + 13, "a read decodes one variable");
+    assert_eq!(drain_chunk_spans(), (0, 1), "a read decodes one variable");
     assert_eq!(zarr.read_series("m0", "training").unwrap(), written[0]);
-    assert_eq!(decodes.count(), count + 17, "200 points are 4 chunks of 64");
-    obs::set_global_enabled(false);
+    assert_eq!(drain_chunk_spans(), (0, 4), "200 points are 4 chunks of 64");
+    obs::trace::set_enabled(false);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,12 +1,9 @@
 //! The instruments: counter, gauge, histogram, span timer.
 //!
 //! All update paths are lock-free (`Relaxed` atomics) and allocation-
-//! free. Every instrument shares an `Arc<AtomicBool>` enabled flag with
-//! the [`Registry`](crate::Registry) that created it; a disabled
-//! instrument's record methods return after one relaxed load.
+//! free.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Number of log2 histogram buckets: bucket `i` covers `[2^i, 2^(i+1))`
@@ -16,36 +13,19 @@ use std::time::{Duration, Instant};
 pub const BUCKET_COUNT: usize = 40;
 
 /// A monotonically increasing counter.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Counter {
-    enabled: Arc<AtomicBool>,
     value: AtomicU64,
 }
 
 impl Counter {
-    pub(crate) fn new(enabled: Arc<AtomicBool>) -> Self {
-        Counter {
-            enabled,
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// A registry-less, always-enabled counter (tests).
-    #[cfg(test)]
-    fn standalone() -> Arc<Self> {
-        Arc::new(Counter::new(Arc::new(AtomicBool::new(true))))
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
     }
 
-    /// Adds `n`. A no-op while the owning registry is disabled.
+    /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -56,39 +36,19 @@ impl Counter {
 }
 
 /// A gauge: a value that can move both ways (queue depths, pool sizes).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Gauge {
-    enabled: Arc<AtomicBool>,
     value: AtomicI64,
 }
 
 impl Gauge {
-    pub(crate) fn new(enabled: Arc<AtomicBool>) -> Self {
-        Gauge {
-            enabled,
-            value: AtomicI64::new(0),
-        }
-    }
-
-    /// A registry-less, always-enabled gauge.
-    #[cfg(test)]
-    fn standalone() -> Arc<Self> {
-        Arc::new(Gauge::new(Arc::new(AtomicBool::new(true))))
-    }
-
-    /// Sets the value. A no-op while the owning registry is disabled.
+    /// Sets the value.
     pub fn set(&self, v: i64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.value.store(v, Ordering::Relaxed);
     }
 
     /// Adds a (possibly negative) delta.
     pub fn add(&self, delta: i64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
@@ -102,7 +62,6 @@ impl Gauge {
 /// nanoseconds (see [`BUCKET_COUNT`]).
 #[derive(Debug)]
 pub struct Histogram {
-    enabled: Arc<AtomicBool>,
     buckets: [AtomicU64; BUCKET_COUNT],
     count: AtomicU64,
     sum_ns: AtomicU64,
@@ -122,27 +81,19 @@ pub(crate) fn bucket_upper_ns(i: usize) -> u64 {
     1u64 << (i as u32 + 1)
 }
 
-impl Histogram {
-    pub(crate) fn new(enabled: Arc<AtomicBool>) -> Self {
+impl Default for Histogram {
+    fn default() -> Self {
         Histogram {
-            enabled,
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
         }
     }
+}
 
-    /// A registry-less, always-enabled histogram.
-    #[cfg(test)]
-    fn standalone() -> Arc<Self> {
-        Arc::new(Histogram::new(Arc::new(AtomicBool::new(true))))
-    }
-
+impl Histogram {
     /// Records one observation of `ns` nanoseconds.
     pub fn record_ns(&self, ns: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
@@ -154,17 +105,11 @@ impl Histogram {
         self.record_ns(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Starts a span whose drop records the elapsed time. While the
-    /// registry is disabled the span is inert and never reads the clock.
+    /// Starts a span whose drop records the elapsed time.
     pub fn start_span(&self) -> SpanTimer<'_> {
-        let start = if self.enabled.load(Ordering::Relaxed) {
-            Some(Instant::now())
-        } else {
-            None
-        };
         SpanTimer {
             histogram: self,
-            start,
+            start: Instant::now(),
         }
     }
 
@@ -201,20 +146,15 @@ impl Histogram {
 }
 
 /// A guard that records its lifetime into a [`Histogram`] on drop.
-///
-/// Inert (no clock reads, nothing recorded) when the histogram's
-/// registry was disabled at [`Histogram::start_span`] time.
 #[must_use = "a span records on drop; binding it to _ drops it immediately"]
 pub struct SpanTimer<'a> {
     histogram: &'a Histogram,
-    start: Option<Instant>,
+    start: Instant,
 }
 
 impl Drop for SpanTimer<'_> {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.histogram.record(start.elapsed());
-        }
+        self.histogram.record(self.start.elapsed());
     }
 }
 
@@ -224,7 +164,7 @@ mod tests {
 
     #[test]
     fn counter_counts() {
-        let c = Counter::standalone();
+        let c = Counter::default();
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 42);
@@ -232,7 +172,7 @@ mod tests {
 
     #[test]
     fn gauge_moves_both_ways() {
-        let g = Gauge::standalone();
+        let g = Gauge::default();
         g.set(10);
         g.add(-3);
         assert_eq!(g.get(), 7);
@@ -252,7 +192,7 @@ mod tests {
 
     #[test]
     fn histogram_records_and_aggregates() {
-        let h = Histogram::standalone();
+        let h = Histogram::default();
         for ns in [1u64, 2, 1000, 1_000_000] {
             h.record_ns(ns);
         }
@@ -267,7 +207,7 @@ mod tests {
 
     #[test]
     fn span_records_on_drop() {
-        let h = Histogram::standalone();
+        let h = Histogram::default();
         {
             let _span = h.start_span();
             std::thread::sleep(Duration::from_millis(2));
@@ -281,32 +221,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_instruments_do_not_move() {
-        let enabled = Arc::new(AtomicBool::new(false));
-        let c = Counter::new(Arc::clone(&enabled));
-        let h = Histogram::new(Arc::clone(&enabled));
-        c.inc();
-        h.record_ns(100);
-        {
-            let span = h.start_span();
-            assert!(
-                span.start.is_none(),
-                "disabled span must not read the clock"
-            );
-        }
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        // Flipping the shared flag re-arms existing handles.
-        enabled.store(true, Ordering::Relaxed);
-        c.inc();
-        h.record_ns(100);
-        assert_eq!(c.get(), 1);
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
     fn time_returns_the_closure_result() {
-        let h = Histogram::standalone();
+        let h = Histogram::default();
         let out = h.time(|| 6 * 7);
         assert_eq!(out, 42);
         assert_eq!(h.count(), 1);
@@ -314,12 +230,11 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_nothing() {
-        let h = Histogram::standalone();
-        let c = Counter::standalone();
+        let h = Histogram::default();
+        let c = Counter::default();
         std::thread::scope(|s| {
             for _ in 0..8 {
-                let h = Arc::clone(&h);
-                let c = Arc::clone(&c);
+                let (h, c) = (&h, &c);
                 s.spawn(move || {
                     for i in 0..10_000u64 {
                         h.record_ns(i);

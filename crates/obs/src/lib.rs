@@ -8,19 +8,14 @@
 //!
 //! The design target is the paper's "minimal overhead" requirement
 //! turned on the tracker itself: instrumentation must be cheap enough
-//! to leave in the hot paths of the provenance collector (per-record
-//! enqueue, per-batch fold, per-chunk encode), which rules out mutexes
-//! and allocation on the record path.
+//! to leave in the hot paths it measures (a server's per-request
+//! counters and latency histograms; the tracker's own stages are timed
+//! by [`trace`] spans), which rules out mutexes and allocation on the
+//! record path. Every registry belongs to its owner.
 //!
 //! * **Hot path** — every instrument is a handful of `AtomicU64`s
 //!   updated with `Relaxed` ordering; a histogram observation is one
 //!   `leading_zeros` plus three `fetch_add`s. No locks, no allocation.
-//! * **Disabled path** — each instrument shares its registry's enabled
-//!   flag; when the registry is disabled, recording is a single
-//!   `Relaxed` load and a predictable branch, and span timers skip the
-//!   `Instant::now()` call entirely. The [`global`] registry starts
-//!   disabled, so instrumented libraries cost nothing until someone
-//!   opts in with [`set_global_enabled`].
 //! * **Cold path** — instrument registration (name → handle) goes
 //!   through a mutex-guarded `BTreeMap`. Callers are expected to look
 //!   a handle up once and keep the `Arc`.
@@ -53,19 +48,3 @@ pub mod tsdb;
 
 pub use instrument::{Counter, Gauge, Histogram, SpanTimer, BUCKET_COUNT};
 pub use registry::{HistogramSnapshot, Registry, Snapshot};
-
-use std::sync::OnceLock;
-
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-
-/// The process-wide default registry. Starts **disabled**: libraries
-/// instrumented against it (yprov4ml, metric-store, train-sim) cost a
-/// relaxed load per record until [`set_global_enabled`]`(true)`.
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::disabled)
-}
-
-/// Enables or disables recording on the [`global`] registry.
-pub fn set_global_enabled(enabled: bool) {
-    global().set_enabled(enabled);
-}

@@ -9,7 +9,6 @@
 use crate::instrument::{bucket_upper_ns, Counter, Gauge, Histogram, BUCKET_COUNT};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 #[derive(Debug, Clone)]
@@ -19,10 +18,9 @@ enum Instrument {
     Histogram(Arc<Histogram>),
 }
 
-/// A named collection of instruments sharing one enabled flag.
+/// A named collection of instruments.
 #[derive(Debug)]
 pub struct Registry {
-    enabled: Arc<AtomicBool>,
     instruments: Mutex<BTreeMap<String, Instrument>>,
     /// Family name → help text, rendered as `# HELP` lines.
     help: Mutex<BTreeMap<String, String>>,
@@ -35,32 +33,12 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An enabled registry.
+    /// An empty registry.
     pub fn new() -> Self {
         Registry {
-            enabled: Arc::new(AtomicBool::new(true)),
             instruments: Mutex::new(BTreeMap::new()),
             help: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// A registry whose instruments start as no-ops (see
-    /// [`Registry::set_enabled`]).
-    pub fn disabled() -> Self {
-        let r = Registry::new();
-        r.set_enabled(false);
-        r
-    }
-
-    /// Turns recording on or off for every instrument, existing and
-    /// future — handles observe the change on their next operation.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether instruments currently record.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Returns the counter `name`, registering it on first use.
@@ -69,9 +47,10 @@ impl Registry {
     /// If `name` is already registered as a different instrument kind.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut map = self.instruments.lock().expect("obs registry poisoned");
-        match map.entry(name.to_string()).or_insert_with(|| {
-            Instrument::Counter(Arc::new(Counter::new(Arc::clone(&self.enabled))))
-        }) {
+        match map
+            .entry(name.to_string())
+            .or_insert_with(|| Instrument::Counter(Arc::default()))
+        {
             Instrument::Counter(c) => Arc::clone(c),
             _ => panic!("obs: {name:?} is registered as a non-counter"),
         }
@@ -85,7 +64,7 @@ impl Registry {
         let mut map = self.instruments.lock().expect("obs registry poisoned");
         match map
             .entry(name.to_string())
-            .or_insert_with(|| Instrument::Gauge(Arc::new(Gauge::new(Arc::clone(&self.enabled)))))
+            .or_insert_with(|| Instrument::Gauge(Arc::default()))
         {
             Instrument::Gauge(g) => Arc::clone(g),
             _ => panic!("obs: {name:?} is registered as a non-gauge"),
@@ -98,9 +77,10 @@ impl Registry {
     /// If `name` is already registered as a different instrument kind.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut map = self.instruments.lock().expect("obs registry poisoned");
-        match map.entry(name.to_string()).or_insert_with(|| {
-            Instrument::Histogram(Arc::new(Histogram::new(Arc::clone(&self.enabled))))
-        }) {
+        match map
+            .entry(name.to_string())
+            .or_insert_with(|| Instrument::Histogram(Arc::default()))
+        {
             Instrument::Histogram(h) => Arc::clone(h),
             _ => panic!("obs: {name:?} is registered as a non-histogram"),
         }
@@ -339,7 +319,7 @@ impl HistogramSnapshot {
 }
 
 /// A snapshot of a whole registry, subtractable to isolate one
-/// interval's activity (e.g. one run's overhead).
+/// interval's activity (e.g. one scrape tick's).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Counter values by name.
@@ -391,16 +371,12 @@ impl Snapshot {
         }
         delta
     }
-
-    /// True when nothing moved.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn handles_are_shared_by_name() {
@@ -416,20 +392,6 @@ mod tests {
         let r = Registry::new();
         r.histogram("x");
         r.counter("x");
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let r = Registry::disabled();
-        let c = r.counter("hits");
-        let h = r.histogram("lat");
-        c.inc();
-        h.record_ns(5);
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        r.set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
     }
 
     #[test]
@@ -488,7 +450,7 @@ mod tests {
         assert_eq!(delta.histograms["append"].sum_ns, 500);
         // An idle interval is empty.
         let now = r.snapshot();
-        assert!(now.delta_since(&now).is_empty());
+        assert_eq!(now.delta_since(&now), Snapshot::default());
     }
 
     #[test]
@@ -583,7 +545,6 @@ mod tests {
         // while worker threads are live must show up as complete series
         // (their full first delta), not partial ones.
         use crate::tsdb::{Tsdb, TsdbConfig};
-        use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 
         let r = Arc::new(Registry::new());
@@ -669,19 +630,5 @@ mod tests {
             .quantile_upper_ns(0.5),
             0
         );
-    }
-
-    #[test]
-    fn global_registry_starts_disabled() {
-        // Serialized with nothing: this is the only test touching the
-        // global flag in this crate.
-        assert!(!crate::global().is_enabled());
-        let c = crate::global().counter("obs_selftest_total");
-        c.inc();
-        assert_eq!(c.get(), 0);
-        crate::set_global_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
-        crate::set_global_enabled(false);
     }
 }

@@ -369,41 +369,6 @@ impl<'a> ProvGraph<'a> {
         result
     }
 
-    /// Shortest path (by hop count, following out-edges) between two
-    /// identifiers, inclusive of both endpoints.
-    pub fn path(&self, from: &QName, to: &QName) -> Option<Vec<QName>> {
-        let idx = &*self.index;
-        let (s, t) = (self.node(from)?, self.node(to)?);
-        if s == t {
-            return Some(vec![from.clone()]);
-        }
-        let mut prev: Vec<Option<usize>> = vec![None; self.node_count()];
-        let mut queue = std::collections::VecDeque::from([s]);
-        let mut seen = vec![false; self.node_count()];
-        seen[s] = true;
-        while let Some(n) = queue.pop_front() {
-            for &ei in &idx.out[n] {
-                let next = idx.edges[ei].to;
-                if !seen[next] {
-                    seen[next] = true;
-                    prev[next] = Some(n);
-                    if next == t {
-                        let mut path = vec![t];
-                        let mut cur = t;
-                        while let Some(p) = prev[cur] {
-                            path.push(p);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path.into_iter().map(|i| idx.ids[i].clone()).collect());
-                    }
-                    queue.push_back(next);
-                }
-            }
-        }
-        None
-    }
-
     /// Topological order of the nodes (origins last), or `None` when the
     /// graph has a cycle.
     pub fn topo_order(&self) -> Option<Vec<QName>> {
@@ -623,22 +588,6 @@ mod tests {
         let sub = subgraph(&d, &BTreeSet::new());
         assert!(sub.is_empty() || sub.element_count() == 0);
         assert_eq!(sub.relation_count(), 0);
-    }
-
-    #[test]
-    fn path_finds_lineage_chain() {
-        let doc = pipeline_doc();
-        let g = ProvGraph::new(&doc);
-        let p = g.path(&q("report"), &q("data")).unwrap();
-        assert_eq!(
-            p,
-            vec![q("report"), q("eval"), q("model"), q("train"), q("data")]
-        );
-        assert!(
-            g.path(&q("data"), &q("report")).is_none(),
-            "wrong direction"
-        );
-        assert_eq!(g.path(&q("data"), &q("data")).unwrap(), vec![q("data")]);
     }
 
     #[test]

@@ -253,39 +253,6 @@ fn bounded_walk_matches_bounded_repeat_query() {
     });
 }
 
-#[test]
-fn path_endpoints_and_adjacency() {
-    check(64, |rng, size| {
-        let n = rng.range(2usize..15);
-        let edges = edges_within(rng, 1..40, size, 15, n);
-        let doc = dag_doc(n, &edges);
-        let graph = ProvGraph::new(&doc);
-        // For each pair, if a path exists its endpoints match and each
-        // hop is a real edge.
-        let edge_set: BTreeSet<(usize, usize)> = edges
-            .iter()
-            .map(|&(a, b)| (a.max(b), a.min(b)))
-            .filter(|(a, b)| a != b)
-            .collect();
-        for a in 0..n {
-            for b in 0..n {
-                if let Some(path) = graph.path(&q(a), &q(b)) {
-                    assert_eq!(path.first().unwrap(), &q(a));
-                    assert_eq!(path.last().unwrap(), &q(b));
-                    for w in path.windows(2) {
-                        let from: usize = w[0].local()[1..].parse().unwrap();
-                        let to: usize = w[1].local()[1..].parse().unwrap();
-                        assert!(
-                            edge_set.contains(&(from, to)),
-                            "hop {from}->{to} is not an edge"
-                        );
-                    }
-                }
-            }
-        }
-    });
-}
-
 /// An ML-run-like document over `n` nodes: entities and activities
 /// whose names, splits, groups and types the audits' filters read,
 /// joined by dataflow relations, some to the two undeclared

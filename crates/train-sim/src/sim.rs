@@ -342,14 +342,7 @@ impl TrainingSimulation {
             epochs_completed,
         };
 
-        // Real walltime (not simulated time) spent per step / per epoch
-        // block, so the tracker's observability layer can report how
-        // much the simulator itself costs the host.
-        let step_hist = obs::global().histogram("train_sim_step_walltime_seconds");
-        let epoch_hist = obs::global().histogram("train_sim_epoch_walltime_seconds");
-
         while step < total_steps {
-            let _step_span = step_hist.start_span();
             // A GPU failure scheduled for the step we are about to
             // execute kills the run before the step completes.
             if let Some(ev) = cfg.faults.fatal_at(step) {
@@ -449,7 +442,6 @@ impl TrainingSimulation {
 
             let epoch_boundary = step.is_multiple_of(steps_per_epoch);
             if epoch_boundary {
-                let _epoch_span = epoch_hist.start_span();
                 epochs_completed = epoch + 1;
                 last_ckpt = Checkpoint {
                     samples_seen: samples,

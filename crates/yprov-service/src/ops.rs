@@ -292,7 +292,11 @@ fn health_body(
             w.u64(ledger_entries as u64);
             w.key("live");
             w.bool(true);
-            w.key("reactor");
+            w.key("ready");
+            w.bool(backend.is_ok() && ledger.is_ok());
+            w.key("replication_sources");
+            write_sources(w, sources);
+            w.key("server");
             w.object(|w| {
                 for (key, gauge) in [
                     ("connections_open", "server_connections_open"),
@@ -303,10 +307,6 @@ fn health_body(
                     w.i64(gauges.get(gauge).copied().unwrap_or(0));
                 }
             });
-            w.key("ready");
-            w.bool(backend.is_ok() && ledger.is_ok());
-            w.key("replication_sources");
-            write_sources(w, sources);
         })
     })
 }
@@ -590,7 +590,7 @@ mod tests {
                 "backend": backend_name,
                 "ledger_entries": ledger_entries,
                 "replication_sources": sources,
-                "reactor": {
+                "server": {
                     "connections_open": gauge("server_connections_open"),
                     "queued_jobs": gauge("server_queued_jobs"),
                     "queued_bytes": gauge("server_queued_bytes"),

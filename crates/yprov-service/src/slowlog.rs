@@ -9,11 +9,10 @@
 //! built entirely off-lock and pushed under one short mutex hold (a
 //! `BTreeMap` probe plus a bounded `Vec` shift — no allocation beyond
 //! the entry itself, no syscall), so in the common single-writer case
-//! the lock is uncontended and the cost is one CAS. When disabled
-//! (the default is enabled) recording is a single relaxed load.
+//! the lock is uncontended and the cost is one CAS.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One captured request.
@@ -49,7 +48,6 @@ struct RouteLog {
 
 /// The log itself; shared by every connection thread of one server.
 pub struct SlowLog {
-    enabled: AtomicBool,
     per_route: usize,
     seq: AtomicU64,
     routes: Mutex<BTreeMap<&'static str, RouteLog>>,
@@ -60,27 +58,15 @@ impl SlowLog {
     /// for each route.
     pub fn new(per_route: usize) -> SlowLog {
         SlowLog {
-            enabled: AtomicBool::new(true),
             per_route: per_route.max(1),
             seq: AtomicU64::new(0),
             routes: Mutex::new(BTreeMap::new()),
         }
     }
 
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Release);
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
-    }
-
-    /// Records one finished (or shed) request. Cheap no-op when
-    /// disabled; otherwise one short uncontended lock hold.
+    /// Records one finished (or shed) request: one short uncontended
+    /// lock hold.
     pub fn record(&self, mut entry: SlowEntry) {
-        if !self.is_enabled() {
-            return;
-        }
         entry.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let is_error = entry.status >= 400 || entry.shed.is_some();
         let mut routes = self.routes.lock().expect("slowlog poisoned");
@@ -197,17 +183,6 @@ mod tests {
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].0, "/a/{id}");
         assert_eq!(snap[0].1[0].path, "/a/1", "concrete path preserved");
-    }
-
-    #[test]
-    fn disabled_records_nothing() {
-        let log = SlowLog::new(2);
-        log.set_enabled(false);
-        ok(&log, 5);
-        assert!(log.is_empty());
-        log.set_enabled(true);
-        ok(&log, 5);
-        assert_eq!(log.len(), 1);
     }
 
     #[test]

@@ -119,9 +119,6 @@ pub struct Collector {
     /// `None` once closed.
     state: Mutex<Option<RunState>>,
     accepted: AtomicUsize,
-    /// Latency of `log` and `log_many`, fold included: the tracker cost
-    /// the training loop actually feels.
-    log_hist: Arc<obs::Histogram>,
 }
 
 impl Collector {
@@ -136,7 +133,6 @@ impl Collector {
         Arc::new(Collector {
             state: Mutex::new(Some(state)),
             accepted: AtomicUsize::new(0),
-            log_hist: obs::global().histogram("yprov4ml_collector_log_seconds"),
         })
     }
 
@@ -159,7 +155,6 @@ impl Collector {
 
     /// Folds one record into the state.
     pub fn log(&self, record: LogRecord) -> Result<(), ProvMLError> {
-        let _span = self.log_hist.start_span();
         let _trace = obs::trace::span("collector_log");
         self.with_state(|state| state.apply(record))?;
         // Counted only after a successful fold: a record rejected with
@@ -174,7 +169,6 @@ impl Collector {
         if count == 0 {
             return Ok(());
         }
-        let _span = self.log_hist.start_span();
         let mut trace = obs::trace::span("collector_log");
         if obs::trace::is_enabled() {
             trace.annotate("records", count.to_string());

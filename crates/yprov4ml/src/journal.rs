@@ -205,12 +205,6 @@ pub struct JournalWriter {
     path0: PathBuf,
     config: JournalConfig,
     header_line: String,
-    /// Full append latency (staging + any frame write + any fsync).
-    append_hist: std::sync::Arc<obs::Histogram>,
-    /// fsync latency alone, the dominant durability cost.
-    fsync_hist: std::sync::Arc<obs::Histogram>,
-    /// Failed frame writes and fsyncs.
-    errors: std::sync::Arc<obs::Counter>,
 }
 
 /// Directory fsync, so renames and fresh file names survive power
@@ -376,9 +370,6 @@ impl JournalWriter {
             path0,
             config,
             header_line,
-            append_hist: obs::global().histogram("yprov4ml_journal_append_seconds"),
-            fsync_hist: obs::global().histogram("yprov4ml_journal_fsync_seconds"),
-            errors: obs::global().counter("yprov4ml_journal_errors_total"),
         };
         Ok((writer, replay))
     }
@@ -422,14 +413,13 @@ impl JournalWriter {
                 st.segment_bytes += st.out.len() as u64;
             }
             if sync {
-                self.fsync_hist.time(|| st.file.sync_all())?;
+                st.file.sync_all()?;
                 st.unsynced = 0;
             }
             Ok(())
         };
         write().map_err(|e| {
             st.failed = Some(e.to_string());
-            self.errors.inc();
             ProvMLError::Io(e)
         })
     }
@@ -440,7 +430,6 @@ impl JournalWriter {
     /// process crash can still void (see [`SyncPolicy`]); a failed
     /// write is returned here once and by `flush`/`close` ever after.
     pub fn append(&self, record: &LogRecord) -> Result<(), ProvMLError> {
-        let _span = self.append_hist.start_span();
         let mut guard = lock(&self.inner);
         let st = &mut *guard;
         if st.failed.is_some() {
@@ -1237,7 +1226,7 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_write_is_sticky_and_counted() {
+    fn a_failed_write_is_sticky() {
         let dir = tmp("disk_full");
         let config = JournalConfig {
             sync: SyncPolicy::EveryN(4),
@@ -1246,8 +1235,6 @@ mod tests {
         let writer = JournalWriter::create_with(&dir, &header(), config).unwrap();
         (0..4).for_each(|i| writer.append(&metric(i)).unwrap());
         writer.break_disk();
-        let errors = obs::global().counter("yprov4ml_journal_errors_total");
-        let before = errors.get();
 
         // Staging succeeds; the append that writes the frame fails, and
         // so does everything after it, with the first error's text.
@@ -1260,9 +1247,6 @@ mod tests {
         assert!(later.to_string().contains(&cause.to_string()), "{later}");
         assert!(writer.flush().is_err());
         assert!(writer.close().is_err());
-        if obs::global().is_enabled() {
-            assert!(errors.get() > before, "the failure is counted");
-        }
         // What was written before the failure is still whole.
         assert_eq!(read_journal(&dir).unwrap().records, 4);
         std::fs::remove_dir_all(&dir).ok();

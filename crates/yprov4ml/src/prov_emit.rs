@@ -382,11 +382,9 @@ pub(crate) fn write_record(
     status: RunStatus,
     mark: impl FnOnce(&mut ProvDocument),
 ) -> Result<RunReport, ProvMLError> {
-    let reg = obs::global();
     let mut doc = {
         let _trace = obs::trace::span("finalize_emit");
-        reg.histogram("yprov4ml_finalize_emit_seconds")
-            .time(|| build_document_with(identity, state, spill, samples))
+        build_document_with(identity, state, spill, samples)
     };
     let stamp = match status {
         RunStatus::Failed => Some("failed"),
@@ -402,8 +400,7 @@ pub(crate) fn write_record(
     let provn_path = dir.join("prov.provn");
     {
         let _trace = obs::trace::span("finalize_write");
-        reg.histogram("yprov4ml_finalize_write_seconds")
-            .time(|| write_prov_files(&doc, &prov_json_path, &provn_path))?;
+        write_prov_files(&doc, &prov_json_path, &provn_path)?;
     }
     Ok(RunReport {
         experiment: identity.experiment.clone(),
@@ -421,52 +418,6 @@ pub(crate) fn write_record(
 
 fn context_name(ctx: &Context) -> String {
     ctx.name()
-}
-
-/// Attaches the tracker's own runtime cost to the run as PROV entities
-/// (self-provenance): one `yprov4ml:overhead/<instrument>` entity per
-/// instrument that moved during the run, generated by the run activity.
-///
-/// `delta` should be the difference between the global registry at run
-/// start and at finalize (see `obs::Snapshot::delta_since`), so the
-/// entities describe this run's interval. Histogram entities carry the
-/// observation count, total/mean nanoseconds, and bucketed p50/p99
-/// upper-bound estimates; counter entities carry the count alone.
-pub fn emit_overhead(doc: &mut ProvDocument, identity: &RunIdentity, delta: &obs::Snapshot) {
-    let run_activity = QName::new("exp", identity.run.clone());
-    let overhead_ty = QName::yprov("OverheadMetric");
-    for (name, h) in &delta.histograms {
-        let entity = QName::yprov(format!("overhead/{name}"));
-        doc.entity(entity.clone())
-            .prov_type(overhead_ty.clone())
-            .label(name.clone())
-            .attr(QName::yprov("count"), AttrValue::Int(h.count as i64))
-            .attr(
-                QName::yprov("total_ns"),
-                AttrValue::Int(h.sum_ns.min(i64::MAX as u64) as i64),
-            )
-            .attr(QName::yprov("mean_ns"), AttrValue::Double(h.mean_ns()))
-            .attr(
-                QName::yprov("p50_upper_ns"),
-                AttrValue::Int(h.quantile_upper_ns(0.5) as i64),
-            )
-            .attr(
-                QName::yprov("p99_upper_ns"),
-                AttrValue::Int(h.quantile_upper_ns(0.99) as i64),
-            );
-        doc.was_generated_by(entity, run_activity.clone());
-    }
-    for (name, value) in &delta.counters {
-        let entity = QName::yprov(format!("overhead/{name}"));
-        doc.entity(entity.clone())
-            .prov_type(overhead_ty.clone())
-            .label(name.clone())
-            .attr(
-                QName::yprov("count"),
-                AttrValue::Int((*value).min(i64::MAX as u64) as i64),
-            );
-        doc.was_generated_by(entity, run_activity.clone());
-    }
 }
 
 /// Links same-content artifacts across runs in a merged document.

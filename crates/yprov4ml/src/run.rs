@@ -7,9 +7,7 @@ use crate::journal::{JournalConfig, JournalHeader, JournalWriter};
 use crate::lock;
 use crate::model::{ArtifactMeta, Context, Direction, LogRecord, ParamValue, RunReport, RunStatus};
 use crate::plugins::{PluginSink, ProvPlugin};
-use crate::prov_emit::{
-    build_document_with, emit_overhead, write_record, InlineCache, RunIdentity, Samples,
-};
+use crate::prov_emit::{build_document_with, write_record, InlineCache, RunIdentity, Samples};
 use crate::spill::{spill_metrics_pooled, SpillOutcome, SpillPolicy};
 use metric_store::WorkerPool;
 use std::path::{Path, PathBuf};
@@ -152,10 +150,6 @@ pub struct Run {
     /// The inline series text of the cuts so far (inline runs only);
     /// held across a whole cut, so cuts render one after another.
     inline: Mutex<InlineCache>,
-    /// Global observability registry at run start; subtracted at finish
-    /// to isolate this run's tracker overhead (approximate when several
-    /// runs share the process, since the registry is process-wide).
-    obs_start: obs::Snapshot,
 }
 
 fn now_us() -> i64 {
@@ -203,7 +197,6 @@ impl Run {
             plugins: Mutex::new(options.plugins),
             journal,
             inline: Mutex::default(),
-            obs_start: obs::global().snapshot(),
         };
         // Give plugins a chance to record environment parameters.
         {
@@ -529,19 +522,16 @@ impl Run {
                 p.on_run_end(&mut sink);
             }
         }
-        let reg = obs::global();
         // One parent span over the whole finalize pipeline; each stage
         // below opens a child, so the trace shows where a slow finish
-        // actually spent its time (the question the aggregate stage
-        // histograms cannot answer per-run).
+        // spent its time.
         let mut finalize_trace = obs::trace::span("finalize");
         if obs::trace::is_enabled() {
             finalize_trace.annotate("run", self.name.clone());
         }
         let state = {
             let _trace = obs::trace::span("finalize_drain");
-            reg.histogram("yprov4ml_finalize_drain_seconds")
-                .time(|| self.collector.close())?
+            self.collector.close()?
         };
         // The journal is complete once the collector is closed; fsync
         // it (and its directory entry) so the WAL is durable even if
@@ -551,8 +541,7 @@ impl Run {
         let journal_closed = match self.journal.take() {
             Some(journal) => {
                 let _trace = obs::trace::span("finalize_journal_close");
-                reg.histogram("yprov4ml_finalize_journal_close_seconds")
-                    .time(|| journal.close())
+                journal.close()
             }
             None => Ok(()),
         };
@@ -562,18 +551,7 @@ impl Run {
         let series: Vec<&metric_store::series::MetricSeries> = state.metrics.values().collect();
         let spill = {
             let _trace = obs::trace::span("finalize_spill");
-            reg.histogram("yprov4ml_finalize_spill_seconds")
-                .time(|| spill_metrics_pooled(&self.dir, &self.spill, &series, &pool))?
-        };
-
-        // Snapshot before document building so the delta covers every
-        // hot path the run exercised (collector, journal, spill); the
-        // emit/write stages below time into the registry for the *next*
-        // run's delta rather than their own.
-        let overhead = if reg.is_enabled() {
-            Some(reg.snapshot().delta_since(&self.obs_start))
-        } else {
-            None
+            spill_metrics_pooled(&self.dir, &self.spill, &series, &pool)?
         };
 
         let identity = self.identity(ended_us);
@@ -589,11 +567,7 @@ impl Run {
             &spill,
             samples,
             status,
-            |doc| {
-                if let Some(delta) = overhead.filter(|d| !d.is_empty()) {
-                    emit_overhead(doc, &identity, &delta);
-                }
-            },
+            |_| {},
         )?;
         drop(finalize_trace);
         journal_closed?;
