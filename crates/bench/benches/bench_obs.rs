@@ -11,6 +11,10 @@
 //! * `instrument_hot_path` — the counter increment a request handler
 //!   pays, for scale.
 //!
+//! Each figure is the median of [`RUNS`] runs in one process, with the
+//! lowest and highest run beside it (`_min`, `_max`), so a reader can
+//! see how far apart two runs of the same binary land.
+//!
 //! `YPROV_BENCH_SMOKE=1` shrinks iteration counts so CI can exercise
 //! the harness cheaply.
 
@@ -19,13 +23,34 @@ use obs::alerts::{AlertRule, Cmp};
 use std::time::Instant;
 use yprov_service::{Ops, OpsConfig, SlowEntry, SlowLog};
 
-/// Mean nanoseconds per call of `f` over `iters` calls.
-fn time_ns(iters: u64, mut f: impl FnMut(u64)) -> f64 {
-    let start = Instant::now();
-    for i in 0..iters {
-        f(i);
+/// Runs of each cell; its figure is their median.
+const RUNS: u64 = 7;
+
+/// Mean nanoseconds per call of one run, over [`RUNS`] runs.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+/// Times [`RUNS`] runs of `iters` calls of `f`. The call index keeps
+/// counting across runs, so a clock derived from it never stands still.
+fn time_ns(iters: u64, mut f: impl FnMut(u64)) -> Spread {
+    let mut runs: Vec<f64> = (0..RUNS)
+        .map(|run| {
+            let start = Instant::now();
+            for i in run * iters..(run + 1) * iters {
+                f(i);
+            }
+            start.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    Spread {
+        median: runs[runs.len() / 2],
+        min: runs[0],
+        max: runs[runs.len() - 1],
     }
-    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 /// A registry that looks like a busy server's: labelled request
@@ -80,13 +105,18 @@ fn bench_scrape_tick(ticks: u64, series: usize) -> json::Value {
     });
 
     eprintln!(
-        "scrape_tick ({series} series): populated {populated_ns:.0} ns, empty {empty_ns:.0} ns"
+        "scrape_tick ({series} series): populated {:.0} ns, empty {:.0} ns",
+        populated_ns.median, empty_ns.median
     );
     json!({
         "series": series,
         "ticks": ticks,
-        "populated_ns_per_tick": populated_ns,
-        "empty_ns_per_tick": empty_ns,
+        "populated_ns_per_tick": populated_ns.median,
+        "populated_ns_per_tick_min": populated_ns.min,
+        "populated_ns_per_tick_max": populated_ns.max,
+        "empty_ns_per_tick": empty_ns.median,
+        "empty_ns_per_tick_min": empty_ns.min,
+        "empty_ns_per_tick_max": empty_ns.max,
     })
 }
 
@@ -107,11 +137,18 @@ fn bench_slowlog(iters: u64) -> json::Value {
         std::hint::black_box(1_000 + (i % 97) * 13);
     });
 
-    eprintln!("slowlog_record: {record_ns:.1} ns, baseline {baseline_ns:.1} ns");
+    eprintln!(
+        "slowlog_record: {:.1} ns, baseline {:.1} ns",
+        record_ns.median, baseline_ns.median
+    );
     json!({
         "iters": iters,
-        "ns_per_record": record_ns,
-        "loop_baseline_ns": baseline_ns,
+        "ns_per_record": record_ns.median,
+        "ns_per_record_min": record_ns.min,
+        "ns_per_record_max": record_ns.max,
+        "loop_baseline_ns": baseline_ns.median,
+        "loop_baseline_ns_min": baseline_ns.min,
+        "loop_baseline_ns_max": baseline_ns.max,
     })
 }
 
@@ -120,26 +157,31 @@ fn bench_instrument(iters: u64) -> json::Value {
     let counter = registry.counter("requests_total");
     let inc_ns = time_ns(iters, |_| counter.inc());
 
-    eprintln!("counter_inc: {inc_ns:.2} ns");
+    eprintln!("counter_inc: {:.2} ns", inc_ns.median);
     json!({
         "iters": iters,
-        "ns_per_inc": inc_ns,
+        "ns_per_inc": inc_ns.median,
+        "ns_per_inc_min": inc_ns.min,
+        "ns_per_inc_max": inc_ns.max,
     })
 }
 
 fn main() {
     let smoke = matches!(std::env::var("YPROV_BENCH_SMOKE"), Ok(v) if v != "0");
     let (ticks, series, iters) = if smoke {
-        (500, 128, 100_000)
+        (100, 128, 20_000)
     } else {
-        (5_000, 512, 2_000_000)
+        (1_000, 512, 2_000_000)
     };
 
     let out = json!({
         "bench": "bench_obs",
         "description": "Ops-plane overhead: scrape-tick cost over a populated \
                         vs empty registry, slowlog record cost, and the \
-                        instrument hot path.",
+                        instrument hot path. Each figure is the median of \
+                        `runs` runs; `_min`/`_max` are the lowest and \
+                        highest run.",
+        "runs": RUNS,
         // CI's bench-smoke guard greps for this: a committed file that
         // still says "pending" fails the job.
         "status": "measured",

@@ -68,7 +68,14 @@ fn full_pipeline() {
         "exp",
         "pipeline-run/artifact/dataset_manifest.json"
     )));
-    assert!(!graph.has_cycle());
+    // Acyclic: no node is its own ancestor.
+    for i in 0..graph.node_count() {
+        let id = graph.id(i);
+        assert!(
+            !graph.ancestors(id).contains(id),
+            "{id} is its own ancestor"
+        );
+    }
 
     // 4. Serve: upload over real HTTP, query back.
     let store = DocumentStore::new();

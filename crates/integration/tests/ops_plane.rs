@@ -116,7 +116,7 @@ fn slowlog_trace_ids_line_up_with_the_chrome_trace_export() {
 
     // The same id must identify the request's span in the Chrome
     // export — that is what makes the slowlog entry clickable.
-    let chrome = obs::trace::to_chrome_json(&obs::trace::snapshot());
+    let chrome = obs::trace::to_chrome_json(&obs::trace::drain());
     assert!(
         chrome.contains(&format!("\"trace_id\":\"{trace_id}\"")),
         "slowlog trace id {trace_id} absent from the trace export"

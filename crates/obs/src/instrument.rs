@@ -113,12 +113,6 @@ impl Histogram {
         }
     }
 
-    /// Times a closure (span sugar for straight-line regions).
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _span = self.start_span();
-        f()
-    }
-
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -127,16 +121,6 @@ impl Histogram {
     /// Total of all observations, nanoseconds.
     pub fn sum_ns(&self) -> u64 {
         self.sum_ns.load(Ordering::Relaxed)
-    }
-
-    /// Mean observation in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum_ns() as f64 / n as f64
-        }
     }
 
     /// Loads the raw bucket counts.
@@ -198,7 +182,6 @@ mod tests {
         }
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum_ns(), 1_001_003);
-        assert!((h.mean_ns() - 1_001_003.0 / 4.0).abs() < 1e-9);
         let buckets = h.bucket_counts();
         assert_eq!(buckets.iter().sum::<u64>(), 4);
         assert_eq!(buckets[0], 1);
@@ -218,14 +201,6 @@ mod tests {
             "slept 2ms, recorded {}ns",
             h.sum_ns()
         );
-    }
-
-    #[test]
-    fn time_returns_the_closure_result() {
-        let h = Histogram::default();
-        let out = h.time(|| 6 * 7);
-        assert_eq!(out, 42);
-        assert_eq!(h.count(), 1);
     }
 
     #[test]

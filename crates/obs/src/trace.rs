@@ -1,5 +1,4 @@
-//! Structured tracing: causal spans, Chrome trace-event export, and a
-//! crash flight recorder.
+//! Structured tracing: causal spans and Chrome trace-event export.
 //!
 //! Where the [`Registry`](crate::Registry) aggregates (how long do chunk
 //! encodes take *on average*?), this module records individual spans —
@@ -18,12 +17,9 @@
 //!   guarded by a mutex, but only the exporter ever takes it from
 //!   another thread: the common lock is uncontended (one CAS, no
 //!   syscall).
-//! * **Flight recorder** — rings overwrite their oldest spans once
-//!   full and survive thread exit, so after a fault the last
-//!   [`DEFAULT_RING_CAPACITY`] spans per thread are still
-//!   there to be dumped ([`dump_flight_recorder`]) — the journal
-//!   recovery path writes them to `trace_crash.json` and links the file
-//!   into the recovered PROV document.
+//! * **Bounded rings** — a ring keeps the last [`RING_CAPACITY`] spans
+//!   of its thread, overwriting the oldest, and outlives the thread, so
+//!   [`drain`] still exports the spans of workers that have finished.
 //!
 //! Spans carry two clocks: [`Clock::Wall`] spans are stamped from a
 //! process-wide monotonic epoch, while [`Clock::Simulated`] spans
@@ -40,12 +36,12 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Default per-thread ring capacity (spans retained per thread).
-pub const DEFAULT_RING_CAPACITY: usize = 16_384;
+/// Per-thread ring capacity (spans retained per thread).
+pub const RING_CAPACITY: usize = 16_384;
 
 /// Which clock a span's timestamps come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,23 +77,21 @@ pub struct SpanRecord {
 }
 
 /// Bounded span storage owned by one thread; overwrites oldest-first
-/// once full (flight-recorder semantics).
+/// once full.
 #[derive(Debug)]
 struct Ring {
     cap: usize,
     slots: Vec<SpanRecord>,
     /// Next overwrite position once `slots` reached `cap`.
     head: usize,
-    dropped: u64,
 }
 
 impl Ring {
     fn new(cap: usize) -> Ring {
         Ring {
-            cap: cap.max(1),
+            cap,
             slots: Vec::new(),
             head: 0,
-            dropped: 0,
         }
     }
 
@@ -107,7 +101,6 @@ impl Ring {
         } else {
             self.slots[self.head] = rec;
             self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
         }
     }
 
@@ -127,8 +120,8 @@ impl Ring {
 
 /// A per-thread buffer: the ring plus the track label spans recorded on
 /// this thread default to. Registered with the tracer for export and
-/// kept alive (via `Arc`) after its thread exits, so a crashed worker's
-/// spans survive into the flight-recorder dump.
+/// kept alive (via `Arc`) after its thread exits, so a finished
+/// worker's spans are still there for [`drain`].
 #[derive(Debug)]
 struct ThreadBuffer {
     label: String,
@@ -139,8 +132,7 @@ struct Tracer {
     enabled: AtomicBool,
     epoch: Instant,
     next_id: AtomicU64,
-    trace_id: Mutex<u128>,
-    ring_capacity: AtomicUsize,
+    trace_id: OnceLock<u128>,
     buffers: Mutex<Vec<Arc<ThreadBuffer>>>,
 }
 
@@ -151,8 +143,7 @@ fn tracer() -> &'static Tracer {
         enabled: AtomicBool::new(false),
         epoch: Instant::now(),
         next_id: AtomicU64::new(1),
-        trace_id: Mutex::new(0),
-        ring_capacity: AtomicUsize::new(DEFAULT_RING_CAPACITY),
+        trace_id: OnceLock::new(),
         buffers: Mutex::new(Vec::new()),
     })
 }
@@ -185,7 +176,7 @@ fn local_buffer(ctx: &mut LocalCtx) -> Arc<ThreadBuffer> {
         .unwrap_or_else(|| format!("thread-{:?}", std::thread::current().id()));
     let buf = Arc::new(ThreadBuffer {
         label,
-        ring: Mutex::new(Ring::new(tracer().ring_capacity.load(Ordering::Relaxed))),
+        ring: Mutex::new(Ring::new(RING_CAPACITY)),
     });
     tracer()
         .buffers
@@ -205,15 +196,6 @@ pub fn set_enabled(enabled: bool) {
 /// Whether spans are currently recorded.
 pub fn is_enabled() -> bool {
     tracer().enabled.load(Ordering::Relaxed)
-}
-
-/// Sets the ring capacity for thread buffers created *after* this call
-/// (existing buffers keep their size). The ring bounds both memory and
-/// the flight-recorder window: the last `cap` spans per thread survive
-/// until a fault.
-#[cfg(test)]
-fn set_ring_capacity(cap: usize) {
-    tracer().ring_capacity.store(cap.max(1), Ordering::Relaxed);
 }
 
 fn alloc_id() -> u64 {
@@ -236,8 +218,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// The process trace id (lazily generated, never 0). All spans not
 /// recorded under an adopted remote context belong to this trace.
 pub fn trace_id() -> u128 {
-    let mut id = tracer().trace_id.lock().expect("trace id poisoned");
-    if *id == 0 {
+    *tracer().trace_id.get_or_init(|| {
         let mut seed = std::process::id() as u64 ^ 0x9E37_79B9_7F4A_7C15;
         seed ^= std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -245,15 +226,8 @@ pub fn trace_id() -> u128 {
             .unwrap_or(0);
         let hi = splitmix64(&mut seed);
         let lo = splitmix64(&mut seed);
-        *id = ((hi as u128) << 64 | lo as u128).max(1);
-    }
-    *id
-}
-
-/// Pins the process trace id (tests, deterministic replay). 0 resets to
-/// "generate lazily".
-pub fn set_trace_id(id: u128) {
-    *tracer().trace_id.lock().expect("trace id poisoned") = id;
+        ((hi as u128) << 64 | lo as u128).max(1)
+    })
 }
 
 fn current_trace_id(ctx: &LocalCtx) -> u128 {
@@ -470,7 +444,9 @@ pub fn adopt_remote(value: &str) -> Option<RemoteScope> {
 
 // ----- export --------------------------------------------------------------
 
-fn collect(drain: bool) -> Vec<SpanRecord> {
+/// Removes and returns every recorded span (all threads), oldest first
+/// per clock.
+pub fn drain() -> Vec<SpanRecord> {
     let buffers = tracer()
         .buffers
         .lock()
@@ -479,9 +455,7 @@ fn collect(drain: bool) -> Vec<SpanRecord> {
     for buf in buffers.iter() {
         let mut ring = buf.ring.lock().expect("trace ring poisoned");
         out.extend(ring.ordered());
-        if drain {
-            ring.clear();
-        }
+        ring.clear();
     }
     // Stable order for deterministic export: by clock, then time, then
     // longer spans first (parents enclose children), then id.
@@ -497,29 +471,6 @@ fn collect(drain: bool) -> Vec<SpanRecord> {
         key(a).cmp(&key(b))
     });
     out
-}
-
-/// Removes and returns every recorded span (all threads), oldest first
-/// per clock.
-pub fn drain() -> Vec<SpanRecord> {
-    collect(true)
-}
-
-/// Returns a copy of every recorded span, leaving the rings intact —
-/// what the flight-recorder dump uses so a later drain still sees them.
-pub fn snapshot() -> Vec<SpanRecord> {
-    collect(false)
-}
-
-/// Spans overwritten (lost to ring wrap) so far, across all threads.
-pub fn dropped() -> u64 {
-    tracer()
-        .buffers
-        .lock()
-        .expect("trace buffer registry poisoned")
-        .iter()
-        .map(|b| b.ring.lock().expect("trace ring poisoned").dropped)
-        .sum()
 }
 
 /// Renders spans as Chrome trace-event JSON (the format Perfetto and
@@ -640,15 +591,6 @@ pub fn write_trace_json(path: &std::path::Path) -> std::io::Result<usize> {
     Ok(spans.len())
 }
 
-/// Writes the flight-recorder contents (a snapshot — the rings are left
-/// intact) to `path` as Chrome trace-event JSON. Returns the number of
-/// spans written.
-pub fn dump_flight_recorder(path: &std::path::Path) -> std::io::Result<usize> {
-    let spans = snapshot();
-    std::fs::write(path, to_chrome_json(&spans))?;
-    Ok(spans.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,36 +648,50 @@ mod tests {
     }
 
     #[test]
-    fn ring_overwrites_oldest_and_counts_drops() {
+    fn ring_overwrites_oldest_first() {
+        let mut ring = Ring::new(8);
+        for i in 0..20u64 {
+            ring.push(SpanRecord {
+                id: i + 1,
+                parent: 0,
+                trace_id: 1,
+                name: format!("s{i}").into(),
+                track: "t".into(),
+                clock: Clock::Wall,
+                start_ns: i,
+                end_ns: i,
+                args: Vec::new(),
+            });
+        }
+        let names: Vec<String> = ring.ordered().iter().map(|s| s.name.to_string()).collect();
+        assert_eq!(
+            names,
+            ["s12", "s13", "s14", "s15", "s16", "s17", "s18", "s19"],
+            "the ring keeps its capacity, latest spans last"
+        );
+    }
+
+    #[test]
+    fn spans_of_an_exited_thread_are_still_drained() {
         let _g = exclusive();
         set_enabled(true);
         drain();
-        set_ring_capacity(8);
-        // A fresh thread picks up the new capacity.
         std::thread::Builder::new()
-            .name("trace-ring-test".into())
+            .name("trace-exited-worker".into())
             .spawn(|| {
-                for i in 0..20 {
-                    let _s = span(format!("s{i}"));
-                }
+                let _s = span("worker_step");
             })
             .unwrap()
             .join()
             .unwrap();
-        set_ring_capacity(DEFAULT_RING_CAPACITY);
-        let spans: Vec<SpanRecord> = drain()
-            .into_iter()
-            .filter(|s| s.track == "trace-ring-test")
-            .collect();
+        let spans = drain();
         set_enabled(false);
-        assert_eq!(spans.len(), 8, "ring keeps exactly its capacity");
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_ref()).collect();
-        assert_eq!(
-            names,
-            ["s12", "s13", "s14", "s15", "s16", "s17", "s18", "s19"],
-            "latest spans survive, oldest are overwritten"
-        );
-        assert!(dropped() >= 12);
+        let worker: Vec<&str> = spans
+            .iter()
+            .filter(|s| s.track == "trace-exited-worker")
+            .map(|s| s.name.as_ref())
+            .collect();
+        assert_eq!(worker, ["worker_step"], "the ring outlived its thread");
     }
 
     #[test]
@@ -816,7 +772,6 @@ mod tests {
         let _g = exclusive();
         set_enabled(true);
         drain();
-        set_trace_id(0xabcd_ef01_2345);
         let root = span("client_request");
         let header = traceparent().unwrap();
         let (tid, sid) = parse_traceparent(&header).unwrap();
@@ -837,7 +792,6 @@ mod tests {
         drop(root);
         let spans = drain();
         set_enabled(false);
-        set_trace_id(0);
         let handled = spans.iter().find(|s| s.name == "handle_request").unwrap();
         assert_eq!(handled.trace_id, tid, "server span shares the trace id");
         assert_eq!(handled.parent, sid, "parented to the client span");
@@ -855,25 +809,5 @@ mod tests {
         ] {
             assert!(parse_traceparent(bad).is_none(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn flight_recorder_dump_preserves_rings() {
-        let _g = exclusive();
-        set_enabled(true);
-        drain();
-        {
-            let _s = span("survives");
-        }
-        let path = std::env::temp_dir().join(format!("trace_fr_{}.json", std::process::id()));
-        let written = dump_flight_recorder(&path).unwrap();
-        assert_eq!(written, 1);
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"survives\""));
-        std::fs::remove_file(&path).ok();
-        // The snapshot did not consume the span.
-        let spans = drain();
-        set_enabled(false);
-        assert_eq!(spans.len(), 1);
     }
 }

@@ -310,16 +310,6 @@ impl<'a> ProvGraph<'a> {
             .map(move |&ei| &self.index.edges[ei])
     }
 
-    /// Out-degree of node `i`.
-    fn out_degree(&self, i: usize) -> usize {
-        self.index.out[i].len()
-    }
-
-    /// In-degree of node `i`.
-    fn in_degree(&self, i: usize) -> usize {
-        self.index.inn[i].len()
-    }
-
     /// Identifiers of everything reachable by out-edges from `id`
     /// (the *origins* / provenance closure), excluding `id` itself.
     pub fn ancestors(&self, id: &QName) -> BTreeSet<QName> {
@@ -367,46 +357,6 @@ impl<'a> ProvGraph<'a> {
             }
         }
         result
-    }
-
-    /// Topological order of the nodes (origins last), or `None` when the
-    /// graph has a cycle.
-    pub fn topo_order(&self) -> Option<Vec<QName>> {
-        let idx = &*self.index;
-        let n = self.node_count();
-        let mut indeg: Vec<usize> = (0..n).map(|i| self.in_degree(i)).collect();
-        let mut queue: std::collections::VecDeque<usize> =
-            (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(i) = queue.pop_front() {
-            order.push(idx.ids[i].clone());
-            for &ei in &idx.out[i] {
-                let t = idx.edges[ei].to;
-                indeg[t] -= 1;
-                if indeg[t] == 0 {
-                    queue.push_back(t);
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
-    }
-
-    /// True when the provenance graph contains a cycle.
-    ///
-    /// Cycles are structurally impossible in honest provenance (nothing
-    /// can precede its own origin), so a cycle indicates a malformed or
-    /// adversarial document.
-    pub fn has_cycle(&self) -> bool {
-        self.topo_order().is_none()
-    }
-
-    /// Nodes with no outgoing edges — the ultimate sources (e.g. raw
-    /// datasets, initial configurations).
-    pub fn roots(&self) -> Vec<QName> {
-        (0..self.node_count())
-            .filter(|&i| self.out_degree(i) == 0)
-            .map(|i| self.index.ids[i].clone())
-            .collect()
     }
 }
 
@@ -591,30 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn topo_order_and_acyclicity() {
-        let doc = pipeline_doc();
-        let g = ProvGraph::new(&doc);
-        assert!(!g.has_cycle());
-        let order = g.topo_order().unwrap();
-        let pos = |id: &QName| order.iter().position(|x| x == id).unwrap();
-        assert!(pos(&q("report")) < pos(&q("eval")));
-        assert!(pos(&q("model")) < pos(&q("train")));
-        assert!(pos(&q("train")) < pos(&q("data")));
-    }
-
-    #[test]
-    fn cycle_detection() {
-        let mut doc = ProvDocument::new();
-        doc.entity(q("a"));
-        doc.entity(q("b"));
-        doc.was_derived_from(q("a"), q("b"));
-        doc.was_derived_from(q("b"), q("a"));
-        let g = ProvGraph::new(&doc);
-        assert!(g.has_cycle());
-        assert!(g.topo_order().is_none());
-    }
-
-    #[test]
     fn dangling_references_become_nodes() {
         let mut doc = ProvDocument::new();
         doc.activity(q("train"));
@@ -626,20 +552,11 @@ mod tests {
     }
 
     #[test]
-    fn roots_and_leaves() {
-        let doc = pipeline_doc();
-        let g = ProvGraph::new(&doc);
-        assert_eq!(g.roots(), vec![q("data")]);
-    }
-
-    #[test]
     fn empty_graph() {
         let doc = ProvDocument::new();
         let g = ProvGraph::new(&doc);
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
-        assert!(!g.has_cycle());
-        assert!(g.topo_order().unwrap().is_empty());
     }
 
     #[test]
@@ -673,11 +590,6 @@ mod tests {
                 "descendants of {local}"
             );
         }
-        let mut roots_e = ge.roots();
-        let mut roots_f = gf.roots();
-        roots_e.sort();
-        roots_f.sort();
-        assert_eq!(roots_e, roots_f);
         // Edge → relation back-pointers survived the remap.
         for e in ge.edges() {
             let rel = &ge.document().relations()[e.relation];
@@ -752,6 +664,6 @@ mod tests {
         let idx = Arc::clone(g.index());
         let g2 = ProvGraph::with_index(&doc, idx);
         assert_eq!(g2.node_count(), 5);
-        assert_eq!(g2.roots(), vec![q("data")]);
+        assert_eq!(g2.ancestors(&q("report")), g.ancestors(&q("report")));
     }
 }

@@ -120,37 +120,6 @@ fn ancestors_and_descendants_are_dual() {
 }
 
 #[test]
-fn dags_have_topo_order_respecting_edges() {
-    check(64, |rng, size| {
-        let n = rng.range(2usize..20);
-        let edges = edges_within(rng, 0..60, size, 20, n);
-        let doc = dag_doc(n, &edges);
-        let graph = ProvGraph::new(&doc);
-        assert!(!graph.has_cycle(), "construction is acyclic");
-        let order = graph.topo_order().unwrap();
-        let pos = |id: &QName| order.iter().position(|x| x == id).unwrap();
-        // Every edge hi -> lo must have hi before lo in the order.
-        for &(a, b) in &edges {
-            let (hi, lo) = (a.max(b), a.min(b));
-            if hi != lo {
-                assert!(pos(&q(hi)) < pos(&q(lo)));
-            }
-        }
-    });
-}
-
-#[test]
-fn self_loops_are_cycles() {
-    check(64, |rng, _| {
-        let n = rng.range(1usize..10);
-        let node = rng.below(10) % n;
-        let doc = any_doc(n, &[(node, node)]);
-        let graph = ProvGraph::new(&doc);
-        assert!(graph.has_cycle());
-    });
-}
-
-#[test]
 fn subgraph_is_closed_and_minimal() {
     check(64, |rng, size| {
         let n = rng.range(2usize..15);

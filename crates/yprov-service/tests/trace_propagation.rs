@@ -21,7 +21,6 @@ fn sample_doc_json() -> String {
 fn server_handler_span_shares_the_clients_trace_id() {
     obs::trace::set_enabled(true);
     obs::trace::drain();
-    obs::trace::set_trace_id(0x5EED_CAFE_F00D);
 
     let server =
         Server::bind("127.0.0.1:0", DocumentStore::new(), ServerConfig::default()).unwrap();
@@ -41,7 +40,6 @@ fn server_handler_span_shares_the_clients_trace_id() {
 
     let spans = obs::trace::drain();
     obs::trace::set_enabled(false);
-    obs::trace::set_trace_id(0);
 
     let request = spans
         .iter()

@@ -590,7 +590,9 @@ pub struct RecoveryReport {
 /// The emitted document records the failure itself: a `yprov4ml:Crash`
 /// activity informed by the run, a `yprov4ml:Recovery` activity informed
 /// by the crash, and a `wasInvalidatedBy` edge from every artifact whose
-/// stored file did not survive.
+/// stored file did not survive. The record is a function of the journal
+/// alone: recovery reads nothing of the process it runs in (the tracer's
+/// rings included), so it writes the same bytes wherever it runs.
 pub fn recover(
     run_dir: &Path,
     spill: &SpillPolicy,
@@ -614,18 +616,6 @@ pub fn recover(
         .chain(state.context_spans.values().filter_map(|&(_, end)| end))
         .fold(header.started_us, i64::max);
 
-    // Flight recorder: when tracing is live, dump the surviving span
-    // rings next to the recovered provenance before the record is
-    // written, so the dump holds the crashed run's spans and none of
-    // the writer's. Gated on the tracing flag so a disabled run's
-    // output stays byte-identical.
-    let trace_crash = if obs::trace::is_enabled() {
-        let path = run_dir.join("trace_crash.json");
-        let spans = obs::trace::dump_flight_recorder(&path)?;
-        Some((path, spans))
-    } else {
-        None
-    };
     let orphaned_artifacts: Vec<String> = state
         .artifacts
         .iter()
@@ -684,19 +674,6 @@ pub fn recover(
                     exp(format!("{run}/artifact/{name}")),
                     crash_q.clone(),
                 ));
-            }
-
-            if let Some((path, spans)) = &trace_crash {
-                let trace_q = exp(format!("{run}/trace_crash"));
-                doc.entity(trace_q.clone())
-                    .prov_type(QName::yprov("trace"))
-                    .label(format!("crash flight recorder of {run}"))
-                    .attr(
-                        QName::yprov("file_path"),
-                        AttrValue::from(path.display().to_string()),
-                    )
-                    .attr(QName::yprov("spans"), AttrValue::Int(*spans as i64));
-                doc.was_generated_by(trace_q, crash_q);
             }
         },
     )?;

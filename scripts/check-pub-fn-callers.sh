@@ -26,7 +26,6 @@ allowlist='
 crates/energy-monitor/src/device.rs frontier_node_power (a) the envelope test checks the device constants the simulator draws
 crates/energy-monitor/src/energy.rs dropped_count (a) the out-of-order and nonsense-sample tests count what the integrator skips
 crates/metric-store/src/codec/bits.rs bit_pos (a) remaining_counts_down checks where the reader stands
-crates/prov-graph/src/graph.rs roots (a) the extended-vs-fresh index test compares the two indexes through it
 crates/prov-model/src/document.rs specialization_of (b) W3C PROV-DM relation builder
 crates/prov-model/src/document.rs had_member (b) W3C PROV-DM relation builder
 crates/prov-model/src/document.rs was_ended_by (b) W3C PROV-DM relation builder
