@@ -68,12 +68,13 @@ fn full_pipeline() {
         "exp",
         "pipeline-run/artifact/dataset_manifest.json"
     )));
-    // Acyclic: no node is its own ancestor.
-    for i in 0..graph.node_count() {
-        let id = graph.id(i);
+    // Acyclic: no edge from -> to is a self-loop or has a path from `to`
+    // back to `from`, which together with the edge would close a cycle.
+    for e in graph.edges() {
+        let (from, to) = (graph.id(e.from), graph.id(e.to));
         assert!(
-            !graph.ancestors(id).contains(id),
-            "{id} is its own ancestor"
+            e.from != e.to && !graph.ancestors(to).contains(from),
+            "edge {from} -> {to} lies on a cycle"
         );
     }
 

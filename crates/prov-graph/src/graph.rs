@@ -664,6 +664,33 @@ mod tests {
         let idx = Arc::clone(g.index());
         let g2 = ProvGraph::with_index(&doc, idx);
         assert_eq!(g2.node_count(), 5);
-        assert_eq!(g2.ancestors(&q("report")), g.ancestors(&q("report")));
+        let expected: BTreeSet<QName> = ["eval", "model", "train", "data"]
+            .into_iter()
+            .map(q)
+            .collect();
+        assert_eq!(g2.ancestors(&q("report")), expected);
+    }
+
+    #[test]
+    fn an_edge_closes_a_cycle_when_its_target_reaches_its_source() {
+        let on_a_cycle = |g: &ProvGraph| {
+            g.edges()
+                .iter()
+                .any(|e| e.from == e.to || g.ancestors(g.id(e.to)).contains(g.id(e.from)))
+        };
+        let doc = pipeline_doc();
+        assert!(!on_a_cycle(&ProvGraph::new(&doc)));
+        let mut doc = ProvDocument::new();
+        doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+        doc.entity(q("a"));
+        doc.entity(q("b"));
+        doc.was_derived_from(q("a"), q("b"));
+        doc.was_derived_from(q("b"), q("a"));
+        let g = ProvGraph::new(&doc);
+        assert!(
+            !g.ancestors(&q("a")).contains(&q("a")),
+            "reach skips its start"
+        );
+        assert!(on_a_cycle(&g));
     }
 }

@@ -1,9 +1,9 @@
 //! # prov-graph
 //!
 //! Graph analysis over W3C PROV documents: adjacency indexing, lineage
-//! traversal, topological ordering, cycle detection, sub-graph
-//! extraction, document diffing and Graphviz DOT export (used to render
-//! provenance pictures like Figure 1 of the yProv4ML paper).
+//! traversal, sub-graph extraction, document diffing and Graphviz DOT
+//! export (used to render provenance pictures like Figure 1 of the
+//! yProv4ML paper).
 //!
 //! The graph borrows the underlying [`prov_model::ProvDocument`]; nodes
 //! are element identifiers and edges are the document's relations.
