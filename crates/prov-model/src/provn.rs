@@ -334,6 +334,21 @@ mod tests {
     }
 
     #[test]
+    fn a_string_is_quoted_as_the_oracle_quotes_it() {
+        testkit::check(2048, |rng, size| {
+            let pieces = rng.len(0..41, size);
+            let drawn = format!("abcdefg{}", rng.text_with_stops(pieces));
+            for offset in 0..8 {
+                let s = &drawn[7 - offset..];
+                let mut quoted = String::new();
+                write_quoted(&mut quoted, s);
+                let expected = format!("\"{}\"", crate::provn_oracle::escape(s));
+                assert_eq!(quoted, expected, "{s:?}");
+            }
+        });
+    }
+
+    #[test]
     fn renders_typed_literals_and_qnames() {
         let mut doc = ProvDocument::new();
         doc.entity(q("e"))

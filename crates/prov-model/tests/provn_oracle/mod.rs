@@ -146,7 +146,9 @@ fn format_value(v: &AttrValue) -> String {
     }
 }
 
-fn escape(s: &str) -> String {
+/// `s` as a PROV-N string literal's content: also what
+/// `prov_model::provn`'s quoted writer is held to.
+pub fn escape(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")

@@ -102,6 +102,60 @@ impl Rng {
     pub fn string(&mut self, alphabet: &[u8], len: usize) -> String {
         (0..len).map(|_| *self.pick(alphabet) as char).collect()
     }
+
+    /// `pieces` pieces of text weighted towards what a string scanner
+    /// stops at or steps over: `"`, `\`, bytes 0x00–0x1F, 0x7F, 2-, 3-
+    /// and 4-byte UTF-8, `\u` escapes as text (surrogate pairs, lone and
+    /// mismatched surrogates, short or non-hex digits), named escapes
+    /// as text (one of them invalid), and runs of 1 to 12 bytes of
+    /// printable ASCII with none of those in them.
+    pub fn text_with_stops(&mut self, pieces: usize) -> String {
+        const ESCAPES: [&str; 15] = [
+            r"\uD83D\uDE00",
+            r"\uD800",
+            r"\uDC00",
+            r"\uDBFF\u0041",
+            r"\u00e9",
+            r"\u001f",
+            r"\u12G4",
+            r"\u12",
+            r"\n",
+            r"\t",
+            r"\b",
+            r#"\""#,
+            r"\\",
+            r"\/",
+            r"\x",
+        ];
+        let plain = printable(b"\"\\");
+        let mut text = String::new();
+        for _ in 0..pieces {
+            match self.below(10) {
+                0 => text.push('"'),
+                1 => text.push('\\'),
+                2 => text.push(char::from(self.below(0x20) as u8)),
+                3 => text.push('\u{7f}'),
+                4 => text.push(self.char_in(0x80..0x800)),
+                5 => text.push(self.char_in(0x800..0x1_0000)),
+                6 => text.push(self.char_in(0x1_0000..0x11_0000)),
+                7 => text.push_str(ESCAPES[self.below(ESCAPES.len())]),
+                _ => {
+                    let len = self.range(1..13);
+                    text.push_str(&self.string(&plain, len));
+                }
+            }
+        }
+        text
+    }
+
+    /// A scalar value in `range`; a surrogate redraws.
+    fn char_in(&mut self, range: Range<u32>) -> char {
+        loop {
+            if let Some(c) = char::from_u32(self.range(range.clone())) {
+                return c;
+            }
+        }
+    }
 }
 
 /// Printable ASCII (space to `~`) minus `without`: an alphabet for
