@@ -18,39 +18,24 @@
 //! builds assert it. A record's fields ([`JsonWriter::field`]) print in
 //! the order the record declares them, unchecked.
 //!
-//! Cost model: a clean run of a string is one `extend_from_slice`, an
-//! integer is formatted without `fmt`, a float or a `Display` value is
-//! formatted into a stack buffer, and nothing else is allocated besides
-//! the buffer itself and one byte of state per open object or array. A
-//! writer streaming into an [`io::Write`] holds at most 64 KiB: its
-//! buffer is allocated once, handed over whenever the next bytes would
-//! not fit, and a run longer than the buffer goes straight through. An
-//! I/O error is kept and returned by [`JsonWriter::finish`].
+//! Cost model: a clean run of a string, up to the next stop byte
+//! [`next_stop`](crate::next_stop) finds eight bytes at a time, is one
+//! `extend_from_slice`, an integer is formatted without `fmt`, a float
+//! or a `Display` value is formatted into a stack buffer, and nothing
+//! else is allocated besides the buffer itself and one byte of state
+//! per open object or array. A writer streaming into an [`io::Write`]
+//! holds at most 64 KiB: its buffer is allocated once, handed over
+//! whenever the next bytes would not fit, and a run longer than the
+//! buffer goes straight through. An I/O error is kept and returned by
+//! [`JsonWriter::finish`].
 
 use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 
+use crate::next_stop;
+
 /// The most a streaming writer holds before it hands bytes to its sink.
 const SPILL_AT: usize = 64 * 1024;
-
-/// Per byte: 0 when a string copies it as is, else what follows the
-/// backslash of its escape (`u` for `\u00xx`).
-static ESCAPE: [u8; 256] = {
-    let mut table = [0u8; 256];
-    let mut b = 0;
-    while b < 0x20 {
-        table[b] = b'u';
-        b += 1;
-    }
-    table[b'\n' as usize] = b'n';
-    table[b'\r' as usize] = b'r';
-    table[b'\t' as usize] = b't';
-    table[0x08] = b'b';
-    table[0x0c] = b'f';
-    table[b'"' as usize] = b'"';
-    table[b'\\' as usize] = b'\\';
-    table
-};
 
 /// `n` in decimal, at the end of `buf`: the digits written.
 pub fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
@@ -186,26 +171,36 @@ impl<W: Write> JsonWriter<W> {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Appends `s` escaped, without quotes.
+    /// Appends `s` escaped, without quotes: each run up to the next
+    /// stop byte whole, then the stop's escape.
     fn escaped(&mut self, s: &str) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         let bytes = s.as_bytes();
         let mut run = 0;
-        for (i, &b) in bytes.iter().enumerate() {
-            let escape = ESCAPE[b as usize];
-            if escape == 0 {
-                continue;
-            }
-            self.put(&bytes[run..i]);
-            if escape == b'u' {
+        loop {
+            let stop = next_stop(bytes, run);
+            self.put(&bytes[run..stop]);
+            let Some(&b) = bytes.get(stop) else {
+                return;
+            };
+            let name = match b {
+                b'"' => b'"',
+                b'\\' => b'\\',
+                b'\n' => b'n',
+                b'\r' => b'r',
+                b'\t' => b't',
+                0x08 => b'b',
+                0x0c => b'f',
+                _ => b'u',
+            };
+            if name == b'u' {
                 let hex = [HEX[(b >> 4) as usize], HEX[(b & 15) as usize]];
                 self.put(&[b'\\', b'u', b'0', b'0', hex[0], hex[1]]);
             } else {
-                self.put(&[b'\\', escape]);
+                self.put(&[b'\\', name]);
             }
-            run = i + 1;
+            run = stop + 1;
         }
-        self.put(&bytes[run..]);
     }
 
     fn newline(&mut self) {

@@ -1,20 +1,28 @@
 //! The one JSON lexer: a cursor over a `&str` that reads strings,
 //! numbers and literals and steps into and out of arrays and objects.
 //!
-//! Strings without escapes are borrowed from the input; a string with
-//! escapes is decoded in one reused buffer and copied out at its exact
-//! length (an inline metric series is ~70 KB of escaped JSON, and growth
-//! slack on each would be held for as long as its owner is). Nesting
-//! deeper than 128 is refused, so hostile input cannot overflow a
-//! recursive reader's stack. An error carries the 1-based line and the
-//! column of the byte it is about.
+//! A string is read run by run: [`next_stop`](crate::next_stop) finds
+//! the next `"`, `\` or byte below 0x20 eight bytes at a time, the run
+//! before it is copied whole, and only the stop is looked at: `"` ends
+//! the string, a byte below 0x20 is an error, `\"` and `\\` are decoded
+//! in place and every other escape by one `match`. Strings without
+//! escapes are borrowed from the input; a string with escapes is
+//! decoded in one reused buffer and copied out at its exact length (an
+//! inline metric series is ~70 KB of escaped JSON, and growth slack on
+//! each would be held for as long as its owner is). What is decoded,
+//! and every error's message, line and column, are the byte-at-a-time
+//! lexer's: `tests/text_oracle/` keeps that lexer as the oracle
+//! `tests/proptest_text.rs` holds this one to. Nesting deeper than 128
+//! is refused, so hostile input cannot overflow a recursive reader's
+//! stack. An error carries the 1-based line and the column of the byte
+//! it is about.
 //!
 //! The small hot methods are `#[inline]`: the readers that drive them
 //! live in other crates, and the release profile has no LTO.
 
 use std::borrow::Cow;
 
-use crate::Error;
+use crate::{next_stop, Error};
 
 /// Arrays and objects nested deeper than this are refused.
 const DEPTH_LIMIT: usize = 128;
@@ -285,8 +293,18 @@ impl<'a> Lexer<'a> {
         decoded.clear();
         decoded.push_str(&self.src[start..self.pos]);
         loop {
-            self.pos += 1;
-            self.escape(&mut decoded)?;
+            // The cursor is at a backslash. `\"` and `\\` are most of
+            // what an inline metric series escapes.
+            match self.src.as_bytes().get(self.pos + 1) {
+                Some(&b @ (b'"' | b'\\')) => {
+                    decoded.push(char::from(b));
+                    self.pos += 2;
+                }
+                _ => {
+                    self.pos += 1;
+                    self.escape(&mut decoded)?;
+                }
+            }
             let run = self.pos;
             let stop = self.plain_run()?;
             decoded.push_str(&self.src[run..self.pos]);
@@ -304,30 +322,25 @@ impl<'a> Lexer<'a> {
     /// returns with the cursor still at it.
     #[inline]
     fn plain_run(&mut self) -> Result<u8, Error> {
-        let bytes = self.src.as_bytes();
-        loop {
-            match bytes.get(self.pos) {
-                Some(&stop @ (b'"' | b'\\')) => return Ok(stop),
-                Some(0..=0x1f) => {
-                    return Err(self.unexpected(
-                        "control character (\\u0000-\\u001F) found while parsing a string",
-                    ))
-                }
-                Some(_) => self.pos += 1,
-                None => return Err(self.unexpected("EOF while parsing a string")),
+        self.pos = next_stop(self.src.as_bytes(), self.pos);
+        match self.peek() {
+            Some(stop @ (b'"' | b'\\')) => Ok(stop),
+            Some(_) => {
+                Err(self
+                    .unexpected("control character (\\u0000-\\u001F) found while parsing a string"))
             }
+            None => Err(self.unexpected("EOF while parsing a string")),
         }
     }
 
-    /// Decodes the escape whose backslash the cursor has just passed.
+    /// Decodes the escape whose backslash the cursor has just passed;
+    /// `string` decodes `\"` and `\\` itself.
     fn escape(&mut self, out: &mut String) -> Result<(), Error> {
         let Some(escape) = self.peek() else {
             return Err(self.unexpected("EOF while parsing a string"));
         };
         self.pos += 1;
         out.push(match escape {
-            b'"' => '"',
-            b'\\' => '\\',
             b'/' => '/',
             b'b' => '\u{8}',
             b'f' => '\u{c}',

@@ -7,7 +7,9 @@
 //!   a [`Value`], and `prov_model`'s PROV-JSON reader drives it to build a
 //!   document with no tree in between;
 //! - [`JsonWriter`], the one writer: a [`Value`] prints through it, and
-//!   so do documents, service responses and on-disk records.
+//!   so do documents, service responses and on-disk records;
+//! - [`next_stop`], the one string scanner: the lexer, the writer and
+//!   `prov_model`'s PROV-N and Turtle literals copy the run it skips.
 //!
 //! Numbers are the one place readers differ, so the lexer hands back a
 //! number's text and whether it is integral, and each reader keeps its
@@ -17,10 +19,12 @@
 mod json_write;
 mod lex;
 mod macros;
+mod scan;
 mod value;
 
 pub use json_write::{decimal, to_string, JsonWriter};
 pub use lex::{Lexer, Mark};
+pub use scan::next_stop;
 pub use value::{parse, parse_bytes, Map, Number, Value};
 
 use std::fmt;

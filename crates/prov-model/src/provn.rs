@@ -180,21 +180,30 @@ fn write_value(out: &mut String, v: &AttrValue) {
 }
 
 /// Appends `s` as a string literal, escaping `\`, `"` and the line
-/// breaks a PROV-N string literal cannot hold.
-fn write_quoted(out: &mut String, s: &str) {
+/// breaks a PROV-N string literal cannot hold; every other byte is
+/// copied as is. Turtle's string literals escape the same four, and are
+/// written here too.
+pub(crate) fn write_quoted(out: &mut String, s: &str) {
     out.push('"');
-    let mut plain = 0;
-    for (i, b) in s.bytes().enumerate() {
+    let bytes = s.as_bytes();
+    let (mut plain, mut from) = (0, 0);
+    loop {
+        let stop = json::next_stop(bytes, from);
+        let Some(&b) = bytes.get(stop) else {
+            break;
+        };
+        from = stop + 1;
         let escaped = match b {
             b'\\' => "\\\\",
             b'"' => "\\\"",
             b'\n' => "\\n",
             b'\r' => "\\r",
+            // Another byte below 0x20 stops the scan but is copied.
             _ => continue,
         };
-        out.push_str(&s[plain..i]);
+        out.push_str(&s[plain..stop]);
         out.push_str(escaped);
-        plain = i + 1;
+        plain = from;
     }
     out.push_str(&s[plain..]);
     out.push('"');

@@ -9,6 +9,7 @@
 //! (`prov:qualifiedUsage [ a prov:Usage; prov:entity ...; ... ]`).
 
 use crate::document::ProvDocument;
+use crate::provn::write_quoted;
 use crate::qname::QName;
 use crate::record::ElementKind;
 use crate::relation::{Relation, RelationKind};
@@ -82,24 +83,29 @@ fn qualified_form(kind: RelationKind) -> Option<(&'static str, &'static str, &'s
     }
 }
 
-fn turtle_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-        .replace('\r', "\\r")
-}
-
-fn literal(v: &AttrValue) -> String {
-    match v {
-        AttrValue::String(s) => format!("\"{}\"", turtle_escape(s)),
-        AttrValue::LangString(s, lang) => format!("\"{}\"@{lang}", turtle_escape(s)),
-        AttrValue::Int(i) => format!("\"{i}\"^^xsd:long"),
-        AttrValue::Double(d) => format!("\"{}\"^^xsd:double", crate::value::format_double(*d)),
-        AttrValue::Bool(b) => format!("\"{b}\"^^xsd:boolean"),
-        AttrValue::QualifiedName(q) => q.to_string(),
-        AttrValue::DateTime(t) => format!("\"{t}\"^^xsd:dateTime"),
-        AttrValue::Typed(s, ty) => format!("\"{}\"^^{ty}", turtle_escape(s)),
-    }
+/// Appends `v` as a Turtle term: a literal, or the qualified name
+/// itself. A string literal escapes `\`, `"`, LF and CR, as PROV-N's
+/// does, through the same writer.
+fn write_literal(out: &mut String, v: &AttrValue) {
+    let _ = match v {
+        AttrValue::String(s) => {
+            write_quoted(out, s);
+            Ok(())
+        }
+        AttrValue::LangString(s, lang) => {
+            write_quoted(out, s);
+            write!(out, "@{lang}")
+        }
+        AttrValue::Int(i) => write!(out, "\"{i}\"^^xsd:long"),
+        AttrValue::Double(d) => write!(out, "\"{}\"^^xsd:double", crate::value::format_double(*d)),
+        AttrValue::Bool(b) => write!(out, "\"{b}\"^^xsd:boolean"),
+        AttrValue::QualifiedName(q) => write!(out, "{q}"),
+        AttrValue::DateTime(t) => write!(out, "\"{t}\"^^xsd:dateTime"),
+        AttrValue::Typed(s, ty) => {
+            write_quoted(out, s);
+            write!(out, "^^{ty}")
+        }
+    };
 }
 
 fn type_iri(kind: ElementKind) -> &'static str {
@@ -146,11 +152,8 @@ fn write_body(doc: &ProvDocument, out: &mut String, bundle: Option<&QName>) {
                     "prov:type" => "a".to_string(),
                     other => other.to_string(),
                 };
-                if predicate == "a" {
-                    let _ = write!(out, " ;\n    a {}", literal_as_resource(v));
-                } else {
-                    let _ = write!(out, " ;\n    {predicate} {}", literal(v));
-                }
+                let _ = write!(out, " ;\n    {predicate} ");
+                write_literal(out, v);
             }
         }
         if let Some(b) = bundle {
@@ -220,7 +223,8 @@ fn write_body(doc: &ProvDocument, out: &mut String, bundle: Option<&QName>) {
                         } else {
                             key.to_string()
                         };
-                        let _ = write!(out, " ;\n    {predicate} {}", literal(v));
+                        let _ = write!(out, " ;\n    {predicate} ");
+                        write_literal(out, v);
                     }
                 }
                 out.push_str(" .\n");
@@ -231,13 +235,6 @@ fn write_body(doc: &ProvDocument, out: &mut String, bundle: Option<&QName>) {
     for (name, inner) in doc.iter_bundles() {
         let _ = writeln!(out, "\n{name} a prov:Bundle .");
         write_body(inner, out, Some(name));
-    }
-}
-
-fn literal_as_resource(v: &AttrValue) -> String {
-    match v {
-        AttrValue::QualifiedName(q) => q.to_string(),
-        other => literal(other),
     }
 }
 
