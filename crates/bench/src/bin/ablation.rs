@@ -11,7 +11,7 @@
 
 use bench::workload::table1_series;
 use energy_monitor::energy::EnergyAccumulator;
-use metric_store::codec::{self, CodecId};
+use metric_store::codec::{self, deflate_like, huffman, lz77, rle, shuffle};
 use metric_store::store::MetricStore;
 use metric_store::zarr::{ZarrOptions, ZarrStore};
 use metric_store::WorkerPool;
@@ -58,33 +58,22 @@ fn codec_ablation() {
     let (_, _, _, values) = series.columns();
     let raw = codec::encode_f64_raw(&values);
 
+    let xor = codec::xor::encode(&values);
     let variants: Vec<(&str, Vec<u8>)> = vec![
         ("raw f64", raw.clone()),
-        ("xor only", codec::xor::encode(&values)),
+        ("xor only", xor.clone()),
         (
             "raw + shuffle + rle",
-            codec::encode_pipeline(&raw, &[CodecId::Shuffle8, CodecId::Rle]),
+            rle::encode(&shuffle::shuffle(&raw, 8)),
         ),
-        ("raw + lz77", codec::encode_pipeline(&raw, &[CodecId::Lz77])),
-        (
-            "raw + huffman",
-            codec::encode_pipeline(&raw, &[CodecId::Huffman]),
-        ),
-        (
-            "raw + lz77 + huffman",
-            codec::encode_pipeline(&raw, &[CodecId::Lz77, CodecId::Huffman]),
-        ),
+        ("raw + lz77", lz77::compress(&raw)),
+        ("raw + huffman", huffman::encode(&raw)),
+        ("raw + lz77 + huffman", deflate_like(&raw)),
         (
             "raw + shuffle + lz77 + huffman",
-            codec::encode_pipeline(&raw, &[CodecId::Shuffle8, CodecId::Lz77, CodecId::Huffman]),
+            deflate_like(&shuffle::shuffle(&raw, 8)),
         ),
-        (
-            "xor + lz77 + huffman (default)",
-            codec::encode_pipeline(
-                &codec::xor::encode(&values),
-                &[CodecId::Lz77, CodecId::Huffman],
-            ),
-        ),
+        ("xor + lz77 + huffman (default)", deflate_like(&xor)),
     ];
     println!("{:<34} {:>12} {:>8}", "pipeline", "bytes", "ratio");
     for (name, bytes) in &variants {

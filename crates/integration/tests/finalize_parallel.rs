@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use metric_store::netcdf::{NcOptions, NcStore};
+use metric_store::netcdf::NcStore;
 use metric_store::store::MetricStore;
 use metric_store::zarr::{ZarrOptions, ZarrStore};
 use metric_store::{MetricPoint, MetricSeries, WorkerPool};
@@ -116,7 +116,7 @@ fn netcdf_write_many_is_byte_identical_across_pool_sizes() {
     let mut images = Vec::new();
     for threads in [1usize, 2, 8] {
         let path = base.join(format!("t{threads}.nc"));
-        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        let store = NcStore::create(&path).unwrap();
         store.write_many(&refs, &WorkerPool::new(threads)).unwrap();
         images.push((threads, std::fs::read(&path).unwrap()));
     }
@@ -128,32 +128,6 @@ fn netcdf_write_many_is_byte_identical_across_pool_sizes() {
             "netcdf file differs between 1 and {threads} threads"
         );
     }
-    std::fs::remove_dir_all(&base).ok();
-}
-
-#[test]
-fn uncompressed_netcdf_write_many_stays_identical() {
-    let base = tmpdir("ncz");
-    let series = sample_series();
-    let refs: Vec<&MetricSeries> = series.iter().collect();
-    let opts = NcOptions {
-        compress_columns: false,
-    };
-
-    let serial_path = base.join("serial.nc");
-    NcStore::create(&serial_path, opts.clone())
-        .unwrap()
-        .write_many(&refs, &WorkerPool::serial())
-        .unwrap();
-    let pooled_path = base.join("pooled.nc");
-    NcStore::create(&pooled_path, opts)
-        .unwrap()
-        .write_many(&refs, &WorkerPool::new(8))
-        .unwrap();
-    assert_eq!(
-        std::fs::read(&serial_path).unwrap(),
-        std::fs::read(&pooled_path).unwrap()
-    );
     std::fs::remove_dir_all(&base).ok();
 }
 

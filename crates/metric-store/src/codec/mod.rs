@@ -6,14 +6,12 @@
 //!   delta + zigzag + varint for integers ([`varint`], [`delta`]),
 //!   Gorilla-style XOR compression for floats ([`xor`]), or plain
 //!   little-endian ([`encode_f64_raw`]).
-//! * **Byte codecs** transform byte streams: run-length encoding
-//!   ([`rle`]), byte shuffle ([`shuffle`]), LZ77 ([`lz77`]) and canonical
-//!   Huffman coding ([`huffman`]). Chaining LZ77 → Huffman yields a
-//!   DEFLATE-like general-purpose compressor, exposed as
-//!   [`deflate_like`] / [`inflate_like`].
-//!
-//! Every byte codec is identified by a stable [`CodecId`] recorded in
-//! chunk headers, so files remain self-describing.
+//! * **Byte codecs** transform byte streams: LZ77 ([`lz77`]) then
+//!   canonical Huffman coding ([`huffman`]), chained as the DEFLATE-like
+//!   [`deflate_like`] / [`inflate_like`]. It is the one compressor:
+//!   both spill stores run every column blob through it, and nothing
+//!   selects another. Run-length encoding ([`rle`]) frames the journal,
+//!   and byte shuffle ([`shuffle`]) is there for the E8 ablation.
 
 pub mod bits;
 pub mod delta;
@@ -26,72 +24,6 @@ pub mod xor;
 
 use crate::error::StoreError;
 use crate::series::{MetricPoint, MetricSeries};
-
-/// Stable identifier of a byte codec, stored in chunk headers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum CodecId {
-    /// Run-length encoding.
-    Rle = 1,
-    /// Byte shuffle with lane width 8 (for f64/i64 columns).
-    Shuffle8 = 2,
-    /// LZ77 with hash-chain matching.
-    Lz77 = 3,
-    /// Canonical Huffman entropy coding.
-    Huffman = 4,
-}
-
-impl CodecId {
-    /// Decodes a header byte into a codec id.
-    pub fn from_u8(b: u8) -> Result<CodecId, StoreError> {
-        match b {
-            1 => Ok(CodecId::Rle),
-            2 => Ok(CodecId::Shuffle8),
-            3 => Ok(CodecId::Lz77),
-            4 => Ok(CodecId::Huffman),
-            other => Err(StoreError::UnknownFormat(format!("codec id {other}"))),
-        }
-    }
-
-    /// Applies this codec in the encode direction.
-    pub fn encode(&self, data: &[u8]) -> Vec<u8> {
-        match self {
-            CodecId::Rle => rle::encode(data),
-            CodecId::Shuffle8 => shuffle::shuffle(data, 8),
-            CodecId::Lz77 => lz77::compress(data),
-            CodecId::Huffman => huffman::encode(data),
-        }
-    }
-
-    /// Applies this codec in the decode direction.
-    pub fn decode(&self, data: &[u8]) -> Result<Vec<u8>, StoreError> {
-        match self {
-            CodecId::Rle => rle::decode(data),
-            CodecId::Shuffle8 => Ok(shuffle::unshuffle(data, 8)),
-            CodecId::Lz77 => lz77::decompress(data),
-            CodecId::Huffman => huffman::decode(data),
-        }
-    }
-}
-
-/// Runs `data` through a codec pipeline, in order.
-pub fn encode_pipeline(data: &[u8], codecs: &[CodecId]) -> Vec<u8> {
-    // The first codec reads `data` where it lies.
-    let Some((first, rest)) = codecs.split_first() else {
-        return data.to_vec();
-    };
-    rest.iter()
-        .fold(first.encode(data), |cur, c| c.encode(&cur))
-}
-
-/// Reverses a codec pipeline (decodes in reverse order).
-pub fn decode_pipeline(data: &[u8], codecs: &[CodecId]) -> Result<Vec<u8>, StoreError> {
-    let mut cur = data.to_vec();
-    for c in codecs.iter().rev() {
-        cur = c.decode(&cur)?;
-    }
-    Ok(cur)
-}
 
 /// The general-purpose compressor: LZ77 followed by Huffman.
 pub fn deflate_like(data: &[u8]) -> Vec<u8> {
@@ -211,38 +143,6 @@ pub fn decode_points(blobs: &[Vec<u8>; 4]) -> Result<Vec<MetricPoint>, StoreErro
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn codec_ids_roundtrip() {
-        for id in [
-            CodecId::Rle,
-            CodecId::Shuffle8,
-            CodecId::Lz77,
-            CodecId::Huffman,
-        ] {
-            assert_eq!(CodecId::from_u8(id as u8).unwrap(), id);
-        }
-        assert!(CodecId::from_u8(0).is_err());
-        assert!(CodecId::from_u8(200).is_err());
-    }
-
-    #[test]
-    fn pipeline_roundtrip_all_orders() {
-        let data: Vec<u8> = (0..4096u32).map(|i| (i % 97) as u8).collect();
-        let pipelines: &[&[CodecId]] = &[
-            &[CodecId::Rle],
-            &[CodecId::Lz77],
-            &[CodecId::Huffman],
-            &[CodecId::Lz77, CodecId::Huffman],
-            &[CodecId::Shuffle8, CodecId::Rle],
-            &[CodecId::Shuffle8, CodecId::Lz77, CodecId::Huffman],
-        ];
-        for p in pipelines {
-            let enc = encode_pipeline(&data, p);
-            let dec = decode_pipeline(&enc, p).unwrap();
-            assert_eq!(dec, data, "pipeline {p:?}");
-        }
-    }
 
     #[test]
     fn deflate_like_roundtrip_and_compresses_text() {

@@ -11,8 +11,11 @@
 //!   XOR for floats) and then compressed with LZ77 and Huffman, and
 //!   chunks compress in parallel on the [`WorkerPool`];
 //! * [`netcdf`] — a single-file header+variables binary layout in the
-//!   spirit of classic NetCDF (CDF-1), with an optional whole-file
-//!   compressed variant.
+//!   spirit of classic NetCDF (CDF-1), its columns encoded and
+//!   compressed the same way.
+//!
+//! [`codec::deflate_like`] (LZ77, then Huffman) is the one compressor:
+//! neither store has a setting that picks another or none.
 //!
 //! Both implement the [`store::MetricStore`] trait, so the provenance
 //! layer can switch formats with a configuration flag, exactly as the
@@ -56,4 +59,4 @@ pub mod zarr;
 pub use error::StoreError;
 pub use pool::WorkerPool;
 pub use series::{MetricPoint, MetricSeries, SeriesStats};
-pub use store::{MetricStore, StorageFormat};
+pub use store::MetricStore;

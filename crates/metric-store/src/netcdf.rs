@@ -5,16 +5,16 @@
 //! contiguous per-variable blobs.
 //!
 //! ```text
-//! magic "YNC1" | flags u8 | header_len u32 LE | header JSON | body
+//! magic "YNC1" | flags u8 = 0x01 | header_len u32 LE | header JSON | body
 //! ```
 //!
 //! The header lists, per series, the four column blobs (`steps`,
 //! `epochs`, `times`, `values`) with their offsets, lengths and CRCs
-//! inside the body. Columns are stored delta/XOR-encoded; when
-//! `compress_columns` is on (the default) each blob additionally runs
-//! through the LZ77+Huffman pipeline — which is why, like the paper's
-//! real NetCDF files (Table 1: 2.35 MB → 2.30 MB), the resulting file
-//! barely shrinks under external compression.
+//! inside the body. Columns are stored delta/XOR-encoded and then run
+//! through LZ77+Huffman ([`deflate_like`]), always: the flags byte
+//! says so, and a file with any other flags byte is refused. That is
+//! why, like the paper's real NetCDF files (Table 1: 2.35 MB → 2.30 MB),
+//! the file barely shrinks under external compression.
 //!
 //! Unlike [`crate::zarr::ZarrStore`], the file is rewritten wholesale on
 //! every write — the trade-off the paper describes between the two
@@ -32,22 +32,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 const MAGIC: [u8; 4] = *b"YNC1";
-const FLAG_COMPRESSED: u8 = 0b0000_0001;
+/// The flags byte: bit 0, every column blob compressed. The one value
+/// written and the one read.
+const FLAGS: u8 = 0b0000_0001;
 
-/// Options for a [`NcStore`].
-#[derive(Debug, Clone)]
-pub struct NcOptions {
-    /// Run each column blob through LZ77+Huffman.
-    pub compress_columns: bool,
-}
-
-impl Default for NcOptions {
-    fn default() -> Self {
-        NcOptions {
-            compress_columns: true,
-        }
-    }
-}
+/// The payload of a NetCDF spill policy. There is nothing to set: a
+/// [`NcStore`] always compresses its columns.
+#[derive(Debug, Clone, Default)]
+pub struct NcOptions;
 
 #[derive(Debug, Clone)]
 struct ColumnDesc {
@@ -148,7 +140,6 @@ fn column_bytes<'a>(body: &'a [u8], col: &ColumnDesc) -> Option<&'a [u8]> {
 /// A NetCDF-like single-file metric store.
 pub struct NcStore {
     path: PathBuf,
-    opts: NcOptions,
     /// All series live in memory and the file is rewritten on change,
     /// mirroring how classic NetCDF writers rewrite the header section.
     cache: Mutex<BTreeMap<(String, String), MetricSeries>>,
@@ -157,7 +148,7 @@ pub struct NcStore {
 impl NcStore {
     /// Creates an empty store backed by `path`. Whatever file is there
     /// is not read: the first write replaces it.
-    pub fn create(path: impl AsRef<Path>, opts: NcOptions) -> Result<Self, StoreError> {
+    pub fn create(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -166,7 +157,6 @@ impl NcStore {
         }
         Ok(NcStore {
             path,
-            opts,
             cache: Mutex::new(BTreeMap::new()),
         })
     }
@@ -179,7 +169,6 @@ impl NcStore {
         }
         let store = NcStore {
             path,
-            opts: NcOptions::default(),
             cache: Mutex::new(BTreeMap::new()),
         };
         let loaded = store.load(|_| true)?;
@@ -187,32 +176,10 @@ impl NcStore {
         Ok(store)
     }
 
-    /// The backing file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn encode_columns(&self, series: &MetricSeries) -> [Vec<u8>; 4] {
-        let blobs = codec::encode_points(&series.points);
-        if self.opts.compress_columns {
-            return blobs.map(|b| deflate_like(&b));
-        }
-        blobs
-    }
-
-    fn decode_columns(
-        &self,
-        var: &VarDesc,
-        blobs: [&[u8]; 4],
-        compressed: bool,
-    ) -> Result<MetricSeries, StoreError> {
+    fn decode_columns(var: &VarDesc, blobs: [&[u8]; 4]) -> Result<MetricSeries, StoreError> {
         let mut raw: [Vec<u8>; 4] = Default::default();
         for (i, blob) in blobs.into_iter().enumerate() {
-            raw[i] = if compressed {
-                inflate_like(blob)?
-            } else {
-                blob.to_vec()
-            };
+            raw[i] = inflate_like(blob)?;
         }
         let series = MetricSeries {
             name: var.name.clone(),
@@ -242,7 +209,7 @@ impl NcStore {
             if obs::trace::is_enabled() {
                 trace.annotate("series", ordered[i].name.clone());
             }
-            self.encode_columns(ordered[i])
+            codec::encode_points(&ordered[i].points).map(|b| deflate_like(&b))
         });
 
         // The header first (it only needs each blob's length and CRC),
@@ -274,11 +241,7 @@ impl NcStore {
 
         let mut out = Vec::with_capacity(9 + header_json.len() + body_len as usize);
         out.extend_from_slice(&MAGIC);
-        out.push(if self.opts.compress_columns {
-            FLAG_COMPRESSED
-        } else {
-            0
-        });
+        out.push(FLAGS);
         out.extend_from_slice(&(header_json.len() as u32).to_le_bytes());
         out.extend_from_slice(&header_json);
         for blob in encoded.iter().flatten() {
@@ -306,7 +269,13 @@ impl NcStore {
                 self.path.display()
             )));
         }
-        let compressed = data[4] & FLAG_COMPRESSED != 0;
+        if data[4] != FLAGS {
+            return Err(StoreError::UnknownFormat(format!(
+                "{} has flags {:#04x}, not {FLAGS:#04x}",
+                self.path.display(),
+                data[4]
+            )));
+        }
         let header_len = u32::from_le_bytes(data[5..9].try_into().expect("len checked")) as usize;
         let header_end = 9 + header_len;
         let header_bytes = data
@@ -340,7 +309,7 @@ impl NcStore {
             if obs::trace::is_enabled() {
                 trace.annotate("series", var.name.clone());
             }
-            let series = self.decode_columns(var, blobs, compressed)?;
+            let series = NcStore::decode_columns(var, blobs)?;
             drop(trace);
             out.insert((series.name.clone(), series.context.clone()), series);
         }
@@ -405,7 +374,7 @@ mod tests {
     #[test]
     fn roundtrip_multiple_series() {
         let path = tmpfile("roundtrip");
-        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        let store = NcStore::create(&path).unwrap();
         let a = series("loss", "training", 5000);
         let b = series("accuracy", "validation", 300);
         store.write_series(&a).unwrap();
@@ -420,7 +389,7 @@ mod tests {
         let path = tmpfile("reopen");
         let a = series("loss", "training", 1000);
         {
-            let store = NcStore::create(&path, NcOptions::default()).unwrap();
+            let store = NcStore::create(&path).unwrap();
             store.write_series(&a).unwrap();
         }
         let store2 = NcStore::open(&path).unwrap();
@@ -432,51 +401,9 @@ mod tests {
     }
 
     #[test]
-    fn uncompressed_mode_roundtrips() {
-        let path = tmpfile("uncompressed");
-        let store = NcStore::create(
-            &path,
-            NcOptions {
-                compress_columns: false,
-            },
-        )
-        .unwrap();
-        let a = series("loss", "training", 2000);
-        store.write_series(&a).unwrap();
-        assert_eq!(store.read_series("loss", "training").unwrap(), a);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compressed_file_is_smaller() {
-        let path_c = tmpfile("size_c");
-        let path_u = tmpfile("size_u");
-        let a = series("loss", "training", 50_000);
-        let sc = NcStore::create(
-            &path_c,
-            NcOptions {
-                compress_columns: true,
-            },
-        )
-        .unwrap();
-        sc.write_series(&a).unwrap();
-        let su = NcStore::create(
-            &path_u,
-            NcOptions {
-                compress_columns: false,
-            },
-        )
-        .unwrap();
-        su.write_series(&a).unwrap();
-        assert!(sc.size_bytes().unwrap() < su.size_bytes().unwrap());
-        std::fs::remove_file(&path_c).ok();
-        std::fs::remove_file(&path_u).ok();
-    }
-
-    #[test]
     fn missing_series_not_found() {
         let path = tmpfile("missing");
-        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        let store = NcStore::create(&path).unwrap();
         store.write_series(&series("a", "b", 5)).unwrap();
         assert!(matches!(
             store.read_series("ghost", "training"),
@@ -488,7 +415,7 @@ mod tests {
     #[test]
     fn corruption_is_detected() {
         let path = tmpfile("corrupt");
-        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        let store = NcStore::create(&path).unwrap();
         store
             .write_series(&series("loss", "training", 3000))
             .unwrap();
@@ -525,7 +452,7 @@ mod tests {
     #[test]
     fn a_column_range_that_wraps_is_an_error_not_a_panic() {
         let path = tmpfile("wrapping");
-        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        let store = NcStore::create(&path).unwrap();
         store
             .write_series(&series("loss", "training", 100))
             .unwrap();
@@ -541,7 +468,7 @@ mod tests {
     #[test]
     fn a_negative_offset_is_refused() {
         let path = tmpfile("negative");
-        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        let store = NcStore::create(&path).unwrap();
         store
             .write_series(&series("loss", "training", 100))
             .unwrap();
@@ -562,30 +489,28 @@ mod tests {
     #[test]
     fn every_variable_reads_back_as_written_and_as_open_decoded_it() {
         for count in [1, 12, 40] {
-            for compress_columns in [true, false] {
-                let path = tmpfile(&format!("read_path_{count}_{compress_columns}"));
-                let written = series_set(count);
-                let store = NcStore::create(&path, NcOptions { compress_columns }).unwrap();
-                store
-                    .write_many(&written.iter().collect::<Vec<_>>(), &WorkerPool::serial())
-                    .unwrap();
-                let opened = NcStore::open(&path).unwrap();
-                let decoded = opened.cache.lock().unwrap().clone();
-                assert_eq!(decoded.len(), count);
-                for s in &written {
-                    let read = opened.read_series(&s.name, &s.context).unwrap();
-                    assert_eq!(&read, s, "{count} series, compressed {compress_columns}");
-                    assert_eq!(decoded[&(s.name.clone(), s.context.clone())], read);
-                }
-                std::fs::remove_file(&path).ok();
+            let path = tmpfile(&format!("read_path_{count}"));
+            let written = series_set(count);
+            let store = NcStore::create(&path).unwrap();
+            store
+                .write_many(&written.iter().collect::<Vec<_>>(), &WorkerPool::serial())
+                .unwrap();
+            let opened = NcStore::open(&path).unwrap();
+            let decoded = opened.cache.lock().unwrap().clone();
+            assert_eq!(decoded.len(), count);
+            for s in &written {
+                let read = opened.read_series(&s.name, &s.context).unwrap();
+                assert_eq!(&read, s, "{count} series");
+                assert_eq!(decoded[&(s.name.clone(), s.context.clone())], read);
             }
+            std::fs::remove_file(&path).ok();
         }
     }
 
     #[test]
     fn a_flipped_byte_in_another_variable_still_fails_the_read() {
         let path = tmpfile("other_flipped");
-        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        let store = NcStore::create(&path).unwrap();
         let a = series("a", "training", 300);
         let b = series("b", "training", 300);
         store.write_many(&[&a, &b], &WorkerPool::serial()).unwrap();
@@ -605,7 +530,7 @@ mod tests {
     #[test]
     fn a_forged_point_count_fails_open_but_not_the_read_of_another_variable() {
         let path = tmpfile("forged_points");
-        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        let store = NcStore::create(&path).unwrap();
         let a = series("a", "training", 300);
         let b = series("b", "training", 300);
         store.write_many(&[&a, &b], &WorkerPool::serial()).unwrap();
@@ -628,7 +553,7 @@ mod tests {
     #[test]
     fn an_unlisted_name_or_context_is_not_found_after_the_checks() {
         let path = tmpfile("unlisted");
-        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        let store = NcStore::create(&path).unwrap();
         store
             .write_series(&series("loss", "training", 300))
             .unwrap();
@@ -650,6 +575,31 @@ mod tests {
     }
 
     #[test]
+    fn a_flags_byte_other_than_compressed_is_refused() {
+        let path = tmpfile("flags");
+        let store = NcStore::create(&path).unwrap();
+        store
+            .write_series(&series("loss", "training", 300))
+            .unwrap();
+        let written = std::fs::read(&path).unwrap();
+        assert_eq!(written[4], 0x01);
+        for flags in [0x00, 0x03] {
+            let mut forged = written.clone();
+            forged[4] = flags;
+            std::fs::write(&path, forged).unwrap();
+            assert!(
+                matches!(NcStore::open(&path), Err(StoreError::UnknownFormat(_))),
+                "{flags:#04x}"
+            );
+            assert!(matches!(
+                store.read_series("loss", "training"),
+                Err(StoreError::UnknownFormat(_))
+            ));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn bad_magic_rejected() {
         let path = tmpfile("badmagic");
         std::fs::write(&path, b"NOPE....garbage").unwrap();
@@ -660,7 +610,7 @@ mod tests {
     #[test]
     fn overwrite_same_key_replaces() {
         let path = tmpfile("overwrite");
-        let store = NcStore::create(&path, NcOptions::default()).unwrap();
+        let store = NcStore::create(&path).unwrap();
         store
             .write_series(&series("loss", "training", 100))
             .unwrap();

@@ -42,11 +42,6 @@ impl WorkerPool {
         WorkerPool::new(1)
     }
 
-    /// The configured thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs `f(0), f(1), ..., f(tasks - 1)` across the pool and returns
     /// the results in index order. A task's panic reaches the caller.
     ///
@@ -126,7 +121,7 @@ mod tests {
     #[test]
     fn zero_threads_degrades_to_serial() {
         let pool = WorkerPool::new(0);
-        assert_eq!(pool.threads(), 1);
+        assert_eq!(pool.threads, 1);
         assert_eq!(pool.map(5, |i| i), vec![0, 1, 2, 3, 4]);
     }
 

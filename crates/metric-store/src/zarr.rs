@@ -15,23 +15,90 @@
 //!     values.0  values.1  ...
 //! ```
 //!
-//! Chunks are independent (each frame is self-describing with its codec
-//! pipeline and CRC), so they compress and decompress in parallel on a
-//! [`WorkerPool`] — the property that lets the paper's library spill
-//! very long metric series without stalling training.
+//! Chunks are independent (each frame carries its lengths and CRC), so
+//! they compress and decompress in parallel on a [`WorkerPool`] — the
+//! property that lets the paper's library spill very long metric series
+//! without stalling training.
 
 use crate::checksum::crc32;
-use crate::codec::{self, CodecId};
+use crate::codec::{self, deflate_like, inflate_like};
 use crate::error::StoreError;
 use crate::pool::WorkerPool;
 use crate::series::{MetricPoint, MetricSeries};
-use crate::store::{frame_chunk, path_size_bytes, unframe_chunk, MetricStore};
+use crate::store::{path_size_bytes, MetricStore};
 use json::JsonWriter;
 use json::Value; // reads JSON
 use std::path::{Path, PathBuf};
 
-/// The byte codecs every encoded column chunk runs through.
-const BYTE_CODECS: [CodecId; 2] = [CodecId::Lz77, CodecId::Huffman];
+/// What every chunk frame opens with: the magic, then its codec list,
+/// two codecs long: LZ77 (3), then Huffman (4). It is the one list a
+/// frame is written with and the one the reader takes.
+const FRAME_HEAD: [u8; 7] = *b"YCK1\x02\x03\x04";
+
+/// The frame head, `raw_len`, `enc_len` and the payload's CRC.
+const FRAME_HEADER_LEN: usize = FRAME_HEAD.len() + 8 + 8 + 4;
+
+/// Compresses one column blob with [`deflate_like`] and frames it:
+///
+/// ```text
+/// magic "YCK1"(4) n_codecs = 2 (1) codec ids 3 4 (2) raw_len(8 LE)
+/// enc_len(8 LE) crc32_of_payload(4 LE) encoded_bytes
+/// ```
+fn frame_chunk(payload: &[u8]) -> Vec<u8> {
+    let encoded = deflate_like(payload);
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + encoded.len());
+    out.extend_from_slice(&FRAME_HEAD);
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(encoded.len() as u64).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&encoded);
+    out
+}
+
+/// Decodes a frame produced by [`frame_chunk`], returning the payload and
+/// the total number of bytes consumed (frames can be concatenated). A
+/// frame with another magic or codec list is
+/// [`StoreError::UnknownFormat`].
+fn unframe_chunk(data: &[u8]) -> Result<(Vec<u8>, usize), StoreError> {
+    let need = |n: usize| -> Result<(), StoreError> {
+        if data.len() < n {
+            Err(StoreError::Truncated(format!(
+                "chunk frame needs {n} bytes, has {}",
+                data.len()
+            )))
+        } else {
+            Ok(())
+        }
+    };
+    let at = FRAME_HEAD.len();
+    need(at)?;
+    if data[..at] != FRAME_HEAD {
+        return Err(StoreError::UnknownFormat(
+            "not a YCK1 chunk frame listing LZ77 then Huffman".into(),
+        ));
+    }
+    need(FRAME_HEADER_LEN)?;
+    let word = |i: usize| u64::from_le_bytes(data[i..i + 8].try_into().expect("len checked"));
+    let raw_len = word(at) as usize;
+    let enc_len = word(at + 8) as usize;
+    let want_crc = u32::from_le_bytes(data[at + 16..at + 20].try_into().expect("len checked"));
+    // `enc_len` is whatever the frame says: the end may not fit a usize.
+    let end = FRAME_HEADER_LEN
+        .checked_add(enc_len)
+        .ok_or_else(|| StoreError::Corrupt(format!("chunk frame claims {enc_len} bytes")))?;
+    need(end)?;
+    let payload = inflate_like(&data[FRAME_HEADER_LEN..end])?;
+    if payload.len() != raw_len {
+        return Err(StoreError::Corrupt(format!(
+            "chunk declared {raw_len} bytes but decoded {}",
+            payload.len()
+        )));
+    }
+    if crc32(&payload) != want_crc {
+        return Err(StoreError::Corrupt("chunk crc mismatch".into()));
+    }
+    Ok((payload, end))
+}
 
 /// Store configuration.
 #[derive(Debug, Clone)]
@@ -145,11 +212,6 @@ impl ZarrStore {
         })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn series_dir(&self, name: &str, context: &str) -> PathBuf {
         self.root.join(sanitize_key(name, context))
     }
@@ -201,7 +263,7 @@ impl ZarrStore {
         let encoded = codec::encode_points(chunk);
         drop(trace);
         for (col, payload) in COLUMNS.iter().zip(encoded) {
-            let framed = frame_chunk(&payload, &BYTE_CODECS);
+            let framed = frame_chunk(&payload);
             std::fs::write(dir.join(format!("{col}.{ci}")), framed)?;
         }
         Ok(())
@@ -512,6 +574,149 @@ mod tests {
             assert!(matches!(read, Err(StoreError::Corrupt(_))), "{points}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn frame_roundtrip_various_payloads() {
+        let cyclic: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+        for payload in [&cyclic[..], b"", b"x", &[7u8; 4096]] {
+            let framed = frame_chunk(payload);
+            let (back, consumed) = unframe_chunk(&framed).unwrap();
+            assert_eq!(back, payload);
+            assert_eq!(consumed, framed.len());
+        }
+    }
+
+    #[test]
+    fn concatenated_frames_parse_sequentially() {
+        let a = frame_chunk(b"first");
+        let b = frame_chunk(b"second chunk");
+        let mut joined = a.clone();
+        joined.extend_from_slice(&b);
+        let (p1, used1) = unframe_chunk(&joined).unwrap();
+        assert_eq!(p1, b"first");
+        let (p2, used2) = unframe_chunk(&joined[used1..]).unwrap();
+        assert_eq!(p2, b"second chunk");
+        assert_eq!(used1 + used2, joined.len());
+    }
+
+    #[test]
+    fn bad_magic_rejected() {
+        let mut framed = frame_chunk(b"payload");
+        framed[0] = b'X';
+        assert!(matches!(
+            unframe_chunk(&framed),
+            Err(StoreError::UnknownFormat(_))
+        ));
+    }
+
+    #[test]
+    fn corrupted_payload_fails_crc() {
+        let framed = frame_chunk(&[7u8; 4096]);
+        let mut bad = framed.clone();
+        let last = bad.len() - 1;
+        bad[last] ^= 0xFF;
+        assert!(unframe_chunk(&bad).is_err());
+    }
+
+    #[test]
+    fn an_encoded_length_that_wraps_is_an_error_not_a_panic() {
+        let mut framed = frame_chunk(b"some payload bytes");
+        // magic(4) n_codecs(1) codecs(2) raw_len(8), then enc_len.
+        framed[15..23].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            unframe_chunk(&framed),
+            Err(StoreError::Corrupt(_))
+        ));
+        framed[15..23].copy_from_slice(&(u64::MAX - 30).to_le_bytes());
+        assert!(unframe_chunk(&framed).is_err());
+    }
+
+    #[test]
+    fn truncated_frames_error() {
+        let framed = frame_chunk(b"some payload bytes");
+        for cut in 0..framed.len() {
+            assert!(
+                unframe_chunk(&framed[..cut]).is_err(),
+                "cut at {cut} must fail"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_codec_id_rejected() {
+        let mut framed = frame_chunk(b"x");
+        framed[5] = 99; // the first codec id
+        assert!(matches!(
+            unframe_chunk(&framed),
+            Err(StoreError::UnknownFormat(_))
+        ));
+    }
+
+    /// A frame of `payload` in the layout [`frame_chunk`] writes, but
+    /// listing `codecs` and holding `encoded`.
+    fn frame_listing(codecs: &[u8], payload: &[u8], encoded: &[u8]) -> Vec<u8> {
+        let mut out = b"YCK1".to_vec();
+        out.push(codecs.len() as u8);
+        out.extend_from_slice(codecs);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(encoded.len() as u64).to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(encoded);
+        out
+    }
+
+    #[test]
+    fn a_chunk_listing_another_codec_list_is_refused() {
+        let (dir, store, meta) = six_point_store("codec_lists");
+        let chunk = meta.with_file_name("steps.0");
+        let (payload, _) = unframe_chunk(&std::fs::read(&chunk).unwrap()).unwrap();
+        let shuffled = codec::shuffle::shuffle(&payload, 8);
+        // No codec, RLE alone, and shuffle before LZ77 and Huffman, each
+        // a frame whose lengths and CRC hold.
+        let forged = [
+            frame_listing(&[], &payload, &payload),
+            frame_listing(&[1], &payload, &codec::rle::encode(&payload)),
+            frame_listing(&[2, 3, 4], &payload, &deflate_like(&shuffled)),
+        ];
+        for frame in forged {
+            assert!(matches!(
+                unframe_chunk(&frame),
+                Err(StoreError::UnknownFormat(_))
+            ));
+            std::fs::write(&chunk, &frame).unwrap();
+            let read = store.read_series("power", "telemetry");
+            assert!(
+                matches!(read, Err(StoreError::UnknownFormat(_))),
+                "{read:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn chunk_frames_roundtrip() {
+        testkit::check(64, |rng, size| {
+            let len = rng.len(0..4096, size);
+            let data = rng.bytes(len);
+            let framed = frame_chunk(&data);
+            let (back, used) = unframe_chunk(&framed).unwrap();
+            assert_eq!(back, data);
+            assert_eq!(used, framed.len());
+        });
+    }
+
+    #[test]
+    fn frame_decoder_never_panics_on_garbage() {
+        testkit::check(64, |rng, size| {
+            let len = rng.len(0..512, size);
+            let data = rng.bytes(len);
+            let _ = unframe_chunk(&data); // must not panic
+                                          // The same bytes behind a valid frame head.
+            let mut headed = FRAME_HEAD.to_vec();
+            headed.extend_from_slice(&data);
+            let _ = unframe_chunk(&headed);
+        });
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! and one per Zarr chunk, each way. It is the only test in its binary,
 //! so nothing else records spans while it counts.
 
-use metric_store::netcdf::{NcOptions, NcStore};
+use metric_store::netcdf::NcStore;
 use metric_store::zarr::{ZarrOptions, ZarrStore};
 use metric_store::{MetricPoint, MetricSeries, MetricStore, WorkerPool};
 
@@ -35,7 +35,7 @@ fn decodes_are_counted_per_variable_and_per_chunk() {
     let written: Vec<MetricSeries> = (0..12).map(|i| series(&format!("m{i}"), 200)).collect();
     let refs: Vec<&MetricSeries> = written.iter().collect();
     let nc_path = dir.join("metrics.nc");
-    NcStore::create(&nc_path, NcOptions::default())
+    NcStore::create(&nc_path)
         .unwrap()
         .write_many(&refs, &WorkerPool::serial())
         .unwrap();

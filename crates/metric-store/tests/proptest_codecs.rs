@@ -2,9 +2,8 @@
 //! every encoder must be the exact inverse of its decoder for arbitrary
 //! inputs, including non-finite floats and adversarial byte patterns.
 
-use metric_store::codec::{self, CodecId};
+use metric_store::codec;
 use metric_store::series::{MetricPoint, MetricSeries};
-use metric_store::store::{frame_chunk, unframe_chunk};
 use std::ops::Range;
 use testkit::{check, Rng};
 
@@ -121,30 +120,10 @@ fn int_columns_roundtrip() {
 }
 
 #[test]
-fn chunk_frames_roundtrip() {
-    check(64, |rng, size| {
-        let data = bytes(rng, 0..4096, size);
-        let pipelines: [&[CodecId]; 6] = [
-            &[],
-            &[CodecId::Rle],
-            &[CodecId::Huffman],
-            &[CodecId::Lz77],
-            &[CodecId::Lz77, CodecId::Huffman],
-            &[CodecId::Shuffle8, CodecId::Lz77, CodecId::Huffman],
-        ];
-        let framed = frame_chunk(&data, pipelines[rng.below(6)]);
-        let (back, used) = unframe_chunk(&framed).unwrap();
-        assert_eq!(back, data);
-        assert_eq!(used, framed.len());
-    });
-}
-
-#[test]
-fn frame_decoder_never_panics_on_garbage() {
+fn decoders_never_panic_on_garbage() {
     check(64, |rng, size| {
         let data = bytes(rng, 0..512, size);
-        let _ = unframe_chunk(&data); // must not panic
-        let _ = codec::inflate_like(&data);
+        let _ = codec::inflate_like(&data); // must not panic
         let _ = codec::huffman::decode(&data);
         let _ = codec::lz77::decompress(&data);
         let _ = codec::rle::decode(&data);

@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 
 use metric_store::codec::{self, deflate_like, huffman, lz77, xor};
-use metric_store::netcdf::{NcOptions, NcStore};
+use metric_store::netcdf::NcStore;
 use metric_store::zarr::{ZarrOptions, ZarrStore};
 use metric_store::{MetricPoint, MetricSeries, MetricStore, WorkerPool};
 
@@ -172,7 +172,7 @@ fn write_stores(dir: &Path, threads: usize) {
     let set = series_set();
     let refs: Vec<&MetricSeries> = set.iter().collect();
     let pool = WorkerPool::new(threads);
-    NcStore::create(dir.join("metrics.nc"), NcOptions::default())
+    NcStore::create(dir.join("metrics.nc"))
         .unwrap()
         .write_many(&refs, &pool)
         .unwrap();

@@ -399,14 +399,26 @@ pub fn traceparent() -> Option<String> {
 }
 
 /// Parses a `traceparent` value into `(trace id, parent span id)`.
-/// Only version 00 is accepted; all-zero ids are invalid per the spec.
+/// Only version 00 is accepted; the ids and the flags are lowercase hex
+/// of their fixed widths, and all-zero ids are invalid per the spec.
 fn parse_traceparent(value: &str) -> Option<(u128, u64)> {
+    let hex = |field: &str, width: usize| {
+        field.len() == width
+            && field
+                .bytes()
+                .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+    };
     let mut parts = value.trim().split('-');
     let version = parts.next()?;
     let trace = parts.next()?;
     let parent = parts.next()?;
-    let _flags = parts.next()?;
-    if parts.next().is_some() || version != "00" || trace.len() != 32 || parent.len() != 16 {
+    let flags = parts.next()?;
+    if parts.next().is_some()
+        || version != "00"
+        || !hex(trace, 32)
+        || !hex(parent, 16)
+        || !hex(flags, 2)
+    {
         return None;
     }
     let trace_id = u128::from_str_radix(trace, 16).ok()?;
@@ -806,6 +818,11 @@ mod tests {
             "00-00000000000000000000000000000000-0000000000000001-01",
             "00-00000000000000000000000000000001-0000000000000000-01",
             "00-0001-0000000000000001-01",
+            "00-+0000000000000000000000000000001-0000000000000001-01",
+            "00-0000000000000000000000000000000A-0000000000000001-01",
+            "00-00000000000000000000000000000001-+000000000000001-01",
+            "00-00000000000000000000000000000001-0000000000000001-zz",
+            "00-00000000000000000000000000000001-0000000000000001-1",
         ] {
             assert!(parse_traceparent(bad).is_none(), "{bad:?}");
         }

@@ -366,18 +366,17 @@ pub(crate) fn count_request(registry: &obs::Registry, method: &str, route: &str,
 /// Decodes `%XX` escapes; with `plus_is_space`, also maps `+` to a
 /// space. Plus-as-space is query-string/form semantics only — in a path
 /// segment `+` is a literal plus, so callers decoding paths pass
-/// `false`.
+/// `false`. An escape is `%` and two hex digits; anything else after a
+/// `%` (`%zz`, `%+a`) stays literal, as RFC 3986 has it.
 pub(crate) fn percent_decode(s: &str, plus_is_space: bool) -> String {
+    let hex = |b: u8| (b as char).to_digit(16).map(|d| d as u8);
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] == b'%' && i + 3 <= bytes.len() {
-            if let Some(b) = std::str::from_utf8(&bytes[i + 1..i + 3])
-                .ok()
-                .and_then(|h| u8::from_str_radix(h, 16).ok())
-            {
-                out.push(b);
+            if let (Some(hi), Some(lo)) = (hex(bytes[i + 1]), hex(bytes[i + 2])) {
+                out.push((hi << 4) | lo);
                 i += 3;
                 continue;
             }
@@ -926,6 +925,7 @@ mod tests {
         assert_eq!(url_decode("plain"), "plain");
         assert_eq!(url_decode("bad%"), "bad%");
         assert_eq!(url_decode("%zz"), "%zz");
+        assert_eq!(url_decode("%+a"), "% a");
     }
 
     #[test]
@@ -934,6 +934,7 @@ mod tests {
         assert_eq!(percent_decode("a+b", true), "a b");
         assert_eq!(percent_decode("doc%2D1", false), "doc-1");
         assert_eq!(percent_decode("bad%", false), "bad%");
+        assert_eq!(percent_decode("x%+a", false), "x%+a");
     }
 
     #[test]

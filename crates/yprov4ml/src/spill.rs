@@ -10,7 +10,7 @@ use metric_store::netcdf::{NcOptions, NcStore};
 use metric_store::series::MetricSeries;
 use metric_store::store::MetricStore;
 use metric_store::zarr::{ZarrOptions, ZarrStore};
-use metric_store::{StorageFormat, WorkerPool};
+use metric_store::WorkerPool;
 use std::path::{Path, PathBuf};
 
 /// Where metric series are persisted at run finish: one of the paper's
@@ -26,20 +26,12 @@ pub enum SpillPolicy {
     /// provenance file.
     Zarr(ZarrOptions),
     /// Spill to a NetCDF-like single file, `metrics.nc`, next to the
-    /// provenance file.
+    /// provenance file. Its payload sets nothing: the file always
+    /// compresses its columns.
     NetCdf(NcOptions),
 }
 
 impl SpillPolicy {
-    /// The storage format this policy corresponds to in reports.
-    pub fn format(&self) -> StorageFormat {
-        match self {
-            SpillPolicy::Inline => StorageFormat::InlineJson,
-            SpillPolicy::Zarr(_) => StorageFormat::ZarrLike,
-            SpillPolicy::NetCdf(_) => StorageFormat::NetCdfLike,
-        }
-    }
-
     /// True when metrics stay inside the PROV-JSON document.
     pub fn is_inline(&self) -> bool {
         matches!(self, SpillPolicy::Inline)
@@ -92,9 +84,9 @@ pub fn spill_metrics_pooled(
             store.write_many(series, pool)?;
             finish_outcome(path, series, &store)
         }
-        SpillPolicy::NetCdf(opts) => {
+        SpillPolicy::NetCdf(NcOptions) => {
             let path = run_dir.join("metrics.nc");
-            let store = NcStore::create(&path, opts.clone())?;
+            let store = NcStore::create(&path)?;
             store.write_many(series, pool)?;
             finish_outcome(path, series, &store)
         }
@@ -201,8 +193,7 @@ mod tests {
         let dir = tmpdir("nc");
         let a = series("loss", 1000);
         let b = series("power", 1000);
-        let out =
-            spill_metrics(&dir, &SpillPolicy::NetCdf(NcOptions::default()), &[&a, &b]).unwrap();
+        let out = spill_metrics(&dir, &SpillPolicy::NetCdf(NcOptions), &[&a, &b]).unwrap();
         assert_eq!(out.links.len(), 2);
         assert_eq!(read_spilled(&dir, "power", "training").unwrap(), b);
         std::fs::remove_dir_all(&dir).ok();
@@ -213,20 +204,5 @@ mod tests {
         let dir = tmpdir("empty");
         assert!(read_spilled(&dir, "loss", "training").is_err());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn formats_map_to_table1_rows() {
-        assert_eq!(SpillPolicy::Inline.format(), StorageFormat::InlineJson);
-        assert_eq!(
-            SpillPolicy::Zarr(ZarrOptions::default()).format(),
-            StorageFormat::ZarrLike
-        );
-        assert_eq!(
-            SpillPolicy::NetCdf(NcOptions::default()).format(),
-            StorageFormat::NetCdfLike
-        );
-        assert!(SpillPolicy::Inline.is_inline());
-        assert!(!SpillPolicy::NetCdf(NcOptions::default()).is_inline());
     }
 }
