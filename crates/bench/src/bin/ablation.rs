@@ -14,7 +14,7 @@ use energy_monitor::energy::EnergyAccumulator;
 use metric_store::codec::{self, deflate_like, huffman, lz77, rle, shuffle};
 use metric_store::store::MetricStore;
 use metric_store::zarr::{ZarrOptions, ZarrStore};
-use metric_store::WorkerPool;
+use metric_store::{MetricPoint, WorkerPool};
 use train_sim::comm::{step_comm_cost, DdpCommConfig};
 use train_sim::MachineConfig;
 
@@ -26,27 +26,44 @@ fn main() {
     sampling_period_ablation();
 }
 
-/// Does the parallel chunk pipeline actually pay? Write a long
-/// series through thread pools of growing size.
+/// Does the parallel chunk pipeline pay? Encode a long series' chunks
+/// in memory, as a Zarr write does before its file writes (the column
+/// codecs, then LZ77 + Huffman on each column blob), through thread
+/// pools of growing size. No file is created, so the cells time the
+/// encode alone; each is the median of five runs.
 fn parallel_scaling_ablation() {
-    println!("=== ablation 2b: zarr write threads (1M-sample series, 8k chunks) ===");
+    const RUNS: usize = 5;
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "=== ablation 2b: chunk encode threads (1M-sample series, 8k chunks, \
+         in memory, median of {RUNS}; nproc {nproc}) ==="
+    );
     let series = table1_series("loss", "training", 1_000_000, 7);
-    println!("{:<10} {:>12} {:>9}", "threads", "write ms", "speedup");
+    let chunks: Vec<&[MetricPoint]> = series
+        .points
+        .chunks(ZarrOptions::default().chunk_points)
+        .collect();
+    println!("{:<10} {:>12} {:>9}", "threads", "encode ms", "speedup");
     let mut base_ms = 0.0;
     for threads in [1usize, 2, 4, 8] {
         let pool = WorkerPool::new(threads);
-        let dir =
-            std::env::temp_dir().join(format!("yablate_par_{threads}_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let store = ZarrStore::create(&dir, ZarrOptions::default()).expect("create");
-        let t0 = std::time::Instant::now();
-        store.write_many(&[&series], &pool).expect("write");
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        let mut runs: Vec<f64> = (0..RUNS)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                let encoded = pool.map(chunks.len(), |i| {
+                    let columns = codec::encode_points(chunks[i]);
+                    columns.iter().map(|c| deflate_like(c).len()).sum::<usize>()
+                });
+                std::hint::black_box(encoded);
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        runs.sort_by(f64::total_cmp);
+        let ms = runs[RUNS / 2];
         if threads == 1 {
             base_ms = ms;
         }
         println!("{threads:<10} {ms:>12.1} {:>8.2}x", base_ms / ms);
-        std::fs::remove_dir_all(&dir).ok();
     }
     println!();
 }

@@ -129,7 +129,7 @@ fn durable_backend_survives_kill_during_upload() {
     // The torn tmp never became visible; the unledgered document did
     // (its bytes are intact, only the commitment was lost).
     assert_eq!(store.len(), 3);
-    assert!(store.get("doc-4").is_some());
+    assert!(store.get("doc-4").is_ok());
     assert!(!tmp.exists(), "debris swept");
     // The surviving two-entry chain verifies, and the interrupted
     // document uploads again under its id.

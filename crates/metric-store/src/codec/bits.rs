@@ -13,6 +13,7 @@ use crate::error::StoreError;
 pub struct BitWriter {
     buf: Vec<u8>,
     /// Bytes of `buf` that were there before the first bit.
+    #[cfg(test)]
     prefix: usize,
     /// The bits not yet in `buf`, in the low `pending` bits; what lies
     /// above them has been written and is never read again.
@@ -23,7 +24,8 @@ pub struct BitWriter {
 
 impl BitWriter {
     /// Creates an empty writer.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -31,6 +33,7 @@ impl BitWriter {
     /// buffer (a length header, a code table).
     pub fn after(prefix: Vec<u8>) -> Self {
         BitWriter {
+            #[cfg(test)]
             prefix: prefix.len(),
             buf: prefix,
             acc: 0,
@@ -73,7 +76,8 @@ impl BitWriter {
     }
 
     /// Number of bits written so far.
-    pub fn bit_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bit_len(&self) -> usize {
         (self.buf.len() - self.prefix) * 8 + self.pending as usize
     }
 

@@ -119,6 +119,38 @@ fn int_columns_roundtrip() {
     });
 }
 
+/// The smallest failing input an earlier property run recorded: every
+/// byte codec round-trips it, and no decoder panics on it.
+#[test]
+fn recorded_case_roundtrips_every_byte_codec() {
+    let data = [5u8, 0, 0, 0, 0, 92, 177, 93, 187, 21];
+    assert_eq!(
+        codec::rle::decode(&codec::rle::encode(&data)).unwrap(),
+        data
+    );
+    assert_eq!(
+        codec::lz77::decompress(&codec::lz77::compress(&data)).unwrap(),
+        data
+    );
+    assert_eq!(
+        codec::huffman::decode(&codec::huffman::encode(&data)).unwrap(),
+        data
+    );
+    assert_eq!(
+        codec::inflate_like(&codec::deflate_like(&data)).unwrap(),
+        data
+    );
+    for width in 1..16 {
+        let s = codec::shuffle::shuffle(&data, width);
+        assert_eq!(codec::shuffle::unshuffle(&s, width), data);
+    }
+    let _ = codec::inflate_like(&data);
+    let _ = codec::huffman::decode(&data);
+    let _ = codec::lz77::decompress(&data);
+    let _ = codec::rle::decode(&data);
+    let _ = codec::xor::decode(&data);
+}
+
 #[test]
 fn decoders_never_panic_on_garbage() {
     check(64, |rng, size| {

@@ -99,46 +99,66 @@ fn document_roundtrips() {
         let activities = locals(rng, 0..8, size);
         let attrs = attrs(rng, 0..12, size);
         let rels = relations(rng, 0..10, size);
-
-        let mut doc = ProvDocument::new();
-        doc.namespaces_mut().register("ex", "http://ex/").unwrap();
-
-        let entities: Vec<String> = entities.into_iter().map(|e| format!("e_{e}")).collect();
-        let activities: Vec<String> = activities.into_iter().map(|a| format!("a_{a}")).collect();
-        for e in &entities {
-            doc.entity(QName::new("ex", e));
-        }
-        for a in &activities {
-            doc.activity(QName::new("ex", a));
-        }
-        // Attach attributes to the first entity if any.
-        if let Some(first) = entities.first() {
-            for (k, v) in &attrs {
-                // NaN values break Vec::contains-based dedup in absorb();
-                // documents still roundtrip, but equality comparison would
-                // be vacuous, so skip NaN here (covered by the value test).
-                if matches!(v, AttrValue::Double(d) if d.is_nan()) {
-                    continue;
-                }
-                doc.entity(QName::new("ex", first))
-                    .attr(QName::new("ex", format!("k_{k}")), v.clone());
-            }
-        }
-        for (kind, s, o) in &rels {
-            doc.add_relation(prov_model::Relation::new(
-                *kind,
-                QName::new("ex", format!("s_{s}")),
-                QName::new("ex", format!("o_{o}")),
-            ));
-        }
-
-        let json = doc.to_json_string().unwrap();
-        let mut back = ProvDocument::from_json_str(&json).unwrap();
-        let mut orig = doc.clone();
-        orig.canonicalize();
-        back.canonicalize();
-        assert_eq!(orig, back);
+        assert_document_roundtrips(entities, activities, &attrs, &rels);
     });
+}
+
+/// The smallest failing input an earlier property run recorded: one
+/// entity holding a negative double near the bottom of the normal
+/// range.
+#[test]
+fn recorded_case_entity_with_a_tiny_negative_double_roundtrips() {
+    let attrs = [("a".to_string(), AttrValue::Double(-3.5140193849367334e-302))];
+    assert_document_roundtrips(["a".to_string()].into(), BTreeSet::new(), &attrs, &[]);
+}
+
+/// Builds a document from the drawn names (entities `e_*`, activities
+/// `a_*`, attributes `k_*` on the first entity, relations `s_*` to
+/// `o_*`) and holds its PROV-JSON round trip to the original.
+fn assert_document_roundtrips(
+    entities: BTreeSet<String>,
+    activities: BTreeSet<String>,
+    attrs: &[(String, AttrValue)],
+    rels: &[(RelationKind, String, String)],
+) {
+    let mut doc = ProvDocument::new();
+    doc.namespaces_mut().register("ex", "http://ex/").unwrap();
+
+    let entities: Vec<String> = entities.into_iter().map(|e| format!("e_{e}")).collect();
+    let activities: Vec<String> = activities.into_iter().map(|a| format!("a_{a}")).collect();
+    for e in &entities {
+        doc.entity(QName::new("ex", e));
+    }
+    for a in &activities {
+        doc.activity(QName::new("ex", a));
+    }
+    // Attach attributes to the first entity if any.
+    if let Some(first) = entities.first() {
+        for (k, v) in attrs {
+            // NaN values break Vec::contains-based dedup in absorb();
+            // documents still roundtrip, but equality comparison would
+            // be vacuous, so skip NaN here (covered by the value test).
+            if matches!(v, AttrValue::Double(d) if d.is_nan()) {
+                continue;
+            }
+            doc.entity(QName::new("ex", first))
+                .attr(QName::new("ex", format!("k_{k}")), v.clone());
+        }
+    }
+    for (kind, s, o) in rels {
+        doc.add_relation(prov_model::Relation::new(
+            *kind,
+            QName::new("ex", format!("s_{s}")),
+            QName::new("ex", format!("o_{o}")),
+        ));
+    }
+
+    let json = doc.to_json_string().unwrap();
+    let mut back = ProvDocument::from_json_str(&json).unwrap();
+    let mut orig = doc.clone();
+    orig.canonicalize();
+    back.canonicalize();
+    assert_eq!(orig, back);
 }
 
 #[test]

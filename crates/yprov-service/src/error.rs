@@ -47,6 +47,16 @@ pub enum ServiceError {
     /// The ledger parsed but verification against the stored documents
     /// failed — the store has been tampered with or corrupted.
     LedgerVerification(LedgerIssue),
+    /// A stored document could not be read back into a tree: its bytes
+    /// hash to the digest it was committed under but do not parse (a
+    /// replicated frame is checked by digest only), or they are no
+    /// longer the committed bytes.
+    Unreadable {
+        /// The document's handle id.
+        id: String,
+        /// Why the tree could not be built.
+        reason: String,
+    },
     /// A replication frame could not be applied: it does not extend
     /// this replica's verified chain for its source.
     Replication {
@@ -78,7 +88,8 @@ impl ServiceError {
             ServiceError::Conflict { .. } | ServiceError::Replication { .. } => 409,
             ServiceError::Io { .. }
             | ServiceError::LedgerFormat { .. }
-            | ServiceError::LedgerVerification(_) => 500,
+            | ServiceError::LedgerVerification(_)
+            | ServiceError::Unreadable { .. } => 500,
         }
     }
 }
@@ -99,6 +110,9 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::LedgerVerification(issue) => {
                 write!(f, "ledger verification failed: {issue:?}")
+            }
+            ServiceError::Unreadable { id, reason } => {
+                write!(f, "stored document {id:?} cannot be read: {reason}")
             }
             ServiceError::Replication {
                 reason,
@@ -160,6 +174,11 @@ mod tests {
             ServiceError::LedgerVerification(LedgerIssue::ChainBroken { index: 3 }).http_status(),
             500
         );
+        let unreadable = ServiceError::Unreadable {
+            id: "run-1".into(),
+            reason: "does not parse".into(),
+        };
+        assert_eq!(unreadable.http_status(), 500);
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub fn find_by_artifact_digest(store: &DocumentStore, sha256: &str) -> Vec<Strin
         .list()
         .into_iter()
         .filter(|id| {
-            store.get(id).is_some_and(|doc| {
+            store.get(id).is_ok_and(|doc| {
                 doc.iter_elements().any(|e| {
                     e.has_type(&artifact_ty)
                         && e.attr(&key)

@@ -670,6 +670,38 @@ mod tests {
     }
 
     #[test]
+    fn an_unparseable_committed_document_answers_500_and_others_still_serve() {
+        // A replica stores an intact frame without parsing it; bytes
+        // that are not PROV-JSON are refused when a route first needs
+        // their tree.
+        let store = DocumentStore::new();
+        let bad = "not PROV-JSON";
+        let entry = crate::ledger::Ledger::new()
+            .append("run-bad", bad.as_bytes())
+            .clone();
+        store.apply_replicated("node-a", entry, Some(bad)).unwrap();
+        let server = Server::bind("127.0.0.1:0", store, ServerConfig::default()).unwrap();
+        let good = upload(server.addr(), &sample_doc_json());
+        for tail in ["stats", "ancestors?focus=ex:model", "provn"] {
+            let path = format!("/api/v0/documents/run-bad/{tail}");
+            let (status, body) = request(server.addr(), "GET", &path, None).unwrap();
+            assert_eq!(status, 500, "{path}: {body}");
+            assert!(body.contains("cannot be read"), "{path}: {body}");
+        }
+        let (status, body) =
+            request(server.addr(), "GET", "/api/v0/documents/run-bad", None).unwrap();
+        assert_eq!((status, body.as_str()), (200, bad));
+        let path = format!("/api/v0/documents/{good}/ancestors?focus=ex:model");
+        assert_eq!(request(server.addr(), "GET", &path, None).unwrap().0, 200);
+        let (status, html) = request(server.addr(), "GET", "/explorer", None).unwrap();
+        assert_eq!(status, 200);
+        assert!(html.contains(&good));
+        let verify = request(server.addr(), "GET", "/api/v0/ledger/verify", None).unwrap();
+        assert_eq!(verify.0, 200);
+        server.shutdown();
+    }
+
+    #[test]
     fn explorer_page_served_at_root() {
         let server = start();
         let id = upload(server.addr(), &sample_doc_json());

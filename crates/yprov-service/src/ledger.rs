@@ -314,7 +314,8 @@ pub(crate) mod tests {
         ledger.append("doc-1", &v2);
         let chains = [(crate::backend::ChainName::Own, ledger)].into();
         let verify = |stored: &[u8]| {
-            crate::store::verify_chains(&chains, |id| (id == "doc-1").then(|| stored.to_vec()))
+            let digest = sha256_hex(stored);
+            crate::store::verify_chains(&chains, |id| (id == "doc-1").then(|| digest.clone()))
         };
         // The superseded v1 digest must not fail verification...
         verify(&v2).unwrap();

@@ -44,7 +44,7 @@
 //! let mut doc = ProvDocument::new();
 //! doc.entity(QName::new("ex", "model"));
 //! let id = store.upload(doc).unwrap();
-//! assert!(store.get(&id).is_some());
+//! assert!(store.get(&id).is_ok());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -248,8 +248,8 @@ fn focus(req: &Request) -> Result<QName, (u16, String)> {
 /// One of the text renderings of a stored document.
 fn export(state: &ServerState, id: &str, render: fn(&ProvDocument) -> String) -> (u16, String) {
     match state.store.get(id) {
-        Some(doc) => (200, render(&doc)),
-        None => not_found(id),
+        Ok(doc) => (200, render(&doc)),
+        Err(e) => error_response(&e),
     }
 }
 

@@ -3,12 +3,15 @@
 //! A [`DocumentStore`] layers three things over a pluggable
 //! [`StorageBackend`]:
 //!
-//! * **one record per document** — the parsed `Arc<ProvDocument>` and
-//!   the [`GraphIndex`] that describes it, swapped in together under
-//!   one write lock, so `ancestors`/`subgraph` are O(answer) walks over
-//!   a shared index and no reader can pair one version's document with
-//!   another's index. A write builds (or extends) the index before it
-//!   takes that lock; a reopened store builds it on the first query;
+//! * **one record per document** — the digest its bytes were committed
+//!   under, the parsed `Arc<ProvDocument>` and the [`GraphIndex`] that
+//!   describes it, swapped in together under one write lock, so
+//!   `ancestors`/`subgraph` are O(answer) walks over a shared index and
+//!   no reader can pair one version's document with another's index. A
+//!   local write parses the body and builds (or extends) the index
+//!   before it takes that lock; a replicated copy and a reopened record
+//!   hold neither until something on this node reads them, and the
+//!   first reader builds both from the backend's bytes;
 //! * **the hash chains** — the node's own tamper-evident ledger over
 //!   every upload it accepted and one verified cursor chain per
 //!   replication source, held under one lock and appended (not
@@ -58,7 +61,8 @@ impl StoreMetrics {
         );
         registry.set_help(
             "store_graph_cache_misses_total",
-            "Lineage queries that had to (re)build the graph index.",
+            "Lineage queries that had to build the graph index (and, for a \
+             replicated or reopened document, its tree).",
         );
         registry.set_help(
             "store_backend_put_seconds",
@@ -169,11 +173,12 @@ type Chains = BTreeMap<ChainName, Ledger>;
 /// may be committed by one chain and legitimately replaced through
 /// another after a promotion moves write ownership between nodes.
 /// Returns the first stored document that no chain commits, looking at
-/// `only` or, with `None`, at every id any chain names.
+/// `only` or, with `None`, at every id any chain names; `digest_of`
+/// gives the SHA-256 of an id's stored bytes, `None` when none are.
 fn uncommitted_document(
     chains: &Chains,
     only: Option<&str>,
-    lookup: impl Fn(&str) -> Option<Vec<u8>>,
+    digest_of: impl Fn(&str) -> Option<String>,
 ) -> Option<String> {
     let mut latest: HashMap<&str, Vec<&str>> = HashMap::new();
     for chain in chains.values() {
@@ -188,7 +193,7 @@ fn uncommitted_document(
         }
     }
     latest.into_iter().find_map(|(id, digests)| {
-        let actual = sha256_hex(&lookup(id)?);
+        let actual = digest_of(id)?;
         (!digests.contains(&actual.as_str())).then(|| id.to_string())
     })
 }
@@ -199,12 +204,12 @@ fn uncommitted_document(
 /// chain ([`uncommitted_document`]).
 pub(crate) fn verify_chains(
     chains: &Chains,
-    lookup: impl Fn(&str) -> Option<Vec<u8>>,
+    digest_of: impl Fn(&str) -> Option<String>,
 ) -> Result<(), ServiceError> {
     for chain in chains.values() {
         chain.verify_chain()?;
     }
-    match uncommitted_document(chains, None, lookup) {
+    match uncommitted_document(chains, None, digest_of) {
         Some(document_id) => Err(ServiceError::LedgerVerification(
             crate::ledger::LedgerIssue::DocumentChanged {
                 index: 0,
@@ -231,21 +236,14 @@ pub enum ReplicationApply {
     ChainOnly,
 }
 
-/// A replicated document checked against the entry that carries it: its
-/// bytes must hash to the entry's digest (a torn or corrupted frame
-/// dies here) and parse. The error is the refusal's reason.
-fn parse_frame(entry: &LedgerEntry, json: &str) -> Result<(ProvDocument, GraphIndex), String> {
-    if sha256_hex(json.as_bytes()) != entry.document_digest {
-        return Err(format!(
-            "entry {} document bytes do not hash to the recorded digest \
-             (torn or corrupted frame)",
-            entry.index
-        ));
-    }
-    let doc = ProvDocument::from_json_str(json)
-        .map_err(|e| format!("entry {} document does not parse: {e}", entry.index))?;
-    let index = GraphIndex::build(&doc);
-    Ok((doc, index))
+/// The one place the store turns stored bytes into a tree: bytes a
+/// record was committed under, already checked against its digest.
+/// The error is the reason an [`ServiceError::Unreadable`] carries.
+fn parse_committed(bytes: &[u8]) -> Result<Arc<ProvDocument>, String> {
+    let text =
+        std::str::from_utf8(bytes).map_err(|e| format!("stored bytes are not UTF-8: {e}"))?;
+    let doc = ProvDocument::from_json_str(text).map_err(|e| format!("does not parse: {e}"))?;
+    Ok(Arc::new(doc))
 }
 
 /// A thread-safe store of provenance documents keyed by handle ids: a
@@ -257,21 +255,27 @@ pub struct DocumentStore {
     inner: Arc<Inner>,
 }
 
-/// One stored document and the index that describes it. A write swaps
-/// the record in with `index` already set; a record loaded at open (or,
-/// in tests, after `clear_index_cache`) leaves it empty until the first
-/// query.
+/// One stored document: the digest of the bytes it was committed under,
+/// its tree and the index over that tree. A local write swaps the
+/// record in with both already set. A replicated apply and a reopen
+/// leave both empty; the first reader parses the backend's bytes into
+/// `doc` once they hash to `digest` (a tree that does not parse stays
+/// here as its reason), and the first query builds `index`. The record
+/// keeps no copy of the bytes.
 struct Stored {
-    doc: Arc<ProvDocument>,
+    digest: String,
+    doc: OnceLock<Result<Arc<ProvDocument>, String>>,
     index: OnceLock<Arc<GraphIndex>>,
 }
 
 impl Stored {
-    fn unindexed(doc: Arc<ProvDocument>) -> Arc<Self> {
-        Arc::new(Stored {
-            doc,
+    /// A record whose tree is built on first read.
+    fn lazy(digest: String) -> Self {
+        Stored {
+            digest,
+            doc: OnceLock::new(),
             index: OnceLock::new(),
-        })
+        }
     }
 }
 
@@ -313,9 +317,9 @@ impl DocumentStore {
     /// documents live as `<id>.json` files written atomically
     /// (tmp + rename), uploads append one line to the tamper-evident
     /// ledger (`ledger.txt`), and reopening the directory restores
-    /// both. The ledger is verified against the reloaded documents on
-    /// open, so a provenance file edited behind the service's back
-    /// fails loudly.
+    /// both. The ledger is verified against the stored bytes' digests
+    /// on open, so a provenance file edited behind the service's back
+    /// fails loudly; a document's tree is built on its first read.
     pub fn persistent(dir: impl Into<PathBuf>) -> Result<Self, ServiceError> {
         Self::with_backend(DurableBackend::open(dir)?)
     }
@@ -329,8 +333,9 @@ impl DocumentStore {
     }
 
     /// Opens a store over any [`StorageBackend`]: replays the backend's
-    /// chains, loads and parses every stored document, and verifies
-    /// every chain and the surviving documents against them.
+    /// chains, hashes every stored document, and verifies every chain
+    /// and the surviving documents' digests against them. Nothing is
+    /// parsed: each document's tree is built on its first read.
     pub fn with_backend(backend: impl StorageBackend) -> Result<Self, ServiceError> {
         Self::open(Box::new(backend))
     }
@@ -344,22 +349,18 @@ impl DocumentStore {
             chains.insert(name, chain);
         }
 
+        // One pass over the stored bytes: each document's digest, which
+        // both the verification below and its record's lazy build use.
         let mut docs = BTreeMap::new();
         backend.scan(&mut |id, bytes| {
-            let text = std::str::from_utf8(bytes).map_err(|e| ServiceError::InvalidDocument {
-                reason: format!("{id}: stored bytes are not UTF-8: {e}"),
-            })?;
-            let doc =
-                ProvDocument::from_json_str(text).map_err(|e| ServiceError::InvalidDocument {
-                    reason: format!("{id}: {e}"),
-                })?;
-            docs.insert(id.to_string(), Stored::unindexed(Arc::new(doc)));
+            let stored = Stored::lazy(sha256_hex(bytes));
+            docs.insert(id.to_string(), Arc::new(stored));
             Ok(())
         })?;
 
         // Integrity: every chain must be sound and the latest surviving
         // version of every document must hash as recorded by some chain.
-        verify_chains(&chains, |id| backend.get(id).ok().flatten())?;
+        verify_chains(&chains, |id| docs.get(id).map(|s| s.digest.clone()))?;
 
         let registry = Arc::new(obs::Registry::new());
         let metrics = StoreMetrics::new(&registry);
@@ -421,13 +422,20 @@ impl DocumentStore {
         self.inner.backend.flush()
     }
 
-    /// Drops every cached graph index (they rebuild lazily on the next
-    /// query), for tests that need a cold cache.
+    /// Drops every tree and graph index (they rebuild from the stored
+    /// bytes on the next read), for tests that need a cold cache.
     #[cfg(test)]
     fn clear_index_cache(&self) {
         for stored in write(&self.inner.docs).values_mut() {
-            *stored = Stored::unindexed(Arc::clone(&stored.doc));
+            *stored = Arc::new(Stored::lazy(stored.digest.clone()));
         }
+    }
+
+    /// How many records hold a tree.
+    #[cfg(test)]
+    fn trees_held(&self) -> usize {
+        let docs = read(&self.inner.docs);
+        docs.values().filter(|s| s.doc.get().is_some()).count()
     }
 
     /// Serializes, persists and indexes one document under `id`, or
@@ -468,7 +476,12 @@ impl DocumentStore {
         self.inner
             .backend
             .chain_append(&ChainName::Own, &entry.to_line())?;
-        let version = self.swap_in(&id, doc, index);
+        let stored = Stored {
+            digest: entry.document_digest.clone(),
+            doc: OnceLock::from(Ok(Arc::new(doc))),
+            index: OnceLock::from(Arc::new(index)),
+        };
+        let version = self.swap_in(&id, stored);
         Ok((
             Upload {
                 id,
@@ -479,17 +492,17 @@ impl DocumentStore {
         ))
     }
 
-    /// Makes `doc` the visible version of `id` — document and index in
-    /// one record, under one write lock — and bumps the watch version,
-    /// which it returns. `index` was built before the lock is taken, so
-    /// readers never wait out an index build.
-    fn swap_in(&self, id: &str, doc: ProvDocument, index: GraphIndex) -> u64 {
-        let stored = Arc::new(Stored {
-            doc: Arc::new(doc),
-            index: OnceLock::from(Arc::new(index)),
-        });
-        write(&self.inner.docs).insert(id.to_string(), stored);
-        self.inner.watch.bump(id)
+    /// Makes `stored` the visible version of `id` — digest, document
+    /// and index in one record, under one write lock — and bumps the
+    /// watch version, which it returns. Whatever the record holds was
+    /// built before the lock is taken, and the replaced record is
+    /// dropped after it is released, so readers never wait out a build
+    /// or a tree's drop.
+    fn swap_in(&self, id: &str, stored: Stored) -> u64 {
+        let replaced = write(&self.inner.docs).insert(id.to_string(), Arc::new(stored));
+        let version = self.inner.watch.bump(id);
+        drop(replaced);
+        version
     }
 
     /// Stores a document under its content id — `doc-` and the first 32
@@ -530,24 +543,24 @@ impl DocumentStore {
         self.insert(Some(id), doc)
     }
 
-    /// Fetches a document.
-    pub fn get(&self, id: &str) -> Option<Arc<ProvDocument>> {
-        read(&self.inner.docs).get(id).map(|s| Arc::clone(&s.doc))
+    /// Fetches a document, building its tree from the stored bytes the
+    /// first time anything reads it: [`ServiceError::NotFound`] when
+    /// there is no such id, [`ServiceError::Unreadable`] when its
+    /// committed bytes do not parse.
+    pub fn get(&self, id: &str) -> Result<Arc<ProvDocument>, ServiceError> {
+        self.tree(id).map(|(_, doc)| doc)
     }
 
-    /// The document's canonical JSON, served from the backend's stored
-    /// bytes when available (timed as backend get latency) and
-    /// re-serialized from the parsed document otherwise.
+    /// The document's canonical JSON: the backend's stored bytes (timed
+    /// as backend get latency), served without building a tree.
     pub fn document_json(&self, id: &str) -> Result<String, ServiceError> {
         let get_span = self.inner.metrics.get_seconds.start_span();
         let bytes = self.inner.backend.get(id)?;
         drop(get_span);
-        if let Some(bytes) = bytes {
-            return String::from_utf8(bytes).map_err(|e| ServiceError::InvalidDocument {
-                reason: format!("{id}: stored bytes are not UTF-8: {e}"),
-            });
-        }
-        Ok(self.stored(id)?.doc.to_json_string()?)
+        let bytes = bytes.ok_or_else(|| ServiceError::NotFound { id: id.to_string() })?;
+        String::from_utf8(bytes).map_err(|e| ServiceError::InvalidDocument {
+            reason: format!("{id}: stored bytes are not UTF-8: {e}"),
+        })
     }
 
     /// Removes a document; `Ok(true)` when it existed. The ledger keeps
@@ -588,17 +601,80 @@ impl DocumentStore {
         stored.ok_or_else(|| ServiceError::NotFound { id: id.to_string() })
     }
 
+    /// Document `id`'s record and tree. A record without one builds it
+    /// from the backend's bytes, outside every lock (a racing reader of
+    /// the same record waits for that parse and shares it). Bytes that
+    /// do not hash to the record's digest belong to a version written
+    /// after the record was read; the record is then read again under
+    /// the chains' lock, where every write keeps record and bytes in
+    /// step.
+    fn tree(&self, id: &str) -> Result<(Arc<Stored>, Arc<ProvDocument>), ServiceError> {
+        let stored = self.stored(id)?;
+        match self.build_tree(id, &stored)? {
+            Some(doc) => Ok((stored, doc)),
+            None => self.tree_locked(&lock(&self.inner.chains), id),
+        }
+    }
+
+    /// [`Self::tree`] for a caller that holds the chains' lock: bytes
+    /// that do not hash to the record's digest now are a fault.
+    fn tree_locked(
+        &self,
+        _chains: &Chains,
+        id: &str,
+    ) -> Result<(Arc<Stored>, Arc<ProvDocument>), ServiceError> {
+        let stored = self.stored(id)?;
+        match self.build_tree(id, &stored)? {
+            Some(doc) => Ok((stored, doc)),
+            None => Err(ServiceError::Unreadable {
+                id: id.to_string(),
+                reason: "the stored bytes are not the ones its record was committed under"
+                    .to_string(),
+            }),
+        }
+    }
+
+    /// `stored`'s tree, parsed the first time from the backend's bytes
+    /// for `id`; `None` when those bytes are gone or do not hash to the
+    /// record's digest, so no record ever holds another version's tree.
+    fn build_tree(
+        &self,
+        id: &str,
+        stored: &Stored,
+    ) -> Result<Option<Arc<ProvDocument>>, ServiceError> {
+        let built = match stored.doc.get() {
+            Some(built) => built,
+            None => {
+                let Some(bytes) = self.inner.backend.get(id)? else {
+                    return Ok(None);
+                };
+                if sha256_hex(&bytes) != stored.digest {
+                    return Ok(None);
+                }
+                stored.doc.get_or_init(|| parse_committed(&bytes))
+            }
+        };
+        match built {
+            Ok(doc) => Ok(Some(Arc::clone(doc))),
+            Err(reason) => Err(ServiceError::Unreadable {
+                id: id.to_string(),
+                reason: reason.clone(),
+            }),
+        }
+    }
+
     /// Document `id` with its graph index, as one [`SharedGraph`].
     /// Every lineage query and explorer traversal routes through here.
     /// A hit is a map lookup plus `Arc` clones; the first query of a
-    /// record loaded at open builds the index, outside the map's lock
-    /// (a racing query waits for that build and shares it).
+    /// replicated or reopened record builds its tree and index, outside
+    /// the map's lock (a racing query waits for that build and shares
+    /// it), and counts one miss.
     pub fn graph(&self, id: &str) -> Result<SharedGraph, ServiceError> {
-        let stored = self.stored(id)?;
+        let (stored, doc) = self.tree(id)?;
         let mut built = false;
         let index = stored.index.get_or_init(|| {
             built = true;
-            Arc::new(GraphIndex::build(&stored.doc))
+            Arc::new(GraphIndex::build(&doc))
         });
         let metrics = &self.inner.metrics;
         if built {
@@ -606,10 +682,7 @@ impl DocumentStore {
         } else {
             metrics.cache_hits.inc();
         }
-        Ok(SharedGraph::from_parts(
-            Arc::clone(&stored.doc),
-            Arc::clone(index),
-        ))
+        Ok(SharedGraph::from_parts(doc, Arc::clone(index)))
     }
 
     /// Provenance ancestors of `focus` inside document `id` (the
@@ -659,11 +732,11 @@ impl DocumentStore {
         if extra.is_empty() {
             return self.graph(id);
         }
-        let mut docs = vec![self.stored(id)?];
+        let mut docs = vec![self.get(id)?];
         for other in extra {
-            docs.push(self.stored(other)?);
+            docs.push(self.get(other)?);
         }
-        let refs: Vec<&ProvDocument> = docs.iter().map(|s| &*s.doc).collect();
+        let refs: Vec<&ProvDocument> = docs.iter().map(|doc| &**doc).collect();
         let merged =
             prov_graph::engine::merged_document(&refs).map_err(|e| ServiceError::Conflict {
                 reason: format!("merging query view over {id} + {extra:?}: {e}"),
@@ -723,16 +796,16 @@ impl DocumentStore {
         // and replacements of one id serialize instead of losing
         // updates.
         let chains = &mut *lock(&self.inner.chains);
-        let current = self.stored(id)?;
-        let mut merged = (*current.doc).clone();
+        let (current, doc) = self.tree_locked(chains, id)?;
+        let mut merged = (*doc).clone();
         let applied = merged
             .apply_delta(delta)
             .map_err(|e| ServiceError::Conflict {
                 reason: format!("merging delta into {id}: {e}"),
             })?;
         let json = merged.to_json_string()?;
-        // A record loaded at open and not yet queried has no index to
-        // extend: full build.
+        // A replicated or reopened record not yet queried has no index
+        // to extend: full build.
         let base = current.index.get();
         let index = match base {
             Some(index) => index.extended(&merged, &applied.new_relations),
@@ -802,10 +875,11 @@ impl DocumentStore {
     /// 3. when document bytes ride along, their SHA-256 must equal the
     ///    entry's digest — a torn or corrupted frame dies here.
     ///
-    /// Only then are the bytes stored, the document (parsed and indexed
-    /// before the chains' lock is taken) swapped in so the replica
-    /// serves reads immediately, and the entry appended verbatim to the
-    /// durable replication cursor.
+    /// Only then are the bytes stored as received, a record holding
+    /// only their digest swapped in, and the entry appended verbatim to
+    /// the durable replication cursor. Nothing is parsed: the first read
+    /// on this node builds the tree, and bytes that hash correctly but
+    /// do not parse are refused there as [`ServiceError::Unreadable`].
     ///
     /// A frame without bytes (`None`) advances the cursor only, and is
     /// taken as the source's last word on the id: if this node holds a
@@ -863,8 +937,11 @@ impl DocumentStore {
             return refuse(format!("entry {} hash does not recompute", entry.index));
         }
         // The document is checked against its own entry, not the chain:
-        // hash, parse and index it before the lock is taken.
-        let parsed = doc_json.map(|json| parse_frame(&entry, json));
+        // its bytes must hash to the entry's digest, or the frame was
+        // torn or corrupted. It is hashed before the lock is taken and
+        // not parsed at all; the first read on this node does that.
+        let intact =
+            doc_json.is_none_or(|json| sha256_hex(json.as_bytes()) == entry.document_digest);
         let name = ChainName::Source(source.to_string());
         let chains = &mut *lock(&self.inner.chains);
         let chain = chains.entry(name.clone()).or_default();
@@ -895,15 +972,21 @@ impl DocumentStore {
                 expect_index: Some(next),
             });
         }
+        if !intact {
+            return Err(ServiceError::Replication {
+                reason: format!(
+                    "entry {} document bytes do not hash to the recorded digest \
+                     (torn or corrupted frame)",
+                    entry.index
+                ),
+                expect_index: Some(next),
+            });
+        }
         let id = entry.document_id.clone();
         let line = entry.to_line();
-        if let (Some(json), Some(parsed)) = (doc_json, parsed) {
-            let (doc, index) = parsed.map_err(|reason| ServiceError::Replication {
-                reason,
-                expect_index: Some(next),
-            })?;
+        if let Some(json) = doc_json {
             self.inner.backend.put(&id, json.as_bytes())?;
-            self.swap_in(&id, doc, index);
+            self.swap_in(&id, Stored::lazy(entry.document_digest.clone()));
         }
         chain
             .append_entry(entry)
@@ -914,8 +997,9 @@ impl DocumentStore {
             // clean, never chains that commit to bytes other than the
             // ones held.
             let held = read(&self.inner.docs).contains_key(&id);
-            let lookup = |id: &str| self.inner.backend.get(id).ok().flatten();
-            if held && uncommitted_document(chains, Some(&id), lookup).is_some() {
+            if held
+                && uncommitted_document(chains, Some(&id), |id| self.stored_digest(id)).is_some()
+            {
                 self.delete_locked(chains, &id)?;
             }
         }
@@ -983,7 +1067,13 @@ impl DocumentStore {
     /// bytes hash to the latest digest some chain committed to.
     pub fn verify_all(&self) -> Result<(), ServiceError> {
         let chains = lock(&self.inner.chains);
-        verify_chains(&chains, |id| self.inner.backend.get(id).ok().flatten())
+        verify_chains(&chains, |id| self.stored_digest(id))
+    }
+
+    /// The SHA-256 of the bytes the backend holds for `id`.
+    fn stored_digest(&self, id: &str) -> Option<String> {
+        let bytes = self.inner.backend.get(id).ok().flatten()?;
+        Some(sha256_hex(&bytes))
     }
 }
 
@@ -1015,7 +1105,7 @@ mod tests {
         // The id is the digest the ledger entry records, cut to 32 hex.
         let digest = &store.ledger_entries()[0].document_digest;
         assert_eq!(id, format!("doc-{}", &digest[..32]));
-        assert!(store.get(&id).is_some());
+        assert!(store.get(&id).is_ok());
         assert_eq!(store.list(), vec![id.clone()]);
         assert!(store.delete(&id).unwrap());
         assert!(!store.delete(&id).unwrap());
@@ -1447,7 +1537,7 @@ mod tests {
         }
         // Nothing was applied; the cursor still sits at 1.
         assert_eq!(replica.replication_head("node-a").0, 1);
-        assert!(replica.get("evil-1").is_none());
+        assert!(replica.get("evil-1").is_err());
         // Re-sync from the named divergence point with the real entry.
         let applied = replica
             .apply_replicated("node-a", a1.entry.clone(), Some(&a1.canonical_json))
@@ -1622,7 +1712,7 @@ mod tests {
             .unwrap();
         assert_eq!(applied, ReplicationApply::ChainOnly);
         // Gone from every place a reader could find the old bytes.
-        assert!(node.get("run-1").is_none());
+        assert!(node.get("run-1").is_err());
         assert!(matches!(
             node.document_json("run-1"),
             Err(ServiceError::NotFound { .. })
@@ -1938,28 +2028,65 @@ mod tests {
         assert_eq!(g.view().edge_count(), GENS + 1);
     }
 
-    /// A [`MemoryBackend`] whose `delete` parks, after the bytes are
+    /// A [`MemoryBackend`] whose `park_at`-th (0-based) call of `op`
+    /// (`"put"` or `"delete"`) parks, after the bytes are written or
     /// gone, until the test lets it return.
-    struct ParkedDelete {
+    struct Parked {
         inner: MemoryBackend,
-        deleted: Mutex<std::sync::mpsc::Sender<()>>,
+        op: &'static str,
+        park_at: usize,
+        calls: std::sync::atomic::AtomicUsize,
+        parked: Mutex<std::sync::mpsc::Sender<()>>,
         resume: Mutex<std::sync::mpsc::Receiver<()>>,
     }
 
-    impl StorageBackend for ParkedDelete {
+    impl Parked {
+        /// The backend, the receiver that hears it park and the sender
+        /// that lets it go on.
+        fn new(
+            op: &'static str,
+            park_at: usize,
+        ) -> (
+            Self,
+            std::sync::mpsc::Receiver<()>,
+            std::sync::mpsc::Sender<()>,
+        ) {
+            let (parked, parked_rx) = std::sync::mpsc::channel();
+            let (resume_tx, resume) = std::sync::mpsc::channel();
+            let backend = Parked {
+                inner: MemoryBackend::new(),
+                op,
+                park_at,
+                calls: Default::default(),
+                parked: Mutex::new(parked),
+                resume: Mutex::new(resume),
+            };
+            (backend, parked_rx, resume_tx)
+        }
+
+        fn park(&self, op: &str) {
+            if op == self.op && self.calls.fetch_add(1, Ordering::SeqCst) == self.park_at {
+                lock(&self.parked).send(()).ok();
+                lock(&self.resume).recv().ok();
+            }
+        }
+    }
+
+    impl StorageBackend for Parked {
         fn name(&self) -> &'static str {
-            "parked-delete"
+            "parked"
         }
         fn put(&self, id: &str, bytes: &[u8]) -> Result<(), ServiceError> {
-            self.inner.put(id, bytes)
+            let put = self.inner.put(id, bytes);
+            self.park("put");
+            put
         }
         fn get(&self, id: &str) -> Result<Option<Vec<u8>>, ServiceError> {
             self.inner.get(id)
         }
         fn delete(&self, id: &str) -> Result<bool, ServiceError> {
             let existed = self.inner.delete(id);
-            lock(&self.deleted).send(()).ok();
-            lock(&self.resume).recv().ok();
+            self.park("delete");
             existed
         }
         fn scan(&self, visit: &mut crate::backend::Visitor<'_>) -> Result<(), ServiceError> {
@@ -1989,14 +2116,8 @@ mod tests {
         setup: impl FnOnce(&DocumentStore),
         write: impl FnOnce(&DocumentStore) + Send + 'static,
     ) {
-        let (deleted_tx, deleted) = std::sync::mpsc::channel();
-        let (resume, resume_rx) = std::sync::mpsc::channel();
-        let store = DocumentStore::with_backend(ParkedDelete {
-            inner: MemoryBackend::new(),
-            deleted: Mutex::new(deleted_tx),
-            resume: Mutex::new(resume_rx),
-        })
-        .unwrap();
+        let (backend, deleted, resume) = Parked::new("delete", 0);
+        let store = DocumentStore::with_backend(backend).unwrap();
         setup(&store);
 
         let deleter = {
@@ -2018,7 +2139,7 @@ mod tests {
         assert!(deleter.join().unwrap());
         writer.join().unwrap();
 
-        let in_map = store.get("run-1").is_some();
+        let in_map = store.get("run-1").is_ok();
         assert_eq!(store.document_json("run-1").is_ok(), in_map);
         assert_eq!(store.list().contains(&"run-1".to_string()), in_map);
         assert_eq!(store.document_version("run-1").is_some(), in_map);
@@ -2165,5 +2286,197 @@ mod tests {
             store.query_view(&a, &[c]),
             Err(ServiceError::Conflict { .. })
         ));
+    }
+
+    #[test]
+    fn a_replica_builds_no_tree_until_its_first_query() {
+        let primary = DocumentStore::new();
+        let replica = DocumentStore::new();
+        for i in 0..5 {
+            let up = primary
+                .upload_as_full(format!("run-{i}"), pipeline_doc())
+                .unwrap();
+            replica
+                .apply_replicated("node-a", up.entry, Some(&up.canonical_json))
+                .unwrap();
+        }
+        assert_eq!(replica.len(), 5);
+        assert_eq!(replica.trees_held(), 0, "applying a frame parses nothing");
+        assert_eq!(replica.graph_cache_stats(), (0, 0));
+        // Serving the bytes builds nothing either.
+        let stored = replica.document_json("run-0").unwrap();
+        assert_eq!(stored, primary.document_json("run-0").unwrap());
+        assert_eq!(replica.trees_held(), 0);
+        // The first query builds exactly one tree and index.
+        let anc = replica.ancestors("run-0", &q("model")).unwrap();
+        assert!(anc.contains(&q("data")));
+        assert_eq!(replica.graph_cache_stats(), (0, 1));
+        assert_eq!(replica.trees_held(), 1);
+        replica.subgraph("run-0", &q("train")).unwrap();
+        assert_eq!(replica.graph_cache_stats(), (1, 1));
+        assert_eq!(replica.trees_held(), 1);
+        replica.verify_all().unwrap();
+    }
+
+    #[test]
+    fn an_unparseable_committed_frame_is_chained_and_refused_at_first_read() {
+        let dir = std::env::temp_dir().join(format!("ysvc_unparseable_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        // A source whose ledger commits bytes that are not PROV-JSON:
+        // the frame is intact, only its content is wrong.
+        let good = DocumentStore::new()
+            .upload_as_full("run-1", pipeline_doc())
+            .unwrap();
+        let bad = "{\"entity\": not PROV-JSON";
+        let mut source = Ledger::new();
+        let bad_entry = source.append("run-bad", bad.as_bytes()).clone();
+        let good_entry = source
+            .append("run-1", good.canonical_json.as_bytes())
+            .clone();
+        let unreadable = |store: &DocumentStore| {
+            for read in [
+                store.get("run-bad").err(),
+                store.graph("run-bad").err(),
+                store.query_view("run-1", &["run-bad".to_string()]).err(),
+                store.merge_delta("run-bad", &eval_delta()).err(),
+            ] {
+                match read {
+                    Some(e @ ServiceError::Unreadable { .. }) => assert_eq!(e.http_status(), 500),
+                    other => panic!("expected Unreadable, got {other:?}"),
+                }
+            }
+            // The bytes themselves are served as committed, and every
+            // other id still serves.
+            assert_eq!(store.document_json("run-bad").unwrap(), bad);
+            assert!(store
+                .ancestors("run-1", &q("model"))
+                .unwrap()
+                .contains(&q("data")));
+            store.verify_all().unwrap();
+        };
+        for replica in [
+            DocumentStore::new(),
+            DocumentStore::persistent(&dir).unwrap(),
+        ] {
+            for entry in [&bad_entry, &good_entry] {
+                let json = if entry.document_id == "run-bad" {
+                    bad
+                } else {
+                    &good.canonical_json
+                };
+                let applied = replica
+                    .apply_replicated("node-a", entry.clone(), Some(json))
+                    .unwrap();
+                assert_eq!(applied, ReplicationApply::Applied);
+            }
+            assert_eq!(replica.replication_head("node-a").0, 2);
+            unreadable(&replica);
+            // The refusal is sticky, not a panic that poisons the record.
+            unreadable(&replica);
+        }
+        // A reopen parses nothing, so it opens and refuses the same way.
+        unreadable(&DocumentStore::persistent(&dir).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_lazy_read_racing_a_replacement_never_shows_the_other_version() {
+        let primary = DocumentStore::new();
+        let v1 = primary.upload_as_full("run-1", pipeline_doc()).unwrap();
+        let v2 = primary.upload_as_full("run-1", eval_delta()).unwrap();
+        // The second put parks once v2's bytes are in the backend, before
+        // v2's record is swapped in: the backend no longer holds the
+        // bytes the visible (lazy) v1 record was committed under.
+        let (backend, parked, resume) = Parked::new("put", 1);
+        let store = DocumentStore::with_backend(backend).unwrap();
+        store
+            .apply_replicated("node-a", v1.entry, Some(&v1.canonical_json))
+            .unwrap();
+        let writer = {
+            let store = store.clone();
+            std::thread::spawn(move || {
+                store
+                    .apply_replicated("node-a", v2.entry, Some(&v2.canonical_json))
+                    .unwrap()
+            })
+        };
+        parked.recv().unwrap();
+        let (read_tx, read) = std::sync::mpsc::channel();
+        let reader = {
+            let store = store.clone();
+            std::thread::spawn(move || {
+                let graph = store.graph("run-1");
+                read_tx.send(()).ok();
+                graph
+            })
+        };
+        // The reader found v2's bytes under v1's record: it waits for
+        // the write instead of building either version from them.
+        assert!(read.recv_timeout(Duration::from_millis(200)).is_err());
+        resume.send(()).unwrap();
+        writer.join().unwrap();
+        let graph = reader.join().unwrap().unwrap();
+        let doc = graph.document();
+        assert_eq!(doc.element_count(), 2, "v2: eval and report");
+        assert!(doc.get(&q("report")).is_some());
+        assert_eq!(graph.index().stats().edges, doc.stats().relations);
+        assert_eq!(store.document_version("run-1"), Some(2));
+        store.verify_all().unwrap();
+    }
+
+    #[test]
+    fn a_lazy_record_never_parses_bytes_it_was_not_committed_under() {
+        let dir = std::env::temp_dir().join(format!("ysvc_stale_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let primary = DocumentStore::new();
+        let v1 = primary.upload_as_full("run-1", pipeline_doc()).unwrap();
+        let v2 = primary.upload_as_full("run-1", eval_delta()).unwrap();
+        let replica = DocumentStore::persistent(&dir).unwrap();
+        replica
+            .apply_replicated("node-a", v1.entry, Some(&v1.canonical_json))
+            .unwrap();
+        // Another version's bytes land behind the record's back, as a
+        // write that failed after its put would leave them.
+        std::fs::write(dir.join("run-1.json"), &v2.canonical_json).unwrap();
+        match replica.graph("run-1") {
+            Err(e @ ServiceError::Unreadable { .. }) => assert_eq!(e.http_status(), 500),
+            other => panic!("expected Unreadable, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(replica.trees_held(), 0);
+        assert!(replica.verify_all().is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_reopened_store_parses_a_document_only_on_its_first_read() {
+        let dir = std::env::temp_dir().join(format!("ysvc_reopen_lazy_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let ids: Vec<String> = {
+            let store = DocumentStore::persistent(&dir).unwrap();
+            let mut third = pipeline_doc();
+            third.entity(q("extra"));
+            [pipeline_doc(), eval_delta(), third]
+                .into_iter()
+                .map(|doc| store.upload(doc).unwrap())
+                .collect()
+        };
+        let store = DocumentStore::persistent(&dir).unwrap();
+        assert_eq!(store.len(), 3);
+        assert_eq!(store.trees_held(), 0, "open hashes, it does not parse");
+        store.document_json(&ids[0]).unwrap();
+        assert_eq!(store.trees_held(), 0);
+        store.ancestors(&ids[0], &q("model")).unwrap();
+        assert_eq!((store.trees_held(), store.graph_cache_stats()), (1, (0, 1)));
+        // A plain read builds the tree alone; its first query then
+        // builds the index.
+        assert_eq!(store.get(&ids[1]).unwrap().element_count(), 2);
+        assert_eq!((store.trees_held(), store.graph_cache_stats()), (2, (0, 1)));
+        store.graph(&ids[1]).unwrap();
+        assert_eq!(store.graph_cache_stats(), (0, 2));
+        // A merge into an unread record builds its tree under the lock.
+        store.merge_delta(&ids[2], &eval_delta()).unwrap();
+        assert_eq!(store.trees_held(), 3);
+        store.verify_all().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

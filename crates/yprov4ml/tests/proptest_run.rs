@@ -185,59 +185,92 @@ fn sync_and_buffered_collectors_agree() {
 #[test]
 fn journal_replay_reproduces_state() {
     check(48, |rng, size| {
-        let records = records(rng, 0..150, size);
-        let dir = std::env::temp_dir().join(format!(
-            "yprop_journal_{}_{:x}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let header = JournalHeader::new("prop", "r", "u", 0);
-        let writer = JournalWriter::create(&dir, &header).unwrap();
-        let mut direct = RunState::default();
-        for r in &records {
-            writer.append(r).unwrap();
-            direct.apply(r.clone());
-        }
-        drop(writer);
-        let replay = read_journal(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(replay.records, records.len());
-        assert_eq!(replay.skipped, 0);
-        assert!(states_equal_modulo_nan(&replay.state, &direct));
+        assert_journal_replays(&records(rng, 0..150, size))
     });
+}
+
+/// Journals `records` and holds the replay to the plain fold.
+fn assert_journal_replays(records: &[LogRecord]) {
+    let dir = std::env::temp_dir().join(format!(
+        "yprop_journal_{}_{:x}",
+        std::process::id(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let header = JournalHeader::new("prop", "r", "u", 0);
+    let writer = JournalWriter::create(&dir, &header).unwrap();
+    let mut direct = RunState::default();
+    for r in records {
+        writer.append(r).unwrap();
+        direct.apply(r.clone());
+    }
+    drop(writer);
+    let replay = read_journal(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(replay.records, records.len());
+    assert_eq!(replay.skipped, 0);
+    assert!(states_equal_modulo_nan(&replay.state, &direct));
 }
 
 #[test]
 fn emitted_documents_always_validate() {
     check(48, |rng, size| {
-        let mut state = RunState::default();
-        for r in records(rng, 0..120, size) {
-            state.apply(r);
-        }
-        let identity = RunIdentity {
-            experiment: "prop".into(),
-            run: "r".into(),
-            user: "u".into(),
-            started_us: 0,
-            ended_us: 1,
-        };
-        let spill = SpillOutcome {
-            store_path: None,
-            links: Vec::new(),
-            external_bytes: 0,
-        };
-        let doc = build_document(&identity, &state, &spill, false);
-        let issues = prov_model::validate(&doc);
-        assert!(
-            prov_model::validate::is_valid(&doc),
-            "invalid doc from arbitrary state: {issues:?}"
-        );
-        // And it survives the JSON round trip.
-        let json = doc.to_json_string().unwrap();
-        assert!(prov_model::ProvDocument::from_json_str(&json).is_ok());
+        assert_emitted_document_validates(&records(rng, 0..120, size))
     });
+}
+
+/// Folds `records`, emits the run's document and holds it valid and
+/// through the PROV-JSON round trip.
+fn assert_emitted_document_validates(records: &[LogRecord]) {
+    let state = fold(records);
+    let identity = RunIdentity {
+        experiment: "prop".into(),
+        run: "r".into(),
+        user: "u".into(),
+        started_us: 0,
+        ended_us: 1,
+    };
+    let spill = SpillOutcome {
+        store_path: None,
+        links: Vec::new(),
+        external_bytes: 0,
+    };
+    let doc = build_document(&identity, &state, &spill, false);
+    let issues = prov_model::validate(&doc);
+    assert!(
+        prov_model::validate::is_valid(&doc),
+        "invalid doc from arbitrary state: {issues:?}"
+    );
+    // And it survives the JSON round trip.
+    let json = doc.to_json_string().unwrap();
+    assert!(prov_model::ProvDocument::from_json_str(&json).is_ok());
+}
+
+/// The smallest failing input an earlier property run recorded: a
+/// testing context that ends before it starts. It folds through the
+/// collector as through the plain fold, survives the journal and
+/// emits a valid document.
+#[test]
+fn recorded_case_context_ending_before_it_starts() {
+    let records = [
+        LogRecord::ContextStart {
+            context: Context::Testing,
+            time_us: 3090129922386694931,
+        },
+        LogRecord::ContextEnd {
+            context: Context::Testing,
+            time_us: 0,
+        },
+    ];
+    let collector = Collector::new();
+    collector.log_many(records.to_vec()).unwrap();
+    assert!(states_equal_modulo_nan(
+        &collector.close().unwrap(),
+        &fold(&records)
+    ));
+    assert_journal_replays(&records);
+    assert_emitted_document_validates(&records);
 }

@@ -21,9 +21,10 @@
 # `NcStore::path`, `ZarrStore::root`, `WorkerPool::threads` and
 # `SpillPolicy::format` (its `StorageFormat` with it), since deleted.
 # Still reported and kept: `MetricSeries::is_empty` (clippy's
-# `len_without_is_empty`), `BitReader::bit_pos` (allowlisted in
-# `check-pub-fn-callers.sh`) and `BitWriter::{new, bit_len}`, which the
-# codec's tests use. Repeat the pass when a crate's surface shrinks.
+# `len_without_is_empty`) and `BitReader::bit_pos` (allowlisted in
+# `check-pub-fn-callers.sh`); `BitWriter::{new, bit_len}`, which only
+# the codec's tests use, are now `pub(crate)` test code. Repeat the
+# pass when a crate's surface shrinks.
 set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
