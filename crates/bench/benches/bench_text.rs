@@ -14,6 +14,10 @@
 //! and times. A last cell, `from_json_str`, is the PROV-JSON reader on
 //! that whole inline run's `prov.json`, per byte of the file.
 //!
+//! `series_format` is counted in points, not bytes: `points_to_json`
+//! over an inline run's twelve series, each printed whole as a run's
+//! finish prints it, in points/s.
+//!
 //! Each figure is the median of [`RUNS`] runs in one process, with the
 //! lowest and highest run beside it (`_min`, `_max`).
 //!
@@ -21,6 +25,8 @@
 //! CI can exercise the harness cheaply.
 
 use json::{json, JsonWriter, Lexer};
+use metric_store::json_store::{begin_series, end_series, points_to_json};
+use metric_store::series::{MetricPoint, MetricSeries};
 use prov_model::{AttrValue, ProvDocument, QName};
 use std::hint::black_box;
 use std::time::Instant;
@@ -30,25 +36,75 @@ use yprov4ml::model::Context;
 /// Runs of each cell; its figure is their median.
 const RUNS: usize = 7;
 
-/// MB/s over [`RUNS`] runs of `iters` calls of `f`, each over `bytes`
-/// bytes, as a JSON cell.
-fn cell(bytes: usize, iters: u32, mut f: impl FnMut()) -> json::Value {
+/// `units` a second over [`RUNS`] runs of `iters` calls of `f`, each
+/// over `units` units, ascending.
+fn rates(units: usize, iters: u32, mut f: impl FnMut()) -> Vec<f64> {
     let mut runs: Vec<f64> = (0..RUNS)
         .map(|_| {
             let start = Instant::now();
             for _ in 0..iters {
                 f();
             }
-            (bytes as f64 * f64::from(iters)) / start.elapsed().as_secs_f64() / 1e6
+            (units as f64 * f64::from(iters)) / start.elapsed().as_secs_f64()
         })
         .collect();
     runs.sort_by(f64::total_cmp);
+    runs
+}
+
+/// MB/s over [`RUNS`] runs of `iters` calls of `f`, each over `bytes`
+/// bytes, as a JSON cell.
+fn cell(bytes: usize, iters: u32, f: impl FnMut()) -> json::Value {
+    let runs = rates(bytes, iters, f);
     json!({
         "bytes": bytes,
         "iters": iters,
-        "mb_per_s": runs[RUNS / 2],
-        "mb_per_s_min": runs[0],
-        "mb_per_s_max": runs[RUNS - 1],
+        "mb_per_s": runs[RUNS / 2] / 1e6,
+        "mb_per_s_min": runs[0] / 1e6,
+        "mb_per_s_max": runs[RUNS - 1] / 1e6,
+    })
+}
+
+/// Twelve series of `steps` points each, shaped as an inline run logs
+/// them: losses and rates decaying with the step, an epoch every 100
+/// steps, a time every 1.25 ms.
+fn run_series(steps: u64) -> Vec<MetricSeries> {
+    (0..12u64)
+        .map(|m| {
+            let context = if m < 8 { "training" } else { "validation" };
+            let mut s = MetricSeries::new(format!("metric_{m:02}"), context);
+            for step in 0..steps {
+                s.push(MetricPoint {
+                    step,
+                    epoch: (step / 100) as u32,
+                    time_us: 1_700_000_000_000_000 + step as i64 * 1_250,
+                    value: (m + 1) as f64 / (1.0 + step as f64).sqrt() + (step % 7) as f64 * 1e-3,
+                });
+            }
+            s
+        })
+        .collect()
+}
+
+/// Points/s of `points_to_json` printing every series of `series`
+/// whole, as a JSON cell.
+fn series_format_cell(series: &[MetricSeries], iters: u32) -> json::Value {
+    let points: usize = series.iter().map(MetricSeries::len).sum();
+    let runs = rates(points, iters, || {
+        for s in series {
+            let mut w = JsonWriter::in_memory(false);
+            begin_series(&mut w, s);
+            points_to_json(&mut w, black_box(&s.points));
+            end_series(&mut w);
+            black_box(w.into_string());
+        }
+    });
+    json!({
+        "points": points,
+        "iters": iters,
+        "points_per_s": runs[RUNS / 2],
+        "points_per_s_min": runs[0],
+        "points_per_s_max": runs[RUNS - 1],
     })
 }
 
@@ -157,14 +213,21 @@ fn main() {
         prov_json.len(),
         from_json_str["mb_per_s"].as_f64().unwrap()
     );
+    let series_format = series_format_cell(&run_series(steps / 14), iters);
+    eprintln!(
+        "series_format ({} points): {:.0} points/s",
+        series_format["points"].as_u64().unwrap(),
+        series_format["points_per_s"].as_f64().unwrap()
+    );
 
     let out = json!({
         "bench": "bench_text",
         "description": "String throughput in MB/s: JSON unescape (Lexer::string), \
                         JSON escape (JsonWriter::str) and PROV-N quoting (to_provn) \
                         on an inline run's metric series and on escape-free text, \
-                        and ProvDocument::from_json_str on the whole inline run. \
-                        Each figure is the median of `runs` runs; `_min`/`_max` \
+                        and ProvDocument::from_json_str on the whole inline run; \
+                        series_format in points/s: points_to_json over an inline \
+                        run's twelve series. Each figure is the median of `runs` runs; `_min`/`_max` \
                         are the lowest and highest run.",
         "runs": RUNS,
         // CI's bench-smoke guard greps for this: a committed file that
@@ -173,6 +236,7 @@ fn main() {
         "smoke": smoke,
         "texts": texts,
         "from_json_str": from_json_str,
+        "series_format": series_format,
     });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_text.json");
     std::fs::write(path, format!("{out:#}\n")).unwrap();

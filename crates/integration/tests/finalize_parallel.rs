@@ -188,3 +188,83 @@ fn whole_run_finalize_is_byte_identical_at_1_and_8_threads() {
     );
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// Finishes an inline run with the journal on at `threads` finalize
+/// threads: twelve series over two contexts, non-finite values among
+/// them. Returns `prov.json` and `prov.provn` with the run's wall-clock
+/// start and end replaced by fixed text, the only bytes that differ
+/// from one finish to the next.
+fn inline_record(base: &Path, threads: usize) -> (String, String) {
+    let exp = Experiment::new("exp", base).unwrap();
+    let run = exp
+        .start_run_with(
+            "r",
+            RunOptions {
+                spill: SpillPolicy::Inline,
+                journal: true,
+                finalize: FinalizeOptions::with_threads(threads),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    run.log_param("lr", 0.001);
+    for step in 0..400u64 {
+        for m in 0..12u64 {
+            let context = if m < 8 {
+                Context::Training
+            } else {
+                Context::Validation
+            };
+            let value = match (m, step % 97) {
+                (3, 5) => f64::NAN,
+                (4, 6) => f64::INFINITY,
+                (5, 7) => f64::NEG_INFINITY,
+                (6, 8) => -0.0,
+                _ => 1.0 / (1.0 + (step * (m + 1)) as f64).sqrt(),
+            };
+            run.log_metric_at(
+                format!("metric_{m:02}"),
+                context,
+                step,
+                (step / 100) as u32,
+                1_000_000 + 250 * step as i64,
+                value,
+            );
+        }
+    }
+    let report = run.finish().unwrap();
+    let prov_json = std::fs::read_to_string(&report.prov_json_path).unwrap();
+    let provn = std::fs::read_to_string(&report.provn_path).unwrap();
+
+    let doc = json::parse(&prov_json).unwrap();
+    let activity = &doc["activity"]["exp:r"];
+    let (start, end) = (
+        activity["prov:startTime"]["$"]
+            .as_str()
+            .unwrap()
+            .to_string(),
+        activity["prov:endTime"]["$"].as_str().unwrap().to_string(),
+    );
+    let fixed = |text: &str| text.replace(&start, "<start>").replace(&end, "<end>");
+    (fixed(&prov_json), fixed(&provn))
+}
+
+#[test]
+fn inline_record_is_byte_identical_at_1_2_and_8_threads() {
+    let base = tmpdir("inline");
+    let (json_1, provn_1) = inline_record(&base.join("t1"), 1);
+    assert!(json_1.contains("yprov4ml:values") && json_1.len() > 100_000);
+    assert!(provn_1.contains("<start>") && provn_1.contains("<end>"));
+    for threads in [2, 8] {
+        let (json_n, provn_n) = inline_record(&base.join(format!("t{threads}")), threads);
+        assert!(
+            json_n == json_1,
+            "prov.json differs between 1 and {threads} threads"
+        );
+        assert!(
+            provn_n == provn_1,
+            "prov.provn differs between 1 and {threads} threads"
+        );
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
