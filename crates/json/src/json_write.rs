@@ -136,6 +136,11 @@ impl<W: Write> JsonWriter<W> {
         }
     }
 
+    /// Whether the writer prints pretty.
+    pub fn is_pretty(&self) -> bool {
+        self.pretty
+    }
+
     /// Hands what is left to the sink; the first I/O error met, if any.
     pub fn finish(mut self) -> io::Result<()> {
         debug_assert!(self.open.is_empty(), "an object or array is still open");

@@ -6,7 +6,7 @@
 //! but greppable and self-describing.
 
 use crate::series::{MetricPoint, MetricSeries};
-use json::JsonWriter;
+use json::{decimal, JsonWriter};
 use std::io::Write;
 
 /// Opens `series`' object up to its points: `{"context":…,"name":…,
@@ -36,35 +36,53 @@ pub fn end_series<W: Write>(w: &mut JsonWriter<W>) {
 /// writer: one `{"epoch","step","time_us","value"}` object each, a
 /// non-finite value as the string `"NaN"`, `"INF"` or `"-INF"`. The one
 /// place a sample's inline text is decided.
+///
+/// Each point is one fixed template, filled in a reused buffer and
+/// handed to the writer as one raw member: the integers through
+/// [`json::decimal`], the value as `{:?}`, the writer's own byte rules,
+/// so the text is what writing each key and value in turn prints. A
+/// series prints compact; `w` must not be pretty.
 pub fn points_to_json<W: Write>(w: &mut JsonWriter<W>, points: &[MetricPoint]) {
+    assert!(!w.is_pretty(), "a metric series prints compact");
+    let mut text = Vec::with_capacity(128);
     for p in points {
-        w.object(|w| {
-            w.key("epoch");
-            w.u64(p.epoch.into());
-            w.key("step");
-            w.u64(p.step);
-            w.key("time_us");
-            w.i64(p.time_us);
-            w.key("value");
-            if p.value.is_finite() {
-                w.f64(p.value);
-            } else if p.value.is_nan() {
-                w.str("NaN");
-            } else if p.value > 0.0 {
-                w.str("INF");
-            } else {
-                w.str("-INF");
-            }
-        })
+        text.clear();
+        point_text(p, &mut text);
+        w.raw(std::str::from_utf8(&text).expect("the template is ASCII"));
     }
+}
+
+/// `p` as `{"epoch":E,"step":S,"time_us":T,"value":V}`.
+fn point_text(p: &MetricPoint, out: &mut Vec<u8>) {
+    let mut digits = [0; 20];
+    out.extend_from_slice(b"{\"epoch\":");
+    out.extend_from_slice(decimal(p.epoch.into(), &mut digits));
+    out.extend_from_slice(b",\"step\":");
+    out.extend_from_slice(decimal(p.step, &mut digits));
+    out.extend_from_slice(b",\"time_us\":");
+    if p.time_us < 0 {
+        out.push(b'-');
+    }
+    out.extend_from_slice(decimal(p.time_us.unsigned_abs(), &mut digits));
+    out.extend_from_slice(b",\"value\":");
+    if p.value.is_finite() {
+        write!(out, "{:?}", p.value).expect("a Vec takes every write");
+    } else if p.value.is_nan() {
+        out.extend_from_slice(b"\"NaN\"");
+    } else if p.value > 0.0 {
+        out.extend_from_slice(b"\"INF\"");
+    } else {
+        out.extend_from_slice(b"\"-INF\"");
+    }
+    out.push(b'}');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn printed(s: &MetricSeries, pretty: bool) -> String {
-        let mut w = JsonWriter::in_memory(pretty);
+    fn printed(s: &MetricSeries) -> String {
+        let mut w = JsonWriter::in_memory(false);
         begin_series(&mut w, s);
         points_to_json(&mut w, &s.points);
         end_series(&mut w);
@@ -73,9 +91,10 @@ mod tests {
 
     #[test]
     fn series_view_prints_what_the_value_tree_printed() {
-        // The literals are what the `Value` tree builder this
-        // writer replaced printed (`to_string` and `to_string_pretty`) for
-        // the same series: every non-finite spelling, a negative zero,
+        // The literal is what the `Value` tree builder this writer
+        // replaced printed (`to_string`) for the same series (its pretty
+        // text is pinned on the per-member oracle in
+        // `tests/series_text.rs`): every non-finite spelling, a negative zero,
         // the smallest and a large double, the integer extremes, and a
         // name that needs escaping and holds non-ASCII text.
         let mut s = MetricSeries::new("lo\"ss\\ü損失", "training");
@@ -97,66 +116,27 @@ mod tests {
             });
         }
         let compact = r#"{"context":"training","name":"lo\"ss\\ü損失","points":[{"epoch":0,"step":0,"time_us":0,"value":"NaN"},{"epoch":0,"step":1,"time_us":1000,"value":"INF"},{"epoch":0,"step":2,"time_us":2000,"value":"-INF"},{"epoch":1,"step":3,"time_us":3000,"value":-0.0},{"epoch":1,"step":4,"time_us":4000,"value":5e-324},{"epoch":1,"step":18446744073709551615,"time_us":5000,"value":1e21},{"epoch":2,"step":6,"time_us":-9223372036854775808,"value":0.1}]}"#;
-        let pretty = r#"{
-  "context": "training",
-  "name": "lo\"ss\\ü損失",
-  "points": [
-    {
-      "epoch": 0,
-      "step": 0,
-      "time_us": 0,
-      "value": "NaN"
-    },
-    {
-      "epoch": 0,
-      "step": 1,
-      "time_us": 1000,
-      "value": "INF"
-    },
-    {
-      "epoch": 0,
-      "step": 2,
-      "time_us": 2000,
-      "value": "-INF"
-    },
-    {
-      "epoch": 1,
-      "step": 3,
-      "time_us": 3000,
-      "value": -0.0
-    },
-    {
-      "epoch": 1,
-      "step": 4,
-      "time_us": 4000,
-      "value": 5e-324
-    },
-    {
-      "epoch": 1,
-      "step": 18446744073709551615,
-      "time_us": 5000,
-      "value": 1e21
-    },
-    {
-      "epoch": 2,
-      "step": 6,
-      "time_us": -9223372036854775808,
-      "value": 0.1
-    }
-  ]
-}"#;
-        assert_eq!(printed(&s, false), compact);
-        assert_eq!(printed(&s, true), pretty);
+        assert_eq!(printed(&s), compact);
 
         let empty = MetricSeries::new("empty", "testing");
         assert_eq!(
-            printed(&empty, false),
+            printed(&empty),
             r#"{"context":"testing","name":"empty","points":[]}"#
         );
-        assert_eq!(
-            printed(&empty, true),
-            "{\n  \"context\": \"testing\",\n  \"name\": \"empty\",\n  \"points\": []\n}"
-        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a metric series prints compact")]
+    fn a_pretty_writer_is_refused() {
+        let mut w = JsonWriter::in_memory(true);
+        w.begin_array();
+        let point = MetricPoint {
+            step: 0,
+            epoch: 0,
+            time_us: 0,
+            value: 0.5,
+        };
+        points_to_json(&mut w, &[point]);
     }
 
     #[test]
@@ -171,15 +151,13 @@ mod tests {
                 value,
             });
         }
-        for pretty in [false, true] {
-            for split in 0..=s.len() {
-                let mut w = JsonWriter::in_memory(pretty);
-                begin_series(&mut w, &s);
-                points_to_json(&mut w, &s.points[..split]);
-                points_to_json(&mut w, &s.points[split..]);
-                end_series(&mut w);
-                assert_eq!(w.into_string(), printed(&s, pretty), "split at {split}");
-            }
+        for split in 0..=s.len() {
+            let mut w = JsonWriter::in_memory(false);
+            begin_series(&mut w, &s);
+            points_to_json(&mut w, &s.points[..split]);
+            points_to_json(&mut w, &s.points[split..]);
+            end_series(&mut w);
+            assert_eq!(w.into_string(), printed(&s), "split at {split}");
         }
     }
 
@@ -194,7 +172,7 @@ mod tests {
                 value: 1.0 / (1.0 + i as f64),
             });
         }
-        let json_size = printed(&s, true).len();
+        let json_size = printed(&s).len();
         let raw = s.len() * 28;
         assert!(json_size > raw * 2, "json {json_size} vs raw {raw}");
     }

@@ -46,7 +46,9 @@ impl WorkerPool {
     /// the results in index order. A task's panic reaches the caller.
     ///
     /// With one thread (or at most one task) this is an inline `for`
-    /// loop — no threads are spawned.
+    /// loop — no threads are spawned. Otherwise the caller's thread runs
+    /// tasks beside `min(threads, tasks) - 1` spawned ones: the pool
+    /// never runs more threads than it has tasks.
     pub fn map<R, F>(&self, tasks: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -68,12 +70,15 @@ impl WorkerPool {
                 done.push((task, f(task)));
             }
         };
+        // The caller is one of the workers: it spawns one thread fewer
+        // and takes tasks itself while the others run.
         let mut pairs: Vec<(usize, R)> = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..self.threads.min(tasks)).map(|_| s.spawn(run)).collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
+            let workers: Vec<_> = (1..self.threads.min(tasks)).map(|_| s.spawn(run)).collect();
+            let mut pairs = run();
+            for w in workers {
+                pairs.extend(w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            }
+            pairs
         });
         pairs.sort_unstable_by_key(|(i, _)| *i);
         pairs.into_iter().map(|(_, r)| r).collect()

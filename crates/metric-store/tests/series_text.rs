@@ -157,36 +157,74 @@ fn every_edge_value_prints_as_the_oracle_prints_it() {
 
 #[test]
 fn the_oracle_prints_the_value_trees_pretty_series() {
-    // The pretty text the `Value` tree builder printed for a series,
-    // pinned on the per-member writer, which still prints pretty.
-    let mut s = MetricSeries::new("loss", "training");
-    s.push(MetricPoint {
-        step: u64::MAX,
-        epoch: 1,
-        time_us: i64::MIN,
-        value: f64::NEG_INFINITY,
-    });
-    s.push(MetricPoint {
-        step: 2,
-        epoch: 0,
-        time_us: 2000,
-        value: -0.0,
-    });
+    // The pretty text the `Value` tree builder printed for a series
+    // (`to_string_pretty`): every non-finite spelling, a negative zero,
+    // the smallest and a large double, the integer extremes, and a name
+    // that needs escaping and holds non-ASCII text. The library prints a
+    // series compact only; the per-member writer still prints pretty.
+    let mut s = MetricSeries::new("lo\"ss\\ü損失", "training");
+    let values = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        5e-324,
+        1e21,
+        0.1,
+    ];
+    for (i, value) in values.into_iter().enumerate() {
+        s.push(MetricPoint {
+            step: if i == 5 { u64::MAX } else { i as u64 },
+            epoch: i as u32 / 3,
+            time_us: if i == 6 { i64::MIN } else { 1_000 * i as i64 },
+            value,
+        });
+    }
     let pretty = r#"{
   "context": "training",
-  "name": "loss",
+  "name": "lo\"ss\\ü損失",
   "points": [
     {
-      "epoch": 1,
-      "step": 18446744073709551615,
-      "time_us": -9223372036854775808,
-      "value": "-INF"
+      "epoch": 0,
+      "step": 0,
+      "time_us": 0,
+      "value": "NaN"
+    },
+    {
+      "epoch": 0,
+      "step": 1,
+      "time_us": 1000,
+      "value": "INF"
     },
     {
       "epoch": 0,
       "step": 2,
       "time_us": 2000,
+      "value": "-INF"
+    },
+    {
+      "epoch": 1,
+      "step": 3,
+      "time_us": 3000,
       "value": -0.0
+    },
+    {
+      "epoch": 1,
+      "step": 4,
+      "time_us": 4000,
+      "value": 5e-324
+    },
+    {
+      "epoch": 1,
+      "step": 18446744073709551615,
+      "time_us": 5000,
+      "value": 1e21
+    },
+    {
+      "epoch": 2,
+      "step": 6,
+      "time_us": -9223372036854775808,
+      "value": 0.1
     }
   ]
 }"#;

@@ -31,7 +31,7 @@ pub struct DocumentSummary {
     pub graph_nodes: usize,
     /// Edges in the provenance graph (from the store's cached index).
     pub graph_edges: usize,
-    /// Serialized size of the document in bytes.
+    /// Size of the document's stored bytes, what `GET` serves.
     pub json_bytes: usize,
 }
 
@@ -45,9 +45,10 @@ pub fn summarize(store: &DocumentStore) -> Vec<DocumentSummary> {
         .list()
         .into_iter()
         .filter_map(|id| {
-            // Document and index from one record: the counts below
-            // describe the same version, and nothing is rebuilt.
-            let shared = store.graph(&id).ok()?;
+            // Document, index and stored length from one record: the
+            // counts below describe the same version, and nothing is
+            // rebuilt or printed again.
+            let (shared, json_bytes) = store.graph_and_len(&id).ok()?;
             let (doc, index) = (shared.document(), shared.index());
             let stats = doc.stats();
             let run_label = doc
@@ -62,7 +63,6 @@ pub fn summarize(store: &DocumentStore) -> Vec<DocumentSummary> {
                 .iter_kind(ElementKind::Entity)
                 .filter(|e| e.has_type(&artifact_ty))
                 .count();
-            let json_bytes = doc.to_json_string().map(|s| s.len()).unwrap_or(0);
             Some(DocumentSummary {
                 id,
                 entities: stats.entities,
@@ -333,6 +333,32 @@ mod tests {
         assert!(s.json_bytes > 0);
         // The summaries reused the indexes built at upload: no misses.
         assert_eq!(store.graph_cache_stats(), (2, 0));
+    }
+
+    #[test]
+    fn json_bytes_is_the_length_of_the_get_body() {
+        let store = DocumentStore::new();
+        store.upload(yprov_style_doc("run-1", "aa")).unwrap();
+        store
+            .upload_as("run-2", yprov_style_doc("run-2", "bb"))
+            .unwrap();
+        // A replicated copy keeps the bytes its source committed, pretty
+        // ones here, which the canonical printer would print shorter.
+        let pretty = yprov_style_doc("run-3", "cc")
+            .to_json_string_pretty()
+            .unwrap();
+        let entry = crate::ledger::Ledger::new()
+            .append("run-3", pretty.as_bytes())
+            .clone();
+        store
+            .apply_replicated("node-b", entry, Some(&pretty))
+            .unwrap();
+        let summaries = summarize(&store);
+        assert_eq!(summaries.len(), 3);
+        for s in summaries {
+            let body = store.document_json(&s.id).unwrap();
+            assert_eq!(s.json_bytes, body.len(), "{}", s.id);
+        }
     }
 
     #[test]

@@ -183,19 +183,30 @@ impl Ledger {
         document_id: impl Into<String>,
         canonical_json: &[u8],
     ) -> &LedgerEntry {
+        let entry = self.next_entry(document_id, canonical_json);
+        self.entries.push(entry);
+        self.entries.last().expect("just pushed")
+    }
+
+    /// The entry [`Self::append`] would append, left out of the chain:
+    /// what a writer makes durable before the chain takes it.
+    pub(crate) fn next_entry(
+        &self,
+        document_id: impl Into<String>,
+        canonical_json: &[u8],
+    ) -> LedgerEntry {
         let document_id = document_id.into();
         let document_digest = sha256_hex(canonical_json);
         let prev_hash = self.head_hash();
         let index = self.entries.len() as u64;
         let hash = entry_hash(index, &document_id, &document_digest, &prev_hash);
-        self.entries.push(LedgerEntry {
+        LedgerEntry {
             index,
             document_id,
             document_digest,
             prev_hash,
             entry_hash: hash,
-        });
-        self.entries.last().expect("just pushed")
+        }
     }
 
     /// Verifies the chain's internal integrity: every entry, replayed

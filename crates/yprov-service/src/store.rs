@@ -264,15 +264,18 @@ pub struct DocumentStore {
 /// keeps no copy of the bytes.
 struct Stored {
     digest: String,
+    /// The length of the committed bytes.
+    len: usize,
     doc: OnceLock<Result<Arc<ProvDocument>, String>>,
     index: OnceLock<Arc<GraphIndex>>,
 }
 
 impl Stored {
     /// A record whose tree is built on first read.
-    fn lazy(digest: String) -> Self {
+    fn lazy(digest: String, len: usize) -> Self {
         Stored {
             digest,
+            len,
             doc: OnceLock::new(),
             index: OnceLock::new(),
         }
@@ -353,7 +356,7 @@ impl DocumentStore {
         // both the verification below and its record's lazy build use.
         let mut docs = BTreeMap::new();
         backend.scan(&mut |id, bytes| {
-            let stored = Stored::lazy(sha256_hex(bytes));
+            let stored = Stored::lazy(sha256_hex(bytes), bytes.len());
             docs.insert(id.to_string(), Arc::new(stored));
             Ok(())
         })?;
@@ -427,7 +430,7 @@ impl DocumentStore {
     #[cfg(test)]
     fn clear_index_cache(&self) {
         for stored in write(&self.inner.docs).values_mut() {
-            *stored = Arc::new(Stored::lazy(stored.digest.clone()));
+            *stored = Arc::new(Stored::lazy(stored.digest.clone(), stored.len));
         }
     }
 
@@ -454,12 +457,18 @@ impl DocumentStore {
         self.commit(chains, id, doc, json, index).map(|(up, _)| up)
     }
 
-    /// The one way a locally written document becomes visible: bytes to
-    /// the backend, entry to the own ledger and its line to the
-    /// backend, then the record. The caller holds the chains' lock
-    /// across its whole read-modify-write, so uploads, delta merges,
-    /// deletes and replicated applies of one id serialize instead of
-    /// interleaving.
+    /// The one way a locally written document becomes visible: the own
+    /// ledger's line to the backend, its entry to the chain, the bytes
+    /// to the backend, then the record. The caller holds the chains'
+    /// lock across its whole read-modify-write, so uploads, delta
+    /// merges, deletes and replicated applies of one id serialize
+    /// instead of interleaving.
+    ///
+    /// The chain takes the entry only once its line is written, so a
+    /// failed line leaves chain, backend and record as they were. Bytes
+    /// that fail to land after their line leave the chain committing to
+    /// bytes the backend does not hold; the id's older copy is then
+    /// dropped, since no chain commits it any more.
     fn commit(
         &self,
         chains: &mut Chains,
@@ -468,15 +477,23 @@ impl DocumentStore {
         json: String,
         index: GraphIndex,
     ) -> Result<(Upload, u64), ServiceError> {
-        let put_span = self.inner.metrics.put_seconds.start_span();
-        self.inner.backend.put(&id, json.as_bytes())?;
-        drop(put_span);
         let ledger = chains.entry(ChainName::Own).or_default();
-        let entry = ledger.append(&id, json.as_bytes()).clone();
+        let entry = ledger.next_entry(&id, json.as_bytes());
         self.inner
             .backend
             .chain_append(&ChainName::Own, &entry.to_line())?;
+        ledger
+            .append_entry(entry.clone())
+            .map_err(ServiceError::LedgerVerification)?;
+        let put_span = self.inner.metrics.put_seconds.start_span();
+        let put = self.inner.backend.put(&id, json.as_bytes());
+        drop(put_span);
+        if let Err(e) = put {
+            self.delete_locked(chains, &id)?;
+            return Err(e);
+        }
         let stored = Stored {
+            len: json.len(),
             digest: entry.document_digest.clone(),
             doc: OnceLock::from(Ok(Arc::new(doc))),
             index: OnceLock::from(Arc::new(index)),
@@ -670,6 +687,12 @@ impl DocumentStore {
     /// the map's lock (a racing query waits for that build and shares
     /// it), and counts one miss.
     pub fn graph(&self, id: &str) -> Result<SharedGraph, ServiceError> {
+        self.graph_and_len(id).map(|(graph, _)| graph)
+    }
+
+    /// [`Self::graph`] and the length of the bytes its version was
+    /// committed under (what `GET` serves), from one record.
+    pub fn graph_and_len(&self, id: &str) -> Result<(SharedGraph, usize), ServiceError> {
         let (stored, doc) = self.tree(id)?;
         let mut built = false;
         let index = stored.index.get_or_init(|| {
@@ -682,7 +705,7 @@ impl DocumentStore {
         } else {
             metrics.cache_hits.inc();
         }
-        Ok(SharedGraph::from_parts(doc, Arc::clone(index)))
+        Ok((SharedGraph::from_parts(doc, Arc::clone(index)), stored.len))
     }
 
     /// Provenance ancestors of `focus` inside document `id` (the
@@ -986,7 +1009,7 @@ impl DocumentStore {
         let line = entry.to_line();
         if let Some(json) = doc_json {
             self.inner.backend.put(&id, json.as_bytes())?;
-            self.swap_in(&id, Stored::lazy(entry.document_digest.clone()));
+            self.swap_in(&id, Stored::lazy(entry.document_digest.clone(), json.len()));
         }
         chain
             .append_entry(entry)
@@ -1081,7 +1104,7 @@ impl DocumentStore {
 mod tests {
     use super::*;
     use crate::ledger::LedgerIssue;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn q(local: &str) -> QName {
         QName::new("ex", local)
@@ -2104,6 +2127,166 @@ mod tests {
         fn flush(&self) -> Result<(), ServiceError> {
             self.inner.flush()
         }
+    }
+
+    /// A memory backend, shared so a store can be reopened on it, that
+    /// fails the `chain_append` or the `put` whose 0-based call number is
+    /// set in `fail_append` or `fail_put`.
+    struct Flaky {
+        inner: Arc<MemoryBackend>,
+        appends: AtomicUsize,
+        puts: AtomicUsize,
+        fail_append: usize,
+        fail_put: usize,
+    }
+
+    impl Flaky {
+        fn new(inner: &Arc<MemoryBackend>, fail_append: usize, fail_put: usize) -> Self {
+            Flaky {
+                inner: Arc::clone(inner),
+                appends: AtomicUsize::new(0),
+                puts: AtomicUsize::new(0),
+                fail_append,
+                fail_put,
+            }
+        }
+
+        fn check(calls: &AtomicUsize, fail_at: usize, op: &str) -> Result<(), ServiceError> {
+            if calls.fetch_add(1, Ordering::SeqCst) == fail_at {
+                return Err(ServiceError::Io {
+                    context: format!("{op} (injected)"),
+                    source: std::io::Error::other("disk full"),
+                });
+            }
+            Ok(())
+        }
+    }
+
+    impl StorageBackend for Flaky {
+        fn name(&self) -> &'static str {
+            "flaky"
+        }
+        fn put(&self, id: &str, bytes: &[u8]) -> Result<(), ServiceError> {
+            Self::check(&self.puts, self.fail_put, "put")?;
+            self.inner.put(id, bytes)
+        }
+        fn get(&self, id: &str) -> Result<Option<Vec<u8>>, ServiceError> {
+            self.inner.get(id)
+        }
+        fn delete(&self, id: &str) -> Result<bool, ServiceError> {
+            self.inner.delete(id)
+        }
+        fn scan(&self, visit: &mut crate::backend::Visitor<'_>) -> Result<(), ServiceError> {
+            self.inner.scan(visit)
+        }
+        fn chain_append(&self, chain: &ChainName, line: &str) -> Result<(), ServiceError> {
+            Self::check(&self.appends, self.fail_append, "chain append")?;
+            self.inner.chain_append(chain, line)
+        }
+        fn chain_load(&self, chain: &ChainName) -> Result<String, ServiceError> {
+            self.inner.chain_load(chain)
+        }
+        fn chains(&self) -> Result<Vec<ChainName>, ServiceError> {
+            self.inner.chains()
+        }
+        fn flush(&self) -> Result<(), ServiceError> {
+            self.inner.flush()
+        }
+    }
+
+    /// Two versions of `run-1`: the pipeline and the pipeline with one
+    /// more entity.
+    fn two_versions() -> (ProvDocument, ProvDocument) {
+        let mut second = pipeline_doc();
+        second.entity(q("report"));
+        (pipeline_doc(), second)
+    }
+
+    /// The digest the chains last committed for `id`.
+    fn committed_digest(store: &DocumentStore, id: &str) -> String {
+        store
+            .ledger_entries()
+            .iter()
+            .rev()
+            .find(|e| e.document_id == id)
+            .map(|e| e.document_digest.clone())
+            .expect("a committed entry")
+    }
+
+    #[test]
+    fn a_failed_chain_append_leaves_the_id_serving_committed_bytes() {
+        let memory = Arc::new(MemoryBackend::new());
+        let store = DocumentStore::with_backend(Flaky::new(&memory, 1, usize::MAX)).unwrap();
+        let (first, second) = two_versions();
+        let committed = store.upload_as_full("run-1", first).unwrap();
+        assert!(store.upload_as("run-1", second).is_err());
+
+        assert_eq!(
+            store.ledger_entries().len(),
+            1,
+            "the failed line is no entry"
+        );
+        let served = store.document_json("run-1").unwrap();
+        assert_eq!(served, committed.canonical_json);
+        assert_eq!(
+            sha256_hex(served.as_bytes()),
+            committed_digest(&store, "run-1")
+        );
+        assert_eq!(
+            store.get("run-1").unwrap().to_json_string().unwrap(),
+            served
+        );
+        store.verify_all().unwrap();
+    }
+
+    #[test]
+    fn a_reopen_after_a_failed_chain_append_and_a_success_verifies() {
+        let memory = Arc::new(MemoryBackend::new());
+        let (first, second) = two_versions();
+        {
+            let store = DocumentStore::with_backend(Flaky::new(&memory, 1, usize::MAX)).unwrap();
+            store.upload_as("run-1", first).unwrap();
+            assert!(store.upload_as("run-1", second.clone()).is_err());
+            store.upload_as("run-2", pipeline_doc()).unwrap();
+            store.verify_all().unwrap();
+        }
+        let reopened = DocumentStore::with_backend(Flaky::new(&memory, usize::MAX, usize::MAX))
+            .expect("the chain on disk is the chain in memory");
+        reopened.verify_all().unwrap();
+        assert_eq!(reopened.ledger_entries().len(), 2);
+        for id in ["run-1", "run-2"] {
+            let served = reopened.document_json(id).unwrap();
+            assert_eq!(
+                sha256_hex(served.as_bytes()),
+                committed_digest(&reopened, id)
+            );
+        }
+        // The version whose line failed can be written again.
+        reopened.upload_as("run-1", second).unwrap();
+        reopened.verify_all().unwrap();
+    }
+
+    #[test]
+    fn bytes_that_fail_after_their_line_leave_no_uncommitted_copy() {
+        let memory = Arc::new(MemoryBackend::new());
+        let (first, second) = two_versions();
+        {
+            let store = DocumentStore::with_backend(Flaky::new(&memory, usize::MAX, 1)).unwrap();
+            store.upload_as("run-1", first).unwrap();
+            assert!(store.upload_as("run-1", second).is_err());
+            // The line is durable, so the chain holds it; the older copy
+            // it supersedes is no longer served.
+            assert_eq!(store.ledger_entries().len(), 2);
+            assert!(matches!(
+                store.document_json("run-1"),
+                Err(ServiceError::NotFound { .. })
+            ));
+            assert!(store.list().is_empty());
+            store.verify_all().unwrap();
+        }
+        let reopened =
+            DocumentStore::with_backend(Flaky::new(&memory, usize::MAX, usize::MAX)).unwrap();
+        reopened.verify_all().unwrap();
     }
 
     /// Deletes `run-1` on a store whose backend parks the delete after

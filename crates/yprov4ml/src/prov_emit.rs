@@ -12,7 +12,10 @@
 //! A live run builds a document at every cut
 //! ([`crate::run::Run::snapshot_document`]) and once more at the finish.
 //! Its inline series text lives in an `InlineCache` across those builds,
-//! so each sample is formatted once per run, not once per cut.
+//! so each sample is formatted once per run, not once per cut. A cut
+//! formats on the caller; the last build formats each series as one
+//! task on the finalize pool, and a record carrying inline series
+//! writes `prov.json` and `prov.provn` as two tasks on it.
 
 use crate::collector::RunState;
 use crate::error::ProvMLError;
@@ -21,11 +24,13 @@ use crate::spill::SpillOutcome;
 use json::JsonWriter;
 use metric_store::json_store::{begin_series, end_series, points_to_json};
 use metric_store::series::MetricSeries;
+use metric_store::WorkerPool;
 use prov_model::qname::{YPROV_NS, YPROV_PREFIX};
 use prov_model::{AttrValue, ProvDocument, QName, XsdDateTime};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
+use std::sync::Mutex;
 
 /// Identity of the run being serialized.
 #[derive(Debug, Clone)]
@@ -119,14 +124,24 @@ impl InlineCache {
         text.closed_copy()
     }
 
-    /// `series`' text, closed and moved out of the cache.
-    fn take(&mut self, key: &(String, String), series: &MetricSeries) -> String {
-        let mut text = self
-            .series
-            .remove(key)
-            .unwrap_or_else(|| SeriesText::open(series));
-        text.catch_up(series);
-        text.close()
+    /// Every series' text, closed and moved out of the cache, in
+    /// `metrics` order: one task a series on `pool`.
+    fn close_all(
+        mut self,
+        metrics: &BTreeMap<(String, String), MetricSeries>,
+        pool: &WorkerPool,
+    ) -> Vec<String> {
+        let slots: Vec<(Mutex<Option<SeriesText>>, &MetricSeries)> = metrics
+            .iter()
+            .map(|(key, series)| (Mutex::new(self.series.remove(key)), series))
+            .collect();
+        pool.map(slots.len(), |i| {
+            let (slot, series) = &slots[i];
+            let cached = crate::lock(slot).take();
+            let mut text = cached.unwrap_or_else(|| SeriesText::open(series));
+            text.catch_up(series);
+            text.close()
+        })
     }
 }
 
@@ -138,7 +153,8 @@ pub(crate) enum Samples<'a> {
     /// from `cache`, which keeps it for the next cut.
     Cut(&'a mut InlineCache),
     /// Every sample inline, for the run's last build: the text comes
-    /// from the cache and leaves it, not copied.
+    /// from the cache and leaves it, not copied, each series' tail
+    /// formatted as one task on the build's pool.
     Last(InlineCache),
 }
 
@@ -155,23 +171,39 @@ impl Samples<'_> {
 }
 
 /// Builds the provenance document for a finished run, inline samples
-/// formatted from scratch (the one build path, with a fresh cache).
+/// formatted from scratch on the caller (the one build path, with a
+/// fresh cache).
 pub fn build_document(
     identity: &RunIdentity,
     state: &RunState,
     spill: &SpillOutcome,
     inline_metrics: bool,
 ) -> ProvDocument {
-    build_document_with(identity, state, spill, Samples::fresh(inline_metrics))
+    build_document_with(
+        identity,
+        state,
+        spill,
+        Samples::fresh(inline_metrics),
+        &WorkerPool::serial(),
+    )
 }
 
 /// Builds the provenance document for a run, as it stands in `state`.
+/// A last build ([`Samples::Last`]) formats its series on `pool`; the
+/// document is the same at any width.
 pub(crate) fn build_document_with(
     identity: &RunIdentity,
     state: &RunState,
     spill: &SpillOutcome,
     mut samples: Samples<'_>,
+    pool: &WorkerPool,
 ) -> ProvDocument {
+    let mut last_texts = match &mut samples {
+        Samples::Last(cache) => std::mem::take(cache).close_all(&state.metrics, pool),
+        _ => Vec::new(),
+    }
+    .into_iter();
+
     let mut doc = ProvDocument::new();
     doc.namespaces_mut()
         .register(YPROV_PREFIX, YPROV_NS)
@@ -296,7 +328,7 @@ pub(crate) fn build_document_with(
             let inline = match &mut samples {
                 Samples::Linked => None,
                 Samples::Cut(cache) => Some(cache.cut(key, series)),
-                Samples::Last(cache) => Some(cache.take(key, series)),
+                Samples::Last(_) => last_texts.next(),
             };
             if let Some(inline) = inline {
                 b.attr(QName::yprov("values"), AttrValue::String(inline));
@@ -359,12 +391,21 @@ pub fn write_prov_files(
     json_path: &Path,
     provn_path: &Path,
 ) -> Result<(), ProvMLError> {
+    write_prov_json(doc, json_path)?;
+    write_provn(doc, provn_path)
+}
+
+fn write_prov_json(doc: &ProvDocument, path: &Path) -> Result<(), ProvMLError> {
     use std::io::Write;
-    let file = std::fs::File::create(json_path)?;
+    let file = std::fs::File::create(path)?;
     let mut writer = std::io::BufWriter::new(file);
     doc.write_json_pretty(&mut writer)?;
     writer.flush()?;
-    std::fs::write(provn_path, prov_model::provn::to_provn(doc))?;
+    Ok(())
+}
+
+fn write_provn(doc: &ProvDocument, path: &Path) -> Result<(), ProvMLError> {
+    std::fs::write(path, prov_model::provn::to_provn(doc))?;
     Ok(())
 }
 
@@ -373,6 +414,12 @@ pub fn write_prov_files(
 /// activity's `yprov4ml:status` (`failed` or `recovered`; a finished
 /// run carries none), lets the caller `mark` what only it knows, writes
 /// `prov.json` and `prov.provn`, and reports what it wrote.
+///
+/// `pool` formats the series of a last build, and writes the two files
+/// as two tasks when the record carries inline series; a record without
+/// them is a few kilobytes, less than a thread costs to start, and its
+/// files are written one after the other on the caller. An error or a
+/// panic in either file reaches the caller, `prov.json`'s first.
 pub(crate) fn write_record(
     dir: &Path,
     identity: &RunIdentity,
@@ -381,10 +428,12 @@ pub(crate) fn write_record(
     samples: Samples<'_>,
     status: RunStatus,
     mark: impl FnOnce(&mut ProvDocument),
+    pool: &WorkerPool,
 ) -> Result<RunReport, ProvMLError> {
+    let inline = !matches!(samples, Samples::Linked) && !state.metrics.is_empty();
     let mut doc = {
         let _trace = obs::trace::span("finalize_emit");
-        build_document_with(identity, state, spill, samples)
+        build_document_with(identity, state, spill, samples, pool)
     };
     let stamp = match status {
         RunStatus::Failed => Some("failed"),
@@ -400,7 +449,14 @@ pub(crate) fn write_record(
     let provn_path = dir.join("prov.provn");
     {
         let _trace = obs::trace::span("finalize_write");
-        write_prov_files(&doc, &prov_json_path, &provn_path)?;
+        if inline {
+            pool.try_map(2, |file| match file {
+                0 => write_prov_json(&doc, &prov_json_path),
+                _ => write_provn(&doc, &provn_path),
+            })?;
+        } else {
+            write_prov_files(&doc, &prov_json_path, &provn_path)?;
+        }
     }
     Ok(RunReport {
         experiment: identity.experiment.clone(),
@@ -743,6 +799,7 @@ mod tests {
                             &state,
                             &empty_spill(),
                             Samples::Cut(&mut cache),
+                            &WorkerPool::serial(),
                         );
                         let fresh = build_document(&identity(), &state, &empty_spill(), true);
                         assert_eq!(
@@ -752,8 +809,13 @@ mod tests {
                         );
                     }
                 }
-                let last =
-                    build_document_with(&identity(), &state, &empty_spill(), Samples::Last(cache));
+                let last = build_document_with(
+                    &identity(),
+                    &state,
+                    &empty_spill(),
+                    Samples::Last(cache),
+                    &WorkerPool::new(1 + seed as usize),
+                );
                 let fresh = build_document(&identity(), &state, &empty_spill(), true);
                 assert_eq!(json_text(&last), json_text(&fresh), "seed {seed}, {name}");
             }
@@ -766,12 +828,20 @@ mod tests {
         let mut cache = InlineCache::default();
         let long = sample_state(20);
         let short = sample_state(5);
-        build_document_with(&identity(), &long, &empty_spill(), Samples::Cut(&mut cache));
+        let serial = WorkerPool::serial();
+        build_document_with(
+            &identity(),
+            &long,
+            &empty_spill(),
+            Samples::Cut(&mut cache),
+            &serial,
+        );
         let cut = build_document_with(
             &identity(),
             &short,
             &empty_spill(),
             Samples::Cut(&mut cache),
+            &serial,
         );
         let fresh = build_document(&identity(), &short, &empty_spill(), true);
         assert_eq!(json_text(&cut), json_text(&fresh));

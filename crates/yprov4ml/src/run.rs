@@ -16,18 +16,24 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Knobs for the finalize pipeline (metric spill, provenance
 /// emission).
 ///
-/// `threads == 1` (the default) encodes spill chunks serially. Higher
-/// values encode them on a work-stealing pool of that width. Output
-/// artifacts are byte-identical at any thread count.
+/// `threads` sizes the pool every finalize stage runs on: a spilled
+/// run encodes its chunks on it, and the last build of an inline run
+/// formats one series a task on it and writes `prov.json` and
+/// `prov.provn` as two tasks. A record without inline series writes its
+/// two files on the caller. The pool never runs more threads than it has
+/// tasks, and `threads == 1` runs every stage on the caller. The default
+/// is the machine's available parallelism. Output artifacts are
+/// byte-identical at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FinalizeOptions {
-    /// Encoding threads of the spill pool.
+    /// Threads of the finalize pool, the caller's included.
     pub threads: usize,
 }
 
 impl Default for FinalizeOptions {
     fn default() -> Self {
-        FinalizeOptions { threads: 1 }
+        let threads = std::thread::available_parallelism().map_or(1, usize::from);
+        FinalizeOptions::with_threads(threads)
     }
 }
 
@@ -116,7 +122,8 @@ pub struct RunOptions {
     /// Durability and rotation knobs for the journal (ignored unless
     /// `journal` is set).
     pub journal_config: JournalConfig,
-    /// Finalize-pipeline parallelism (spill encoding).
+    /// Finalize-pipeline parallelism (spill encoding, inline series
+    /// and the record's files).
     pub finalize: FinalizeOptions,
 }
 
@@ -471,7 +478,7 @@ impl Run {
         } else {
             Samples::Linked
         };
-        let doc = build_document_with(&identity, &state, &spill, samples);
+        let doc = build_document_with(&identity, &state, &spill, samples, &WorkerPool::serial());
         Ok((identity, state, doc))
     }
 
@@ -568,6 +575,7 @@ impl Run {
             samples,
             status,
             |_| {},
+            &pool,
         )?;
         drop(finalize_trace);
         journal_closed?;
