@@ -38,7 +38,6 @@ use crate::prov_emit::{write_record, RunIdentity, Samples};
 use crate::spill::{spill_metrics, SpillPolicy};
 use frame::{Frame, FRAME_RECORDS};
 use json::Value; // reads JSON
-use metric_store::WorkerPool;
 use prov_model::{AttrValue, QName, Relation, RelationKind, XsdDateTime};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead as _, BufReader, ErrorKind, Write as _};
@@ -677,7 +676,6 @@ pub fn recover(
                 ));
             }
         },
-        &WorkerPool::serial(),
     )?;
     let recovery = RecoveryReport {
         records: replay.records,

@@ -154,16 +154,16 @@ pub(crate) enum Samples<'a> {
     Cut(&'a mut InlineCache),
     /// Every sample inline, for the run's last build: the text comes
     /// from the cache and leaves it, not copied, each series' tail
-    /// formatted as one task on the build's pool.
-    Last(InlineCache),
+    /// formatted as one task on the pool, which also writes the record.
+    Last(InlineCache, WorkerPool),
 }
 
 impl Samples<'_> {
-    /// A run's only build: every sample inline from a fresh cache, or
-    /// none.
+    /// A run's only build: every sample inline from a fresh cache on
+    /// the caller, or none.
     pub(crate) fn fresh(inline_metrics: bool) -> Self {
         if inline_metrics {
-            Samples::Last(InlineCache::default())
+            Samples::Last(InlineCache::default(), WorkerPool::serial())
         } else {
             Samples::Linked
         }
@@ -179,27 +179,20 @@ pub fn build_document(
     spill: &SpillOutcome,
     inline_metrics: bool,
 ) -> ProvDocument {
-    build_document_with(
-        identity,
-        state,
-        spill,
-        Samples::fresh(inline_metrics),
-        &WorkerPool::serial(),
-    )
+    build_document_with(identity, state, spill, Samples::fresh(inline_metrics))
 }
 
 /// Builds the provenance document for a run, as it stands in `state`.
-/// A last build ([`Samples::Last`]) formats its series on `pool`; the
+/// A last build ([`Samples::Last`]) formats its series on its pool; the
 /// document is the same at any width.
 pub(crate) fn build_document_with(
     identity: &RunIdentity,
     state: &RunState,
     spill: &SpillOutcome,
     mut samples: Samples<'_>,
-    pool: &WorkerPool,
 ) -> ProvDocument {
     let mut last_texts = match &mut samples {
-        Samples::Last(cache) => std::mem::take(cache).close_all(&state.metrics, pool),
+        Samples::Last(cache, pool) => std::mem::take(cache).close_all(&state.metrics, pool),
         _ => Vec::new(),
     }
     .into_iter();
@@ -328,7 +321,7 @@ pub(crate) fn build_document_with(
             let inline = match &mut samples {
                 Samples::Linked => None,
                 Samples::Cut(cache) => Some(cache.cut(key, series)),
-                Samples::Last(_) => last_texts.next(),
+                Samples::Last(..) => last_texts.next(),
             };
             if let Some(inline) = inline {
                 b.attr(QName::yprov("values"), AttrValue::String(inline));
@@ -415,11 +408,12 @@ fn write_provn(doc: &ProvDocument, path: &Path) -> Result<(), ProvMLError> {
 /// run carries none), lets the caller `mark` what only it knows, writes
 /// `prov.json` and `prov.provn`, and reports what it wrote.
 ///
-/// `pool` formats the series of a last build, and writes the two files
-/// as two tasks when the record carries inline series; a record without
-/// them is a few kilobytes, less than a thread costs to start, and its
-/// files are written one after the other on the caller. An error or a
-/// panic in either file reaches the caller, `prov.json`'s first.
+/// A last build's pool ([`Samples::Last`]) formats its series, and
+/// writes the two files as two tasks when the record carries inline
+/// series; a record without them is a few kilobytes, less than a thread
+/// costs to start, and its files are written one after the other on the
+/// caller. An error or a panic in either file reaches the caller,
+/// `prov.json`'s first.
 pub(crate) fn write_record(
     dir: &Path,
     identity: &RunIdentity,
@@ -428,12 +422,14 @@ pub(crate) fn write_record(
     samples: Samples<'_>,
     status: RunStatus,
     mark: impl FnOnce(&mut ProvDocument),
-    pool: &WorkerPool,
 ) -> Result<RunReport, ProvMLError> {
-    let inline = !matches!(samples, Samples::Linked) && !state.metrics.is_empty();
+    let file_pool = match &samples {
+        Samples::Last(_, pool) if !state.metrics.is_empty() => Some(pool.clone()),
+        _ => None,
+    };
     let mut doc = {
         let _trace = obs::trace::span("finalize_emit");
-        build_document_with(identity, state, spill, samples, pool)
+        build_document_with(identity, state, spill, samples)
     };
     let stamp = match status {
         RunStatus::Failed => Some("failed"),
@@ -449,7 +445,7 @@ pub(crate) fn write_record(
     let provn_path = dir.join("prov.provn");
     {
         let _trace = obs::trace::span("finalize_write");
-        if inline {
+        if let Some(pool) = file_pool {
             pool.try_map(2, |file| match file {
                 0 => write_prov_json(&doc, &prov_json_path),
                 _ => write_provn(&doc, &provn_path),
@@ -799,7 +795,6 @@ mod tests {
                             &state,
                             &empty_spill(),
                             Samples::Cut(&mut cache),
-                            &WorkerPool::serial(),
                         );
                         let fresh = build_document(&identity(), &state, &empty_spill(), true);
                         assert_eq!(
@@ -813,8 +808,7 @@ mod tests {
                     &identity(),
                     &state,
                     &empty_spill(),
-                    Samples::Last(cache),
-                    &WorkerPool::new(1 + seed as usize),
+                    Samples::Last(cache, WorkerPool::new(1 + seed as usize)),
                 );
                 let fresh = build_document(&identity(), &state, &empty_spill(), true);
                 assert_eq!(json_text(&last), json_text(&fresh), "seed {seed}, {name}");
@@ -828,20 +822,12 @@ mod tests {
         let mut cache = InlineCache::default();
         let long = sample_state(20);
         let short = sample_state(5);
-        let serial = WorkerPool::serial();
-        build_document_with(
-            &identity(),
-            &long,
-            &empty_spill(),
-            Samples::Cut(&mut cache),
-            &serial,
-        );
+        build_document_with(&identity(), &long, &empty_spill(), Samples::Cut(&mut cache));
         let cut = build_document_with(
             &identity(),
             &short,
             &empty_spill(),
             Samples::Cut(&mut cache),
-            &serial,
         );
         let fresh = build_document(&identity(), &short, &empty_spill(), true);
         assert_eq!(json_text(&cut), json_text(&fresh));

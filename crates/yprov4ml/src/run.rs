@@ -478,7 +478,7 @@ impl Run {
         } else {
             Samples::Linked
         };
-        let doc = build_document_with(&identity, &state, &spill, samples, &WorkerPool::serial());
+        let doc = build_document_with(&identity, &state, &spill, samples);
         Ok((identity, state, doc))
     }
 
@@ -563,7 +563,7 @@ impl Run {
 
         let identity = self.identity(ended_us);
         let samples = if self.spill.is_inline() {
-            Samples::Last(std::mem::take(&mut *self.inline_cache()))
+            Samples::Last(std::mem::take(&mut *self.inline_cache()), pool)
         } else {
             Samples::Linked
         };
@@ -575,7 +575,6 @@ impl Run {
             samples,
             status,
             |_| {},
-            &pool,
         )?;
         drop(finalize_trace);
         journal_closed?;
