@@ -188,13 +188,23 @@ impl Ledger {
         self.entries.last().expect("just pushed")
     }
 
-    /// The entry [`Self::append`] would append, left out of the chain:
-    /// what a writer makes durable before the chain takes it.
-    pub(crate) fn next_entry(
-        &self,
+    /// Appends a commitment to a document's canonical JSON bytes once
+    /// `persist` has made its entry durable: an entry `persist` refuses
+    /// stays out of the chain, and its error is returned.
+    pub(crate) fn append_persisted<E>(
+        &mut self,
         document_id: impl Into<String>,
         canonical_json: &[u8],
-    ) -> LedgerEntry {
+        persist: impl FnOnce(&LedgerEntry) -> Result<(), E>,
+    ) -> Result<&LedgerEntry, E> {
+        let entry = self.next_entry(document_id, canonical_json);
+        persist(&entry)?;
+        self.entries.push(entry);
+        Ok(self.entries.last().expect("just pushed"))
+    }
+
+    /// The entry [`Self::append`] would append, left out of the chain.
+    fn next_entry(&self, document_id: impl Into<String>, canonical_json: &[u8]) -> LedgerEntry {
         let document_id = document_id.into();
         let document_digest = sha256_hex(canonical_json);
         let prev_hash = self.head_hash();

@@ -466,9 +466,8 @@ impl DocumentStore {
     ///
     /// The chain takes the entry only once its line is written, so a
     /// failed line leaves chain, backend and record as they were. Bytes
-    /// that fail to land after their line leave the chain committing to
-    /// bytes the backend does not hold; the id's older copy is then
-    /// dropped, since no chain commits it any more.
+    /// that fail to land after their line are repaired by
+    /// [`Self::recommit_or_drop`], and the put's error is returned.
     fn commit(
         &self,
         chains: &mut Chains,
@@ -477,19 +476,19 @@ impl DocumentStore {
         json: String,
         index: GraphIndex,
     ) -> Result<(Upload, u64), ServiceError> {
-        let ledger = chains.entry(ChainName::Own).or_default();
-        let entry = ledger.next_entry(&id, json.as_bytes());
-        self.inner
-            .backend
-            .chain_append(&ChainName::Own, &entry.to_line())?;
-        ledger
-            .append_entry(entry.clone())
-            .map_err(ServiceError::LedgerVerification)?;
+        let backend = &self.inner.backend;
+        let entry = chains
+            .entry(ChainName::Own)
+            .or_default()
+            .append_persisted(&id, json.as_bytes(), |entry| {
+                backend.chain_append(&ChainName::Own, &entry.to_line())
+            })?
+            .clone();
         let put_span = self.inner.metrics.put_seconds.start_span();
-        let put = self.inner.backend.put(&id, json.as_bytes());
+        let put = backend.put(&id, json.as_bytes());
         drop(put_span);
         if let Err(e) = put {
-            self.delete_locked(chains, &id)?;
+            self.recommit_or_drop(chains, &id);
             return Err(e);
         }
         let stored = Stored {
@@ -507,6 +506,41 @@ impl DocumentStore {
             },
             version,
         ))
+    }
+
+    /// Repairs `id` after its bytes failed to land behind a durable
+    /// line, which leaves the own chain committing the id to bytes the
+    /// backend does not hold. When the backend still holds the bytes
+    /// the id's record was committed under (a failed put leaves the old
+    /// file in place), one more line commits them again and the
+    /// previous version stays, here and on every replica. Otherwise, or
+    /// when that line fails too, the record goes first and then the
+    /// backend's copy, as far as the backend lets it: no read serves a
+    /// copy left behind, `verify_all` reports it, and the id's next
+    /// write or delete replaces it.
+    fn recommit_or_drop(&self, chains: &mut Chains, id: &str) {
+        let held = read(&self.inner.docs).get(id).map(|s| s.digest.clone());
+        if let Some(digest) = held {
+            let backend = &self.inner.backend;
+            if let Ok(Some(bytes)) = backend.get(id) {
+                let recommitted = sha256_hex(&bytes) == digest
+                    && chains
+                        .entry(ChainName::Own)
+                        .or_default()
+                        .append_persisted(id, &bytes, |entry| {
+                            backend.chain_append(&ChainName::Own, &entry.to_line())
+                        })
+                        .is_ok();
+                if recommitted {
+                    return;
+                }
+            }
+        }
+        let dropped = write(&self.inner.docs).remove(id);
+        self.inner.watch.remove(id);
+        drop(dropped);
+        // The put's error is the one the caller reports.
+        let _ = self.inner.backend.delete(id);
     }
 
     /// Makes `stored` the visible version of `id` — digest, document
@@ -569,12 +603,17 @@ impl DocumentStore {
     }
 
     /// The document's canonical JSON: the backend's stored bytes (timed
-    /// as backend get latency), served without building a tree.
+    /// as backend get latency), served without building a tree. An id
+    /// without a record has none, whatever the backend still holds.
     pub fn document_json(&self, id: &str) -> Result<String, ServiceError> {
+        let not_found = || ServiceError::NotFound { id: id.to_string() };
+        if !read(&self.inner.docs).contains_key(id) {
+            return Err(not_found());
+        }
         let get_span = self.inner.metrics.get_seconds.start_span();
         let bytes = self.inner.backend.get(id)?;
         drop(get_span);
-        let bytes = bytes.ok_or_else(|| ServiceError::NotFound { id: id.to_string() })?;
+        let bytes = bytes.ok_or_else(not_found)?;
         String::from_utf8(bytes).map_err(|e| ServiceError::InvalidDocument {
             reason: format!("{id}: stored bytes are not UTF-8: {e}"),
         })
@@ -2130,14 +2169,16 @@ mod tests {
     }
 
     /// A memory backend, shared so a store can be reopened on it, that
-    /// fails the `chain_append` or the `put` whose 0-based call number is
-    /// set in `fail_append` or `fail_put`.
+    /// fails the `chain_append`, the `put` or the `delete` whose 0-based
+    /// call number is set in `fail_append`, `fail_put` or `fail_delete`.
     struct Flaky {
         inner: Arc<MemoryBackend>,
         appends: AtomicUsize,
         puts: AtomicUsize,
+        deletes: AtomicUsize,
         fail_append: usize,
         fail_put: usize,
+        fail_delete: usize,
     }
 
     impl Flaky {
@@ -2146,8 +2187,17 @@ mod tests {
                 inner: Arc::clone(inner),
                 appends: AtomicUsize::new(0),
                 puts: AtomicUsize::new(0),
+                deletes: AtomicUsize::new(0),
                 fail_append,
                 fail_put,
+                fail_delete: usize::MAX,
+            }
+        }
+
+        fn failing_delete(self, fail_delete: usize) -> Self {
+            Flaky {
+                fail_delete,
+                ..self
             }
         }
 
@@ -2174,6 +2224,7 @@ mod tests {
             self.inner.get(id)
         }
         fn delete(&self, id: &str) -> Result<bool, ServiceError> {
+            Self::check(&self.deletes, self.fail_delete, "delete")?;
             self.inner.delete(id)
         }
         fn scan(&self, visit: &mut crate::backend::Visitor<'_>) -> Result<(), ServiceError> {
@@ -2266,27 +2317,106 @@ mod tests {
         reopened.verify_all().unwrap();
     }
 
+    /// Whether `err` is the error a [`Flaky`] backend injected into `op`.
+    fn injected(err: &ServiceError, op: &str) -> bool {
+        matches!(err, ServiceError::Io { context, .. } if context == &format!("{op} (injected)"))
+    }
+
+    /// Ships `primary`'s own ledger to `replica` from the replica's
+    /// cursor, as a catch-up does.
+    fn catch_up(primary: &DocumentStore, replica: &DocumentStore) {
+        let (next, _) = replica.replication_head("node-a");
+        for (entry, superseded) in primary.replication_log(next, u64::MAX) {
+            if superseded {
+                replica.apply_superseded("node-a", entry).unwrap();
+            } else {
+                let json = primary.committed_document(&entry).unwrap();
+                replica
+                    .apply_replicated("node-a", entry, json.as_deref())
+                    .unwrap();
+            }
+        }
+    }
+
     #[test]
-    fn bytes_that_fail_after_their_line_leave_no_uncommitted_copy() {
+    fn bytes_that_fail_after_their_line_recommit_the_previous_version() {
         let memory = Arc::new(MemoryBackend::new());
         let (first, second) = two_versions();
+        let replica = DocumentStore::new();
         {
             let store = DocumentStore::with_backend(Flaky::new(&memory, usize::MAX, 1)).unwrap();
-            store.upload_as("run-1", first).unwrap();
-            assert!(store.upload_as("run-1", second).is_err());
-            // The line is durable, so the chain holds it; the older copy
-            // it supersedes is no longer served.
-            assert_eq!(store.ledger_entries().len(), 2);
-            assert!(matches!(
-                store.document_json("run-1"),
-                Err(ServiceError::NotFound { .. })
-            ));
-            assert!(store.list().is_empty());
+            let committed = store.upload_as_full("run-1", first).unwrap();
+            catch_up(&store, &replica);
+            let err = store.upload_as("run-1", second).unwrap_err();
+            assert!(injected(&err, "put"), "{err}");
+            // The failed version's line is durable; one more line
+            // commits the bytes the backend still holds.
+            let entries = store.ledger_entries();
+            assert_eq!(entries.len(), 3);
+            assert_eq!(entries[2].document_digest, entries[0].document_digest);
+            assert_eq!(
+                store.document_json("run-1").unwrap(),
+                committed.canonical_json
+            );
             store.verify_all().unwrap();
+            // A replica keeps the previous version too.
+            catch_up(&store, &replica);
+            assert_eq!(
+                replica.document_json("run-1").unwrap(),
+                committed.canonical_json
+            );
+            replica.verify_all().unwrap();
         }
         let reopened =
             DocumentStore::with_backend(Flaky::new(&memory, usize::MAX, usize::MAX)).unwrap();
         reopened.verify_all().unwrap();
+        assert_eq!(reopened.list(), vec!["run-1".to_string()]);
+    }
+
+    #[test]
+    fn bytes_that_fail_after_their_line_with_no_repair_leave_the_id_serving_nothing() {
+        let memory = Arc::new(MemoryBackend::new());
+        let (first, second) = two_versions();
+        // Fails the second put, the line that would commit the first
+        // version again, and the delete of its bytes.
+        let flaky = Flaky::new(&memory, 2, 1).failing_delete(0);
+        let store = DocumentStore::with_backend(flaky).unwrap();
+        store.upload_as("run-1", first.clone()).unwrap();
+        let err = store.upload_as("run-1", second).unwrap_err();
+        assert!(injected(&err, "put"), "the put's error wins: {err}");
+
+        assert_eq!(store.ledger_entries().len(), 2);
+        assert!(matches!(
+            store.document_json("run-1"),
+            Err(ServiceError::NotFound { .. })
+        ));
+        assert!(matches!(
+            store.get("run-1"),
+            Err(ServiceError::NotFound { .. })
+        ));
+        assert!(store.list().is_empty());
+        // The backend still holds the old bytes, which no chain commits.
+        assert!(memory.get("run-1").unwrap().is_some());
+        assert!(store.verify_all().is_err());
+
+        // The id's next write replaces them.
+        store.upload_as("run-1", first).unwrap();
+        store.verify_all().unwrap();
+    }
+
+    #[test]
+    fn bytes_of_a_new_id_that_fail_after_their_line_leave_nothing() {
+        let memory = Arc::new(MemoryBackend::new());
+        let store = DocumentStore::with_backend(Flaky::new(&memory, usize::MAX, 0)).unwrap();
+        let err = store.upload_as("run-1", pipeline_doc()).unwrap_err();
+        assert!(injected(&err, "put"), "{err}");
+        assert_eq!(store.ledger_entries().len(), 1);
+        assert!(store.list().is_empty());
+        store.verify_all().unwrap();
+        let reopened =
+            DocumentStore::with_backend(Flaky::new(&memory, usize::MAX, usize::MAX)).unwrap();
+        reopened.verify_all().unwrap();
+        assert!(reopened.list().is_empty());
     }
 
     /// Deletes `run-1` on a store whose backend parks the delete after

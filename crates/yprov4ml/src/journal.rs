@@ -38,6 +38,7 @@ use crate::prov_emit::{write_record, RunIdentity, Samples};
 use crate::spill::{spill_metrics, SpillPolicy};
 use frame::{Frame, FRAME_RECORDS};
 use json::Value; // reads JSON
+use metric_store::WorkerPool;
 use prov_model::{AttrValue, QName, Relation, RelationKind, XsdDateTime};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead as _, BufReader, ErrorKind, Write as _};
@@ -636,6 +637,7 @@ pub fn recover(
         &state,
         &outcome,
         Samples::fresh(spill.is_inline()),
+        &WorkerPool::serial(),
         RunStatus::Recovered,
         |doc| {
             let run = &identity.run;

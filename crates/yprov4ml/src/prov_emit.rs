@@ -14,8 +14,8 @@
 //! Its inline series text lives in an `InlineCache` across those builds,
 //! so each sample is formatted once per run, not once per cut. A cut
 //! formats on the caller; the last build formats each series as one
-//! task on the finalize pool, and a record carrying inline series
-//! writes `prov.json` and `prov.provn` as two tasks on it.
+//! task on the finalize pool, and every record writes `prov.json` and
+//! `prov.provn` as two tasks on it.
 
 use crate::collector::RunState;
 use crate::error::ProvMLError;
@@ -154,8 +154,8 @@ pub(crate) enum Samples<'a> {
     Cut(&'a mut InlineCache),
     /// Every sample inline, for the run's last build: the text comes
     /// from the cache and leaves it, not copied, each series' tail
-    /// formatted as one task on the pool, which also writes the record.
-    Last(InlineCache, WorkerPool),
+    /// formatted as one task on the build's pool.
+    Last(InlineCache),
 }
 
 impl Samples<'_> {
@@ -163,7 +163,7 @@ impl Samples<'_> {
     /// the caller, or none.
     pub(crate) fn fresh(inline_metrics: bool) -> Self {
         if inline_metrics {
-            Samples::Last(InlineCache::default(), WorkerPool::serial())
+            Samples::Last(InlineCache::default())
         } else {
             Samples::Linked
         }
@@ -179,20 +179,22 @@ pub fn build_document(
     spill: &SpillOutcome,
     inline_metrics: bool,
 ) -> ProvDocument {
-    build_document_with(identity, state, spill, Samples::fresh(inline_metrics))
+    let samples = Samples::fresh(inline_metrics);
+    build_document_with(identity, state, spill, samples, &WorkerPool::serial())
 }
 
 /// Builds the provenance document for a run, as it stands in `state`.
-/// A last build ([`Samples::Last`]) formats its series on its pool; the
+/// A last build ([`Samples::Last`]) formats its series on `pool`; the
 /// document is the same at any width.
 pub(crate) fn build_document_with(
     identity: &RunIdentity,
     state: &RunState,
     spill: &SpillOutcome,
     mut samples: Samples<'_>,
+    pool: &WorkerPool,
 ) -> ProvDocument {
     let mut last_texts = match &mut samples {
-        Samples::Last(cache, pool) => std::mem::take(cache).close_all(&state.metrics, pool),
+        Samples::Last(cache) => std::mem::take(cache).close_all(&state.metrics, pool),
         _ => Vec::new(),
     }
     .into_iter();
@@ -408,28 +410,24 @@ fn write_provn(doc: &ProvDocument, path: &Path) -> Result<(), ProvMLError> {
 /// run carries none), lets the caller `mark` what only it knows, writes
 /// `prov.json` and `prov.provn`, and reports what it wrote.
 ///
-/// A last build's pool ([`Samples::Last`]) formats its series, and
-/// writes the two files as two tasks when the record carries inline
-/// series; a record without them is a few kilobytes, less than a thread
-/// costs to start, and its files are written one after the other on the
-/// caller. An error or a panic in either file reaches the caller,
-/// `prov.json`'s first.
+/// A last build ([`Samples::Last`]) formats its series on `pool`, and
+/// the two files are two tasks on it (a serial pool writes them one
+/// after the other on the caller). An error or a panic in either file
+/// reaches the caller, `prov.json`'s first.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn write_record(
     dir: &Path,
     identity: &RunIdentity,
     state: &RunState,
     spill: &SpillOutcome,
     samples: Samples<'_>,
+    pool: &WorkerPool,
     status: RunStatus,
     mark: impl FnOnce(&mut ProvDocument),
 ) -> Result<RunReport, ProvMLError> {
-    let file_pool = match &samples {
-        Samples::Last(_, pool) if !state.metrics.is_empty() => Some(pool.clone()),
-        _ => None,
-    };
     let mut doc = {
         let _trace = obs::trace::span("finalize_emit");
-        build_document_with(identity, state, spill, samples)
+        build_document_with(identity, state, spill, samples, pool)
     };
     let stamp = match status {
         RunStatus::Failed => Some("failed"),
@@ -445,14 +443,10 @@ pub(crate) fn write_record(
     let provn_path = dir.join("prov.provn");
     {
         let _trace = obs::trace::span("finalize_write");
-        if let Some(pool) = file_pool {
-            pool.try_map(2, |file| match file {
-                0 => write_prov_json(&doc, &prov_json_path),
-                _ => write_provn(&doc, &provn_path),
-            })?;
-        } else {
-            write_prov_files(&doc, &prov_json_path, &provn_path)?;
-        }
+        pool.try_map(2, |file| match file {
+            0 => write_prov_json(&doc, &prov_json_path),
+            _ => write_provn(&doc, &provn_path),
+        })?;
     }
     Ok(RunReport {
         experiment: identity.experiment.clone(),
@@ -795,6 +789,7 @@ mod tests {
                             &state,
                             &empty_spill(),
                             Samples::Cut(&mut cache),
+                            &WorkerPool::serial(),
                         );
                         let fresh = build_document(&identity(), &state, &empty_spill(), true);
                         assert_eq!(
@@ -808,7 +803,8 @@ mod tests {
                     &identity(),
                     &state,
                     &empty_spill(),
-                    Samples::Last(cache, WorkerPool::new(1 + seed as usize)),
+                    Samples::Last(cache),
+                    &WorkerPool::new(1 + seed as usize),
                 );
                 let fresh = build_document(&identity(), &state, &empty_spill(), true);
                 assert_eq!(json_text(&last), json_text(&fresh), "seed {seed}, {name}");
@@ -822,12 +818,20 @@ mod tests {
         let mut cache = InlineCache::default();
         let long = sample_state(20);
         let short = sample_state(5);
-        build_document_with(&identity(), &long, &empty_spill(), Samples::Cut(&mut cache));
+        let serial = WorkerPool::serial();
+        build_document_with(
+            &identity(),
+            &long,
+            &empty_spill(),
+            Samples::Cut(&mut cache),
+            &serial,
+        );
         let cut = build_document_with(
             &identity(),
             &short,
             &empty_spill(),
             Samples::Cut(&mut cache),
+            &serial,
         );
         let fresh = build_document(&identity(), &short, &empty_spill(), true);
         assert_eq!(json_text(&cut), json_text(&fresh));

@@ -17,13 +17,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// emission).
 ///
 /// `threads` sizes the pool every finalize stage runs on: a spilled
-/// run encodes its chunks on it, and the last build of an inline run
-/// formats one series a task on it and writes `prov.json` and
-/// `prov.provn` as two tasks. A record without inline series writes its
-/// two files on the caller. The pool never runs more threads than it has
-/// tasks, and `threads == 1` runs every stage on the caller. The default
-/// is the machine's available parallelism. Output artifacts are
-/// byte-identical at any thread count.
+/// run encodes its chunks on it, the last build of an inline run
+/// formats one series a task on it, and every record writes `prov.json`
+/// and `prov.provn` as two tasks on it. The pool never runs more threads
+/// than it has tasks, and `threads == 1` runs every stage on the caller.
+/// The default is the machine's available parallelism. Output artifacts
+/// are byte-identical at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FinalizeOptions {
     /// Threads of the finalize pool, the caller's included.
@@ -478,7 +477,7 @@ impl Run {
         } else {
             Samples::Linked
         };
-        let doc = build_document_with(&identity, &state, &spill, samples);
+        let doc = build_document_with(&identity, &state, &spill, samples, &WorkerPool::serial());
         Ok((identity, state, doc))
     }
 
@@ -563,7 +562,7 @@ impl Run {
 
         let identity = self.identity(ended_us);
         let samples = if self.spill.is_inline() {
-            Samples::Last(std::mem::take(&mut *self.inline_cache()), pool)
+            Samples::Last(std::mem::take(&mut *self.inline_cache()))
         } else {
             Samples::Linked
         };
@@ -573,6 +572,7 @@ impl Run {
             &state,
             &spill,
             samples,
+            &pool,
             status,
             |_| {},
         )?;
